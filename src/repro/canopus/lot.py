@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["VNode", "SuperLeaf", "LeafOnlyTree", "EmulationTable"]
 
@@ -253,19 +253,74 @@ class LeafOnlyTree:
         )
         return [child for child in self.children_of(target) if child != own_branch]
 
+    # The fetch plan is a pure function of the cycle id and the live view:
+    # every member of a super-leaf evaluates it on its own, and the round
+    # only completes if they all arrive at the same answer.  Duty rotates
+    # with the cycle id so that no member fetches, re-broadcasts and serves
+    # in every cycle while its peers idle.
     @staticmethod
-    def assign_representative(vnode_id: str, representatives: Sequence[str]) -> str:
-        """Deterministic vnode→representative assignment (§4.5).
+    def representatives(cycle_id: int, live_members: Iterable[str], count: int) -> List[str]:
+        """The ``count`` live members on fetch duty in ``cycle_id`` (§4.5)."""
+        members = sorted(live_members)
+        count = min(count, len(members))
+        first = cycle_id * count
+        return [members[(first + i) % len(members)] for i in range(count)]
+
+    @staticmethod
+    def assign_representative(position: int, representatives: Sequence[str]) -> str:
+        """The representative that fetches the ``position``-th required vnode.
 
         The paper assigns vnodes to representatives by taking the vnode id
-        modulo the number of representatives; we hash the dotted id to an
-        integer first so the rule works for arbitrary id strings.
+        modulo the number of representatives (§4.5); the position in
+        :meth:`required_vnodes` is that id, counted from zero.
         """
         if not representatives:
             raise ValueError("no representatives available")
-        digits = [int(part) for part in vnode_id.split(".") if part.isdigit()]
-        index = sum(digits) % len(representatives)
-        return sorted(representatives)[index]
+        return representatives[position % len(representatives)]
+
+    def fetch_plan(
+        self,
+        node_id: str,
+        round_number: int,
+        cycle_id: int,
+        live_members: Iterable[str],
+        count: int,
+        redundancy: int = 1,
+    ) -> Dict[str, List[str]]:
+        """Who in ``node_id``'s super-leaf fetches what in one round.
+
+        Maps each required vnode to its fetchers; with ``redundancy`` > 1
+        the following representatives fetch it as well (§4.5), and a
+        fetcher's index in the list is its rank for :meth:`emulator_for`.
+        """
+        reps = self.representatives(cycle_id, live_members, count)
+        plan: Dict[str, List[str]] = {}
+        for position, vnode_id in enumerate(self.required_vnodes(node_id, round_number)):
+            plan[vnode_id] = [
+                self.assign_representative(position + rank, reps)
+                for rank in range(min(redundancy, len(reps)))
+            ]
+        return plan
+
+    def emulator_for(
+        self, vnode_id: str, node_id: str, cycle_id: int, turn: int, emulators: Sequence[str]
+    ) -> str:
+        """The emulator of ``vnode_id`` that ``node_id`` asks in ``cycle_id``.
+
+        Offsetting by the requesting super-leaf's index among the
+        super-leaves that need this vnode (those under its siblings; at
+        height 1, the siblings themselves) sends them to different emulators
+        in one cycle; ``turn`` (fetcher rank + retries so far) moves
+        redundant fetchers apart and retries past a dead emulator.
+        """
+        inside = {leaf.name for leaf in self.descendant_super_leaves(vnode_id)}
+        requesters = [
+            leaf.name
+            for leaf in self.descendant_super_leaves(self.vnodes[vnode_id].parent)
+            if leaf.name not in inside
+        ]
+        index = requesters.index(self._pnode_super_leaf[node_id])
+        return emulators[(cycle_id + index + turn) % len(emulators)]
 
     # ------------------------------------------------------------------
     @classmethod

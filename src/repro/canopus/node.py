@@ -46,7 +46,7 @@ from repro.canopus.messages import (
     ProposalRequest,
 )
 from repro.canopus.proposal import merge_proposals
-from repro.runtime.base import Runtime, Timer
+from repro.runtime.base import TIMER_SLACK_S, Runtime, Timer
 
 __all__ = ["CanopusNode", "CommittedCycle"]
 
@@ -138,6 +138,8 @@ class CanopusNode:
         )
 
         self._cycle_timer: Optional[Timer] = None
+        #: Earliest start of the next locally initiated cycle (non-pipelined).
+        self._next_cycle_at = 0.0
         self.running = False
         self.crashed = False
 
@@ -191,34 +193,19 @@ class CanopusNode:
     # ==================================================================
     # Representatives
     # ==================================================================
-    def representatives(self) -> List[str]:
-        """Current representatives of this node's super-leaf (§4.5).
+    def representatives(self, cycle_id: int) -> List[str]:
+        """This super-leaf's representatives in ``cycle_id`` (§4.5).
 
-        Representatives are the first *k* live members in sorted order;
-        because every member has the same live view at cycle boundaries,
-        this needs no extra communication.
+        Duty rotates over the live members with the cycle id; because every
+        member has the same live view at cycle boundaries, this needs no
+        extra communication.
         """
-        live_sorted = sorted(self.live_members)
-        k = min(self.config.representatives_per_super_leaf, len(live_sorted))
-        return live_sorted[:k]
+        return LeafOnlyTree.representatives(
+            cycle_id, self.live_members, self.config.representatives_per_super_leaf
+        )
 
-    def is_representative(self) -> bool:
-        return self.node_id in self.representatives()
-
-    def _fetchers_for(self, vnode_id: str) -> List[str]:
-        """Representatives responsible for fetching ``vnode_id`` this cycle."""
-        reps = self.representatives()
-        if not reps:
-            return []
-        primary = LeafOnlyTree.assign_representative(vnode_id, reps)
-        assigned = [primary]
-        if self.config.redundant_fetches > 1 and len(reps) > 1:
-            index = reps.index(primary)
-            for offset in range(1, self.config.redundant_fetches):
-                candidate = reps[(index + offset) % len(reps)]
-                if candidate not in assigned:
-                    assigned.append(candidate)
-        return assigned
+    def is_representative(self, cycle_id: int) -> bool:
+        return self.node_id in self.representatives(cycle_id)
 
     # ==================================================================
     # Message handling
@@ -319,7 +306,10 @@ class CanopusNode:
     # Consensus cycle management
     # ==================================================================
     def _on_cycle_timer(self) -> None:
-        """Periodic pipelining clock (§7.1): bound the cycle start offset."""
+        """The cycle clock: periodic when pipelining (§7.1), else the one-shot
+        armed by :meth:`_maybe_start_next_cycle` for the rest of the interval."""
+        if not self.config.pipelining:
+            self._cycle_timer = None
         if not self.running:
             return
         has_work = bool(self.pending_writes) or self.linearizer.pending_count() > 0
@@ -337,6 +327,14 @@ class CanopusNode:
         else:
             if self.last_started_cycle > self.last_committed_cycle:
                 return
+            # §8.2: a new cycle every cycle_interval_s or once the batch is
+            # full.  Requests that arrive sooner wait for the clock, so a
+            # faster cycle yields lower latency rather than more cycles.
+            wait = self._next_cycle_at - self.runtime.now()
+            if wait > TIMER_SLACK_S and reason != "batch-full":
+                if self._cycle_timer is None:
+                    self._cycle_timer = self.runtime.after(wait, self._on_cycle_timer)
+                return
         self._start_cycle(self.last_started_cycle + 1)
 
     def _start_cycle(self, cycle_id: int) -> None:
@@ -351,6 +349,7 @@ class CanopusNode:
         else:
             state.expected_members = set(self.live_members)
         state.started_at = self.runtime.now()
+        self._next_cycle_at = state.started_at + self.config.cycle_interval_s
 
         # Batch pending writes and membership updates into this cycle.
         batch, self.pending_writes = self.pending_writes, []
@@ -406,10 +405,12 @@ class CanopusNode:
         """
         while self.last_started_cycle < observed_cycle:
             next_cycle = self.last_started_cycle + 1
-            if self.config.pipelining:
-                inflight = self.last_started_cycle - self.last_committed_cycle
-                if inflight >= self.config.max_inflight_cycles:
-                    break
+            # Bounded in both modes: peers keep a cycle's state for
+            # 4 x max_inflight_cycles, so a super-leaf that runs further
+            # ahead of a stalled one can no longer serve its fetches.
+            inflight = self.last_started_cycle - self.last_committed_cycle
+            if inflight >= self.config.max_inflight_cycles:
+                break
             self._start_cycle(next_cycle)
             if self.last_started_cycle != next_cycle:
                 break
@@ -555,16 +556,25 @@ class CanopusNode:
         self._begin_fetch_round(state, state.current_round)
 
     def _begin_fetch_round(self, state: CycleState, round_number: int) -> None:
-        """Issue proposal-requests for the vnodes needed in ``round_number``."""
-        required = self.lot.required_vnodes(self.node_id, round_number)
-        for vnode_id in required:
-            if state.has_vnode_state(vnode_id):
-                continue
-            fetchers = self._fetchers_for(vnode_id)
-            if self.node_id in fetchers:
-                self._issue_fetch(state, vnode_id, attempt=1)
+        """Issue this node's share of the proposal-requests of ``round_number``.
 
-    def _issue_fetch(self, state: CycleState, vnode_id: str, attempt: int) -> None:
+        Also re-run when the live view changes mid-round: the plan is a
+        function of the view, so a survivor may inherit a failed peer's
+        fetch.  Fetches already issued here are left to their retry timer.
+        """
+        plan = self.lot.fetch_plan(
+            self.node_id,
+            round_number,
+            state.cycle_id,
+            self.live_members,
+            self.config.representatives_per_super_leaf,
+            self.config.redundant_fetches,
+        )
+        for vnode_id, fetchers in plan.items():
+            if self.node_id in fetchers and vnode_id not in state.fetches:
+                self._issue_fetch(state, vnode_id, attempt=1, rank=fetchers.index(self.node_id))
+
+    def _issue_fetch(self, state: CycleState, vnode_id: str, attempt: int, rank: int) -> None:
         if state.has_vnode_state(vnode_id) or self.crashed:
             return
         emulators = [
@@ -576,17 +586,16 @@ class CanopusNode:
             # No live emulator known: the consensus process stalls for this
             # super-leaf (§6); retry later in case the table was stale.
             timer = self.runtime.after(
-                self.config.fetch_timeout_s, lambda: self._issue_fetch(state, vnode_id, attempt + 1)
+                self.config.fetch_timeout_s, lambda: self._issue_fetch(state, vnode_id, attempt + 1, rank)
             )
             state.fetches[vnode_id] = FetchState(
-                vnode_id=vnode_id, emulator="", issued_at=self.runtime.now(), attempts=attempt, timer=timer
+                vnode_id=vnode_id, emulator="", issued_at=self.runtime.now(), attempts=attempt,
+                rank=rank, timer=timer,
             )
             return
-        # Spread redundant fetchers across distinct emulators, and rotate on
-        # retries so a crashed emulator is eventually skipped.
-        fetchers = self._fetchers_for(vnode_id)
-        rank = fetchers.index(self.node_id) if self.node_id in fetchers else 0
-        emulator = emulators[(rank + attempt - 1) % len(emulators)]
+        emulator = self.lot.emulator_for(
+            vnode_id, self.node_id, state.cycle_id, rank + attempt - 1, emulators
+        )
         request = ProposalRequest(
             cycle_id=state.cycle_id,
             round_number=state.current_round,
@@ -609,6 +618,7 @@ class CanopusNode:
             emulator=emulator,
             issued_at=self.runtime.now(),
             attempts=attempt,
+            rank=rank,
             timer=timer,
         )
 
@@ -616,7 +626,7 @@ class CanopusNode:
         fetch = state.fetches.get(vnode_id)
         if fetch is None or fetch.satisfied or state.has_vnode_state(vnode_id) or self.crashed:
             return
-        self._issue_fetch(state, vnode_id, attempt=fetch.attempts + 1)
+        self._issue_fetch(state, vnode_id, attempt=fetch.attempts + 1, rank=fetch.rank)
 
     # ------------------------------------------------------------------
     # Commit
@@ -708,11 +718,14 @@ class CanopusNode:
         self.live_members.discard(peer)
         self.membership.note_failure(peer)
         self.broadcast.remove_peer(peer)
-        # Stop waiting for the failed peer in any in-flight round 1.
-        for state in self.cycles.values():
+        # Stop waiting for the failed peer in any in-flight round 1, and
+        # take over the fetches the new live view assigns to this node.
+        for state in list(self.cycles.values()):
             if not state.completed:
                 state.exclude_member(peer)
                 self._check_round_completion(state)
+                if not state.completed and state.current_round > 1:
+                    self._begin_fetch_round(state, state.current_round)
 
     def _on_join_request(self, sender: str, request: JoinRequest) -> None:
         """A node (re)joins this super-leaf; effective after the carrying cycle commits."""

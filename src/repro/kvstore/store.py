@@ -27,7 +27,7 @@ class BadVersionError(ValueError):
     """Raised when a conditional set/delete specifies a stale version."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ZNode:
     """One node of the data tree."""
 
@@ -165,22 +165,49 @@ class KVStore:
     # Flat key-value facade used by the paper-style KV workloads
     # ------------------------------------------------------------------
     KV_PREFIX = "/kv"
+    _KV_NAME = KV_PREFIX[1:]
 
     def write(self, key: str, value: str) -> str:
         """Upsert ``key`` (a flat key, stored under ``/kv/<key>``)."""
-        path = f"{self.KV_PREFIX}/{key}"
-        try:
-            self.set(path, value)
-        except NoNodeError:
-            self.create(path, value, parents=True)
+        if not key or "/" in key:
+            # A key with path structure of its own: the generic tree walk.
+            path = f"{self.KV_PREFIX}/{key}"
+            try:
+                self.set(path, value)
+            except NoNodeError:
+                self.create(path, value, parents=True)
+            return value
+        # Flat key: walk /kv/<key> directly.  Same zxid, version and
+        # writes_applied accounting as set() / create(parents=True).
+        kv = self.root.children.get(self._KV_NAME)
+        if kv is None:
+            self._zxid += 1
+            kv = ZNode(self.KV_PREFIX, created_zxid=self._zxid, modified_zxid=self._zxid)
+            self.root.children[self._KV_NAME] = kv
+        self._zxid += 1
+        node = kv.children.get(key)
+        if node is None:
+            kv.children[key] = ZNode(
+                f"{self.KV_PREFIX}/{key}", value, created_zxid=self._zxid, modified_zxid=self._zxid
+            )
+        else:
+            node.value = value
+            node.version += 1
+            node.modified_zxid = self._zxid
+        self.writes_applied += 1
         return value
 
     def read(self, key: str) -> Optional[str]:
         """Read a flat key; returns ``None`` when absent."""
-        try:
-            return self.get(f"{self.KV_PREFIX}/{key}")
-        except NoNodeError:
-            return None
+        if not key or "/" in key:
+            try:
+                return self.get(f"{self.KV_PREFIX}/{key}")
+            except NoNodeError:
+                return None
+        self.reads_served += 1
+        kv = self.root.children.get(self._KV_NAME)
+        node = kv.children.get(key) if kv is not None else None
+        return node.value if node is not None else None
 
     # ------------------------------------------------------------------
     def size(self) -> int:

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.raft.log import LogEntry, RaftLog
 from repro.raft.messages import AppendEntries, AppendEntriesReply, RequestVote, RequestVoteReply
-from repro.runtime.base import Runtime, Timer
+from repro.runtime.base import TIMER_SLACK_S, Runtime, Timer
 
 __all__ = ["Role", "RaftConfig", "RaftNode"]
 
@@ -68,6 +68,8 @@ class RaftNode:
         self.members: List[str] = list(members)
         if self.node_id not in self.members:
             raise ValueError(f"{self.node_id} is not a member of group {group_id}")
+        #: ``members`` without this node, kept in step by add/remove_member.
+        self._peers: List[str] = [m for m in self.members if m != self.node_id]
         self.apply = apply
         self.config = config or RaftConfig()
 
@@ -98,6 +100,10 @@ class RaftNode:
         self.lease_valid_until = -1.0
 
         self._election_timer: Optional[Timer] = None
+        #: When the election fires unless reset again, and when the live
+        #: timer fires; the timer re-arms itself for the difference.
+        self._election_deadline = 0.0
+        self._election_timer_at = 0.0
         self._heartbeat_timer: Optional[Timer] = None
         self.stopped = False
         #: Per-type handler table replacing the delivery isinstance chain.
@@ -123,7 +129,8 @@ class RaftNode:
         return self.role is Role.LEADER
 
     def peers(self) -> List[str]:
-        return [m for m in self.members if m != self.node_id]
+        """The other members, in ``members`` order (shared list: do not mutate)."""
+        return self._peers
 
     def majority(self) -> int:
         return len(self.members) // 2 + 1
@@ -182,10 +189,19 @@ class RaftNode:
         """Drop a crashed member from the group view."""
         if member in self.members and member != self.node_id:
             self.members.remove(member)
+            self._peers.remove(member)
             self.next_index.pop(member, None)
             self.match_index.pop(member, None)
             if self.is_leader:
                 self._advance_commit_index()
+
+    def add_member(self, member: str) -> None:
+        """Admit a (re)joined member; it is caught up from the log's end."""
+        if member not in self.members:
+            self.members.append(member)
+            self._peers.append(member)
+            self.next_index[member] = self.log.last_index + 1
+            self.match_index[member] = 0
 
     # ------------------------------------------------------------------
     # Message handling
@@ -199,15 +215,31 @@ class RaftNode:
 
     # -- Elections ------------------------------------------------------
     def _reset_election_timer(self) -> None:
-        if self._election_timer:
-            self._election_timer.cancel()
+        # One live timer and a deadline: a follower resets on every
+        # AppendEntries, and a cancel + re-arm per reset would leave that
+        # many dead long timers in the event queue.  The timer is only
+        # replaced when the new deadline falls before it.
         timeout = self.runtime.rng.uniform(
             self.config.election_timeout_min_s, self.config.election_timeout_max_s
         )
-        self._election_timer = self.runtime.after(timeout, self._on_election_timeout)
+        self._election_deadline = self.runtime.now() + timeout
+        if self._election_timer is not None:
+            if self._election_timer_at <= self._election_deadline:
+                return
+            self._election_timer.cancel()
+        self._arm_election_timer(timeout)
+
+    def _arm_election_timer(self, delay: float) -> None:
+        self._election_timer_at = self.runtime.now() + delay
+        self._election_timer = self.runtime.after(delay, self._on_election_timeout)
 
     def _on_election_timeout(self) -> None:
+        self._election_timer = None
         if self.stopped or self.is_leader:
+            return
+        remaining = self._election_deadline - self.runtime.now()
+        if remaining > TIMER_SLACK_S:
+            self._arm_election_timer(remaining)
             return
         self._start_election()
 

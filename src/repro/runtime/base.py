@@ -26,7 +26,13 @@ import abc
 import random
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-__all__ = ["Runtime", "Timer", "Transport", "estimate_size"]
+__all__ = ["Runtime", "Timer", "Transport", "estimate_size", "TIMER_SLACK_S"]
+
+#: A timer that re-arms itself for "the rest of" an interval treats a
+#: remainder this small as elapsed: substrates add the delay to their clock,
+#: which can land an ulp short of the deadline, and a remainder below the
+#: clock's resolution would re-arm at the same instant forever.
+TIMER_SLACK_S = 1e-9
 
 
 def estimate_size(message: Any) -> int:

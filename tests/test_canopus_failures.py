@@ -1,5 +1,6 @@
 """Failure-injection tests: node crashes, membership updates, stalls."""
 
+import pytest
 
 from repro.canopus.messages import MembershipUpdate
 from repro.verify.agreement import check_agreement
@@ -130,4 +131,64 @@ class TestSuperLeafFailure:
             if not node_id.startswith("n2-")
         }
         ok, message = check_agreement(orders)
+        assert ok, message
+
+
+def _in_flight(node):
+    return node.cycles[node.last_started_cycle]
+
+
+def holds_fetch(node):
+    """The node has asked a remote emulator and not heard back yet."""
+    return any(not fetch.satisfied for fetch in _in_flight(node).fetches.values())
+
+
+def waits_on_peers(node):
+    """The node is in round 2 of a cycle in which it has no fetch duty."""
+    state = _in_flight(node)
+    return state.current_round == 2 and not state.completed and not state.fetches
+
+
+class TestCrashUnderLoad:
+    """A crash in the middle of a cycle, with every node kept busy.
+
+    The tests above crash a node between cycles.  Under steady load the
+    victim dies holding an in-flight fetch, and its super-leaf must re-plan
+    that fetch instead of waiting for it forever while the other
+    super-leaves run out of the state-retention window.
+    """
+
+    LOAD_UNTIL_S = 3.0
+    WRITE_EVERY_S = 0.0005
+
+    @pytest.mark.parametrize(
+        "victim, moment",
+        [("n0-0", holds_fetch), ("n1-0", holds_fetch), ("n2-0", holds_fetch), ("n0-2", waits_on_peers)],
+    )
+    def test_survivors_keep_committing(self, victim, moment):
+        config = fast_config(broadcast_mode="raft")
+        sim, topology, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        survivors = [node for node_id, node in cluster.nodes.items() if node_id != victim]
+
+        def submit(index: int) -> None:
+            survivors[index % len(survivors)].submit(write(f"k{index}", "v"))
+
+        writes = int(self.LOAD_UNTIL_S / self.WRITE_EVERY_S)
+        for index in range(writes):
+            sim.schedule(index * self.WRITE_EVERY_S, lambda index=index: submit(index))
+
+        sim.run_until(0.5)
+        while not moment(cluster.nodes[victim]):
+            assert sim.now < 0.6, f"{victim} never reached the crash moment"
+            sim.run_until(sim.now + 0.00002)
+        crash(topology, cluster, victim)
+        sim.run_until(self.LOAD_UNTIL_S - 0.5)
+        midway = {node.node_id: node.last_committed_cycle for node in survivors}
+        sim.run_until(self.LOAD_UNTIL_S + 0.5)
+
+        for node in survivors:
+            assert node.last_committed_cycle > midway[node.node_id], f"{node.node_id} stalled"
+            committed = {request.key for request in node.committed_requests()}
+            assert all(f"k{index}" in committed for index in range(writes)), node.node_id
+        ok, message = check_agreement({node.node_id: node.committed_order() for node in survivors})
         assert ok, message

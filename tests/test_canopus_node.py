@@ -5,8 +5,11 @@ broadcast, representatives, commit) on the deterministic simulator.
 """
 
 
+from repro.bench.builders import build_system, make_single_dc_topology
 from repro.canopus.messages import RequestType
+from repro.sim.engine import Simulator
 from repro.verify.agreement import check_agreement
+from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 from tests.helpers import build_canopus_on_sim, committed_orders, fast_config, read, write
 
 
@@ -212,22 +215,58 @@ class TestWriteLeases:
 
 
 class TestRepresentatives:
-    def test_representatives_are_first_sorted_live_members(self):
+    def test_representatives_rotate_over_the_sorted_live_members(self):
         sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
         node = cluster.nodes["n0-0"]
-        assert node.representatives() == sorted(node.super_leaf.members)[:2]
-        assert node.is_representative()
+        members = sorted(node.super_leaf.members)
+        assert node.representatives(0) == members[:2]
+        assert node.representatives(1) == [members[2], members[0]]
+        assert node.is_representative(1) and not node.is_representative(2)
+        node.live_members.discard("n0-1")
+        assert node.representatives(1) == ["n0-0", "n0-2"]
 
-    def test_non_representative_does_not_fetch(self):
+    def test_only_the_cycles_representatives_fetch(self):
         sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        for index, node in enumerate(cluster.nodes.values()):
+        node = cluster.nodes["n0-2"]
+        for index in range(6):
             node.submit(write(f"k{index}", "v"))
-        sim.run_until(2.0)
-        non_rep = cluster.nodes["n0-2"]
-        assert not non_rep.is_representative()
-        assert non_rep.stats["proposal_requests_sent"] == 0
-        rep = cluster.nodes["n0-0"]
-        assert rep.stats["proposal_requests_sent"] > 0
+            sim.run_until(0.1 * (index + 1))
+        assert node.last_committed_cycle == 6
+        for member in cluster.nodes.values():
+            duty = sum(member.is_representative(cycle_id) for cycle_id in range(1, 7))
+            assert duty == 4  # two of three members per cycle, in turn
+            assert member.stats["proposal_requests_sent"] == duty
+
+    def test_fetch_duty_keeps_server_cpu_balanced(self):
+        """27 nodes, Raft broadcast, the paper's read-heavy mix at 40 k req/s:
+        no server works much harder than the average one.  With a static
+        plan one node per rack did all of it and sat at 2.2x the mean."""
+        simulator = Simulator(seed=7)
+        topology = make_single_dc_topology(simulator, nodes_per_rack=9, racks=3)
+        config = fast_config(broadcast_mode="raft", cycle_interval_s=0.005)
+        system = build_system("canopus", topology, config=config)
+        generator = WorkloadGenerator(
+            topology,
+            WorkloadConfig(
+                client_processes=36, aggregate_rate_hz=40_000, write_ratio=0.2, key_count=10_000, seed=7
+            ),
+        )
+        generator.build()
+        system.start()
+        generator.start()
+        simulator.run_until(0.15)
+        busy = [
+            host.cpu_utilization(simulator.now)
+            for name, host in topology.network.hosts.items()
+            if name in system.protocol.node_ids()
+        ]
+        assert len(busy) == 27
+        assert max(busy) <= 1.5 * (sum(busy) / len(busy))
+        stats = system.protocol.stats()
+        assert stats["fetch_retries"] == 0
+        # The same work, spread: six proposal-requests per cycle, as before.
+        cycles = stats["cycles_committed"] // 27
+        assert cycles > 20 and abs(stats["proposal_requests_sent"] - 6 * cycles) <= 6
 
     def test_pipelined_cycles_commit_in_order(self):
         config = fast_config(pipelining=True, cycle_interval_s=0.02, max_inflight_cycles=4)
@@ -244,3 +283,68 @@ class TestRepresentatives:
         for node in nodes:
             cycles = [cycle.cycle_id for cycle in node.commit_log]
             assert cycles == sorted(cycles)
+
+
+class TestCycleBatching:
+    """§8.2: a new cycle every ``cycle_interval_s`` or once the batch is full."""
+
+    INTERVAL_S = 0.01  # fast_config's cycle_interval_s
+
+    @staticmethod
+    def steady_writes(sim, cluster, duration_s, every_s=0.0005):
+        nodes = list(cluster.nodes.values())
+        for index in range(int(duration_s / every_s)):
+            sim.schedule(
+                index * every_s,
+                lambda index=index: nodes[index % len(nodes)].submit(write(f"k{index}", "v")),
+            )
+        sim.run_until(duration_s)
+
+    def test_steady_load_starts_one_cycle_per_interval(self):
+        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        self.steady_writes(sim, cluster, duration_s=0.5)
+        for node in cluster.nodes.values():
+            assert 0.5 / self.INTERVAL_S - 2 <= node.last_started_cycle <= 0.5 / self.INTERVAL_S + 2
+
+    def test_idle_node_starts_a_cycle_immediately(self):
+        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = cluster.nodes["n1-1"]
+        node.submit(write("first", "v"))
+        assert node.last_started_cycle == 1
+        sim.run_until(1.0)
+        node.submit(write("after-idling", "v"))
+        assert node.last_started_cycle == 2
+        node.submit(read("first"))
+        assert node.last_started_cycle == 2  # cycle 2 still running
+        sim.run_until(1.0 + self.INTERVAL_S / 2)
+        assert node.last_committed_cycle == 2
+        node.submit(read("first"))
+        assert node.last_started_cycle == 2  # waits for the clock ...
+        sim.run_until(1.0 + self.INTERVAL_S + 0.001)
+        assert node.last_started_cycle == 3  # ... and not a moment longer
+
+    def test_full_batch_and_self_synchronisation_bypass_the_wait(self):
+        config = fast_config(max_batch_size=3)
+        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        node = cluster.nodes["n2-0"]
+        node.submit(write("k0", "v"))
+        sim.run_until(0.003)
+        assert all(member.last_committed_cycle == 1 for member in cluster.nodes.values())
+        node.submit(write("k1", "v"))
+        node.submit(write("k2", "v"))
+        assert node.last_started_cycle == 1  # inside the interval, batch not full
+        node.submit(write("k3", "v"))
+        assert node.last_started_cycle == 2  # batch full: at once
+        # Every other node is inside its own interval too, and follows the
+        # first message of cycle 2 rather than its clock.
+        sim.run_until(0.006)
+        assert all(member.last_committed_cycle == 2 for member in cluster.nodes.values())
+
+    def test_pipelined_mode_is_clocked_as_before(self):
+        config = fast_config(pipelining=True)
+        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        self.steady_writes(sim, cluster, duration_s=0.2)
+        # An idle pipelined node starts a cycle on the request itself, so
+        # sub-millisecond cycles run back to back here.
+        for node in cluster.nodes.values():
+            assert node.last_started_cycle > 4 * 0.2 / self.INTERVAL_S

@@ -127,6 +127,34 @@ class TestFlatKVFacade:
             else:
                 assert store.read(key) == model.get(key)
 
+    @given(st.lists(st.tuples(st.sampled_from(["w", "r"]),
+                              st.sampled_from(["a", "b", "dir/a", "dir/sub/b", "c"]),
+                              st.text(min_size=0, max_size=5)), max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_flat_key_fast_path_matches_the_tree_walk(self, operations):
+        """write/read walk /kv/<key> directly for keys without '/'; the
+        tree operations they stand for must leave identical state behind."""
+        fast, generic = KVStore(), KVStore()
+        for kind, key, value in operations:
+            path = f"{KVStore.KV_PREFIX}/{key}"
+            if kind == "w":
+                fast.write(key, value)
+                try:
+                    generic.set(path, value)
+                except NoNodeError:
+                    generic.create(path, value, parents=True)
+            else:
+                try:
+                    expected = generic.get(path)
+                except NoNodeError:
+                    expected = None
+                assert fast.read(key) == expected
+        assert fast.snapshot() == generic.snapshot()
+        assert {node.path: node.stat() for node in fast.walk()} == {
+            node.path: node.stat() for node in generic.walk()
+        }
+        assert (fast.writes_applied, fast.reads_served) == (generic.writes_applied, generic.reads_served)
+
 
 class TestPersistence:
     def test_memory_device_is_fastest(self):

@@ -121,19 +121,99 @@ class TestRequiredVNodes:
 class TestRepresentativeAssignment:
     def test_assignment_is_deterministic(self):
         reps = ["a", "b"]
-        assert LeafOnlyTree.assign_representative("1.2", reps) == LeafOnlyTree.assign_representative("1.2", reps)
+        assert LeafOnlyTree.assign_representative(1, reps) == LeafOnlyTree.assign_representative(1, reps)
 
     def test_assignment_spreads_across_representatives(self):
         reps = ["a", "b"]
-        assigned = {LeafOnlyTree.assign_representative(f"1.{i}", reps) for i in range(1, 5)}
-        assert assigned == {"a", "b"}
+        assigned = [LeafOnlyTree.assign_representative(position, reps) for position in range(4)]
+        assert assigned == ["a", "b", "a", "b"]
 
     def test_assignment_requires_representatives(self):
         with pytest.raises(ValueError):
-            LeafOnlyTree.assign_representative("1.1", [])
+            LeafOnlyTree.assign_representative(0, [])
 
     def test_single_representative_gets_everything(self):
-        assert LeafOnlyTree.assign_representative("1.3", ["only"]) == "only"
+        assert LeafOnlyTree.assign_representative(2, ["only"]) == "only"
+
+
+class TestFetchPlan:
+    """The round-2 fetch plan: a pure function of (cycle id, live view)."""
+
+    K = 2
+
+    def plan(self, lot, node_id, cycle_id, live=None, redundancy=1):
+        live = lot.super_leaf_of(node_id).members if live is None else live
+        return lot.fetch_plan(node_id, 2, cycle_id, live, self.K, redundancy)
+
+    def test_representatives_rotate_over_the_live_members(self):
+        members = ["c", "a", "b"]
+        assert LeafOnlyTree.representatives(0, members, 2) == ["a", "b"]
+        assert LeafOnlyTree.representatives(1, members, 2) == ["c", "a"]
+        assert LeafOnlyTree.representatives(2, members, 2) == ["b", "c"]
+        assert LeafOnlyTree.representatives(0, members, 5) == ["a", "b", "c"]
+        assert LeafOnlyTree.representatives(7, [], 2) == []
+
+    def test_every_required_vnode_has_a_fetcher(self):
+        lot = make_lot(3, 3)
+        for cycle_id in range(1, 10):
+            plan = self.plan(lot, "n0-0", cycle_id)
+            assert list(plan) == lot.required_vnodes("n0-0", 2)
+            assert all(len(fetchers) == 1 for fetchers in plan.values())
+
+    @pytest.mark.parametrize("members_per_leaf", [3, 4, 9])
+    def test_every_member_fetches_equally_often(self, members_per_leaf):
+        lot = make_lot(3, members_per_leaf)
+        members = lot.super_leaf_of("n1-0").members
+        duty = {member: 0 for member in members}
+        for cycle_id in range(1, members_per_leaf * self.K + 1):
+            for fetchers in self.plan(lot, "n1-0", cycle_id).values():
+                for fetcher in fetchers:
+                    duty[fetcher] += 1
+        assert len(set(duty.values())) == 1 and duty[members[0]] > 0, duty
+
+    def test_all_members_compute_the_same_plan(self):
+        lot = make_lot(3, 4)
+        members = lot.super_leaf_of("n2-0").members
+        for cycle_id in range(1, 9):
+            plans = [self.plan(lot, member, cycle_id, live=reversed(members)) for member in members]
+            assert all(plan == plans[0] for plan in plans)
+
+    def test_removed_member_never_appears(self):
+        lot = make_lot(3, 4)
+        live = [member for member in lot.super_leaf_of("n0-0").members if member != "n0-2"]
+        for cycle_id in range(1, 13):
+            for fetchers in self.plan(lot, "n0-0", cycle_id, live=live).values():
+                assert "n0-2" not in fetchers
+
+    def test_redundant_fetchers_are_distinct_representatives(self):
+        lot = make_lot(3, 4)
+        for cycle_id in range(1, 9):
+            for fetchers in self.plan(lot, "n0-0", cycle_id, redundancy=2).values():
+                assert len(fetchers) == 2 and len(set(fetchers)) == 2
+        # No more fetchers than representatives, whatever the redundancy.
+        assert all(len(f) == self.K for f in self.plan(lot, "n0-0", 1, redundancy=5).values())
+
+    # Holds whenever a vnode has at least as many emulators as siblings.
+    @pytest.mark.parametrize("height, leaves, members", [(2, 3, 3), (2, 5, 4), (3, 9, 3)])
+    def test_super_leaves_ask_different_emulators_for_one_vnode(self, height, leaves, members):
+        lot = make_lot(leaves, members, height=height)
+        table = lot.new_emulation_table()
+        for cycle_id in range(1, 8):
+            for round_number in range(2, height + 1):
+                asked = {}  # (vnode, emulator) -> requesting super-leaf
+                for leaf in lot.super_leaves.values():
+                    node_id = leaf.members[0]
+                    for vnode_id in lot.required_vnodes(node_id, round_number):
+                        emulators = table.emulators(vnode_id)
+                        emulator = lot.emulator_for(vnode_id, node_id, cycle_id, 0, emulators)
+                        assert emulator in emulators
+                        assert asked.setdefault((vnode_id, emulator), leaf.name) == leaf.name
+
+    def test_retry_moves_to_another_emulator(self):
+        lot = make_lot(3, 3)
+        emulators = lot.new_emulation_table().emulators("1.2")
+        asked = {lot.emulator_for("1.2", "n0-0", 4, turn, emulators) for turn in range(3)}
+        assert asked == set(emulators)
 
 
 class TestEmulationTable:

@@ -173,6 +173,32 @@ class TestElection:
         new_leader = next(node for name, node in nodes.items() if node.is_leader and name != "r0")
         assert new_leader.current_term > initial_term
 
+    def test_election_waits_out_the_timeout_from_the_last_heartbeat(self):
+        sim, network, nodes, _ = build_raft_group(member_count=3)
+        config = nodes["r1"].config
+        sim.run_until(1.0)
+        term = nodes["r1"].current_term
+        network.hosts["r0"].fail()
+        nodes["r0"].stop()
+        # The last heartbeat left r0 at most one interval before the crash.
+        sim.run_until(1.0 - config.heartbeat_interval_s + config.election_timeout_min_s - 0.001)
+        assert nodes["r1"].current_term == nodes["r2"].current_term == term
+        sim.run_until(1.0 + config.election_timeout_max_s + 0.001)
+        assert max(nodes["r1"].current_term, nodes["r2"].current_term) > term
+
+    def test_heartbeats_do_not_pile_up_election_timers(self):
+        sim, _, nodes, _ = build_raft_group(member_count=3)
+        follower = nodes["r1"]
+        armed = []
+        after = follower.runtime.after
+        follower.runtime.after = lambda delay, callback: armed.append(delay) or after(delay, callback)
+        sim.run_until(2.0)
+        resets = 2.0 / follower.config.heartbeat_interval_s
+        # One live timer re-arming itself for the rest of the deadline: about
+        # one per election timeout, not one per AppendEntries.
+        assert len(armed) < resets / 4
+        assert not follower.is_leader and follower.current_term == 1
+
     def test_vote_denied_to_stale_log(self):
         sim, _, nodes, _ = build_raft_group(member_count=3)
         for i in range(3):
