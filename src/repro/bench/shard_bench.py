@@ -52,9 +52,8 @@ class ShardPointConfig:
     protocol: str = "canopus"
     nodes_per_rack: int = 4
     racks: int = 3
-    #: Offered load, chosen above a single 12-node Canopus group's capacity
-    #: (~40k committed ops/s on the scaled CPU model) so the 1-shard
-    #: baseline is genuinely saturated.
+    #: Offered load of a single point; the saturation sweep overrides it
+    #: with each rung of :data:`SHARD_RATE_LADDER`.
     rate_hz: float = 100000.0
     write_ratio: float = 0.2
     multi_key_ratio: float = 0.02
@@ -250,13 +249,16 @@ def run_shard_point(config: Optional[ShardPointConfig] = None) -> ShardPointResu
 #: Offered-rate ladder of the per-shard-count max-throughput search.  The
 #: historical single-rate sweep drove every shard count at 100k: the
 #: 1-shard baseline was deep in goodput collapse there (queues grow, the
-#: committed-ops window understates capacity — it reads ~36k where the
-#: group truly sustains ~62k), which inflated the reported scaling.  The
-#: ladder gives every shard count both lower rungs (an honest,
-#: non-collapsed maximum for configurations that collapse at 100k) and
-#: higher rungs (so multi-shard configurations that cruise at 100k are
-#: measured at their real saturation point, not the old sweep's cap).
-SHARD_RATE_LADDER: Sequence[float] = (30000.0, 60000.0, 100000.0, 160000.0, 240000.0)
+#: committed-ops window understates capacity), which inflated the reported
+#: scaling.  The ladder gives every shard count both lower rungs (an honest,
+#: non-collapsed maximum for configurations that collapse early) and higher
+#: rungs (so multi-shard configurations that cruise at 100k are measured at
+#: their real saturation point, not the old sweep's cap).  One 12-node group
+#: now sustains 195k and collapses at 240k, so the rungs are 40k apart from
+#: 160k up; four shards still sustain the 280k rung.
+SHARD_RATE_LADDER: Sequence[float] = (
+    30000.0, 60000.0, 100000.0, 160000.0, 200000.0, 240000.0, 280000.0
+)
 
 
 def find_max_shard_throughput(

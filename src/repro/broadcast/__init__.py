@@ -18,10 +18,10 @@ from repro.broadcast.raft_broadcast import RaftBroadcast
 __all__ = ["ReliableBroadcast", "BroadcastEnvelope", "IdealBroadcast", "RaftBroadcast"]
 
 
-def make_broadcast(mode: str, runtime, peers, deliver) -> ReliableBroadcast:
+def make_broadcast(mode: str, runtime, peers, deliver, first_sight=None) -> ReliableBroadcast:
     """Factory used by :class:`repro.canopus.node.CanopusNode`."""
     if mode == "ideal":
-        return IdealBroadcast(runtime, peers, deliver)
+        return IdealBroadcast(runtime, peers, deliver)  # arrival is delivery: nothing to hint
     if mode == "raft":
-        return RaftBroadcast(runtime, peers, deliver)
+        return RaftBroadcast(runtime, peers, deliver, first_sight)
     raise ValueError(f"unknown broadcast mode {mode!r}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, List, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.runtime.base import Runtime
 
@@ -35,6 +35,11 @@ class ReliableBroadcast(abc.ABC):
     agreement — if any correct member delivers a payload, every correct
     member delivers it, and payloads from one origin are delivered in the
     order they were broadcast.
+
+    ``first_sight`` is a hint, not a delivery: an implementation that holds
+    a payload before it may deliver it calls ``first_sight(payload)`` when
+    the payload arrives.  It may fire for a payload that is never
+    delivered, in any order, and not at all where arrival is delivery.
     """
 
     def __init__(
@@ -42,12 +47,14 @@ class ReliableBroadcast(abc.ABC):
         runtime: Runtime,
         peers: Sequence[str],
         deliver: Callable[[str, Any], None],
+        first_sight: Optional[Callable[[Any], None]] = None,
     ) -> None:
         self.runtime = runtime
         self.transport = runtime.transport
         self.node_id = runtime.node_id
         self.peers: List[str] = [p for p in peers if p != runtime.node_id]
         self.deliver = deliver
+        self.first_sight = first_sight
         self._sequence = itertools.count(1)
         self.broadcasts_sent = 0
         self.payloads_delivered = 0

@@ -14,11 +14,11 @@ consensus process halts, matching the paper.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.broadcast.base import ReliableBroadcast
 from repro.raft.log import LogEntry
-from repro.raft.messages import RAFT_MESSAGE_TYPES
+from repro.raft.messages import RAFT_MESSAGE_TYPES, AppendEntries
 from repro.raft.node import RaftConfig, RaftNode
 from repro.runtime.base import Runtime
 
@@ -33,12 +33,15 @@ class RaftBroadcast(ReliableBroadcast):
         runtime: Runtime,
         peers: Sequence[str],
         deliver: Callable[[str, Any], None],
+        first_sight: Optional[Callable[[Any], None]] = None,
         raft_config: RaftConfig | None = None,
     ) -> None:
-        super().__init__(runtime, peers, deliver)
-        # Broadcast groups do not need aggressive heartbeats: commit indices
-        # are pushed eagerly on every append, and Canopus runs its own
-        # failure detector.  A slow heartbeat keeps idle traffic low.
+        super().__init__(runtime, peers, deliver, first_sight)
+        # Broadcast groups do not need aggressive heartbeats: the leader
+        # sends a commit notice as soon as a majority holds an entry, and
+        # Canopus runs its own failure detector.  The heartbeat only has to
+        # repair a lost notice or a lagging log, so a slow one keeps idle
+        # traffic low.
         self._raft_config = raft_config or RaftConfig(
             heartbeat_interval_s=0.1,
             election_timeout_min_s=0.3,
@@ -106,6 +109,9 @@ class RaftBroadcast(ReliableBroadcast):
             return
         group = self._by_group_id.get(message.group_id)
         if group is not None:
+            if self.first_sight is not None and message.__class__ is AppendEntries:
+                for entry in message.entries:
+                    self.first_sight(entry.command)
             group.on_message(sender, message)
 
     def remove_peer(self, peer: str) -> None:

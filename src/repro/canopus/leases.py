@@ -3,8 +3,8 @@
 For any key, during any consensus cycle either a write lease is *inactive*
 (no writes permitted, every node may answer reads for the key immediately
 from committed state) or *active* (writes permitted with the order decided
-at the end of the cycle, reads for the key are deferred to the end of the
-next cycle).
+at the end of the cycle, reads for the key are deferred to the end of a
+cycle exactly as every read is without leases, §5).
 
 Lease requests are piggybacked on proposal messages: a write to key ``k``
 proposed in cycle ``C_i`` doubles as a lease request; at the end of cycle

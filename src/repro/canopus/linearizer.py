@@ -1,14 +1,20 @@
 """Read linearization by delay (§5).
 
-Canopus never disseminates read requests.  A read received while cycle
-``C_j`` is collecting requests is delayed until the cycle that orders the
-concurrently received writes — ``C_{j+1}`` — has committed, at which point
-the node answers it from its local, now totally ordered, replica.  A read
-therefore waits between one and two consensus cycles.
+Canopus never disseminates read requests.  A read is held until a consensus
+cycle that orders every write acknowledged before the read was invoked has
+committed at the receiving node, which then answers it from its local, now
+totally ordered, replica.  :class:`~repro.canopus.node.CanopusNode` picks
+that cycle: the one in flight when the read arrives, or the next one when
+the node is idle, the same client still has a write waiting to be proposed,
+or the node may have been excluded by its peers.  A read therefore waits
+for the rest of the cycle in flight, or for the batching tick and one whole
+cycle; only a read behind its own client's unproposed write, or at a node
+that stalled past its view lease, waits out the cycle in flight *and* the
+next.
 
-The :class:`ReadLinearizer` tracks pending reads per *release cycle* and per
-client, so the node can both release them at the right commit point and
-preserve each client's FIFO order with respect to its own writes.
+The :class:`ReadLinearizer` tracks pending reads per *release cycle*, so the
+node can release them at the right commit point in the order it received
+them.
 """
 
 from __future__ import annotations
@@ -50,8 +56,9 @@ class ReadLinearizer:
     def postpone(self, pending: PendingRead, new_release_cycle: int) -> None:
         """Move a buffered read to a later cycle (write-lease conflicts, §7.2)."""
         bucket = self._pending.get(pending.release_cycle, [])
-        if pending in bucket:
-            bucket.remove(pending)
+        if pending not in bucket:
+            return  # already released
+        bucket.remove(pending)
         pending.release_cycle = new_release_cycle
         self._pending.setdefault(new_release_cycle, []).append(pending)
 
@@ -71,7 +78,7 @@ class ReadLinearizer:
 
     # ------------------------------------------------------------------
     def pending_count(self) -> int:
-        return sum(len(bucket) for bucket in self._pending.values())
+        return self.reads_buffered - self.reads_released
 
     def earliest_release_cycle(self) -> Optional[int]:
         return min(self._pending.keys()) if self._pending else None

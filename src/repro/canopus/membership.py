@@ -62,6 +62,9 @@ class FailureDetector:
         self.failure_timeout_s = failure_timeout_s
         self.on_failure = on_failure
         self._last_seen: Dict[str, float] = {peer: runtime.now() for peer in peers}
+        #: This node's own view lease (see :meth:`in_view`).  Peers start
+        #: their silence clock for this node now, as this node does for them.
+        self._in_view_until = runtime.now() + failure_timeout_s - heartbeat_interval_s
         self._suspected: Set[str] = set()
         self._timers: List[Timer] = []
         self.started = False
@@ -82,7 +85,10 @@ class FailureDetector:
 
     # ------------------------------------------------------------------
     def _send_heartbeats(self) -> None:
-        beat = Heartbeat(sender=self.runtime.node_id, sent_at=self.runtime.now())
+        now = self.runtime.now()
+        if now <= self._in_view_until:
+            self._in_view_until = now + self.failure_timeout_s - self.heartbeat_interval_s
+        beat = Heartbeat(sender=self.runtime.node_id, sent_at=now)
         alive = [peer for peer in self.peers if peer not in self._suspected]
         self.transport.broadcast(alive, beat, beat.wire_size())
 
@@ -94,6 +100,20 @@ class FailureDetector:
             if now - self._last_seen.get(peer, 0.0) > self.failure_timeout_s:
                 self._suspected.add(peer)
                 self.on_failure(peer)
+
+    def in_view(self) -> bool:
+        """True while no peer can have timed this node out.
+
+        A peer suspects this node only after ``failure_timeout_s`` of
+        silence, so each heartbeat sent while the lease still holds extends
+        it to one heartbeat interval short of that (the slack absorbs
+        delivery jitter).  A node that stalls past the lease may have been
+        excluded without knowing it; the lease then stays lapsed, because a
+        peer that excluded this node does not take it back on hearing from
+        it again.  Like any lease it assumes the members' clocks run at
+        the same rate.
+        """
+        return not self.peers or self.runtime.now() <= self._in_view_until
 
     # ------------------------------------------------------------------
     def observe(self, sender: str) -> None:

@@ -14,7 +14,8 @@ height):
   sibling vnodes under the node's height-*i* ancestor from one of their
   emulators (a pnode in that subtree) and re-broadcast them locally; once
   all children states are present, the node merges them into the height-*i*
-  ancestor's state.
+  ancestor's state.  The requests leave when round *i-1* starts; the
+  emulator holds them until it has computed the state.
 * After round *h* the root state is the total order of every write received
   anywhere in the group during the previous cycle.  Cycles commit strictly
   in order; on commit, writes are applied to the local replica, pending
@@ -98,6 +99,8 @@ class CanopusNode:
 
         # Request intake.
         self.pending_writes: List[ClientRequest] = []
+        #: Clients with a write in ``pending_writes`` (see :meth:`_handle_read`).
+        self._pending_write_clients: Set[str] = set()
         self.request_senders: Dict[int, str] = {}
         self.linearizer = ReadLinearizer()
         self.leases = LeaseTable(self.config.lease_cycles)
@@ -135,6 +138,7 @@ class CanopusNode:
             runtime,
             self.super_leaf.members,
             self._on_broadcast_delivery,
+            self._on_broadcast_first_sight,
         )
 
         self._cycle_timer: Optional[Timer] = None
@@ -239,6 +243,7 @@ class CanopusNode:
         self.request_senders[request.request_id] = sender
         if request.is_write():
             self.pending_writes.append(request)
+            self._pending_write_clients.add(request.client_id)
             if len(self.pending_writes) >= self.config.max_batch_size:
                 self._maybe_start_next_cycle(reason="batch-full")
             elif not self.config.pipelining:
@@ -256,9 +261,23 @@ class CanopusNode:
             # from committed state.
             self._reply_read(sender, request, committed_cycle=self.last_committed_cycle)
             return
-        # §5: delay the read until the cycle that orders the concurrently
-        # received writes (the next cycle to start) has committed.
-        release_cycle = self.last_started_cycle + 1
+        # §5: delay the read until a cycle that orders every write
+        # acknowledged before it has committed.  A cycle already in flight
+        # does, while this node is in its super-leaf's view: a write
+        # acknowledged anywhere committed in a cycle whose root state holds
+        # this node's round-1 proposal, and this node has broadcast none
+        # beyond last_started_cycle.  The next cycle is needed by an idle
+        # node, by a client whose own write is still waiting here to be
+        # proposed (per-client FIFO), and by a node that stalled long enough
+        # for its peers to have gone on without it: cycles it never proposed
+        # in may have committed, so it waits for one proposed after the read.
+        release_cycle = self.last_started_cycle
+        if (
+            release_cycle == self.last_committed_cycle
+            or request.client_id in self._pending_write_clients
+            or not self.failure_detector.in_view()
+        ):
+            release_cycle += 1
         if self._obs is not None:
             self._obs.phase_begin(
                 self._obs_proto, "read_delay", self.node_id, key=request.request_id,
@@ -353,6 +372,7 @@ class CanopusNode:
 
         # Batch pending writes and membership updates into this cycle.
         batch, self.pending_writes = self.pending_writes, []
+        self._pending_write_clients.clear()
         updates = tuple(self.membership.take_pending())
         state.own_requests = tuple(batch)
         state.own_membership_updates = updates
@@ -363,7 +383,6 @@ class CanopusNode:
                 self._obs_proto, "cycle", self.node_id, key=cycle_id,
                 request_ids=[request.request_id for request in batch],
             )
-            self._obs.phase_begin(self._obs_proto, "round1", self.node_id, key=cycle_id)
 
         proposal = Proposal(
             cycle_id=cycle_id,
@@ -374,6 +393,7 @@ class CanopusNode:
             requests=tuple(batch),
             membership_updates=updates,
         )
+        self._enter_round(state, 1)
         self.broadcast.broadcast(proposal)
         self._check_round_completion(state)
 
@@ -418,6 +438,15 @@ class CanopusNode:
     # ------------------------------------------------------------------
     # Broadcast deliveries (round-1 proposals and re-broadcast fetches)
     # ------------------------------------------------------------------
+    def _on_broadcast_first_sight(self, payload: Any) -> None:
+        """A peer's payload arrived but is not yet deliverable (§4.4).
+
+        Only ever starts a cycle sooner; what the cycle orders is decided
+        by deliveries.
+        """
+        if isinstance(payload, Proposal) and payload.cycle_id > self.last_started_cycle:
+            self._self_synchronize(payload.cycle_id)
+
     def _on_broadcast_delivery(self, origin: str, payload: Any) -> None:
         if self.crashed or not isinstance(payload, Proposal):
             return
@@ -516,8 +545,6 @@ class CanopusNode:
                     progressed = True
 
     def _complete_round1(self, state: CycleState) -> None:
-        if self._obs is not None:
-            self._obs.phase_end(self._obs_proto, "round1", self.node_id, key=state.cycle_id)
         proposals = list(state.round1_proposals.values())
         merged = merge_proposals(
             cycle_id=state.cycle_id,
@@ -529,12 +556,9 @@ class CanopusNode:
         state.record_vnode_state(merged)
         self._serve_buffered_requests(state, self.parent_vnode)
         if self.lot.rounds() == 1 or self.parent_vnode == self.lot.ROOT_ID:
-            state.completed = True
-            state.completed_at = self.runtime.now()
-            self._try_commit()
+            self._finish_rounds(state)
             return
-        state.current_round = 2
-        self._begin_fetch_round(state, 2)
+        self._enter_round(state, 2)
         self._check_round_completion(state)
 
     def _complete_round(self, state: CycleState, round_number: int, ancestor: str, children: List[str]) -> None:
@@ -548,12 +572,41 @@ class CanopusNode:
         state.record_vnode_state(merged)
         self._serve_buffered_requests(state, ancestor)
         if round_number >= state.total_rounds or ancestor == self.lot.ROOT_ID:
-            state.completed = True
-            state.completed_at = self.runtime.now()
-            self._try_commit()
+            self._finish_rounds(state)
             return
-        state.current_round = round_number + 1
-        self._begin_fetch_round(state, state.current_round)
+        self._enter_round(state, round_number + 1)
+
+    def _enter_round(self, state: CycleState, round_number: int) -> None:
+        """Start ``round_number`` and send the requests of the round after it.
+
+        A vnode state is asked for one round ahead of its use: the emulator
+        buffers the request until it has computed the state (event 3 in
+        Figure 2), so the request's hop is off the cycle's critical path.
+        """
+        if self._obs is not None:
+            # round<r> spans tile the cycle; a "fetch" span runs from the
+            # request (sent a round early) to the state's arrival, so it
+            # overlaps the round before the one that waits on it.
+            if round_number > 1:
+                self._obs.phase_end(
+                    self._obs_proto, f"round{round_number - 1}", self.node_id, key=state.cycle_id
+                )
+            self._obs.phase_begin(
+                self._obs_proto, f"round{round_number}", self.node_id, key=state.cycle_id
+            )
+        state.current_round = round_number
+        if round_number < state.total_rounds:
+            self._begin_fetch_round(state, round_number + 1)
+
+    def _finish_rounds(self, state: CycleState) -> None:
+        """The last round is done: the cycle commits once its predecessors have."""
+        if self._obs is not None:
+            self._obs.phase_end(
+                self._obs_proto, f"round{state.current_round}", self.node_id, key=state.cycle_id
+            )
+        state.completed = True
+        state.completed_at = self.runtime.now()
+        self._try_commit()
 
     def _begin_fetch_round(self, state: CycleState, round_number: int) -> None:
         """Issue this node's share of the proposal-requests of ``round_number``.
@@ -572,9 +625,13 @@ class CanopusNode:
         )
         for vnode_id, fetchers in plan.items():
             if self.node_id in fetchers and vnode_id not in state.fetches:
-                self._issue_fetch(state, vnode_id, attempt=1, rank=fetchers.index(self.node_id))
+                self._issue_fetch(
+                    state, vnode_id, round_number, attempt=1, rank=fetchers.index(self.node_id)
+                )
 
-    def _issue_fetch(self, state: CycleState, vnode_id: str, attempt: int, rank: int) -> None:
+    def _issue_fetch(
+        self, state: CycleState, vnode_id: str, round_number: int, attempt: int, rank: int
+    ) -> None:
         if state.has_vnode_state(vnode_id) or self.crashed:
             return
         emulators = [
@@ -586,7 +643,8 @@ class CanopusNode:
             # No live emulator known: the consensus process stalls for this
             # super-leaf (§6); retry later in case the table was stale.
             timer = self.runtime.after(
-                self.config.fetch_timeout_s, lambda: self._issue_fetch(state, vnode_id, attempt + 1, rank)
+                self.config.fetch_timeout_s,
+                lambda: self._issue_fetch(state, vnode_id, round_number, attempt + 1, rank),
             )
             state.fetches[vnode_id] = FetchState(
                 vnode_id=vnode_id, emulator="", issued_at=self.runtime.now(), attempts=attempt,
@@ -598,7 +656,7 @@ class CanopusNode:
         )
         request = ProposalRequest(
             cycle_id=state.cycle_id,
-            round_number=state.current_round,
+            round_number=round_number,
             vnode_id=vnode_id,
             requester=self.node_id,
         )
@@ -611,7 +669,8 @@ class CanopusNode:
             self.stats["fetch_retries"] += 1
         self.transport.send(emulator, request, request.wire_size())
         timer = self.runtime.after(
-            self.config.fetch_timeout_s, lambda: self._on_fetch_timeout(state, vnode_id)
+            self.config.fetch_timeout_s,
+            lambda: self._on_fetch_timeout(state, vnode_id, round_number),
         )
         state.fetches[vnode_id] = FetchState(
             vnode_id=vnode_id,
@@ -622,11 +681,13 @@ class CanopusNode:
             timer=timer,
         )
 
-    def _on_fetch_timeout(self, state: CycleState, vnode_id: str) -> None:
+    def _on_fetch_timeout(self, state: CycleState, vnode_id: str, round_number: int) -> None:
         fetch = state.fetches.get(vnode_id)
         if fetch is None or fetch.satisfied or state.has_vnode_state(vnode_id) or self.crashed:
             return
-        self._issue_fetch(state, vnode_id, attempt=fetch.attempts + 1, rank=fetch.rank)
+        self._issue_fetch(
+            state, vnode_id, round_number, attempt=fetch.attempts + 1, rank=fetch.rank
+        )
 
     # ------------------------------------------------------------------
     # Commit
@@ -724,8 +785,12 @@ class CanopusNode:
             if not state.completed:
                 state.exclude_member(peer)
                 self._check_round_completion(state)
-                if not state.completed and state.current_round > 1:
-                    self._begin_fetch_round(state, state.current_round)
+                if not state.completed and state.cycle_id <= self.last_started_cycle:
+                    # The round under way and the one whose requests have
+                    # already gone out (see _enter_round).
+                    ahead = min(state.current_round + 1, state.total_rounds)
+                    for round_number in range(max(2, state.current_round), ahead + 1):
+                        self._begin_fetch_round(state, round_number)
 
     def _on_join_request(self, sender: str, request: JoinRequest) -> None:
         """A node (re)joins this super-leaf; effective after the carrying cycle commits."""

@@ -53,6 +53,10 @@ class AppendEntries:
     ``S`` was sent.  The sequence number rides inside the existing header
     (``wire_size`` is unchanged), so adding it does not perturb modelled
     timing.
+
+    With no entries and ``probe == 0`` the message is a *commit notice*: it
+    only carries ``leader_commit``, and a follower that accepts it sends no
+    reply.
     """
 
     group_id: str
@@ -75,7 +79,13 @@ class AppendEntries:
 
 @dataclass(slots=True)
 class AppendEntriesReply:
-    """Follower response to :class:`AppendEntries`."""
+    """Follower response to :class:`AppendEntries`.
+
+    On success ``match_index`` is the last index the message covered; on a
+    failed consistency check it is the highest index the leader's next
+    attempt could still match (the follower's last index, or one before
+    the conflicting entry).
+    """
 
     group_id: str
     term: int

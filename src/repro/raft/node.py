@@ -327,25 +327,33 @@ class RaftNode:
             return
         self._replicate_to_all()
 
-    def _replicate_to_all(self) -> None:
+    def _replicate_to_all(self, notice: bool = False) -> None:
         # Consecutive peers that share a next_index (all of them, in the
         # steady state) receive one interned AppendEntries via the
         # broadcast fast path; stragglers with a diverged log get their own
         # tailored message.  Only *runs* are grouped so the per-peer send
         # order — and with it the modelled CPU/link schedule — is exactly
         # that of sequential per-peer sends.
-        probe = self._next_probe()
-        default_index = self.log.last_index + 1
+        #
+        # next_index advances on send, not on the ack: an entry is shipped
+        # to each follower once, and whatever goes out next (the commit
+        # notice, a heartbeat, the next proposal) starts after it.  A
+        # follower that missed it fails the consistency check and says
+        # where the leader should resume.
+        probe = 0 if notice else self._next_probe()
+        sent_through = self.log.last_index + 1
+        next_index = self.next_index
         run: List[str] = []
         run_index = 0
         for peer in self.peers():
-            next_index = self.next_index.get(peer, default_index)
-            if run and next_index != run_index:
+            peer_index = next_index.get(peer, sent_through)
+            if run and peer_index != run_index:
                 message = self._append_entries_for(run_index, probe)
                 self.transport.broadcast(run, message, message.wire_size())
                 run = []
-            run_index = next_index
+            run_index = peer_index
             run.append(peer)
+            next_index[peer] = sent_through
         if run:
             message = self._append_entries_for(run_index, probe)
             self.transport.broadcast(run, message, message.wire_size())
@@ -373,6 +381,7 @@ class RaftNode:
     def _replicate_to(self, peer: str) -> None:
         next_index = self.next_index.get(peer, self.log.last_index + 1)
         message = self._append_entries_for(next_index, self._next_probe())
+        self.next_index[peer] = self.log.last_index + 1
         self.transport.send(peer, message, message.wire_size())
 
     def _on_append_entries(self, message: AppendEntries) -> None:
@@ -392,6 +401,15 @@ class RaftNode:
                 if message.leader_commit > self.commit_index:
                     self.commit_index = min(message.leader_commit, self.log.last_index)
                     self._apply_committed()
+                if not message.entries and not message.probe:
+                    # An accepted commit notice tells the leader nothing it
+                    # needs: no ack.  A rejected one is answered, so the
+                    # leader resends what this log is missing.
+                    return
+            else:
+                # Tell the leader where to resume: nothing past this index
+                # can pass the consistency check.
+                match_index = min(self.log.last_index, message.prev_log_index - 1)
         reply = AppendEntriesReply(
             group_id=self.group_id,
             term=self.current_term,
@@ -412,15 +430,19 @@ class RaftNode:
         # still recognizes this leader's term as of the echoed round.
         if message.probe:
             self._on_probe_ack(message.follower_id, message.probe)
+        follower = message.follower_id
         if message.success:
-            self.match_index[message.follower_id] = max(
-                self.match_index.get(message.follower_id, 0), message.match_index
-            )
-            self.next_index[message.follower_id] = self.match_index[message.follower_id] + 1
-            self._advance_commit_index()
-        else:
-            self.next_index[message.follower_id] = max(1, self.next_index.get(message.follower_id, 1) - 1)
-            self._replicate_to(message.follower_id)
+            if message.match_index > self.match_index.get(follower, 0):
+                self.match_index[follower] = message.match_index
+                self._advance_commit_index()
+        elif message.match_index >= self.match_index.get(follower, 0):
+            # next_index ran ahead of what the follower holds (a lost or
+            # overtaken entry, or a log that diverged under an older
+            # leader): resend from where the follower says it can match,
+            # so a follower one entry behind is sent one entry.  A hint
+            # below match_index answers a message older than the last ack.
+            self.next_index[follower] = message.match_index + 1
+            self._replicate_to(follower)
 
     # -- Leadership confirmation / lease accounting ---------------------
     def _majority_acked_probe(self) -> int:
@@ -483,8 +505,10 @@ class RaftNode:
                 self._apply_committed()
                 if self.commit_index != old_commit:
                     # Let followers learn the new commit index promptly; the
-                    # paper's broadcast latency depends on it (§4.3).
-                    self._replicate_to_all()
+                    # paper's broadcast latency depends on it (§4.3).  A
+                    # notice, not a round: no probe, so no reply, no lease
+                    # renewal and nothing for confirm_leadership to count.
+                    self._replicate_to_all(notice=True)
                 break
 
     def _apply_committed(self) -> None:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.canopus.messages import MembershipUpdate
 from repro.verify.agreement import check_agreement
-from tests.helpers import build_canopus_on_sim, fast_config, write
+from tests.helpers import build_canopus_on_sim, fast_config, read, write
 
 
 def crash(topology, cluster, node_id):
@@ -138,9 +138,21 @@ def _in_flight(node):
     return node.cycles[node.last_started_cycle]
 
 
-def holds_fetch(node):
-    """The node has asked a remote emulator and not heard back yet."""
-    return any(not fetch.satisfied for fetch in _in_flight(node).fetches.values())
+def holds_fetch(round_number):
+    """The node has asked a remote emulator, has not heard back and is in
+    ``round_number``: requests leave at cycle start, so the wait spans
+    round 1 (the super-leaf's proposals still in flight) and round 2."""
+
+    def moment(node):
+        state = _in_flight(node)
+        return (
+            state.current_round == round_number
+            and not state.completed
+            and any(not fetch.satisfied for fetch in state.fetches.values())
+        )
+
+    moment.__name__ = f"holds_fetch_in_round_{round_number}"
+    return moment
 
 
 def waits_on_peers(node):
@@ -155,7 +167,10 @@ class TestCrashUnderLoad:
     The tests above crash a node between cycles.  Under steady load the
     victim dies holding an in-flight fetch, and its super-leaf must re-plan
     that fetch instead of waiting for it forever while the other
-    super-leaves run out of the state-retention window.
+    super-leaves run out of the state-retention window.  The fetch is
+    issued at cycle start, so the victim may die before its super-leaf has
+    finished round 1 — with its own round-1 proposal still unreplicated —
+    or while round 2 waits for the answer.
     """
 
     LOAD_UNTIL_S = 3.0
@@ -163,7 +178,8 @@ class TestCrashUnderLoad:
 
     @pytest.mark.parametrize(
         "victim, moment",
-        [("n0-0", holds_fetch), ("n1-0", holds_fetch), ("n2-0", holds_fetch), ("n0-2", waits_on_peers)],
+        [(victim, holds_fetch(round_number)) for victim in ("n0-0", "n1-0", "n2-0") for round_number in (1, 2)]
+        + [("n0-2", waits_on_peers)],
     )
     def test_survivors_keep_committing(self, victim, moment):
         config = fast_config(broadcast_mode="raft")
@@ -192,3 +208,140 @@ class TestCrashUnderLoad:
             assert all(f"k{index}" in committed for index in range(writes)), node.node_id
         ok, message = check_agreement({node.node_id: node.committed_order() for node in survivors})
         assert ok, message
+
+    def test_failure_noticed_in_round_1_replans_the_requests_already_sent(self):
+        """The detector can fire while a cycle is still collecting round-1
+        proposals.  Round 2's requests went out at cycle start under the old
+        view, so the survivors must take over the victim's share then and
+        there: nothing re-plans round 2 when round 1 later completes."""
+        config = fast_config(broadcast_mode="raft")
+        sim, topology, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        rack = [cluster.nodes[node_id] for node_id in ("n0-0", "n0-1", "n0-2")]
+        for node in rack:
+            node.submit(write(f"from-{node.node_id}", "v"))
+        assert all(node.cycles[1].current_round == 1 for node in rack)
+        victim = next(node for node in rack if node.cycles[1].fetches)
+        survivors = [node for node in rack if node is not victim]
+        crash(topology, cluster, victim.node_id)
+        for node in survivors:
+            node._on_peer_failure(victim.node_id)
+
+        assert all(node.cycles[1].current_round == 1 for node in survivors)
+        required = set(cluster.lot.required_vnodes(victim.node_id, 2))
+        asked = set().union(*(node.cycles[1].fetches for node in survivors))
+        assert asked == required
+        sim.run_until(1.0)
+        for node in cluster.nodes.values():
+            if node is not victim:
+                committed = {request.key for request in node.committed_requests()}
+                assert {f"from-{survivor.node_id}" for survivor in survivors} <= committed, node.node_id
+
+
+
+class TestReadAtStalledNode:
+    """A node that freezes for longer than the failure timeout is excluded
+    by its peers without knowing it, and cycles it never proposed in commit.
+    Its in-flight cycle then bounds nothing: a read there must fall back to
+    a cycle proposed after the read, as every read did before the in-flight
+    shortcut existed."""
+
+    @staticmethod
+    def _freeze(node):
+        """Stop ``node`` reacting: arrivals queue up, no heartbeats go out."""
+        inbox = []
+        node.runtime.set_handler(lambda sender, message: inbox.append((sender, message)))
+        node.failure_detector.stop()
+        return inbox
+
+    @staticmethod
+    def _thaw(node):
+        node.runtime.set_handler(node.on_message)
+        node.failure_detector.start()
+
+    @staticmethod
+    def _value_read_at(sim, victim, replies, inbox, read_when):
+        """Replay ``inbox`` at the thawed ``victim``; read k once ``read_when()``."""
+        request = read("k")
+        for sender, message in inbox:
+            if request is not None and read_when():
+                victim.submit(request)
+                request_id, request = request.request_id, None
+            victim.on_message(sender, message)
+        if request is not None:
+            assert read_when()
+            victim.submit(request)
+            request_id = request.request_id
+        sim.run_until(sim.now + 1.0)
+        (reply,) = [reply for reply in replies if reply.request_id == request_id]
+        return reply.value
+
+    def _cluster_with_k_old(self):
+        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=fast_config())
+        cluster.nodes["n0-0"].submit(write("k", "old"))
+        sim.run_until(0.05)
+        assert all(node.last_committed_cycle == 1 for node in cluster.nodes.values())
+        return sim, cluster, replies
+
+    def _ack_k_new(self, sim, cluster, replies):
+        request = write("k", "new")
+        cluster.nodes["n0-1"].submit(request)
+        sim.run_until(sim.now + 0.3)
+        (ack,) = [reply for reply in replies if reply.request_id == request.request_id]
+        return ack.committed_cycle
+
+    def test_frozen_mid_cycle(self):
+        sim, cluster, replies = self._cluster_with_k_old()
+        victim = cluster.nodes["n2-1"]
+        cluster.nodes["n0-0"].submit(write("x", "1"))
+        while victim.last_started_cycle < 2:
+            sim.loop.step()
+        inbox = self._freeze(victim)
+        # Cycle 2 has the victim's proposal; cycle 3 waits for it, times the
+        # victim out and commits without it.
+        sim.run_until(sim.now + 0.03)
+        assert self._ack_k_new(sim, cluster, replies) == 3
+        assert (victim.last_started_cycle, victim.last_committed_cycle) == (2, 1)
+
+        self._thaw(victim)
+        assert not victim.failure_detector.in_view()
+        value = self._value_read_at(sim, victim, replies, inbox, read_when=lambda: True)
+        assert value == "new"
+
+    def test_frozen_while_idle_then_self_synchronised(self):
+        """The in-flight cycle was started after the thaw, by a queued
+        message: its age says nothing about whether the node is in view."""
+        sim, cluster, replies = self._cluster_with_k_old()
+        victim = cluster.nodes["n2-1"]
+        inbox = self._freeze(victim)
+        cluster.nodes["n0-0"].submit(write("x", "1"))
+        sim.run_until(sim.now + 0.3)
+        assert "n2-1" not in cluster.nodes["n2-0"].live_members
+        assert self._ack_k_new(sim, cluster, replies) == 3
+        assert victim.last_started_cycle == 1
+
+        self._thaw(victim)
+        value = self._value_read_at(
+            sim, victim, replies, inbox,
+            read_when=lambda: victim.last_started_cycle == 2 and victim.last_committed_cycle == 1,
+        )
+        assert value == "new"
+
+    def test_short_freeze_keeps_the_in_flight_release(self):
+        """Inside the lease nobody can have excluded the node."""
+        sim, cluster, replies = self._cluster_with_k_old()
+        victim = cluster.nodes["n2-1"]
+        cluster.nodes["n0-0"].submit(write("x", "1"))
+        while victim.last_started_cycle < 2:
+            sim.loop.step()
+        inbox = self._freeze(victim)
+        sim.run_until(sim.now + victim.config.heartbeat_interval_s)
+        self._thaw(victim)
+        assert victim.failure_detector.in_view()
+        request = read("k")
+        victim.submit(request)
+        for sender, message in inbox:
+            victim.on_message(sender, message)
+        sim.run_until(sim.now + 0.5)
+        (reply,) = [reply for reply in replies if reply.request_id == request.request_id]
+        assert reply.committed_cycle == 2
+        assert all("n2-1" in cluster.nodes[peer].live_members for peer in ("n2-0", "n2-2"))

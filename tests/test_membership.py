@@ -49,6 +49,35 @@ class TestFailureDetector:
         sim.run_until(1.0)
         assert failures["a"] == ["b"]
 
+    def test_view_lease_holds_while_heartbeats_go_out(self):
+        sim, _, detectors, failures = build_detector_pair()
+        for detector in detectors.values():
+            detector.start()
+        for step in range(1, 50):
+            sim.run_until(0.021 * step)
+            assert detectors["a"].in_view()
+        assert failures["b"] == []
+
+    def test_view_lease_lapses_before_the_peer_can_suspect_and_stays_lapsed(self):
+        """A node frozen for most of the failure timeout can no longer tell
+        whether its peer excluded it; hearing from it again does not undo an
+        exclusion, so sending again does not renew the lease."""
+        sim, _, detectors, failures = build_detector_pair(heartbeat_interval=0.02, timeout=0.08)
+        for detector in detectors.values():
+            detector.start()
+        sim.run_until(0.2)
+        detectors["a"].stop()  # frozen: no heartbeat leaves a
+        last_beat = 0.2
+        sim.run_until(last_beat + 0.055)
+        assert detectors["a"].in_view() and failures["b"] == []
+        sim.run_until(last_beat + 0.065)
+        assert not detectors["a"].in_view() and failures["b"] == []  # lapses first
+        sim.run_until(0.4)
+        assert failures["b"] == ["a"]
+        detectors["a"].start()
+        sim.run_until(0.6)
+        assert not detectors["a"].in_view()
+
     def test_detection_fires_only_once(self):
         sim, network, detectors, failures = build_detector_pair()
         detectors["a"].start()

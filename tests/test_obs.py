@@ -186,6 +186,34 @@ def test_report_has_phase_breakdown_for_protocol(system):
     assert "n=" in protocol_block  # at least one phase stats line
 
 
+def test_canopus_cycle_is_tiled_by_round_phases():
+    """round1 + round2 cover a cycle from its start to the completion of its
+    root state (the commit waits for the cycle before it when pipelining);
+    the fetch span's request leaves at cycle start, so it overlaps round1."""
+    holder = {}
+    _run_small_point("canopus", tracer_holder=holder)
+    spans = [s for s in trace_to_dict(holder["tracer"])["spans"] if s["cat"] == "phase:canopus"]
+    by_cycle = {}
+    for span in spans:
+        if span["name"] in ("cycle", "round1", "round2"):
+            by_cycle.setdefault((span["node"], span["args"]["key"]), {})[span["name"]] = span
+    complete = [phases for phases in by_cycle.values() if len(phases) == 3]
+    assert len(complete) > 50
+    for phases in complete:
+        cycle, first, second = phases["cycle"], phases["round1"], phases["round2"]
+        assert first["ts_ns"] == cycle["ts_ns"]
+        assert second["ts_ns"] == first["ts_ns"] + first["dur_ns"]
+        assert second["ts_ns"] + second["dur_ns"] <= cycle["ts_ns"] + cycle["dur_ns"]
+    starts = {(s["node"], s["args"]["key"]): s["ts_ns"] for s in spans if s["name"] == "cycle"}
+    fetches = [s for s in spans if s["name"] == "fetch"]
+    assert fetches
+    for fetch in fetches:
+        cycle_id = fetch["args"]["key"].strip("()").split(",")[0]
+        assert fetch["ts_ns"] == starts[(fetch["node"], cycle_id)]
+    report = build_report(trace_to_dict(holder["tracer"]))
+    assert "round2" in report and "read_delay" in report
+
+
 def test_shard_traced_run_reports_2pc_and_per_shard_series(tmp_path):
     point = replace(
         PERF_POINTS["shard-smoke"],

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.raft.log import LogEntry, RaftLog
+from repro.raft.messages import AppendEntries, AppendEntriesReply
 from repro.raft.node import RaftConfig, RaftNode
 from repro.runtime.sim_runtime import SimRuntime
 from repro.sim.engine import Simulator
@@ -230,3 +231,203 @@ class TestElection:
         nodes["r0"].propose("shrunk")
         sim.run_until(0.3)
         assert applied["r0"] == ["shrunk"]
+
+
+class _Payload:
+    """A command with a wire size large enough to show up in byte counts."""
+
+    BYTES = 1000
+
+    def wire_size(self):
+        return self.BYTES
+
+
+def tap(nodes, hold=lambda receiver, message: False):
+    """Record every delivered message as ``(receiver, message)``.
+
+    ``hold(receiver, message)`` returning True keeps the message from the
+    receiver; held messages are collected for the test to deliver later (a
+    reordering) or never (a loss).
+    """
+    wire, held = [], []
+    for name, node in nodes.items():
+
+        def handler(sender, message, name=name, node=node):
+            if hold(name, message):
+                held.append((name, sender, message))
+                return
+            wire.append((name, message))
+            node.on_message(sender, message)
+
+        node.runtime.set_handler(handler)
+    return wire, held
+
+
+def is_notice(message):
+    return isinstance(message, AppendEntries) and not message.entries and not message.probe
+
+
+def carries_entries(message):
+    return isinstance(message, AppendEntries) and bool(message.entries)
+
+
+class TestBroadcastCost:
+    """One proposal costs 3(n-1) messages and n-1 copies of the payload."""
+
+    SETTLED_S = 0.005  # the initial heartbeat round is over, the next is at 0.02
+
+    def test_one_propose_in_a_nine_member_group(self):
+        sim, _, nodes, applied = build_raft_group(member_count=9)
+        wire, _ = tap(nodes)
+        sim.run_until(self.SETTLED_S)
+        del wire[:]
+        leader = nodes["r0"]
+        bytes_before = leader.transport.bytes_sent
+        payload = _Payload()
+        leader.propose(payload)
+        sim.run_until(0.015)
+
+        messages = [message for _, message in wire]
+        assert sum(carries_entries(m) for m in messages) == 8
+        assert sum(isinstance(m, AppendEntriesReply) for m in messages) == 8
+        assert sum(is_notice(m) for m in messages) == 8
+        assert len(messages) == 24
+        header = AppendEntries("g", 1, "r0", 0, 0).wire_size()
+        entry = header + _Payload.BYTES + 16
+        assert leader.transport.bytes_sent - bytes_before == 8 * entry + 8 * header
+        assert all(log == [payload] for log in applied.values())
+
+    def test_back_to_back_proposals_ship_each_payload_once(self):
+        sim, _, nodes, applied = build_raft_group(member_count=5)
+        wire, _ = tap(nodes)
+        sim.run_until(self.SETTLED_S)
+        del wire[:]
+        for index in range(3):
+            nodes["r0"].propose(f"cmd-{index}")  # no ack between them
+        sim.run_until(0.015)
+        shipped = [m for receiver, m in wire if receiver == "r3" and carries_entries(m)]
+        assert [[e.command for e in m.entries] for m in shipped] == [["cmd-0"], ["cmd-1"], ["cmd-2"]]
+        assert all(log == ["cmd-0", "cmd-1", "cmd-2"] for log in applied.values())
+
+
+class TestOptimisticNextIndex:
+    """next_index advances on send; a follower that is behind still converges."""
+
+    def test_lagging_follower_catches_up_after_recovery(self):
+        sim, network, nodes, applied = build_raft_group(member_count=3)
+        sim.run_until(0.005)
+        network.hosts["r2"].fail()
+        for index in range(3):
+            nodes["r0"].propose(f"cmd-{index}")
+        sim.run_until(0.015)
+        assert applied["r1"] == ["cmd-0", "cmd-1", "cmd-2"] and applied["r2"] == []
+        # The leader believes r2 has been sent everything.
+        assert nodes["r0"].next_index["r2"] == 4 and nodes["r0"].match_index["r2"] == 0
+        network.hosts["r2"].recover()
+        sim.run_until(0.05)  # one heartbeat: rejected, resent from where r2 says it can match
+        assert applied["r2"] == ["cmd-0", "cmd-1", "cmd-2"]
+        assert nodes["r0"].match_index["r2"] == 3
+
+    def test_follower_one_entry_behind_a_new_leader_is_sent_one_entry(self):
+        """A new leader knows no match_index; the follower's reply says where
+        to resume, so the log is not re-shipped from the start."""
+        sim, network, nodes, applied = build_raft_group(member_count=3)
+        for index in range(4):
+            nodes["r0"].propose(f"cmd-{index}")
+        sim.run_until(0.01)
+        network.hosts["r2"].fail()
+        nodes["r0"].propose("cmd-4")
+        sim.run_until(0.02)
+        assert nodes["r1"].log.last_index == 5 and nodes["r2"].log.last_index == 4
+        network.hosts["r0"].fail()
+        network.hosts["r2"].recover()
+        wire, _ = tap(nodes)
+        sim.run_until(1.0)
+        assert nodes["r1"].is_leader
+        shipped = [m for receiver, m in wire if receiver == "r2" and carries_entries(m)]
+        assert [[e.command for e in m.entries] for m in shipped] == [["cmd-4"]]
+        assert applied["r2"] == [f"cmd-{index}" for index in range(5)]
+        assert nodes["r1"].match_index["r2"] == 5
+
+    def test_diverged_follower_converges_under_a_new_leader(self):
+        sim, network, nodes, applied = build_raft_group(member_count=3)
+        nodes["r0"].propose("agreed")
+        sim.run_until(0.01)
+        # r0 appends an entry nobody else ever sees, then loses leadership.
+        network.hosts["r0"].fail()
+        nodes["r0"].propose("orphan")
+        sim.run_until(1.0)
+        new_leader = next(node for name, node in nodes.items() if node.is_leader and name != "r0")
+        new_leader.propose("after")
+        sim.run_until(1.1)
+        network.hosts["r0"].recover()
+        sim.run_until(2.0)
+        assert not nodes["r0"].is_leader
+        assert [entry.command for entry in nodes["r0"].log.entries_from(1)] == ["agreed", "after"]
+        assert applied["r0"] == ["agreed", "after"]
+
+    def test_notice_overtaking_its_entry(self):
+        """The asyncio substrate does not keep two messages in order."""
+        sim, _, nodes, applied = build_raft_group(member_count=3)
+        sim.run_until(0.005)
+        wire, held = tap(nodes, hold=lambda receiver, m: receiver == "r2" and carries_entries(m))
+        nodes["r0"].propose("cmd")
+        sim.run_until(0.01)
+        # r2 saw the notice first, rejected it, and the resend is held too.
+        assert applied["r2"] == [] and applied["r1"] == ["cmd"]
+        assert any(is_notice(m) for receiver, m in wire if receiver == "r2")
+        tap(nodes)
+        for receiver, sender, message in held:
+            nodes[receiver].on_message(sender, message)
+        sim.run_until(0.015)
+        assert applied["r2"] == ["cmd"]
+        assert nodes["r0"].match_index["r2"] == 1
+
+    def test_lost_notice_is_repaired_by_the_next_heartbeat(self):
+        sim, _, nodes, applied = build_raft_group(member_count=3)
+        sim.run_until(0.005)
+        tap(nodes, hold=lambda receiver, m: receiver == "r2" and is_notice(m))
+        nodes["r0"].propose("cmd")
+        sim.run_until(0.015)
+        assert applied["r1"] == ["cmd"]
+        assert applied["r2"] == [] and nodes["r2"].log.last_index == 1  # holds it, cannot apply it
+        sim.run_until(0.03)  # heartbeat at 0.02 carries leader_commit
+        assert applied["r2"] == ["cmd"]
+
+
+class TestLeadershipConfirmation:
+    """Notices open no probe round and renew no lease; heartbeats still do."""
+
+    def lease_len(self, node):
+        return node.config.lease_fraction * node.config.election_timeout_min_s
+
+    def test_a_proposal_opens_exactly_one_round(self):
+        sim, _, nodes, _ = build_raft_group(member_count=3)
+        sim.run_until(0.005)
+        leader = nodes["r0"]
+        rounds = leader._probe_seq
+        leader.propose("cmd")
+        sim.run_until(0.015)
+        assert leader.commit_index == 1
+        assert leader._probe_seq == rounds + 1  # the entry round; the notice opened none
+        assert not leader._probe_sent_at  # and left nothing waiting for an ack
+        # The lease runs from the entry round's send time, not the notice's.
+        assert leader.lease_valid_until == pytest.approx(0.005 + self.lease_len(leader))
+
+    def test_heartbeats_renew_the_lease_and_confirm_leadership(self):
+        sim, network, nodes, _ = build_raft_group(member_count=3)
+        leader = nodes["r0"]
+        sim.run_until(0.05)
+        assert leader.lease_valid()
+        assert leader.lease_valid_until == pytest.approx(0.04 + self.lease_len(leader))
+        confirmed = []
+        leader.confirm_leadership(confirmed.append)
+        assert confirmed == []  # needs a round trip to a majority
+        sim.run_until(0.055)
+        assert confirmed == [True]
+        # Cut off from every follower: no acks, so the lease runs out.
+        for name in ("r1", "r2"):
+            network.hosts[name].fail()
+        leader.confirm_leadership(confirmed.append)
+        sim.run_until(0.055 + self.lease_len(leader) + 0.001)
+        assert confirmed == [True] and not leader.lease_valid()
