@@ -3,8 +3,8 @@
 Every benchmark regenerates one of the paper's tables or figures through
 :mod:`repro.bench.experiments`.  The profiles below are deliberately small
 so the whole suite finishes in minutes on a laptop; pass
-``--benchmark-only`` to pytest to run them.  For the fuller runs recorded
-in EXPERIMENTS.md, call the experiment functions with
+``--benchmark-only`` to pytest to run them.  For the fuller runs, call the
+experiment functions with
 ``ExperimentProfile.full()`` / ``ExperimentProfile.wan()`` (see
 ``examples/reproduce_figures.py``).
 """

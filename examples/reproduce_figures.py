@@ -9,7 +9,7 @@ each figure plots.  Select experiments and effort with command-line flags:
     python examples/reproduce_figures.py --experiment fig6  --profile wan
     python examples/reproduce_figures.py --experiment all   --profile quick
 
-The ``full``/``wan`` profiles are what EXPERIMENTS.md records; ``quick``
+The ``full``/``wan`` profiles are the publication-length runs; ``quick``
 finishes in a few minutes.
 """
 
@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     parser.add_argument("--experiment", default="table1", choices=[*EXPERIMENTS, "all"],
                         help="which table/figure to regenerate")
     parser.add_argument("--profile", default="quick", choices=list(PROFILES),
-                        help="measurement effort (quick for a smoke run, full/wan for EXPERIMENTS.md)")
+                        help="measurement effort (quick for a smoke run, full/wan for the long ones)")
     args = parser.parse_args(argv)
 
     profile = PROFILES[args.profile]()

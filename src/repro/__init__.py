@@ -15,9 +15,9 @@ contract plus a string-keyed registry, so systems are built with
 ``build_protocol("canopus", topology)`` and adding a protocol is a
 one-file change (see ``ARCHITECTURE.md``).
 
-See ``examples/quickstart.py`` for a complete runnable example and
-``DESIGN.md`` / ``EXPERIMENTS.md`` for the system inventory and the
-paper-vs-measured record.
+See ``examples/quickstart.py`` for a complete runnable example,
+``ARCHITECTURE.md`` for the system inventory and ``perf/README.md`` for the
+benchmark every performance claim is judged on.
 """
 
 __version__ = "1.1.0"

@@ -2,8 +2,8 @@
 
 Every table and figure of the paper's evaluation (§8) has a corresponding
 function in :mod:`repro.bench.experiments`; the ``benchmarks/`` directory
-wraps them in pytest-benchmark targets and ``EXPERIMENTS.md`` records the
-paper-vs-measured comparison.
+wraps them in pytest-benchmark targets.  No paper-vs-measured record is
+committed: ``examples/reproduce_figures.py`` prints the measured rows.
 """
 
 from repro.bench.builders import SystemUnderTest, build_system, scaled_cpu_model

@@ -9,7 +9,7 @@ Absolute numbers differ from the paper (the substrate is a scaled
 discrete-event simulator, not a 10 GbE cluster / EC2), but the comparisons
 the paper draws — who wins, how throughput scales with node count and
 write ratio, where the batching trade-off bites — are what these
-experiments reproduce.  EXPERIMENTS.md records paper-vs-measured.
+experiments reproduce.
 """
 
 from __future__ import annotations

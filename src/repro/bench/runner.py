@@ -46,8 +46,8 @@ __all__ = [
 class ExperimentProfile:
     """How long / how hard to run each measurement.
 
-    The ``quick`` profile is what the pytest benchmarks use; the ``full``
-    profile is what EXPERIMENTS.md numbers were produced with.
+    The ``quick`` profile is what the pytest benchmarks use; ``full`` is
+    the publication-length run.
     """
 
     warmup_s: float = 0.15

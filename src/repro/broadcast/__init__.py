@@ -8,7 +8,9 @@ Two implementations are provided behind one interface:
 * :class:`~repro.broadcast.raft_broadcast.RaftBroadcast` is the software
   fallback the paper's prototype uses: every super-leaf member leads its
   own Raft group whose followers are its super-leaf peers; a broadcast is a
-  log append replicated to a majority before delivery.
+  log append replicated to a majority before delivery, or — for a payload
+  the caller marks ``agreed`` — an unacknowledged append delivered on
+  arrival.
 """
 
 from repro.broadcast.base import BroadcastEnvelope, ReliableBroadcast

@@ -31,10 +31,23 @@ class BroadcastEnvelope:
 class ReliableBroadcast(abc.ABC):
     """Reliable broadcast among the members of one super-leaf.
 
-    Guarantees (assumption A4 of the paper): validity, integrity and
-    agreement — if any correct member delivers a payload, every correct
-    member delivers it, and payloads from one origin are delivered in the
-    order they were broadcast.
+    Two service levels, chosen per payload by the caller:
+
+    * ``broadcast(payload)`` — the guarantees of assumption A4 of the paper:
+      validity, integrity and agreement.  If any correct member delivers the
+      payload every correct member does, and such payloads from one origin
+      are delivered in the order they were broadcast.  This is what a
+      payload needs when delivering it *decides* something (which new
+      requests a round-1 proposal adds to a cycle).
+    * ``broadcast(payload, agreed=True)`` — the caller states that agreement
+      on this payload already exists (every copy of it is the same and
+      acting on one early is safe), and permits best effort: one copy per
+      peer, nobody acknowledges, delivered on arrival and at the sender at
+      once.  Integrity still holds (at most once per member) and such
+      payloads keep their order among themselves, but they may overtake
+      payloads of the other level, and if the sender fails mid-send only
+      some members may deliver.  The caller owns that gap.  An
+      implementation may ignore the flag and give the full guarantees.
 
     ``first_sight`` is a hint, not a delivery: an implementation that holds
     a payload before it may deliver it calls ``first_sight(payload)`` when
@@ -72,8 +85,11 @@ class ReliableBroadcast(abc.ABC):
         )
 
     @abc.abstractmethod
-    def broadcast(self, payload: Any) -> None:
-        """Reliably broadcast ``payload`` to all super-leaf members (incl. self)."""
+    def broadcast(self, payload: Any, agreed: bool = False) -> None:
+        """Broadcast ``payload`` to all super-leaf members (incl. self).
+
+        ``agreed`` selects the service level (see the class docstring).
+        """
 
     @abc.abstractmethod
     def handles(self, message: Any) -> bool:

@@ -16,9 +16,13 @@ __all__ = ["IdealBroadcast"]
 
 
 class IdealBroadcast(ReliableBroadcast):
-    """One-copy-per-peer broadcast with immediate delivery."""
+    """One-copy-per-peer broadcast with immediate delivery.
 
-    def broadcast(self, payload: Any) -> None:
+    Every broadcast already costs what an ``agreed`` one is allowed to, so
+    the flag is ignored.
+    """
+
+    def broadcast(self, payload: Any, agreed: bool = False) -> None:
         envelope = self.next_envelope(payload)
         self.broadcasts_sent += 1
         self.transport.broadcast(self.peers, envelope, envelope.wire_size())

@@ -3,9 +3,17 @@
 Every super-leaf member creates its own dedicated Raft group and is the
 initial leader of that group; all other members are followers.  A node
 broadcasts a payload by appending it to its own group's log; the payload is
-delivered at each member when the entry commits on that member.  If a node
-fails, the other members of its group elect a new leader, which completes
-any incomplete replication, after which the group is retired.
+delivered at each member when the entry commits on that member: 3(n-1)
+messages and three hops (entry, acks, commit notice).  If a node fails, the
+other members of its group elect a new leader, which completes any
+incomplete replication, after which the group is retired.
+
+A payload broadcast with ``agreed=True`` is an *unacknowledged append* to
+the same log (:meth:`repro.raft.node.RaftNode.propose`): n-1 messages and
+one hop, delivered when a member appends it.  A lost copy is found by the
+consistency check of whatever the group sends next and resent with it; a
+copy that only a minority held when the sender died may never reach the
+rest, which is the gap the caller of ``agreed=True`` takes on.
 
 Reliable broadcast therefore tolerates F failures with 2F+1 members — if
 more than F members of a super-leaf fail, the super-leaf fails and the
@@ -82,18 +90,19 @@ class RaftBroadcast(ReliableBroadcast):
     # ------------------------------------------------------------------
     # ReliableBroadcast interface
     # ------------------------------------------------------------------
-    def broadcast(self, payload: Any) -> None:
+    def broadcast(self, payload: Any, agreed: bool = False) -> None:
         self.broadcasts_sent += 1
         own_group = self.groups[self.node_id]
         if not own_group.is_leader:
             # After a failure/recovery our group may have elected another
-            # leader; re-assert leadership lazily by routing through it.
+            # leader; re-assert leadership lazily by routing through it
+            # (always at the full service level: ``agreed`` is a permission).
             leader = own_group.leader_id or self.node_id
             if leader != self.node_id and leader in self.peers:
                 # Fall back to delivering via the current leader of our group.
                 self.transport.send(leader, _ForwardedBroadcast(self._group_id(self.node_id), payload))
                 return
-        own_group.propose(payload)
+        own_group.propose(payload, acknowledged=not agreed)
 
     def handles(self, message: Any) -> bool:
         if isinstance(message, _ForwardedBroadcast):
@@ -111,7 +120,8 @@ class RaftBroadcast(ReliableBroadcast):
         if group is not None:
             if self.first_sight is not None and message.__class__ is AppendEntries:
                 for entry in message.entries:
-                    self.first_sight(entry.command)
+                    if entry.acknowledged:  # the others are delivered on arrival
+                        self.first_sight(entry.command)
             group.on_message(sender, message)
 
     def remove_peer(self, peer: str) -> None:

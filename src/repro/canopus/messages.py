@@ -129,6 +129,15 @@ class Proposal:
         """Identity of the vnode state this proposal represents."""
         return (self.cycle_id, self.round_number, self.vnode_id)
 
+    def is_void(self) -> bool:
+        """Nothing to order: no requests and no membership updates.
+
+        A void proposal contributes nothing to any vnode state — merging
+        ignores it, proposal number included — so a state is the same
+        whether or not a member counted it.
+        """
+        return not self.requests and not self.membership_updates
+
     def __repr__(self) -> str:
         return (
             f"<Proposal c={self.cycle_id} r={self.round_number} v={self.vnode_id} "
@@ -141,18 +150,14 @@ class ProposalRequest:
     """Request from a super-leaf representative for a remote vnode's state."""
 
     cycle_id: int
-    round_number: int
     vnode_id: str
     requester: str
 
     def wire_size(self) -> int:
         return PROPOSAL_REQUEST_BYTES
 
-    def key(self) -> Tuple[int, int, str]:
-        return (self.cycle_id, self.round_number, self.vnode_id)
-
     def __repr__(self) -> str:
-        return f"<ProposalRequest c={self.cycle_id} r={self.round_number} v={self.vnode_id} from={self.requester}>"
+        return f"<ProposalRequest c={self.cycle_id} v={self.vnode_id} from={self.requester}>"
 
 
 def wire_size(message: object) -> int:

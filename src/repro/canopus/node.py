@@ -9,13 +9,16 @@ height):
   pending client writes, its pending membership updates and a fresh random
   proposal number to its super-leaf peers.  When proposals from every live
   peer have been delivered, the node merges them into the state of the
-  super-leaf's parent vnode.
+  super-leaf's parent vnode.  A *void* proposal (nothing pending) is sent
+  without agreement: it adds nothing to the state, so peers need not agree
+  on whether they saw it.
 * **Round i > 1** — super-leaf representatives fetch the states of the
   sibling vnodes under the node's height-*i* ancestor from one of their
-  emulators (a pnode in that subtree) and re-broadcast them locally; once
-  all children states are present, the node merges them into the height-*i*
-  ancestor's state.  The requests leave when round *i-1* starts; the
-  emulator holds them until it has computed the state.
+  emulators (a pnode in that subtree) and pass them on locally, again
+  without agreement — a vnode has one state per cycle, whoever serves it;
+  once all children states are present, the node merges them into the
+  height-*i* ancestor's state.  The requests leave when round *i-1* starts;
+  the emulator holds them until it has computed the state.
 * After round *h* the root state is the total order of every write received
   anywhere in the group during the previous cycle.  Cycles commit strictly
   in order; on commit, writes are applied to the local replica, pending
@@ -394,7 +397,11 @@ class CanopusNode:
             membership_updates=updates,
         )
         self._enter_round(state, 1)
-        self.broadcast.broadcast(proposal)
+        # Peers must agree on which requests and updates the cycle orders;
+        # a proposal with neither decides nothing and goes out as one copy
+        # per peer.  Either way no peer finishes round 1 without this
+        # node's copy or excluding this node.
+        self.broadcast.broadcast(proposal, agreed=proposal.is_void())
         self._check_round_completion(state)
 
     def _new_cycle_state(self, cycle_id: int) -> CycleState:
@@ -436,7 +443,7 @@ class CanopusNode:
                 break
 
     # ------------------------------------------------------------------
-    # Broadcast deliveries (round-1 proposals and re-broadcast fetches)
+    # Broadcast deliveries (round-1 proposals and fetched states passed on)
     # ------------------------------------------------------------------
     def _on_broadcast_first_sight(self, payload: Any) -> None:
         """A peer's payload arrived but is not yet deliverable (§4.4).
@@ -451,6 +458,8 @@ class CanopusNode:
         if self.crashed or not isinstance(payload, Proposal):
             return
         proposal = payload
+        if proposal.cycle_id <= self.last_committed_cycle:
+            return  # a late or repeated copy: the cycle is decided (maybe pruned)
         if proposal.cycle_id > self.last_started_cycle:
             self._self_synchronize(proposal.cycle_id)
         state = self._cycle_state(proposal.cycle_id)
@@ -519,10 +528,15 @@ class CanopusNode:
                 fetch.timer.cancel()
         if state.has_vnode_state(proposal.vnode_id):
             return
-        # Re-broadcast the fetched state to super-leaf peers (§4.2); the
-        # state is recorded when the broadcast is delivered back to us,
-        # keeping delivery order identical at every member.
-        self.broadcast.broadcast(proposal)
+        # Pass the fetched state on to the super-leaf peers.  §4.2 says
+        # "reliably broadcast", but there is nothing left to agree on: this
+        # is the one state of that vnode in this cycle, whichever emulator
+        # served it and whichever peer relays it, so one copy per peer is
+        # enough and each member acts on it on arrival (so does this node:
+        # the broadcast delivers to the sender).  If this node dies
+        # mid-send, whoever inherits the fetch sends it again
+        # (:meth:`_begin_fetch_round`).
+        self.broadcast.broadcast(proposal, agreed=True)
 
     # ------------------------------------------------------------------
     # Round progression
@@ -608,12 +622,16 @@ class CanopusNode:
         state.completed_at = self.runtime.now()
         self._try_commit()
 
-    def _begin_fetch_round(self, state: CycleState, round_number: int) -> None:
+    def _begin_fetch_round(self, state: CycleState, round_number: int, inherited: bool = False) -> None:
         """Issue this node's share of the proposal-requests of ``round_number``.
 
-        Also re-run when the live view changes mid-round: the plan is a
-        function of the view, so a survivor may inherit a failed peer's
+        Also re-run (``inherited``) when the live view changes: the plan is
+        a function of the view, so a survivor may inherit a failed peer's
         fetch.  Fetches already issued here are left to their retry timer.
+        An inherited fetch whose state this node already holds is answered
+        from here: the failed peer passed the state on without agreement,
+        so this node may be one of a minority it reached, and the others
+        wait for exactly this copy.
         """
         plan = self.lot.fetch_plan(
             self.node_id,
@@ -624,14 +642,20 @@ class CanopusNode:
             self.config.redundant_fetches,
         )
         for vnode_id, fetchers in plan.items():
-            if self.node_id in fetchers and vnode_id not in state.fetches:
-                self._issue_fetch(
-                    state, vnode_id, round_number, attempt=1, rank=fetchers.index(self.node_id)
+            if self.node_id not in fetchers or vnode_id in state.fetches:
+                continue
+            rank = fetchers.index(self.node_id)
+            held = state.vnode_states.get(vnode_id)
+            if held is None:
+                self._issue_fetch(state, vnode_id, attempt=1, rank=rank)
+            elif inherited:
+                state.fetches[vnode_id] = FetchState(
+                    vnode_id=vnode_id, emulator="", issued_at=self.runtime.now(), rank=rank,
+                    satisfied=True,
                 )
+                self.broadcast.broadcast(held, agreed=True)
 
-    def _issue_fetch(
-        self, state: CycleState, vnode_id: str, round_number: int, attempt: int, rank: int
-    ) -> None:
+    def _issue_fetch(self, state: CycleState, vnode_id: str, attempt: int, rank: int) -> None:
         if state.has_vnode_state(vnode_id) or self.crashed:
             return
         emulators = [
@@ -644,7 +668,7 @@ class CanopusNode:
             # super-leaf (§6); retry later in case the table was stale.
             timer = self.runtime.after(
                 self.config.fetch_timeout_s,
-                lambda: self._issue_fetch(state, vnode_id, round_number, attempt + 1, rank),
+                lambda: self._issue_fetch(state, vnode_id, attempt + 1, rank),
             )
             state.fetches[vnode_id] = FetchState(
                 vnode_id=vnode_id, emulator="", issued_at=self.runtime.now(), attempts=attempt,
@@ -654,12 +678,7 @@ class CanopusNode:
         emulator = self.lot.emulator_for(
             vnode_id, self.node_id, state.cycle_id, rank + attempt - 1, emulators
         )
-        request = ProposalRequest(
-            cycle_id=state.cycle_id,
-            round_number=round_number,
-            vnode_id=vnode_id,
-            requester=self.node_id,
-        )
+        request = ProposalRequest(cycle_id=state.cycle_id, vnode_id=vnode_id, requester=self.node_id)
         if self._obs is not None:
             self._obs.phase_begin(
                 self._obs_proto, "fetch", self.node_id, key=(state.cycle_id, vnode_id)
@@ -670,7 +689,7 @@ class CanopusNode:
         self.transport.send(emulator, request, request.wire_size())
         timer = self.runtime.after(
             self.config.fetch_timeout_s,
-            lambda: self._on_fetch_timeout(state, vnode_id, round_number),
+            lambda: self._on_fetch_timeout(state, vnode_id),
         )
         state.fetches[vnode_id] = FetchState(
             vnode_id=vnode_id,
@@ -681,13 +700,11 @@ class CanopusNode:
             timer=timer,
         )
 
-    def _on_fetch_timeout(self, state: CycleState, vnode_id: str, round_number: int) -> None:
+    def _on_fetch_timeout(self, state: CycleState, vnode_id: str) -> None:
         fetch = state.fetches.get(vnode_id)
         if fetch is None or fetch.satisfied or state.has_vnode_state(vnode_id) or self.crashed:
             return
-        self._issue_fetch(
-            state, vnode_id, round_number, attempt=fetch.attempts + 1, rank=fetch.rank
-        )
+        self._issue_fetch(state, vnode_id, attempt=fetch.attempts + 1, rank=fetch.rank)
 
     # ------------------------------------------------------------------
     # Commit
@@ -780,17 +797,20 @@ class CanopusNode:
         self.membership.note_failure(peer)
         self.broadcast.remove_peer(peer)
         # Stop waiting for the failed peer in any in-flight round 1, and
-        # take over the fetches the new live view assigns to this node.
+        # take over the fetches the new live view assigns to this node —
+        # in the cycles this node has finished too: the peer may have died
+        # half-way through passing a state on, and a survivor that lacks it
+        # is stuck in a cycle this node left behind.
         for state in list(self.cycles.values()):
             if not state.completed:
                 state.exclude_member(peer)
                 self._check_round_completion(state)
-                if not state.completed and state.cycle_id <= self.last_started_cycle:
-                    # The round under way and the one whose requests have
-                    # already gone out (see _enter_round).
-                    ahead = min(state.current_round + 1, state.total_rounds)
-                    for round_number in range(max(2, state.current_round), ahead + 1):
-                        self._begin_fetch_round(state, round_number)
+            if state.cycle_id <= self.last_started_cycle:
+                # Every round whose requests have gone out: up to the one
+                # after the round under way (see _enter_round).
+                ahead = min(state.current_round + 1, state.total_rounds)
+                for round_number in range(2, ahead + 1):
+                    self._begin_fetch_round(state, round_number, inherited=True)
 
     def _on_join_request(self, sender: str, request: JoinRequest) -> None:
         """A node (re)joins this super-leaf; effective after the carrying cycle commits."""

@@ -43,8 +43,12 @@ def merge_proposals(
     of the child request lists in proposal-number order, whose proposal
     number is the largest child proposal number, and whose membership
     updates are the union of the children's updates.
+
+    Void children (:meth:`Proposal.is_void`) are left out, proposal number
+    included: the state must not depend on whether a member saw a copy that
+    is broadcast without agreement because it says nothing.
     """
-    ordered = order_proposals(proposals)
+    ordered = order_proposals([p for p in proposals if not p.is_void()])
     requests: List[ClientRequest] = []
     membership: List[MembershipUpdate] = []
     seen_updates = set()

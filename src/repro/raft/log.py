@@ -15,6 +15,10 @@ class LogEntry:
     term: int
     index: int
     command: Any
+    #: False for an *unacknowledged append* (``RaftNode.propose(command,
+    #: acknowledged=False)``): applied wherever it is appended, when it is
+    #: appended, and passed over when the commit index reaches it.
+    acknowledged: bool = True
 
     def wire_size(self) -> int:
         inner = getattr(self.command, "wire_size", None)
@@ -57,9 +61,9 @@ class RaftLog:
         return tuple(self._entries[index - 1 :])
 
     # ------------------------------------------------------------------
-    def append_new(self, term: int, command: Any) -> LogEntry:
+    def append_new(self, term: int, command: Any, acknowledged: bool = True) -> LogEntry:
         """Append a new command as the leader."""
-        entry = LogEntry(term=term, index=self.last_index + 1, command=command)
+        entry = LogEntry(term, self.last_index + 1, command, acknowledged)
         self._entries.append(entry)
         return entry
 
@@ -71,19 +75,23 @@ class RaftLog:
             return False
         return self.term_at(prev_log_index) == prev_log_term
 
-    def merge(self, prev_log_index: int, entries: Sequence[LogEntry]) -> None:
-        """Apply follower-side entry reconciliation (Raft figure 2, step 3-4)."""
+    def merge(self, prev_log_index: int, entries: Sequence[LogEntry]) -> List[LogEntry]:
+        """Apply follower-side entry reconciliation (Raft figure 2, step 3-4).
+
+        Returns the entries this call added to the log, in log order.
+        """
+        added: List[LogEntry] = []
         insert_at = prev_log_index
         for entry in entries:
             insert_at += 1
             if insert_at <= self.last_index:
-                existing = self.entry(insert_at)
-                if existing.term != entry.term:
-                    # Conflict: truncate everything from here on.
-                    del self._entries[insert_at - 1 :]
-                    self._entries.append(entry)
-            else:
-                self._entries.append(entry)
+                if self.entry(insert_at).term == entry.term:
+                    continue
+                # Conflict: truncate everything from here on.
+                del self._entries[insert_at - 1 :]
+            self._entries.append(entry)
+            added.append(entry)
+        return added
 
     def commands(self, start: int, end: int) -> List[Any]:
         """Commands for indices ``start..end`` inclusive."""

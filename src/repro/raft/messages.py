@@ -54,9 +54,11 @@ class AppendEntries:
     (``wire_size`` is unchanged), so adding it does not perturb modelled
     timing.
 
-    With no entries and ``probe == 0`` the message is a *commit notice*: it
-    only carries ``leader_commit``, and a follower that accepts it sends no
-    reply.
+    With ``probe == 0`` the message opens no round, and a follower that
+    accepts it sends no reply.  Without entries it is a *commit notice*: it
+    only carries ``leader_commit``.  With entries it is an *unacknowledged
+    append* (``RaftNode.propose(command, acknowledged=False)``).  A follower
+    that cannot accept either answers, so the leader resends what is missing.
     """
 
     group_id: str

@@ -1,8 +1,12 @@
 """A Raft consensus node (leader election + log replication).
 
-The implementation follows the Raft paper's Figure 2 rules.  A node is a
-transport-agnostic state machine driven through :meth:`RaftNode.on_message`
-and timer callbacks scheduled on a :class:`repro.runtime.base.Runtime`.
+The implementation follows the Raft paper's Figure 2 rules, with one
+addition outside them: :meth:`RaftNode.propose` can make an *unacknowledged
+append*, an entry applied where and when it is appended rather than when it
+commits, for commands that need the log's transport and repair but not its
+agreement.  A node is a transport-agnostic state machine driven through
+:meth:`RaftNode.on_message` and timer callbacks scheduled on a
+:class:`repro.runtime.base.Runtime`.
 
 Multiple :class:`RaftNode` instances can share one runtime endpoint by
 giving each a distinct ``group_id`` — messages are tagged and the owner
@@ -135,13 +139,29 @@ class RaftNode:
     def majority(self) -> int:
         return len(self.members) // 2 + 1
 
-    def propose(self, command: Any) -> Optional[LogEntry]:
-        """Append ``command`` if leader; returns the entry or ``None``."""
+    def propose(self, command: Any, acknowledged: bool = True) -> Optional[LogEntry]:
+        """Append ``command`` if leader; returns the entry or ``None``.
+
+        ``acknowledged=False`` is an *unacknowledged append*, for a command
+        whose content needs no agreement (the caller vouches that every
+        copy of it anywhere is the same and that acting on it early is
+        safe).  It is applied here at once and at each follower the moment
+        the follower appends it, and it costs one message per follower: the
+        entry is shipped with ``probe=0``, so a follower that accepts it
+        stays silent.  It is still an entry of the log: the commit index
+        passes it with the next acknowledged entry or heartbeat (applying
+        nothing a second time), and a follower that missed it fails the
+        next consistency check and is resent it like any other entry.  What
+        it gives up: an entry held by a minority can be lost with its
+        leader, after that minority has applied it.
+        """
         if self.stopped or not self.is_leader:
             return None
-        entry = self.log.append_new(self.current_term, command)
+        entry = self.log.append_new(self.current_term, command, acknowledged)
         self.match_index[self.node_id] = entry.index
-        self._replicate_to_all()
+        self._replicate_to_all(silent=not acknowledged)
+        if not acknowledged:
+            self.apply(entry)  # after shipping: applying may propose again
         if len(self.members) == 1:
             self._advance_commit_index()
         return entry
@@ -327,7 +347,7 @@ class RaftNode:
             return
         self._replicate_to_all()
 
-    def _replicate_to_all(self, notice: bool = False) -> None:
+    def _replicate_to_all(self, silent: bool = False) -> None:
         # Consecutive peers that share a next_index (all of them, in the
         # steady state) receive one interned AppendEntries via the
         # broadcast fast path; stragglers with a diverged log get their own
@@ -340,7 +360,11 @@ class RaftNode:
         # notice, a heartbeat, the next proposal) starts after it.  A
         # follower that missed it fails the consistency check and says
         # where the leader should resume.
-        probe = 0 if notice else self._next_probe()
+        #
+        # ``silent`` sends with probe 0 — a commit notice or an
+        # unacknowledged append — which opens no round: a follower that
+        # accepts it does not reply.
+        probe = 0 if silent else self._next_probe()
         sent_through = self.log.last_index + 1
         next_index = self.next_index
         run: List[str] = []
@@ -395,16 +419,19 @@ class RaftNode:
             self.leader_id = message.leader_id
             self._reset_election_timer()
             if self.log.matches(message.prev_log_index, message.prev_log_term):
-                self.log.merge(message.prev_log_index, message.entries)
+                for entry in self.log.merge(message.prev_log_index, message.entries):
+                    if not entry.acknowledged:
+                        self.apply(entry)
                 success = True
                 match_index = message.prev_log_index + len(message.entries)
                 if message.leader_commit > self.commit_index:
                     self.commit_index = min(message.leader_commit, self.log.last_index)
                     self._apply_committed()
-                if not message.entries and not message.probe:
-                    # An accepted commit notice tells the leader nothing it
-                    # needs: no ack.  A rejected one is answered, so the
-                    # leader resends what this log is missing.
+                if not message.probe:
+                    # An accepted commit notice or unacknowledged append
+                    # tells the leader nothing it needs: no ack.  A rejected
+                    # one is answered, so the leader resends what this log
+                    # is missing.
                     return
             else:
                 # Tell the leader where to resume: nothing past this index
@@ -508,10 +535,12 @@ class RaftNode:
                     # paper's broadcast latency depends on it (§4.3).  A
                     # notice, not a round: no probe, so no reply, no lease
                     # renewal and nothing for confirm_leadership to count.
-                    self._replicate_to_all(notice=True)
+                    self._replicate_to_all(silent=True)
                 break
 
     def _apply_committed(self) -> None:
         while self.last_applied < self.commit_index:
             self.last_applied += 1
-            self.apply(self.log.entry(self.last_applied))
+            entry = self.log.entry(self.last_applied)
+            if entry.acknowledged:  # the others were applied when appended
+                self.apply(entry)

@@ -10,7 +10,7 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
 
-def build_group(mode, member_count=3, seed=11):
+def build_group(mode, member_count=3, seed=11, first_sight=None):
     sim = Simulator(seed=seed)
     network = Network(sim.loop)
     names = [f"m{i}" for i in range(member_count)]
@@ -23,7 +23,8 @@ def build_group(mode, member_count=3, seed=11):
     for name in names:
         runtime = SimRuntime(sim, network, network.hosts[name])
         broadcast = make_broadcast(
-            mode, runtime, names, lambda origin, payload, n=name: delivered[n].append((origin, payload))
+            mode, runtime, names, lambda origin, payload, n=name: delivered[n].append((origin, payload)),
+            first_sight,
         )
         runtime.set_handler(
             lambda sender, message, b=broadcast: b.on_message(sender, message) if b.handles(message) else None
@@ -78,6 +79,75 @@ class TestDeliveryGuarantees:
         sim.run_until(0.5)
         assert broadcasts["m0"].broadcasts_sent == 1
         assert broadcasts["m1"].payloads_delivered >= 1
+
+
+@pytest.mark.parametrize("mode", ["ideal", "raft"])
+class TestAgreedServiceLevel:
+    """``broadcast(payload, agreed=True)``: same deliveries, no agreement paid for."""
+
+    def test_delivered_exactly_once_everywhere_and_at_the_sender_at_once(self, mode):
+        sim, _, broadcasts, delivered = build_group(mode, member_count=5)
+        broadcasts["m0"].broadcast("state", agreed=True)
+        assert delivered["m0"] == [("m0", "state")]
+        # Long enough for the Raft groups' heartbeats to commit the entry.
+        sim.run_until(0.5)
+        assert all(log == [("m0", "state")] for log in delivered.values())
+        assert all(b.payloads_delivered == 1 for b in broadcasts.values())
+
+    def test_both_levels_from_every_member(self, mode):
+        sim, _, broadcasts, delivered = build_group(mode, member_count=5)
+        for name, broadcast in broadcasts.items():
+            broadcast.broadcast(f"proposal-{name}")
+            broadcast.broadcast(f"state-{name}", agreed=True)
+        sim.run_until(0.5)
+        expected = sorted(f"{kind}-m{i}" for kind in ("proposal", "state") for i in range(5))
+        for log in delivered.values():
+            assert sorted(payload for _, payload in log) == expected
+
+
+class TestRaftAgreedCost:
+    def tapped_group(self, member_count=9):
+        seen = []
+        sim, network, broadcasts, delivered = build_group("raft", member_count, first_sight=seen.append)
+        wire = []
+        for name, broadcast in broadcasts.items():
+            def handler(sender, message, name=name, b=broadcast):
+                wire.append((name, message))
+                b.on_message(sender, message)
+            broadcast.runtime.set_handler(handler)
+        sim.run_until(0.005)  # every group's initial heartbeat round is over
+        del wire[:], seen[:]
+        return sim, broadcasts, delivered, wire, seen
+
+    def test_nine_members_eight_messages_one_hop(self):
+        sim, broadcasts, delivered, wire, seen = self.tapped_group()
+        broadcasts["m0"].broadcast("state", agreed=True)
+        sim.run_until(0.05)
+        assert len(wire) == 8 and {receiver for receiver, _ in wire} == set(delivered) - {"m0"}
+        assert all(log == [("m0", "state")] for log in delivered.values())
+        assert seen == []  # arrival was delivery: nothing to hint at
+
+    def test_first_sight_fires_only_for_payloads_held_until_commit(self):
+        sim, broadcasts, delivered, wire, seen = self.tapped_group(member_count=3)
+        broadcasts["m0"].broadcast("state", agreed=True)
+        broadcasts["m0"].broadcast("proposal")
+        sim.run_until(0.05)
+        assert seen == ["proposal", "proposal"]  # once per follower
+        # The unacknowledged entry arrived first and was delivered first.
+        assert delivered["m1"] == delivered["m2"] == [("m0", "state"), ("m0", "proposal")]
+
+    def test_a_member_that_does_not_lead_its_group_pays_the_full_exchange(self):
+        """``agreed`` is a permission: the forwarded path ignores it."""
+        sim, broadcasts, delivered, wire, seen = self.tapped_group(member_count=3)
+        group = broadcasts["m0"].groups["m0"]
+        group._step_down(group.current_term)
+        group.leader_id = "m1"
+        broadcasts["m1"].groups["m0"]._become_leader()
+        sim.run_until(0.01)
+        broadcasts["m0"].broadcast("state", agreed=True)
+        assert delivered["m0"] == []
+        sim.run_until(0.2)
+        assert all(log == [("m0", "state")] for log in delivered.values())
 
 
 class TestRaftBroadcastFailures:

@@ -6,7 +6,8 @@ broadcast, representatives, commit) on the deterministic simulator.
 
 
 from repro.bench.builders import build_system, make_single_dc_topology
-from repro.canopus.messages import ProposalRequest, RequestType
+from repro.canopus.messages import Proposal, ProposalRequest, RequestType
+from repro.raft.messages import AppendEntries, AppendEntriesReply
 from repro.sim.engine import Simulator
 from repro.verify.agreement import check_agreement
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
@@ -375,7 +376,7 @@ class TestEarlyFetch:
         sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
         node = cluster.nodes["n1-0"]
         vnode = node.parent_vnode
-        node.on_message("n0-0", ProposalRequest(cycle_id=1, round_number=2, vnode_id=vnode, requester="n0-0"))
+        node.on_message("n0-0", ProposalRequest(cycle_id=1, vnode_id=vnode, requester="n0-0"))
         assert node.last_started_cycle == 1
         assert node.cycles[1].buffered_requests == {vnode: ["n0-0"]}
         assert node.stats["proposal_requests_served"] == 0
@@ -426,6 +427,68 @@ class TestEarlyFetch:
         # late third used to sit above that on every cycle.
         assert lags[len(lags) * 9 // 10] <= 0.0003
         assert lags[len(lags) * 99 // 100] <= 0.0004
+
+
+class TestMessageBudget:
+    """Agreement is paid for only by round-1 proposals that carry something."""
+
+    def test_one_27_node_cycle_by_message_class(self):
+        config = fast_config(broadcast_mode="raft")
+        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=9, racks=3, config=config)
+        sim.run_until(0.005)  # the 27 broadcast groups' initial heartbeat rounds are over
+        wire = []
+        for node in cluster.nodes.values():
+
+            def handler(sender, message, node=node):
+                wire.append(message)
+                node.on_message(sender, message)
+
+            node.runtime.set_handler(handler)
+        writers = [f"n{rack}-{index}" for rack in range(3) for index in range(5)]
+        for node_id in writers:
+            cluster.nodes[node_id].submit(write(f"from-{node_id}", "v"))
+        sim.run_until(0.015)  # before any heartbeat, Canopus' (20 ms) or Raft's (100 ms)
+        assert all(node.last_committed_cycle == 1 for node in cluster.nodes.values())
+        assert all(len(node.committed_requests()) == 15 for node in cluster.nodes.values())
+
+        def copies(wanted):
+            return sum(
+                isinstance(m, AppendEntries) and bool(m.entries) and wanted(m.entries[0].command)
+                for m in wire
+            )
+
+        peers = 8
+        assert copies(lambda p: p.round_number == 1 and not p.is_void()) == 15 * peers
+        assert sum(isinstance(m, AppendEntriesReply) for m in wire) == 15 * peers
+        assert sum(isinstance(m, AppendEntries) and not m.entries for m in wire) == 15 * peers
+        # Four void proposers a rack and two fetched states: one copy per peer.
+        assert copies(lambda p: p.round_number == 1 and p.is_void()) == 12 * peers
+        assert copies(lambda p: p.round_number >= 2) == 6 * peers
+        assert sum(isinstance(m, ProposalRequest) for m in wire) == 6
+        # 27 + 6 broadcasts at 3(n-1) each would be 792.
+        assert len(wire) == 3 * 15 * peers + 12 * peers + 6 * peers + 6 + 6 == 516
+
+    def test_entries_that_commit_later_deliver_nothing_a_second_time(self):
+        """An unacknowledged entry commits with its group's next heartbeat,
+        long after its cycle: that must not re-create a pruned cycle."""
+        config = fast_config(broadcast_mode="raft", max_inflight_cycles=1)
+        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        for index in range(8):
+            cluster.nodes["n1-1"].submit(write(f"k{index}", "v"))
+            sim.run_until(0.02 * (index + 1))
+        delivered = {node_id: node.broadcast.payloads_delivered for node_id, node in cluster.nodes.items()}
+        sim.run_until(0.5)  # several Raft heartbeats: every entry has committed everywhere
+        for node_id, node in cluster.nodes.items():
+            assert node.last_committed_cycle == 8
+            assert sorted(node.cycles) == [5, 6, 7, 8]  # 4 x max_inflight_cycles are kept
+            assert node.broadcast.payloads_delivered == delivered[node_id]
+            for group in node.broadcast.groups.values():
+                assert group.commit_index == group.last_applied == group.log.last_index > 0
+        # Nor must a copy sent again after a peer's failure (the sender may
+        # keep a cycle one commit longer than the receiver does).
+        node = cluster.nodes["n0-0"]
+        node._on_broadcast_delivery("n0-1", Proposal(4, 2, "1.2", "n1-0", 7))
+        assert sorted(node.cycles) == [5, 6, 7, 8]
 
 
 class TestCycleBatching:

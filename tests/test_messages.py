@@ -60,12 +60,13 @@ class TestProposal:
 
 
 class TestProposalRequest:
-    def test_key_matches_proposal_key_space(self):
-        request = ProposalRequest(cycle_id=3, round_number=2, vnode_id="1.1", requester="a")
-        assert request.key() == (3, 2, "1.1")
+    def test_names_a_vnode_state_by_cycle_and_vnode_alone(self):
+        request = ProposalRequest(cycle_id=3, vnode_id="1.1", requester="a")
+        assert (request.cycle_id, request.vnode_id, request.requester) == (3, "1.1", "a")
+        assert not hasattr(request, "round_number")
 
     def test_wire_size_is_small(self):
-        request = ProposalRequest(cycle_id=3, round_number=2, vnode_id="1.1", requester="a")
+        request = ProposalRequest(cycle_id=3, vnode_id="1.1", requester="a")
         assert request.wire_size() <= 32
 
 

@@ -46,8 +46,22 @@ class TestMerge:
         assert [r.key for r in merged.requests] == ["b1", "a1", "a2"]
 
     def test_merge_takes_largest_proposal_number(self):
-        merged = merge_proposals(1, 2, "1.1", "a", [make_proposal("a", 7), make_proposal("b", 99)])
-        assert merged.proposal_number == 99
+        children = [make_proposal("a", 7, keys=("a1",)), make_proposal("b", 99, keys=("b1",))]
+        assert merge_proposals(1, 2, "1.1", "a", children).proposal_number == 99
+
+    def test_merge_ignores_a_void_proposal_and_its_number(self):
+        """A void proposal is broadcast without agreement: a member that
+        missed it must compute the same state as one that counted it."""
+        update = MembershipUpdate(action="delete", node_id="x", super_leaf="s")
+        carries_update = Proposal(1, 1, "c", "c", 50, membership_updates=(update,))
+        assert make_proposal("v", 99).is_void()
+        assert not carries_update.is_void() and not make_proposal("a", 7, keys=("a1",)).is_void()
+        children = [make_proposal("a", 7, keys=("a1",)), carries_update]
+        without = merge_proposals(1, 2, "1.1", "a", children)
+        counted = merge_proposals(1, 2, "1.1", "a", children + [make_proposal("v", 99)])
+        assert counted == without
+        assert counted.proposal_number == 50
+        assert merge_proposals(1, 2, "1.1", "a", [make_proposal("v", 99)]).proposal_number == 0
 
     def test_merge_preserves_intra_proposal_request_order(self):
         proposal = make_proposal("a", 5, keys=("first", "second", "third"))
@@ -102,6 +116,44 @@ def test_merge_is_permutation_invariant(spec, rng):
     merged_b = merge_proposals(1, 2, "1.1", "x", shuffled)
     assert [r.request_id for r in merged_a.requests] == [r.request_id for r in merged_b.requests]
     assert merged_a.proposal_number == merged_b.proposal_number
+
+
+membership_strategy = st.lists(
+    st.builds(
+        MembershipUpdate,
+        action=st.sampled_from(["add", "delete"]),
+        node_id=st.sampled_from(["x", "y"]),
+        super_leaf=st.just("s"),
+    ),
+    max_size=2,
+)
+
+
+@given(
+    proposal_strategy,
+    st.lists(membership_strategy, min_size=5, max_size=5),
+    st.lists(
+        st.tuples(st.sampled_from(["v", "w", "a0"]), st.integers(min_value=0, max_value=2 ** 32)),
+        max_size=3,
+        unique_by=lambda t: t[0],
+    ),
+    st.randoms(),
+)
+@settings(max_examples=100, deadline=None)
+def test_merge_is_the_same_with_and_without_void_members(spec, updates, void_spec, rng):
+    """Requests, membership updates *and* proposal number: the number orders
+    this state among its siblings one round up, so a void member's number
+    leaking into it would reorder requests at members that counted it."""
+    proposals = [
+        Proposal(1, 1, sender, sender, number,
+                 requests=make_proposal(sender, number, keys=tuple(keys)).requests,
+                 membership_updates=tuple(membership))
+        for (sender, number, keys), membership in zip(spec, updates)
+    ]
+    voids = [make_proposal(sender, number) for sender, number in void_spec]
+    mixed = proposals + voids
+    rng.shuffle(mixed)
+    assert merge_proposals(1, 2, "1.1", "x", mixed) == merge_proposals(1, 2, "1.1", "x", proposals)
 
 
 @given(proposal_strategy)

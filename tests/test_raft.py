@@ -395,6 +395,122 @@ class TestOptimisticNextIndex:
         assert applied["r2"] == ["cmd"]
 
 
+class TestUnacknowledgedAppend:
+    """``propose(command, acknowledged=False)``: n-1 messages, one hop, applied
+    on arrival; still a log entry, so the log-matching path repairs a loss."""
+
+    SETTLED_S = TestBroadcastCost.SETTLED_S
+
+    @staticmethod
+    def is_copy(message):
+        return carries_entries(message) and not message.entries[-1].acknowledged
+
+    def test_one_append_in_a_nine_member_group(self):
+        sim, _, nodes, applied = build_raft_group(member_count=9)
+        wire, _ = tap(nodes)
+        sim.run_until(self.SETTLED_S)
+        del wire[:]
+        leader = nodes["r0"]
+        bytes_before = leader.transport.bytes_sent
+        rounds = leader._probe_seq
+        payload = _Payload()
+        leader.propose(payload, acknowledged=False)
+        assert applied["r0"] == [payload]  # at the sender at once
+        sim.run_until(0.015)
+
+        messages = [message for _, message in wire]
+        assert len(messages) == 8 and all(self.is_copy(m) and m.probe == 0 for m in messages)
+        header = AppendEntries("g", 1, "r0", 0, 0).wire_size()
+        assert leader.transport.bytes_sent - bytes_before == 8 * (header + _Payload.BYTES + 16)
+        assert leader._probe_seq == rounds  # no round opened, no lease renewed
+        # Applied everywhere on arrival; committed nowhere yet.
+        assert all(log == [payload] for log in applied.values())
+        assert all(node.commit_index == 0 and node.log.last_index == 1 for node in nodes.values())
+
+        del wire[:]
+        sim.run_until(0.03)  # the heartbeat at 0.02 is acknowledged, then a notice
+        assert all(node.commit_index == node.last_applied == 1 for node in nodes.values())
+        assert all(log == [payload] for log in applied.values())  # and nothing applied twice
+        assert sum(is_notice(m) for _, m in wire) == 8
+
+    def test_the_next_acknowledged_entry_commits_it_with_one_notice(self):
+        sim, _, nodes, applied = build_raft_group(member_count=5)
+        wire, _ = tap(nodes)
+        sim.run_until(self.SETTLED_S)
+        del wire[:]
+        nodes["r0"].propose("copy", acknowledged=False)
+        nodes["r0"].propose("cmd")
+        sim.run_until(0.015)
+        assert all(node.commit_index == 2 for node in nodes.values())
+        assert all(log == ["copy", "cmd"] for log in applied.values())
+        messages = [message for _, message in wire]
+        assert len(messages) == 4 + 3 * 4  # one hop for the copy, the full exchange for the entry
+        assert sum(is_notice(m) for m in messages) == 4
+
+    def test_it_may_overtake_an_acknowledged_entry_but_not_its_own_kind(self):
+        sim, _, nodes, applied = build_raft_group(member_count=3)
+        sim.run_until(self.SETTLED_S)
+        nodes["r0"].propose("cmd")
+        nodes["r0"].propose("copy-1", acknowledged=False)
+        nodes["r0"].propose("copy-2", acknowledged=False)
+        sim.run_until(0.015)
+        for name in ("r1", "r2"):
+            assert applied[name] == ["copy-1", "copy-2", "cmd"]  # arrival, arrival, commit
+        assert [e.command for e in nodes["r1"].log.entries_from(1)] == ["cmd", "copy-1", "copy-2"]
+
+    def test_dropped_copy_is_repaired_by_the_next_acknowledged_entry(self):
+        sim, _, nodes, applied = build_raft_group(member_count=3)
+        sim.run_until(self.SETTLED_S)
+        wire, held = tap(nodes, hold=lambda receiver, m: receiver == "r2" and self.is_copy(m))
+        nodes["r0"].propose("copy", acknowledged=False)
+        sim.run_until(0.008)
+        assert applied["r1"] == ["copy"] and applied["r2"] == [] and len(held) == 1
+        wire, _ = tap(nodes)  # the copy is lost for good; everything else gets through
+        nodes["r0"].propose("cmd")
+        sim.run_until(0.015)
+        # r2 failed the consistency check, said where it can match, and was
+        # resent both entries in one acknowledged message (and once more for
+        # the commit notice that chased the first: it failed the check too).
+        first, *resent = [m for receiver, m in wire if receiver == "r2" and carries_entries(m)]
+        assert [e.command for e in first.entries] == ["cmd"]
+        assert resent and all([e.command for e in m.entries] == ["copy", "cmd"] for m in resent)
+        assert all(m.probe for m in resent)
+        assert applied["r2"] == ["copy", "cmd"]
+        assert applied["r0"] == applied["r1"] == ["copy", "cmd"]
+        assert nodes["r0"].match_index["r2"] == 2
+
+    def test_dropped_copy_is_repaired_by_the_next_heartbeat(self):
+        sim, _, nodes, applied = build_raft_group(member_count=3)
+        sim.run_until(self.SETTLED_S)
+        tap(nodes, hold=lambda receiver, m: receiver == "r2" and self.is_copy(m))
+        nodes["r0"].propose("copy", acknowledged=False)
+        sim.run_until(0.015)
+        assert applied["r2"] == [] and nodes["r2"].log.last_index == 0
+        tap(nodes)
+        sim.run_until(0.03)  # heartbeat at 0.02: rejected, resent, applied on arrival
+        assert applied == {"r0": ["copy"], "r1": ["copy"], "r2": ["copy"]}
+        assert all(node.commit_index == 1 for node in nodes.values())
+
+    def test_a_copy_received_twice_is_applied_once(self):
+        sim, _, nodes, applied = build_raft_group(member_count=3)
+        sim.run_until(self.SETTLED_S)
+        wire, _ = tap(nodes)
+        nodes["r0"].propose("copy", acknowledged=False)
+        sim.run_until(0.008)
+        (copy,) = [m for receiver, m in wire if receiver == "r2" and self.is_copy(m)]
+        nodes["r2"].on_message("r0", copy)  # a duplicate delivery
+        sim.run_until(0.05)
+        assert applied["r2"] == ["copy"]
+
+    def test_follower_cannot_append_this_way_and_a_lone_leader_applies_once(self):
+        _, _, nodes, applied = build_raft_group(member_count=3)
+        assert nodes["r1"].propose("nope", acknowledged=False) is None and applied["r1"] == []
+        sim, _, solo, applied = build_raft_group(member_count=1)
+        solo["r0"].propose("solo", acknowledged=False)
+        sim.run_until(0.05)
+        assert applied["r0"] == ["solo"] and solo["r0"].commit_index == 1
+
+
 class TestLeadershipConfirmation:
     """Notices open no probe round and renew no lease; heartbeats still do."""
 
