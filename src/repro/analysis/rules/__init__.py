@@ -15,7 +15,6 @@ from typing import List, Type
 
 from repro.analysis.core import Rule
 from repro.analysis.rules.dispatch import DispatchCompleteRule
-from repro.analysis.rules.enginecounters import NoEngineCounterPokeRule
 from repro.analysis.rules.obsguard import ObsHookGuardRule
 from repro.analysis.rules.ordering import NoUnorderedIterationRule
 from repro.analysis.rules.randomness import NoUnseededRandomRule
@@ -29,7 +28,6 @@ ALL_RULES: List[Type[Rule]] = [
     SlotsRequiredRule,
     DispatchCompleteRule,
     ObsHookGuardRule,
-    NoEngineCounterPokeRule,
 ]
 
 __all__ = ["ALL_RULES"]

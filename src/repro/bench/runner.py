@@ -548,8 +548,6 @@ def _drive_switch_drain_mix(
     net = Network(loop)
     names: List[str] = []
     for rack in range(racks):
-        # Zero-delay switches: the lane machinery only attaches to these
-        # (a forwarding delay forces the eager per-packet path).
         net.add_switch(f"tor-{rack}")
         for index in range(per_rack):
             name = f"h{rack}-{index}"

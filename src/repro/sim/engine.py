@@ -19,6 +19,12 @@ contract rests on this: at a fixed seed, both engines run the same
 callbacks at the same simulated instants in the same order, so committed
 logs and all modelled timings are identical and only wall-clock differs.
 
+The counters mean what they say: ``processed_events`` is the number of
+callbacks the loop has invoked and ``len(loop)`` the number of entries it
+still holds.  The network layer's switch drains and idle-CPU wake-ups are
+ordinary :meth:`EventLoop.schedule_fast` entries and are counted like any
+other.
+
 Protocol code never touches the engine directly; it talks to a
 :class:`repro.runtime.sim_runtime.SimRuntime` which wraps the engine and a
 :class:`repro.sim.network.Network`.
@@ -112,13 +118,11 @@ class EventLoop:
         self._now = 0.0
         self._seq = itertools.count()
         self._running = False
+        #: Entries executed: bumped once per executed entry and by nothing
+        #: else (``Host`` compares it to tell one event turn from the next).
         self._processed = 0
         #: Number of non-cancelled events in the wheel, so ``__len__`` is O(1).
         self._live = 0
-        #: Real event turns only (one per executed wheel entry).  Unlike
-        #: ``_processed`` this is never adjusted by the network layer's
-        #: virtual backlog replay, so same-turn coalescing stays stable.
-        self._turn = 0
         # Wheel state -------------------------------------------------
         self._width = self.BUCKET_WIDTH
         self._inv_width = 1.0 / self.BUCKET_WIDTH
@@ -142,13 +146,14 @@ class EventLoop:
         self._wheel_count = 0
         self._base = 0
         #: Callbacks invoked when :meth:`run_until` reaches its deadline
-        #: (the network layer uses this to settle lazily-delivered backlog
-        #: so counters match the reference engine at window edges).
+        #: (the network layer uses this to settle lazily-delivered backlog,
+        #: so link / switch / CPU counters read at a window edge include
+        #: everything due by then).
         self._quiesce_hooks: List[Callable[[], None]] = []
         #: Deadline of the active :meth:`run_until` window (``inf`` under
         #: :meth:`run`).  Lookahead consumers (the network's switch drains)
-        #: cap eager work here so introspectable state at a window edge is
-        #: identical to the reference engine's.
+        #: cap eager work here, so counters read at a window edge include
+        #: nothing that happens after it.
         self._deadline = float("inf")
 
     # ------------------------------------------------------------------
@@ -170,41 +175,6 @@ class EventLoop:
     def add_quiesce_hook(self, hook: Callable[[], None]) -> None:
         """Run ``hook`` whenever :meth:`run_until` reaches its deadline."""
         self._quiesce_hooks.append(hook)
-
-    # ------------------------------------------------------------------
-    # Hidden events and virtual accounting
-    #
-    # The lazy delivery layer (repro.sim.network) elides reference-engine
-    # events and replays their work in batches.  Its own helper events —
-    # switch drains, idle-CPU wake-ups — have no reference counterpart and
-    # must stay invisible to ``len(loop)`` / ``processed_events``, while
-    # the *elided* reference events must be mirrored into those counters
-    # at replay time.  These two methods are the only sanctioned way to do
-    # either; mutating ``_live`` / ``_processed`` from outside this module
-    # is flagged by the ``no-engine-counter-poke`` detlint rule.
-    # ------------------------------------------------------------------
-    def schedule_hidden(self, when: float, callback: Callable[[], None], priority: int = 10) -> None:
-        """Schedule a non-cancellable callback invisible to ``len(loop)``.
-
-        The entry executes exactly like a :meth:`schedule_fast` entry but
-        is not counted as live; the callback must call
-        ``adjust_hidden(1, -1)`` first thing to undo :meth:`step`'s
-        per-event accounting (the loop cannot tell a hidden entry apart
-        at execution time).
-        """
-        self.schedule_fast(when, callback, priority)
-        self._live -= 1
-
-    def adjust_hidden(self, live: int = 0, processed: int = 0) -> None:
-        """Adjust the observable counters on behalf of elided events.
-
-        ``live`` mirrors reference-engine armed entries into ``len(loop)``
-        (or, with ``(1, -1)``, restores the decrement/increment a firing
-        hidden entry was charged by :meth:`step`); ``processed`` counts
-        replayed reference flushes into :attr:`processed_events`.
-        """
-        self._live += live
-        self._processed += processed
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -391,7 +361,6 @@ class EventLoop:
                 raise SimulationError("event heap produced an event in the past")
             self._now = entry[0]
             self._processed += 1
-            self._turn += 1
             self._live -= 1
             callback()
             return True
@@ -409,14 +378,13 @@ class EventLoop:
         finally:
             self._running = False
 
-    def run_until(self, deadline: float, max_events: Optional[int] = None) -> None:
+    def run_until(self, deadline: float) -> None:
         """Run events with timestamps strictly ``<= deadline``.
 
         On return the clock is advanced to ``deadline`` even if the wheel
         drained earlier, so repeated ``run_until`` calls behave like a
         sequence of measurement windows.
         """
-        executed = 0
         self._deadline = deadline
         # Hot loop: local aliases, no step() indirection, Event handling
         # inlined.  ``self._cur`` is re-read after every callback because
@@ -447,12 +415,8 @@ class EventLoop:
                 raise SimulationError("event heap produced an event in the past")
             self._now = when
             self._processed += 1
-            self._turn += 1
             self._live -= 1
             callback()
-            executed += 1
-            if max_events is not None and executed >= max_events:
-                break
         if self._now < deadline:
             self._now = deadline
         for hook in self._quiesce_hooks:
@@ -478,7 +442,6 @@ class HeapEventLoop:
         self._running = False
         self._processed = 0
         self._live = 0
-        self._turn = 0
         self._quiesce_hooks: List[Callable[[], None]] = []
         self._deadline = float("inf")
 
@@ -532,16 +495,6 @@ class HeapEventLoop:
         heapq.heappush(self._heap, (when, priority, next(self._seq), callback))
         self._live += 1
 
-    def schedule_hidden(
-        self, when: float, callback: Callable[[], None], priority: int = 10
-    ) -> None:
-        self.schedule_fast(when, callback, priority)
-        self._live -= 1
-
-    def adjust_hidden(self, live: int = 0, processed: int = 0) -> None:
-        self._live += live
-        self._processed += processed
-
     def step(self) -> bool:
         while self._heap:
             entry = heapq.heappop(self._heap)
@@ -551,7 +504,6 @@ class HeapEventLoop:
                     raise SimulationError("event heap produced an event in the past")
                 self._now = entry[0]
                 self._processed += 1
-                self._turn += 1
                 self._live -= 1
                 event()
                 return True
@@ -561,7 +513,6 @@ class HeapEventLoop:
                 raise SimulationError("event heap produced an event in the past")
             self._now = event.time
             self._processed += 1
-            self._turn += 1
             self._live -= 1
             event.cancelled = True
             event.callback()
@@ -580,8 +531,7 @@ class HeapEventLoop:
         finally:
             self._running = False
 
-    def run_until(self, deadline: float, max_events: Optional[int] = None) -> None:
-        executed = 0
+    def run_until(self, deadline: float) -> None:
         self._deadline = deadline
         while self._heap:
             entry = self._heap[0]
@@ -592,9 +542,6 @@ class HeapEventLoop:
             if entry[0] > deadline:
                 break
             self.step()
-            executed += 1
-            if max_events is not None and executed >= max_events:
-                break
         if self._now < deadline:
             self._now = deadline
         for hook in self._quiesce_hooks:
@@ -629,8 +576,8 @@ class Simulator:
     def run(self, max_events: Optional[int] = None) -> None:
         self.loop.run(max_events=max_events)
 
-    def run_until(self, deadline: float, max_events: Optional[int] = None) -> None:
-        self.loop.run_until(deadline, max_events=max_events)
+    def run_until(self, deadline: float) -> None:
+        self.loop.run_until(deadline)
 
     # Component registry -------------------------------------------------
     def register(self, name: str, component: Any) -> Any:

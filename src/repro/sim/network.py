@@ -24,7 +24,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import EventLoop, SimulationError
 
@@ -103,19 +103,12 @@ class DeliveryQueue:
     timing is never wrong, merely unbatched.
     """
 
-    __slots__ = ("loop", "deliver", "priority", "label", "_pending", "_armed", "_flush_cb")
+    __slots__ = ("loop", "deliver", "priority", "_pending", "_armed", "_flush_cb")
 
-    def __init__(
-        self,
-        loop: EventLoop,
-        deliver: Callable[[Any], None],
-        priority: int,
-        label: str,
-    ) -> None:
+    def __init__(self, loop: EventLoop, deliver: Callable[[Any], None], priority: int) -> None:
         self.loop = loop
         self.deliver = deliver
         self.priority = priority
-        self.label = label
         self._pending: "deque[Tuple[float, Any]]" = deque()
         self._armed = False
         #: Pre-bound flush callback: arming happens once per burst but the
@@ -163,27 +156,40 @@ class Link:
         self.name = name
         self.latency_s = latency_s
         self.bandwidth_bps = bandwidth_bps
-        self._deliver = deliver
         self._busy_until = 0.0
         self.bytes_sent = 0
         self.packets_sent = 0
-        self._arrivals = DeliveryQueue(loop, deliver, priority=5, label=f"link:{name}")
+        self._arrivals = DeliveryQueue(loop, deliver, priority=5)
         #: When this link is a host's only ingress link, arrivals go to the
         #: host's lazy backlog lane instead of a scheduled delivery queue
         #: (set by :meth:`Network.add_link` via ``Host._attach_ingress``).
         self._lazy_host: Optional["Host"] = None
-        #: When this link feeds a zero-delay switch, arrivals go to the
-        #: switch's per-ingress-link lane, drained in merged arrival order
-        #: by the switch's lookahead drain (see :class:`Switch`).
+        #: When this link feeds a lazily-forwarding switch, arrivals go to
+        #: the switch's per-ingress-link lane, drained in merged arrival
+        #: order by the switch's lookahead drain (see :class:`Switch`).
         self._lazy_lane: Optional["_SwitchLane"] = None
 
-    def transmit(self, packet: Packet) -> float:
-        """Enqueue ``packet`` and return its arrival time at the far end."""
+    def transmit(self, packet: Packet, start: Optional[float] = None) -> float:
+        """Enqueue ``packet`` and return its arrival time at the far end.
+
+        Serialization begins at ``max(start, busy-until)``; ``start``
+        defaults to the current instant.  This is the one statement of the
+        link arithmetic.  The two per-packet hot loops inline it with the
+        identical expression shapes: :meth:`Network._deliver_fanout` passes
+        each packet's CPU-finish instant as ``start`` (sound because a host
+        egress link is fed only by its owning host, in CPU-finish order),
+        and :meth:`Switch._drain_to` replays it as if run at the packet's
+        arrival instant at that switch, which stands in for both ``start``
+        and ``now``.
+        """
         total_bytes = packet.size_bytes + DEFAULT_HEADER_BYTES
         serialization = total_bytes * 8.0 / self.bandwidth_bps
         busy = self._busy_until
         now = self.loop._now
-        start = now if now > busy else busy
+        if start is None:
+            start = now
+        if busy > start:
+            start = busy
         finish = start + serialization
         self._busy_until = finish
         arrival = finish + self.latency_s
@@ -191,7 +197,7 @@ class Link:
         self.packets_sent += 1
         host = self._lazy_host
         if host is not None:
-            host._ingress_push(arrival, packet, now)
+            host._ingress_push(arrival, packet)
         else:
             lane = self._lazy_lane
             if lane is not None:
@@ -199,76 +205,6 @@ class Link:
             else:
                 self._arrivals.push(arrival, packet)
         return arrival
-
-    def transmit_at(self, earliest_start: float, packet: Packet) -> float:
-        """Like :meth:`transmit`, but the packet may not start serializing
-        before ``earliest_start``.
-
-        The multicast fast path uses this to transmit a whole fan-out group
-        in one event turn while charging each packet exactly the link time
-        it would have been charged had its sender injected it at its own
-        CPU-finish instant: ``start = max(earliest_start, busy)`` is the
-        same arithmetic :meth:`transmit` performs with ``now`` when the
-        injection happens as a dedicated event at ``earliest_start``.  This
-        is only sound when no other source can touch this link's queue in
-        between — true for host egress links, which are fed exclusively by
-        their owning host in CPU-finish order.
-        """
-        total_bytes = packet.size_bytes + DEFAULT_HEADER_BYTES
-        serialization = total_bytes * 8.0 / self.bandwidth_bps
-        busy = self._busy_until
-        start = earliest_start if earliest_start > busy else busy
-        finish = start + serialization
-        self._busy_until = finish
-        arrival = finish + self.latency_s
-        self.bytes_sent += total_bytes
-        self.packets_sent += 1
-        p_ref = self.loop._now
-        host = self._lazy_host
-        if host is not None:
-            host._ingress_push(arrival, packet, p_ref)
-        else:
-            lane = self._lazy_lane
-            if lane is not None:
-                lane.push(arrival, p_ref, packet)
-            else:
-                self._arrivals.push(arrival, packet)
-        return arrival
-
-    def transmit_lazy(self, forward_at: float, packet: Packet) -> None:
-        """Transmit on behalf of a switch drain forwarding at modelled
-        instant ``forward_at`` (the packet's arrival at that switch).
-
-        Identical arithmetic to :meth:`transmit` executed at a dedicated
-        event at ``forward_at`` — ``start = max(forward_at, busy)`` — but
-        run eagerly from the drain.  ``forward_at`` doubles as the
-        downstream reference-push instant (a zero-delay switch forwards the
-        moment a packet arrives), which keeps the virtual delivery-queue
-        accounting on the next hop exact.
-        """
-        total_bytes = packet.size_bytes + DEFAULT_HEADER_BYTES
-        serialization = total_bytes * 8.0 / self.bandwidth_bps
-        busy = self._busy_until
-        start = forward_at if forward_at > busy else busy
-        finish = start + serialization
-        self._busy_until = finish
-        arrival = finish + self.latency_s
-        self.bytes_sent += total_bytes
-        self.packets_sent += 1
-        host = self._lazy_host
-        if host is not None:
-            host._ingress_push(arrival, packet, forward_at)
-        else:
-            lane = self._lazy_lane
-            if lane is not None:
-                lane.push(arrival, forward_at, packet)
-            else:
-                self._arrivals.push(arrival, packet)
-
-    @property
-    def queue_delay(self) -> float:
-        """Current backlog of the link in seconds."""
-        return max(0.0, self._busy_until - self.loop.now)
 
     def utilization(self, elapsed_s: float) -> float:
         """Fraction of ``elapsed_s`` spent transmitting."""
@@ -301,37 +237,34 @@ class NetworkElement:
 
 
 class _SwitchLane:
-    """One ingress link's arrival backlog at a zero-delay switch.
+    """One ingress link's arrival backlog at a switch.
 
     ``q`` holds ``(arrival, p_ref, packet)`` with arrivals non-decreasing
     (the feeding link is FIFO and feeds it in modelled-forward order).
-    ``p_ref`` is the instant the reference engine would have pushed the
-    packet into this link's delivery queue — its forward time at the
-    previous element — which drives the virtual armed-flush accounting:
-    ``ref_live`` caches whether the reference engine currently holds an
-    armed flush event for this link (head ``p_ref`` has passed).
+    ``p_ref`` is the modelled instant the packet was put on the feeding
+    link — ``now`` at an injection, the forward instant at a switch drain.
+    It is kept because it is an input to modelled behaviour, the tie rank
+    below; nothing else reads it.
 
-    ``(arm_at, arm_tick)`` reproduce the reference flush event's tie rank
-    for the head group: the instant the reference would have armed that
-    flush (push when the queue was empty, else the previous group's flush
-    instant) and a per-switch monotone tick standing in for the engine's
-    schedule sequence number.  Merging lanes by ``(arrival, arm_at,
-    arm_tick)`` therefore replays equal-arrival flushes of different
-    ingress links in the reference engine's ``(time, priority, seq)``
-    order, which is what keeps shared-egress serialization byte-identical
-    under symmetric broadcast collisions.
+    ``(arm_at, arm_tick)`` rank the lane's head group (its run of equal
+    arrivals) among equal-arrival groups of the switch's other lanes, by
+    the rule per-arrival delivery events obey: a link's flush for a group
+    is armed when the group's first packet is put on the link if the link
+    had nothing in flight, else when the previous group is delivered, and
+    flushes due at one instant fire in arming order.  ``arm_at`` is that
+    arming instant and ``arm_tick`` a per-switch monotone tick that orders
+    armings made at the same instant.  Merging lanes by ``(arrival, arm_at,
+    arm_tick)`` decides which of two equal-arrival packets from different
+    ingress links takes a shared egress link first, so every downstream
+    timestamp under symmetric broadcast collisions depends on it (the
+    eager path reaches the same order through the engine's ``seq``).
     """
 
-    __slots__ = ("owner", "q", "ref_live", "group_arr", "arm_at", "arm_tick", "lat", "src")
+    __slots__ = ("owner", "q", "arm_at", "arm_tick", "lat", "src")
 
     def __init__(self, owner: "Switch", lat: float, src: "NetworkElement") -> None:
         self.owner = owner
         self.q: "deque[Tuple[float, float, Packet]]" = deque()
-        self.ref_live = 0
-        #: Arrival of the last counted virtual flush group (equal-arrival
-        #: runs are contiguous per lane and never straddle two drains, so
-        #: comparing against the previous item is exact).
-        self.group_arr = -1.0
         self.arm_at = float("-inf")
         self.arm_tick = 0
         #: Feeding link's latency and source element: a drain may only
@@ -354,11 +287,11 @@ class _SwitchLane:
             q.append((arrival, p_ref, packet))
         else:
             if p_ref > self.arm_at:
-                # Reference arming: empty queue, armed by this push at p_ref.
-                # When p_ref has not passed the chain key left behind by the
-                # last drained group, the reference queue never went empty (the
-                # push happened before that group's flush) and re-armed chained
-                # at the flush instant: keep the stored chain key instead.
+                # Nothing in flight: this push arms the head group.  When
+                # p_ref has not passed the key left behind by the last
+                # drained group, the packet was put on the link before that
+                # group was delivered, so its group was armed at that
+                # delivery: keep the stored key instead.
                 self.arm_at = p_ref
                 self.arm_tick = owner._arm_tick = owner._arm_tick + 1
             q.append((arrival, p_ref, packet))
@@ -368,28 +301,6 @@ class _SwitchLane:
             # pops it dry — FIFO appends never change the head, and the
             # arm fields only move on this empty-queue branch.
             heappush(owner._index, (arrival, self.arm_at, self.arm_tick, self))
-            if not self.ref_live:
-                loop = owner._loop
-                if p_ref <= loop._now:
-                    self.ref_live = 1
-                    loop.adjust_hidden(1)
-                else:
-                    # Head p_ref is still in the future: the flip happens
-                    # as now advances, without any event touching this
-                    # lane — watch it from the drain-end refresh.
-                    owner._ref_pending.append(self)
-            at = owner._drain_at
-            if at is None or at > arrival:
-                g = (int(arrival * owner._grid_inv) + 1) * owner._grid
-                if at is None or g < at:
-                    owner._drain_at = g
-                    owner._loop.schedule_hidden(g, owner._drain_cb, 5)
-            return
-        if not self.ref_live:
-            loop = owner._loop
-            if p_ref <= loop._now:
-                self.ref_live = 1
-                loop.adjust_hidden(1)
         # Arm the drain on the switch's time grid: a packet may wait up to
         # one grid period (= min egress latency) because its downstream
         # arrival is at least that far away, and grid alignment means a
@@ -402,7 +313,7 @@ class _SwitchLane:
             g = (int(arrival * owner._grid_inv) + 1) * owner._grid
             if at is None or g < at:
                 owner._drain_at = g
-                owner._loop.schedule_hidden(g, owner._drain_cb, 5)
+                owner._loop.schedule_fast(g, owner._drain_cb, 5)
 
 
 class Switch(NetworkElement):
@@ -412,34 +323,31 @@ class Switch(NetworkElement):
     forwarding delay is folded into link latencies, which matches how the
     paper reports topology latencies (host-to-host RTTs).
 
-    Zero-delay switches deliver lazily: each ingress link appends arrivals
-    to a :class:`_SwitchLane`, and a single *drain* event forwards the
-    whole merged backlog whose arrival lies within the switch's lookahead
-    window (the minimum ingress latency).  Any arrival pushed by a later
-    event is strictly beyond that window — a packet transmitted at time
-    ``T`` arrives after ``T + serialization + latency`` — so the merged
-    arrival order the drain forwards in is exactly the order the reference
-    engine's per-arrival flush events would have produced, and
-    :meth:`Link.transmit_lazy` charges each hop the identical arithmetic.
+    Switches deliver lazily: each ingress link appends arrivals to a
+    :class:`_SwitchLane`, and a single *drain* event forwards the whole
+    merged backlog whose arrival lies within the switch's lookahead
+    window (:meth:`_margin`).  Any arrival pushed by a later event is
+    strictly beyond that window — a packet transmitted at time ``T``
+    arrives after ``T + serialization + latency`` — so the merged
+    arrival order the drain forwards in is exactly the order per-arrival
+    delivery events produce, and each hop is charged the arithmetic of
+    :meth:`Link.transmit`.  A switch with a zero-latency link has no such
+    window and keeps the eager per-arrival path (:meth:`receive`).
     """
 
-    def __init__(self, network: "Network", name: str, forwarding_delay_s: float = 0.0) -> None:
+    def __init__(self, network: "Network", name: str) -> None:
         super().__init__(network, name)
         self._loop = network.loop
-        self.forwarding_delay_s = forwarding_delay_s
         self.packets_forwarded = 0
         #: Destination -> egress link, resolved once per destination (the
         #: store-and-forward hot path; cleared on route rebuilds).
         self._fwd: Dict[str, Link] = {}
-        #: Per-ingress-link backlog lanes (zero-delay switches only).
+        #: Per-ingress-link backlog lanes.
         self._lanes: List[_SwitchLane] = []
-        #: Merge-safe lookahead: min ingress latency.  Every not-yet-pushed
-        #: arrival is strictly later than ``drain time + lookahead``.
-        self._lookahead = float("inf")
         #: Earliest armed drain event time (None when nothing is armed).
         self._drain_at: Optional[float] = None
-        #: Monotone stand-in for the engine's schedule sequence, bumped at
-        #: every simulated reference arming (see :class:`_SwitchLane`).
+        #: Monotone tick ordering head-group armings made at one instant
+        #: (see :class:`_SwitchLane`).
         self._arm_tick = 0
         #: Persistent lane index: a heap holding exactly one
         #: ``(head arrival, arm_at, arm_tick, lane)`` entry per non-empty
@@ -450,12 +358,6 @@ class Switch(NetworkElement):
         #: from scratch every grid period.  ``arm_tick`` is unique per
         #: switch, so entries totally order before ever comparing lanes.
         self._index: List[Tuple[float, float, int, _SwitchLane]] = []
-        #: Non-empty lanes whose head ``p_ref`` is still in the future
-        #: (``ref_live`` 0): the armed-flush mirror flips as now advances
-        #: without any event touching the lane, so the drain-end refresh
-        #: walks this (tiny) watch list instead of every lane.  Lazily
-        #: deduplicated — a stale entry is dropped on the next scan.
-        self._ref_pending: List[_SwitchLane] = []
         #: Pre-bound drain callback (one bound-method allocation total,
         #: not one per grid arming).
         self._drain_cb = self._drain
@@ -477,8 +379,6 @@ class Switch(NetworkElement):
         lane = _SwitchLane(self, link.latency_s, src)
         link._lazy_lane = lane
         self._lanes.append(lane)
-        if link.latency_s < self._lookahead:
-            self._lookahead = link.latency_s
 
     def _margin(self) -> float:
         """Merge-safe forwarding window past a drain instant.
@@ -511,58 +411,32 @@ class Switch(NetworkElement):
             self._grid_inv = 1.0 / latency_s
 
     def _demote_lanes(self) -> None:
-        """Fall back to per-arrival scheduled delivery (a zero-latency link
-        leaves no slack for batched forwarding).
+        """Fall back to eager per-arrival delivery for every ingress link (a
+        zero-latency link leaves no slack for batched forwarding).
 
-        Spilled backlog goes back into each feeding link's delivery queue —
-        the structure the reference engine keeps it in — rather than one
-        scheduled event and one closure per packet: per-lane arrivals are
-        non-decreasing, so :class:`DeliveryQueue`'s monotone batching
-        applies and the spill arms one real flush per link.
+        A construction-time decision: the links of a switch are wired
+        before traffic flows, so a lane holding backlog here is a bug in
+        the caller, not a case to replay.
         """
+        if self._index:
+            raise SimulationError(
+                f"cannot demote switch {self.name!r}: its lanes hold backlog "
+                "(zero-latency links must be added before traffic flows)"
+            )
         self._lazy_ok = False
         self.network._topo_gen += 1
-        if self._index:
-            # Mid-run demotion: laned arrivals may be up to one grid period
-            # in the past (the reference engine already delivered them).
-            # Replay everything due now in merged reference order first, so
-            # the spill below only ever re-queues future arrivals — the
-            # delivery queues cannot schedule into the past.
-            now = self._loop._now
-            self._drain_to(now, now)
         self._drain_at = None
-        mirrored = 0
         for link in self.network.links.values():
             lane = link._lazy_lane
-            if lane is None or lane.owner is not self:
-                continue
-            link._lazy_lane = None
-            arrivals_push = link._arrivals.push
-            for arrival, _p_ref, packet in lane.q:
-                arrivals_push(arrival, packet)
-            lane.q.clear()
-            if lane.ref_live:
-                # The mirror flag is superseded by the real armed flush the
-                # spill just created.
-                lane.ref_live = 0
-                mirrored += 1
-        if mirrored:
-            self._loop.adjust_hidden(-mirrored)
+            if lane is not None and lane.owner is self:
+                link._lazy_lane = None
         self._lanes.clear()
-        self._index.clear()
-        self._ref_pending.clear()
         self._grid = 0.0
 
     def _drain(self) -> None:
-        """Forward every laned arrival inside the lookahead window.
-
-        Runs as a hidden event on the switch's drain grid.  Replays the
-        reference engine's flush events virtually: one processed event per
-        per-lane distinct-arrival group, with per-lane ``ref_live`` flags
-        standing in for the reference's armed flush entries.
-        """
+        """Forward every laned arrival inside the lookahead window (runs
+        as an ordinary event on the switch's drain grid)."""
         loop = self._loop
-        loop.adjust_hidden(1, -1)  # hidden event: undo step()'s accounting
         now = loop._now
         if self._drain_at != now:
             return  # superseded by a re-arm at an earlier grid point
@@ -570,28 +444,28 @@ class Switch(NetworkElement):
         bound = now + self._margin()
         deadline = loop._deadline
         if now <= deadline < bound:
-            # Never forward past the active run_until window: state
-            # observable at the deadline must match the reference engine.
+            # Never forward past the active run_until window: a forward
+            # bumps link and switch counters (and, through a host lane, CPU
+            # time) that the caller may read at the deadline.
             bound = deadline
-        nxt = self._drain_to(bound, now)
+        nxt = self._drain_to(bound)
         if nxt is not None:
             g = (int(nxt * self._grid_inv) + 1) * self._grid
             at = self._drain_at
             if at is None or g < at:
                 self._drain_at = g
-                loop.schedule_hidden(g, self._drain_cb, 5)
+                loop.schedule_fast(g, self._drain_cb, 5)
 
-    def _drain_to(self, bound: float, now: float) -> Optional[float]:
+    def _drain_to(self, bound: float) -> Optional[float]:
         """Forward every laned arrival at or before ``bound`` in merged
-        reference order, then refresh the virtual armed-flush flags.
-        Returns the merged head arrival left pending, if any.
+        order.  Returns the merged head arrival left pending, if any.
 
         Walks :attr:`_index` — the persistent heap of per-lane head keys —
         directly: a group boundary re-keys the root in place, a dry lane
         pops it, and everything still pending survives to the next drain
         untouched.  The merge keys are immutable while a head group is
         pending (pushes only append behind it), so the pop sequence is
-        identical to the heapify-from-scratch it replaces.
+        identical to heapifying every lane head from scratch.
         """
         heads = self._index
         if not heads:
@@ -599,9 +473,7 @@ class Switch(NetworkElement):
         loop = self._loop
         fwd = self._fwd
         hdr = DEFAULT_HEADER_BYTES
-        groups = 0
         count = 0
-        live_delta = 0
         while heads:
             head = heads[0]
             arrival = head[0]
@@ -609,10 +481,7 @@ class Switch(NetworkElement):
                 break
             lane = head[3]
             q = lane.q
-            _, _, packet = q.popleft()
-            if arrival != lane.group_arr:
-                lane.group_arr = arrival
-                groups += 1
+            packet = q.popleft()[2]
             count += 1
             packet.hops += 1
             dst = packet.dst
@@ -621,8 +490,9 @@ class Switch(NetworkElement):
             except KeyError:
                 link = self.interface.links[self.network.next_hop(self.name, dst)]
                 fwd[dst] = link
-            # Link.transmit_lazy, inlined (the drain is the per-packet hot
-            # loop): identical expression shapes, forward_at = arrival.
+            # Link.transmit, inlined (the drain is the per-packet hot
+            # loop): identical expression shapes, replayed as if run at
+            # ``arrival`` (start = now = arrival).
             total_bytes = packet.size_bytes + hdr
             serialization = total_bytes * 8.0 / link.bandwidth_bps
             busy = link._busy_until
@@ -634,16 +504,12 @@ class Switch(NetworkElement):
             link.packets_sent += 1
             sink = link._lazy_host
             if sink is not None:
-                # Host._ingress_push, non-empty in-order fast case inlined
-                # (p_ref = arrival: the forward instant at this switch).
+                # Host._ingress_push, non-empty in-order fast case inlined.
                 hq = sink._in_q
                 if hq and down_arrival >= hq[-1][0]:
-                    hq.append((down_arrival, arrival, packet))
-                    if not sink._lane_live and arrival <= now:
-                        sink._lane_live = 1
-                        loop.adjust_hidden(1)
+                    hq.append((down_arrival, packet))
                 else:
-                    sink._ingress_push(down_arrival, packet, arrival)
+                    sink._ingress_push(down_arrival, packet)
             else:
                 sink = link._lazy_lane
                 if sink is not None:
@@ -653,16 +519,13 @@ class Switch(NetworkElement):
                     lq = sink.q
                     if lq and down_arrival >= lq[-1][0]:
                         lq.append((down_arrival, arrival, packet))
-                        if not sink.ref_live and arrival <= now:
-                            sink.ref_live = 1
-                            loop.adjust_hidden(1)
                         sw = sink.owner
                         at = sw._drain_at
                         if at is None or at > down_arrival:
                             g = (int(down_arrival * sw._grid_inv) + 1) * sw._grid
                             if at is None or g < at:
                                 sw._drain_at = g
-                                loop.schedule_hidden(g, sw._drain_cb, 5)
+                                loop.schedule_fast(g, sw._drain_cb, 5)
                     else:
                         sink.push(down_arrival, arrival, packet)
                 else:
@@ -671,62 +534,29 @@ class Switch(NetworkElement):
                 head2 = q[0]
                 nxt_arrival = head2[0]
                 if nxt_arrival != arrival:
-                    # Group boundary: the reference re-arms at this flush's
-                    # instant when the next item is already pushed, else at
-                    # the instant of that item's push.  (Same-group
+                    # Group boundary: the next group is armed at this
+                    # group's delivery instant when its first packet was
+                    # already on the link by then, else at the instant that
+                    # packet was put on the link.  (Same-group
                     # continuations leave the root's merge key unchanged —
                     # arm_tick is unique per switch, so the min is strict.)
                     nxt_p_ref = head2[1]
                     lane.arm_at = arm = arrival if nxt_p_ref <= arrival else nxt_p_ref
                     lane.arm_tick = tick = self._arm_tick = self._arm_tick + 1
                     heapreplace(heads, (nxt_arrival, arm, tick, lane))
-                    # The head changed; settle its armed-flush mirror now
-                    # (the full-lane scan this replaces did it per drain).
-                    if nxt_p_ref <= now:
-                        if not lane.ref_live:
-                            lane.ref_live = 1
-                            live_delta += 1
-                    elif lane.ref_live:
-                        lane.ref_live = 0
-                        live_delta -= 1
-                        self._ref_pending.append(lane)
             else:
                 # Lane drained dry: pre-assign the chain-continuation key.
                 # If a deferred upstream push later lands with p_ref at or
-                # before this flush instant, the reference re-armed chained
-                # right here, with this merge rank (see push()).
+                # before this delivery instant, its group was armed right
+                # here, with this merge rank (see push()).
                 lane.arm_at = arrival
                 lane.arm_tick = self._arm_tick = self._arm_tick + 1
                 heappop(heads)
-                if lane.ref_live:
-                    lane.ref_live = 0
-                    live_delta -= 1
         self.packets_forwarded += count
-        # Refresh the watched armed-flush mirrors (a head's p_ref passes
-        # as now advances without any event touching the lane; every
-        # (non-empty, mirror-down) lane is on the watch list).
-        watch = self._ref_pending
-        if watch:
-            keep = None
-            for lane in watch:
-                q = lane.q
-                if q and not lane.ref_live:
-                    if q[0][1] <= now:
-                        lane.ref_live = 1
-                        live_delta += 1
-                    elif keep is None:
-                        keep = [lane]
-                    else:
-                        keep.append(lane)
-            if keep is None:
-                watch.clear()
-            else:
-                self._ref_pending = keep
-        if groups or live_delta:
-            loop.adjust_hidden(live_delta, groups)
         return heads[0][0] if heads else None
 
     def receive(self, packet: Packet) -> None:
+        """Eager path: forward one packet at its arrival event."""
         self.packets_forwarded += 1
         packet.hops += 1
         dst = packet.dst
@@ -734,36 +564,36 @@ class Switch(NetworkElement):
         if link is None:
             link = self.interface.links[self.network.next_hop(self.name, dst)]
             self._fwd[dst] = link
-        if self.forwarding_delay_s:
-            self.network.loop.schedule(
-                self.forwarding_delay_s, lambda: link.transmit(packet), priority=5, label=f"fwd:{self.name}"
-            )
-        else:
-            link.transmit(packet)
+        link.transmit(packet)
 
 
 class _RxQueue(DeliveryQueue):
     """The host CPU dispatch queue, pull-aware.
 
-    Before dispatching, the owning host replays any ingress backlog due at
-    or before the flush instant (the lane's virtual flushes run at priority
-    5, this queue at priority 8, so the replay order matches the reference
-    engine's).  After draining, if the CPU went idle while arrivals are
-    still pending in the lane, a real wake-up is armed so the backlog is
-    charged at exactly the instant the reference engine would have.
+    Before dispatching, the owning host charges any ingress backlog due at
+    or before the flush instant (arrivals rank at priority 5, this queue at
+    priority 8, so an arrival due now is charged before this flush
+    dispatches).  After draining, if the CPU went idle while arrivals are
+    still pending in the lane, a wake-up is armed at the head arrival so
+    the backlog is charged from exactly that instant.
+
+    :meth:`_flush` is the one function every delivered packet leaves the
+    network through (the eager fallback reaches it too, via
+    :meth:`Host.receive`); :meth:`Network._deliver_fanout` is the one it
+    enters by.
     """
 
     __slots__ = ("host",)
 
     def __init__(self, host: "Host") -> None:
-        super().__init__(host.network.loop, host._dispatch, priority=8, label=f"cpu:{host.name}")
+        super().__init__(host.network.loop, host._dispatch, priority=8)
         self.host = host
 
     def _flush(self) -> None:
         host = self.host
         loop = self.loop
         now = loop._now
-        if host._in_armed_at is not None:
+        if host._in_q:
             host._pull(now)
         self._armed = False
         pending = self._pending
@@ -794,26 +624,8 @@ class _RxQueue(DeliveryQueue):
             if not self._armed:
                 self._armed = True
                 loop.schedule_fast(pending[0][0], self._flush_cb, 8)
-        elif host._in_armed_at is not None:
-            host._arm_wake(host._in_armed_at)
-
-
-class _TxGroup:
-    """All sends charged to one host's CPU within a single event turn.
-
-    Every entry carries the absolute CPU-finish time its packet would have
-    been injected at by a dedicated per-send event; the group is flushed as
-    one event at the earliest of those times and each packet is handed to
-    its first-hop link with ``transmit_at(start)``, reproducing the exact
-    serialization schedule of per-send injection (see
-    :meth:`Link.transmit_at` for why that is sound).
-    """
-
-    __slots__ = ("items",)
-
-    def __init__(self) -> None:
-        #: ``(dst, payload, size_bytes, cpu_finish)`` per coalesced send.
-        self.items: List[Tuple[str, Any, int, float]] = []
+        elif host._in_q:
+            host._arm_wake(host._in_q[0][0])
 
 
 class Host(NetworkElement):
@@ -847,26 +659,22 @@ class Host(NetworkElement):
         self._obs = None
         loop = network.loop
         self._rx_queue = _RxQueue(self)
-        self._tx_queue = DeliveryQueue(loop, self._inject, priority=9, label=f"send:{name}")
-        #: Open same-turn coalescing group and the loop turn it belongs to.
-        self._open_tx: Optional[_TxGroup] = None
-        self._open_tx_turn = -1
+        #: Transmit queue: one entry per same-turn group of sends, each a
+        #: list of ``(dst, payload, size_bytes, cpu_finish)`` flushed at the
+        #: earliest CPU-finish instant through :meth:`Network._deliver_fanout`.
+        self._tx_queue = DeliveryQueue(loop, self._inject, priority=9)
+        #: Open same-turn group and the ``processed_events`` count it was
+        #: opened at: any event run in between moves the count, so a stale
+        #: group (which may already have flushed) is never extended.
+        self._open_tx: Optional[List[Tuple[str, Any, int, float]]] = None
+        self._open_tx_events = -1
         # Lazy ingress backlog (single-ingress-link hosts only) ----------
         #: Links delivering to this host; with exactly one, arrivals are
         #: delivered lazily through the backlog lane below.
         self._ingress_links: List[Link] = []
-        #: Pending (arrival, p_ref, packet) triples, arrivals non-decreasing;
-        #: ``p_ref`` is the instant the reference engine would have pushed
-        #: the packet into the ingress link's delivery queue.
-        self._in_q: "deque[Tuple[float, float, Packet]]" = deque()
-        #: Virtual delivery-queue arming time: the instant the reference
-        #: engine's per-link delivery queue would fire its next flush.
-        self._in_armed_at: Optional[float] = None
-        #: Whether the reference engine currently holds an armed flush
-        #: entry for the lane (head ``p_ref`` has passed); mirrored into
-        #: the loop's live count so ``len(loop)`` stays exact.
-        self._lane_live = 0
-        #: Earliest real wake-up currently scheduled (None when none).
+        #: Pending ``(arrival, packet)`` pairs, arrivals non-decreasing.
+        self._in_q: "deque[Tuple[float, Packet]]" = deque()
+        #: Earliest wake-up currently scheduled (None when none).
         self._wake_at: Optional[float] = None
         #: Pre-bound wake callback (one bound-method allocation total).
         self._wake_cb = self._wake
@@ -882,11 +690,11 @@ class Host(NetworkElement):
     # A host with a single incoming link (every host in the tree
     # topologies) does not schedule one delivery event per distinct
     # arrival time.  Links append (arrival, packet) to the host's lane at
-    # transmit time; the CPU charge for each packet is *replayed* — with
-    # the reference engine's exact arithmetic and order — the first time
-    # the host's CPU state is observed at or after the arrival instant
-    # (a send, a dispatch, a utilization probe, fail/recover, or the
-    # armed wake-up when the CPU would otherwise sit idle).  See
+    # transmit time; each packet's CPU charge is computed — with the
+    # arithmetic and order of :meth:`receive` run at its arrival instant —
+    # the first time the host's CPU state is observed at or after that
+    # instant (a send, a dispatch, a utilization probe, fail/recover, or
+    # the armed wake-up when the CPU would otherwise sit idle).  See
     # ARCHITECTURE.md, "Backlog delivery".
     # ------------------------------------------------------------------
     def _attach_ingress(self, link: Link) -> None:
@@ -899,71 +707,43 @@ class Host(NetworkElement):
             for attached in self._ingress_links:
                 attached._lazy_host = None
 
-    def _ingress_push(self, when: float, packet: Packet, p_ref: float) -> None:
+    def _ingress_push(self, when: float, packet: Packet) -> None:
         """Append an arrival to the backlog lane (called at transmit time)."""
         q = self._in_q
-        if q:
-            # Non-empty lane invariant: ``_in_armed_at`` is already set (a
-            # pull only clears it when the lane empties), so only the
-            # armed-flush mirror flag can need updating here.
-            if when < q[-1][0]:
-                # Out-of-order arrival: impossible for a FIFO link, but keep
-                # the DeliveryQueue fallback contract (dedicated event).
-                self._loop.schedule_fast(when, lambda: self.receive(packet), 5)
-                return
-            q.append((when, p_ref, packet))
-            if not self._lane_live:
-                loop = self._loop
-                if p_ref <= loop._now:
-                    self._lane_live = 1
-                    loop.adjust_hidden(1)
-            return
-        q.append((when, p_ref, packet))
-        loop = self._loop
-        if not self._lane_live and p_ref <= loop._now:
-            # Mirror the reference engine's armed flush entry in the live
-            # count; the replay "fires" it from _pull.
-            self._lane_live = 1
-            loop.adjust_hidden(1)
-        if self._in_armed_at is None:
-            self._in_armed_at = when
+        if not q:
+            q.append((when, packet))
             if not self._rx_queue._pending:
                 self._arm_wake(when)
+        elif when < q[-1][0]:
+            # Out-of-order arrival: impossible for a FIFO link, but keep
+            # the DeliveryQueue fallback contract (dedicated event).
+            self._loop.schedule_fast(when, lambda: self.receive(packet), 5)
+        else:
+            q.append((when, packet))
 
     def _arm_wake(self, when: float) -> None:
-        """Schedule a real wake-up so an idle CPU charges its backlog at
-        the same instant the reference engine's delivery event would."""
+        """Schedule a wake-up so an idle CPU charges its backlog from the
+        head arrival instant on (a busy one gets there by its own flush)."""
         wake_at = self._wake_at
         if wake_at is None or when < wake_at:
             self._wake_at = when
-            # Wake-ups have no counterpart in the reference engine: keep
-            # them invisible to len(loop) (and to processed_events, which
-            # _wake re-adjusts when it fires).
-            self._loop.schedule_hidden(when, self._wake_cb, 5)
+            self._loop.schedule_fast(when, self._wake_cb, 5)
 
     def _wake(self) -> None:
-        loop = self._loop
-        loop.adjust_hidden(1, -1)  # hidden event: undo step()'s accounting
         self._wake_at = None
-        if self._in_armed_at is not None:
-            self._pull(loop._now)
-            if self._in_armed_at is not None and not self._rx_queue._pending:
-                self._arm_wake(self._in_armed_at)
+        q = self._in_q
+        if q:
+            self._pull(self._loop._now)
+            if q and not self._rx_queue._pending:
+                self._arm_wake(q[0][0])
 
     def _pull(self, bound: float) -> None:
-        """Replay ingress delivery flushes due at or before ``bound``.
-
-        Each iteration reproduces one flush of the reference engine's
-        per-link delivery queue: it counts as one processed event, charges
-        every packet that queue would have delivered at that instant with
-        the identical ``start = max(arrival, busy)`` arithmetic, and
-        re-arms (virtually) at the next pending arrival.
-        """
-        armed = self._in_armed_at
-        if armed is None or armed > bound:
-            return
-        loop = self._loop
+        """Charge the CPU for every laned arrival at or before ``bound``,
+        in arrival order, with the ``start = max(arrival, busy)``
+        arithmetic of :meth:`receive` run at each arrival instant."""
         q = self._in_q
+        if not q or q[0][0] > bound:
+            return
         rxq = self._rx_queue
         pending = rxq._pending
         cpu = self.cpu
@@ -972,50 +752,24 @@ class Host(NetworkElement):
         failed = self.failed
         busy = self._cpu_busy_until
         busy_s = self._cpu_busy_s
-        flushes = 0
-        while armed is not None and armed <= bound:
-            flushes += 1
-            while q and q[0][0] <= armed:
-                when, _p_ref, packet = q.popleft()
-                if not failed:
-                    cost = per_message + per_byte * (packet.size_bytes + DEFAULT_HEADER_BYTES)
-                    start = when if when > busy else busy
-                    finish = start + cost
-                    busy = finish
-                    busy_s += cost
-                    # CPU-finish times are non-decreasing (one busy chain),
-                    # so this is rx_queue.push without the out-of-order
-                    # check; arming is settled once, after the batch.
-                    pending.append((finish, packet))
-                # else: dropped, exactly as receive() would at arrival time
-            armed = q[0][0] if q else None
+        while q and q[0][0] <= bound:
+            when, packet = q.popleft()
+            if not failed:
+                cost = per_message + per_byte * (packet.size_bytes + DEFAULT_HEADER_BYTES)
+                start = when if when > busy else busy
+                finish = start + cost
+                busy = finish
+                busy_s += cost
+                # CPU-finish times are non-decreasing (one busy chain),
+                # so this is rx_queue.push without the out-of-order
+                # check; arming is settled once, after the batch.
+                pending.append((finish, packet))
+            # else: dropped, exactly as receive() would at arrival time
         self._cpu_busy_until = busy
         self._cpu_busy_s = busy_s
-        self._in_armed_at = armed
         if pending and not rxq._armed:
             rxq._armed = True
-            loop.schedule_fast(pending[0][0], rxq._flush_cb, 8)
-        new_live = 1 if (q and q[0][1] <= loop._now) else 0
-        loop.adjust_hidden(new_live - self._lane_live, flushes)
-        self._lane_live = new_live
-
-    def _tx_group(self) -> Tuple[_TxGroup, bool]:
-        """The open coalescing group for the current event turn.
-
-        A group stays open only for the duration of one loop turn: any
-        event processed in between bumps the loop's turn counter, so a
-        stale group (which may already have flushed) is never extended.
-        (The turn counter, not ``processed_events``: backlog replay moves
-        the processed count *within* a turn.)
-        """
-        turn = self._loop._turn
-        group = self._open_tx
-        if group is not None and self._open_tx_turn == turn:
-            return group, False
-        group = _TxGroup()
-        self._open_tx = group
-        self._open_tx_turn = turn
-        return group, True
+            self._loop.schedule_fast(pending[0][0], rxq._flush_cb, 8)
 
     def send(self, dst: str, payload: Any, size_bytes: int) -> None:
         """Send ``payload`` to host ``dst``.
@@ -1026,7 +780,7 @@ class Host(NetworkElement):
         if self.failed:
             return
         loop = self._loop
-        if self._in_armed_at is not None:
+        if self._in_q:
             self._pull(loop._now)
         self.messages_sent += 1
         cpu = self.cpu
@@ -1041,15 +795,13 @@ class Host(NetworkElement):
         finish = start + cost
         self._cpu_busy_until = finish
         self._cpu_busy_s += cost
-        turn = loop._turn
+        events = loop._processed
         group = self._open_tx
-        if group is not None and self._open_tx_turn == turn:
-            group.items.append((dst, payload, size_bytes, finish))
+        if group is not None and self._open_tx_events == events:
+            group.append((dst, payload, size_bytes, finish))
         else:
-            group = _TxGroup()
-            self._open_tx = group
-            self._open_tx_turn = turn
-            group.items.append((dst, payload, size_bytes, finish))
+            self._open_tx = group = [(dst, payload, size_bytes, finish)]
+            self._open_tx_events = events
             self._tx_queue.push(finish, group)
 
     def multicast(self, dsts: Sequence[str], payload: Any, size_bytes: int) -> None:
@@ -1068,7 +820,7 @@ class Host(NetworkElement):
         if self.failed or not dsts:
             return
         loop = self._loop
-        if self._in_armed_at is not None:
+        if self._in_q:
             self._pull(loop._now)
         self.messages_sent += len(dsts)
         cpu = self.cpu
@@ -1078,23 +830,27 @@ class Host(NetworkElement):
         now = loop._now
         busy = self._cpu_busy_until
         start = now if now > busy else busy
-        group, fresh = self._tx_group()
-        items = group.items
-        first = len(items)
+        events = loop._processed
+        group = self._open_tx
+        fresh = group is None or self._open_tx_events != events
+        if fresh:
+            self._open_tx = group = []
+            self._open_tx_events = events
+        first = start + cost
         for dst in dsts:
             start += cost
-            items.append((dst, payload, size_bytes, start))
+            group.append((dst, payload, size_bytes, start))
         self._cpu_busy_until = start
         self._cpu_busy_s += cost * len(dsts)
         if fresh:
-            self._tx_queue.push(items[first][3], group)
+            self._tx_queue.push(first, group)
 
-    def _inject(self, group: _TxGroup) -> None:
-        self.network._deliver_fanout(self.name, group.items)
+    def _inject(self, group: List[Tuple[str, Any, int, float]]) -> None:
+        self.network._deliver_fanout(self.name, group)
 
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
-        if self._in_armed_at is not None:
+        if self._in_q:
             self._pull(self._loop._now)
         if self.failed:
             return
@@ -1124,13 +880,13 @@ class Host(NetworkElement):
     # ------------------------------------------------------------------
     def fail(self) -> None:
         """Crash-stop the host: drop all future traffic and processing."""
-        if self._in_armed_at is not None:
+        if self._in_q:
             self._pull(self.network.loop._now)  # charge pre-crash arrivals
         self.failed = True
 
     def recover(self) -> None:
         """Bring a crashed host back (protocol-level rejoin is separate)."""
-        if self._in_armed_at is not None:
+        if self._in_q:
             self._pull(self.network.loop._now)  # drop in-crash arrivals
         self.failed = False
 
@@ -1142,7 +898,7 @@ class Host(NetworkElement):
         CPU was ever busy near the end of the window, which over-reported
         utilization for any host with idle gaps.
         """
-        if self._in_armed_at is not None:
+        if self._in_q:
             self._pull(self.network.loop._now)
         if elapsed_s <= 0:
             return 0.0
@@ -1173,22 +929,17 @@ class Network:
         self.local_loopback_latency_s = 5e-6
         self.dropped_packets = 0
         self._loopback_queues: Dict[str, DeliveryQueue] = {}
-        #: Cached fan-out plans: (src, frozenset(dsts)) -> {dst: first-hop
-        #: Link, or None for loopback}.  Invalidated with the routing table.
-        self._fanout_plans: Dict[Tuple[str, frozenset], Dict[str, Optional[Link]]] = {}
-        #: Per-pair first-hop cache backing the plans *and* the coalesced
-        #: transmit groups: src -> {dst -> first-hop Link (None = loopback)}.
-        #: Nested by source so the per-packet fan-out loop looks up a plain
-        #: string key instead of allocating a (src, dst) tuple per item.
-        #: Bounded by the number of host pairs actually communicating,
-        #: unlike per-group keys, which would grow with every distinct
-        #: destination mix a turn happens to coalesce.
+        #: Per-pair first-hop cache: src -> {dst -> first-hop Link (None =
+        #: loopback)}.  Nested by source so the per-packet fan-out loop
+        #: looks up a plain string key instead of allocating a (src, dst)
+        #: tuple per item.  Bounded by the number of host pairs actually
+        #: communicating; invalidated with the routing table.
         self._first_hops: Dict[str, Dict[str, Optional[Link]]] = {}
         #: Bumped on every link-topology change; invalidates drain margins.
         self._topo_gen = 0
-        # Backlog lanes are replayed lazily; settle them whenever a run
-        # window closes so observable counters (processed events, CPU
-        # busy time) match the reference engine at every deadline.
+        # Backlog lanes are charged lazily; settle them whenever a run
+        # window closes so the counters a caller reads there (link packets
+        # and bytes, switch forwards, CPU busy time) cover the whole window.
         loop.add_quiesce_hook(self._settle_ingress)
 
     # ------------------------------------------------------------------
@@ -1203,10 +954,10 @@ class Network:
         self._routes_dirty = True
         return host
 
-    def add_switch(self, name: str, forwarding_delay_s: float = 0.0) -> Switch:
+    def add_switch(self, name: str) -> Switch:
         if name in self.hosts or name in self.switches:
             raise SimulationError(f"duplicate network element {name!r}")
-        switch = Switch(self, name, forwarding_delay_s)
+        switch = Switch(self, name)
         self.switches[name] = switch
         self._adjacency.setdefault(name, [])
         self._routes_dirty = True
@@ -1235,11 +986,11 @@ class Network:
             element_b._note_egress(latency_s)
         if isinstance(element_b, Host):
             element_b._attach_ingress(forward)
-        elif element_b.forwarding_delay_s == 0:
+        else:
             element_b._attach_lane(forward, element_a)
         if isinstance(element_a, Host):
             element_a._attach_ingress(backward)
-        elif element_a.forwarding_delay_s == 0:
+        else:
             element_a._attach_lane(backward, element_b)
         self._adjacency[a].append(b)
         self._adjacency[b].append(a)
@@ -1266,7 +1017,6 @@ class Network:
                         queue.append((neighbor, first))
             self._routes[source] = next_hop
         self._routes_dirty = False
-        self._fanout_plans.clear()
         self._first_hops.clear()
         for switch in self.switches.values():
             switch._fwd.clear()
@@ -1276,13 +1026,10 @@ class Network:
 
         Grid-armed switch drains may still be pending for arrivals already
         due, so force-forward those first — repeatedly, because one
-        switch's forwards can land in another's lanes — then replay every
-        due host backlog, then refresh the virtual armed-flush flags (a
-        lane head's ``p_ref`` may have passed without any event touching
-        the lane).
+        switch's forwards can land in another's lanes — then charge every
+        due host backlog.
         """
         now = self.loop._now
-        loop = self.loop
         switches = [s for s in self.switches.values() if s._lanes]
         changed = True
         while changed:
@@ -1290,26 +1037,11 @@ class Network:
             for switch in switches:
                 index = switch._index
                 if index and index[0][0] <= now:
-                    switch._drain_to(now, now)
+                    switch._drain_to(now)
                     changed = True
-        live_delta = 0
         for host in self.hosts.values():
-            if host._in_armed_at is not None:
+            if host._in_q:
                 host._pull(now)
-            q = host._in_q
-            new = 1 if (q and q[0][1] <= now) else 0
-            if new != host._lane_live:
-                live_delta += new - host._lane_live
-                host._lane_live = new
-        for switch in switches:
-            for lane in switch._lanes:
-                q = lane.q
-                new = 1 if (q and q[0][1] <= now) else 0
-                if new != lane.ref_live:
-                    live_delta += new - lane.ref_live
-                    lane.ref_live = new
-        if live_delta:
-            loop.adjust_hidden(live_delta)
 
     def next_hop(self, src: str, dst: str) -> str:
         if self._routes_dirty:
@@ -1338,38 +1070,20 @@ class Network:
     # Transmission
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str, payload: Any, size_bytes: int) -> None:
-        """Inject a packet from host ``src`` to host ``dst``.
+        """Inject a packet from host ``src`` to host ``dst`` now, with no
+        CPU charge at the sender (:meth:`Host.send` charges it first).
 
-        A one-destination fan-out: unicast and multicast share a single
-        injection semantics (:meth:`_deliver_fanout`) so drop accounting,
-        loopback handling and routing can never drift apart.
+        A one-destination fan-out: every injection goes through
+        :meth:`_deliver_fanout` so drop accounting, loopback handling and
+        routing can never drift apart.
         """
-        now = self.loop.now
-        self._deliver_fanout(src, ((dst, payload, size_bytes, now),))
-
-    def multicast(self, src: str, dsts: Sequence[str], payload: Any, size_bytes: int) -> None:
-        """Inject one logical ``payload`` from ``src`` to every host in ``dsts``.
-
-        A single shared message object fans out through the cached
-        ``(src, frozenset(dsts))`` first-hop plan; every destination is
-        still charged its own link serialization and receive cost, so
-        modelled timings equal ``len(dsts)`` sequential :meth:`send` calls.
-        Destinations may repeat, include ``src`` (loopback delivery), or be
-        crash-stopped (the packet is dropped and counted, as in ``send``).
-        """
-        if src not in self.hosts:
-            raise SimulationError(f"send requires host endpoints ({src} -> ...)")
-        plan = self._fanout_plan(src, dsts)  # validates the group up front
-        now = self.loop.now
-        self._deliver_fanout(
-            src, [(dst, payload, size_bytes, now) for dst in dsts], plan=plan
-        )
+        self._deliver_fanout(src, ((dst, payload, size_bytes, self.loop._now),))
 
     def _loopback_queue(self, dst: str) -> DeliveryQueue:
         queue = self._loopback_queues.get(dst)
         if queue is None:
             queue = self._loopback_queues[dst] = DeliveryQueue(
-                self.loop, self.hosts[dst].receive, priority=5, label=f"loopback:{dst}"
+                self.loop, self.hosts[dst].receive, priority=5
             )
         return queue
 
@@ -1389,43 +1103,16 @@ class Network:
             by_dst[dst] = link
         return link
 
-    def _fanout_plan(self, src: str, dsts: Sequence[str]) -> Dict[str, Optional[Link]]:
-        """First-hop routing for a destination group, resolved once and cached.
-
-        The plan maps each destination to the egress link the first packet
-        hop uses (``None`` for loopback); iteration order and per-call CPU
-        charging stay with the caller, so the cache can key on the
-        unordered set.  Used by the :meth:`multicast` primitive, whose
-        callers pass stable destination groups (replica sets); coalesced
-        transmit groups, whose destination mixes are ephemeral, go through
-        the per-pair :meth:`_first_hop` cache instead.
-        """
-        if self._routes_dirty:
-            self._rebuild_routes()
-        key = (src, frozenset(dsts))
-        plan = self._fanout_plans.get(key)
-        if plan is None:
-            plan = {dst: self._first_hop(src, dst) for dst in key[1]}
-            self._fanout_plans[key] = plan
-        return plan
-
-    def _deliver_fanout(
-        self,
-        src: str,
-        items: Sequence[Tuple[str, Any, int, float]],
-        plan: Optional[Dict[str, Optional[Link]]] = None,
-    ) -> None:
+    def _deliver_fanout(self, src: str, items: Sequence[Tuple[str, Any, int, float]]) -> None:
         """Hand a flushed transmit group to first-hop links in one pass.
 
-        Each item is ``(dst, payload, size_bytes, start)`` where ``start``
-        is the CPU-finish instant that destination's packet would have been
-        injected at by a dedicated event; it is forwarded to
-        :meth:`Link.transmit_at` (or added to the loopback latency) so the
+        The one function every packet enters the network through
+        (:meth:`_RxQueue._flush` is the one it leaves by).  Each item is
+        ``(dst, payload, size_bytes, start)`` where ``start`` is the
+        CPU-finish instant that destination's packet would have been
+        injected at by a dedicated event; it is the ``start`` of
+        :meth:`Link.transmit` (or added to the loopback latency), so the
         per-destination schedule is bit-identical to sequential sends.
-        Routing uses the group's fan-out ``plan`` when the caller resolved
-        one (:meth:`multicast`, whose destination sets are stable), and
-        the per-pair first-hop cache otherwise (coalesced transmit groups,
-        whose destination mixes are ephemeral).
         """
         if src not in self.hosts:
             raise SimulationError(f"send requires host endpoints ({src} -> ...)")
@@ -1440,10 +1127,7 @@ class Network:
         hdr = DEFAULT_HEADER_BYTES
         obs = self._obs
         loop = self.loop
-        # The loop never advances time, so the reference-push instant every
-        # transmit would read is the same for the whole group — and every
-        # laned push below satisfies ``p_ref <= now`` by construction.
-        p_ref = loop._now
+        now = loop._now
         # A fan-out group from one host rides one egress link for every
         # non-loopback destination (tree routing), so the lazy-sink
         # resolution is cached across consecutive same-link items.
@@ -1451,13 +1135,10 @@ class Network:
         sink_host: Optional[Host] = None
         sink_lane: Optional[_SwitchLane] = None
         for dst, payload, size_bytes, when in items:
-            if plan is not None:
-                link = plan[dst]
-            else:
-                try:
-                    link = first_hops[dst]
-                except KeyError:
-                    link = first_hop(src, dst)
+            try:
+                link = first_hops[dst]
+            except KeyError:
+                link = first_hop(src, dst)
             if hosts[dst].failed:
                 self.dropped_packets += 1
                 continue
@@ -1467,9 +1148,8 @@ class Network:
             if link is None:
                 self._loopback_queue(dst).push(when + self.local_loopback_latency_s, packet)
                 continue
-            # Link.transmit_at, inlined (this is the per-packet injection
-            # hot loop): identical expression shapes, earliest_start =
-            # the item's CPU-finish instant.
+            # Link.transmit(packet, start=when), inlined (this is the
+            # per-packet injection hot loop): identical expression shapes.
             total_bytes = size_bytes + hdr
             serialization = total_bytes * 8.0 / link.bandwidth_bps
             busy = link._busy_until
@@ -1484,41 +1164,28 @@ class Network:
                 sink_host = link._lazy_host
                 sink_lane = link._lazy_lane if sink_host is None else None
             if sink_host is not None:
-                # Host._ingress_push, non-empty in-order fast case inlined
-                # (p_ref = now, so the head's armed-flush mirror is live).
+                # Host._ingress_push, non-empty in-order fast case inlined.
                 hq = sink_host._in_q
                 if hq and arrival >= hq[-1][0]:
-                    hq.append((arrival, p_ref, packet))
-                    if not sink_host._lane_live:
-                        sink_host._lane_live = 1
-                        loop.adjust_hidden(1)
+                    hq.append((arrival, packet))
                 else:
-                    sink_host._ingress_push(arrival, packet, p_ref)
+                    sink_host._ingress_push(arrival, packet)
             elif sink_lane is not None:
                 # _SwitchLane.push, non-empty in-order fast case inlined.
                 lq = sink_lane.q
                 if lq and arrival >= lq[-1][0]:
-                    lq.append((arrival, p_ref, packet))
-                    if not sink_lane.ref_live:
-                        sink_lane.ref_live = 1
-                        loop.adjust_hidden(1)
+                    lq.append((arrival, now, packet))
                     sw = sink_lane.owner
                     at = sw._drain_at
                     if at is None or at > arrival:
                         g = (int(arrival * sw._grid_inv) + 1) * sw._grid
                         if at is None or g < at:
                             sw._drain_at = g
-                            loop.schedule_hidden(g, sw._drain_cb, 5)
+                            loop.schedule_fast(g, sw._drain_cb, 5)
                 else:
-                    sink_lane.push(arrival, p_ref, packet)
+                    sink_lane.push(arrival, now, packet)
             else:
                 link._arrivals.push(arrival, packet)
-
-    # ------------------------------------------------------------------
-    # Introspection helpers used by benchmarks
-    # ------------------------------------------------------------------
-    def total_bytes_on(self, link_pairs: Iterable[Tuple[str, str]]) -> int:
-        return sum(self.links[pair].bytes_sent for pair in link_pairs if pair in self.links)
 
     def link(self, a: str, b: str) -> Link:
         return self.links[(a, b)]

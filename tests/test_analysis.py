@@ -20,7 +20,6 @@ from repro.analysis.baseline import load_baseline, save_baseline
 from repro.analysis.runner import main, run_analysis
 from repro.analysis.rules import ALL_RULES
 from repro.analysis.rules.dispatch import DispatchCompleteRule
-from repro.analysis.rules.enginecounters import NoEngineCounterPokeRule
 from repro.analysis.rules.obsguard import ObsHookGuardRule
 from repro.analysis.rules.ordering import NoUnorderedIterationRule
 from repro.analysis.rules.randomness import NoUnseededRandomRule
@@ -409,60 +408,6 @@ def test_obs_hook_guard_flags_truthiness_and_unguarded_use(tmp_path):
 def test_obs_hook_guard_clean_guard_and_alias(tmp_path):
     result = lint(tmp_path, {"src/repro/fooproto/node.py": OBS_CLEAN}, rules=[ObsHookGuardRule])
     assert result.active == []
-
-
-# ---------------------------------------------------------------------------
-# no-engine-counter-poke
-# ---------------------------------------------------------------------------
-
-COUNTER_POKE_BAD = """\
-class Queue:
-    def push(self, loop, when):
-        loop._live += 1  # hidden event
-        loop._processed -= 1
-
-    def reset(self, loop):
-        loop._live = 0
-"""
-
-COUNTER_POKE_CLEAN = """\
-class Queue:
-    def push(self, loop, when, cb):
-        loop.schedule_hidden(when, cb, 5)
-
-    def drain(self, loop, groups):
-        loop.adjust_hidden(live=1, processed=groups)
-
-    def audit(self, loop):
-        return loop._live - loop._processed  # reads are allowed
-"""
-
-
-def test_engine_counter_poke_flags_cross_module_mutation(tmp_path):
-    result = lint(
-        tmp_path,
-        {"src/repro/sim/network_like.py": COUNTER_POKE_BAD},
-        rules=[NoEngineCounterPokeRule],
-    )
-    assert rules_hit(result) == ["no-engine-counter-poke"]
-    assert len(result.active) == 3  # augassign x2 + plain assign
-    assert "adjust_hidden" in result.active[0].message
-
-
-def test_engine_counter_poke_clean_api_and_reads(tmp_path):
-    result = lint(
-        tmp_path,
-        {"src/repro/sim/network_like.py": COUNTER_POKE_CLEAN},
-        rules=[NoEngineCounterPokeRule],
-    )
-    assert result.active == []
-    # The engine itself owns the counters and may mutate them freely.
-    owner = lint(
-        tmp_path,
-        {"src/repro/sim/engine.py": COUNTER_POKE_BAD},
-        rules=[NoEngineCounterPokeRule],
-    )
-    assert owner.active == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import EventLoop, SimulationError, Simulator
+from repro.sim.engine import EventLoop, HeapEventLoop, SimulationError, Simulator
 
 
 class TestEventLoop:
@@ -109,6 +109,24 @@ class TestEventLoop:
             loop.schedule(i + 1.0, lambda i=i: fired.append(i))
         loop.run(max_events=4)
         assert len(fired) == 4
+
+    @pytest.mark.parametrize("loop_cls", [EventLoop, HeapEventLoop])
+    def test_run_resumes_after_an_event_budget(self, loop_cls):
+        """A budgeted stop leaves the clock at the last event it ran, so the
+        next run picks up the rest.  (``run_until`` took a budget too, but
+        moved the clock to its deadline with earlier events still pending
+        and the next step raised; that parameter is gone.)"""
+        loop = loop_cls()
+        fired = []
+        for i in range(5):
+            loop.schedule((i + 1) * 1e-3, lambda i=i: fired.append((i, loop.now)))
+        loop.run(max_events=2)
+        assert [i for i, _ in fired] == [0, 1]
+        assert loop.now == 2e-3
+        loop.run()
+        assert fired == [(i, (i + 1) * 1e-3) for i in range(5)]
+        with pytest.raises(TypeError):
+            loop.run_until(1.0, max_events=2)
 
     def test_processed_events_counter(self):
         loop = EventLoop()

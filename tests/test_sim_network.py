@@ -72,6 +72,38 @@ class TestDirectLink:
         assert link.bytes_sent > 100  # includes header overhead
 
 
+class TestLinkTransmit:
+    """``Link.transmit`` states the link arithmetic once; the two hot loops
+    inline it."""
+
+    def test_start_is_a_floor_under_the_serialization_start(self):
+        sim = Simulator()
+        link = make_pair(sim, latency_s=0.001, bandwidth_bps=1e6).link("a", "b")
+        packet = Packet("a", "b", "x", 61)  # 125 bytes with the header: 1 ms on the wire
+        assert link.transmit(packet, start=0.5) == pytest.approx(0.5 + 0.001 + 0.001)
+        # A busy link wins over an earlier floor, and over the default (now).
+        assert link.transmit(packet, start=0.25) == pytest.approx(0.5 + 0.002 + 0.001)
+        assert link.transmit(packet) == pytest.approx(0.5 + 0.003 + 0.001)
+
+    def test_injection_loop_inlines_the_same_arithmetic(self):
+        items = [("b", "m", 100 * (i + 1), 0.001 * (i // 2)) for i in range(6)]
+        sim_a, sim_b = Simulator(), Simulator()
+        inlined = make_pair(sim_a, bandwidth_bps=1e6)
+        inlined._deliver_fanout("a", items)
+        direct = make_pair(sim_b, bandwidth_bps=1e6).link("a", "b")
+        arrivals = [
+            direct.transmit(Packet("a", dst, payload, size), start=when)
+            for dst, payload, size, when in items
+        ]
+        link = inlined.link("a", "b")
+        assert (link._busy_until, link.bytes_sent, link.packets_sent) == (
+            direct._busy_until,
+            direct.bytes_sent,
+            direct.packets_sent,
+        )
+        assert [when for when, _ in inlined.hosts["b"]._in_q] == arrivals
+
+
 class TestFailures:
     def test_failed_destination_drops_packet(self):
         sim = Simulator()

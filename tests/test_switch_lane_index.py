@@ -7,12 +7,12 @@ demoted and every host ingress lane detached.  These tests drive
 randomized tree topologies through randomized push/drain interleavings
 — ``run_until`` deadline caps included, so drains hit mid-window bounds
 and reopened head groups — in both configurations and require
-byte-identical delivery traces plus agreeing engine accounting
-``(now, processed_events, len(loop))`` at every window edge.  The same
-driver also runs on :class:`HeapEventLoop`, pinning the lane machinery
-against the pre-wheel engine, and through a *mid-run* demotion, pinning
-the spill path ``_demote_lanes`` takes when lazy forwarding becomes
-unsound while lanes hold backlog.
+byte-identical delivery traces plus identical link, switch and host CPU
+counters at every window edge.  The same driver also runs on
+:class:`HeapEventLoop`, pinning the lane machinery against the pre-wheel
+engine.  What the engine's own counters report is pinned separately:
+``processed_events`` is the number of callbacks run and ``len(loop)``
+the number of entries held, whatever delivers the packets.
 """
 
 import random
@@ -20,8 +20,9 @@ import random
 import pytest
 
 from repro.bench.runner import _drive_switch_drain_mix
-from repro.sim.engine import EventLoop, HeapEventLoop
+from repro.sim.engine import EventLoop, HeapEventLoop, SimulationError
 from repro.sim.network import Network
+from tests.helpers import build_canopus_on_sim, write
 
 
 def _build_random_tree(net, rng):
@@ -47,7 +48,7 @@ def _build_random_tree(net, rng):
 
 
 def _demote_everything(net):
-    """Force the eager reference configuration: spill every switch lane and
+    """Force the eager reference configuration: demote every switch lane and
     detach every host ingress lane, so all delivery goes through real
     per-arrival scheduled flushes."""
     for switch in net.switches.values():
@@ -56,12 +57,19 @@ def _demote_everything(net):
         link._lazy_host = None
 
 
-def _drive(net, loop, names, seed, demote=None):
-    """Randomized send/drain interleaving; returns (trace, edge snapshots).
+def _edge(net, loop):
+    """Everything a caller can read off the network at a window edge."""
+    now = loop.now
+    return (
+        now,
+        [(link.packets_sent, link.bytes_sent) for link in net.links.values()],
+        [switch.packets_forwarded for switch in net.switches.values()],
+        [(host.messages_received, host.cpu_utilization(now)) for host in net.hosts.values()],
+    )
 
-    ``demote``, when set to ``(switch_name, at_index)``, demotes that
-    switch's lanes mid-run — with backlog in flight — at send ``at_index``.
-    """
+
+def _drive(net, loop, names, seed):
+    """Randomized send/drain interleaving; returns (trace, edge snapshots)."""
     rng = random.Random(seed + 9000)
     trace = []
     for name in names:
@@ -78,19 +86,17 @@ def _drive(net, loop, names, seed, demote=None):
         if dst_i >= src_i:
             dst_i += 1
         net.send(names[src_i], names[dst_i], index, 64 + rng.randrange(4) * 700)
-        if demote is not None and index == demote[1]:
-            net.switches[demote[0]]._demote_lanes()
         draw = rng.random()
         if draw < 0.20:
             # Tight cap: the window edge lands inside pending backlog, so
             # drains stop at the deadline and re-arm past it.
             loop.run_until(loop.now + rng.random() * 3e-5)
-            edges.append((loop.now, loop.processed_events, len(loop)))
+            edges.append(_edge(net, loop))
         elif draw < 0.30:
             loop.run_until(loop.now + rng.random() * 8e-4)
-            edges.append((loop.now, loop.processed_events, len(loop)))
+            edges.append(_edge(net, loop))
     loop.run()
-    edges.append((loop.now, loop.processed_events, len(loop)))
+    edges.append(_edge(net, loop))
     return trace, edges
 
 
@@ -99,11 +105,11 @@ def _assert_traces_equivalent(lazy_trace, eager_trace):
 
     Two rx flushes at *different* hosts due at the same instant are
     independent events whose relative order falls to the engine's seq
-    counter — which legitimately differs between lazy replay and eager
-    scheduling (true on the pre-index code too).  What the contract pins
-    is every per-host sequence (payloads, senders, and delivery times —
-    any lane-merge misorder shifts the serialization chain and shows up
-    in the timestamps) and the time-sorted global trace.
+    counter — which legitimately differs between lazy and eager
+    scheduling.  What the contract pins is every per-host sequence
+    (payloads, senders, and delivery times — any lane-merge misorder
+    shifts the serialization chain and shows up in the timestamps) and the
+    time-sorted global trace.
     """
     assert sorted(lazy_trace, key=lambda e: (e[3], e[0])) == sorted(
         eager_trace, key=lambda e: (e[3], e[0])
@@ -155,7 +161,7 @@ class TestLaneIndexVsEagerDifferential:
         """Skewed/uniform lane loads deliver in the eager merged order."""
         import repro.sim.network as network_module
 
-        lazy_loop, lazy_trace = _drive_switch_drain_mix(EventLoop, 3000, 5, skewed)
+        _, lazy_trace = _drive_switch_drain_mix(EventLoop, 3000, 5, skewed)
 
         class _EagerNetwork(Network):
             """Every link addition immediately re-demotes all lanes, so the
@@ -167,35 +173,82 @@ class TestLaneIndexVsEagerDifferential:
 
         # The driver resolves Network at call time from the sim module.
         monkeypatch.setattr(network_module, "Network", _EagerNetwork)
-        eager_loop, eager_trace = _drive_switch_drain_mix(EventLoop, 3000, 5, skewed)
+        _, eager_trace = _drive_switch_drain_mix(EventLoop, 3000, 5, skewed)
         assert lazy_trace == eager_trace
-        assert lazy_loop.processed_events == eager_loop.processed_events
 
 
-class TestMidRunDemotion:
-    @pytest.mark.parametrize("seed", [4, 13, 29])
-    def test_demotion_with_backlog_stays_byte_identical(self, seed):
-        """Spilling lanes mid-run (backlog in flight) matches the eager
-        reference: already-due arrivals replay in merged order at the
-        demotion instant, future ones re-queue without per-packet events."""
-        results = []
-        for demote in (None, ("tor-0", 120), ("spine", 120)):
-            loop = EventLoop()
-            net = Network(loop)
-            names = _build_random_tree(net, random.Random(seed))
-            results.append(_drive(net, loop, names, seed, demote=demote))
-        baseline = results[0]
-        assert results[1] == baseline
-        assert results[2] == baseline
+def test_demotion_with_backlog_raises():
+    """Demotion is a construction-time decision: once a lane holds backlog
+    there is nothing sound to do with it but refuse."""
+    loop = EventLoop()
+    net = Network(loop)
+    names = _build_random_tree(net, random.Random(4))
+    net.send(names[0], names[-1], "m", 64)
+    with pytest.raises(SimulationError, match="backlog"):
+        net.switches["tor-0"]._demote_lanes()
+    loop.run()
+    net.switches["tor-0"]._demote_lanes()  # drained: allowed again
 
-    def test_demotion_mid_window_inside_backlog(self):
-        """Demote at an instant where the lane head is already in the past
-        (the drain grid lags arrivals by up to one period)."""
-        seed = 8
-        results = []
-        for demote in (None, ("spine", 40)):
-            loop = EventLoop()
-            net = Network(loop)
-            names = _build_random_tree(net, random.Random(seed))
-            results.append(_drive(net, loop, names, seed, demote=demote))
-        assert results[0] == results[1]
+
+class _CountingLoop(EventLoop):
+    """Counts callbacks invoked and entries pending from the outside."""
+
+    def __init__(self):
+        super().__init__()
+        self.invoked = 0
+        self.fast_pending = 0
+        self.events = []
+
+    def schedule_at(self, when, callback, **kwargs):
+        def counted():
+            self.invoked += 1
+            callback()
+
+        event = super().schedule_at(when, counted, **kwargs)
+        self.events.append(event)
+        return event
+
+    def schedule_fast(self, when, callback, priority=10):
+        def counted():
+            self.fast_pending -= 1
+            self.invoked += 1
+            callback()
+
+        super().schedule_fast(when, counted, priority)
+        self.fast_pending += 1
+
+    def pending(self):
+        # An Event is marked cancelled when it is cancelled *or* consumed.
+        return self.fast_pending + sum(1 for event in self.events if not event.cancelled)
+
+    def assert_counters_are_real(self):
+        assert self.processed_events == self.invoked
+        assert len(self) == self.pending()
+
+
+class TestEngineCountersAreReal:
+    """``processed_events`` / ``len(loop)`` count what the engine ran and
+    holds — drains and wake-ups included, nothing added for packets that a
+    lane delivered without an event of their own."""
+
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_switch_drain_mix(self, skewed):
+        loop, trace = _drive_switch_drain_mix(_CountingLoop, 3000, 5, skewed)
+        assert len(trace) == 3000
+        loop.assert_counters_are_real()
+        assert len(loop) == 0
+        # Far fewer events than packet-hops: that is the point of the lanes.
+        assert loop.processed_events < 2 * len(trace)
+
+    def test_nine_node_canopus_run(self, monkeypatch):
+        # Simulator() resolves EventLoop from its module at construction.
+        monkeypatch.setattr("repro.sim.engine.EventLoop", _CountingLoop)
+        simulator, _, cluster, replies = build_canopus_on_sim()
+        loop = simulator.loop
+        for index, node in enumerate(cluster.nodes.values()):
+            node.submit(write(f"k{index}", str(index)))
+        for deadline in (0.004, 0.0125, 0.05):
+            simulator.run_until(deadline)
+            loop.assert_counters_are_real()
+        assert len(replies) == 9
+        assert len(loop) > 0  # heartbeats and cycle timers stay armed
