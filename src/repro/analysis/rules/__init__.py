@@ -15,6 +15,7 @@ from typing import List, Type
 
 from repro.analysis.core import Rule
 from repro.analysis.rules.dispatch import DispatchCompleteRule
+from repro.analysis.rules.imports import NoUnusedImportRule
 from repro.analysis.rules.obsguard import ObsHookGuardRule
 from repro.analysis.rules.ordering import NoUnorderedIterationRule
 from repro.analysis.rules.randomness import NoUnseededRandomRule
@@ -28,6 +29,7 @@ ALL_RULES: List[Type[Rule]] = [
     SlotsRequiredRule,
     DispatchCompleteRule,
     ObsHookGuardRule,
+    NoUnusedImportRule,
 ]
 
 __all__ = ["ALL_RULES"]

@@ -44,9 +44,15 @@ class CanopusConfig:
     #: Timeout after which a representative retries a proposal-request with
     #: a different emulator (also the failure-detection knob of §4.6).
     fetch_timeout_s: float = 1.0
-    #: Heartbeat interval for the intra-super-leaf failure detector.
+    #: Heartbeat interval for the intra-super-leaf failure detector.  Also
+    #: the margin of a node's view lease (``FailureDetector.in_view``, which
+    #: lets a read be answered without waiting for a cycle): the lease ends
+    #: this long before any peer could time the node out.
     heartbeat_interval_s: float = 0.05
-    #: Heartbeats missed before a peer is declared failed.
+    #: Heartbeats missed before a peer is declared failed.  Its inverse is
+    #: the clock-rate drift the view lease tolerates (25 %); a peer's crash
+    #: turns at-once reads off at the survivors for about one heartbeat
+    #: interval plus the cycles that commit its delete.
     failure_timeout_multiplier: float = 4.0
     #: Upper bound on proposal numbers (the paper uses large random numbers).
     proposal_number_bits: int = 32

@@ -4,13 +4,15 @@ Canopus never disseminates read requests.  A read is held until a consensus
 cycle that orders every write acknowledged before the read was invoked has
 committed at the receiving node, which then answers it from its local, now
 totally ordered, replica.  :class:`~repro.canopus.node.CanopusNode` picks
-that cycle: the one in flight when the read arrives, or the next one when
-the node is idle, the same client still has a write waiting to be proposed,
-or the node may have been excluded by its peers.  A read therefore waits
-for the rest of the cycle in flight, or for the batching tick and one whole
-cycle; only a read behind its own client's unproposed write, or at a node
-that stalled past its view lease, waits out the cycle in flight *and* the
-next.
+that cycle: the last one it has started, while it is in its super-leaf's
+view — or the one after, when the same client still has a write waiting
+here to be proposed.  A read that arrives with that cycle already committed
+waits for nothing and never reaches this module; one that arrives while it
+is in flight waits for the rest of it; only a read behind its own client's
+unproposed write waits for the batching tick and a whole cycle.  A node
+that cannot tell whether it is still in view knows no such cycle: it keeps
+the read until it can, or refuses it after a failure timeout (such a read
+does not reach this module either).
 
 The :class:`ReadLinearizer` tracks pending reads per *release cycle*, so the
 node can release them at the right commit point in the order it received

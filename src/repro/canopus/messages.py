@@ -19,6 +19,7 @@ __all__ = [
     "RequestType",
     "ClientRequest",
     "ClientReply",
+    "NOT_IN_VIEW",
     "MembershipUpdate",
     "Proposal",
     "ProposalRequest",
@@ -35,6 +36,9 @@ PROPOSAL_HEADER_BYTES = 40
 PROPOSAL_REQUEST_BYTES = 24
 #: Size of a client request / reply on the wire.
 CLIENT_MESSAGE_BYTES = 48
+#: ``ClientReply.error`` of a read refused by a node that could not tell, for
+#: a whole failure timeout, whether its peers still count it in.
+NOT_IN_VIEW = "not-in-view"
 
 
 class RequestType(enum.Enum):
@@ -72,7 +76,9 @@ class ClientRequest:
 # Client-plane: replies go to workload clients via their reply queue,
 # never through a node's _dispatch table.
 class ClientReply:  # detlint: disable=dispatch-complete
-    """Reply returned to the client once its request is served."""
+    """Reply returned to the client once its request is served — or, with
+    ``error`` set, refused: nothing was read or written and ``value`` says
+    nothing; the client should ask another node."""
 
     request_id: int
     client_id: str
@@ -82,6 +88,7 @@ class ClientReply:  # detlint: disable=dispatch-complete
     committed_cycle: Optional[int]
     completed_at: float = 0.0
     server_id: str = ""
+    error: Optional[str] = None
 
     def wire_size(self) -> int:
         return CLIENT_MESSAGE_BYTES

@@ -46,6 +46,7 @@ from repro.canopus.messages import (
     ClientReply,
     ClientRequest,
     MembershipUpdate,
+    NOT_IN_VIEW,
     Proposal,
     ProposalRequest,
 )
@@ -106,6 +107,9 @@ class CanopusNode:
         self._pending_write_clients: Set[str] = set()
         self.request_senders: Dict[int, str] = {}
         self.linearizer = ReadLinearizer()
+        #: Reads that arrived while the view lease was lapsed, ``(sender,
+        #: request)`` by request id; see :meth:`_hold_read`.
+        self._reads_out_of_view: Dict[int, Tuple[str, ClientRequest]] = {}
         self.leases = LeaseTable(self.config.lease_cycles)
 
         # Consensus cycle state.
@@ -133,6 +137,7 @@ class CanopusNode:
             heartbeat_interval_s=self.config.heartbeat_interval_s,
             failure_timeout_s=self.config.failure_timeout_s(),
             on_failure=self._on_peer_failure,
+            on_in_view=self._readmit_reads,
         )
 
         # Reliable broadcast within the super-leaf.
@@ -243,53 +248,89 @@ class CanopusNode:
 
     def _on_client_request(self, sender: str, request: ClientRequest) -> None:
         request.submitted_at = request.submitted_at or self.runtime.now()
-        self.request_senders[request.request_id] = sender
         if request.is_write():
+            # Acknowledged at commit, maybe cycles from now; a read's sender
+            # travels with the read (:class:`PendingRead`).
+            self.request_senders[request.request_id] = sender
             self.pending_writes.append(request)
             self._pending_write_clients.add(request.client_id)
             if len(self.pending_writes) >= self.config.max_batch_size:
                 self._maybe_start_next_cycle(reason="batch-full")
-            elif not self.config.pipelining:
-                self._maybe_start_next_cycle(reason="client-request")
-            elif self.last_started_cycle == self.last_committed_cycle:
-                # Idle node: a client request prompts a new cycle (§4.4).
-                self._maybe_start_next_cycle(reason="client-request")
+            else:
+                self._prompt_cycle()
         else:
             self._handle_read(sender, request)
 
+    def _prompt_cycle(self) -> None:
+        """A request now waits for a cycle this node has not started (§4.4):
+        start it, unless the batching tick or the pipelining clock will."""
+        if not self.config.pipelining or self.last_started_cycle == self.last_committed_cycle:
+            self._maybe_start_next_cycle(reason="client-request")
+
     def _handle_read(self, sender: str, request: ClientRequest) -> None:
-        now = self.runtime.now()
         if self.config.write_leases and not self.leases.lease_active(request.key, self.last_started_cycle + 1):
             # §7.2: no active write lease for this key — answer immediately
             # from committed state.
-            self._reply_read(sender, request, committed_cycle=self.last_committed_cycle)
+            self._answer_read(sender, request)
             return
-        # §5: delay the read until a cycle that orders every write
-        # acknowledged before it has committed.  A cycle already in flight
-        # does, while this node is in its super-leaf's view: a write
+        if not self.failure_detector.in_view():
+            self._hold_read(sender, request)
+            return
+        # §5: a read waits for the commit of a cycle that orders every write
+        # acknowledged before it, and the last cycle this node started is
+        # one while the node is in its super-leaf's view: a write
         # acknowledged anywhere committed in a cycle whose root state holds
-        # this node's round-1 proposal, and this node has broadcast none
-        # beyond last_started_cycle.  The next cycle is needed by an idle
-        # node, by a client whose own write is still waiting here to be
-        # proposed (per-client FIFO), and by a node that stalled long enough
-        # for its peers to have gone on without it: cycles it never proposed
-        # in may have committed, so it waits for one proposed after the read.
+        # this node's round-1 proposal — nobody finishes round 1 without it
+        # or without excluding this node, and the view lease says nobody has
+        # — and this node has broadcast none beyond last_started_cycle.
+        # That commit may be behind us: then there is nothing to wait for.
+        # The next cycle is needed only by a client whose own write is still
+        # waiting here to be proposed (per-client FIFO).
         release_cycle = self.last_started_cycle
-        if (
-            release_cycle == self.last_committed_cycle
-            or request.client_id in self._pending_write_clients
-            or not self.failure_detector.in_view()
-        ):
+        if request.client_id in self._pending_write_clients:
             release_cycle += 1
+        if release_cycle <= self.last_committed_cycle:
+            self._answer_read(sender, request)
+            return
         if self._obs is not None:
             self._obs.phase_begin(
                 self._obs_proto, "read_delay", self.node_id, key=request.request_id,
                 request_ids=(request.request_id,),
             )
-        self.linearizer.defer(request, sender, now, release_cycle)
-        if self.last_started_cycle == self.last_committed_cycle:
-            # Idle node: a read also prompts the next cycle (§4.4).
-            self._maybe_start_next_cycle(reason="read-request")
+        self.linearizer.defer(request, sender, self.runtime.now(), release_cycle)
+
+    def _answer_read(self, sender: str, request: ClientRequest) -> None:
+        """Answer from committed state, in the turn the read arrived."""
+        if self._obs is not None:
+            self._obs.phase_point(
+                self._obs_proto, "read_local", self.node_id, key=request.request_id,
+                request_ids=(request.request_id,),
+            )
+        self._reply_read(sender, request, committed_cycle=self.last_committed_cycle)
+
+    # Out of view — the lease lapsed — the node's peers may have gone on
+    # without it, any number of cycles ahead of what it goes on to commit:
+    # no cycle of its own bounds what was acknowledged elsewhere.  The read
+    # is kept until the view is back, which takes an echo that was late or
+    # the commit of a silent peer's delete, and is then judged afresh.  A
+    # node that was excluded, or saw every peer deleted, never gets there;
+    # after a failure timeout the client is told to ask elsewhere.
+    def _hold_read(self, sender: str, request: ClientRequest) -> None:
+        self._reads_out_of_view[request.request_id] = (sender, request)
+        self.runtime.after(self.config.failure_timeout_s(), lambda: self._refuse_read(request.request_id))
+        if self.membership.has_pending:
+            self._prompt_cycle()  # the silent peer's delete may be all that is missing
+
+    def _readmit_reads(self) -> None:
+        """``FailureDetector.on_in_view``: the lease holds again."""
+        held, self._reads_out_of_view = self._reads_out_of_view, {}
+        for sender, request in held.values():
+            self._handle_read(sender, request)
+
+    def _refuse_read(self, request_id: int) -> None:
+        held = self._reads_out_of_view.pop(request_id, None)
+        if held is not None:
+            self._send_reply(*held, value=None, committed_cycle=None, error=NOT_IN_VIEW)
 
     def _reply_read(self, sender: str, request: ClientRequest, committed_cycle: int) -> None:
         value = self.apply_read(request)
@@ -297,7 +338,8 @@ class CanopusNode:
         self._send_reply(sender, request, value, committed_cycle)
 
     def _send_reply(
-        self, sender: str, request: ClientRequest, value: Optional[str], committed_cycle: Optional[int]
+        self, sender: str, request: ClientRequest, value: Optional[str], committed_cycle: Optional[int],
+        error: Optional[str] = None,
     ) -> None:
         reply = ClientReply(
             request_id=request.request_id,
@@ -308,6 +350,7 @@ class CanopusNode:
             committed_cycle=committed_cycle,
             completed_at=self.runtime.now(),
             server_id=self.node_id,
+            error=error,
         )
         if self.on_reply is not None:
             self.on_reply(reply)
@@ -735,10 +778,6 @@ class CanopusNode:
                 if sender is not None:
                     self._send_reply(sender, request, value, state.cycle_id)
 
-        # Membership updates agreed in this cycle take effect now (§4.6).
-        if root_state is not None and root_state.membership_updates:
-            self._apply_membership_updates(root_state.membership_updates)
-
         # Write-lease table evolves identically at every node (§7.2).
         if self.config.write_leases:
             self.leases.observe_committed_writes(state.cycle_id, written_keys)
@@ -755,13 +794,17 @@ class CanopusNode:
                 request_ids=[request.request_id for request in requests],
             )
 
+        # Membership updates agreed in this cycle take effect now (§4.6); a
+        # delete may hand reads kept out of view back to _handle_read.
+        if root_state is not None and root_state.membership_updates:
+            self._apply_membership_updates(root_state.membership_updates)
+
         # Release reads linearized by this commit (§5).
         for pending in self.linearizer.release_up_to(state.cycle_id):
             rid = pending.request.request_id
             if self._obs is not None:
                 self._obs.phase_end(self._obs_proto, "read_delay", self.node_id, key=rid)
-            sender = self.request_senders.pop(rid, pending.sender)
-            self._reply_read(sender, pending.request, committed_cycle=state.cycle_id)
+            self._reply_read(pending.sender, pending.request, committed_cycle=state.cycle_id)
 
         # Keep the cycle map bounded.
         stale = state.cycle_id - 4 * self.config.max_inflight_cycles
@@ -811,13 +854,19 @@ class CanopusNode:
                 ahead = min(state.current_round + 1, state.total_rounds)
                 for round_number in range(2, ahead + 1):
                     self._begin_fetch_round(state, round_number, inherited=True)
+        if self._reads_out_of_view:
+            self._prompt_cycle()  # they wait for this peer's delete to commit
 
     def _on_join_request(self, sender: str, request: JoinRequest) -> None:
-        """A node (re)joins this super-leaf; effective after the carrying cycle commits."""
+        """A node (re)joins this super-leaf; effective after the carrying cycle commits.
+
+        Until then it stays suspected: no heartbeat goes to it, so nothing
+        here acknowledges a node that no cycle waits for (see
+        :meth:`FailureDetector.in_view`).
+        """
         if request.super_leaf != self.super_leaf.name:
             return
         self.membership.note_join(request.node_id)
-        self.failure_detector.clear(request.node_id)
 
     def request_join(self) -> None:
         """Ask the live members of our super-leaf to re-admit this node."""

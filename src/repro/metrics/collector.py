@@ -91,8 +91,8 @@ class MetricsCollector:
 
     def record_reply(self, reply: ClientReply, completed_at: float) -> None:
         record = self.records.get(reply.request_id)
-        if record is None:
-            return
+        if record is None or reply.error is not None:
+            return  # a refusal completes nothing: the request stays unanswered
         record.completed_at = completed_at
         record.server_id = reply.server_id
         # Reads learn their value from the reply; writes keep what they sent.

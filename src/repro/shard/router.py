@@ -376,6 +376,9 @@ class ShardRouter:
                 self._decrement(self._pending_commit_keys, key)
         recovery = _Recovery(txid=txid, on_done=on_done)
         self._recoveries[txid] = recovery
+        # Counted before the first goes out: a shard may answer a read
+        # inside the submitting call.
+        recovery.reads_pending = 2 * len(self.cluster.shard_ids)
         for shard in self.cluster.shard_ids:
             for kind, key_prefix in (
                 ("recover-prepare", TXN_PREPARE_PREFIX),
@@ -384,7 +387,6 @@ class ShardRouter:
                 self._submit_tracked(
                     shard, txid, kind, RequestType.READ, key_prefix + txid, None, self.name
                 )
-                recovery.reads_pending += 1
 
     # ------------------------------------------------------------------
     # Internals
@@ -413,8 +415,8 @@ class ShardRouter:
         if self.crashed:
             return
         info = self._tracked.pop(reply.request_id, None)
-        if info is None:
-            return
+        if info is None or reply.error is not None:
+            return  # refused: as good as lost, and no value to act on
         kind, txid, reply_shard = info
         if kind.startswith("recover"):
             self._on_recovery_reply(kind, txid, reply_shard, reply)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.canopus.messages import MembershipUpdate, Proposal
+from repro.canopus.messages import NOT_IN_VIEW, MembershipUpdate, Proposal
 from repro.raft.messages import AppendEntries
 from repro.verify.agreement import check_agreement
 from tests.helpers import build_canopus_on_sim, fast_config, read, write
@@ -388,9 +388,11 @@ class TestProposerDiesBetweenNotices:
 class TestReadAtStalledNode:
     """A node that freezes for longer than the failure timeout is excluded
     by its peers without knowing it, and cycles it never proposed in commit.
-    Its in-flight cycle then bounds nothing: a read there must fall back to
-    a cycle proposed after the read, as every read did before the in-flight
-    shortcut existed."""
+    Its in-flight cycle then bounds nothing, and nor does the next one it
+    starts — it may be any number of cycles behind (``WAKES_UP_BEHIND`` in
+    ``test_canopus_read_faults.py``): a read there is kept until the node is
+    in view again, and a node excluded for good, which never is, refuses it
+    after a failure timeout so that the client asks elsewhere."""
 
     @staticmethod
     def _freeze(node):
@@ -406,7 +408,7 @@ class TestReadAtStalledNode:
         node.failure_detector.start()
 
     @staticmethod
-    def _value_read_at(sim, victim, replies, inbox, read_when):
+    def _reply_to_read_at(sim, victim, replies, inbox, read_when):
         """Replay ``inbox`` at the thawed ``victim``; read k once ``read_when()``."""
         request = read("k")
         for sender, message in inbox:
@@ -418,9 +420,11 @@ class TestReadAtStalledNode:
             assert read_when()
             victim.submit(request)
             request_id = request.request_id
+        submitted_at = sim.now
         sim.run_until(sim.now + 1.0)
         (reply,) = [reply for reply in replies if reply.request_id == request_id]
-        return reply.value
+        assert reply.completed_at <= submitted_at + victim.config.failure_timeout_s() + 1e-9
+        return reply
 
     def _cluster_with_k_old(self):
         sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=fast_config())
@@ -451,8 +455,11 @@ class TestReadAtStalledNode:
 
         self._thaw(victim)
         assert not victim.failure_detector.in_view()
-        value = self._value_read_at(sim, victim, replies, inbox, read_when=lambda: True)
-        assert value == "new"
+        reply = self._reply_to_read_at(sim, victim, replies, inbox, read_when=lambda: True)
+        # Cycle 2, which it goes on to commit alone, has "old".
+        assert victim.last_committed_cycle >= 2
+        assert (reply.error, reply.value) == (NOT_IN_VIEW, None)
+        assert victim._reads_out_of_view == {}
 
     def test_frozen_while_idle_then_self_synchronised(self):
         """The in-flight cycle was started after the thaw, by a queued
@@ -467,11 +474,12 @@ class TestReadAtStalledNode:
         assert victim.last_started_cycle == 1
 
         self._thaw(victim)
-        value = self._value_read_at(
+        reply = self._reply_to_read_at(
             sim, victim, replies, inbox,
             read_when=lambda: victim.last_started_cycle == 2 and victim.last_committed_cycle == 1,
         )
-        assert value == "new"
+        assert victim.last_committed_cycle >= 2
+        assert (reply.error, reply.value) == (NOT_IN_VIEW, None)
 
     def test_short_freeze_keeps_the_in_flight_release(self):
         """Inside the lease nobody can have excluded the node."""

@@ -4,6 +4,7 @@ These tests exercise the full protocol stack (LOT, proposals, reliable
 broadcast, representatives, commit) on the deterministic simulator.
 """
 
+import pytest
 
 from repro.bench.builders import build_system, make_single_dc_topology
 from repro.canopus.messages import Proposal, ProposalRequest, RequestType
@@ -156,14 +157,17 @@ class TestReads:
         reply = next(r for r in replies if r.request_id == read_request.request_id)
         assert reply.value == "blue"
 
-    def test_read_is_delayed_until_next_cycle_commits(self):
+    def test_read_is_delayed_until_the_cycle_in_flight_commits(self):
         sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
         node = next(iter(cluster.nodes.values()))
+        node.submit(write("other", "x"))
+        assert node.last_started_cycle == 1 and node.last_committed_cycle == 0
         read_request = read("anything")
         node.submit(read_request)
         assert not any(r.request_id == read_request.request_id for r in replies)
         sim.run_until(2.0)
-        assert any(r.request_id == read_request.request_id for r in replies)
+        (reply,) = [r for r in replies if r.request_id == read_request.request_id]
+        assert reply.committed_cycle == 1 and node.last_started_cycle == 1
 
     def test_read_sees_write_submitted_before_it_on_same_node(self):
         sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
@@ -248,7 +252,9 @@ class TestReadRelease:
         assert self.reply_to(replies, bystander_read).committed_cycle == 1
         assert self.reply_to(replies, bystander_read).value == "old"
 
-    def test_read_at_an_idle_node_waits_for_the_next_cycle(self):
+    def test_read_at_an_idle_node_is_answered_at_once(self):
+        """The commit of ``last_started_cycle`` is behind the node: nothing to
+        wait for, and no cycle is started on the read's account."""
         sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
         node = cluster.nodes["n0-1"]
         node.submit(write("k", "v"))
@@ -256,9 +262,82 @@ class TestReadRelease:
         assert node.last_committed_cycle == node.last_started_cycle == 1
         request = read("k")
         node.submit(request)
-        assert self.reply_to(replies, request) is None
+        reply = self.reply_to(replies, request)
+        assert reply.value == "v" and reply.completed_at == sim.now
+        assert reply.committed_cycle == node.last_committed_cycle == 1
         sim.run_until(0.1)
-        assert self.reply_to(replies, request).committed_cycle == 2
+        assert all(member.last_started_cycle == 1 for member in cluster.nodes.values())
+        assert node.linearizer.reads_buffered == 0
+
+    def test_idle_read_behind_the_same_clients_write_waits_for_the_tick_and_the_cycle(self):
+        """Per-client FIFO at an idle node: the write is queued for the
+        batching tick, so the read behind it is released by cycle c+1."""
+        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = cluster.nodes["n1-1"]
+        node.submit(write("k", "old", client="someone-else"))
+        sim.run_until(0.005)
+        assert node.last_committed_cycle == node.last_started_cycle == 1
+        own_write = write("k", "new", client="c1")
+        node.submit(own_write)
+        assert node.last_started_cycle == 1  # inside the interval: waits for the tick
+        own_read, bystander_read = read("k", client="c1"), read("k", client="c2")
+        node.submit(own_read)
+        node.submit(bystander_read)
+        assert self.reply_to(replies, own_read) is None
+        assert self.reply_to(replies, bystander_read).value == "old"  # c2 has nothing queued
+        sim.run_until(0.1)
+        assert self.reply_to(replies, own_write).committed_cycle == 2
+        assert self.reply_to(replies, own_read).committed_cycle == 2
+        assert self.reply_to(replies, own_read).value == "new"
+
+    def test_idle_read_the_instant_a_remote_write_is_acknowledged_sees_it(self):
+        """Real-time order across racks with no cycle to wait for.  ``n0-0``
+        cannot have acknowledged the write without ``n2-1``'s round-1
+        proposal, so ``n2-1`` has started that cycle: the read is released
+        by it, at once if it has already committed there."""
+        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        writer, reader = cluster.nodes["n0-0"], cluster.nodes["n2-1"]
+        writer.submit(write("k", "old"))
+        sim.run_until(0.05)
+        for delayed in (False, True):
+            if delayed:  # the writer's rack hears everything 1 ms late: it acknowledges last
+                for node_id in ("n0-0", "n0-1", "n0-2"):
+                    node = cluster.nodes[node_id]
+                    node.runtime.set_handler(
+                        lambda sender, message, node=node: sim.schedule(
+                            0.001, lambda: node.on_message(sender, message)
+                        )
+                    )
+            new_value = write("k", f"new-{delayed}")
+            writer.submit(new_value)
+            while self.reply_to(replies, new_value) is None:
+                assert sim.loop.step()
+            cycle = self.reply_to(replies, new_value).committed_cycle
+            assert reader.last_started_cycle == cycle
+            idle = reader.last_committed_cycle == cycle
+            assert idle == delayed
+            request = read("k")
+            reader.submit(request)
+            assert (self.reply_to(replies, request) is not None) == idle
+            sim.run_until(sim.now + 0.05)
+            assert self.reply_to(replies, request).value == f"new-{delayed}"
+            assert self.reply_to(replies, request).committed_cycle == cycle
+
+    @pytest.mark.parametrize("path", ["at-once", "deferred", "no-write-lease"])
+    def test_answered_reads_leave_nothing_behind(self, path):
+        """Only writes are looked up at commit, so only writes are recorded."""
+        config = fast_config(write_leases=path == "no-write-lease")
+        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        node = cluster.nodes["n0-1"]
+        if path != "at-once":
+            node.submit(write("other", "x"))  # a cycle in flight
+        for index in range(1000):
+            node.submit(read(f"k{index}"))
+        assert (node.linearizer.reads_buffered == 1000) == (path == "deferred")
+        sim.run_until(0.1)
+        assert node.stats["reads_served"] == 1000
+        assert len(replies) == 1000 + (path != "at-once")
+        assert node.request_senders == {}
 
     def test_write_lease_reads_bypass_the_cycle_in_flight(self):
         """§7.2 is untouched: no lease on the key, no waiting, cycle or not."""
@@ -283,18 +362,27 @@ class TestWriteLeases:
         assert any(r.request_id == request.request_id for r in replies)
 
     def test_read_of_recently_written_key_is_deferred(self):
+        """With a cycle in flight, that is; an idle node has nothing to wait
+        for, lease or no lease."""
         config = fast_config(write_leases=True, lease_cycles=5)
         sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
         node = next(iter(cluster.nodes.values()))
         node.submit(write("hot", "1"))
         sim.run_until(1.0)
-        request = read("hot")
+        node.submit(write("other", "x"))
+        assert node.last_started_cycle == 2 and node.last_committed_cycle == 1
+        request, cold = read("hot"), read("cold")
         node.submit(request)
+        node.submit(cold)
         immediately = any(r.request_id == request.request_id for r in replies)
+        assert any(r.request_id == cold.request_id for r in replies)
         sim.run_until(3.0)
         eventually = any(r.request_id == request.request_id for r in replies)
         assert not immediately
         assert eventually
+        idle = read("hot")
+        node.submit(idle)
+        assert any(r.request_id == idle.request_id for r in replies)
 
     def test_lease_expires_and_reads_become_immediate_again(self):
         config = fast_config(write_leases=True, lease_cycles=1)
@@ -520,14 +608,14 @@ class TestCycleBatching:
         sim.run_until(1.0)
         node.submit(write("after-idling", "v"))
         assert node.last_started_cycle == 2
-        node.submit(read("first"))
+        node.submit(write("second", "v"))
         assert node.last_started_cycle == 2  # cycle 2 still running
         sim.run_until(1.0 + self.INTERVAL_S / 2)
         assert node.last_committed_cycle == 2
-        node.submit(read("first"))
-        assert node.last_started_cycle == 2  # waits for the clock ...
+        node.submit(read("first"))  # answered from committed state: prompts nothing
         sim.run_until(1.0 + self.INTERVAL_S + 0.001)
-        assert node.last_started_cycle == 3  # ... and not a moment longer
+        assert node.last_started_cycle == 3  # the queued write waited for the clock ...
+        assert node.cycles[3].started_at <= 1.0 + self.INTERVAL_S + 1e-9  # ... not a moment longer
 
     def test_full_batch_and_self_synchronisation_bypass_the_wait(self):
         config = fast_config(max_batch_size=3)

@@ -110,8 +110,6 @@ class TestCrossSystemSanity:
     """All four systems answer the same tiny workload correctly."""
 
     def test_value_visibility_across_systems(self):
-        from functools import partial
-
         from repro.bench.builders import build_system, make_single_dc_topology
         from repro.sim.engine import Simulator
 

@@ -116,6 +116,16 @@ class TestCollector:
         collector.record_reply(orphan, completed_at=1.0)
         assert collector.completed_records() == []
 
+    def test_refused_request_is_not_a_completion(self):
+        collector = MetricsCollector()
+        request = self.make_request(1.0, RequestType.READ)
+        collector.record_submit(request)
+        refusal = self.reply_for(request)
+        refusal.error = "not-in-view"
+        collector.record_reply(refusal, completed_at=1.08)
+        assert collector.completed_records() == []
+        assert collector.summarize(0.0, 2.0).requests_completed == 0
+
     def test_incomplete_requests_not_counted_as_completed(self):
         collector = MetricsCollector()
         request = self.make_request(1.0)

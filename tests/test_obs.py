@@ -212,6 +212,14 @@ def test_canopus_cycle_is_tiled_by_round_phases():
         assert fetch["ts_ns"] == starts[(fetch["node"], cycle_id)]
     report = build_report(trace_to_dict(holder["tracer"]))
     assert "round2" in report and "read_delay" in report
+    # A read either waited for a commit or found nothing to wait for: one
+    # read_delay span or one read_local point each, never both, so the two
+    # counts in the report are the shares.
+    waited = {s["args"]["key"] for s in spans if s["name"] == "read_delay"}
+    local = [s for s in spans if s["name"] == "read_local"]
+    assert local and all(s["dur_ns"] == 0 for s in local)
+    assert waited and not waited & {s["args"]["key"] for s in local}
+    assert "read_local" in report
 
 
 def test_shard_traced_run_reports_2pc_and_per_shard_series(tmp_path):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.builders import make_single_dc_topology
-from repro.canopus.messages import ClientRequest, RequestType
+from repro.canopus.messages import NOT_IN_VIEW, ClientReply, ClientRequest, RequestType
 from repro.shard import (
     TXN_COMMIT_PREFIX,
     TXN_PREPARE_PREFIX,
@@ -337,6 +337,24 @@ class TestShardRouter:
         router.recover("never-started", on_done=lambda t, outcome: recovered.append(outcome))
         simulator.run_until(2.0)
         assert recovered == [None]
+
+    def test_refused_read_is_not_an_absent_record(self):
+        """A refusal carries ``value=None`` like a read of a missing key; the
+        router must not take it for one."""
+        simulator, cluster = build_sharded()
+        router = ShardRouter(cluster)
+        asked = []
+        cluster.shards["shard-0"].submit = lambda request, node_id=None: asked.append(request)
+        recovered = []
+        router.recover("never-started", on_done=lambda t, outcome: recovered.append(outcome))
+        assert len(asked) == 2
+        for request in asked:
+            router._on_reply("shard-0", ClientReply(
+                request_id=request.request_id, client_id=request.client_id, op=request.op,
+                key=request.key, value=None, committed_cycle=None, error=NOT_IN_VIEW,
+            ))
+        simulator.run_until(2.0)
+        assert recovered == []
 
 
 # ----------------------------------------------------------------------

@@ -78,7 +78,7 @@ GOLDEN = [
         40 + 2 * 48 + 32,
     ),
     ("proposal-request", lambda: ProposalRequest(1, "v0", "n0"), 24),
-    ("heartbeat", lambda: Heartbeat(sender="n0", sent_at=0.5), 24),
+    ("heartbeat", lambda: Heartbeat(sent_at=0.5, echo=0.25), 24),
     ("join-request", lambda: JoinRequest(node_id="n1", super_leaf="sl0"), 48),
     ("broadcast-envelope", lambda: BroadcastEnvelope("n0", 1, _request(), 1), 48 + 24),
     ("broadcast-envelope-opaque", lambda: BroadcastEnvelope("n0", 1, object(), 1), 64 + 24),
