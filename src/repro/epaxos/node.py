@@ -67,8 +67,11 @@ class _Instance:
     seq: int
     deps: FrozenSet[InstanceId]
     status: str = "preaccepted"  # preaccepted -> accepted -> committed -> executed
-    preaccept_replies: List[PreAcceptOK] = field(default_factory=list)
-    accept_oks: Set[str] = field(default_factory=set)
+    #: Command-leader bookkeeping, created by the code that reads it (the
+    #: first PreAcceptOK, the slow path) and dropped at commit.  Every
+    #: replica keeps every instance, and acceptors never hold either.
+    preaccept_replies: Optional[List[PreAcceptOK]] = None
+    accept_oks: Optional[Set[str]] = None
     leader: str = ""
 
 
@@ -355,6 +358,8 @@ class EPaxosNode:
         if instance is None or instance.status != "preaccepted" or instance.leader != self.node_id:
             return
         replies = instance.preaccept_replies
+        if replies is None:
+            replies = instance.preaccept_replies = []
         replies.append(message)
         needed = self.fast_quorum_size()
         if len(replies) < needed:
@@ -420,6 +425,7 @@ class EPaxosNode:
         if instance.status == "committed":
             return
         instance.status = "committed"
+        instance.preaccept_replies = instance.accept_oks = None
         self.stats["instances_committed"] += 1
         obs = self._obs
         if obs is not None:

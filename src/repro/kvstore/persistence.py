@@ -6,13 +6,15 @@ median completion-time increase below 0.5 ms.  This module models that
 storage path: appends are asynchronous (they never block the commit path)
 but add device latency before a request is considered durable, which the
 storage-sensitivity benchmark measures.
+
+Nothing reads a record back, so the model keeps no records: an append
+count and a byte count stand for the log, and each append's durable time
+is returned to the caller.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List
 
 __all__ = ["StorageDevice", "PersistenceModel"]
 
@@ -35,42 +37,34 @@ class StorageDevice(enum.Enum):
         }[self]
 
 
-@dataclass
-class _LogRecord:
-    sequence: int
-    size_bytes: int
-    durable_at: float
-
-
 class PersistenceModel:
     """Models an append-only log with asynchronous group flushes."""
 
     def __init__(self, device: StorageDevice = StorageDevice.MEMORY, group_size: int = 32) -> None:
         self.device = device
         self.group_size = group_size
-        self.records: List[_LogRecord] = []
-        self._pending_flush = 0
-        self.flushes = 0
+        self._appends = 0
+        self._bytes = 0
 
     def append(self, now: float, size_bytes: int) -> float:
         """Append a record at time ``now``; returns when it becomes durable."""
-        self._pending_flush += 1
         # Group commit: every ``group_size`` appends share one device write.
-        flush_position = (self._pending_flush - 1) % self.group_size
-        durable_at = now + self.device.append_latency_s * (1 + flush_position / self.group_size)
-        record = _LogRecord(sequence=len(self.records) + 1, size_bytes=size_bytes, durable_at=durable_at)
-        self.records.append(record)
-        if flush_position == self.group_size - 1:
-            self.flushes += 1
-            self._pending_flush = 0
-        return durable_at
+        flush_position = self._appends % self.group_size
+        self._appends += 1
+        self._bytes += size_bytes
+        return now + self.device.append_latency_s * (1 + flush_position / self.group_size)
+
+    @property
+    def flushes(self) -> int:
+        """Device writes issued so far (full groups)."""
+        return self._appends // self.group_size
 
     def added_latency(self) -> float:
         """Average extra latency per append relative to the memory device."""
         return self.device.append_latency_s - StorageDevice.MEMORY.append_latency_s
 
     def total_bytes(self) -> int:
-        return sum(record.size_bytes for record in self.records)
+        return self._bytes
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._appends

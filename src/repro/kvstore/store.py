@@ -5,11 +5,17 @@ creation / modification counters.  The store supports the operations the
 paper's workloads need (`create`, `set`, `get`, `delete`, `exists`,
 `children`) plus a flat ``write``/``read`` facade used when the workload is
 a plain key-value load (keys are mapped to znodes under ``/kv``).
+
+Every replica keeps the whole tree for the whole run, so a znode stores
+only what something reads: its name (for a flat key, the request's own key
+string, which every replica shares), a parent reference, value, version and
+zxids.  Its full path is derived from the parent chain, and its child map
+is created with its first child.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["ZNode", "KVStore", "NoNodeError", "NodeExistsError", "BadVersionError"]
@@ -31,19 +37,30 @@ class BadVersionError(ValueError):
 class ZNode:
     """One node of the data tree."""
 
-    path: str
+    name: str
+    parent: Optional["ZNode"]
     value: str = ""
     version: int = 0
     created_zxid: int = 0
     modified_zxid: int = 0
-    children: Dict[str, "ZNode"] = field(default_factory=dict)
+    #: None until the first child is created.
+    children: Optional[Dict[str, "ZNode"]] = None
+
+    @property
+    def path(self) -> str:
+        names = []
+        node = self
+        while node.parent is not None:
+            names.append(node.name)
+            node = node.parent
+        return "/" + "/".join(reversed(names))
 
     def stat(self) -> Dict[str, int]:
         return {
             "version": self.version,
             "created_zxid": self.created_zxid,
             "modified_zxid": self.modified_zxid,
-            "num_children": len(self.children),
+            "num_children": len(self.children) if self.children else 0,
         }
 
 
@@ -58,7 +75,9 @@ class KVStore:
     """The in-memory data tree of one replica."""
 
     def __init__(self) -> None:
-        self.root = ZNode(path="/")
+        # The root's child map is made up front: the flat facade reads it
+        # on every call.
+        self.root = ZNode("", None, children={})
         self._zxid = 0
         self.writes_applied = 0
         self.reads_served = 0
@@ -69,7 +88,7 @@ class KVStore:
     def _lookup(self, path: str) -> ZNode:
         node = self.root
         for part in _split(path):
-            if part not in node.children:
+            if not node.children or part not in node.children:
                 raise NoNodeError(path)
             node = node.children[part]
         return node
@@ -82,7 +101,7 @@ class KVStore:
             return False
 
     def children(self, path: str) -> List[str]:
-        return sorted(self._lookup(path).children.keys())
+        return sorted(self._lookup(path).children or ())
 
     def walk(self) -> Iterator[ZNode]:
         """Depth-first iteration over every znode."""
@@ -90,7 +109,8 @@ class KVStore:
         while stack:
             node = stack.pop()
             yield node
-            stack.extend(node.children.values())
+            if node.children:
+                stack.extend(node.children.values())
 
     # ------------------------------------------------------------------
     # Mutations (applied in commit order by the consensus layer)
@@ -100,7 +120,7 @@ class KVStore:
         node = self.root
         for index, part in enumerate(parts):
             last = index == len(parts) - 1
-            if part in node.children:
+            if node.children and part in node.children:
                 node = node.children[part]
                 if last:
                     raise NodeExistsError(path)
@@ -109,11 +129,14 @@ class KVStore:
                     raise NoNodeError("/" + "/".join(parts[: index + 1]))
                 self._zxid += 1
                 child = ZNode(
-                    path="/" + "/".join(parts[: index + 1]),
+                    part,
+                    node,
                     value=value if last else "",
                     created_zxid=self._zxid,
                     modified_zxid=self._zxid,
                 )
+                if node.children is None:
+                    node.children = {}
                 node.children[part] = child
                 node = child
         self.writes_applied += 1
@@ -134,21 +157,13 @@ class KVStore:
         parts = _split(path)
         if not parts:
             raise ValueError("cannot delete the root")
-        parent = self.root
-        for part in parts[:-1]:
-            if part not in parent.children:
-                raise NoNodeError(path)
-            parent = parent.children[part]
-        leaf_name = parts[-1]
-        if leaf_name not in parent.children:
-            raise NoNodeError(path)
-        node = parent.children[leaf_name]
+        node = self._lookup(path)
         if expected_version is not None and node.version != expected_version:
             raise BadVersionError(f"{path}: expected v{expected_version}, have v{node.version}")
         if node.children:
             raise ValueError(f"{path} has children")
         self._zxid += 1
-        del parent.children[leaf_name]
+        del node.parent.children[node.name]
         self.writes_applied += 1
 
     # ------------------------------------------------------------------
@@ -182,14 +197,15 @@ class KVStore:
         kv = self.root.children.get(self._KV_NAME)
         if kv is None:
             self._zxid += 1
-            kv = ZNode(self.KV_PREFIX, created_zxid=self._zxid, modified_zxid=self._zxid)
+            kv = ZNode(self._KV_NAME, self.root, created_zxid=self._zxid, modified_zxid=self._zxid)
             self.root.children[self._KV_NAME] = kv
         self._zxid += 1
-        node = kv.children.get(key)
+        children = kv.children
+        if children is None:
+            children = kv.children = {}
+        node = children.get(key)
         if node is None:
-            kv.children[key] = ZNode(
-                f"{self.KV_PREFIX}/{key}", value, created_zxid=self._zxid, modified_zxid=self._zxid
-            )
+            children[key] = ZNode(key, kv, value, created_zxid=self._zxid, modified_zxid=self._zxid)
         else:
             node.value = value
             node.version += 1
@@ -206,7 +222,7 @@ class KVStore:
                 return None
         self.reads_served += 1
         kv = self.root.children.get(self._KV_NAME)
-        node = kv.children.get(key) if kv is not None else None
+        node = kv.children.get(key) if kv is not None and kv.children else None
         return node.value if node is not None else None
 
     # ------------------------------------------------------------------
@@ -215,4 +231,4 @@ class KVStore:
 
     def snapshot(self) -> Dict[str, Tuple[str, int]]:
         """Flat ``{path: (value, version)}`` snapshot for replica comparison."""
-        return {node.path: (node.value, node.version) for node in self.walk() if node.path != "/"}
+        return {node.path: (node.value, node.version) for node in self.walk() if node is not self.root}

@@ -3,7 +3,9 @@
 These implement checks for the properties of §6:
 
 * **Agreement / total order** — every node that completes a cycle commits
-  the same ordered set of requests (:mod:`repro.verify.agreement`).
+  the same ordered set of requests (:mod:`repro.verify.agreement`;
+  :func:`~repro.verify.agreement.check_cycle_agreement` compares cycle by
+  cycle).
 * **Linearizability** — the observed history of client operations on each
   key admits a legal sequential ordering consistent with real time
   (:mod:`repro.verify.linearizability`).
@@ -19,7 +21,12 @@ These implement checks for the properties of §6:
 """
 
 from repro.verify.history import History, Operation
-from repro.verify.agreement import check_agreement, check_fifo_client_order, check_prefix_consistency
+from repro.verify.agreement import (
+    check_agreement,
+    check_cycle_agreement,
+    check_fifo_client_order,
+    check_prefix_consistency,
+)
 from repro.verify.atomicity import ShardTxnState, check_cross_shard_atomicity, check_read_isolation
 from repro.verify.linearizability import check_linearizable_history, check_linearizable_key
 
@@ -28,6 +35,7 @@ __all__ = [
     "Operation",
     "ShardTxnState",
     "check_agreement",
+    "check_cycle_agreement",
     "check_prefix_consistency",
     "check_fifo_client_order",
     "check_cross_shard_atomicity",

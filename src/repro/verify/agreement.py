@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.verify.history import History
 
-__all__ = ["check_agreement", "check_prefix_consistency", "check_fifo_client_order"]
+__all__ = [
+    "check_agreement",
+    "check_cycle_agreement",
+    "check_prefix_consistency",
+    "check_fifo_client_order",
+]
 
 
 def check_agreement(orders: Dict[str, Sequence[int]]) -> Tuple[bool, str]:
@@ -20,6 +25,30 @@ def check_agreement(orders: Dict[str, Sequence[int]]) -> Tuple[bool, str]:
     if not ok:
         return ok, message
     return True, "agreement holds"
+
+
+def check_cycle_agreement(
+    logs: Dict[str, Iterable[Tuple[int, Sequence[int]]]]
+) -> Tuple[bool, str]:
+    """Every cycle committed at two nodes committed the same requests there.
+
+    ``logs`` maps node id to its commit log as ``(cycle id, request ids)``
+    pairs.  :func:`check_agreement` compares flat request-id sequences, so a
+    node's last cycle committed empty passes it as a prefix of another
+    node's log that committed that cycle with requests; this check does not.
+    """
+    first: Dict[int, Tuple[str, Tuple[int, ...]]] = {}
+    for node, log in logs.items():
+        for cycle_id, request_ids in log:
+            request_ids = tuple(request_ids)
+            seen_at, seen = first.setdefault(cycle_id, (node, request_ids))
+            if seen != request_ids:
+                return (
+                    False,
+                    f"cycle {cycle_id}: node {node} committed {list(request_ids)}, "
+                    f"node {seen_at} committed {list(seen)}",
+                )
+    return True, "cycle agreement holds"
 
 
 def check_prefix_consistency(orders: Dict[str, Sequence[int]]) -> Tuple[bool, str]:

@@ -54,13 +54,15 @@ class ZabConfig:
     storage: StorageDevice = StorageDevice.MEMORY
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingTxn:
+    """A proposed transaction, kept until it commits."""
+
     zxid: int
     origin: str
     requests: Tuple[ClientRequest, ...]
-    acks: Set[str] = field(default_factory=set)
-    committed: bool = False
+    #: Who has acknowledged it; only the leader counts acks.
+    acks: Optional[Set[str]] = None
 
 
 class ZabNode:
@@ -187,8 +189,7 @@ class ZabNode:
     def _propose(self, origin: str, requests: Tuple[ClientRequest, ...]) -> None:
         self.next_zxid += 1
         zxid = self.next_zxid
-        txn = _PendingTxn(zxid=zxid, origin=origin, requests=requests)
-        txn.acks.add(self.node_id)
+        txn = _PendingTxn(zxid=zxid, origin=origin, requests=requests, acks={self.node_id})
         self.pending_txns[zxid] = txn
         self.log.append(self.runtime.now(), sum(r.wire_size() for r in requests))
         if self._obs is not None:
@@ -205,9 +206,8 @@ class ZabNode:
             self._leader_commit(txn)
 
     def _leader_commit(self, txn: _PendingTxn) -> None:
-        if txn.committed:
-            return
-        txn.committed = True
+        # Forgotten at commit: a late ack then finds nothing to count.
+        del self.pending_txns[txn.zxid]
         if self._obs is not None:
             self._obs.phase_end(self._obs_proto, "propose", self.node_id, key=txn.zxid)
             self._obs.phase_point(
@@ -251,17 +251,16 @@ class ZabNode:
         if not self.is_leader:
             return
         txn = self.pending_txns.get(message.zxid)
-        if txn is None or txn.committed:
+        if txn is None:
             return
         txn.acks.add(message.follower)
         if len(txn.acks) >= self.quorum_size():
             self._leader_commit(txn)
 
     def _on_commit(self, sender: str, message: ZabCommit) -> None:
-        txn = self.pending_txns.get(message.zxid)
-        if txn is None or txn.committed:
+        txn = self.pending_txns.pop(message.zxid, None)
+        if txn is None:
             return
-        txn.committed = True
         self._apply_committed(txn.zxid, txn.origin, txn.requests)
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.canopus.messages import NOT_IN_VIEW, MembershipUpdate, Proposal
 from repro.raft.messages import AppendEntries
-from repro.verify.agreement import check_agreement
+from repro.verify.agreement import check_agreement, check_cycle_agreement
 from tests.helpers import build_canopus_on_sim, fast_config, read, write
 from tests.test_raft import is_notice
 
@@ -276,14 +276,11 @@ def assert_survivors_agree(cluster, victim):
         assert node.last_committed_cycle >= 1, f"{node.node_id} stalled in cycle 1"
     # Cycle by cycle, not as a flat order: a cycle that committed empty at
     # one node and with requests at another is a prefix of it, not equal.
-    logs = {
+    ok, message = check_cycle_agreement({
         node.node_id: [(c.cycle_id, [r.request_id for r in c.requests]) for c in node.commit_log]
         for node in survivors
-    }
-    shortest = min(len(log) for log in logs.values())
-    reference = logs[survivors[0].node_id][:shortest]
-    for node_id, log in logs.items():
-        assert log[:shortest] == reference, f"{node_id} diverges from {survivors[0].node_id}"
+    })
+    assert ok, message
     assert sum(node.stats["fetch_retries"] for node in survivors) == 0
     return survivors
 

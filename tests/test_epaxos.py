@@ -115,6 +115,28 @@ class TestFastAndSlowPath:
         assert len(instance_sets[0]) == 3
 
 
+class TestRetainedState:
+    def test_only_the_command_leader_keeps_reply_bookkeeping(self):
+        """Every replica keeps every instance; the reply list and ack set
+        exist only at the command leader, and only until it commits."""
+        sim, _, cluster, _ = build(replica_count_per_rack=3, racks=3)
+        leader, *acceptors = cluster.nodes.values()
+        leader.submit(write("k"))
+        instance_id = InstanceId(replica=leader.node_id, slot=1)
+        while leader.instances.get(instance_id) is None or not leader.instances[instance_id].preaccept_replies:
+            assert sim.loop.step() and sim.now < 0.1
+        holders = [node for node in acceptors if instance_id in node.instances]
+        assert holders
+        for node in holders:
+            instance = node.instances[instance_id]
+            assert instance.preaccept_replies is None and instance.accept_oks is None
+        sim.run_until(0.5)
+        for node in cluster.nodes.values():
+            instance = node.instances[instance_id]
+            assert instance.status == "executed"
+            assert instance.preaccept_replies is None and instance.accept_oks is None
+
+
 class TestQuorums:
     def test_quorum_sizes(self):
         sim, _, cluster, _ = build(replica_count_per_rack=3, racks=3)  # 9 replicas

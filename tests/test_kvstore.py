@@ -1,5 +1,7 @@
 """Tests for the znode store and the persistence model."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,11 +151,101 @@ class TestFlatKVFacade:
                 except NoNodeError:
                     expected = None
                 assert fast.read(key) == expected
-        assert fast.snapshot() == generic.snapshot()
-        assert {node.path: node.stat() for node in fast.walk()} == {
-            node.path: node.stat() for node in generic.walk()
-        }
-        assert (fast.writes_applied, fast.reads_served) == (generic.writes_applied, generic.reads_served)
+        assert_same_state(fast, generic)
+
+    def test_kv_made_by_create_before_any_flat_write(self):
+        """``/kv`` then has no child map yet; the fast path must make it."""
+        fast, generic = KVStore(), KVStore()
+        for store in (fast, generic):
+            store.create(KVStore.KV_PREFIX)
+        fast.write("a", "1")
+        generic.create(f"{KVStore.KV_PREFIX}/a", "1")
+        assert fast.read("a") == generic.get(f"{KVStore.KV_PREFIX}/a") == "1"
+        assert_same_state(fast, generic)
+
+    def test_deleting_the_only_child(self):
+        fast, generic = KVStore(), KVStore()
+        fast.write("a", "1")
+        generic.create(f"{KVStore.KV_PREFIX}/a", "1", parents=True)
+        for store in (fast, generic):
+            store.delete(f"{KVStore.KV_PREFIX}/a")
+            assert store.stat(KVStore.KV_PREFIX)["num_children"] == 0
+            assert store.children(KVStore.KV_PREFIX) == []
+            assert store.read("a") is None
+            assert not store.exists(f"{KVStore.KV_PREFIX}/a")
+        assert_same_state(fast, generic)
+        fast.write("a", "2")
+        generic.create(f"{KVStore.KV_PREFIX}/a", "2")
+        assert_same_state(fast, generic)
+
+    def test_walk_paths_are_the_full_paths_in_depth_first_order(self):
+        """A znode stores its name only; ``path`` is rebuilt from its parents."""
+        store = KVStore()
+        store.create("/app/conf", "c", parents=True)
+        store.write("b", "1")
+        store.write("a", "2")
+        store.write("dir/x", "3")
+        store.create("/app/log")
+        store.delete("/app/log")
+        assert [node.path for node in store.walk()] == [
+            "/", "/kv", "/kv/dir", "/kv/dir/x", "/kv/a", "/kv/b", "/app", "/app/conf",
+        ]
+        assert store.stat("/kv") == {"version": 0, "created_zxid": 3, "modified_zxid": 3, "num_children": 3}
+        assert store.stat("/app") == {"version": 0, "created_zxid": 1, "modified_zxid": 1, "num_children": 1}
+
+
+def assert_same_state(fast, generic):
+    """Same values, versions, zxids, child counts and counters at every path."""
+    assert fast.snapshot() == generic.snapshot()
+    assert {node.path: node.stat() for node in fast.walk()} == {
+        node.path: node.stat() for node in generic.walk()
+    }
+    assert (fast.writes_applied, fast.reads_served) == (generic.writes_applied, generic.reads_served)
+
+
+def retained_bytes(action):
+    """Bytes still allocated after ``action()`` that were not before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        action()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestRetainedState:
+    """Every replica keeps its store and log for the whole run."""
+
+    def test_a_flat_key_retains_at_most_150_bytes(self):
+        """An eager empty child map and a stored path cost about 260 B a
+        key; without them a key costs about 140 B."""
+        count = 20_000
+        keys = [f"key{index:08d}" for index in range(count)]  # the requests' own strings
+        value = "v" * 16
+        store = KVStore()
+        store.write("warm-up", value)  # /kv itself is not a per-key cost
+
+        def write_all():
+            for key in keys:
+                store.write(key, value)
+
+        assert retained_bytes(write_all) / count <= 150
+        assert store.size() == count + 2
+
+    def test_persistence_state_does_not_grow_with_appends(self):
+        log = PersistenceModel(group_size=32)
+        log.append(0.0, 100)
+
+        def append_all():
+            for index in range(10_000):
+                log.append(index * 1e-3, 100)
+
+        assert retained_bytes(append_all) < 1_000
+        assert (len(log), log.total_bytes(), log.flushes) == (10_001, 1_000_100, 312)
 
 
 class TestPersistence:

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.verify.agreement import check_agreement, check_fifo_client_order, check_prefix_consistency
+from repro.verify.agreement import (
+    check_agreement,
+    check_cycle_agreement,
+    check_fifo_client_order,
+    check_prefix_consistency,
+)
 from repro.verify.history import History
 from repro.verify.linearizability import check_linearizable_history, check_linearizable_key
 
@@ -27,6 +32,19 @@ class TestAgreement:
 
     def test_empty_input_agrees(self):
         assert check_agreement({})[0]
+        assert check_cycle_agreement({})[0]
+
+    def test_cycle_agreement_accepts_a_trailing_node(self):
+        ok, _ = check_cycle_agreement({"a": [(1, [1]), (2, [2, 3])], "b": [(1, [1])]})
+        assert ok
+
+    def test_last_cycle_committed_empty_at_one_node_is_caught_per_cycle(self):
+        """The flat order passes it as a prefix; cycle 2 differs."""
+        logs = {"a": [(1, [1]), (2, [])], "b": [(1, [1]), (2, [2])]}
+        assert check_agreement({node: [r for _, ids in log for r in ids] for node, log in logs.items()})[0]
+        ok, message = check_cycle_agreement(logs)
+        assert not ok
+        assert "cycle 2" in message
 
     def test_fifo_client_order_positive(self):
         history = History()

@@ -119,6 +119,34 @@ class TestReads:
         assert reply.value == "99"
 
 
+class TestRetainedState:
+    def test_only_the_leader_counts_acks(self):
+        sim, _, cluster, _ = build()
+        leader = cluster.leader()
+        follower = next(n for n in cluster.nodes.values() if n.role is ZabRole.FOLLOWER)
+        leader.submit(write("k"))
+        while not follower.pending_txns:
+            assert sim.loop.step() and sim.now < 0.1
+        (txn,) = follower.pending_txns.values()
+        assert txn.acks is None
+        assert leader.node_id in leader.pending_txns[txn.zxid].acks
+
+    def test_committed_transactions_are_forgotten(self):
+        """Every replica drops a transaction at commit, and every replica
+        still commits all 200 writes, in the order they were submitted."""
+        sim, _, cluster, _ = build()
+        nodes = list(cluster.nodes.values())
+        requests = [write(f"k{index % 17}", str(index)) for index in range(200)]
+        for index, request in enumerate(requests):
+            node = nodes[index % len(nodes)]
+            sim.schedule(index * 0.0005, lambda node=node, request=request: node.submit(request))
+        sim.run_until(1.0)
+        assert all(not node.pending_txns for node in nodes)
+        first = requests[0].request_id
+        logs = {node.node_id: [r.request_id - first for r in node.committed_requests] for node in nodes}
+        assert all(log == list(range(200)) for log in logs.values())
+
+
 class TestStorage:
     def test_logs_are_appended_on_proposals(self):
         sim, _, cluster, _ = build(config=ZabConfig(storage=StorageDevice.SSD))
