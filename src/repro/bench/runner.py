@@ -528,8 +528,9 @@ def _drive_switch_drain_mix(
     lane index.  Like :func:`_drive_engine_mix` it doubles as the
     micro-benchmark and the differential-test driver: it returns the loop
     plus the delivered ``(dst, src, tag, time)`` trace, which must be
-    byte-identical between the lazy lane-index delivery and the eager
-    reference (demoted lanes / :class:`HeapEventLoop`).
+    byte-identical between lane delivery and the references: the eager
+    one-event-per-arrival network under ``tests/`` and
+    :class:`HeapEventLoop`.
 
     ``skewed=True`` concentrates sends on a few hot talkers (cubed draw:
     roughly half the traffic from the first ~5 hosts), so a handful of

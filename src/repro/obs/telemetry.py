@@ -102,8 +102,8 @@ class TelemetrySampler:
 
     Wire it to whatever the run has: ``simulator`` is required (clock +
     timer source); ``network`` adds per-host rx backlog and switch lane
-    depth; ``shard_metrics`` adds per-shard windowed goodput (the
-    autoscaling signal of ROADMAP item 1).
+    depth; ``shard_metrics`` adds per-shard windowed goodput (the signal a
+    load-driven autoscaler would watch).
     """
 
     def __init__(
@@ -149,8 +149,7 @@ class TelemetrySampler:
         if network is not None:
             for name in sorted(network.hosts):
                 host = network.hosts[name]
-                backlog = len(host._in_q) + len(host._rx_queue._pending)
-                telemetry.sample(f"host.{name}.rx_backlog", now, float(backlog))
+                telemetry.sample(f"host.{name}.rx_backlog", now, float(host.backlog()))
             for name in sorted(network.switches):
                 switch = network.switches[name]
                 depth = sum(len(lane.q) for lane in switch._lanes)

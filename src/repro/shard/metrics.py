@@ -63,7 +63,7 @@ class ShardMetrics:
         return sum(self.ops_in_window(start, end).values())
 
     # ------------------------------------------------------------------
-    # Windowed timeseries (the autoscaling signal — ROADMAP item 1)
+    # Windowed timeseries (the signal a load-driven autoscaler would watch)
     # ------------------------------------------------------------------
     def goodput_timeseries(
         self, start: float, end: float, bucket_s: float
@@ -103,7 +103,7 @@ class ShardMetrics:
             for node_id in node_ids:
                 host = hosts.get(node_id)
                 if host is not None:
-                    depth += len(host._in_q) + len(host._rx_queue._pending)
+                    depth += host.backlog()
             depths[shard_id] = float(depth)
             self._queue_depths.setdefault(shard_id, []).append((now, float(depth)))
         return depths

@@ -31,7 +31,6 @@ from repro.sim.engine import EventLoop, SimulationError
 __all__ = [
     "Packet",
     "Link",
-    "NetworkInterface",
     "Host",
     "Switch",
     "Network",
@@ -89,18 +88,17 @@ class CpuModel:
 class DeliveryQueue:
     """Coalesces a stream of timed deliveries into one scheduled event.
 
-    Links and host CPU queues hand over work whose completion times are
-    (by construction) non-decreasing: link serialization and CPU busy-until
-    both only move forward.  Instead of scheduling one event-loop entry per
-    packet — which makes the heap grow with the number of in-flight
-    messages — the queue keeps at most one outstanding event and, when it
-    fires, flushes *every* pending item that is due at that instant.  This
-    is the sim-network hot path batching: a burst to one destination costs
-    one heap operation, not one per message.
+    A host's transmit, dispatch and loopback queues are fed from its
+    CPU-busy chain, which only moves forward, so the completion times they
+    hand over are non-decreasing.  Instead of scheduling one event-loop
+    entry per packet — which makes the heap grow with the number of
+    in-flight messages — the queue keeps at most one outstanding event and,
+    when it fires, flushes *every* pending item that is due at that instant.
+    This is the sim-network hot path batching: a burst to one destination
+    costs one heap operation, not one per message.
 
-    Items pushed out of order (possible only if a caller violates the
-    monotonicity contract) fall back to a dedicated event so delivery
-    timing is never wrong, merely unbatched.
+    Pushing an item earlier than the last one pending breaks that contract:
+    it is a bug in the caller, and raises :class:`SimulationError`.
     """
 
     __slots__ = ("loop", "deliver", "priority", "_pending", "_armed", "_flush_cb")
@@ -122,8 +120,9 @@ class DeliveryQueue:
         """Enqueue ``item`` for delivery at absolute time ``when``."""
         pending = self._pending
         if pending and when < pending[-1][0]:
-            self.loop.schedule_fast(when, lambda: self.deliver(item), self.priority)
-            return
+            raise SimulationError(
+                f"out-of-order delivery: {when!r} is before pending {pending[-1][0]!r}"
+            )
         pending.append((when, item))
         if not self._armed:
             self._armed = True
@@ -144,14 +143,7 @@ class DeliveryQueue:
 class Link:
     """A unidirectional link with propagation delay, bandwidth and a FIFO queue."""
 
-    def __init__(
-        self,
-        loop: EventLoop,
-        name: str,
-        latency_s: float,
-        bandwidth_bps: float,
-        deliver: Callable[[Packet], None],
-    ) -> None:
+    def __init__(self, loop: EventLoop, name: str, latency_s: float, bandwidth_bps: float) -> None:
         self.loop = loop
         self.name = name
         self.latency_s = latency_s
@@ -159,18 +151,15 @@ class Link:
         self._busy_until = 0.0
         self.bytes_sent = 0
         self.packets_sent = 0
-        self._arrivals = DeliveryQueue(loop, deliver, priority=5)
-        #: When this link is a host's only ingress link, arrivals go to the
-        #: host's lazy backlog lane instead of a scheduled delivery queue
-        #: (set by :meth:`Network.add_link` via ``Host._attach_ingress``).
+        #: Where arrivals go (wired by :meth:`Network.add_link`): the far
+        #: end's backlog lane if it is a host, its lane for this link if a
+        #: switch.
         self._lazy_host: Optional["Host"] = None
-        #: When this link feeds a lazily-forwarding switch, arrivals go to
-        #: the switch's per-ingress-link lane, drained in merged arrival
-        #: order by the switch's lookahead drain (see :class:`Switch`).
         self._lazy_lane: Optional["_SwitchLane"] = None
 
     def transmit(self, packet: Packet, start: Optional[float] = None) -> float:
-        """Enqueue ``packet`` and return its arrival time at the far end.
+        """Charge ``packet`` to the link and return its arrival time at the
+        far end; the caller hands the packet to the receiver.
 
         Serialization begins at ``max(start, busy-until)``; ``start``
         defaults to the current instant.  This is the one statement of the
@@ -185,26 +174,15 @@ class Link:
         total_bytes = packet.size_bytes + DEFAULT_HEADER_BYTES
         serialization = total_bytes * 8.0 / self.bandwidth_bps
         busy = self._busy_until
-        now = self.loop._now
         if start is None:
-            start = now
+            start = self.loop._now
         if busy > start:
             start = busy
         finish = start + serialization
         self._busy_until = finish
-        arrival = finish + self.latency_s
         self.bytes_sent += total_bytes
         self.packets_sent += 1
-        host = self._lazy_host
-        if host is not None:
-            host._ingress_push(arrival, packet)
-        else:
-            lane = self._lazy_lane
-            if lane is not None:
-                lane.push(arrival, now, packet)
-            else:
-                self._arrivals.push(arrival, packet)
-        return arrival
+        return finish + self.latency_s
 
     def utilization(self, elapsed_s: float) -> float:
         """Fraction of ``elapsed_s`` spent transmitting."""
@@ -213,27 +191,12 @@ class Link:
         return min(1.0, (self.bytes_sent * 8.0 / self.bandwidth_bps) / elapsed_s)
 
 
-class NetworkInterface:
-    """Endpoint attached to a host or switch; owns the outgoing links."""
-
-    def __init__(self, owner: "NetworkElement") -> None:
-        self.owner = owner
-        self.links: Dict[str, Link] = {}
-
-    def connect(self, link: Link, neighbor: str) -> None:
-        self.links[neighbor] = link
-
-
 class NetworkElement:
     """Base class for hosts and switches."""
 
     def __init__(self, network: "Network", name: str) -> None:
         self.network = network
         self.name = name
-        self.interface = NetworkInterface(self)
-
-    def receive(self, packet: Packet) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 class _SwitchLane:
@@ -248,16 +211,17 @@ class _SwitchLane:
 
     ``(arm_at, arm_tick)`` rank the lane's head group (its run of equal
     arrivals) among equal-arrival groups of the switch's other lanes, by
-    the rule per-arrival delivery events obey: a link's flush for a group
-    is armed when the group's first packet is put on the link if the link
-    had nothing in flight, else when the previous group is delivered, and
-    flushes due at one instant fire in arming order.  ``arm_at`` is that
-    arming instant and ``arm_tick`` a per-switch monotone tick that orders
-    armings made at the same instant.  Merging lanes by ``(arrival, arm_at,
-    arm_tick)`` decides which of two equal-arrival packets from different
-    ingress links takes a shared egress link first, so every downstream
-    timestamp under symmetric broadcast collisions depends on it (the
-    eager path reaches the same order through the engine's ``seq``).
+    the rule one delivery event per arrival would obey: a link's flush for
+    a group is armed when the group's first packet is put on the link if
+    the link had nothing in flight, else when the previous group is
+    delivered, and flushes due at one instant fire in arming order.
+    ``arm_at`` is that arming instant and ``arm_tick`` a per-switch
+    monotone tick that orders armings made at the same instant.  Merging
+    lanes by ``(arrival, arm_at, arm_tick)`` decides which of two
+    equal-arrival packets from different ingress links takes a shared
+    egress link first, so every downstream timestamp under symmetric
+    broadcast collisions depends on it (the eager reference under
+    ``tests/`` reaches the same order through the engine's ``seq``).
     """
 
     __slots__ = ("owner", "q", "arm_at", "arm_tick", "lat", "src")
@@ -279,11 +243,6 @@ class _SwitchLane:
         q = self.q
         owner = self.owner
         if q:
-            if arrival < q[-1][0]:
-                # FIFO feeders cannot produce this; keep an unbatched
-                # fallback mirroring DeliveryQueue's out-of-order contract.
-                owner._loop.schedule_fast(arrival, lambda: owner.receive(packet), 5)
-                return
             q.append((arrival, p_ref, packet))
         else:
             if p_ref > self.arm_at:
@@ -331,8 +290,8 @@ class Switch(NetworkElement):
     arrives after ``T + serialization + latency`` — so the merged
     arrival order the drain forwards in is exactly the order per-arrival
     delivery events produce, and each hop is charged the arithmetic of
-    :meth:`Link.transmit`.  A switch with a zero-latency link has no such
-    window and keeps the eager per-arrival path (:meth:`receive`).
+    :meth:`Link.transmit`.  A zero-latency link would leave no such
+    window, so :meth:`Network.add_link` refuses one at a switch.
     """
 
     def __init__(self, network: "Network", name: str) -> None:
@@ -366,16 +325,11 @@ class Switch(NetworkElement):
         #: any downstream instant observing the delay.
         self._grid = float("inf")
         self._grid_inv = 0.0
-        #: Cleared when a zero-latency link makes lazy forwarding unsound.
-        self._lazy_ok = True
         #: Cached merge-safe window (see :meth:`_margin`).
         self._margin_cache = float("inf")
         self._margin_gen = -1
 
     def _attach_lane(self, link: Link, src: "NetworkElement") -> None:
-        if link.latency_s <= 0.0 or not self._lazy_ok:
-            self._demote_lanes()
-            return
         lane = _SwitchLane(self, link.latency_s, src)
         link._lazy_lane = lane
         self._lanes.append(lane)
@@ -394,7 +348,7 @@ class Switch(NetworkElement):
             margin = float("inf")
             for lane in self._lanes:
                 src = lane.src
-                slack = src._grid if isinstance(src, Switch) and src._lanes else 0.0
+                slack = src._grid if isinstance(src, Switch) else 0.0
                 m = lane.lat - slack
                 if m < margin:
                     margin = m
@@ -404,34 +358,9 @@ class Switch(NetworkElement):
 
     def _note_egress(self, latency_s: float) -> None:
         """Record an outgoing link's latency; it bounds the drain grid."""
-        if latency_s <= 0.0:
-            self._demote_lanes()
-        elif self._lazy_ok and latency_s < self._grid:
+        if latency_s < self._grid:
             self._grid = latency_s
             self._grid_inv = 1.0 / latency_s
-
-    def _demote_lanes(self) -> None:
-        """Fall back to eager per-arrival delivery for every ingress link (a
-        zero-latency link leaves no slack for batched forwarding).
-
-        A construction-time decision: the links of a switch are wired
-        before traffic flows, so a lane holding backlog here is a bug in
-        the caller, not a case to replay.
-        """
-        if self._index:
-            raise SimulationError(
-                f"cannot demote switch {self.name!r}: its lanes hold backlog "
-                "(zero-latency links must be added before traffic flows)"
-            )
-        self._lazy_ok = False
-        self.network._topo_gen += 1
-        self._drain_at = None
-        for link in self.network.links.values():
-            lane = link._lazy_lane
-            if lane is not None and lane.owner is self:
-                link._lazy_lane = None
-        self._lanes.clear()
-        self._grid = 0.0
 
     def _drain(self) -> None:
         """Forward every laned arrival inside the lookahead window (runs
@@ -488,7 +417,7 @@ class Switch(NetworkElement):
             try:
                 link = fwd[dst]
             except KeyError:
-                link = self.interface.links[self.network.next_hop(self.name, dst)]
+                link = self.network.links[(self.name, self.network.next_hop(self.name, dst))]
                 fwd[dst] = link
             # Link.transmit, inlined (the drain is the per-packet hot
             # loop): identical expression shapes, replayed as if run at
@@ -504,32 +433,29 @@ class Switch(NetworkElement):
             link.packets_sent += 1
             sink = link._lazy_host
             if sink is not None:
-                # Host._ingress_push, non-empty in-order fast case inlined.
+                # Host._ingress_push, non-empty fast case inlined.
                 hq = sink._in_q
-                if hq and down_arrival >= hq[-1][0]:
+                if hq:
                     hq.append((down_arrival, packet))
                 else:
                     sink._ingress_push(down_arrival, packet)
             else:
+                # _SwitchLane.push, non-empty fast case inlined (the
+                # downstream lane's merge-index entry only changes when its
+                # queue goes non-empty).
                 sink = link._lazy_lane
-                if sink is not None:
-                    # _SwitchLane.push, non-empty in-order fast case
-                    # inlined (the downstream lane's merge-index entry
-                    # only changes when its queue goes non-empty).
-                    lq = sink.q
-                    if lq and down_arrival >= lq[-1][0]:
-                        lq.append((down_arrival, arrival, packet))
-                        sw = sink.owner
-                        at = sw._drain_at
-                        if at is None or at > down_arrival:
-                            g = (int(down_arrival * sw._grid_inv) + 1) * sw._grid
-                            if at is None or g < at:
-                                sw._drain_at = g
-                                loop.schedule_fast(g, sw._drain_cb, 5)
-                    else:
-                        sink.push(down_arrival, arrival, packet)
+                lq = sink.q
+                if lq:
+                    lq.append((down_arrival, arrival, packet))
+                    sw = sink.owner
+                    at = sw._drain_at
+                    if at is None or at > down_arrival:
+                        g = (int(down_arrival * sw._grid_inv) + 1) * sw._grid
+                        if at is None or g < at:
+                            sw._drain_at = g
+                            loop.schedule_fast(g, sw._drain_cb, 5)
                 else:
-                    link._arrivals.push(down_arrival, packet)
+                    sink.push(down_arrival, arrival, packet)
             if q:
                 head2 = q[0]
                 nxt_arrival = head2[0]
@@ -555,17 +481,6 @@ class Switch(NetworkElement):
         self.packets_forwarded += count
         return heads[0][0] if heads else None
 
-    def receive(self, packet: Packet) -> None:
-        """Eager path: forward one packet at its arrival event."""
-        self.packets_forwarded += 1
-        packet.hops += 1
-        dst = packet.dst
-        link = self._fwd.get(dst)
-        if link is None:
-            link = self.interface.links[self.network.next_hop(self.name, dst)]
-            self._fwd[dst] = link
-        link.transmit(packet)
-
 
 class _RxQueue(DeliveryQueue):
     """The host CPU dispatch queue, pull-aware.
@@ -578,7 +493,7 @@ class _RxQueue(DeliveryQueue):
     the backlog is charged from exactly that instant.
 
     :meth:`_flush` is the one function every delivered packet leaves the
-    network through (the eager fallback reaches it too, via
+    network through (loopback deliveries reach it too, via
     :meth:`Host.receive`); :meth:`Network._deliver_fanout` is the one it
     enters by.
     """
@@ -586,7 +501,7 @@ class _RxQueue(DeliveryQueue):
     __slots__ = ("host",)
 
     def __init__(self, host: "Host") -> None:
-        super().__init__(host.network.loop, host._dispatch, priority=8)
+        super().__init__(host.network.loop, None, priority=8)  # _flush dispatches inline
         self.host = host
 
     def _flush(self) -> None:
@@ -597,11 +512,10 @@ class _RxQueue(DeliveryQueue):
             host._pull(now)
         self._armed = False
         pending = self._pending
-        # Host._dispatch inlined: this is the per-delivered-packet loop, and
-        # the extra frame per packet was measurable.  Failure state and the
+        # This is the per-delivered-packet loop.  Failure state and the
         # handler are re-read per packet (a callback can fail the host or
-        # swap the handler mid-flush), exactly as the indirect call did; the
-        # receive counters accumulate in locals and settle once per flush.
+        # swap the handler mid-flush); the receive counters accumulate in
+        # locals and settle once per flush.
         hdr = DEFAULT_HEADER_BYTES
         n_received = 0
         b_received = 0
@@ -668,11 +582,8 @@ class Host(NetworkElement):
         #: group (which may already have flushed) is never extended.
         self._open_tx: Optional[List[Tuple[str, Any, int, float]]] = None
         self._open_tx_events = -1
-        # Lazy ingress backlog (single-ingress-link hosts only) ----------
-        #: Links delivering to this host; with exactly one, arrivals are
-        #: delivered lazily through the backlog lane below.
-        self._ingress_links: List[Link] = []
-        #: Pending ``(arrival, packet)`` pairs, arrivals non-decreasing.
+        #: Ingress backlog lane: pending ``(arrival, packet)`` pairs from
+        #: the host's one link, arrivals non-decreasing.
         self._in_q: "deque[Tuple[float, Packet]]" = deque()
         #: Earliest wake-up currently scheduled (None when none).
         self._wake_at: Optional[float] = None
@@ -684,42 +595,30 @@ class Host(NetworkElement):
         """Register the callback invoked as ``handler(sender, payload)``."""
         self._handler = handler
 
-    # ------------------------------------------------------------------
-    # Lazy ingress backlog
-    #
-    # A host with a single incoming link (every host in the tree
-    # topologies) does not schedule one delivery event per distinct
-    # arrival time.  Links append (arrival, packet) to the host's lane at
-    # transmit time; each packet's CPU charge is computed — with the
-    # arithmetic and order of :meth:`receive` run at its arrival instant —
-    # the first time the host's CPU state is observed at or after that
-    # instant (a send, a dispatch, a utilization probe, fail/recover, or
-    # the armed wake-up when the CPU would otherwise sit idle).  See
-    # ARCHITECTURE.md, "Backlog delivery".
-    # ------------------------------------------------------------------
-    def _attach_ingress(self, link: Link) -> None:
-        """Register an incoming link; demote to scheduled delivery when
-        the host stops being single-ingress (lazy replay needs one lane)."""
-        self._ingress_links.append(link)
-        if len(self._ingress_links) == 1:
-            link._lazy_host = self
-        else:
-            for attached in self._ingress_links:
-                attached._lazy_host = None
+    def backlog(self) -> int:
+        """Packets arrived or in flight to this host and not yet
+        dispatched: the ingress lane plus the CPU dispatch queue."""
+        return len(self._in_q) + len(self._rx_queue._pending)
 
+    # ------------------------------------------------------------------
+    # Ingress backlog
+    #
+    # A host has one link (:meth:`Network.add_link` refuses a second), and
+    # does not schedule one delivery event per distinct arrival time.  The
+    # sender appends (arrival, packet) to the host's lane at transmit time;
+    # each packet's CPU charge is computed — with the arithmetic and order
+    # of :meth:`receive` run at its arrival instant — the first time the
+    # host's CPU state is observed at or after that instant (a send, a
+    # dispatch, a utilization probe, fail/recover, or the armed wake-up
+    # when the CPU would otherwise sit idle).  See ARCHITECTURE.md,
+    # "Backlog delivery".
+    # ------------------------------------------------------------------
     def _ingress_push(self, when: float, packet: Packet) -> None:
         """Append an arrival to the backlog lane (called at transmit time)."""
         q = self._in_q
-        if not q:
-            q.append((when, packet))
-            if not self._rx_queue._pending:
-                self._arm_wake(when)
-        elif when < q[-1][0]:
-            # Out-of-order arrival: impossible for a FIFO link, but keep
-            # the DeliveryQueue fallback contract (dedicated event).
-            self._loop.schedule_fast(when, lambda: self.receive(packet), 5)
-        else:
-            q.append((when, packet))
+        if not q and not self._rx_queue._pending:
+            self._arm_wake(when)
+        q.append((when, packet))
 
     def _arm_wake(self, when: float) -> None:
         """Schedule a wake-up so an idle CPU charges its backlog from the
@@ -864,19 +763,6 @@ class Host(NetworkElement):
         self._cpu_busy_s += cost
         self._rx_queue.push(finish, packet)
 
-    def _dispatch(self, packet: Packet) -> None:
-        if self.failed:
-            return
-        self.messages_received += 1
-        self.bytes_received += packet.size_bytes + DEFAULT_HEADER_BYTES
-        handler = self._handler
-        if handler is not None:
-            obs = self._obs
-            if obs is None:
-                handler(packet.src, packet.payload)
-            else:
-                obs.deliver(self.name, packet, handler)
-
     # ------------------------------------------------------------------
     def fail(self) -> None:
         """Crash-stop the host: drop all future traffic and processing."""
@@ -971,25 +857,34 @@ class Network:
         raise KeyError(name)
 
     def add_link(self, a: str, b: str, latency_s: float, bandwidth_bps: float) -> None:
-        """Create a bidirectional link between elements ``a`` and ``b``."""
+        """Create a bidirectional link between elements ``a`` and ``b``.
+
+        Refused with :class:`SimulationError` when lane delivery could not
+        model it: a second link at a host (a host's backlog lane replays
+        one FIFO link) or a zero-latency link at a switch (a switch drain
+        needs a positive latency to batch under).
+        """
         element_a = self.element(a)
         element_b = self.element(b)
-        forward = Link(self.loop, f"{a}->{b}", latency_s, bandwidth_bps, element_b.receive)
-        backward = Link(self.loop, f"{b}->{a}", latency_s, bandwidth_bps, element_a.receive)
+        for element in (element_a, element_b):
+            if isinstance(element, Host) and self._adjacency[element.name]:
+                raise SimulationError(f"host {element.name!r} already has a link")
+            if isinstance(element, Switch) and latency_s <= 0.0:
+                raise SimulationError(f"zero-latency link at switch {element.name!r}")
+        forward = Link(self.loop, f"{a}->{b}", latency_s, bandwidth_bps)
+        backward = Link(self.loop, f"{b}->{a}", latency_s, bandwidth_bps)
         self.links[(a, b)] = forward
         self.links[(b, a)] = backward
-        element_a.interface.connect(forward, b)
-        element_b.interface.connect(backward, a)
         if isinstance(element_a, Switch):
             element_a._note_egress(latency_s)
         if isinstance(element_b, Switch):
             element_b._note_egress(latency_s)
         if isinstance(element_b, Host):
-            element_b._attach_ingress(forward)
+            forward._lazy_host = element_b
         else:
             element_b._attach_lane(forward, element_a)
         if isinstance(element_a, Host):
-            element_a._attach_ingress(backward)
+            backward._lazy_host = element_a
         else:
             element_a._attach_lane(backward, element_b)
         self._adjacency[a].append(b)
@@ -1099,7 +994,7 @@ class Network:
             if dst == src:
                 link = None
             else:
-                link = self.hosts[src].interface.links[self.next_hop(src, dst)]
+                link = self.links[(src, self.next_hop(src, dst))]
             by_dst[dst] = link
         return link
 
@@ -1162,18 +1057,18 @@ class Network:
             if link is not last_link:
                 last_link = link
                 sink_host = link._lazy_host
-                sink_lane = link._lazy_lane if sink_host is None else None
+                sink_lane = link._lazy_lane
             if sink_host is not None:
-                # Host._ingress_push, non-empty in-order fast case inlined.
+                # Host._ingress_push, non-empty fast case inlined.
                 hq = sink_host._in_q
-                if hq and arrival >= hq[-1][0]:
+                if hq:
                     hq.append((arrival, packet))
                 else:
                     sink_host._ingress_push(arrival, packet)
-            elif sink_lane is not None:
-                # _SwitchLane.push, non-empty in-order fast case inlined.
+            else:
+                # _SwitchLane.push, non-empty fast case inlined.
                 lq = sink_lane.q
-                if lq and arrival >= lq[-1][0]:
+                if lq:
                     lq.append((arrival, now, packet))
                     sw = sink_lane.owner
                     at = sw._drain_at
@@ -1184,8 +1079,6 @@ class Network:
                             loop.schedule_fast(g, sw._drain_cb, 5)
                 else:
                     sink_lane.push(arrival, now, packet)
-            else:
-                link._arrivals.push(arrival, packet)
 
     def link(self, a: str, b: str) -> Link:
         return self.links[(a, b)]

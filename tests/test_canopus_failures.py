@@ -366,7 +366,8 @@ class TestProposerDiesBetweenNotices:
     @pytest.mark.xfail(
         strict=True,
         reason="pre-existing (fails at PR 15 too): n0-3 and n0-4 commit cycle 1 empty, everyone "
-        "else with the dead proposer's write; a fault fuzzer should own this - ROADMAP item 4",
+        "else with the dead proposer's write; see ROADMAP 'Canopus disagrees "
+        "with itself on main'",
     )
     def test_survivors_agree_on_the_dead_proposers_requests(self):
         sim, topology, cluster, rack = five_per_rack()

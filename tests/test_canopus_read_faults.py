@@ -1,4 +1,4 @@
-"""Reads at a node its peers may have left behind (ROADMAP item 5, one slice).
+"""Reads at a node its peers may have left behind (one slice of ROADMAP's fault fuzzing).
 
 A read is answered from committed state the moment no started cycle is open
 (``CanopusNode._handle_read``), which is only sound while nobody has

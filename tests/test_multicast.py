@@ -15,7 +15,7 @@ import textwrap
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.network import CpuModel, DeliveryQueue, Network
 
 
@@ -154,8 +154,6 @@ class TestFanoutEdgeCases:
     def test_unknown_destination_raises(self):
         """Routing is resolved when the group flushes, so that is where an
         unroutable destination surfaces."""
-        from repro.sim.engine import SimulationError
-
         simulator = Simulator(seed=0)
         network = build_two_rack(simulator)
         network.hosts["a"].multicast(["b", "ghost"], "m", 64)
@@ -163,28 +161,19 @@ class TestFanoutEdgeCases:
             simulator.run()
 
 
-class TestDeliveryQueueFallback:
-    def test_out_of_order_push_uses_dedicated_event(self):
+class TestDeliveryQueue:
+    def test_out_of_order_push_raises(self):
+        """Every pusher is fed from one host's CPU-busy chain, so a push
+        earlier than the pending tail is a caller bug, not a case to batch
+        around."""
         simulator = Simulator(seed=0)
         delivered = []
         queue = DeliveryQueue(simulator.loop, delivered.append, priority=5)
         queue.push(10.0, "late")
-        queue.push(5.0, "early")  # violates monotonicity: falls back
-        assert len(queue) == 1  # only the batched item is pending
+        with pytest.raises(SimulationError, match="out-of-order"):
+            queue.push(5.0, "early")
         simulator.run()
-        assert delivered == ["early", "late"]
-
-    def test_out_of_order_delivery_time_is_exact(self):
-        simulator = Simulator(seed=0)
-        times = {}
-        queue = DeliveryQueue(
-            simulator.loop, lambda item: times.setdefault(item, simulator.now), priority=5
-        )
-        queue.push(2.0, "a")
-        queue.push(1.0, "b")
-        queue.push(3.0, "c")
-        simulator.run()
-        assert times == {"b": 1.0, "a": 2.0, "c": 3.0}
+        assert delivered == ["late"]
 
     def test_same_instant_items_flush_in_one_event(self):
         simulator = Simulator(seed=0)

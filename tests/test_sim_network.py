@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.bench.builders import make_multi_dc_topology, make_single_dc_topology
+from repro.bench.runner import _drive_switch_drain_mix
+from repro.sim.engine import EventLoop, SimulationError, Simulator
 from repro.sim.network import CpuModel, Network, Packet
 
 
@@ -74,7 +76,7 @@ class TestDirectLink:
 
 class TestLinkTransmit:
     """``Link.transmit`` states the link arithmetic once; the two hot loops
-    inline it."""
+    inline it and the eager reference (``tests/eager_network.py``) calls it."""
 
     def test_start_is_a_floor_under_the_serialization_start(self):
         sim = Simulator()
@@ -102,6 +104,40 @@ class TestLinkTransmit:
             direct.packets_sent,
         )
         assert [when for when, _ in inlined.hosts["b"]._in_q] == arrivals
+
+
+class TestConstruction:
+    """Lane delivery is the only delivery model, so ``add_link`` refuses
+    the two wirings it cannot model instead of falling back."""
+
+    def test_zero_latency_link_at_a_switch_raises(self):
+        network = Network(Simulator().loop)
+        network.add_host("a")
+        network.add_switch("s")
+        with pytest.raises(SimulationError, match="zero-latency"):
+            network.add_link("a", "s", 0.0, 1e9)
+        assert network.links == {}
+
+    def test_second_link_at_a_host_raises(self):
+        network = make_pair(Simulator())
+        network.add_switch("s")
+        with pytest.raises(SimulationError, match="already has a link"):
+            network.add_link("s", "b", 1e-5, 1e9)
+        assert ("s", "b") not in network.links
+
+    @pytest.mark.parametrize("nodes_per_rack", [3, 9])
+    def test_single_datacenter_builder(self, nodes_per_rack):
+        topology = make_single_dc_topology(Simulator(seed=1), nodes_per_rack=nodes_per_rack)
+        assert len(topology.server_hosts) == 3 * nodes_per_rack
+
+    @pytest.mark.parametrize("regions", [3, 5, 7])
+    def test_multi_datacenter_builder(self, regions):
+        topology = make_multi_dc_topology(Simulator(seed=1), datacenters=regions)
+        assert len(topology.server_hosts) == 3 * regions
+
+    def test_switch_drain_microbench_tree(self):
+        loop, trace = _drive_switch_drain_mix(EventLoop, 0, 1, False)
+        assert trace == [] and loop.processed_events == 0
 
 
 class TestFailures:

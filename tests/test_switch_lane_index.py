@@ -2,8 +2,8 @@
 
 The persistent lane index (``Switch._index``) must forward laned
 arrivals in exactly the merged order the eager reference produces: the
-order of per-arrival delivery-queue flushes when every switch lane is
-demoted and every host ingress lane detached.  These tests drive
+order of per-arrival delivery-queue flushes in
+:class:`tests.eager_network.EagerNetwork`.  These tests drive
 randomized tree topologies through randomized push/drain interleavings
 — ``run_until`` deadline caps included, so drains hit mid-window bounds
 and reopened head groups — in both configurations and require
@@ -20,8 +20,9 @@ import random
 import pytest
 
 from repro.bench.runner import _drive_switch_drain_mix
-from repro.sim.engine import EventLoop, HeapEventLoop, SimulationError
+from repro.sim.engine import EventLoop, HeapEventLoop
 from repro.sim.network import Network
+from tests.eager_network import EagerNetwork
 from tests.helpers import build_canopus_on_sim, write
 
 
@@ -45,16 +46,6 @@ def _build_random_tree(net, rng):
     for rack in range(racks):
         net.add_link(f"tor-{rack}", "spine", latency_s=rng.choice([4e-6, 9e-6]), bandwidth_bps=40e9)
     return names
-
-
-def _demote_everything(net):
-    """Force the eager reference configuration: demote every switch lane and
-    detach every host ingress lane, so all delivery goes through real
-    per-arrival scheduled flushes."""
-    for switch in net.switches.values():
-        switch._demote_lanes()
-    for link in net.links.values():
-        link._lazy_host = None
 
 
 def _edge(net, loop):
@@ -125,12 +116,10 @@ class TestLaneIndexVsEagerDifferential:
     @pytest.mark.parametrize("seed", [0, 1, 5, 9, 23, 51])
     def test_random_topology_and_interleaving_match(self, seed):
         results = []
-        for eager in (False, True):
+        for network_cls in (Network, EagerNetwork):
             loop = EventLoop()
-            net = Network(loop)
+            net = network_cls(loop)
             names = _build_random_tree(net, random.Random(seed))
-            if eager:
-                _demote_everything(net)
             results.append(_drive(net, loop, names, seed))
         (lazy_trace, lazy_edges), (eager_trace, eager_edges) = results
         _assert_traces_equivalent(lazy_trace, eager_trace)
@@ -162,32 +151,10 @@ class TestLaneIndexVsEagerDifferential:
         import repro.sim.network as network_module
 
         _, lazy_trace = _drive_switch_drain_mix(EventLoop, 3000, 5, skewed)
-
-        class _EagerNetwork(Network):
-            """Every link addition immediately re-demotes all lanes, so the
-            driver's topology comes up fully eager."""
-
-            def add_link(self, *args, **kwargs):
-                super().add_link(*args, **kwargs)
-                _demote_everything(self)
-
         # The driver resolves Network at call time from the sim module.
-        monkeypatch.setattr(network_module, "Network", _EagerNetwork)
+        monkeypatch.setattr(network_module, "Network", EagerNetwork)
         _, eager_trace = _drive_switch_drain_mix(EventLoop, 3000, 5, skewed)
         assert lazy_trace == eager_trace
-
-
-def test_demotion_with_backlog_raises():
-    """Demotion is a construction-time decision: once a lane holds backlog
-    there is nothing sound to do with it but refuse."""
-    loop = EventLoop()
-    net = Network(loop)
-    names = _build_random_tree(net, random.Random(4))
-    net.send(names[0], names[-1], "m", 64)
-    with pytest.raises(SimulationError, match="backlog"):
-        net.switches["tor-0"]._demote_lanes()
-    loop.run()
-    net.switches["tor-0"]._demote_lanes()  # drained: allowed again
 
 
 class _CountingLoop(EventLoop):
