@@ -51,8 +51,10 @@ def run_once(benchmark, func, *args, **kwargs):
     """Run ``func`` exactly once under pytest-benchmark and return its result."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0)
 
-# Host-side simulator speed (wall-clock, events/second, peak heap) is
-# tracked separately from these modelled-behaviour benchmarks: see the
-# perf-tracking mode in repro.bench.runner (PERF_POINTS /
-# ``python -m repro.bench.runner --perf-point ...``), which CI runs on
-# every push and records in BENCH_sim_hotpath.json.
+# Host-side simulator speed is tracked separately from these
+# modelled-behaviour benchmarks.  The perf-tracking mode in
+# repro.bench.runner (PERF_POINTS / ``python -m repro.bench.runner
+# --perf-point ...``) measures wall-clock, events/second and peak heap per
+# fixed-seed point; CI gates four of them on every push against the
+# baselines in BENCH_sim_hotpath.json.  perf/run.py measures the
+# end-to-end cost per operation and its split by layer.

@@ -109,23 +109,14 @@ def build_system(
     topology: Topology,
     config: Any = None,
     on_reply: Optional[Callable[[ClientReply], None]] = None,
-    canopus_config: Any = None,
-    epaxos_config: Any = None,
-    zab_config: Any = None,
 ) -> SystemUnderTest:
     """Build the named system on ``topology`` through the protocol registry.
 
-    ``config`` is the protocol's own configuration object.  The historical
-    per-protocol keyword arguments are accepted for compatibility; exactly
-    one configuration may be supplied and the registry validates its type
-    against the protocol being built.
+    ``config`` is the protocol's own configuration object (``None`` for the
+    registry default); the registry validates its type against the
+    protocol being built.
     """
-    supplied = [c for c in (config, canopus_config, epaxos_config, zab_config) if c is not None]
-    if len(supplied) > 1:
-        raise ValueError("supply at most one protocol configuration")
-    protocol = build_protocol(
-        name, topology, config=supplied[0] if supplied else None, on_reply=on_reply
-    )
+    protocol = build_protocol(name, topology, config=config, on_reply=on_reply)
     return SystemUnderTest(
         name=name,
         topology=topology,

@@ -15,15 +15,23 @@ The runner follows the paper's methodology (§8.1 "Performance metrics"):
 
 from __future__ import annotations
 
+import argparse
 import gc
 import hashlib
 import json
 import random
 import time
 import tracemalloc
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.bench.shard_bench import ShardPointConfig
 
 from repro.bench.builders import SystemUnderTest, build_system, make_single_dc_topology
 from repro.metrics.collector import RunSummary
@@ -34,12 +42,15 @@ __all__ = [
     "ExperimentProfile",
     "RatePointResult",
     "run_rate_point",
+    "walk_rate_ladder",
     "find_max_throughput",
     "PerfPoint",
     "PERF_POINTS",
     "run_perf_tracking",
     "update_perf_report",
 ]
+
+Point = TypeVar("Point")
 
 
 @dataclass
@@ -105,6 +116,20 @@ class ExperimentProfile:
             latency_threshold_s=0.030,
         )
 
+    def saturates(self, point: "RatePointResult") -> bool:
+        """Whether ``point`` ends the ladder walk: median completion time over
+        the threshold, or goodput below :attr:`min_goodput_ratio`."""
+        summary = point.summary
+        goodput_ratio = (
+            summary.requests_completed / summary.requests_submitted
+            if summary.requests_submitted
+            else 1.0
+        )
+        return (
+            summary.median_completion_s > self.latency_threshold_s
+            or goodput_ratio < self.min_goodput_ratio
+        )
+
 
 @dataclass
 class RatePointResult:
@@ -145,29 +170,15 @@ def run_rate_point(
     write_ratio: float,
     profile: Optional[ExperimentProfile] = None,
     config: Any = None,
-    canopus_config: Any = None,
-    epaxos_config: Any = None,
-    zab_config: Any = None,
-    multi_dc: bool = False,
 ) -> RatePointResult:
     """Build a fresh simulator + system + workload and measure one rate point.
 
-    ``config`` is the protocol's own configuration object; the historical
-    per-protocol keyword arguments are still accepted and forwarded to
-    :func:`repro.bench.builders.build_system`, which validates them against
-    the registry.
+    ``config`` is the protocol's own configuration object; the registry
+    validates its type against ``system``.
     """
     profile = profile or ExperimentProfile.quick()
     simulator, sut, summary = _execute_rate_point(
-        system,
-        topology_factory,
-        rate_hz,
-        write_ratio,
-        profile,
-        config=config,
-        canopus_config=canopus_config,
-        epaxos_config=epaxos_config,
-        zab_config=zab_config,
+        system, topology_factory, rate_hz, write_ratio, profile, config=config
     )
     return RatePointResult(
         system=system,
@@ -185,9 +196,6 @@ def _execute_rate_point(
     write_ratio: float,
     profile: ExperimentProfile,
     config: Any = None,
-    canopus_config: Any = None,
-    epaxos_config: Any = None,
-    zab_config: Any = None,
     instrument: Optional[Callable[[Simulator, SystemUnderTest, WorkloadGenerator], Any]] = None,
 ) -> Tuple[Simulator, SystemUnderTest, RunSummary]:
     """Build, drive and summarize one rate point, returning the live system.
@@ -200,14 +208,7 @@ def _execute_rate_point(
     """
     simulator = Simulator(seed=profile.seed)
     topology = topology_factory(simulator)
-    sut = build_system(
-        system,
-        topology,
-        config=config,
-        canopus_config=canopus_config,
-        epaxos_config=epaxos_config,
-        zab_config=zab_config,
-    )
+    sut = build_system(system, topology, config=config)
     workload_config = WorkloadConfig(
         client_processes=profile.client_processes,
         aggregate_rate_hz=rate_hz,
@@ -234,58 +235,53 @@ def _execute_rate_point(
     return simulator, sut, summary
 
 
+def walk_rate_ladder(
+    rates: Sequence[float],
+    measure: Callable[[float], Point],
+    saturated: Callable[[Point], bool],
+    throughput: Callable[[Point], float],
+) -> Tuple[Point, List[Point]]:
+    """The §8.1 maximum-throughput search over an offered-rate ladder.
+
+    Measures each rung in order and stops at the first ``saturated`` one:
+    past it, open-loop queues only grow.  Returns the unsaturated point of
+    highest ``throughput`` plus every point measured.  When the first rung
+    already saturates, that point is returned as the best one.
+    """
+    points: List[Point] = []
+    best: Optional[Point] = None
+    for rate in rates:
+        point = measure(rate)
+        points.append(point)
+        if saturated(point):
+            break
+        if best is None or throughput(point) > throughput(best):
+            best = point
+    return (best if best is not None else points[-1]), points
+
+
 def find_max_throughput(
     system: str,
     topology_factory: TopologyFactory,
     write_ratio: float,
     profile: Optional[ExperimentProfile] = None,
     config: Any = None,
-    canopus_config: Any = None,
-    epaxos_config: Any = None,
-    zab_config: Any = None,
 ) -> Tuple[RatePointResult, List[RatePointResult]]:
-    """Walk the rate ladder until the latency threshold is exceeded.
+    """Walk the profile's rate ladder until :meth:`ExperimentProfile.saturates`.
 
     Returns the best rate point (highest measured throughput with median
     completion time under the threshold) and the full list of points, which
     the throughput-latency figures (5 and 6) plot directly.
     """
     profile = profile or ExperimentProfile.quick()
-    points: List[RatePointResult] = []
-    best: Optional[RatePointResult] = None
-    for rate in profile.rate_ladder:
-        point = run_rate_point(
-            system,
-            topology_factory,
-            rate_hz=rate,
-            write_ratio=write_ratio,
-            profile=profile,
-            config=config,
-            canopus_config=canopus_config,
-            epaxos_config=epaxos_config,
-            zab_config=zab_config,
-        )
-        points.append(point)
-        summary = point.summary
-        goodput_ratio = (
-            summary.requests_completed / summary.requests_submitted
-            if summary.requests_submitted
-            else 1.0
-        )
-        saturated = (
-            summary.median_completion_s > profile.latency_threshold_s
-            or goodput_ratio < profile.min_goodput_ratio
-        )
-        if not saturated:
-            if best is None or point.throughput_rps > best.throughput_rps:
-                best = point
-        else:
-            # The paper stops once completion time exceeds the threshold and
-            # keeps the last point as the maximum-throughput result.
-            break
-    if best is None:
-        best = points[-1]
-    return best, points
+    return walk_rate_ladder(
+        profile.rate_ladder,
+        lambda rate: run_rate_point(
+            system, topology_factory, rate, write_ratio, profile=profile, config=config
+        ),
+        profile.saturates,
+        attrgetter("throughput_rps"),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +300,7 @@ class PerfPoint:
     system: str = "epaxos"
     #: What the point exercises: a simulated protocol ``workload`` (the
     #: default), the event ``engine`` alone (schedule/cancel/drain mix, no
-    #: protocol), or a reduced-op run on the ``asyncio`` substrate.
+    #: protocol), or the ``switch``-lane merge alone (no protocol).
     kind: str = "workload"
     nodes_per_rack: int = 9
     racks: int = 3
@@ -317,15 +313,12 @@ class PerfPoint:
     seed: int = 7
     #: Timing repeats; the minimum wall-clock is reported (least noisy).
     repeats: int = 3
-    #: EPaxos batching window (ignored by other systems).
-    epaxos_batch_s: float = 0.002
     #: Shards (>1 routes through repro.shard: ``system`` becomes the
     #: per-shard protocol and the workload gains a multi-key mix).
     shard_count: int = 1
     #: Fraction of ops that are cross-shard transactions (sharded points).
     multi_key_ratio: float = 0.0
-    #: Fraction of the multi-key ops that are snapshot reads (sharded
-    #: points; the CLI ``--reads`` flag overrides it).
+    #: Fraction of the multi-key ops that are snapshot reads (sharded points).
     txn_read_ratio: float = 0.0
     #: Total scheduled operations for ``kind="engine"`` points (split
     #: between the wheel-friendly and wheel-hostile distributions).
@@ -333,9 +326,6 @@ class PerfPoint:
     #: Total sends for ``kind="switch"`` points (split between the skewed
     #: and uniform lane-load distributions).
     drain_ops: int = 60_000
-    #: Submitted requests for ``kind="asyncio"`` points (real concurrency
-    #: is wall-clock-expensive, so op counts are far below the sim points).
-    asyncio_ops: int = 30
 
     def profile(self) -> ExperimentProfile:
         return ExperimentProfile(
@@ -351,10 +341,51 @@ class PerfPoint:
         if self.system == "epaxos":
             from repro.epaxos.node import EPaxosConfig
 
-            return EPaxosConfig(
-                batch_duration_s=self.epaxos_batch_s, latency_probing=True, thrifty=False
-            )
+            return EPaxosConfig(batch_duration_s=0.002, latency_probing=True, thrifty=False)
         return None
+
+    def execute_rate_point(
+        self,
+        instrument: Optional[Callable[[Simulator, SystemUnderTest, WorkloadGenerator], Any]] = None,
+    ) -> Tuple[Simulator, SystemUnderTest, RunSummary]:
+        """Run this single-group workload point once (see :func:`_execute_rate_point`)."""
+        factory = partial(
+            make_single_dc_topology, nodes_per_rack=self.nodes_per_rack, racks=self.racks
+        )
+        return _execute_rate_point(
+            self.system,
+            factory,
+            self.rate_hz,
+            self.write_ratio,
+            self.profile(),
+            config=self.config(),
+            instrument=instrument,
+        )
+
+    def shard_config(self) -> ShardPointConfig:
+        """This point as a :class:`repro.bench.shard_bench.ShardPointConfig`.
+
+        Perf points measure the host and pin behaviour by digest, so the
+        sharded harness's checkers stay off.
+        """
+        from repro.bench.shard_bench import ShardPointConfig
+
+        return ShardPointConfig(
+            shard_count=self.shard_count,
+            protocol=self.system,
+            nodes_per_rack=self.nodes_per_rack,
+            racks=self.racks,
+            rate_hz=self.rate_hz,
+            write_ratio=self.write_ratio,
+            multi_key_ratio=self.multi_key_ratio,
+            txn_read_ratio=self.txn_read_ratio,
+            client_processes=self.client_processes,
+            warmup_s=self.warmup_s,
+            measure_s=self.measure_s,
+            cooldown_s=self.cooldown_s,
+            seed=self.seed,
+            verify=False,
+        )
 
 
 #: The tracked points.  ``sim-hotpath`` is the ISSUE 2 acceptance point —
@@ -420,22 +451,6 @@ PERF_POINTS: Dict[str, PerfPoint] = {
         write_ratio=0.0,
         client_processes=0,
         repeats=3,
-    ),
-    # The shard-smoke shape (canopus, 2 racks x 3 nodes) on the asyncio
-    # substrate at sharply reduced op counts: real sleeps and genuine task
-    # concurrency, so wall-clock is tracked but no commit-log digest is
-    # pinned (interleavings are non-deterministic by design).
-    "asyncio-smoke": PerfPoint(
-        label="canopus-asyncio-smoke",
-        system="canopus",
-        kind="asyncio",
-        nodes_per_rack=3,
-        racks=2,
-        rate_hz=0.0,
-        write_ratio=0.5,
-        client_processes=0,
-        asyncio_ops=30,
-        repeats=2,
     ),
 }
 
@@ -604,64 +619,6 @@ def _run_switch_drain_microbench(point: PerfPoint) -> Tuple[int, str, int]:
     return events, digest.hexdigest(), delivered
 
 
-def _run_asyncio_smoke(point: PerfPoint) -> Tuple[int, int]:
-    """Run a reduced-op protocol workload on the asyncio substrate.
-
-    Returns ``(messages_delivered, requests_answered)``.  Real sleeps and
-    genuine task interleavings make the run non-deterministic, so there is
-    no commit-log digest — the point tracks wall-clock only (the ROADMAP
-    carried item: asyncio perf was previously unmeasured).
-    """
-    from repro.canopus.config import CanopusConfig
-    from repro.canopus.messages import ClientRequest, RequestType
-    from repro.protocols import build_protocol
-    from repro.runtime.asyncio_runtime import AsyncioTopology
-
-    rack_map = {
-        f"rack-{rack}": [f"n{rack}-{index}" for index in range(point.nodes_per_rack)]
-        for rack in range(point.racks)
-    }
-    topology = AsyncioTopology(rack_map, seed=point.seed)
-    replies: List[Any] = []
-    config = None
-    if point.system in ("canopus", "zkcanopus"):
-        # The conformance suite's wall-clock tuning: ideal broadcast and
-        # short cycles keep real-sleep runs fast and stable.
-        config = CanopusConfig(
-            broadcast_mode="ideal",
-            pipelining=False,
-            cycle_interval_s=0.02,
-            heartbeat_interval_s=0.5,
-            fetch_timeout_s=0.5,
-        )
-    protocol = build_protocol(point.system, topology, config=config, on_reply=replies.append)
-    protocol.start()
-    try:
-        node_ids = protocol.node_ids()
-        rng = random.Random(point.seed)
-        for index in range(point.asyncio_ops):
-            if rng.random() < point.write_ratio or index < 2:
-                request = ClientRequest(
-                    client_id=f"perf-w{index}",
-                    op=RequestType.WRITE,
-                    key=f"key-{index % 8}",
-                    value=f"value-{index}",
-                )
-            else:
-                request = ClientRequest(
-                    client_id=f"perf-r{index}", op=RequestType.READ, key=f"key-{index % 8}"
-                )
-            protocol.submit(request, node_id=node_ids[index % len(node_ids)])
-        topology.cluster.run(topology.cluster.settle(timeout_s=8.0, quiescent_rounds=10))
-        topology.cluster.run_for(0.1)
-        delivered = topology.cluster.messages_delivered
-        answered = len({reply.request_id for reply in replies})
-    finally:
-        protocol.stop()
-        topology.cluster.close()
-    return delivered, answered
-
-
 def measure_host_calibration(ops: int = 120_000, repeats: int = 3) -> float:
     """Measure this host's speed on a fixed, repo-independent micro-kernel.
 
@@ -718,10 +675,8 @@ def run_perf_tracking(point: PerfPoint) -> Dict[str, Any]:
     (:mod:`repro.bench.shard_bench`): same measurements, with the commit-log
     digest taken over every shard's replicas.  ``kind="engine"`` points run
     the engine micro-benchmark (no protocol; the digest pins the fired
-    trace), ``kind="switch"`` points run the switch-lane merge
-    micro-benchmark (no protocol; the digest pins the delivery trace), and
-    ``kind="asyncio"`` points run on the asyncio substrate (no digest —
-    real concurrency is non-deterministic).
+    trace), and ``kind="switch"`` points run the switch-lane merge
+    micro-benchmark (no protocol; the digest pins the delivery trace).
     """
     if point.kind == "engine":
 
@@ -733,31 +688,10 @@ def run_perf_tracking(point: PerfPoint) -> Dict[str, Any]:
         def run():
             return _run_switch_drain_microbench(point)
 
-    elif point.kind == "asyncio":
-
-        def run():
-            delivered, answered = _run_asyncio_smoke(point)
-            return delivered, "", answered
-
     elif point.shard_count > 1:
-        from repro.bench.shard_bench import ShardPointConfig, _execute_shard_point
+        from repro.bench.shard_bench import _execute_shard_point
 
-        shard_config = ShardPointConfig(
-            shard_count=point.shard_count,
-            protocol=point.system,
-            nodes_per_rack=point.nodes_per_rack,
-            racks=point.racks,
-            rate_hz=point.rate_hz,
-            write_ratio=point.write_ratio,
-            multi_key_ratio=point.multi_key_ratio,
-            txn_read_ratio=point.txn_read_ratio,
-            client_processes=point.client_processes,
-            warmup_s=point.warmup_s,
-            measure_s=point.measure_s,
-            cooldown_s=point.cooldown_s,
-            seed=point.seed,
-            verify=False,  # perf tracking measures the host, digests pin behaviour
-        )
+        shard_config = point.shard_config()
 
         def run():
             simulator, cluster, _router, result = _execute_shard_point(shard_config)
@@ -768,22 +702,9 @@ def run_perf_tracking(point: PerfPoint) -> Dict[str, Any]:
             )
 
     else:
-        factory = partial(
-            make_single_dc_topology, nodes_per_rack=point.nodes_per_rack, racks=point.racks
-        )
-        profile = point.profile()
-        run_point = partial(
-            _execute_rate_point,
-            point.system,
-            factory,
-            point.rate_hz,
-            point.write_ratio,
-            profile,
-            config=point.config(),
-        )
 
         def run():
-            simulator, sut, summary = run_point()
+            simulator, sut, summary = point.execute_rate_point()
             return (
                 simulator.loop.processed_events,
                 _commit_log_sha256(sut.protocol.committed_logs()),
@@ -850,13 +771,14 @@ def run_traced_point(point: PerfPoint, trace_path: str) -> Dict[str, Any]:
     JSON, readable by ``python -m repro.obs.report``) plus a Chrome
     trace-event file next to it (open in Perfetto / ``chrome://tracing``).
 
-    Engine and asyncio points have no request/protocol structure to trace;
-    only workload points (``kind == "sim"``) are supported.
+    Engine and switch points have no request/protocol structure to trace;
+    only workload points (``kind == "workload"``) are supported.
     """
     from repro.obs import (
         Telemetry,
         TelemetrySampler,
         Tracer,
+        attach_tracer,
         export_chrome_trace,
         export_json,
         trace_digest,
@@ -868,69 +790,36 @@ def run_traced_point(point: PerfPoint, trace_path: str) -> Dict[str, Any]:
 
     captured: Dict[str, Any] = {}
 
-    def _attach(simulator, network, shard_metrics, attach):
+    def _attach(simulator, network, shard_metrics, **targets):
         tracer = Tracer(lambda: simulator.now)
         telemetry = Telemetry()
         sampler = TelemetrySampler(
             telemetry, simulator, network=network, shard_metrics=shard_metrics
         )
-        attach(tracer)
+        attach_tracer(tracer, **targets)
         sampler.start()
         captured.update(tracer=tracer, telemetry=telemetry, sampler=sampler)
         return tracer
 
     if point.shard_count > 1:
-        from repro.bench.shard_bench import ShardPointConfig, _execute_shard_point
-
-        shard_config = ShardPointConfig(
-            shard_count=point.shard_count,
-            protocol=point.system,
-            nodes_per_rack=point.nodes_per_rack,
-            racks=point.racks,
-            rate_hz=point.rate_hz,
-            write_ratio=point.write_ratio,
-            multi_key_ratio=point.multi_key_ratio,
-            txn_read_ratio=point.txn_read_ratio,
-            client_processes=point.client_processes,
-            warmup_s=point.warmup_s,
-            measure_s=point.measure_s,
-            cooldown_s=point.cooldown_s,
-            seed=point.seed,
-            verify=False,
-        )
+        from repro.bench.shard_bench import _execute_shard_point
 
         def instrument(simulator, cluster, router, metrics, generator):
-            def attach(tracer):
-                cluster.attach_tracer(tracer)
-                router._obs = tracer
-                for agent in generator.agents:
-                    agent.attach_tracer(tracer)
+            return _attach(
+                simulator, cluster.topology.network, metrics,
+                cluster=cluster, router=router, agents=generator.agents,
+            )
 
-            return _attach(simulator, cluster.topology.network, metrics, attach)
-
-        _execute_shard_point(shard_config, instrument=instrument)
+        _execute_shard_point(point.shard_config(), instrument=instrument)
     else:
-        factory = partial(
-            make_single_dc_topology, nodes_per_rack=point.nodes_per_rack, racks=point.racks
-        )
 
         def instrument(simulator, sut, generator):
-            def attach(tracer):
-                sut.protocol.attach_tracer(tracer)
-                for agent in generator.agents:
-                    agent.attach_tracer(tracer)
+            return _attach(
+                simulator, sut.topology.network, None,
+                protocol=sut.protocol, agents=generator.agents,
+            )
 
-            return _attach(simulator, sut.topology.network, None, attach)
-
-        _execute_rate_point(
-            point.system,
-            factory,
-            point.rate_hz,
-            point.write_ratio,
-            point.profile(),
-            config=point.config(),
-            instrument=instrument,
-        )
+        point.execute_rate_point(instrument=instrument)
 
     tracer = captured["tracer"]
     telemetry = captured["telemetry"]
@@ -949,6 +838,24 @@ def run_traced_point(point: PerfPoint, trace_path: str) -> Dict[str, Any]:
     }
 
 
+@contextmanager
+def _edited_report(path: str) -> Iterator[Dict[str, Any]]:
+    """Read the ``BENCH_*.json`` report at ``path``, yield it, write it back.
+
+    A missing or unreadable file starts an empty report.  Nothing is
+    written when the body raises.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            report = json.load(fh)
+    except (FileNotFoundError, json.JSONDecodeError):
+        report = {"benchmark": "sim_hotpath", "points": {}}
+    yield report
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def update_perf_report(
     path: str, key: str, current: Dict[str, Any], set_baseline: bool = False
 ) -> Dict[str, Any]:
@@ -960,174 +867,34 @@ def update_perf_report(
     measurement of a point — or ``set_baseline=True`` — (re)establishes the
     baseline.  Returns the entry for ``key`` after the merge.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError):
-        report = {"benchmark": "sim_hotpath", "points": {}}
-    points = report.setdefault("points", {})
-    entry = points.setdefault(key, {})
-    if set_baseline or "baseline" not in entry:
-        entry["baseline"] = current
-    entry["current"] = current
-    baseline = entry["baseline"]
-    entry["wall_clock_speedup_vs_baseline"] = round(baseline["wall_s"] / current["wall_s"], 3)
-    entry["events_per_s_ratio_vs_baseline"] = round(
-        current["events_per_s"] / baseline["events_per_s"], 3
-    )
-    # Hardware-independent gate: normalize each measurement by the host
-    # calibration figure taken in the same run, so a slower CI runner than
-    # the machine that recorded the baseline cannot fail the gate spuriously.
-    if baseline.get("calibration_ops_per_s") and current.get("calibration_ops_per_s"):
-        entry["calibrated_events_per_s_ratio_vs_baseline"] = round(
-            (current["events_per_s"] / current["calibration_ops_per_s"])
-            / (baseline["events_per_s"] / baseline["calibration_ops_per_s"]),
-            3,
+    with _edited_report(path) as report:
+        entry = report.setdefault("points", {}).setdefault(key, {})
+        if set_baseline or "baseline" not in entry:
+            entry["baseline"] = current
+        entry["current"] = current
+        baseline = entry["baseline"]
+        entry["wall_clock_speedup_vs_baseline"] = round(baseline["wall_s"] / current["wall_s"], 3)
+        entry["events_per_s_ratio_vs_baseline"] = round(
+            current["events_per_s"] / baseline["events_per_s"], 3
         )
-    if baseline.get("commit_log_sha256"):
-        entry["commit_logs_match_baseline"] = (
-            baseline["commit_log_sha256"] == current["commit_log_sha256"]
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        # Hardware-independent gate: normalize each measurement by the host
+        # calibration figure taken in the same run, so a slower CI runner than
+        # the machine that recorded the baseline cannot fail the gate spuriously.
+        if baseline.get("calibration_ops_per_s") and current.get("calibration_ops_per_s"):
+            entry["calibrated_events_per_s_ratio_vs_baseline"] = round(
+                (current["events_per_s"] / current["calibration_ops_per_s"])
+                / (baseline["events_per_s"] / baseline["calibration_ops_per_s"]),
+                3,
+            )
+        if baseline.get("commit_log_sha256"):
+            entry["commit_logs_match_baseline"] = (
+                baseline["commit_log_sha256"] == current["commit_log_sha256"]
+            )
     return entry
 
 
-def profile_perf_point(
-    point: PerfPoint, key: str, path: str, top_n: int = 25
-) -> List[Dict[str, Any]]:
-    """Run ``point`` once under cProfile and record the hot functions.
-
-    The top ``top_n`` functions by cumulative time land in the report
-    file's ``profiles`` section (keyed by the point name), so a hot-path
-    claim can cite committed profile data instead of ad-hoc
-    instrumentation.  Profiling inflates wall-clock, so nothing is merged
-    into the point's ``baseline``/``current`` entries.  Returns the rows.
-    """
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    current = run_perf_tracking(replace(point, repeats=1))
-    profiler.disable()
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    rows: List[Dict[str, Any]] = []
-    for func in stats.fcn_list[: max(1, top_n)]:
-        _cc, ncalls, tottime, cumtime, _callers = stats.stats[func]
-        filename, line, name = func
-        if "/repro/" in filename:
-            filename = "repro/" + filename.split("/repro/", 1)[1]
-        rows.append(
-            {
-                "function": f"{filename}:{line}({name})",
-                "calls": ncalls,
-                "tottime_s": round(tottime, 4),
-                "cumtime_s": round(cumtime, 4),
-            }
-        )
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError):
-        report = {"benchmark": "sim_hotpath", "points": {}}
-    report.setdefault("profiles", {})[key] = {
-        "label": point.label,
-        "note": "wall-clock under cProfile is inflated; not comparable to baseline/current",
-        "wall_s_profiled": current["wall_s"],
-        "events": current["events"],
-        "top_by_cumtime": rows,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return rows
-
-
-def diff_profiles(
-    old_report: Dict[str, Any], new_report: Dict[str, Any], key: str, top_n: int = 10
-) -> Dict[str, Any]:
-    """Diff two committed profile snapshots of one perf point.
-
-    Takes two report dicts (the ``BENCH_*.json`` shape), matches the
-    ``profiles[key].top_by_cumtime`` rows by function (file:line noise is
-    stripped down to ``file(name)`` so pure line drift doesn't break the
-    match), and returns the top cumulative-time regressions and
-    improvements plus functions that entered or left the snapshot.  This
-    is how a perf PR cites its evidence: profile before, profile after,
-    diff the committed snapshots.
-    """
-
-    def rows(report: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-        section = report.get("profiles", {}).get(key)
-        if section is None:
-            raise KeyError(f"report has no profile snapshot for {key!r}")
-        table: Dict[str, Dict[str, Any]] = {}
-        for row in section["top_by_cumtime"]:
-            func = row["function"]
-            path, _, name = func.partition(":")
-            ident = f"{path}({name.partition('(')[2]}" if "(" in name else func
-            table[ident] = row
-        return table
-
-    old_rows = rows(old_report)
-    new_rows = rows(new_report)
-    deltas = []
-    for ident in old_rows.keys() & new_rows.keys():
-        old, new = old_rows[ident], new_rows[ident]
-        deltas.append(
-            {
-                "function": new["function"],
-                "cumtime_s_old": old["cumtime_s"],
-                "cumtime_s_new": new["cumtime_s"],
-                "cumtime_s_delta": round(new["cumtime_s"] - old["cumtime_s"], 4),
-                "calls_old": old["calls"],
-                "calls_new": new["calls"],
-            }
-        )
-    deltas.sort(key=lambda row: row["cumtime_s_delta"])
-    return {
-        "point": key,
-        "note": "profiled wall-clock; deltas also reflect machine noise between snapshots",
-        "improvements": [d for d in deltas if d["cumtime_s_delta"] < 0][:top_n],
-        "regressions": [d for d in reversed(deltas) if d["cumtime_s_delta"] > 0][:top_n],
-        "entered_top": sorted(
-            (new_rows[i]["function"] for i in new_rows.keys() - old_rows.keys())
-        ),
-        "left_top": sorted(
-            (old_rows[i]["function"] for i in old_rows.keys() - new_rows.keys())
-        ),
-    }
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI for the perf-tracking mode (used by the CI perf smoke step).
-
-    ``python -m repro.bench.runner --perf-point ci-smoke --report
-    BENCH_sim_hotpath.json --fail-below 0.7`` runs the point, merges it
-    into the report, and exits non-zero when events/second fell below the
-    given fraction of the committed baseline.  The comparison uses the
-    *calibrated* ratio whenever both measurements carry a host-calibration
-    figure (:func:`measure_host_calibration`), so the gate is insensitive
-    to the baseline having been recorded on different hardware.
-
-    ``--reads R`` overrides the point's snapshot-read mix (the fraction of
-    multi-key operations that are ``read_txn`` snapshot reads; sharded
-    points only).  Changing the mix changes modelled behaviour, so the
-    commit-log digest comparison is skipped unless the mix matches the
-    baseline's.
-
-    ``python -m repro.bench.runner --shard-saturation`` instead runs the
-    sharded scaling sweep (a per-shard-count max-throughput search over the
-    offered-rate ladder, fixed seed), prints the report, merges it into the
-    report file under ``shard_saturation``, and fails when 4-shard
-    committed-ops/s is below ``--min-scaling`` times the single-shard
-    maximum or any linearizability / atomicity / isolation check fails.
-    """
-    import argparse
-
+def build_parser() -> argparse.ArgumentParser:
+    """The command line of :func:`main`; builds nothing and runs nothing."""
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("--perf-point", choices=sorted(PERF_POINTS), default="ci-smoke")
     parser.add_argument("--report", default="BENCH_sim_hotpath.json")
@@ -1140,35 +907,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--set-baseline", action="store_true", help="re-establish the committed baseline"
-    )
-    parser.add_argument(
-        "--reads",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="override the perf point's snapshot-read mix (fraction of multi-key "
-        "ops that are read_txn snapshot reads; sharded points only)",
-    )
-    parser.add_argument(
-        "--profile",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the perf point under cProfile and record the top-N functions "
-        "by cumulative time in the report's 'profiles' section; profiled "
-        "wall-clock is inflated, so the measurement is NOT merged into the "
-        "point's baseline/current entries and no gate is applied",
-    )
-    parser.add_argument(
-        "--profile-diff",
-        nargs=2,
-        default=None,
-        metavar=("OLD", "NEW"),
-        help="diff two committed profile snapshots (report files with a "
-        "'profiles' section, e.g. the previous commit's BENCH file via "
-        "git show and the current one) for --perf-point: prints the top "
-        "cumtime regressions and improvements per function; no workload "
-        "is run and no gate is applied",
     )
     parser.add_argument(
         "--trace",
@@ -1194,22 +932,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=1.25,
         help="fail the shard sweep when 4-shard/1-shard ops/s is below this",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI for the perf-tracking mode (used by the CI perf smoke step).
+
+    ``python -m repro.bench.runner --perf-point ci-smoke --report
+    BENCH_sim_hotpath.json --fail-below 0.7`` runs the point, merges it
+    into the report, and exits non-zero when events/second fell below the
+    given fraction of the committed baseline or the commit-log digest
+    diverged from the baseline's.  The comparison uses the *calibrated*
+    ratio whenever both measurements carry a host-calibration figure
+    (:func:`measure_host_calibration`), so the gate is insensitive to the
+    baseline having been recorded on different hardware.
+
+    ``python -m repro.bench.runner --shard-saturation`` instead runs the
+    sharded scaling sweep (a per-shard-count max-throughput search over the
+    offered-rate ladder, fixed seed), prints the report, merges it into the
+    report file under ``shard_saturation``, and fails when 4-shard
+    committed-ops/s is below ``--min-scaling`` times the single-shard
+    maximum or any linearizability / atomicity / isolation check fails.
+    """
+    args = build_parser().parse_args(argv)
 
     if args.shard_saturation:
         from repro.bench.shard_bench import run_shard_saturation
 
         report = run_shard_saturation()
         print(json.dumps(report, indent=2))
-        try:
-            with open(args.report, "r", encoding="utf-8") as fh:
-                full = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
-            full = {"benchmark": "sim_hotpath", "points": {}}
-        full["shard_saturation"] = report
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(full, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with _edited_report(args.report) as full:
+            full["shard_saturation"] = report
         top = str(max(int(count) for count in report["scaling_vs_single"]))
         scaling = report["scaling_vs_single"][top]
         if not report["all_linearizable"] or not report["all_atomic"] or not report["all_isolated"]:
@@ -1224,32 +977,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"shard-saturation ok: {top}-shard scaling {scaling:.2f}x, all checks passed")
         return 0
 
-    if args.profile_diff is not None:
-        old_path, new_path = args.profile_diff
-        with open(old_path, "r", encoding="utf-8") as fh:
-            old_report = json.load(fh)
-        with open(new_path, "r", encoding="utf-8") as fh:
-            new_report = json.load(fh)
-        try:
-            diff = diff_profiles(old_report, new_report, args.perf_point)
-        except KeyError as exc:
-            print(f"ERROR: {exc.args[0]}")
-            return 2
-        print(json.dumps(diff, indent=2))
-        return 0
-
     point = PERF_POINTS[args.perf_point]
-    if args.reads is not None:
-        point = replace(point, txn_read_ratio=args.reads)
-    if args.profile is not None:
-        rows = profile_perf_point(point, args.perf_point, args.report, top_n=args.profile)
-        for row in rows:
-            print(
-                f"{row['cumtime_s']:9.4f}s cum {row['tottime_s']:9.4f}s tot "
-                f"{row['calls']:>9} calls  {row['function']}"
-            )
-        print(f"profile of {point.label!r} recorded in {args.report} (no gate applied)")
-        return 0
     current = run_perf_tracking(point)
     entry = update_perf_report(args.report, args.perf_point, current, set_baseline=args.set_baseline)
     if args.trace is not None:
@@ -1269,9 +997,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"events/s ratio vs baseline={ratio}"
         + (f" (calibrated {calibrated})" if calibrated is not None else "")
     )
-    baseline = entry["baseline"]
-    same_workload = baseline.get("txn_read_ratio", 0.0) == current.get("txn_read_ratio", 0.0)
-    if entry.get("commit_logs_match_baseline") is False and same_workload:
+    if entry.get("commit_logs_match_baseline") is False:
         print("ERROR: commit logs diverged from the committed baseline (fixed seed)")
         return 2
     if args.fail_below is not None and gate_ratio < args.fail_below:

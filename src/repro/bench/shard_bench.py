@@ -21,9 +21,11 @@ host-side cost of a small fixed sharded run in CI.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.builders import make_single_dc_topology
+from repro.bench.runner import walk_rate_ladder
 from repro.shard import ShardedCluster, ShardMetrics, ShardRouter, txn_marker_kind
 from repro.shard.router import collect_txn_states
 from repro.sim.engine import Simulator
@@ -269,22 +271,16 @@ def find_max_shard_throughput(
 
     Returns the best *non-collapsed* point (highest committed ops/s whose
     goodput ratio stays above ``base.min_goodput_ratio``) plus every point
-    measured.  When even the lowest rung collapses, the last measured point
-    is returned with its ``collapsed`` flag set — callers must exclude or
-    flag it rather than quote its understated throughput.
+    measured.  When even the lowest rung collapses, that point is returned
+    with its ``collapsed`` flag set — callers must exclude or flag it
+    rather than quote its understated throughput.
     """
-    points: List[ShardPointResult] = []
-    best: Optional[ShardPointResult] = None
-    for rate in rate_ladder:
-        point = run_shard_point(replace(base, rate_hz=rate))
-        points.append(point)
-        if point.collapsed:
-            # Open-loop queues grow without bound past this rate; higher
-            # rungs only deepen the backlog.
-            break
-        if best is None or point.committed_ops_per_s > best.committed_ops_per_s:
-            best = point
-    return best if best is not None else points[-1], points
+    return walk_rate_ladder(
+        rate_ladder,
+        lambda rate: run_shard_point(replace(base, rate_hz=rate)),
+        attrgetter("collapsed"),
+        attrgetter("committed_ops_per_s"),
+    )
 
 
 def run_shard_saturation(

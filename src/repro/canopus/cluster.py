@@ -1,24 +1,23 @@
-"""Helpers that wire a set of Canopus nodes onto a substrate.
+"""Wiring a set of Canopus nodes onto a substrate.
 
-Two builders are provided:
-
-* :func:`build_sim_cluster` — places one Canopus node on every server host
-  of a :class:`repro.sim.topology.Topology`, grouping hosts of the same rack
-  into a super-leaf, which is exactly the placement rule of §3.
-* :class:`CanopusCluster.on_asyncio` — runs the same protocol code on an
-  in-process asyncio transport for functional tests and examples.
+:func:`build_sim_cluster` places one Canopus node on every server host of a
+topology, grouping hosts of the same rack into a super-leaf, which is
+exactly the placement rule of §3.  Any object with ``servers_by_rack()``
+and ``make_runtime(node_id)`` serves as the topology, so the same builder
+runs the protocol on the asyncio substrate too:
+``build_protocol("canopus", AsyncioTopology(rack_map, seed=...))``
+(:class:`repro.runtime.asyncio_runtime.AsyncioTopology`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.canopus.config import CanopusConfig
 from repro.canopus.lot import LeafOnlyTree
 from repro.canopus.messages import ClientReply, ClientRequest
 from repro.canopus.node import CanopusNode
-from repro.runtime.asyncio_runtime import AsyncioCluster
 from repro.sim.topology import Topology
 
 __all__ = ["CanopusCluster", "build_sim_cluster"]
@@ -57,27 +56,6 @@ class CanopusCluster:
 
     def total_committed_writes(self) -> int:
         return sum(node.stats["writes_committed"] for node in self.nodes.values())
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def on_asyncio(
-        cls,
-        rack_map: Dict[str, Sequence[str]],
-        config: Optional[CanopusConfig] = None,
-        cluster: Optional[AsyncioCluster] = None,
-        on_reply: Optional[Callable[[ClientReply], None]] = None,
-        lot_height: Optional[int] = None,
-    ) -> "tuple[CanopusCluster, AsyncioCluster]":
-        """Build a Canopus group on an in-process asyncio transport."""
-        config = config or CanopusConfig(broadcast_mode="ideal", cycle_interval_s=0.02)
-        height = lot_height if lot_height is not None else config.lot_height
-        lot = LeafOnlyTree.from_rack_map(rack_map, height=height)
-        transport = cluster or AsyncioCluster(seed=config.seed)
-        group = cls(lot=lot, config=config)
-        for node_id in lot.pnodes:
-            runtime = transport.add_node(node_id)
-            group.nodes[node_id] = CanopusNode(runtime, lot, config=config, on_reply=on_reply)
-        return group, transport
 
 
 def build_sim_cluster(

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: builders, runner, report, experiments."""
 
 from functools import partial
+from operator import attrgetter
 
 import pytest
 
@@ -84,6 +85,99 @@ class TestRunner:
         assert ExperimentProfile.wan().latency_threshold_s > ExperimentProfile.quick().latency_threshold_s
 
 
+class TestRateLadderWalk:
+    """The one ladder walk, through both callers, over a stub measurement.
+
+    A plan maps each rung's rate to ``(throughput, why it saturates)``,
+    ``None`` for a rung that keeps up.  The stub replaces the caller's
+    measure function, so each search runs with its own saturation
+    predicate and no simulation.
+    """
+
+    @pytest.fixture(params=["find_max_throughput", "find_max_shard_throughput"])
+    def search(self, request, monkeypatch):
+        import repro.bench.runner as runner
+        import repro.bench.shard_bench as shard_bench
+        from repro.bench.runner import RatePointResult
+        from repro.bench.shard_bench import ShardPointConfig, ShardPointResult
+        from repro.metrics.collector import RunSummary
+
+        def run(plan):
+            measured = []
+
+            def rate_point(system, factory, rate, write_ratio, **_):
+                measured.append(rate)
+                throughput, why = plan[rate]
+                summary = RunSummary(
+                    requests_submitted=100,
+                    requests_completed=50 if why == "goodput" else 100,
+                    duration_s=1.0,
+                    throughput_rps=throughput,
+                    median_completion_s=1.0 if why == "latency" else 0.001,
+                    p95_completion_s=0.0,
+                    p99_completion_s=0.0,
+                    read_median_s=0.0,
+                    write_median_s=0.0,
+                )
+                return RatePointResult(system, rate, write_ratio, 9, summary)
+
+            def shard_point(config):
+                measured.append(config.rate_hz)
+                throughput, why = plan[config.rate_hz]
+                return ShardPointResult(
+                    shard_count=config.shard_count,
+                    offered_rate_hz=config.rate_hz,
+                    committed_ops_per_s=throughput,
+                    per_shard_ops_per_s={},
+                    requests_submitted=100,
+                    requests_completed=50 if why else 100,
+                    median_completion_ms=1.0,
+                    txns_started=0,
+                    txns_committed=0,
+                    txns_aborted=0,
+                    read_txns_started=0,
+                    read_txns_completed=0,
+                    linearizable=True,
+                    atomic=True,
+                    isolated=True,
+                    collapsed=why is not None,
+                )
+
+            ladder = tuple(plan)
+            if request.param == "find_max_throughput":
+                monkeypatch.setattr(runner, "run_rate_point", rate_point)
+                profile = ExperimentProfile(rate_ladder=ladder, latency_threshold_s=0.05)
+                best, points = find_max_throughput("stub", None, 0.2, profile=profile)
+                rate = attrgetter("aggregate_rate_hz")
+            else:
+                monkeypatch.setattr(shard_bench, "run_shard_point", shard_point)
+                best, points = shard_bench.find_max_shard_throughput(
+                    ShardPointConfig(), rate_ladder=ladder
+                )
+                rate = attrgetter("offered_rate_hz")
+            assert best in points
+            return rate(best), [rate(point) for point in points], measured
+
+        return run
+
+    def test_stops_at_the_first_saturated_rung(self, search):
+        plan = {1000: (900, None), 2000: (1800, None), 3000: (2000, "latency"), 4000: (2500, None)}
+        _, points, measured = search(plan)
+        assert measured == points == [1000, 2000, 3000]
+
+    def test_returns_the_best_unsaturated_point_and_every_measured_one(self, search):
+        plan = {1000: (950, None), 2000: (900, None), 3000: (2600, "goodput")}
+        best, points, _ = search(plan)
+        assert best == 1000
+        assert points == [1000, 2000, 3000]
+
+    def test_a_saturated_first_rung_is_returned_as_the_best(self, search):
+        plan = {1000: (500, "goodput"), 2000: (1800, None)}
+        best, points, measured = search(plan)
+        assert best == 1000
+        assert points == measured == [1000]
+
+
 class TestPerfTrackingPoints:
     def test_engine_microbench_digest_is_deterministic(self):
         from dataclasses import replace
@@ -97,18 +191,6 @@ class TestPerfTrackingPoints:
         assert first["commit_log_sha256"] == second["commit_log_sha256"]
         assert first["events"] == second["events"] > 2000
 
-    def test_asyncio_smoke_point_answers_requests(self):
-        from dataclasses import replace
-
-        from repro.bench.runner import PERF_POINTS, run_perf_tracking
-
-        point = replace(PERF_POINTS["asyncio-smoke"], asyncio_ops=6, repeats=1)
-        result = run_perf_tracking(point)
-        assert result["requests_completed"] == 6
-        # Real concurrency: no digest, so the CI digest gate is skipped.
-        assert result["commit_log_sha256"] == ""
-        assert result["wall_s"] > 0
-
     def test_empty_digest_skips_the_digest_gate(self, tmp_path):
         from repro.bench.runner import update_perf_report
 
@@ -117,23 +199,6 @@ class TestPerfTrackingPoints:
         update_perf_report(path, "p", dict(base), set_baseline=True)
         entry = update_perf_report(path, "p", dict(base, events_per_s=90))
         assert "commit_logs_match_baseline" not in entry
-
-    def test_profile_perf_point_records_top_functions(self, tmp_path):
-        import json
-        from dataclasses import replace
-
-        from repro.bench.runner import PERF_POINTS, profile_perf_point
-
-        path = str(tmp_path / "report.json")
-        point = replace(PERF_POINTS["engine-microbench"], engine_ops=2000)
-        rows = profile_perf_point(point, "engine-microbench", path, top_n=5)
-        assert 1 <= len(rows) <= 5
-        assert all("cumtime_s" in row for row in rows)
-        with open(path, encoding="utf-8") as fh:
-            report = json.load(fh)
-        assert "engine-microbench" in report["profiles"]
-        # Profiled wall-clock is inflated: it must not create a baseline.
-        assert "engine-microbench" not in report.get("points", {})
 
 
 class TestReport:

@@ -1,9 +1,10 @@
 """Canopus on the asyncio transport: the same protocol code, real concurrency."""
 
 
-from repro.canopus.cluster import CanopusCluster
 from repro.canopus.config import CanopusConfig
 from repro.canopus.messages import ClientRequest, RequestType
+from repro.protocols import build_protocol
+from repro.runtime.asyncio_runtime import AsyncioTopology
 from repro.verify.agreement import check_agreement
 
 
@@ -19,6 +20,13 @@ def asyncio_config(**overrides):
     return CanopusConfig(**defaults)
 
 
+def deploy(rack_map, config, replies):
+    """Canopus through the registry on an asyncio topology over ``rack_map``."""
+    topology = AsyncioTopology(rack_map, seed=config.seed)
+    protocol = build_protocol("canopus", topology, config=config, on_reply=replies.append)
+    return topology, protocol
+
+
 def write(key, value, client="c"):
     return ClientRequest(client_id=client, op=RequestType.WRITE, key=key, value=value)
 
@@ -30,42 +38,42 @@ def read(key, client="c"):
 class TestAsyncioCanopus:
     def test_two_super_leaves_reach_agreement(self):
         replies = []
-        cluster, transport = CanopusCluster.on_asyncio(
+        topology, protocol = deploy(
             {"rack-a": ["a1", "a2", "a3"], "rack-b": ["b1", "b2", "b3"]},
-            config=asyncio_config(),
-            on_reply=replies.append,
+            asyncio_config(),
+            replies,
         )
-        transport.default_latency_s = 0.0005
-        cluster.start()
-        for index, node in enumerate(cluster.nodes.values()):
+        topology.cluster.default_latency_s = 0.0005
+        protocol.start()
+        for index, node in enumerate(protocol.nodes.values()):
             node.submit(write(f"key-{index}", f"value-{index}"))
-        transport.run(transport.settle(timeout_s=10.0, quiescent_rounds=10))
-        transport.run_for(0.2)
-        cluster.stop()
-        transport.close()
-        orders = cluster.committed_orders()
+        topology.cluster.run(topology.cluster.settle(timeout_s=10.0, quiescent_rounds=10))
+        topology.cluster.run_for(0.2)
+        protocol.stop()
+        topology.cluster.close()
+        orders = protocol.committed_logs()
         assert {len(order) for order in orders.values()} == {6}
         ok, message = check_agreement(orders)
         assert ok, message
 
     def test_read_returns_committed_value_over_asyncio(self):
         replies = []
-        cluster, transport = CanopusCluster.on_asyncio(
+        topology, protocol = deploy(
             {"rack-a": ["a1", "a2", "a3"], "rack-b": ["b1", "b2", "b3"]},
-            config=asyncio_config(),
-            on_reply=replies.append,
+            asyncio_config(),
+            replies,
         )
-        cluster.start()
-        first = next(iter(cluster.nodes.values()))
-        last = list(cluster.nodes.values())[-1]
+        protocol.start()
+        first = next(iter(protocol.nodes.values()))
+        last = list(protocol.nodes.values())[-1]
         write_request = write("shared", "42")
         first.submit(write_request)
-        transport.run_for(0.3)
+        topology.cluster.run_for(0.3)
         read_request = read("shared")
         last.submit(read_request)
-        transport.run_for(0.4)
-        cluster.stop()
-        transport.close()
+        topology.cluster.run_for(0.4)
+        protocol.stop()
+        topology.cluster.close()
         reply = next((r for r in replies if r.request_id == read_request.request_id), None)
         assert reply is not None
         assert reply.value == "42"
@@ -73,21 +81,21 @@ class TestAsyncioCanopus:
     def test_wan_latencies_between_super_leaves(self):
         """Super-leaves separated by injected WAN latency still agree."""
         replies = []
-        cluster, transport = CanopusCluster.on_asyncio(
+        topology, protocol = deploy(
             {"dc-ireland": ["ir1", "ir2"], "dc-sydney": ["sy1", "sy2"]},
-            config=asyncio_config(cycle_interval_s=0.05),
-            on_reply=replies.append,
+            asyncio_config(cycle_interval_s=0.05),
+            replies,
         )
         for a in ("ir1", "ir2"):
             for b in ("sy1", "sy2"):
-                transport.set_latency(a, b, 0.05)
-        cluster.start()
-        cluster.nodes["ir1"].submit(write("k", "from-ireland"))
-        cluster.nodes["sy1"].submit(write("k", "from-sydney"))
-        transport.run_for(1.0)
-        cluster.stop()
-        transport.close()
-        orders = cluster.committed_orders()
+                topology.cluster.set_latency(a, b, 0.05)
+        protocol.start()
+        protocol.node("ir1").submit(write("k", "from-ireland"))
+        protocol.node("sy1").submit(write("k", "from-sydney"))
+        topology.cluster.run_for(1.0)
+        protocol.stop()
+        topology.cluster.close()
+        orders = protocol.committed_logs()
         ok, message = check_agreement(orders)
         assert ok, message
         assert {len(order) for order in orders.values()} == {2}

@@ -9,6 +9,11 @@ path, not a top-level file.
 A ROADMAP item is cited by its title, never by its number: items are
 renumbered whenever the ROADMAP is re-anchored.  Scope: ``src/``,
 ``tests/``, ``examples/`` and ``benchmarks/``.
+
+A ``--flag`` written after ``repro.bench.runner`` must be an option of the
+runner's parser.  Scope: the documents above plus the CI workflow and the
+verify skill.  The command runs to the end of its line, or, when it opens
+inside a code span, to the span's closing backtick on a later line.
 """
 
 import pathlib
@@ -20,6 +25,8 @@ NARRATIVE = {"ISSUE.md", "REVIEW.md", "ROADMAP.md", "CHANGES.md"}
 BARE_MARKDOWN_NAME = re.compile(r"(?<![\w/.-])([A-Za-z_][\w-]*\.md)\b")
 #: "ROADMAP", then "item" or "items" and a digit, also across a line break.
 NUMBERED_ROADMAP_ITEM = re.compile(r"ROADMAP\s+items?\s+\d")
+RUNNER = re.compile(r"repro\.bench\.runner\b")
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 
 
 def documents():
@@ -66,3 +73,45 @@ def test_the_roadmap_pattern_takes_numbers_and_leaves_titles():
     numbered = "ROADMAP " + "item 5, and ROADMAP\n    items 3 and 4"
     assert len(NUMBERED_ROADMAP_ITEM.findall(numbered)) == 2
     assert not NUMBERED_ROADMAP_ITEM.search("ROADMAP 'Fault fuzzing on hypothesis'")
+
+
+def runner_flags(text):
+    """``(offset, flag)`` for every ``--flag`` written after ``repro.bench.runner``."""
+    for match in RUNNER.finditer(text):
+        line_start = text.rfind("\n", 0, match.start()) + 1
+        in_code_span = len(re.findall(r"`+", text[line_start:match.start()])) % 2 == 1
+        rest = text[match.end():]
+        end = re.search(r"`|\n\s*\n" if in_code_span else r"\n", rest)
+        command = rest[: end.start()] if end else rest
+        for flag in FLAG.finditer(command):
+            yield match.end() + flag.start(), flag.group(0)
+
+
+def test_every_runner_flag_in_the_docs_is_an_option_of_the_runner():
+    from repro.bench.runner import build_parser
+
+    options = {option for action in build_parser()._actions for option in action.option_strings}
+    paths = [ROOT / ".github/workflows/ci.yml", ROOT / ".claude/skills/verify/SKILL.md"]
+    found, stale = 0, []
+    for path in [*paths, *documents()]:
+        text = path.read_text(encoding="utf-8")
+        for offset, flag in runner_flags(text):
+            found += 1
+            if flag not in options:
+                line_number = text.count("\n", 0, offset) + 1
+                stale.append(f"{path.relative_to(ROOT)}:{line_number}: {flag}")
+    assert found > 10  # the walk found the CI steps and the docs
+    assert not stale, "\n".join(stale)
+
+
+def test_the_flag_pattern_follows_a_code_span_across_lines():
+    text = (
+        "diff with `python -m repro.bench.runner --perf-point sim-hotpath\n"
+        "--profile-diff old.json new.json`; the `--other` flag is not the runner's.\n"
+        "run: python -m repro.bench.runner --perf-point x --fail-below 0.7\n"
+        "run: python -m repro.obs.report --top 5\n"
+        "from repro.bench.runner import main\n"
+        "--set-baseline\n"
+    )
+    flags = [flag for _, flag in runner_flags(text)]
+    assert flags == ["--perf-point", "--profile-diff", "--perf-point", "--fail-below"]
