@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.runtime.base import Runtime
 
@@ -53,7 +53,15 @@ class ReliableBroadcast(abc.ABC):
     a payload before it may deliver it calls ``first_sight(payload)`` when
     the payload arrives.  It may fire for a payload that is never
     delivered, in any order, and not at all where arrival is delivery.
+
+    The owner routes a message to :meth:`on_message` by its class alone:
+    every class an implementation receives must be listed in
+    ``message_types``, and a class missing there is never delivered.
     """
+
+    #: The message classes this implementation receives, for the owner's
+    #: per-type dispatch table.
+    message_types: Tuple[type, ...] = ()
 
     def __init__(
         self,
@@ -92,12 +100,8 @@ class ReliableBroadcast(abc.ABC):
         """
 
     @abc.abstractmethod
-    def handles(self, message: Any) -> bool:
-        """Return True if ``message`` belongs to this broadcast layer."""
-
-    @abc.abstractmethod
     def on_message(self, sender: str, message: Any) -> None:
-        """Process a broadcast-layer message."""
+        """Process a message of one of the ``message_types``."""
 
     @abc.abstractmethod
     def remove_peer(self, peer: str) -> None:
@@ -107,7 +111,3 @@ class ReliableBroadcast(abc.ABC):
         """Add a joined peer to the broadcast group."""
         if peer != self.node_id and peer not in self.peers:
             self.peers.append(peer)
-
-    def _local_deliver(self, origin: str, payload: Any) -> None:
-        self.payloads_delivered += 1
-        self.deliver(origin, payload)

@@ -22,20 +22,19 @@ class IdealBroadcast(ReliableBroadcast):
     the flag is ignored.
     """
 
+    message_types = (BroadcastEnvelope,)
+
     def broadcast(self, payload: Any, agreed: bool = False) -> None:
         envelope = self.next_envelope(payload)
         self.broadcasts_sent += 1
         self.transport.broadcast(self.peers, envelope, envelope.wire_size())
         # Deliver locally right away: the sender trivially has the payload.
-        self._local_deliver(self.node_id, payload)
+        self.payloads_delivered += 1
+        self.deliver(self.node_id, payload)
 
-    def handles(self, message: Any) -> bool:
-        return isinstance(message, BroadcastEnvelope)
-
-    def on_message(self, sender: str, message: Any) -> None:
-        if not isinstance(message, BroadcastEnvelope):
-            return
-        self._local_deliver(message.origin, message.payload)
+    def on_message(self, sender: str, message: BroadcastEnvelope) -> None:
+        self.payloads_delivered += 1
+        self.deliver(message.origin, message.payload)
 
     def remove_peer(self, peer: str) -> None:
         if peer in self.peers:

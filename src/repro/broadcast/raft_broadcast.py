@@ -33,8 +33,24 @@ from repro.runtime.base import Runtime
 __all__ = ["RaftBroadcast"]
 
 
+class _ForwardedBroadcast:
+    """Payload forwarded to the current leader of the sender's group."""
+
+    __slots__ = ("group_id", "payload")
+
+    def __init__(self, group_id: str, payload: Any) -> None:
+        self.group_id = group_id
+        self.payload = payload
+
+    def wire_size(self) -> int:
+        inner = getattr(self.payload, "wire_size", None)
+        return (int(inner()) if callable(inner) else 64) + 24
+
+
 class RaftBroadcast(ReliableBroadcast):
     """One Raft group per super-leaf member, demultiplexed by group id."""
+
+    message_types = RAFT_MESSAGE_TYPES + (_ForwardedBroadcast,)
 
     def __init__(
         self,
@@ -74,18 +90,21 @@ class RaftBroadcast(ReliableBroadcast):
             election_timeout_max_s=self._raft_config.election_timeout_max_s,
             initial_leader=owner,
         )
+        deliver = self.deliver
+
+        def apply(entry: LogEntry) -> None:
+            self.payloads_delivered += 1
+            deliver(owner, entry.command)
+
         node = RaftNode(
             runtime=self.runtime,
             group_id=group_id,
             members=list(members),
-            apply=lambda entry, _owner=owner: self._on_commit(_owner, entry),
+            apply=apply,
             config=config,
         )
         self.groups[owner] = node
         self._by_group_id[group_id] = node
-
-    def _on_commit(self, owner: str, entry: LogEntry) -> None:
-        self._local_deliver(owner, entry.command)
 
     # ------------------------------------------------------------------
     # ReliableBroadcast interface
@@ -104,25 +123,21 @@ class RaftBroadcast(ReliableBroadcast):
                 return
         own_group.propose(payload, acknowledged=not agreed)
 
-    def handles(self, message: Any) -> bool:
-        if isinstance(message, _ForwardedBroadcast):
-            return True
-        return isinstance(message, RAFT_MESSAGE_TYPES) and message.group_id.startswith("slbc:")
-
     def on_message(self, sender: str, message: Any) -> None:
-        if isinstance(message, _ForwardedBroadcast):
-            owner = message.group_id.split(":", 1)[1]
-            group = self.groups.get(owner)
-            if group is not None and group.is_leader:
-                group.propose(message.payload)
-            return
         group = self._by_group_id.get(message.group_id)
-        if group is not None:
-            if self.first_sight is not None and message.__class__ is AppendEntries:
+        if group is None:
+            return
+        cls = message.__class__
+        if cls is AppendEntries:
+            if self.first_sight is not None:
                 for entry in message.entries:
                     if entry.acknowledged:  # the others are delivered on arrival
                         self.first_sight(entry.command)
-            group.on_message(sender, message)
+        elif cls is _ForwardedBroadcast:
+            if group.is_leader:
+                group.propose(message.payload)
+            return
+        group.on_message(sender, message)
 
     def remove_peer(self, peer: str) -> None:
         if peer in self.peers:
@@ -143,17 +158,3 @@ class RaftBroadcast(ReliableBroadcast):
     def stop(self) -> None:
         for group in self.groups.values():
             group.stop()
-
-
-class _ForwardedBroadcast:
-    """Payload forwarded to the current leader of the sender's group."""
-
-    __slots__ = ("group_id", "payload")
-
-    def __init__(self, group_id: str, payload: Any) -> None:
-        self.group_id = group_id
-        self.payload = payload
-
-    def wire_size(self) -> int:
-        inner = getattr(self.payload, "wire_size", None)
-        return (int(inner()) if callable(inner) else 64) + 24

@@ -85,7 +85,10 @@ class FailureDetector:
         self.failure_timeout_s = failure_timeout_s
         self.on_failure = on_failure
         self.on_in_view = on_in_view
-        self._last_seen: Dict[str, float] = {peer: runtime.now() for peer in peers}
+        #: When each peer was last heard from, by any message.  The owner's
+        #: receive path stores into it directly (one dict store per message);
+        #: :meth:`observe` is the same store for everyone else.
+        self.last_seen: Dict[str, float] = {peer: runtime.now() for peer in peers}
         #: ``sent_at`` of the latest heartbeat received from each peer: what
         #: the next heartbeat to that peer echoes.
         self._heard: Dict[str, float] = {}
@@ -127,7 +130,7 @@ class FailureDetector:
         for peer in list(self.peers):
             if peer in self._suspected:
                 continue
-            if now - self._last_seen.get(peer, 0.0) > self.failure_timeout_s:
+            if now - self.last_seen.get(peer, 0.0) > self.failure_timeout_s:
                 self._suspected.add(peer)
                 self.on_failure(peer)
 
@@ -162,7 +165,7 @@ class FailureDetector:
     # ------------------------------------------------------------------
     def observe(self, sender: str) -> None:
         """Record any message from ``sender`` as evidence of liveness."""
-        self._last_seen[sender] = self.runtime.now()
+        self.last_seen[sender] = self.runtime.now()
 
     def handles(self, message: object) -> bool:
         return isinstance(message, Heartbeat)
@@ -189,7 +192,7 @@ class FailureDetector:
 
     def clear(self, peer: str) -> None:
         self._suspected.discard(peer)
-        self._last_seen[peer] = self.runtime.now()
+        self.last_seen[peer] = self.runtime.now()
 
     def add_peer(self, peer: str) -> None:
         """A committed add: ``peer`` may time this node out from now on, and
@@ -206,7 +209,7 @@ class FailureDetector:
         if peer in self.peers:
             self.peers.remove(peer)
         self._suspected.discard(peer)
-        self._last_seen.pop(peer, None)
+        self.last_seen.pop(peer, None)
         self._heard.pop(peer, None)
         self._echoed.pop(peer, None)
         self._report_view(lapsed)

@@ -161,9 +161,9 @@ class CanopusNode:
         self._obs = None
         self._obs_proto = "canopus"
 
-        #: Per-type handler table replacing the delivery isinstance chain;
-        #: anything not listed falls through to the reliable-broadcast
-        #: layer (whose message types depend on the broadcast mode).
+        #: Per-type handler table, the one route a delivery takes: the
+        #: broadcast layer's classes (which depend on the broadcast mode)
+        #: go straight to it.  A class listed nowhere is ignored.
         self._dispatch = {
             ClientRequest: self._on_client_request,
             ProposalRequest: self._on_proposal_request,
@@ -171,7 +171,18 @@ class CanopusNode:
             Proposal: self._on_fetched_proposal,
             Heartbeat: self.failure_detector.on_message,
             JoinRequest: self._on_join_request,
+            **dict.fromkeys(self.broadcast.message_types, self.broadcast.on_message),
         }
+        #: The detector's last-seen map, stored into by :meth:`on_message`.
+        self._last_seen = self.failure_detector.last_seen
+        #: Round r >= 2 merges the children of this node's height-r ancestor
+        #: (a vnode above height 1 always has some): ``(ancestor, children)``
+        #: by round.  The LOT's shape never changes; membership changes only
+        #: the emulation table.
+        self._round_vnodes: Dict[int, Tuple[str, Tuple[str, ...]]] = {}
+        for round_number in range(2, lot.rounds() + 1):
+            ancestor = lot.ancestor_at_height(self.node_id, round_number)
+            self._round_vnodes[round_number] = (ancestor, tuple(lot.children_of(ancestor)))
 
         runtime.set_handler(self.on_message)
 
@@ -226,13 +237,10 @@ class CanopusNode:
         """Single entry point for every message delivered to this node."""
         if self.crashed:
             return
-        self.failure_detector.observe(sender)
-
+        self._last_seen[sender] = self.runtime.now()  # any message is evidence of liveness
         handler = self._dispatch.get(message.__class__)
         if handler is not None:
             handler(sender, message)
-        elif self.broadcast.handles(message):
-            self.broadcast.on_message(sender, message)
         # Unknown messages are ignored (forward compatibility).
 
     # ------------------------------------------------------------------
@@ -505,7 +513,9 @@ class CanopusNode:
             return  # a late or repeated copy: the cycle is decided (maybe pruned)
         if proposal.cycle_id > self.last_started_cycle:
             self._self_synchronize(proposal.cycle_id)
-        state = self._cycle_state(proposal.cycle_id)
+        state = self.cycles.get(proposal.cycle_id)
+        if state is None:
+            state = self._cycle_state(proposal.cycle_id)
         if proposal.round_number == 1:
             if state.record_round1(proposal):
                 self._check_round_completion(state)
@@ -517,7 +527,14 @@ class CanopusNode:
     # ------------------------------------------------------------------
     # Proposal requests (remote super-leaves asking for vnode state)
     # ------------------------------------------------------------------
+    def _pruned(self, cycle_id: int) -> bool:
+        """``cycle_id`` committed here and its state is gone: a message for
+        it must not bring it back, as nothing would complete or prune it."""
+        return cycle_id <= self.last_committed_cycle and cycle_id not in self.cycles
+
     def _on_proposal_request(self, sender: str, request: ProposalRequest) -> None:
+        if self._pruned(request.cycle_id):
+            return
         if request.cycle_id > self.last_started_cycle:
             self._self_synchronize(request.cycle_id)
         state = self._cycle_state(request.cycle_id)
@@ -561,6 +578,8 @@ class CanopusNode:
             self._obs.phase_end(
                 self._obs_proto, "fetch", self.node_id, key=(proposal.cycle_id, proposal.vnode_id)
             )
+        if self._pruned(proposal.cycle_id):
+            return
         if proposal.cycle_id > self.last_started_cycle:
             self._self_synchronize(proposal.cycle_id)
         state = self._cycle_state(proposal.cycle_id)
@@ -595,9 +614,12 @@ class CanopusNode:
                     self._complete_round1(state)
                     progressed = True
             else:
-                ancestor = self.lot.ancestor_at_height(self.node_id, min(round_number, self.lot.height))
-                children = self.lot.children_of(ancestor)
-                if children and all(state.has_vnode_state(child) for child in children):
+                ancestor, children = self._round_vnodes[round_number]
+                vnode_states = state.vnode_states
+                for child in children:
+                    if child not in vnode_states:
+                        break
+                else:
                     self._complete_round(state, round_number, ancestor, children)
                     progressed = True
 
@@ -618,7 +640,9 @@ class CanopusNode:
         self._enter_round(state, 2)
         self._check_round_completion(state)
 
-    def _complete_round(self, state: CycleState, round_number: int, ancestor: str, children: List[str]) -> None:
+    def _complete_round(
+        self, state: CycleState, round_number: int, ancestor: str, children: Tuple[str, ...]
+    ) -> None:
         merged = merge_proposals(
             cycle_id=state.cycle_id,
             round_number=round_number + 1,
@@ -766,31 +790,33 @@ class CanopusNode:
         root_state = state.root_state(root_vnode) or state.root_state(self.parent_vnode)
         requests = root_state.requests if root_state is not None else ()
         now = self.runtime.now()
+        cycle_id = state.cycle_id
 
-        # Apply writes in the agreed total order.
-        written_keys = []
+        # Apply writes in the agreed total order.  Every request is a write:
+        # reads never enter pending_writes, so no proposal carries one.
+        apply_write = self.apply_write
+        pop_sender = self.request_senders.pop
+        send_reply = self._send_reply
         for request in requests:
-            if request.is_write():
-                value = self.apply_write(request)
-                written_keys.append(request.key)
-                self.stats["writes_committed"] += 1
-                sender = self.request_senders.pop(request.request_id, None)
-                if sender is not None:
-                    self._send_reply(sender, request, value, state.cycle_id)
+            value = apply_write(request)
+            sender = pop_sender(request.request_id, None)
+            if sender is not None:
+                send_reply(sender, request, value, cycle_id)
+        self.stats["writes_committed"] += len(requests)
 
         # Write-lease table evolves identically at every node (§7.2).
         if self.config.write_leases:
-            self.leases.observe_committed_writes(state.cycle_id, written_keys)
-            self.leases.prune(state.cycle_id)
+            self.leases.observe_committed_writes(cycle_id, [request.key for request in requests])
+            self.leases.prune(cycle_id)
 
         state.committed = True
-        self.last_committed_cycle = state.cycle_id
-        self.commit_log.append(CommittedCycle(state.cycle_id, tuple(requests), now))
+        self.last_committed_cycle = cycle_id
+        self.commit_log.append(CommittedCycle(cycle_id, tuple(requests), now))
         self.stats["cycles_committed"] += 1
         if self._obs is not None:
-            self._obs.phase_end(self._obs_proto, "cycle", self.node_id, key=state.cycle_id)
+            self._obs.phase_end(self._obs_proto, "cycle", self.node_id, key=cycle_id)
             self._obs.phase_point(
-                self._obs_proto, "commit", self.node_id, key=state.cycle_id,
+                self._obs_proto, "commit", self.node_id, key=cycle_id,
                 request_ids=[request.request_id for request in requests],
             )
 
@@ -800,14 +826,14 @@ class CanopusNode:
             self._apply_membership_updates(root_state.membership_updates)
 
         # Release reads linearized by this commit (§5).
-        for pending in self.linearizer.release_up_to(state.cycle_id):
+        for pending in self.linearizer.release_up_to(cycle_id):
             rid = pending.request.request_id
             if self._obs is not None:
                 self._obs.phase_end(self._obs_proto, "read_delay", self.node_id, key=rid)
-            self._reply_read(pending.sender, pending.request, committed_cycle=state.cycle_id)
+            self._reply_read(pending.sender, pending.request, committed_cycle=cycle_id)
 
         # Keep the cycle map bounded.
-        stale = state.cycle_id - 4 * self.config.max_inflight_cycles
+        stale = cycle_id - 4 * self.config.max_inflight_cycles
         if stale in self.cycles:
             del self.cycles[stale]
 

@@ -14,9 +14,9 @@ from repro.metrics.stats import percentile
 __all__ = ["RequestRecord", "RunSummary", "MetricsCollector"]
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
-    """Lifecycle of one client request."""
+    """Lifecycle of one client request (one per op: slotted, no ``__dict__``)."""
 
     request_id: int
     op: RequestType

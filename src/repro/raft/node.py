@@ -10,9 +10,9 @@ agreement.  A node is a transport-agnostic state machine driven through
 
 Multiple :class:`RaftNode` instances can share one runtime endpoint by
 giving each a distinct ``group_id`` — messages are tagged and the owner
-demultiplexes with :meth:`RaftNode.handles`.  Canopus' super-leaf reliable
-broadcast (:mod:`repro.broadcast.raft_broadcast`) uses this to run one
-group per super-leaf member.
+demultiplexes by that tag (:meth:`RaftNode.handles` tests it).  Canopus'
+super-leaf reliable broadcast (:mod:`repro.broadcast.raft_broadcast`) uses
+this to run one group per super-leaf member.
 """
 
 from __future__ import annotations
@@ -239,9 +239,10 @@ class RaftNode:
         # AppendEntries, and a cancel + re-arm per reset would leave that
         # many dead long timers in the event queue.  The timer is only
         # replaced when the new deadline falls before it.
-        timeout = self.runtime.rng.uniform(
-            self.config.election_timeout_min_s, self.config.election_timeout_max_s
-        )
+        # random.uniform(low, high), spelled out to save its frame: the same
+        # draw from the node's stream, which Canopus proposal numbers share.
+        low = self.config.election_timeout_min_s
+        timeout = low + (self.config.election_timeout_max_s - low) * self.runtime.rng.random()
         self._election_deadline = self.runtime.now() + timeout
         if self._election_timer is not None:
             if self._election_timer_at <= self._election_deadline:
@@ -418,14 +419,29 @@ class RaftNode:
                 self._step_down(message.term)
             self.leader_id = message.leader_id
             self._reset_election_timer()
-            if self.log.matches(message.prev_log_index, message.prev_log_term):
-                for entry in self.log.merge(message.prev_log_index, message.entries):
+            log_entries = self.log._entries  # RaftLog's own list
+            prev_index = message.prev_log_index
+            if prev_index == len(log_entries) and (
+                not prev_index or log_entries[-1].term == message.prev_log_term
+            ):
+                # In step, the steady state: merge would add every entry.
+                added = message.entries
+                log_entries.extend(added)
+            elif self.log.matches(prev_index, message.prev_log_term):
+                added = self.log.merge(prev_index, message.entries)
+            else:
+                # Tell the leader where to resume: nothing past this index
+                # can pass the consistency check.
+                added = None
+                match_index = min(len(log_entries), prev_index - 1)
+            if added is not None:
+                success = True
+                for entry in added:
                     if not entry.acknowledged:
                         self.apply(entry)
-                success = True
-                match_index = message.prev_log_index + len(message.entries)
+                match_index = prev_index + len(message.entries)
                 if message.leader_commit > self.commit_index:
-                    self.commit_index = min(message.leader_commit, self.log.last_index)
+                    self.commit_index = min(message.leader_commit, len(log_entries))
                     self._apply_committed()
                 if not message.probe:
                     # An accepted commit notice or unacknowledged append
@@ -433,10 +449,6 @@ class RaftNode:
                     # one is answered, so the leader resends what this log
                     # is missing.
                     return
-            else:
-                # Tell the leader where to resume: nothing past this index
-                # can pass the consistency check.
-                match_index = min(self.log.last_index, message.prev_log_index - 1)
         reply = AppendEntriesReply(
             group_id=self.group_id,
             term=self.current_term,
@@ -461,7 +473,10 @@ class RaftNode:
         if message.success:
             if message.match_index > self.match_index.get(follower, 0):
                 self.match_index[follower] = message.match_index
-                self._advance_commit_index()
+                # An ack at or below the commit index gives no uncommitted
+                # entry a new replica: nothing can commit.
+                if message.match_index > self.commit_index:
+                    self._advance_commit_index()
         elif message.match_index >= self.match_index.get(follower, 0):
             # next_index ran ahead of what the follower holds (a lost or
             # overtaken entry, or a log that diverged under an older
@@ -478,7 +493,7 @@ class RaftNode:
         if not peers:
             return self._probe_seq
         needed = self.majority() - 1  # peers needed besides the leader itself
-        acked = sorted(self._peer_probe.get(peer, 0) for peer in peers)
+        acked = sorted([self._peer_probe.get(peer, 0) for peer in peers])  # a list: no generator
         return acked[len(acked) - needed]
 
     def _on_probe_ack(self, follower: str, probe: int) -> None:
@@ -523,8 +538,8 @@ class RaftNode:
         for index in range(self.log.last_index, self.commit_index, -1):
             if self.log.term_at(index) != self.current_term:
                 continue
-            replicas = 1 + sum(
-                1 for peer in self.peers() if self.match_index.get(peer, 0) >= index
+            replicas = 1 + len(
+                [peer for peer in self.peers() if self.match_index.get(peer, 0) >= index]
             )
             if replicas >= self.majority():
                 old_commit = self.commit_index
@@ -539,8 +554,10 @@ class RaftNode:
                 break
 
     def _apply_committed(self) -> None:
+        # Re-read per entry: applying may commit more (a one-member group).
+        log_entries = self.log._entries
         while self.last_applied < self.commit_index:
+            entry = log_entries[self.last_applied]  # log index last_applied + 1
             self.last_applied += 1
-            entry = self.log.entry(self.last_applied)
             if entry.acknowledged:  # the others were applied when appended
                 self.apply(entry)

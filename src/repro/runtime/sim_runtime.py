@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.runtime.base import Runtime, Timer, Transport, estimate_size
@@ -60,13 +61,18 @@ class SimRuntime(Runtime):
         self.host = host
         self.node_id = host.name
         self.rng: random.Random = simulator.fork_rng(host.name)
+        #: The clock, read without a Python frame: ``getattr`` bound to the
+        #: event loop's ``_now`` by a C-level ``partial``.  It shadows the
+        #: :meth:`now` method, which says the same in three frames
+        #: (``SimRuntime.now`` -> ``Simulator.now`` -> ``EventLoop.now``).
+        self.now: Callable[[], float] = partial(getattr, simulator.loop, "_now")
         host.set_handler(self._deliver)
         self._handler: Optional[Callable[[str, Any], None]] = None
         self._timer_label = f"timer:{host.name}"
         self._transport = _SimTransport(self)
 
     # ------------------------------------------------------------------
-    def now(self) -> float:
+    def now(self) -> float:  # shadowed per instance; see __init__
         return self.simulator.now
 
     def send(self, dst: str, message: Any, size_bytes: Optional[int] = None) -> None:

@@ -26,9 +26,7 @@ def build_group(mode, member_count=3, seed=11, first_sight=None):
             mode, runtime, names, lambda origin, payload, n=name: delivered[n].append((origin, payload)),
             first_sight,
         )
-        runtime.set_handler(
-            lambda sender, message, b=broadcast: b.on_message(sender, message) if b.handles(message) else None
-        )
+        runtime.set_handler(broadcast.on_message)  # only broadcast traffic flows here
         broadcasts[name] = broadcast
     return sim, network, broadcasts, delivered
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.canopus.messages import NOT_IN_VIEW, MembershipUpdate, Proposal
+from repro.canopus.messages import NOT_IN_VIEW, MembershipUpdate, Proposal, ProposalRequest
 from repro.raft.messages import AppendEntries
 from repro.verify.agreement import check_agreement, check_cycle_agreement
 from tests.helpers import build_canopus_on_sim, fast_config, read, write
@@ -381,6 +381,55 @@ class TestProposerDiesBetweenNotices:
         crash(topology, cluster, victim.node_id)
         sim.run_until(sim.now + 1.5)  # past the detector and past the election
         assert_survivors_agree(cluster, victim)
+
+
+class TestLateMessageForPrunedCycle:
+    """A proposal-request or a fetched state can reach a node after it has
+    committed the cycle and pruned its state.  Such a message must not bring
+    the cycle back: nothing would ever complete or prune it again, and
+    after a peer failure it would re-plan its fetches and retry them for
+    ever.  A committed cycle whose state is still kept is served as before."""
+
+    def _settled(self):
+        sim, topology, cluster, _ = build_canopus_on_sim(config=fast_config(max_inflight_cycles=1))
+        for index in range(12):
+            cluster.nodes["n0-0"].submit(write(f"k{index}", "v"))
+            sim.run_until(sim.now + 0.03)
+        sim.run_until(sim.now + 0.1)
+        node = cluster.nodes["n0-0"]
+        assert node.last_committed_cycle == 12
+        kept = set(node.cycles)
+        assert kept == {9, 10, 11, 12}  # 4 x max_inflight_cycles
+        return sim, topology, cluster, node, kept
+
+    def test_pruned_cycle_stays_pruned_and_fetches_nothing(self):
+        sim, topology, cluster, node, kept = self._settled()
+        node.on_message("n1-0", ProposalRequest(cycle_id=1, vnode_id="1.1", requester="n1-0"))
+        node.on_message("n1-0", Proposal(
+            cycle_id=2, round_number=2, vnode_id="1.2", sender="n1-0", proposal_number=1,
+        ))
+        assert set(node.cycles) == kept
+
+        fetches = []
+
+        def record_fetches(receiver, message):
+            if isinstance(message, ProposalRequest) and message.requester == node.node_id:
+                fetches.append(message.cycle_id)
+            return False  # nothing is held
+
+        hold_at([peer for peer in cluster.nodes.values() if peer is not node], record_fetches)
+        crash(topology, cluster, "n0-1")  # n0-0 inherits n0-1's round-2 fetch of vnode 1.2
+        sim.run_until(sim.now + 1.5)
+        assert "n0-1" not in node.live_members
+        assert fetches == [] and node.stats["fetch_retries"] == 0
+        assert set(node.cycles) <= kept
+
+    def test_kept_committed_cycle_is_still_served(self):
+        sim, _, cluster, node, kept = self._settled()
+        served = node.stats["proposal_requests_served"]
+        node.on_message("n1-0", ProposalRequest(cycle_id=11, vnode_id="1.1", requester="n1-0"))
+        assert node.stats["proposal_requests_served"] == served + 1
+        assert set(node.cycles) == kept
 
 
 class TestReadAtStalledNode:

@@ -642,3 +642,41 @@ class TestCycleBatching:
         # sub-millisecond cycles run back to back here.
         for node in cluster.nodes.values():
             assert node.last_started_cycle > 4 * 0.2 / self.INTERVAL_S
+
+
+class TestDispatchCompleteness:
+    """A delivery reaches a handler only through the node's ``_dispatch``
+    table, and the broadcast layer's classes get there only by being listed
+    in its ``message_types``: a class missing there is dropped silently.
+    So every class that actually arrives at a node must be a key."""
+
+    @pytest.mark.parametrize("mode", ["ideal", "raft"])
+    def test_every_delivered_class_has_a_handler(self, mode):
+        sim, topology, cluster, _ = build_canopus_on_sim(config=fast_config(broadcast_mode=mode))
+        arrived = set()
+        for node in cluster.nodes.values():
+            def handler(sender, message, node=node):
+                arrived.add(message.__class__)
+                node.on_message(sender, message)
+            node.runtime.set_handler(handler)
+        for index, node in enumerate(cluster.nodes.values()):
+            node.submit(write(f"k{index}", "v"))
+        sim.run_until(0.1)
+        # A crash: heartbeats stop, and in raft mode the dead member's group
+        # holds an election among the survivors.
+        topology.network.hosts["n1-2"].fail()
+        cluster.nodes["n1-2"].crash()
+        sim.run_until(1.5)
+        cluster.nodes["n0-0"].submit(write("after", "v"))
+        sim.run_until(2.0)
+
+        node = cluster.nodes["n0-0"]
+        assert [r.key for r in node.committed_requests()][-1] == "after"
+        missing = {cls.__name__ for cls in arrived if cls not in node._dispatch}
+        assert not missing, f"delivered but not dispatched: {sorted(missing)}"
+        broadcast_classes = set(node.broadcast.message_types)
+        assert broadcast_classes & arrived, "no broadcast traffic was seen"
+        if mode == "raft":
+            assert {cls.__name__ for cls in arrived} >= {
+                "AppendEntries", "AppendEntriesReply", "RequestVote", "RequestVoteReply",
+            }

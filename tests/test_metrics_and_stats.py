@@ -148,3 +148,13 @@ class TestCollector:
         collector.record_submit(request)
         collector.reset()
         assert collector.records == {}
+
+    def test_records_are_slotted(self):
+        """One record per op: no per-instance ``__dict__``."""
+        collector = MetricsCollector()
+        request = self.make_request(1.0)
+        collector.record_submit(request)
+        collector.record_reply(self.reply_for(request), completed_at=1.25)
+        record = collector.records[request.request_id]
+        assert not hasattr(record, "__dict__")
+        assert record.completion_time == pytest.approx(0.25)

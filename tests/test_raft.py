@@ -1,6 +1,10 @@
 """Tests for the Raft substrate (log, replication, election)."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.raft.log import LogEntry, RaftLog
 from repro.raft.messages import AppendEntries, AppendEntriesReply
@@ -547,3 +551,123 @@ class TestLeadershipConfirmation:
         leader.confirm_leadership(confirmed.append)
         sim.run_until(0.055 + self.lease_len(leader) + 0.001)
         assert confirmed == [True] and not leader.lease_valid()
+
+
+class _Outbox:
+    """Stands in for a node's transport: keeps what it sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, dst, message, size_bytes=None):
+        self.sent.append(message)
+
+
+class _ReferenceFollower:
+    """A follower's AppendEntries handling from ``RaftLog.matches`` +
+    ``merge`` alone: the general path the in-step append must agree with."""
+
+    def __init__(self):
+        self.log = RaftLog()
+        self.commit_index = 0
+        self.last_applied = 0
+        self.applied = []
+
+    def on_append_entries(self, message, term):
+        if not self.log.matches(message.prev_log_index, message.prev_log_term):
+            match_index = min(self.log.last_index, message.prev_log_index - 1)
+            return (term, "f", False, match_index, message.probe)
+        for entry in self.log.merge(message.prev_log_index, message.entries):
+            if not entry.acknowledged:
+                self.applied.append(entry)
+        if message.leader_commit > self.commit_index:
+            self.commit_index = min(message.leader_commit, self.log.last_index)
+            while self.last_applied < self.commit_index:
+                self.last_applied += 1
+                entry = self.log.entry(self.last_applied)
+                if entry.acknowledged:
+                    self.applied.append(entry)
+        if not message.probe:
+            return None
+        return (term, "f", True, message.prev_log_index + len(message.entries), message.probe)
+
+
+#: How the next AppendEntries relates to the follower's log.
+_KINDS = ("in-step", "overlap", "conflict", "gap", "stale-prev-term", "duplicate")
+
+
+class TestInStepAppendMatchesMerge:
+    """The follower's in-step append (``prev_log_index`` at its last index,
+    ``prev_log_term`` matching) extends the log directly; every outcome —
+    log, applied sequence, reply — must equal the general path's."""
+
+    TERM = 3
+
+    @staticmethod
+    def follower():
+        sim = Simulator(seed=3)
+        network = Network(sim.loop)
+        network.add_switch("sw")
+        for name in ("l", "f"):
+            network.add_host(name)
+            network.add_link(name, "sw", 2e-5, 1e9)
+        applied = []
+        node = RaftNode(SimRuntime(sim, network, network.hosts["f"]), "g", ["l", "f"],
+                        apply=applied.append, config=RaftConfig(initial_leader="l"))
+        node.transport = _Outbox()
+        return node, applied
+
+    @staticmethod
+    def next_message(data, reference, sent, commands):
+        log = reference.log
+        last = log.last_index
+        kind = data.draw(st.sampled_from(_KINDS if sent else _KINDS[:-1]))
+        if kind == "duplicate":
+            return data.draw(st.sampled_from(sent))
+        if kind == "gap":
+            prev = last + data.draw(st.integers(1, 2))
+            prev_term = data.draw(st.integers(0, TestInStepAppendMatchesMerge.TERM))
+        else:
+            prev = last if kind in ("in-step", "stale-prev-term") else data.draw(st.integers(0, last))
+            prev_term = log.term_at(prev)
+            if kind == "stale-prev-term":
+                if prev == 0:
+                    prev, prev_term = 1, 1  # nothing to match yet: a gap at index 1
+                else:
+                    prev_term += data.draw(st.integers(1, 2))
+        start = prev + 1
+        entries = []
+        if kind == "overlap":  # copies of entries the log already holds, then new ones
+            entries = [log.entry(index) for index in range(start, last + 1)]
+        for _ in range(data.draw(st.integers(0 if entries else 1, 3))):
+            index = start + len(entries)
+            if kind == "conflict" and index <= last:
+                term = log.term_at(index) + 1
+            else:  # terms never fall along a log
+                term = max(entries[-1].term if entries else log.term_at(min(prev, last)), 1)
+            entries.append(LogEntry(term, index, next(commands), data.draw(st.booleans())))
+        leader_commit = data.draw(st.integers(0, start + len(entries)))
+        probe = data.draw(st.sampled_from((0, 0, 1, 2)))
+        return AppendEntries("g", TestInStepAppendMatchesMerge.TERM, "l", prev, prev_term,
+                             tuple(entries), leader_commit, probe)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_same_log_applied_sequence_and_replies(self, data):
+        node, applied = self.follower()
+        reference = _ReferenceFollower()
+        commands = itertools.count()
+        sent = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            message = self.next_message(data, reference, sent, commands)
+            sent.append(message)
+            node.transport.sent.clear()
+            node.on_message("l", message)
+            expected = reference.on_append_entries(message, self.TERM)
+            replies = [(r.term, r.follower_id, r.success, r.match_index, r.probe)
+                       for r in node.transport.sent]
+            assert replies == ([] if expected is None else [expected])
+            assert node.log.entries_from(1) == reference.log.entries_from(1)
+            assert applied == reference.applied
+            assert (node.commit_index, node.last_applied) == (
+                reference.commit_index, reference.last_applied)
