@@ -18,9 +18,9 @@ from repro.sim.topology import build_single_datacenter
 from repro.verify.agreement import check_agreement
 
 
-def submit_write(cluster, node_id, key, value):
+def submit_write(protocol, node_id, key, value):
     request = ClientRequest(client_id="ops", op=RequestType.WRITE, key=key, value=value)
-    cluster.nodes[node_id].submit(request)
+    protocol.submit(request, node_id=node_id)
     return request
 
 
@@ -38,40 +38,37 @@ def main() -> None:
         fetch_timeout_s=0.2,
     )
     protocol = build_protocol("canopus", topology, config=config)
-    cluster = protocol.cluster
     protocol.start()
 
     print("Phase 1: healthy cluster commits a write")
-    submit_write(cluster, "n0-0", "phase-1", "all nodes alive")
+    submit_write(protocol, "n0-0", "phase-1", "all nodes alive")
     simulator.run_until(1.0)
-    print("  committed on n2-2:", committed_keys(cluster.nodes["n2-2"]))
+    print("  committed on n2-2:", committed_keys(protocol.nodes["n2-2"]))
 
     print("\nPhase 2: crash one node (n1-2) — consensus continues without it")
-    topology.network.hosts["n1-2"].fail()
-    cluster.nodes["n1-2"].crash()
+    protocol.crash("n1-2")
     simulator.run_until(2.0)  # failure detector notices
-    submit_write(cluster, "n0-0", "phase-2", "one node down")
+    submit_write(protocol, "n0-0", "phase-2", "one node down")
     simulator.run_until(3.5)
-    survivors = {nid: node for nid, node in cluster.nodes.items() if nid != "n1-2"}
-    print("  committed on n1-0:", committed_keys(cluster.nodes["n1-0"]))
+    survivors = {nid: node for nid, node in protocol.nodes.items() if nid != "n1-2"}
+    print("  committed on n1-0:", committed_keys(protocol.nodes["n1-0"]))
     print("  n1-2 still listed as live by its peers?",
-          "n1-2" in cluster.nodes["n1-0"].live_members)
+          "n1-2" in protocol.nodes["n1-0"].live_members)
     ok, message = check_agreement({nid: node.committed_order() for nid, node in survivors.items()})
     print(f"  agreement among survivors: {ok} ({message})")
 
     print("\nPhase 3: crash the whole rack-2 super-leaf — consensus stalls safely")
     for node_id in ("n2-0", "n2-1", "n2-2"):
-        topology.network.hosts[node_id].fail()
-        cluster.nodes[node_id].crash()
-    submit_write(cluster, "n0-0", "phase-3", "rack down")
+        protocol.crash(node_id)
+    submit_write(protocol, "n0-0", "phase-3", "rack down")
     simulator.run_until(6.0)
-    committed_after = committed_keys(cluster.nodes["n0-0"])
+    committed_after = committed_keys(protocol.nodes["n0-0"])
     print("  committed on n0-0:", committed_after)
     print("  phase-3 write committed?", "phase-3" in committed_after,
           "(expected False: the protocol stalls rather than risking divergence)")
     ok, message = check_agreement({
         nid: node.committed_order()
-        for nid, node in cluster.nodes.items()
+        for nid, node in protocol.nodes.items()
         if not nid.startswith("n2-")
     })
     print(f"  agreement still holds among live nodes: {ok}")

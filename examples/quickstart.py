@@ -28,15 +28,14 @@ def main() -> None:
     replies = []
     config = CanopusConfig(broadcast_mode="raft", pipelining=False)
     protocol = build_protocol("canopus", topology, config=config, on_reply=replies.append)
-    cluster = protocol.cluster
     protocol.start()
 
-    print("LOT overlay:", cluster.lot)
-    for name, leaf in cluster.lot.super_leaves.items():
+    print("LOT overlay:", protocol.lot)
+    for name, leaf in protocol.lot.super_leaves.items():
         print(f"  super-leaf {name}: members={leaf.members} parent vnode={leaf.parent_vnode}")
 
     # 3. Submit writes to different nodes, concurrently.
-    nodes = list(cluster.nodes.values())
+    nodes = list(protocol.nodes.values())
     for index, node in enumerate(nodes):
         request = ClientRequest(
             client_id=f"client-{index}",

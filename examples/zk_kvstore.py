@@ -29,7 +29,7 @@ def main() -> None:
     system.protocol.set_on_reply(replies.append)
     system.start()
 
-    nodes = list(system.cluster.nodes.values())
+    nodes = list(system.protocol.nodes.values())
 
     # Writes arrive at different replicas, as they would from different
     # application servers; Canopus orders them into one log.

@@ -22,13 +22,12 @@ benchmark every performance claim is judged on.
 
 __version__ = "1.1.0"
 
-from repro.canopus import CanopusCluster, CanopusConfig, CanopusNode
+from repro.canopus import CanopusConfig, CanopusNode
 from repro.canopus.messages import ClientReply, ClientRequest, RequestType
 from repro.protocols import ConsensusProtocol, build_protocol, registered_protocols
 
 __all__ = [
     "__version__",
-    "CanopusCluster",
     "CanopusConfig",
     "CanopusNode",
     "ClientRequest",

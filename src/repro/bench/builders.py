@@ -58,11 +58,6 @@ class SystemUnderTest:
     protocol: ConsensusProtocol
     stores: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def cluster(self) -> Any:
-        """The protocol's underlying cluster (node-level access)."""
-        return self.protocol.cluster
-
     def start(self) -> None:
         self.protocol.start()
 

@@ -16,8 +16,10 @@ The package implements the full protocol described in §4–§7 of the paper:
   (§7.2).
 * :mod:`repro.canopus.membership` — emulation-table maintenance and the
   join/leave protocol (§4.6).
-* :mod:`repro.canopus.cluster` — helpers that wire a set of nodes onto a
-  topology or an asyncio cluster.
+
+Node placement (one node per server host, one super-leaf per rack, §3) is
+not part of the protocol core: the ``canopus`` and ``zkcanopus`` registry
+factories in :mod:`repro.protocols.canopus` decide it.
 """
 
 from repro.canopus.config import CanopusConfig
@@ -30,7 +32,6 @@ from repro.canopus.messages import (
     RequestType,
 )
 from repro.canopus.node import CanopusNode
-from repro.canopus.cluster import CanopusCluster, build_sim_cluster
 
 __all__ = [
     "CanopusConfig",
@@ -43,6 +44,4 @@ __all__ = [
     "ProposalRequest",
     "RequestType",
     "CanopusNode",
-    "CanopusCluster",
-    "build_sim_cluster",
 ]

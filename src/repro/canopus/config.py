@@ -59,8 +59,6 @@ class CanopusConfig:
     #: Reliable-broadcast implementation: "raft" (§4.3) or "ideal" (ToR
     #: hardware-assisted atomic broadcast).
     broadcast_mode: str = "raft"
-    #: Random seed offset for proposal-number streams.
-    seed: int = 0
 
     def failure_timeout_s(self) -> float:
         return self.heartbeat_interval_s * self.failure_timeout_multiplier

@@ -9,14 +9,12 @@ pre-accept/accept/commit phases, fast path on non-interfering commands —
 with those same knobs.
 """
 
-from repro.epaxos.node import EPaxosConfig, EPaxosNode, EPaxosCluster, build_epaxos_sim_cluster
+from repro.epaxos.node import EPaxosConfig, EPaxosNode
 from repro.epaxos.messages import Accept, AcceptOK, Commit, InstanceId, PreAccept, PreAcceptOK
 
 __all__ = [
     "EPaxosConfig",
     "EPaxosNode",
-    "EPaxosCluster",
-    "build_epaxos_sim_cluster",
     "InstanceId",
     "PreAccept",
     "PreAcceptOK",

@@ -23,15 +23,14 @@ thrifty off).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.canopus.messages import ClientReply, ClientRequest, RequestType
 from repro.epaxos.messages import Accept, AcceptOK, Commit, InstanceId, PreAccept, PreAcceptOK
 from repro.runtime.base import Runtime, Timer
-from repro.sim.topology import Topology
 
-__all__ = ["EPaxosConfig", "EPaxosNode", "EPaxosCluster", "build_epaxos_sim_cluster"]
+__all__ = ["EPaxosConfig", "EPaxosNode"]
 
 #: Shared empty dependency set: at 0% interference every instance carries
 #: it, so one interned object serves the whole run.
@@ -101,7 +100,6 @@ class EPaxosNode:
         runtime: Runtime,
         replicas: Sequence[str],
         config: Optional[EPaxosConfig] = None,
-        apply_command: Optional[Callable[[ClientRequest], Optional[str]]] = None,
         on_reply: Optional[Callable[[ClientReply], None]] = None,
     ) -> None:
         self.runtime = runtime
@@ -114,7 +112,6 @@ class EPaxosNode:
         self.on_reply = on_reply
 
         self._store: Dict[str, str] = {}
-        self.apply_command = apply_command or self._default_apply
 
         self.instances: Dict[InstanceId, _Instance] = {}
         self.next_slot = 0
@@ -465,10 +462,10 @@ class EPaxosNode:
         if instance.status == "executed":
             return
         instance.status = "executed"
-        apply_command = self.apply_command
+        apply = self._apply
         reads = 0
         for command in instance.commands:
-            value = apply_command(command)
+            value = apply(command)
             if command.op is RequestType.READ:
                 reads += 1
             if reply_to_clients:
@@ -492,7 +489,7 @@ class EPaxosNode:
         stats["reads_served"] += reads
 
     # ------------------------------------------------------------------
-    def _default_apply(self, command: ClientRequest) -> Optional[str]:
+    def _apply(self, command: ClientRequest) -> Optional[str]:
         if command.is_write():
             self._store[command.key] = command.value or ""
             return command.value
@@ -511,40 +508,3 @@ class EPaxosNode:
             if instance.status == "executed":
                 ids.extend(command.request_id for command in instance.commands)
         return ids
-
-
-@dataclass
-class EPaxosCluster:
-    """A set of EPaxos replicas."""
-
-    nodes: Dict[str, EPaxosNode] = field(default_factory=dict)
-    config: EPaxosConfig = field(default_factory=EPaxosConfig)
-
-    def start(self) -> None:
-        for node in self.nodes.values():
-            node.start()
-
-    def stop(self) -> None:
-        for node in self.nodes.values():
-            node.stop()
-
-    def node(self, node_id: str) -> EPaxosNode:
-        return self.nodes[node_id]
-
-    def node_ids(self) -> List[str]:
-        return list(self.nodes.keys())
-
-
-def build_epaxos_sim_cluster(
-    topology: Topology,
-    config: Optional[EPaxosConfig] = None,
-    on_reply: Optional[Callable[[ClientReply], None]] = None,
-) -> EPaxosCluster:
-    """Place one EPaxos replica on every server host of ``topology``."""
-    config = config or EPaxosConfig()
-    replicas = topology.server_hosts
-    cluster = EPaxosCluster(config=config)
-    for node_id in replicas:
-        runtime = topology.make_runtime(node_id)
-        cluster.nodes[node_id] = EPaxosNode(runtime, replicas, config=config, on_reply=on_reply)
-    return cluster

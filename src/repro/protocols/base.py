@@ -5,6 +5,7 @@ with the number of protocols it can place on the same topology and drive
 with the same workload.  :class:`ConsensusProtocol` is that shared contract:
 
 * lifecycle — :meth:`ConsensusProtocol.start` / :meth:`ConsensusProtocol.stop`,
+  and :meth:`ConsensusProtocol.crash` to crash-stop one replica,
 * client intake — :meth:`ConsensusProtocol.submit`; replies flow back
   through each node's ``on_reply`` callback and over the network to the
   submitting client host,
@@ -17,11 +18,12 @@ with the same workload.  :class:`ConsensusProtocol` is that shared contract:
   :meth:`ConsensusProtocol.committed_log` and
   :meth:`ConsensusProtocol.is_healthy`.
 
-Concrete protocols are thin adapters wrapping the existing node/cluster
-implementations (:mod:`repro.canopus`, :mod:`repro.epaxos`,
-:mod:`repro.zab`, :mod:`repro.raft`); the benchmark harness, workload
-generator and examples only ever see this interface plus the registry in
-:mod:`repro.protocols.registry`.
+Concrete protocols are thin adapters over the node implementations
+(:mod:`repro.canopus`, :mod:`repro.epaxos`, :mod:`repro.zab`,
+:mod:`repro.raft`); each registry factory places its protocol's nodes on
+the topology and hands them to its adapter.  The benchmark harness,
+workload generator and examples only ever see this interface plus the
+registry in :mod:`repro.protocols.registry`.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ __all__ = ["ConsensusProtocol"]
 class ConsensusProtocol(abc.ABC):
     """One consensus protocol deployed on the server hosts of a topology.
 
-    Adapters wrap a *cluster* object exposing ``nodes`` (a mapping from
-    node id to protocol node), ``start()`` and ``stop()`` — which all four
-    existing cluster classes already do — and add the introspection the
+    The adapter owns its nodes: ``nodes`` maps node id to protocol node in
+    placement order, and every node offers ``start()``, ``stop()``,
+    ``crash()`` and ``submit()``.  Subclasses add the introspection the
     harness and the conformance suite rely on.
     """
 
@@ -54,9 +56,10 @@ class ConsensusProtocol(abc.ABC):
     #: (Canopus §5 read-by-delay, EPaxos read commands).
     read_modes: Dict[str, str] = {"replicated": "linearizable"}
 
-    def __init__(self, topology: Topology, cluster: Any, stores: Optional[Dict[str, Any]] = None) -> None:
+    def __init__(self, topology: Topology, nodes: Dict[str, Any], stores: Optional[Dict[str, Any]] = None) -> None:
         self.topology = topology
-        self.cluster = cluster
+        #: Node id -> protocol node, in placement order.
+        self.nodes = nodes
         #: Per-node replicated state machines, when the protocol exposes them.
         self.stores: Dict[str, Any] = stores or {}
         self._read_mode = next(iter(self.read_modes))
@@ -65,10 +68,24 @@ class ConsensusProtocol(abc.ABC):
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        self.cluster.start()
+        for node in self.nodes.values():
+            node.start()
 
     def stop(self) -> None:
-        self.cluster.stop()
+        for node in self.nodes.values():
+            node.stop()
+
+    def crash(self, node_id: str) -> None:
+        """Crash-stop replica ``node_id``.
+
+        On the simulator its host fails first, so nothing more leaves or
+        reaches it, and then the node stops; on a substrate without a
+        simulated network (asyncio) only the node stops.
+        """
+        network = getattr(self.topology, "network", None)
+        if network is not None:
+            network.hosts[node_id].fail()
+        self.nodes[node_id].crash()
 
     # ------------------------------------------------------------------
     # Client intake
@@ -109,15 +126,11 @@ class ConsensusProtocol(abc.ABC):
     # ------------------------------------------------------------------
     # Topology of the deployment
     # ------------------------------------------------------------------
-    @property
-    def nodes(self) -> Dict[str, Any]:
-        return self.cluster.nodes
-
     def node(self, node_id: str) -> Any:
-        return self.cluster.nodes[node_id]
+        return self.nodes[node_id]
 
     def node_ids(self) -> List[str]:
-        return list(self.cluster.nodes.keys())
+        return list(self.nodes)
 
     # ------------------------------------------------------------------
     # Observability
@@ -170,7 +183,7 @@ class ConsensusProtocol(abc.ABC):
 
     def is_healthy(self) -> bool:
         """True while every replica is alive (not crash-stopped)."""
-        return all(not getattr(node, "crashed", False) for node in self.nodes.values())
+        return not any(node.crashed for node in self.nodes.values())
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r} nodes={len(self.nodes)}>"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.canopus.messages import ClientReply
-from repro.epaxos.node import EPaxosCluster, EPaxosConfig, build_epaxos_sim_cluster
+from repro.epaxos.node import EPaxosConfig, EPaxosNode
 from repro.protocols.base import ConsensusProtocol
 from repro.protocols.registry import register_protocol
 from repro.sim.topology import Topology
@@ -17,8 +17,6 @@ class EPaxosProtocol(ConsensusProtocol):
     """EPaxos with configurable batching; every replica is a command leader."""
 
     name = "epaxos"
-
-    cluster: EPaxosCluster
 
     def committed_log(self, node_id: str) -> List[int]:
         return self.node(node_id).executed_commands()
@@ -34,5 +32,10 @@ def build_epaxos(
     config: Optional[EPaxosConfig] = None,
     on_reply: Optional[Callable[[ClientReply], None]] = None,
 ) -> EPaxosProtocol:
-    cluster = build_epaxos_sim_cluster(topology, config=config or EPaxosConfig(), on_reply=on_reply)
-    return EPaxosProtocol(topology, cluster)
+    config = config or EPaxosConfig()
+    replicas = topology.server_hosts
+    nodes = {
+        node_id: EPaxosNode(topology.make_runtime(node_id), replicas, config=config, on_reply=on_reply)
+        for node_id in replicas
+    }
+    return EPaxosProtocol(topology, nodes)

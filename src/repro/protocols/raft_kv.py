@@ -3,9 +3,9 @@
 This module is the template for adding a protocol to the comparison: it is
 one self-contained file that (a) builds a client-facing node out of an
 existing state machine (:class:`repro.raft.node.RaftNode`, which Canopus
-already uses for its super-leaf broadcast), (b) wraps the nodes in a
-:class:`ConsensusProtocol` adapter, and (c) registers a factory under a
-string key.  Nothing in :mod:`repro.bench` or :mod:`repro.workload` knows
+already uses for its super-leaf broadcast), (b) hands one node per server
+host to a :class:`ConsensusProtocol` adapter, and (c) registers a factory
+under a string key.  Nothing in :mod:`repro.bench` or :mod:`repro.workload` knows
 it exists, yet ``build_protocol("raft", topology)`` and every experiment,
 conformance test and determinism check work against it unchanged.
 
@@ -53,7 +53,7 @@ from repro.raft.node import RaftConfig, RaftNode
 from repro.runtime.base import Runtime
 from repro.sim.topology import Topology
 
-__all__ = ["READ_MODES", "RaftKVConfig", "RaftKVNode", "RaftKVCluster", "RaftKVProtocol", "build_raft_kv"]
+__all__ = ["READ_MODES", "RaftKVConfig", "RaftKVNode", "RaftKVProtocol", "build_raft_kv"]
 
 _GROUP_ID = "raft-kv"
 
@@ -358,22 +358,6 @@ class RaftKVNode:
         return [request.request_id for request in self.committed]
 
 
-@dataclass
-class RaftKVCluster:
-    """One Raft group spanning every server host."""
-
-    nodes: Dict[str, RaftKVNode]
-    config: RaftKVConfig
-
-    def start(self) -> None:
-        for node in self.nodes.values():
-            node.start()
-
-    def stop(self) -> None:
-        for node in self.nodes.values():
-            node.stop()
-
-
 class RaftKVProtocol(ConsensusProtocol):
     """Adapter exposing the Raft KV service through the shared contract."""
 
@@ -381,13 +365,11 @@ class RaftKVProtocol(ConsensusProtocol):
 
     read_modes = READ_MODES
 
-    cluster: RaftKVCluster
-
     def committed_log(self, node_id: str) -> List[int]:
         return self.node(node_id).committed_order()
 
     def leader_id(self) -> str:
-        return self.cluster.nodes[next(iter(self.cluster.nodes))].members[0]
+        return next(iter(self.nodes.values())).members[0]
 
     def _apply_read_mode(self, mode: str) -> None:
         for node in self.nodes.values():
@@ -406,14 +388,12 @@ def build_raft_kv(
 ) -> RaftKVProtocol:
     config = config or RaftKVConfig()
     servers = topology.server_hosts
-    if not servers:
-        raise ValueError("topology has no server hosts")
     nodes: Dict[str, RaftKVNode] = {}
     for node_id in servers:
         runtime = topology.make_runtime(node_id)
         nodes[node_id] = RaftKVNode(runtime, servers, config=config, on_reply=on_reply)
-    cluster = RaftKVCluster(nodes=nodes, config=config)
-    protocol = RaftKVProtocol(topology, cluster)
-    protocol.stores = {node_id: node.store for node_id, node in nodes.items()}
+    protocol = RaftKVProtocol(
+        topology, nodes, stores={node_id: node.store for node_id, node in nodes.items()}
+    )
     protocol.set_read_mode(config.read_mode)
     return protocol

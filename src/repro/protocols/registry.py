@@ -129,4 +129,6 @@ def build_protocol(
             f"protocol {name!r} expects a {spec.config_cls.__name__} config, "
             f"got {type(config).__name__}"
         )
+    if not topology.server_hosts:
+        raise ValueError(f"cannot deploy protocol {name!r}: the topology has no server hosts")
     return spec.factory(topology, config=config, on_reply=on_reply)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.canopus.messages import ClientReply
 from repro.protocols.base import ConsensusProtocol
 from repro.protocols.registry import register_protocol
 from repro.sim.topology import Topology
-from repro.zab.node import ZabCluster, ZabConfig, build_zab_sim_cluster
+from repro.zab.node import ZabConfig, ZabNode, ZabRole
 
 __all__ = ["ZooKeeperProtocol"]
 
@@ -24,13 +24,13 @@ class ZooKeeperProtocol(ConsensusProtocol):
     #: which the comparison does not model.
     read_modes = {"local": "sequential"}
 
-    cluster: ZabCluster
+    def __init__(self, topology: Topology, nodes: Dict[str, ZabNode], leader_id: str) -> None:
+        super().__init__(topology, nodes, stores={node_id: node.store for node_id, node in nodes.items()})
+        #: The ensemble's one leader (Zab's election is not modelled).
+        self.leader_id = leader_id
 
     def committed_log(self, node_id: str) -> List[int]:
         return [request.request_id for request in self.node(node_id).committed_requests]
-
-    def leader_id(self) -> str:
-        return self.cluster.leader_id
 
 
 @register_protocol(
@@ -44,6 +44,30 @@ def build_zookeeper(
     config: Optional[ZabConfig] = None,
     on_reply: Optional[Callable[[ClientReply], None]] = None,
 ) -> ZooKeeperProtocol:
-    cluster = build_zab_sim_cluster(topology, config=config or ZabConfig(), on_reply=on_reply)
-    stores = {node_id: node.store for node_id, node in cluster.nodes.items()}
-    return ZooKeeperProtocol(topology, cluster, stores=stores)
+    """The first server host leads, the next ``follower_count`` hosts are
+    voting followers and the rest observe — the paper's ZooKeeper
+    configuration (§8.1.2)."""
+    config = config or ZabConfig()
+    servers = topology.server_hosts
+    leader_id = servers[0]
+    followers = servers[1 : config.follower_count + 1]
+    observers = servers[config.follower_count + 1 :]
+    nodes: Dict[str, ZabNode] = {}
+    for node_id in servers:
+        runtime = topology.make_runtime(node_id)
+        if node_id == leader_id:
+            role = ZabRole.LEADER
+        elif node_id in followers:
+            role = ZabRole.FOLLOWER
+        else:
+            role = ZabRole.OBSERVER
+        nodes[node_id] = ZabNode(
+            runtime,
+            role=role,
+            leader_id=leader_id,
+            followers=followers,
+            observers=observers,
+            config=config,
+            on_reply=on_reply,
+        )
+    return ZooKeeperProtocol(topology, nodes, leader_id)

@@ -9,15 +9,13 @@ asynchronously, and every replica (leader, follower or observer) answers
 read requests from its local copy of the data tree.
 """
 
-from repro.zab.node import ZabConfig, ZabNode, ZabCluster, ZabRole, build_zab_sim_cluster
+from repro.zab.node import ZabConfig, ZabNode, ZabRole
 from repro.zab.messages import ZabAck, ZabCommit, ZabInform, ZabProposal, WriteForward
 
 __all__ = [
     "ZabConfig",
     "ZabNode",
-    "ZabCluster",
     "ZabRole",
-    "build_zab_sim_cluster",
     "ZabProposal",
     "ZabAck",
     "ZabCommit",

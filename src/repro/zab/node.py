@@ -19,17 +19,16 @@ demonstrates and ZKCanopus removes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.canopus.messages import ClientReply, ClientRequest
 from repro.kvstore.persistence import PersistenceModel, StorageDevice
 from repro.kvstore.store import KVStore
 from repro.runtime.base import Runtime, Timer
-from repro.sim.topology import Topology
 from repro.zab.messages import WriteForward, ZabAck, ZabCommit, ZabInform, ZabProposal
 
-__all__ = ["ZabRole", "ZabConfig", "ZabNode", "ZabCluster", "build_zab_sim_cluster"]
+__all__ = ["ZabRole", "ZabConfig", "ZabNode"]
 
 
 class ZabRole(enum.Enum):
@@ -299,68 +298,3 @@ class ZabNode:
             self.on_reply(reply)
         if sender and sender != self.node_id:
             self.transport.send(sender, reply, reply.wire_size())
-
-
-@dataclass
-class ZabCluster:
-    """A ZooKeeper ensemble: one leader, voting followers, observers."""
-
-    nodes: Dict[str, ZabNode] = field(default_factory=dict)
-    leader_id: str = ""
-    config: ZabConfig = field(default_factory=ZabConfig)
-
-    def start(self) -> None:
-        for node in self.nodes.values():
-            node.start()
-
-    def stop(self) -> None:
-        for node in self.nodes.values():
-            node.stop()
-
-    def node(self, node_id: str) -> ZabNode:
-        return self.nodes[node_id]
-
-    def node_ids(self) -> List[str]:
-        return list(self.nodes.keys())
-
-    def leader(self) -> ZabNode:
-        return self.nodes[self.leader_id]
-
-
-def build_zab_sim_cluster(
-    topology: Topology,
-    config: Optional[ZabConfig] = None,
-    on_reply: Optional[Callable[[ClientReply], None]] = None,
-) -> ZabCluster:
-    """Place a ZooKeeper ensemble on the server hosts of ``topology``.
-
-    The first server host becomes the leader, the next ``follower_count``
-    hosts become voting followers, and the remainder are observers —
-    matching the paper's ZooKeeper configuration (§8.1.2).
-    """
-    config = config or ZabConfig()
-    servers = topology.server_hosts
-    if not servers:
-        raise ValueError("topology has no server hosts")
-    leader_id = servers[0]
-    voting = servers[: min(len(servers), config.follower_count + 1)]
-    observers = servers[len(voting):]
-    cluster = ZabCluster(leader_id=leader_id, config=config)
-    for node_id in servers:
-        runtime = topology.make_runtime(node_id)
-        if node_id == leader_id:
-            role = ZabRole.LEADER
-        elif node_id in voting:
-            role = ZabRole.FOLLOWER
-        else:
-            role = ZabRole.OBSERVER
-        cluster.nodes[node_id] = ZabNode(
-            runtime,
-            role=role,
-            leader_id=leader_id,
-            followers=[n for n in voting if n != leader_id],
-            observers=observers,
-            config=config,
-            on_reply=on_reply,
-        )
-    return cluster

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.canopus.cluster import CanopusCluster, build_sim_cluster
 from repro.canopus.config import CanopusConfig
 from repro.canopus.messages import ClientReply, ClientRequest, RequestType
+from repro.protocols import build_protocol
+from repro.protocols.canopus import CanopusProtocol
 from repro.sim.engine import Simulator
 from repro.sim.topology import Topology, build_single_datacenter
 
@@ -30,14 +31,14 @@ def build_canopus_on_sim(
     racks: int = 3,
     config: Optional[CanopusConfig] = None,
     seed: int = 9,
-) -> Tuple[Simulator, Topology, CanopusCluster, List[ClientReply]]:
-    """A Canopus cluster on the single-DC topology with a reply sink."""
+) -> Tuple[Simulator, Topology, CanopusProtocol, List[ClientReply]]:
+    """A started Canopus deployment on the single-DC topology with a reply sink."""
     simulator = Simulator(seed=seed)
     topology = build_single_datacenter(simulator, nodes_per_rack=nodes_per_rack, racks=racks)
     replies: List[ClientReply] = []
-    cluster = build_sim_cluster(topology, config=config or fast_config(), on_reply=replies.append)
-    cluster.start()
-    return simulator, topology, cluster, replies
+    protocol = build_protocol("canopus", topology, config=config or fast_config(), on_reply=replies.append)
+    protocol.start()
+    return simulator, topology, protocol, replies
 
 
 def write(key: str, value: str, client: str = "client") -> ClientRequest:
@@ -46,7 +47,3 @@ def write(key: str, value: str, client: str = "client") -> ClientRequest:
 
 def read(key: str, client: str = "client") -> ClientRequest:
     return ClientRequest(client_id=client, op=RequestType.READ, key=key)
-
-
-def committed_orders(cluster: CanopusCluster) -> Dict[str, List[int]]:
-    return {node_id: node.committed_order() for node_id, node in cluster.nodes.items()}

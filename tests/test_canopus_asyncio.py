@@ -22,7 +22,7 @@ def asyncio_config(**overrides):
 
 def deploy(rack_map, config, replies):
     """Canopus through the registry on an asyncio topology over ``rack_map``."""
-    topology = AsyncioTopology(rack_map, seed=config.seed)
+    topology = AsyncioTopology(rack_map)
     protocol = build_protocol("canopus", topology, config=config, on_reply=replies.append)
     return topology, protocol
 

@@ -9,60 +9,54 @@ from tests.helpers import build_canopus_on_sim, fast_config, read, write
 from tests.test_raft import is_notice
 
 
-def crash(topology, cluster, node_id):
-    """Crash-stop a node at both the protocol and the network level."""
-    topology.network.hosts[node_id].fail()
-    cluster.nodes[node_id].crash()
-
-
 class TestSingleNodeFailure:
     def test_consensus_continues_after_one_node_crashes(self):
         config = fast_config(broadcast_mode="raft", heartbeat_interval_s=0.02)
-        sim, topology, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
         # Commit something with everyone alive first.
-        cluster.nodes["n0-0"].submit(write("before", "1"))
+        protocol.nodes["n0-0"].submit(write("before", "1"))
         sim.run_until(1.0)
-        crash(topology, cluster, "n1-2")
+        protocol.crash("n1-2")
         sim.run_until(2.0)  # let the failure detector fire
-        cluster.nodes["n0-0"].submit(write("after", "2"))
+        protocol.nodes["n0-0"].submit(write("after", "2"))
         sim.run_until(4.0)
-        survivors = {nid: node for nid, node in cluster.nodes.items() if nid != "n1-2"}
+        survivors = {nid: node for nid, node in protocol.nodes.items() if nid != "n1-2"}
         for node in survivors.values():
             keys = [r.key for r in node.committed_requests()]
             assert keys == ["before", "after"]
 
     def test_failed_peer_is_removed_from_live_view(self):
         config = fast_config(broadcast_mode="raft", heartbeat_interval_s=0.02)
-        sim, topology, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        cluster.nodes["n0-0"].submit(write("warmup", "x"))
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        protocol.nodes["n0-0"].submit(write("warmup", "x"))
         sim.run_until(1.0)
-        crash(topology, cluster, "n1-2")
+        protocol.crash("n1-2")
         sim.run_until(2.0)
-        cluster.nodes["n0-0"].submit(write("post", "y"))
+        protocol.nodes["n0-0"].submit(write("post", "y"))
         sim.run_until(4.0)
         for peer_id in ("n1-0", "n1-1"):
-            assert "n1-2" not in cluster.nodes[peer_id].live_members
+            assert "n1-2" not in protocol.nodes[peer_id].live_members
 
     def test_membership_update_propagates_to_all_emulation_tables(self):
         config = fast_config(broadcast_mode="raft", heartbeat_interval_s=0.02)
-        sim, topology, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        cluster.nodes["n0-0"].submit(write("warmup", "x"))
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        protocol.nodes["n0-0"].submit(write("warmup", "x"))
         sim.run_until(1.0)
-        crash(topology, cluster, "n1-2")
+        protocol.crash("n1-2")
         sim.run_until(2.0)
         # Two more cycles so the membership change is carried and applied.
-        cluster.nodes["n0-0"].submit(write("carry", "y"))
+        protocol.nodes["n0-0"].submit(write("carry", "y"))
         sim.run_until(3.5)
-        cluster.nodes["n2-0"].submit(write("settle", "z"))
+        protocol.nodes["n2-0"].submit(write("settle", "z"))
         sim.run_until(5.0)
         applied_anywhere = any(
             MembershipUpdate(action="delete", node_id="n1-2", super_leaf="rack-1") in node.membership.applied
-            for node in cluster.nodes.values()
+            for node in protocol.nodes.values()
             if node.node_id != "n1-2"
         )
         assert applied_anywhere
         # Every node that applied the update no longer lists n1-2 as an emulator.
-        for node in cluster.nodes.values():
+        for node in protocol.nodes.values():
             if node.node_id == "n1-2":
                 continue
             if any(update.node_id == "n1-2" for update in node.membership.applied):
@@ -70,13 +64,13 @@ class TestSingleNodeFailure:
 
     def test_crashed_node_does_not_commit_new_requests(self):
         config = fast_config(broadcast_mode="raft", heartbeat_interval_s=0.02)
-        sim, topology, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        cluster.nodes["n0-0"].submit(write("before", "1"))
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        protocol.nodes["n0-0"].submit(write("before", "1"))
         sim.run_until(1.0)
-        crash(topology, cluster, "n2-2")
-        cluster.nodes["n0-0"].submit(write("after", "2"))
+        protocol.crash("n2-2")
+        protocol.nodes["n0-0"].submit(write("after", "2"))
         sim.run_until(3.0)
-        dead_keys = [r.key for r in cluster.nodes["n2-2"].committed_requests()]
+        dead_keys = [r.key for r in protocol.nodes["n2-2"].committed_requests()]
         assert "after" not in dead_keys
 
 
@@ -84,15 +78,15 @@ class TestRepresentativeFailure:
     def test_surviving_representative_still_fetches_remote_state(self):
         """Redundant fetching (§4.5): kill one of the two representatives."""
         config = fast_config(broadcast_mode="raft", heartbeat_interval_s=0.02, redundant_fetches=2)
-        sim, topology, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        cluster.nodes["n0-0"].submit(write("warmup", "x"))
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        protocol.nodes["n0-0"].submit(write("warmup", "x"))
         sim.run_until(1.0)
-        crash(topology, cluster, "n0-0")  # n0-0 is a representative of rack-0
+        protocol.crash("n0-0")  # n0-0 is a representative of rack-0
         sim.run_until(2.0)
-        cluster.nodes["n0-2"].submit(write("after-rep-crash", "y"))
+        protocol.nodes["n0-2"].submit(write("after-rep-crash", "y"))
         sim.run_until(5.0)
         for node_id in ("n0-1", "n0-2"):
-            keys = [r.key for r in cluster.nodes[node_id].committed_requests()]
+            keys = [r.key for r in protocol.nodes[node_id].committed_requests()]
             assert "after-rep-crash" in keys
 
 
@@ -101,35 +95,35 @@ class TestSuperLeafFailure:
         """If every node of a super-leaf dies, live nodes stall (§6) rather
         than returning a result."""
         config = fast_config(broadcast_mode="raft", heartbeat_interval_s=0.02, fetch_timeout_s=0.1)
-        sim, topology, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        cluster.nodes["n0-0"].submit(write("before", "1"))
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        protocol.nodes["n0-0"].submit(write("before", "1"))
         sim.run_until(1.0)
-        committed_before = cluster.nodes["n0-0"].last_committed_cycle
+        committed_before = protocol.nodes["n0-0"].last_committed_cycle
         for node_id in ("n1-0", "n1-1", "n1-2"):
-            crash(topology, cluster, node_id)
-        cluster.nodes["n0-0"].submit(write("stalled-write", "2"))
+            protocol.crash(node_id)
+        protocol.nodes["n0-0"].submit(write("stalled-write", "2"))
         sim.run_until(4.0)
-        for node_id, node in cluster.nodes.items():
+        for node_id, node in protocol.nodes.items():
             if node_id.startswith("n1-"):
                 continue
             keys = [r.key for r in node.committed_requests()]
             assert "stalled-write" not in keys
         # No survivor committed anything beyond what was already committed
         # plus at most the cycle that was in flight before the crash.
-        assert cluster.nodes["n0-0"].last_committed_cycle <= committed_before + 1
+        assert protocol.nodes["n0-0"].last_committed_cycle <= committed_before + 1
 
     def test_agreement_holds_even_while_stalled(self):
         config = fast_config(broadcast_mode="raft", heartbeat_interval_s=0.02, fetch_timeout_s=0.1)
-        sim, topology, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        cluster.nodes["n0-0"].submit(write("before", "1"))
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        protocol.nodes["n0-0"].submit(write("before", "1"))
         sim.run_until(1.0)
         for node_id in ("n2-0", "n2-1", "n2-2"):
-            crash(topology, cluster, node_id)
-        cluster.nodes["n0-1"].submit(write("maybe", "2"))
+            protocol.crash(node_id)
+        protocol.nodes["n0-1"].submit(write("maybe", "2"))
         sim.run_until(3.0)
         orders = {
             node_id: node.committed_order()
-            for node_id, node in cluster.nodes.items()
+            for node_id, node in protocol.nodes.items()
             if not node_id.startswith("n2-")
         }
         ok, message = check_agreement(orders)
@@ -185,8 +179,8 @@ class TestCrashUnderLoad:
     )
     def test_survivors_keep_committing(self, victim, moment):
         config = fast_config(broadcast_mode="raft")
-        sim, topology, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        survivors = [node for node_id, node in cluster.nodes.items() if node_id != victim]
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        survivors = [node for node_id, node in protocol.nodes.items() if node_id != victim]
 
         def submit(index: int) -> None:
             survivors[index % len(survivors)].submit(write(f"k{index}", "v"))
@@ -196,10 +190,10 @@ class TestCrashUnderLoad:
             sim.schedule(index * self.WRITE_EVERY_S, lambda index=index: submit(index))
 
         sim.run_until(0.5)
-        while not moment(cluster.nodes[victim]):
+        while not moment(protocol.nodes[victim]):
             assert sim.now < 0.6, f"{victim} never reached the crash moment"
             sim.run_until(sim.now + 0.00002)
-        crash(topology, cluster, victim)
+        protocol.crash(victim)
         sim.run_until(self.LOAD_UNTIL_S - 0.5)
         midway = {node.node_id: node.last_committed_cycle for node in survivors}
         sim.run_until(self.LOAD_UNTIL_S + 0.5)
@@ -217,23 +211,23 @@ class TestCrashUnderLoad:
         view, so the survivors must take over the victim's share then and
         there: nothing re-plans round 2 when round 1 later completes."""
         config = fast_config(broadcast_mode="raft")
-        sim, topology, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        rack = [cluster.nodes[node_id] for node_id in ("n0-0", "n0-1", "n0-2")]
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        rack = [protocol.nodes[node_id] for node_id in ("n0-0", "n0-1", "n0-2")]
         for node in rack:
             node.submit(write(f"from-{node.node_id}", "v"))
         assert all(node.cycles[1].current_round == 1 for node in rack)
         victim = next(node for node in rack if node.cycles[1].fetches)
         survivors = [node for node in rack if node is not victim]
-        crash(topology, cluster, victim.node_id)
+        protocol.crash(victim.node_id)
         for node in survivors:
             node._on_peer_failure(victim.node_id)
 
         assert all(node.cycles[1].current_round == 1 for node in survivors)
-        required = set(cluster.lot.required_vnodes(victim.node_id, 2))
+        required = set(protocol.lot.required_vnodes(victim.node_id, 2))
         asked = set().union(*(node.cycles[1].fetches for node in survivors))
         assert asked == required
         sim.run_until(1.0)
-        for node in cluster.nodes.values():
+        for node in protocol.nodes.values():
             if node is not victim:
                 committed = {request.key for request in node.committed_requests()}
                 assert {f"from-{survivor.node_id}" for survivor in survivors} <= committed, node.node_id
@@ -265,13 +259,13 @@ def five_per_rack(**overrides):
     """Five members a rack: one peer of four is a strict minority.  The
     fetch retry timer is out of reach, so it cannot be what rescues a test."""
     config = fast_config(broadcast_mode="raft", fetch_timeout_s=30.0, **overrides)
-    sim, topology, cluster, _ = build_canopus_on_sim(nodes_per_rack=5, racks=3, config=config)
-    rack = [cluster.nodes[f"n0-{index}"] for index in range(5)]
-    return sim, topology, cluster, rack
+    sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=5, racks=3, config=config)
+    rack = [protocol.nodes[f"n0-{index}"] for index in range(5)]
+    return sim, protocol, rack
 
 
-def assert_survivors_agree(cluster, victim):
-    survivors = [node for node in cluster.nodes.values() if node is not victim]
+def assert_survivors_agree(protocol, victim):
+    survivors = [node for node in protocol.nodes.values() if node is not victim]
     for node in survivors:
         assert node.last_committed_cycle >= 1, f"{node.node_id} stalled in cycle 1"
     # Cycle by cycle, not as a flat order: a cycle that committed empty at
@@ -300,8 +294,8 @@ class TestRepresentativeDiesMidSend:
     @pytest.mark.parametrize("pipelining", [False, True], ids=["batched", "pipelined"])
     @pytest.mark.parametrize("inheritor_holds", [True, False], ids=["holder", "non-holder"])
     def test_survivors_finish_the_cycle(self, inheritor_holds, pipelining):
-        sim, topology, cluster, rack = five_per_rack(pipelining=pipelining)
-        lot, live = cluster.lot, {node.node_id for node in rack}
+        sim, protocol, rack = five_per_rack(pipelining=pipelining)
+        lot, live = protocol.lot, {node.node_id for node in rack}
         (victim,) = [node for node in rack if node.node_id == rack[0].representatives(1)[0]]
         (vnode,) = [v for v, fetchers in lot.fetch_plan(victim.node_id, 2, 1, live, 2, 1).items()
                     if victim.node_id in fetchers]
@@ -316,13 +310,13 @@ class TestRepresentativeDiesMidSend:
         rack[1].submit(write("k", "v"))
         while not (1 in lucky.cycles and lucky.cycles[1].has_vnode_state(vnode)):
             assert sim.loop.step() and sim.now < 0.01
-        crash(topology, cluster, victim.node_id)
+        protocol.crash(victim.node_id)
         crashed_at = sim.now
         holders = [node for node in survivors if node.cycles[1].has_vnode_state(vnode)]
         assert holders == [lucky]
 
         sim.run_until(crashed_at + self.SETTLED_S)
-        assert_survivors_agree(cluster, victim)
+        assert_survivors_agree(protocol, victim)
         duty = inheritor.cycles[1].fetches[vnode]
         # A holder answers from what it has; a non-holder asks an emulator.
         assert duty.satisfied and (duty.emulator == "") == inheritor_holds
@@ -330,7 +324,7 @@ class TestRepresentativeDiesMidSend:
 
 class TestVoidProposerDiesMidSend:
     def test_members_that_counted_the_void_copy_and_members_that_did_not_agree(self):
-        sim, topology, cluster, rack = five_per_rack()
+        sim, protocol, rack = five_per_rack()
         victim, lucky = rack[4], rack[:2]
         survivors = rack[:4]
         hold_at(survivors, lambda receiver, message: receiver not in ("n0-0", "n0-1") and entry_from(
@@ -340,12 +334,12 @@ class TestVoidProposerDiesMidSend:
         while not all(victim.node_id in node.cycles[1].round1_proposals for node in lucky):
             assert sim.loop.step() and sim.now < 0.01
         assert victim.cycles[1].round1_proposals[victim.node_id].is_void()
-        crash(topology, cluster, victim.node_id)
+        protocol.crash(victim.node_id)
         counted = [victim.node_id in node.cycles[1].round1_proposals for node in survivors]
         assert counted == [True, True, False, False]
 
         sim.run_until(sim.now + 0.25)
-        assert_survivors_agree(cluster, victim)
+        assert_survivors_agree(protocol, victim)
         states = [node.cycles[1].vnode_state(node.parent_vnode) for node in survivors]
         assert all((s.requests, s.proposal_number) == (states[0].requests, states[0].proposal_number)
                    for s in states)
@@ -370,7 +364,7 @@ class TestProposerDiesBetweenNotices:
         "with itself on main'",
     )
     def test_survivors_agree_on_the_dead_proposers_requests(self):
-        sim, topology, cluster, rack = five_per_rack()
+        sim, protocol, rack = five_per_rack()
         victim, survivors = rack[0], rack[1:]
         told = rack[1:3]
         hold_at(survivors, lambda receiver, message: receiver in ("n0-3", "n0-4")
@@ -378,9 +372,9 @@ class TestProposerDiesBetweenNotices:
         victim.submit(write("k", "v"))
         while not all(1 in node.cycles and victim.node_id in node.cycles[1].round1_proposals for node in told):
             assert sim.loop.step() and sim.now < 0.01
-        crash(topology, cluster, victim.node_id)
+        protocol.crash(victim.node_id)
         sim.run_until(sim.now + 1.5)  # past the detector and past the election
-        assert_survivors_agree(cluster, victim)
+        assert_survivors_agree(protocol, victim)
 
 
 class TestLateMessageForPrunedCycle:
@@ -391,19 +385,19 @@ class TestLateMessageForPrunedCycle:
     ever.  A committed cycle whose state is still kept is served as before."""
 
     def _settled(self):
-        sim, topology, cluster, _ = build_canopus_on_sim(config=fast_config(max_inflight_cycles=1))
+        sim, _, protocol, _ = build_canopus_on_sim(config=fast_config(max_inflight_cycles=1))
         for index in range(12):
-            cluster.nodes["n0-0"].submit(write(f"k{index}", "v"))
+            protocol.nodes["n0-0"].submit(write(f"k{index}", "v"))
             sim.run_until(sim.now + 0.03)
         sim.run_until(sim.now + 0.1)
-        node = cluster.nodes["n0-0"]
+        node = protocol.nodes["n0-0"]
         assert node.last_committed_cycle == 12
         kept = set(node.cycles)
         assert kept == {9, 10, 11, 12}  # 4 x max_inflight_cycles
-        return sim, topology, cluster, node, kept
+        return sim, protocol, node, kept
 
     def test_pruned_cycle_stays_pruned_and_fetches_nothing(self):
-        sim, topology, cluster, node, kept = self._settled()
+        sim, protocol, node, kept = self._settled()
         node.on_message("n1-0", ProposalRequest(cycle_id=1, vnode_id="1.1", requester="n1-0"))
         node.on_message("n1-0", Proposal(
             cycle_id=2, round_number=2, vnode_id="1.2", sender="n1-0", proposal_number=1,
@@ -417,15 +411,15 @@ class TestLateMessageForPrunedCycle:
                 fetches.append(message.cycle_id)
             return False  # nothing is held
 
-        hold_at([peer for peer in cluster.nodes.values() if peer is not node], record_fetches)
-        crash(topology, cluster, "n0-1")  # n0-0 inherits n0-1's round-2 fetch of vnode 1.2
+        hold_at([peer for peer in protocol.nodes.values() if peer is not node], record_fetches)
+        protocol.crash("n0-1")  # n0-0 inherits n0-1's round-2 fetch of vnode 1.2
         sim.run_until(sim.now + 1.5)
         assert "n0-1" not in node.live_members
         assert fetches == [] and node.stats["fetch_retries"] == 0
         assert set(node.cycles) <= kept
 
     def test_kept_committed_cycle_is_still_served(self):
-        sim, _, cluster, node, kept = self._settled()
+        sim, protocol, node, kept = self._settled()
         served = node.stats["proposal_requests_served"]
         node.on_message("n1-0", ProposalRequest(cycle_id=11, vnode_id="1.1", requester="n1-0"))
         assert node.stats["proposal_requests_served"] == served + 1
@@ -474,30 +468,30 @@ class TestReadAtStalledNode:
         return reply
 
     def _cluster_with_k_old(self):
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=fast_config())
-        cluster.nodes["n0-0"].submit(write("k", "old"))
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=fast_config())
+        protocol.nodes["n0-0"].submit(write("k", "old"))
         sim.run_until(0.05)
-        assert all(node.last_committed_cycle == 1 for node in cluster.nodes.values())
-        return sim, cluster, replies
+        assert all(node.last_committed_cycle == 1 for node in protocol.nodes.values())
+        return sim, protocol, replies
 
-    def _ack_k_new(self, sim, cluster, replies):
+    def _ack_k_new(self, sim, protocol, replies):
         request = write("k", "new")
-        cluster.nodes["n0-1"].submit(request)
+        protocol.nodes["n0-1"].submit(request)
         sim.run_until(sim.now + 0.3)
         (ack,) = [reply for reply in replies if reply.request_id == request.request_id]
         return ack.committed_cycle
 
     def test_frozen_mid_cycle(self):
-        sim, cluster, replies = self._cluster_with_k_old()
-        victim = cluster.nodes["n2-1"]
-        cluster.nodes["n0-0"].submit(write("x", "1"))
+        sim, protocol, replies = self._cluster_with_k_old()
+        victim = protocol.nodes["n2-1"]
+        protocol.nodes["n0-0"].submit(write("x", "1"))
         while victim.last_started_cycle < 2:
             sim.loop.step()
         inbox = self._freeze(victim)
         # Cycle 2 has the victim's proposal; cycle 3 waits for it, times the
         # victim out and commits without it.
         sim.run_until(sim.now + 0.03)
-        assert self._ack_k_new(sim, cluster, replies) == 3
+        assert self._ack_k_new(sim, protocol, replies) == 3
         assert (victim.last_started_cycle, victim.last_committed_cycle) == (2, 1)
 
         self._thaw(victim)
@@ -511,13 +505,13 @@ class TestReadAtStalledNode:
     def test_frozen_while_idle_then_self_synchronised(self):
         """The in-flight cycle was started after the thaw, by a queued
         message: its age says nothing about whether the node is in view."""
-        sim, cluster, replies = self._cluster_with_k_old()
-        victim = cluster.nodes["n2-1"]
+        sim, protocol, replies = self._cluster_with_k_old()
+        victim = protocol.nodes["n2-1"]
         inbox = self._freeze(victim)
-        cluster.nodes["n0-0"].submit(write("x", "1"))
+        protocol.nodes["n0-0"].submit(write("x", "1"))
         sim.run_until(sim.now + 0.3)
-        assert "n2-1" not in cluster.nodes["n2-0"].live_members
-        assert self._ack_k_new(sim, cluster, replies) == 3
+        assert "n2-1" not in protocol.nodes["n2-0"].live_members
+        assert self._ack_k_new(sim, protocol, replies) == 3
         assert victim.last_started_cycle == 1
 
         self._thaw(victim)
@@ -530,9 +524,9 @@ class TestReadAtStalledNode:
 
     def test_short_freeze_keeps_the_in_flight_release(self):
         """Inside the lease nobody can have excluded the node."""
-        sim, cluster, replies = self._cluster_with_k_old()
-        victim = cluster.nodes["n2-1"]
-        cluster.nodes["n0-0"].submit(write("x", "1"))
+        sim, protocol, replies = self._cluster_with_k_old()
+        victim = protocol.nodes["n2-1"]
+        protocol.nodes["n0-0"].submit(write("x", "1"))
         while victim.last_started_cycle < 2:
             sim.loop.step()
         inbox = self._freeze(victim)
@@ -546,4 +540,4 @@ class TestReadAtStalledNode:
         sim.run_until(sim.now + 0.5)
         (reply,) = [reply for reply in replies if reply.request_id == request.request_id]
         assert reply.committed_cycle == 2
-        assert all("n2-1" in cluster.nodes[peer].live_members for peer in ("n2-0", "n2-2"))
+        assert all("n2-1" in protocol.nodes[peer].live_members for peer in ("n2-0", "n2-2"))

@@ -12,7 +12,7 @@ from repro.raft.messages import AppendEntries, AppendEntriesReply
 from repro.sim.engine import Simulator
 from repro.verify.agreement import check_agreement
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
-from tests.helpers import build_canopus_on_sim, committed_orders, fast_config, read, write
+from tests.helpers import build_canopus_on_sim, fast_config, read, write
 
 
 def run_27_nodes_at_40k():
@@ -36,16 +36,16 @@ def run_27_nodes_at_40k():
 
 class TestSingleSuperLeaf:
     def test_one_write_commits_on_every_node(self):
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=1)
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=1)
+        node = next(iter(protocol.nodes.values()))
         node.submit(write("k", "v"))
         sim.run_until(1.0)
-        for member in cluster.nodes.values():
+        for member in protocol.nodes.values():
             assert [r.key for r in member.committed_requests()] == ["k"]
 
     def test_write_reply_sent_once_committed(self):
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=1)
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=1)
+        node = next(iter(protocol.nodes.values()))
         request = write("k", "v")
         node.submit(request)
         sim.run_until(1.0)
@@ -55,8 +55,8 @@ class TestSingleSuperLeaf:
         assert reply.committed_cycle is not None
 
     def test_requests_from_same_node_keep_arrival_order(self):
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=1)
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=1)
+        node = next(iter(protocol.nodes.values()))
         for i in range(5):
             node.submit(write(f"k{i}", str(i)))
         sim.run_until(1.0)
@@ -66,31 +66,31 @@ class TestSingleSuperLeaf:
 
 class TestMultiSuperLeafAgreement:
     def test_all_nodes_commit_identical_order(self):
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        for index, node in enumerate(cluster.nodes.values()):
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        for index, node in enumerate(protocol.nodes.values()):
             node.submit(write(f"key-{index}", f"value-{index}"))
         sim.run_until(2.0)
-        orders = committed_orders(cluster)
+        orders = protocol.committed_logs()
         lengths = {len(order) for order in orders.values()}
         assert lengths == {9}
         ok, message = check_agreement(orders)
         assert ok, message
 
     def test_agreement_with_raft_broadcast(self):
-        sim, _, cluster, _ = build_canopus_on_sim(
+        sim, _, protocol, _ = build_canopus_on_sim(
             nodes_per_rack=3, racks=3, config=fast_config(broadcast_mode="raft")
         )
-        for index, node in enumerate(cluster.nodes.values()):
+        for index, node in enumerate(protocol.nodes.values()):
             node.submit(write(f"key-{index}", f"value-{index}"))
         sim.run_until(2.0)
-        orders = committed_orders(cluster)
+        orders = protocol.committed_logs()
         assert {len(order) for order in orders.values()} == {9}
         ok, message = check_agreement(orders)
         assert ok, message
 
     def test_multiple_cycles_preserve_total_order_prefix(self):
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        nodes = list(cluster.nodes.values())
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        nodes = list(protocol.nodes.values())
         nodes[0].submit(write("first", "1"))
         sim.run_until(1.0)
         nodes[5].submit(write("second", "2"))
@@ -100,21 +100,21 @@ class TestMultiSuperLeafAgreement:
             assert keys == ["first", "second"]
 
     def test_agreement_under_concurrent_load(self):
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        nodes = list(cluster.nodes.values())
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        nodes = list(protocol.nodes.values())
         for round_index in range(4):
             for node_index, node in enumerate(nodes):
                 node.submit(write(f"r{round_index}-n{node_index}", "x"))
             sim.run_until((round_index + 1) * 0.5)
         sim.run_until(4.0)
-        orders = committed_orders(cluster)
+        orders = protocol.committed_logs()
         assert {len(order) for order in orders.values()} == {36}
         ok, message = check_agreement(orders)
         assert ok, message
 
     def test_throughput_stats_update(self):
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = next(iter(protocol.nodes.values()))
         node.submit(write("k", "v"))
         sim.run_until(1.0)
         assert node.stats["writes_committed"] == 1
@@ -124,17 +124,17 @@ class TestMultiSuperLeafAgreement:
 class TestSelfSynchronization:
     def test_idle_super_leaves_join_the_cycle(self):
         """A cycle triggered on one super-leaf drags the idle ones along (§4.4)."""
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        first_node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        first_node = next(iter(protocol.nodes.values()))
         first_node.submit(write("solo", "x"))
         sim.run_until(2.0)
-        for node in cluster.nodes.values():
+        for node in protocol.nodes.values():
             assert node.last_committed_cycle >= 1
             assert [r.key for r in node.committed_requests()] == ["solo"]
 
     def test_cycles_start_in_sequence_never_skip(self):
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        nodes = list(cluster.nodes.values())
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        nodes = list(protocol.nodes.values())
         for i in range(3):
             nodes[i].submit(write(f"k{i}", "v"))
             sim.run_until((i + 1) * 0.4)
@@ -147,8 +147,8 @@ class TestSelfSynchronization:
 
 class TestReads:
     def test_read_returns_previously_committed_value(self):
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        nodes = list(cluster.nodes.values())
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        nodes = list(protocol.nodes.values())
         nodes[0].submit(write("color", "blue"))
         sim.run_until(1.0)
         read_request = read("color")
@@ -158,8 +158,8 @@ class TestReads:
         assert reply.value == "blue"
 
     def test_read_is_delayed_until_the_cycle_in_flight_commits(self):
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = next(iter(protocol.nodes.values()))
         node.submit(write("other", "x"))
         assert node.last_started_cycle == 1 and node.last_committed_cycle == 0
         read_request = read("anything")
@@ -170,8 +170,8 @@ class TestReads:
         assert reply.committed_cycle == 1 and node.last_started_cycle == 1
 
     def test_read_sees_write_submitted_before_it_on_same_node(self):
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = next(iter(protocol.nodes.values()))
         node.submit(write("x", "42"))
         read_request = read("x")
         node.submit(read_request)
@@ -181,18 +181,18 @@ class TestReads:
 
     def test_reads_are_not_disseminated(self):
         """Read requests never appear in any node's commit log (§5)."""
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        nodes = list(cluster.nodes.values())
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        nodes = list(protocol.nodes.values())
         nodes[0].submit(write("k", "v"))
         nodes[1].submit(read("k"))
         nodes[2].submit(read("k"))
         sim.run_until(2.0)
-        for node in cluster.nodes.values():
+        for node in protocol.nodes.values():
             assert all(r.is_write() for r in node.committed_requests())
 
     def test_reads_served_stat_counts(self):
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = next(iter(protocol.nodes.values()))
         node.submit(read("a"))
         node.submit(read("b"))
         sim.run_until(2.0)
@@ -210,8 +210,8 @@ class TestReadRelease:
     def test_read_after_a_remote_ack_is_released_by_the_cycle_in_flight(self):
         """Real-time order across racks.  ``n2-1`` hears everything 2 ms late,
         so when ``n0-0`` acknowledges the write ``n2-1`` is still in cycle 1."""
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        writer, reader = cluster.nodes["n0-0"], cluster.nodes["n2-1"]
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        writer, reader = protocol.nodes["n0-0"], protocol.nodes["n2-1"]
         reader.runtime.set_handler(
             lambda sender, message: sim.schedule(0.002, lambda: reader.on_message(sender, message))
         )
@@ -234,8 +234,8 @@ class TestReadRelease:
 
     def test_read_behind_the_same_clients_unproposed_write_waits_for_it(self):
         """Per-client FIFO: write-then-read from one client, no waiting between."""
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node = cluster.nodes["n1-1"]
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = protocol.nodes["n1-1"]
         node.submit(write("k", "old", client="someone-else"))
         assert node.last_started_cycle == 1  # in flight; what follows is queued
         own_write = write("k", "new", client="c1")
@@ -255,8 +255,8 @@ class TestReadRelease:
     def test_read_at_an_idle_node_is_answered_at_once(self):
         """The commit of ``last_started_cycle`` is behind the node: nothing to
         wait for, and no cycle is started on the read's account."""
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node = cluster.nodes["n0-1"]
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = protocol.nodes["n0-1"]
         node.submit(write("k", "v"))
         sim.run_until(0.005)
         assert node.last_committed_cycle == node.last_started_cycle == 1
@@ -266,14 +266,14 @@ class TestReadRelease:
         assert reply.value == "v" and reply.completed_at == sim.now
         assert reply.committed_cycle == node.last_committed_cycle == 1
         sim.run_until(0.1)
-        assert all(member.last_started_cycle == 1 for member in cluster.nodes.values())
+        assert all(member.last_started_cycle == 1 for member in protocol.nodes.values())
         assert node.linearizer.reads_buffered == 0
 
     def test_idle_read_behind_the_same_clients_write_waits_for_the_tick_and_the_cycle(self):
         """Per-client FIFO at an idle node: the write is queued for the
         batching tick, so the read behind it is released by cycle c+1."""
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node = cluster.nodes["n1-1"]
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = protocol.nodes["n1-1"]
         node.submit(write("k", "old", client="someone-else"))
         sim.run_until(0.005)
         assert node.last_committed_cycle == node.last_started_cycle == 1
@@ -295,14 +295,14 @@ class TestReadRelease:
         cannot have acknowledged the write without ``n2-1``'s round-1
         proposal, so ``n2-1`` has started that cycle: the read is released
         by it, at once if it has already committed there."""
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        writer, reader = cluster.nodes["n0-0"], cluster.nodes["n2-1"]
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        writer, reader = protocol.nodes["n0-0"], protocol.nodes["n2-1"]
         writer.submit(write("k", "old"))
         sim.run_until(0.05)
         for delayed in (False, True):
             if delayed:  # the writer's rack hears everything 1 ms late: it acknowledges last
                 for node_id in ("n0-0", "n0-1", "n0-2"):
-                    node = cluster.nodes[node_id]
+                    node = protocol.nodes[node_id]
                     node.runtime.set_handler(
                         lambda sender, message, node=node: sim.schedule(
                             0.001, lambda: node.on_message(sender, message)
@@ -327,8 +327,8 @@ class TestReadRelease:
     def test_answered_reads_leave_nothing_behind(self, path):
         """Only writes are looked up at commit, so only writes are recorded."""
         config = fast_config(write_leases=path == "no-write-lease")
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        node = cluster.nodes["n0-1"]
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        node = protocol.nodes["n0-1"]
         if path != "at-once":
             node.submit(write("other", "x"))  # a cycle in flight
         for index in range(1000):
@@ -342,8 +342,8 @@ class TestReadRelease:
     def test_write_lease_reads_bypass_the_cycle_in_flight(self):
         """§7.2 is untouched: no lease on the key, no waiting, cycle or not."""
         config = fast_config(write_leases=True)
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        node = cluster.nodes["n0-1"]
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        node = protocol.nodes["n0-1"]
         node.submit(write("hot", "v"))
         assert node.last_started_cycle == 1 and node.last_committed_cycle == 0
         request = read("cold")
@@ -354,8 +354,8 @@ class TestReadRelease:
 class TestWriteLeases:
     def test_read_of_unleased_key_is_immediate(self):
         config = fast_config(write_leases=True)
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        node = next(iter(protocol.nodes.values()))
         request = read("cold-key")
         node.submit(request)
         # No cycle needs to run: the reply is produced synchronously.
@@ -365,8 +365,8 @@ class TestWriteLeases:
         """With a cycle in flight, that is; an idle node has nothing to wait
         for, lease or no lease."""
         config = fast_config(write_leases=True, lease_cycles=5)
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        node = next(iter(protocol.nodes.values()))
         node.submit(write("hot", "1"))
         sim.run_until(1.0)
         node.submit(write("other", "x"))
@@ -386,8 +386,8 @@ class TestWriteLeases:
 
     def test_lease_expires_and_reads_become_immediate_again(self):
         config = fast_config(write_leases=True, lease_cycles=1)
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        node = next(iter(protocol.nodes.values()))
         node.submit(write("hot", "1"))
         sim.run_until(1.0)
         # Run several more cycles so the lease lapses.
@@ -401,8 +401,8 @@ class TestWriteLeases:
 
 class TestRepresentatives:
     def test_representatives_rotate_over_the_sorted_live_members(self):
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node = cluster.nodes["n0-0"]
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = protocol.nodes["n0-0"]
         members = sorted(node.super_leaf.members)
         assert node.representatives(0) == members[:2]
         assert node.representatives(1) == [members[2], members[0]]
@@ -411,13 +411,13 @@ class TestRepresentatives:
         assert node.representatives(1) == ["n0-0", "n0-2"]
 
     def test_only_the_cycles_representatives_fetch(self):
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node = cluster.nodes["n0-2"]
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = protocol.nodes["n0-2"]
         for index in range(6):
             node.submit(write(f"k{index}", "v"))
             sim.run_until(0.1 * (index + 1))
         assert node.last_committed_cycle == 6
-        for member in cluster.nodes.values():
+        for member in protocol.nodes.values():
             duty = sum(member.is_representative(cycle_id) for cycle_id in range(1, 7))
             assert duty == 4  # two of three members per cycle, in turn
             assert member.stats["proposal_requests_sent"] == duty
@@ -442,14 +442,14 @@ class TestRepresentatives:
 
     def test_pipelined_cycles_commit_in_order(self):
         config = fast_config(pipelining=True, cycle_interval_s=0.02, max_inflight_cycles=4)
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        nodes = list(cluster.nodes.values())
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        nodes = list(protocol.nodes.values())
         for burst in range(5):
             for node in nodes[:3]:
                 node.submit(write(f"b{burst}-{node.node_id}", "v"))
             sim.run_until(0.1 * (burst + 1))
         sim.run_until(3.0)
-        orders = committed_orders(cluster)
+        orders = protocol.committed_logs()
         ok, message = check_agreement(orders)
         assert ok, message
         for node in nodes:
@@ -461,8 +461,8 @@ class TestEarlyFetch:
     """Proposal-requests leave a round early and synchronise whoever they reach."""
 
     def test_request_for_an_unstarted_cycle_starts_it_and_is_buffered(self):
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node = cluster.nodes["n1-0"]
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = protocol.nodes["n1-0"]
         vnode = node.parent_vnode
         node.on_message("n0-0", ProposalRequest(cycle_id=1, vnode_id=vnode, requester="n0-0"))
         assert node.last_started_cycle == 1
@@ -476,8 +476,8 @@ class TestEarlyFetch:
         assert node.stats["proposal_requests_served"] == 1
 
     def test_requests_are_sent_at_cycle_start_and_never_repeated(self):
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node = cluster.nodes["n0-2"]
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = protocol.nodes["n0-2"]
         node.submit(write("k", "v"))
         # Cycle 1's representatives of rack 0 are n0-2 and n0-0; n0-2 has
         # asked before anything else happened.
@@ -487,7 +487,7 @@ class TestEarlyFetch:
             sim.run_until(0.1 * (index + 1))
             node.submit(write(f"k{index}", "v"))
         sim.run_until(1.0)
-        nodes = cluster.nodes.values()
+        nodes = protocol.nodes.values()
         assert all(member.last_committed_cycle == 6 for member in nodes)
         # Two remote vnodes per super-leaf, three super-leaves, six cycles.
         assert sum(member.stats["proposal_requests_sent"] for member in nodes) == 6 * 6
@@ -522,10 +522,10 @@ class TestMessageBudget:
 
     def test_one_27_node_cycle_by_message_class(self):
         config = fast_config(broadcast_mode="raft")
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=9, racks=3, config=config)
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=9, racks=3, config=config)
         sim.run_until(0.005)  # the 27 broadcast groups' initial heartbeat rounds are over
         wire = []
-        for node in cluster.nodes.values():
+        for node in protocol.nodes.values():
 
             def handler(sender, message, node=node):
                 wire.append(message)
@@ -534,10 +534,10 @@ class TestMessageBudget:
             node.runtime.set_handler(handler)
         writers = [f"n{rack}-{index}" for rack in range(3) for index in range(5)]
         for node_id in writers:
-            cluster.nodes[node_id].submit(write(f"from-{node_id}", "v"))
+            protocol.nodes[node_id].submit(write(f"from-{node_id}", "v"))
         sim.run_until(0.015)  # before any heartbeat, Canopus' (20 ms) or Raft's (100 ms)
-        assert all(node.last_committed_cycle == 1 for node in cluster.nodes.values())
-        assert all(len(node.committed_requests()) == 15 for node in cluster.nodes.values())
+        assert all(node.last_committed_cycle == 1 for node in protocol.nodes.values())
+        assert all(len(node.committed_requests()) == 15 for node in protocol.nodes.values())
 
         def copies(wanted):
             return sum(
@@ -560,13 +560,13 @@ class TestMessageBudget:
         """An unacknowledged entry commits with its group's next heartbeat,
         long after its cycle: that must not re-create a pruned cycle."""
         config = fast_config(broadcast_mode="raft", max_inflight_cycles=1)
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
         for index in range(8):
-            cluster.nodes["n1-1"].submit(write(f"k{index}", "v"))
+            protocol.nodes["n1-1"].submit(write(f"k{index}", "v"))
             sim.run_until(0.02 * (index + 1))
-        delivered = {node_id: node.broadcast.payloads_delivered for node_id, node in cluster.nodes.items()}
+        delivered = {node_id: node.broadcast.payloads_delivered for node_id, node in protocol.nodes.items()}
         sim.run_until(0.5)  # several Raft heartbeats: every entry has committed everywhere
-        for node_id, node in cluster.nodes.items():
+        for node_id, node in protocol.nodes.items():
             assert node.last_committed_cycle == 8
             assert sorted(node.cycles) == [5, 6, 7, 8]  # 4 x max_inflight_cycles are kept
             assert node.broadcast.payloads_delivered == delivered[node_id]
@@ -574,7 +574,7 @@ class TestMessageBudget:
                 assert group.commit_index == group.last_applied == group.log.last_index > 0
         # Nor must a copy sent again after a peer's failure (the sender may
         # keep a cycle one commit longer than the receiver does).
-        node = cluster.nodes["n0-0"]
+        node = protocol.nodes["n0-0"]
         node._on_broadcast_delivery("n0-1", Proposal(4, 2, "1.2", "n1-0", 7))
         assert sorted(node.cycles) == [5, 6, 7, 8]
 
@@ -585,8 +585,8 @@ class TestCycleBatching:
     INTERVAL_S = 0.01  # fast_config's cycle_interval_s
 
     @staticmethod
-    def steady_writes(sim, cluster, duration_s, every_s=0.0005):
-        nodes = list(cluster.nodes.values())
+    def steady_writes(sim, protocol, duration_s, every_s=0.0005):
+        nodes = list(protocol.nodes.values())
         for index in range(int(duration_s / every_s)):
             sim.schedule(
                 index * every_s,
@@ -595,14 +595,14 @@ class TestCycleBatching:
         sim.run_until(duration_s)
 
     def test_steady_load_starts_one_cycle_per_interval(self):
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        self.steady_writes(sim, cluster, duration_s=0.5)
-        for node in cluster.nodes.values():
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        self.steady_writes(sim, protocol, duration_s=0.5)
+        for node in protocol.nodes.values():
             assert 0.5 / self.INTERVAL_S - 2 <= node.last_started_cycle <= 0.5 / self.INTERVAL_S + 2
 
     def test_idle_node_starts_a_cycle_immediately(self):
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node = cluster.nodes["n1-1"]
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = protocol.nodes["n1-1"]
         node.submit(write("first", "v"))
         assert node.last_started_cycle == 1
         sim.run_until(1.0)
@@ -619,11 +619,11 @@ class TestCycleBatching:
 
     def test_full_batch_and_self_synchronisation_bypass_the_wait(self):
         config = fast_config(max_batch_size=3)
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        node = cluster.nodes["n2-0"]
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        node = protocol.nodes["n2-0"]
         node.submit(write("k0", "v"))
         sim.run_until(0.003)
-        assert all(member.last_committed_cycle == 1 for member in cluster.nodes.values())
+        assert all(member.last_committed_cycle == 1 for member in protocol.nodes.values())
         node.submit(write("k1", "v"))
         node.submit(write("k2", "v"))
         assert node.last_started_cycle == 1  # inside the interval, batch not full
@@ -632,15 +632,15 @@ class TestCycleBatching:
         # Every other node is inside its own interval too, and follows the
         # first message of cycle 2 rather than its clock.
         sim.run_until(0.006)
-        assert all(member.last_committed_cycle == 2 for member in cluster.nodes.values())
+        assert all(member.last_committed_cycle == 2 for member in protocol.nodes.values())
 
     def test_pipelined_mode_is_clocked_as_before(self):
         config = fast_config(pipelining=True)
-        sim, _, cluster, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        self.steady_writes(sim, cluster, duration_s=0.2)
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        self.steady_writes(sim, protocol, duration_s=0.2)
         # An idle pipelined node starts a cycle on the request itself, so
         # sub-millisecond cycles run back to back here.
-        for node in cluster.nodes.values():
+        for node in protocol.nodes.values():
             assert node.last_started_cycle > 4 * 0.2 / self.INTERVAL_S
 
 
@@ -652,25 +652,24 @@ class TestDispatchCompleteness:
 
     @pytest.mark.parametrize("mode", ["ideal", "raft"])
     def test_every_delivered_class_has_a_handler(self, mode):
-        sim, topology, cluster, _ = build_canopus_on_sim(config=fast_config(broadcast_mode=mode))
+        sim, _, protocol, _ = build_canopus_on_sim(config=fast_config(broadcast_mode=mode))
         arrived = set()
-        for node in cluster.nodes.values():
+        for node in protocol.nodes.values():
             def handler(sender, message, node=node):
                 arrived.add(message.__class__)
                 node.on_message(sender, message)
             node.runtime.set_handler(handler)
-        for index, node in enumerate(cluster.nodes.values()):
+        for index, node in enumerate(protocol.nodes.values()):
             node.submit(write(f"k{index}", "v"))
         sim.run_until(0.1)
         # A crash: heartbeats stop, and in raft mode the dead member's group
         # holds an election among the survivors.
-        topology.network.hosts["n1-2"].fail()
-        cluster.nodes["n1-2"].crash()
+        protocol.crash("n1-2")
         sim.run_until(1.5)
-        cluster.nodes["n0-0"].submit(write("after", "v"))
+        protocol.nodes["n0-0"].submit(write("after", "v"))
         sim.run_until(2.0)
 
-        node = cluster.nodes["n0-0"]
+        node = protocol.nodes["n0-0"]
         assert [r.key for r in node.committed_requests()][-1] == "after"
         missing = {cls.__name__ for cls in arrived if cls not in node._dispatch}
         assert not missing, f"delivered but not dispatched: {sorted(missing)}"

@@ -54,13 +54,13 @@ SEARCH = dict(derandomize=True, deadline=None, database=None)
 class Faults:
     """Every delivery in the cluster goes through :meth:`deliver`."""
 
-    def __init__(self, sim, cluster):
+    def __init__(self, sim, protocol):
         self.sim = sim
-        self.victim = cluster.nodes[VICTIM]
+        self.victim = protocol.nodes[VICTIM]
         self.active = {"freeze": 0, "cut-in": 0, "cut-out": 0}
         self.inbox = []
         self.reached_victim_at = {}  # by request id: a frozen node serves nobody
-        for node in cluster.nodes.values():
+        for node in protocol.nodes.values():
             node.runtime.set_handler(
                 lambda sender, message, node=node: self.deliver(node, sender, message)
             )
@@ -112,8 +112,8 @@ def run_script(script, mutate=None, broadcast_mode=CONFIG.broadcast_mode):
     reads answered with a value older than one acknowledged before them, or
     refused later than a failure timeout after they reached the victim."""
     config = replace(CONFIG, broadcast_mode=broadcast_mode)
-    sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-    faults = Faults(sim, cluster)
+    sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+    faults = Faults(sim, protocol)
     if mutate is not None:
         mutate(faults.victim)
     sim.run_until(0.05)
@@ -132,7 +132,7 @@ def run_script(script, mutate=None, broadcast_mode=CONFIG.broadcast_mode):
         if step[0] == "write":
             request = write("k", f"v{len(writes)}")
             writes.append((request, sim.now))
-            cluster.nodes["n0-0"].submit(request)
+            protocol.nodes["n0-0"].submit(request)
             # Until it is acknowledged — after the victim's exclusion, if
             # the cycle has to wait for that — or is clearly stuck.
             deadline = sim.now + STUCK_S
@@ -250,23 +250,23 @@ PARTITION = [("cut-both", 2 * STUCK_S), ("write",), ("read",)]
     ids=["acknowledged", "renewed-by-sending"],
 )
 def test_partitioned_node_refuses_a_read_rather_than_answer_it_from_stale_state(lease, answer):
-    sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=CONFIG)
-    faults = Faults(sim, cluster)
+    sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=CONFIG)
+    faults = Faults(sim, protocol)
     victim = faults.victim
     if lease is not None:
         lease(victim)
-    cluster.nodes["n0-0"].submit(write("k", "old"))
+    protocol.nodes["n0-0"].submit(write("k", "old"))
     sim.run_until(0.05)
     assert victim.last_committed_cycle == victim.last_started_cycle == 1
     faults.start("cut-both", 1.0)
     sim.run_until(0.05 + TIMEOUT_S - 0.001)
     # Lapsed before anyone can have excluded the victim ...
     assert victim.failure_detector.in_view() == (lease is not None)
-    assert all(VICTIM in cluster.nodes[peer].live_members for peer in ("n2-0", "n2-2"))
+    assert all(VICTIM in protocol.nodes[peer].live_members for peer in ("n2-0", "n2-2"))
     sim.run_until(0.05 + TIMEOUT_S + 2 * HEARTBEAT_S)
-    assert not any(VICTIM in cluster.nodes[peer].live_members for peer in ("n2-0", "n2-2"))
+    assert not any(VICTIM in protocol.nodes[peer].live_members for peer in ("n2-0", "n2-2"))
     new = write("k", "new")
-    cluster.nodes["n0-1"].submit(new)
+    protocol.nodes["n0-1"].submit(new)
     sim.run_until(sim.now + 0.05)
     assert any(reply.request_id == new.request_id for reply in replies)
     # ... and its own sending renews nothing.  The victim is idle and has
@@ -284,12 +284,11 @@ def test_partitioned_node_refuses_a_read_rather_than_answer_it_from_stale_state(
 def test_peer_crash_turns_at_once_reads_off_until_its_delete_commits():
     """What the lease costs when a peer really dies: from the lapse until the
     survivors have committed its delete, their reads wait for cycles."""
-    sim, topology, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=CONFIG)
-    survivor = cluster.nodes[VICTIM]
-    cluster.nodes["n0-0"].submit(write("k", "old"))
+    sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=CONFIG)
+    survivor = protocol.nodes[VICTIM]
+    protocol.nodes["n0-0"].submit(write("k", "old"))
     sim.run_until(0.05)
-    topology.network.hosts["n2-2"].fail()
-    cluster.nodes["n2-2"].crash()
+    protocol.crash("n2-2")
 
     def answered(request):
         return [reply for reply in replies if reply.request_id == request.request_id]
@@ -321,12 +320,11 @@ def test_survivor_of_two_crashes_refuses_reads_in_bounded_time_and_keeps_none():
     """Alone, a node cannot tell its peers' crashes from a partition it sat
     out (``DELETES_ITS_PEERS_ALONE``): it still orders writes, and tells
     every reader within a failure timeout to ask another node."""
-    sim, topology, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=CONFIG)
-    survivor = cluster.nodes[VICTIM]
+    sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=CONFIG)
+    survivor = protocol.nodes[VICTIM]
     sim.run_until(0.05)
     for peer in ("n2-0", "n2-2"):
-        topology.network.hosts[peer].fail()
-        cluster.nodes[peer].crash()
+        protocol.crash(peer)
     request = write("k", "new")
     survivor.submit(request)
     sim.run_until(0.05 + 2 * TIMEOUT_S)
@@ -389,12 +387,12 @@ def test_lease_outruns_an_exclusion_only_beyond_the_documented_clock_drift(rate,
     is tight only in the worst phase: the victim's heartbeat is echoed the
     moment it is sent, and the cut follows the echo at once."""
     assert 0.6 < 1 - HEARTBEAT_S / TIMEOUT_S < 0.9
-    sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=CONFIG)
-    faults = Faults(sim, cluster)
+    sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=CONFIG)
+    faults = Faults(sim, protocol)
     victim = faults.victim
     detector = victim.failure_detector
     detector.runtime = SlowClock(detector.runtime, rate)
-    cluster.nodes["n0-0"].submit(write("k", "old"))
+    protocol.nodes["n0-0"].submit(write("k", "old"))
     # The victim's heartbeats leave half a millisecond before its peers'.
     detector.stop()
     sim.run_until(2 * HEARTBEAT_S - 0.0005)
@@ -403,7 +401,7 @@ def test_lease_outruns_an_exclusion_only_beyond_the_documented_clock_drift(rate,
     assert detector.in_view()
     faults.start("cut-both", 1.0)
     new = write("k", "new")
-    cluster.nodes["n0-1"].submit(new)
+    protocol.nodes["n0-1"].submit(new)
     while not any(reply.request_id == new.request_id for reply in replies):
         assert sim.loop.step()
     assert 5 * HEARTBEAT_S + TIMEOUT_S - 0.001 < sim.now < 5 * HEARTBEAT_S + TIMEOUT_S + 0.01

@@ -14,6 +14,10 @@ A ``--flag`` written after ``repro.bench.runner`` must be an option of the
 runner's parser.  Scope: the documents above plus the CI workflow and the
 verify skill.  The command runs to the end of its line, or, when it opens
 inside a code span, to the span's closing backtick on a later line.
+
+The code block of ARCHITECTURE's "Adding a protocol" section must run: it
+is executed with a stub ``MyNode`` and ``MyConfig`` and built on a
+simulated and an asyncio topology.
 """
 
 import pathlib
@@ -115,3 +119,63 @@ def test_the_flag_pattern_follows_a_code_span_across_lines():
     )
     flags = [flag for _, flag in runner_flags(text)]
     assert flags == ["--perf-point", "--profile-diff", "--perf-point", "--fail-below"]
+
+
+def adding_a_protocol_block():
+    """The Python block of ARCHITECTURE's "Adding a protocol" section."""
+    text = (ROOT / "ARCHITECTURE.md").read_text(encoding="utf-8")
+    section = text[text.index("## Adding a protocol"):]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+class MyConfig:
+    pass
+
+
+class MyNode:
+    """The least node the template's adapter can drive."""
+
+    def __init__(self, runtime, members, config, on_reply=None):
+        self.runtime = runtime
+        self.members = members
+        self.on_reply = on_reply
+        self.running = self.crashed = False
+
+    def start(self):
+        self.running = True
+
+    def stop(self):
+        self.running = False
+
+    def crash(self):
+        self.crashed = True
+        self.stop()
+
+    def committed_order(self):
+        return []
+
+
+def test_the_adding_a_protocol_template_builds_on_both_substrates():
+    from repro.protocols import ConsensusProtocol, build_protocol, unregister_protocol
+    from repro.runtime.asyncio_runtime import AsyncioTopology
+    from repro.sim.engine import Simulator
+    from repro.sim.topology import build_single_datacenter
+
+    sim_topology = build_single_datacenter(Simulator(seed=1), nodes_per_rack=2, racks=2)
+    asyncio_topology = AsyncioTopology({"rack-a": ["a1", "a2"], "rack-b": ["b1"]})
+    try:
+        exec(adding_a_protocol_block(), {"MyNode": MyNode, "MyConfig": MyConfig})
+        for topology in (sim_topology, asyncio_topology):
+            protocol = build_protocol("myproto", topology)
+            assert isinstance(protocol, ConsensusProtocol)
+            assert protocol.node_ids() == topology.server_hosts
+            protocol.start()
+            assert all(node.running for node in protocol.nodes.values())
+            victim = protocol.node_ids()[-1]
+            protocol.crash(victim)
+            assert protocol.node(victim).crashed and not protocol.is_healthy()
+            assert protocol.committed_logs() == {node_id: [] for node_id in topology.server_hosts}
+        assert sim_topology.network.hosts[sim_topology.server_hosts[-1]].failed
+    finally:
+        unregister_protocol("myproto")
+        asyncio_topology.cluster.close()

@@ -3,7 +3,8 @@
 
 from repro.canopus.messages import ClientRequest, RequestType
 from repro.epaxos.messages import InstanceId
-from repro.epaxos.node import EPaxosConfig, build_epaxos_sim_cluster
+from repro.epaxos.node import EPaxosConfig
+from repro.protocols import build_protocol
 from repro.sim.engine import Simulator
 from repro.sim.topology import build_single_datacenter
 
@@ -12,11 +13,11 @@ def build(replica_count_per_rack=1, racks=3, config=None, seed=13):
     sim = Simulator(seed=seed)
     topo = build_single_datacenter(sim, nodes_per_rack=replica_count_per_rack, racks=racks)
     replies = []
-    cluster = build_epaxos_sim_cluster(
-        topo, config=config or EPaxosConfig(batch_duration_s=0.002), on_reply=replies.append
+    protocol = build_protocol(
+        "epaxos", topo, config=config or EPaxosConfig(batch_duration_s=0.002), on_reply=replies.append
     )
-    cluster.start()
-    return sim, topo, cluster, replies
+    protocol.start()
+    return sim, topo, protocol, replies
 
 
 def write(key, value="v", client="c"):
@@ -29,8 +30,8 @@ def read(key, client="c"):
 
 class TestCommitAndExecute:
     def test_single_write_commits_and_replies(self):
-        sim, _, cluster, replies = build()
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, replies = build()
+        node = next(iter(protocol.nodes.values()))
         request = write("k")
         node.submit(request)
         sim.run_until(0.5)
@@ -38,17 +39,17 @@ class TestCommitAndExecute:
         assert node.stats["instances_committed"] >= 1
 
     def test_committed_command_executes_on_every_replica(self):
-        sim, _, cluster, _ = build()
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, _ = build()
+        node = next(iter(protocol.nodes.values()))
         node.submit(write("shared", "42"))
         sim.run_until(0.5)
-        for replica in cluster.nodes.values():
+        for replica in protocol.nodes.values():
             assert replica._store.get("shared") == "42"
 
     def test_reads_travel_through_the_protocol(self):
         """Unlike Canopus, EPaxos replicates read commands too."""
-        sim, _, cluster, replies = build()
-        nodes = list(cluster.nodes.values())
+        sim, _, protocol, replies = build()
+        nodes = list(protocol.nodes.values())
         nodes[0].submit(write("k", "1"))
         sim.run_until(0.5)
         request = read("k")
@@ -61,8 +62,8 @@ class TestCommitAndExecute:
 
     def test_batching_groups_requests_into_one_instance(self):
         config = EPaxosConfig(batch_duration_s=0.01)
-        sim, _, cluster, _ = build(config=config)
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, _ = build(config=config)
+        node = next(iter(protocol.nodes.values()))
         for i in range(5):
             node.submit(write(f"k{i}"))
         sim.run_until(0.5)
@@ -71,8 +72,8 @@ class TestCommitAndExecute:
 
     def test_batch_flushes_when_full(self):
         config = EPaxosConfig(batch_duration_s=10.0, max_batch_size=2)
-        sim, _, cluster, _ = build(config=config)
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, _ = build(config=config)
+        node = next(iter(protocol.nodes.values()))
         node.submit(write("a"))
         node.submit(write("b"))
         sim.run_until(0.5)
@@ -81,8 +82,8 @@ class TestCommitAndExecute:
 
 class TestFastAndSlowPath:
     def test_no_interference_takes_fast_path(self):
-        sim, _, cluster, _ = build(config=EPaxosConfig(batch_duration_s=0.002, conflict_tracking=False))
-        nodes = list(cluster.nodes.values())
+        sim, _, protocol, _ = build(config=EPaxosConfig(batch_duration_s=0.002, conflict_tracking=False))
+        nodes = list(protocol.nodes.values())
         for node in nodes:
             node.submit(write("same-key"))
         sim.run_until(1.0)
@@ -91,8 +92,8 @@ class TestFastAndSlowPath:
 
     def test_conflicting_writes_exercise_slow_path(self):
         config = EPaxosConfig(batch_duration_s=0.002, conflict_tracking=True)
-        sim, _, cluster, _ = build(config=config)
-        nodes = list(cluster.nodes.values())
+        sim, _, protocol, _ = build(config=config)
+        nodes = list(protocol.nodes.values())
         # Several rounds of writes to the same key from different leaders.
         for burst in range(4):
             for node in nodes:
@@ -102,8 +103,8 @@ class TestFastAndSlowPath:
         assert sum(n.stats["slow_path"] for n in nodes) >= 1
 
     def test_every_replica_converges_on_committed_instances(self):
-        sim, _, cluster, _ = build()
-        nodes = list(cluster.nodes.values())
+        sim, _, protocol, _ = build()
+        nodes = list(protocol.nodes.values())
         for index, node in enumerate(nodes):
             node.submit(write(f"key-{index}"))
         sim.run_until(1.0)
@@ -119,8 +120,8 @@ class TestRetainedState:
     def test_only_the_command_leader_keeps_reply_bookkeeping(self):
         """Every replica keeps every instance; the reply list and ack set
         exist only at the command leader, and only until it commits."""
-        sim, _, cluster, _ = build(replica_count_per_rack=3, racks=3)
-        leader, *acceptors = cluster.nodes.values()
+        sim, _, protocol, _ = build(replica_count_per_rack=3, racks=3)
+        leader, *acceptors = protocol.nodes.values()
         leader.submit(write("k"))
         instance_id = InstanceId(replica=leader.node_id, slot=1)
         while leader.instances.get(instance_id) is None or not leader.instances[instance_id].preaccept_replies:
@@ -131,7 +132,7 @@ class TestRetainedState:
             instance = node.instances[instance_id]
             assert instance.preaccept_replies is None and instance.accept_oks is None
         sim.run_until(0.5)
-        for node in cluster.nodes.values():
+        for node in protocol.nodes.values():
             instance = node.instances[instance_id]
             assert instance.status == "executed"
             assert instance.preaccept_replies is None and instance.accept_oks is None
@@ -139,15 +140,15 @@ class TestRetainedState:
 
 class TestQuorums:
     def test_quorum_sizes(self):
-        sim, _, cluster, _ = build(replica_count_per_rack=3, racks=3)  # 9 replicas
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, _ = build(replica_count_per_rack=3, racks=3)  # 9 replicas
+        node = next(iter(protocol.nodes.values()))
         assert node.fast_quorum_size() == 6
         assert node.slow_quorum_size() == 4
 
     def test_thrifty_limits_preaccept_fanout(self):
         config = EPaxosConfig(batch_duration_s=0.001, thrifty=True, latency_probing=False)
-        sim, topo, cluster, _ = build(replica_count_per_rack=3, racks=3, config=config)
-        node = next(iter(cluster.nodes.values()))
+        sim, topo, protocol, _ = build(replica_count_per_rack=3, racks=3, config=config)
+        node = next(iter(protocol.nodes.values()))
         node.submit(write("k"))
         sim.run_until(0.1)
         host = topo.network.hosts[node.node_id]
@@ -156,8 +157,8 @@ class TestQuorums:
 
     def test_latency_probing_populates_rtt_estimates(self):
         config = EPaxosConfig(latency_probing=True, probe_interval_s=0.05)
-        sim, _, cluster, _ = build(config=config)
-        node = next(iter(cluster.nodes.values()))
+        sim, _, protocol, _ = build(config=config)
+        node = next(iter(protocol.nodes.values()))
         sim.run_until(0.5)
         assert all(rtt > 0 for rtt in node.rtt_estimates.values())
 

@@ -32,6 +32,13 @@ def _run_example(name: str) -> subprocess.CompletedProcess:
     "script, markers",
     [
         ("quickstart.py", ["Agreement across 6 nodes: True", "Done."]),
+        ("failure_recovery.py", [
+            "agreement among survivors: True",
+            "phase-3 write committed? False",
+            "protocol.is_healthy() now reports: False",
+        ]),
+        ("zk_kvstore.py", ["replica znode trees identical across 9 nodes: True"]),
+        ("multi_datacenter.py", ["canopus ", "epaxos ", "Canopus reads never cross the WAN"]),
         ("sharded_kvstore.py", ["Transaction", "Done."]),
         ("traced_run.py", ["Per-phase latency breakdown", "protocol epaxos", "Done."]),
     ],

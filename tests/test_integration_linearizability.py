@@ -10,10 +10,10 @@ from repro.canopus.messages import ClientRequest, RequestType
 from repro.verify.agreement import check_agreement, check_fifo_client_order
 from repro.verify.history import History
 from repro.verify.linearizability import check_linearizable_history
-from tests.helpers import build_canopus_on_sim, committed_orders, fast_config, read, write
+from tests.helpers import build_canopus_on_sim, fast_config, read, write
 
 
-def drive_requests(sim, cluster, replies, schedule):
+def drive_requests(sim, protocol, replies, schedule):
     """Submit requests per ``schedule`` = [(time, node_id, request)] and
     return a History built from the observed replies."""
     submit_times = {}
@@ -21,7 +21,7 @@ def drive_requests(sim, cluster, replies, schedule):
         def fire(node_id=node_id, request=request):
             submit_times[request.request_id] = sim.now
             request.submitted_at = sim.now
-            cluster.nodes[node_id].submit(request)
+            protocol.nodes[node_id].submit(request)
         sim.loop.schedule_at(at, fire)
     sim.run_until(max(at for at, _, _ in schedule) + 3.0)
     history = History()
@@ -42,8 +42,8 @@ def drive_requests(sim, cluster, replies, schedule):
 
 class TestCanopusLinearizability:
     def test_concurrent_writers_and_readers_yield_linearizable_history(self):
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node_ids = list(cluster.nodes.keys())
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node_ids = list(protocol.nodes.keys())
         schedule = []
         time = 0.01
         for round_index in range(3):
@@ -55,14 +55,14 @@ class TestCanopusLinearizability:
                 node = node_ids[(round_index + reader_index * 2) % len(node_ids)]
                 schedule.append((time, node, read("shared", client=f"r{reader_index}")))
                 time += 0.007
-        history = drive_requests(sim, cluster, replies, schedule)
+        history = drive_requests(sim, protocol, replies, schedule)
         assert len(history) == len(schedule)
         ok, message = check_linearizable_history(history)
         assert ok, message
 
     def test_fifo_order_per_client(self):
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node = list(cluster.nodes.keys())[0]
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = list(protocol.nodes.keys())[0]
         schedule = []
         time = 0.01
         for i in range(6):
@@ -70,28 +70,28 @@ class TestCanopusLinearizability:
             time += 0.004
             schedule.append((time, node, read("key", client="single-client")))
             time += 0.004
-        history = drive_requests(sim, cluster, replies, schedule)
+        history = drive_requests(sim, protocol, replies, schedule)
         ok, message = check_fifo_client_order(history)
         assert ok, message
         ok, message = check_linearizable_history(history)
         assert ok, message
 
     def test_commit_logs_agree_after_concurrent_load(self):
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
-        node_ids = list(cluster.nodes.keys())
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node_ids = list(protocol.nodes.keys())
         schedule = []
         time = 0.01
         for i in range(30):
             schedule.append((time, node_ids[i % len(node_ids)], write(f"k{i % 5}", f"v{i}", client=f"c{i % 4}")))
             time += 0.003
-        drive_requests(sim, cluster, replies, schedule)
-        ok, message = check_agreement(committed_orders(cluster))
+        drive_requests(sim, protocol, replies, schedule)
+        ok, message = check_agreement(protocol.committed_logs())
         assert ok, message
 
     def test_write_lease_optimization_preserves_linearizability(self):
         config = fast_config(write_leases=True, lease_cycles=3)
-        sim, _, cluster, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        node_ids = list(cluster.nodes.keys())
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        node_ids = list(protocol.nodes.keys())
         schedule = []
         time = 0.01
         for i in range(4):
@@ -101,7 +101,7 @@ class TestCanopusLinearizability:
             time += 0.01
             schedule.append((time, node_ids[(i + 5) % 9], read("cold", client=f"rc{i}")))
             time += 0.01
-        history = drive_requests(sim, cluster, replies, schedule)
+        history = drive_requests(sim, protocol, replies, schedule)
         ok, message = check_linearizable_history(history)
         assert ok, message
 
@@ -119,10 +119,10 @@ class TestCrossSystemSanity:
             replies = []
             sut = build_system(system, topo)
             # Attach a reply sink on every node.
-            for node in sut.cluster.nodes.values():
+            for node in sut.protocol.nodes.values():
                 node.on_reply = replies.append
             sut.start()
-            nodes = list(sut.cluster.nodes.values())
+            nodes = list(sut.protocol.nodes.values())
             write_request = ClientRequest(client_id="w", op=RequestType.WRITE, key="x", value="7")
             nodes[0].submit(write_request)
             sim.run_until(1.0)

@@ -160,10 +160,9 @@ class TestConformance:
         name, simulator, protocol, _ = deployment
         assert protocol.is_healthy(), f"{name}: unhealthy at start"
         victim = protocol.node_ids()[-1]
-        node = protocol.node(victim)
-        if not hasattr(node, "crash"):
-            pytest.skip(f"{name} nodes do not expose crash()")
-        node.crash()
+        protocol.crash(victim)
+        assert protocol.node(victim).crashed
+        assert protocol.topology.network.hosts[victim].failed, f"{name}: crashed host still up"
         assert not protocol.is_healthy(), f"{name}: crash not reflected in is_healthy()"
 
 
@@ -331,6 +330,14 @@ class TestAsyncioConformance:
         ok, message = check_linearizable_history(history)
         assert ok, f"{name}: {message} (asyncio)"
 
+    def test_crash_stops_the_node(self, asyncio_deployment):
+        name, topology, protocol, _ = asyncio_deployment
+        victim = protocol.node_ids()[-1]
+        protocol.crash(victim)
+        topology.cluster.run_for(0.05)
+        assert protocol.node(victim).crashed
+        assert not protocol.is_healthy(), f"{name}: crash not reflected in is_healthy() on asyncio"
+
 
 class TestRegistry:
     def test_builtin_protocols_are_registered(self):
@@ -350,6 +357,15 @@ class TestRegistry:
         topology = make_single_dc_topology(simulator, nodes_per_rack=2, racks=2)
         with pytest.raises(TypeError, match="CanopusConfig"):
             build_protocol("canopus", topology, config=EPaxosConfig())
+
+    @pytest.mark.parametrize("name", ALL_PROTOCOLS)
+    def test_a_topology_without_server_hosts_is_rejected(self, name):
+        topology = AsyncioTopology({})
+        try:
+            with pytest.raises(ValueError, match=f"{name}.*no server hosts"):
+                build_protocol(name, topology)
+        finally:
+            topology.cluster.close()
 
     def test_default_config_matches_spec(self):
         for name in ALL_PROTOCOLS:

@@ -210,9 +210,9 @@ class TestEngineCountersAreReal:
     def test_nine_node_canopus_run(self, monkeypatch):
         # Simulator() resolves EventLoop from its module at construction.
         monkeypatch.setattr("repro.sim.engine.EventLoop", _CountingLoop)
-        simulator, _, cluster, replies = build_canopus_on_sim()
+        simulator, _, protocol, replies = build_canopus_on_sim()
         loop = simulator.loop
-        for index, node in enumerate(cluster.nodes.values()):
+        for index, node in enumerate(protocol.nodes.values()):
             node.submit(write(f"k{index}", str(index)))
         for deadline in (0.004, 0.0125, 0.05):
             simulator.run_until(deadline)
