@@ -321,7 +321,7 @@ class PerfPoint:
     #: Fraction of the multi-key ops that are snapshot reads (sharded points).
     txn_read_ratio: float = 0.0
     #: Total scheduled operations for ``kind="engine"`` points (split
-    #: between the wheel-friendly and wheel-hostile distributions).
+    #: between the clustered-delay and spread-delay distributions).
     engine_ops: int = 120_000
     #: Total sends for ``kind="switch"`` points (split between the skewed
     #: and uniform lane-load distributions).
@@ -422,10 +422,10 @@ PERF_POINTS: Dict[str, PerfPoint] = {
         repeats=3,
     ),
     # The event engine alone, no protocol: a deterministic schedule/cancel/
-    # drain mix at a wheel-friendly distribution (delays clustered at
-    # link/CPU scale) and a wheel-hostile one (uniform 0-250 ms, overflow/
-    # cascade dominated).  The digest pins the fired trace, so engine
-    # ordering regressions are caught independently of protocol workloads.
+    # drain mix at clustered delays (link/CPU scale, a shallow heap) and
+    # spread delays (uniform 0-250 ms, a deep heap).  The digest pins the
+    # fired trace, so engine ordering regressions are caught independently
+    # of protocol workloads.
     "engine-microbench": PerfPoint(
         label="engine-wheel-mix",
         system="engine",
@@ -442,7 +442,7 @@ PERF_POINTS: Dict[str, PerfPoint] = {
     # a uniform one (every lane shallow — index maintenance dominates).
     # The digest pins the delivery trace, so lane-index regressions surface
     # in isolation from protocol noise, exactly as engine-microbench does
-    # for the timer wheel.
+    # for the event engine.
     "switch-drain": PerfPoint(
         label="switch-lane-merge-mix",
         system="network",
@@ -456,23 +456,21 @@ PERF_POINTS: Dict[str, PerfPoint] = {
 
 
 def _drive_engine_mix(loop_cls: type, ops: int, seed: int, hostile: bool) -> Tuple[Any, List[tuple]]:
-    """Drive one event engine through a deterministic schedule/cancel/drain mix.
+    """Drive an event loop through a deterministic schedule/cancel/drain mix.
 
-    The mix is the engine micro-benchmark *and* the differential-test
-    driver: it returns the loop plus the fired ``(tag, time)`` trace, and
-    because both engines execute any schedule stream in the identical
-    ``(time, priority, seq)`` order, the trace — including the RNG draws
-    made from inside callbacks — must be byte-identical between
-    :class:`repro.sim.engine.EventLoop` and
-    :class:`repro.sim.engine.HeapEventLoop`.
+    The mix is the engine micro-benchmark *and* the engine's ordering pin:
+    it returns the loop plus the fired ``(tag, time)`` trace.  The trace —
+    including the RNG draws made from inside callbacks — depends only on
+    the ``(time, priority, seq)`` execution order, so its digest (pinned in
+    ``tests/test_sim_engine.py`` and the perf ledger) catches any change to
+    that order.
 
-    ``hostile=False`` clusters delays at link/CPU scale (tens of µs), the
-    regime the wheel is built for: high bucket occupancy, near-zero
-    overflow.  ``hostile=True`` spreads delays uniformly over 0–250 ms,
-    far past the ~33 ms wheel horizon, so most inserts land in the
-    overflow heap and the run is dominated by cascades — the wheel's
-    worst case, tracked so a regression there is caught independently of
-    the protocol workloads.
+    ``hostile=False`` clusters delays at link/CPU scale (tens of µs): the
+    heap stays shallow and most entries fire within a window.
+    ``hostile=True`` spreads delays uniformly over 0–250 ms, so the heap
+    holds many far-future entries and every push and pop walks a deeper
+    tree — tracked so a regression there is caught independently of the
+    protocol workloads.
     """
     rng = random.Random(seed)
     loop = loop_cls()
@@ -504,8 +502,8 @@ def _drive_engine_mix(loop_cls: type, ops: int, seed: int, hostile: bool) -> Tup
             if len(pending) >= 8 and rng.random() < 0.5:
                 pending.pop(rng.randrange(len(pending))).cancel()
         if index & 1023 == 1023:
-            # Interleave draining with scheduling so inserts hit every
-            # regime (before base, in-wheel, overflow) at a moving base.
+            # Interleave draining with scheduling so inserts land both
+            # near and far from a moving clock.
             loop.run_until(loop.now + (0.05 if hostile else 0.002))
     loop.run()
     return loop, trace
@@ -543,9 +541,8 @@ def _drive_switch_drain_mix(
     lane index.  Like :func:`_drive_engine_mix` it doubles as the
     micro-benchmark and the differential-test driver: it returns the loop
     plus the delivered ``(dst, src, tag, time)`` trace, which must be
-    byte-identical between lane delivery and the references: the eager
-    one-event-per-arrival network under ``tests/`` and
-    :class:`HeapEventLoop`.
+    byte-identical between lane delivery and the eager
+    one-event-per-arrival network under ``tests/``.
 
     ``skewed=True`` concentrates sends on a few hot talkers (cubed draw:
     roughly half the traffic from the first ~5 hosts), so a handful of
@@ -602,7 +599,7 @@ def _run_switch_drain_microbench(point: PerfPoint) -> Tuple[int, str, int]:
 
     The digest fingerprints the delivered traces of both lane-load
     distributions, so the CI digest gate pins the merged forward *order*
-    exactly as engine-microbench pins the timer wheel's fired order.
+    exactly as engine-microbench pins the event engine's fired order.
     """
     from repro.sim.engine import EventLoop
 

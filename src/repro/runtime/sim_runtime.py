@@ -68,7 +68,6 @@ class SimRuntime(Runtime):
         self.now: Callable[[], float] = partial(getattr, simulator.loop, "_now")
         host.set_handler(self._deliver)
         self._handler: Optional[Callable[[str, Any], None]] = None
-        self._timer_label = f"timer:{host.name}"
         self._transport = _SimTransport(self)
 
     # ------------------------------------------------------------------
@@ -84,8 +83,7 @@ class SimRuntime(Runtime):
         self.host.multicast(dsts, message, size)
 
     def after(self, delay: float, callback: Callable[[], None]) -> Timer:
-        event = self.simulator.loop.schedule(delay, callback, label=self._timer_label)
-        return Timer(event.cancel)
+        return Timer(self.simulator.loop.schedule(delay, callback).cancel)
 
     def call_at(self, when: float, callback: Callable[[], None]) -> None:
         # Same (time, priority, seq) ordering as `after` (priority 10,

@@ -179,17 +179,25 @@ class TestRateLadderWalk:
 
 
 class TestPerfTrackingPoints:
-    def test_engine_microbench_digest_is_deterministic(self):
+    @pytest.mark.parametrize(
+        "name, size, digest, events",
+        [
+            ("engine-microbench", {"engine_ops": 2000}, "6a114a1f", 2378),
+            ("switch-drain", {"drain_ops": 2000}, "88a8fb45", 2252),
+        ],
+    )
+    def test_microbench_digest_is_pinned(self, name, size, digest, events):
+        """Both runs reproduce the digest and event count recorded for the point."""
         from dataclasses import replace
 
         from repro.bench.runner import PERF_POINTS, run_perf_tracking
 
-        point = replace(PERF_POINTS["engine-microbench"], engine_ops=2000, repeats=1)
+        point = replace(PERF_POINTS[name], repeats=1, **size)
         first = run_perf_tracking(point)
         second = run_perf_tracking(point)
-        assert first["commit_log_sha256"]
+        assert first["commit_log_sha256"].startswith(digest)
         assert first["commit_log_sha256"] == second["commit_log_sha256"]
-        assert first["events"] == second["events"] > 2000
+        assert first["events"] == second["events"] == events
 
     def test_empty_digest_skips_the_digest_gate(self, tmp_path):
         from repro.bench.runner import update_perf_report

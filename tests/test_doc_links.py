@@ -18,8 +18,16 @@ inside a code span, to the span's closing backtick on a later line.
 The code block of ARCHITECTURE's "Adding a protocol" section must run: it
 is executed with a stub ``MyNode`` and ``MyConfig`` and built on a
 simulated and an asyncio topology.
+
+A code span in ARCHITECTURE.md or the verify skill that is exactly a
+capitalized name, optionally followed by ``.member`` (and ``()``), must name
+a class defined under ``src/repro`` or ``tests``; the member must be a
+method, a class attribute or a ``self.`` assignment of that class or one of
+its bases.  Builtin names (``None``, ``ValueError``) are left alone.
 """
 
+import ast
+import builtins
 import pathlib
 import re
 
@@ -31,6 +39,8 @@ BARE_MARKDOWN_NAME = re.compile(r"(?<![\w/.-])([A-Za-z_][\w-]*\.md)\b")
 NUMBERED_ROADMAP_ITEM = re.compile(r"ROADMAP\s+items?\s+\d")
 RUNNER = re.compile(r"repro\.bench\.runner\b")
 FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+CLASS_REFERENCE = re.compile(r"([A-Z][a-z]\w*)(?:\.(\w+))?(?:\(\))?")
 
 
 def documents():
@@ -119,6 +129,96 @@ def test_the_flag_pattern_follows_a_code_span_across_lines():
     )
     flags = [flag for _, flag in runner_flags(text)]
     assert flags == ["--perf-point", "--profile-diff", "--perf-point", "--fail-below"]
+
+
+def class_references(text):
+    """``(offset, class, member or None)`` for every code span naming a class."""
+    for span in CODE_SPAN.finditer(text):
+        match = CLASS_REFERENCE.fullmatch(span.group(1))
+        if match and not hasattr(builtins, match.group(1)):
+            yield span.start(), match.group(1), match.group(2)
+
+
+def defined_classes():
+    """``{name: (members, base names)}`` for every class in ``src/repro`` and ``tests``.
+
+    Classes that share a name are merged: a reference resolves if any of
+    them defines the member.
+    """
+    classes = {}
+    for directory in ("src/repro", "tests"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                members, bases = classes.setdefault(node.name, (set(), set()))
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        members.add(item.name)
+                    elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                        targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                        members.update(t.id for t in targets if isinstance(t, ast.Name))
+                for item in ast.walk(node):
+                    if isinstance(item, ast.Assign):
+                        targets = item.targets
+                    elif isinstance(item, (ast.AnnAssign, ast.AugAssign)):
+                        targets = [item.target]
+                    else:
+                        continue
+                    members.update(
+                        t.attr
+                        for t in targets
+                        if isinstance(t, ast.Attribute)
+                        and isinstance(t.value, ast.Name)
+                        and t.value.id == "self"
+                    )
+                for base in node.bases:
+                    if isinstance(base, ast.Name):
+                        bases.add(base.id)
+                    elif isinstance(base, ast.Attribute):
+                        bases.add(base.attr)
+    return classes
+
+
+def has_member(classes, name, member, seen=frozenset()):
+    if name not in classes or name in seen:
+        return False
+    members, bases = classes[name]
+    return member in members or any(
+        has_member(classes, base, member, seen | {name}) for base in bases
+    )
+
+
+def test_every_class_named_in_the_docs_exists():
+    classes = defined_classes()
+    found, stale = 0, []
+    for path in (ROOT / "ARCHITECTURE.md", ROOT / ".claude/skills/verify/SKILL.md"):
+        text = path.read_text(encoding="utf-8")
+        for offset, name, member in class_references(text):
+            found += 1
+            if name in classes and (member is None or has_member(classes, name, member)):
+                continue
+            line_number = text.count("\n", 0, offset) + 1
+            reference = name if member is None else f"{name}.{member}"
+            stale.append(f"{path.relative_to(ROOT)}:{line_number}: {reference}")
+    assert found > 50  # the walk found the references
+    assert not stale, "\n".join(stale)
+
+
+def test_the_class_pattern_takes_names_and_members_and_leaves_the_rest():
+    text = (
+        "`EventLoop`, `Simulator.fork_rng`, `Runtime.now()`, `None`, `ValueError`, "
+        "`loop.run()`, `Transport.broadcast(dsts, m)`, `NAME.md`, `EventLoop.a.b`"
+    )
+    references = [(name, member) for _, name, member in class_references(text)]
+    assert references == [("EventLoop", None), ("Simulator", "fork_rng"), ("Runtime", "now")]
+
+
+def test_a_member_resolves_through_a_base_class():
+    classes = defined_classes()
+    # _RxQueue subclasses DeliveryQueue, which assigns ``self.priority``.
+    assert has_member(classes, "_RxQueue", "priority")
+    assert not has_member(classes, "EventLoop", "no_such_member")
 
 
 def adding_a_protocol_block():

@@ -8,19 +8,20 @@ randomized tree topologies through randomized push/drain interleavings
 — ``run_until`` deadline caps included, so drains hit mid-window bounds
 and reopened head groups — in both configurations and require
 byte-identical delivery traces plus identical link, switch and host CPU
-counters at every window edge.  The same driver also runs on
-:class:`HeapEventLoop`, pinning the lane machinery against the pre-wheel
-engine.  What the engine's own counters report is pinned separately:
+counters at every window edge.  Two random-tree traces and both
+switch-drain mixes are also pinned to recorded digests.  What the
+engine's own counters report is pinned separately:
 ``processed_events`` is the number of callbacks run and ``len(loop)``
 the number of entries held, whatever delivers the packets.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from repro.bench.runner import _drive_switch_drain_mix
-from repro.sim.engine import EventLoop, HeapEventLoop
+from repro.sim.engine import EventLoop
 from repro.sim.network import Network
 from tests.eager_network import EagerNetwork
 from tests.helpers import build_canopus_on_sim, write
@@ -125,26 +126,6 @@ class TestLaneIndexVsEagerDifferential:
         _assert_traces_equivalent(lazy_trace, eager_trace)
         assert lazy_edges == eager_edges
 
-    @pytest.mark.parametrize("seed", [3, 17])
-    def test_heap_reference_engine_agrees(self, seed):
-        """The lane machinery runs identically on the pre-wheel engine."""
-        results = []
-        for loop_cls in (EventLoop, HeapEventLoop):
-            loop = loop_cls()
-            net = Network(loop)
-            names = _build_random_tree(net, random.Random(seed))
-            results.append(_drive(net, loop, names, seed))
-        assert results[0] == results[1]
-
-    @pytest.mark.parametrize("skewed", [False, True])
-    def test_drain_mix_driver_matches_heap_reference(self, skewed):
-        """The switch-drain microbench driver itself is differential-clean."""
-        wheel_loop, wheel_trace = _drive_switch_drain_mix(EventLoop, 3000, 5, skewed)
-        heap_loop, heap_trace = _drive_switch_drain_mix(HeapEventLoop, 3000, 5, skewed)
-        assert wheel_trace == heap_trace
-        assert wheel_loop.processed_events == heap_loop.processed_events
-        assert wheel_loop.now == heap_loop.now
-
     @pytest.mark.parametrize("skewed", [False, True])
     def test_drain_mix_driver_matches_eager(self, skewed, monkeypatch):
         """Skewed/uniform lane loads deliver in the eager merged order."""
@@ -155,6 +136,48 @@ class TestLaneIndexVsEagerDifferential:
         monkeypatch.setattr(network_module, "Network", EagerNetwork)
         _, eager_trace = _drive_switch_drain_mix(EventLoop, 3000, 5, skewed)
         assert lazy_trace == eager_trace
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()[:8]
+
+
+class TestRecordedLanePins:
+    """Lane delivery traces pinned to values recorded on the calendar-queue
+    engine the heap replaced (it ran the same ``(time, priority, seq)``
+    order): any change to the engine's order or to the lane merge moves a
+    digest."""
+
+    @pytest.mark.parametrize(
+        "seed, digest, deliveries, edges, processed, now",
+        [
+            (3, "ed646f1a", 400, 122, 1371, 0.014748374544172582),
+            (17, "315c874c", 400, 118, 1557, 0.018155155889733904),
+        ],
+    )
+    def test_random_tree_trace_matches_the_recorded_pin(
+        self, seed, digest, deliveries, edges, processed, now
+    ):
+        loop = EventLoop()
+        net = Network(loop)
+        names = _build_random_tree(net, random.Random(seed))
+        trace, snapshots = _drive(net, loop, names, seed)
+        assert _digest((trace, snapshots)) == digest
+        assert (len(trace), len(snapshots)) == (deliveries, edges)
+        assert (loop.processed_events, loop.now) == (processed, now)
+
+    @pytest.mark.parametrize(
+        "skewed, digest, processed, now",
+        [
+            (False, "6e412890", 3245, 0.0010524334978921138),
+            (True, "b5485500", 3490, 0.0012928349590458886),
+        ],
+    )
+    def test_drain_mix_trace_matches_the_recorded_pin(self, skewed, digest, processed, now):
+        loop, trace = _drive_switch_drain_mix(EventLoop, 3000, 5, skewed)
+        assert _digest(trace) == digest
+        assert len(trace) == 3000
+        assert (loop.processed_events, loop.now) == (processed, now)
 
 
 class _CountingLoop(EventLoop):
