@@ -11,8 +11,8 @@ Run with:  python examples/quickstart.py
 """
 
 from repro.canopus.config import CanopusConfig
-from repro.canopus.messages import ClientRequest, RequestType
 from repro.protocols import build_protocol
+from repro.runtime.messages import ClientRequest, RequestType
 from repro.sim.engine import Simulator
 from repro.sim.topology import build_single_datacenter
 from repro.verify.agreement import check_agreement

@@ -13,7 +13,7 @@ Run with:  python examples/sharded_kvstore.py
 """
 
 from repro.bench.builders import make_single_dc_topology
-from repro.canopus.messages import ClientRequest, RequestType
+from repro.runtime.messages import ClientRequest, RequestType
 from repro.shard import ShardMetrics, ShardRouter, ShardedCluster
 from repro.shard.router import collect_txn_states
 from repro.sim.engine import Simulator

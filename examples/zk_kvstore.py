@@ -13,7 +13,7 @@ Run with:  python examples/zk_kvstore.py
 
 from repro.bench.builders import build_system, make_single_dc_topology
 from repro.canopus.config import CanopusConfig
-from repro.canopus.messages import ClientRequest, RequestType
+from repro.runtime.messages import ClientRequest, RequestType
 from repro.sim.engine import Simulator
 
 

@@ -12,8 +12,13 @@ the paper's evaluation.
 All protocols are exposed through a unified abstraction layer
 (:mod:`repro.protocols`): a :class:`~repro.protocols.ConsensusProtocol`
 contract plus a string-keyed registry, so systems are built with
-``build_protocol("canopus", topology)`` and adding a protocol is a
-one-file change (see ``ARCHITECTURE.md``).
+``build_protocol("canopus", topology)``; adding a protocol is one adapter
+module plus one row in the registry's built-in table (see
+``ARCHITECTURE.md``).  The client request and reply
+every protocol serves are in :mod:`repro.runtime.messages`.
+
+Importing this package loads nothing else: a run imports the simulator,
+the harness and the one protocol it builds.
 
 See ``examples/quickstart.py`` for a complete runnable example,
 ``ARCHITECTURE.md`` for the system inventory and ``perf/README.md`` for the
@@ -21,19 +26,3 @@ benchmark every performance claim is judged on.
 """
 
 __version__ = "1.1.0"
-
-from repro.canopus import CanopusConfig, CanopusNode
-from repro.canopus.messages import ClientReply, ClientRequest, RequestType
-from repro.protocols import ConsensusProtocol, build_protocol, registered_protocols
-
-__all__ = [
-    "__version__",
-    "CanopusConfig",
-    "CanopusNode",
-    "ClientRequest",
-    "ClientReply",
-    "RequestType",
-    "ConsensusProtocol",
-    "build_protocol",
-    "registered_protocols",
-]

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.canopus.messages import ClientReply
 from repro.protocols import ConsensusProtocol, build_protocol
+from repro.runtime.messages import ClientReply
 from repro.sim.engine import Simulator
 from repro.sim.network import CpuModel
 from repro.sim.topology import Topology, build_multi_datacenter, build_single_datacenter

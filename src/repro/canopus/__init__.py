@@ -4,8 +4,8 @@ The package implements the full protocol described in §4–§7 of the paper:
 
 * :mod:`repro.canopus.lot` — the Leaf-Only Tree overlay, super-leaves,
   emulation table, and representative assignment.
-* :mod:`repro.canopus.messages` — proposal, proposal-request and client
-  message types with wire-size accounting.
+* :mod:`repro.canopus.messages` — proposal, proposal-request and
+  membership-update message types with wire-size accounting.
 * :mod:`repro.canopus.proposal` — proposal ordering and vnode-state merging.
 * :mod:`repro.canopus.cycle` — per-consensus-cycle bookkeeping (rounds,
   buffered proposal-requests, fetched vnode states).
@@ -24,13 +24,7 @@ factories in :mod:`repro.protocols.canopus` decide it.
 
 from repro.canopus.config import CanopusConfig
 from repro.canopus.lot import LeafOnlyTree, SuperLeaf, VNode
-from repro.canopus.messages import (
-    ClientReply,
-    ClientRequest,
-    Proposal,
-    ProposalRequest,
-    RequestType,
-)
+from repro.canopus.messages import Proposal, ProposalRequest
 from repro.canopus.node import CanopusNode
 
 __all__ = [
@@ -38,10 +32,7 @@ __all__ = [
     "LeafOnlyTree",
     "SuperLeaf",
     "VNode",
-    "ClientRequest",
-    "ClientReply",
     "Proposal",
     "ProposalRequest",
-    "RequestType",
     "CanopusNode",
 ]

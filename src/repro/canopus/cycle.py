@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.canopus.messages import ClientRequest, MembershipUpdate, Proposal
+from repro.canopus.messages import MembershipUpdate, Proposal
+from repro.runtime.messages import ClientRequest
 
 __all__ = ["FetchState", "CycleState"]
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.canopus.messages import ClientRequest
+from repro.runtime.messages import ClientRequest
 
 __all__ = ["PendingRead", "ReadLinearizer"]
 

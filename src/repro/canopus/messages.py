@@ -1,32 +1,22 @@
-"""Message types exchanged by Canopus nodes and clients.
+"""Message types exchanged by Canopus nodes.
 
-Wire-size accounting mirrors the paper's workload: requests carry 16-byte
-key-value pairs (§8.1), proposal messages carry the batched requests plus a
-proposal number, cycle id, round number and vnode id, and proposal-request
-messages carry only identifiers.  Sizes feed the simulator's bandwidth
-model, which is what makes broadcast-heavy baselines saturate
-oversubscribed links while Canopus does not.
+Wire-size accounting mirrors the paper's workload: proposal messages carry
+the batched client requests (16-byte key-value pairs plus metadata, §8.1)
+plus a proposal number, cycle id, round number and vnode id, and
+proposal-request messages carry only identifiers.  Sizes feed the
+simulator's bandwidth model, which is what makes broadcast-heavy baselines
+saturate oversubscribed links while Canopus does not.  The client request
+and reply are in :mod:`repro.runtime.messages`.
 """
 
 from __future__ import annotations
 
-import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
-__all__ = [
-    "RequestType",
-    "ClientRequest",
-    "ClientReply",
-    "NOT_IN_VIEW",
-    "MembershipUpdate",
-    "Proposal",
-    "ProposalRequest",
-    "wire_size",
-]
+from repro.runtime.messages import ClientRequest
 
-_request_ids = itertools.count(1)
+__all__ = ["MembershipUpdate", "Proposal", "ProposalRequest"]
 
 #: Bytes charged per request entry inside a proposal (key + value + metadata).
 REQUEST_ENTRY_BYTES = 48
@@ -34,64 +24,6 @@ REQUEST_ENTRY_BYTES = 48
 PROPOSAL_HEADER_BYTES = 40
 #: Size of a proposal-request message.
 PROPOSAL_REQUEST_BYTES = 24
-#: Size of a client request / reply on the wire.
-CLIENT_MESSAGE_BYTES = 48
-#: ``ClientReply.error`` of a read refused by a node that could not tell, for
-#: a whole failure timeout, whether its peers still count it in.
-NOT_IN_VIEW = "not-in-view"
-
-
-class RequestType(enum.Enum):
-    """Kind of client operation."""
-
-    READ = "read"
-    WRITE = "write"
-
-
-@dataclass(slots=True)
-class ClientRequest:
-    """A key-value read or write submitted by a client to one Canopus node."""
-
-    client_id: str
-    op: RequestType
-    key: str
-    value: Optional[str] = None
-    request_id: int = field(default_factory=lambda: next(_request_ids))
-    submitted_at: float = 0.0
-
-    def is_write(self) -> bool:
-        return self.op is RequestType.WRITE
-
-    def is_read(self) -> bool:
-        return self.op is RequestType.READ
-
-    def wire_size(self) -> int:
-        return CLIENT_MESSAGE_BYTES
-
-    def __repr__(self) -> str:  # keep traces readable
-        return f"<{self.op.value} #{self.request_id} {self.key}>"
-
-
-@dataclass(slots=True)
-# Client-plane: replies go to workload clients via their reply queue,
-# never through a node's _dispatch table.
-class ClientReply:  # detlint: disable=dispatch-complete
-    """Reply returned to the client once its request is served — or, with
-    ``error`` set, refused: nothing was read or written and ``value`` says
-    nothing; the client should ask another node."""
-
-    request_id: int
-    client_id: str
-    op: RequestType
-    key: str
-    value: Optional[str]
-    committed_cycle: Optional[int]
-    completed_at: float = 0.0
-    server_id: str = ""
-    error: Optional[str] = None
-
-    def wire_size(self) -> int:
-        return CLIENT_MESSAGE_BYTES
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,10 +98,3 @@ class ProposalRequest:
     def __repr__(self) -> str:
         return f"<ProposalRequest c={self.cycle_id} v={self.vnode_id} from={self.requester}>"
 
-
-def wire_size(message: object) -> int:
-    """Wire size of any protocol message (fallback 64 bytes)."""
-    size = getattr(message, "wire_size", None)
-    if callable(size):
-        return int(size())
-    return 64

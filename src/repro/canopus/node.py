@@ -42,16 +42,10 @@ from repro.canopus.leases import LeaseTable
 from repro.canopus.linearizer import ReadLinearizer
 from repro.canopus.lot import EmulationTable, LeafOnlyTree
 from repro.canopus.membership import FailureDetector, Heartbeat, JoinRequest, MembershipManager
-from repro.canopus.messages import (
-    ClientReply,
-    ClientRequest,
-    MembershipUpdate,
-    NOT_IN_VIEW,
-    Proposal,
-    ProposalRequest,
-)
+from repro.canopus.messages import MembershipUpdate, Proposal, ProposalRequest
 from repro.canopus.proposal import merge_proposals
 from repro.runtime.base import TIMER_SLACK_S, Runtime, Timer
+from repro.runtime.messages import NOT_IN_VIEW, ClientReply, ClientRequest
 
 __all__ = ["CanopusNode", "CommittedCycle"]
 

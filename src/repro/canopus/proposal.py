@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.canopus.messages import ClientRequest, MembershipUpdate, Proposal
+from repro.canopus.messages import MembershipUpdate, Proposal
+from repro.runtime.messages import ClientRequest
 
 __all__ = ["order_proposals", "merge_proposals", "max_proposal_number"]
 

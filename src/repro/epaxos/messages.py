@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
-from repro.canopus.messages import ClientRequest
+from repro.runtime.messages import ClientRequest
 
 __all__ = ["InstanceId", "PreAccept", "PreAcceptOK", "Accept", "AcceptOK", "Commit"]
 

@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.canopus.messages import ClientReply, ClientRequest, RequestType
 from repro.epaxos.messages import Accept, AcceptOK, Commit, InstanceId, PreAccept, PreAcceptOK
 from repro.runtime.base import Runtime, Timer
+from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 
 __all__ = ["EPaxosConfig", "EPaxosNode"]
 

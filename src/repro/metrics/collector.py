@@ -8,8 +8,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.verify.history import History
 
-from repro.canopus.messages import ClientReply, ClientRequest, RequestType
 from repro.metrics.stats import percentile
+from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 
 __all__ = ["RequestRecord", "RunSummary", "MetricsCollector"]
 

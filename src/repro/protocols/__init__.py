@@ -1,13 +1,14 @@
 """Unified protocol abstraction layer.
 
-Importing this package registers every built-in protocol:
+The built-in protocols, each registered the first time it is asked for
+(``BUILTIN_PROTOCOLS`` in :mod:`repro.protocols.registry`):
 
 ========== ============================================================
 canopus     Canopus over its own in-node replica (Figures 4, 6, 7)
 zkcanopus   ZooKeeper's znode store replicated by Canopus (Figure 5)
 epaxos      EPaxos with configurable batching (Figures 4, 6, 7)
 zookeeper   ZooKeeper: Zab leader + followers + observers (Figure 5)
-raft        Raft-replicated KV store (the one-file-addition template)
+raft        Raft-replicated KV store (the template for adding a protocol)
 ========== ============================================================
 
 Build one with::
@@ -30,12 +31,6 @@ from repro.protocols.registry import (
     registered_protocols,
     unregister_protocol,
 )
-
-# Importing the adapter modules registers the built-in protocols.
-from repro.protocols import canopus as _canopus  # noqa: F401  (registration side effect)
-from repro.protocols import epaxos as _epaxos  # noqa: F401
-from repro.protocols import zookeeper as _zookeeper  # noqa: F401
-from repro.protocols import raft_kv as _raft_kv  # noqa: F401
 
 __all__ = [
     "ConsensusProtocol",

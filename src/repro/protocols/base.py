@@ -31,7 +31,7 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.canopus.messages import ClientReply, ClientRequest
+from repro.runtime.messages import ClientReply, ClientRequest
 from repro.sim.topology import Topology
 
 __all__ = ["ConsensusProtocol"]

@@ -18,11 +18,11 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.canopus.config import CanopusConfig
 from repro.canopus.lot import LeafOnlyTree
-from repro.canopus.messages import ClientReply
 from repro.canopus.node import CanopusNode
 from repro.kvstore.store import KVStore
 from repro.protocols.base import ConsensusProtocol
 from repro.protocols.registry import register_protocol
+from repro.runtime.messages import ClientReply
 from repro.sim.topology import Topology
 
 __all__ = ["CanopusProtocol"]

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.canopus.messages import ClientReply
 from repro.epaxos.node import EPaxosConfig, EPaxosNode
 from repro.protocols.base import ConsensusProtocol
 from repro.protocols.registry import register_protocol
+from repro.runtime.messages import ClientReply
 from repro.sim.topology import Topology
 
 __all__ = ["EPaxosProtocol"]

@@ -5,9 +5,11 @@ one self-contained file that (a) builds a client-facing node out of an
 existing state machine (:class:`repro.raft.node.RaftNode`, which Canopus
 already uses for its super-leaf broadcast), (b) hands one node per server
 host to a :class:`ConsensusProtocol` adapter, and (c) registers a factory
-under a string key.  Nothing in :mod:`repro.bench` or :mod:`repro.workload` knows
-it exists, yet ``build_protocol("raft", topology)`` and every experiment,
-conformance test and determinism check work against it unchanged.
+under a string key, which its row in
+:data:`repro.protocols.registry.BUILTIN_PROTOCOLS` maps to this module.
+Nothing in :mod:`repro.bench` or :mod:`repro.workload` knows it exists,
+yet ``build_protocol("raft", topology)`` and every experiment, conformance
+test and determinism check work against it unchanged.
 
 The service deploys a single Raft group spanning every server host, with
 the first host as the initial leader (no cold-start election).  Writes are
@@ -43,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.canopus.messages import ClientReply, ClientRequest
 from repro.kvstore.store import KVStore
 from repro.protocols.base import ConsensusProtocol
 from repro.protocols.registry import register_protocol
@@ -51,6 +52,7 @@ from repro.raft.log import LogEntry
 from repro.raft.messages import AppendEntries, AppendEntriesReply, RequestVote, RequestVoteReply
 from repro.raft.node import RaftConfig, RaftNode
 from repro.runtime.base import Runtime
+from repro.runtime.messages import ClientReply, ClientRequest
 from repro.sim.topology import Topology
 
 __all__ = ["READ_MODES", "RaftKVConfig", "RaftKVNode", "RaftKVProtocol", "build_raft_kv"]

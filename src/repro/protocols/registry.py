@@ -3,10 +3,16 @@
 The registry decouples *naming* a protocol from *constructing* it: the
 benchmark harness, the workload generator, the examples and the tests all
 build systems with ``build_protocol("canopus", topology)`` and never import
-a protocol module directly.  Adding a protocol is therefore a one-file
-change: write an adapter module that calls :func:`register_protocol` at
-import time (see :mod:`repro.protocols.raft_kv` for the template) and
-import it from :mod:`repro.protocols`.
+a protocol module directly.
+
+Built-in protocols are registered on first use: :data:`BUILTIN_PROTOCOLS`
+maps each built-in name to the adapter module that registers it, and
+:func:`protocol_spec` imports that module the first time the name is asked
+for, so a run loads only the protocol it builds.  Adding a built-in
+protocol is an adapter module that calls :func:`register_protocol` at
+import time (see :mod:`repro.protocols.raft_kv` for the template) plus one
+row in :data:`BUILTIN_PROTOCOLS`.  A protocol defined outside the package
+registers itself when its own module is imported.
 
 A factory has the signature::
 
@@ -19,6 +25,7 @@ mis-wired experiment fails loudly instead of silently using defaults.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -26,6 +33,7 @@ from repro.protocols.base import ConsensusProtocol
 from repro.sim.topology import Topology
 
 __all__ = [
+    "BUILTIN_PROTOCOLS",
     "ProtocolSpec",
     "register_protocol",
     "unregister_protocol",
@@ -54,6 +62,16 @@ class ProtocolSpec:
     read_consistency: str = "linearizable"
 
 
+#: Built-in protocol name -> the adapter module that registers it, in
+#: listing order.
+BUILTIN_PROTOCOLS: Dict[str, str] = {
+    "canopus": "repro.protocols.canopus",
+    "zkcanopus": "repro.protocols.canopus",
+    "epaxos": "repro.protocols.epaxos",
+    "zookeeper": "repro.protocols.zookeeper",
+    "raft": "repro.protocols.raft_kv",
+}
+
 _REGISTRY: Dict[str, ProtocolSpec] = {}
 
 
@@ -73,9 +91,18 @@ def register_protocol(
         @register_protocol("myproto", config_cls=MyConfig)
         def build_myproto(topology, config=None, on_reply=None):
             ...
+
+    A built-in name is taken even before its adapter is imported: only the
+    adapter itself registers it, and anything else must pass
+    ``replace=True``.
     """
 
     def _register(fn: ProtocolFactory) -> ProtocolFactory:
+        adapter = BUILTIN_PROTOCOLS.get(name)
+        if adapter is not None and fn.__module__ != adapter:
+            # The adapter registers first, so a replacement is never undone
+            # by a later import of the adapter.
+            importlib.import_module(adapter)
         if name in _REGISTRY and not replace:
             raise ValueError(f"protocol {name!r} is already registered")
         _REGISTRY[name] = ProtocolSpec(
@@ -93,21 +120,32 @@ def register_protocol(
 
 
 def unregister_protocol(name: str) -> None:
-    """Remove a registration (tests use this to keep the registry clean)."""
+    """Remove a registration (tests use this to keep the registry clean).
+
+    Built-in protocols cannot be unregistered.
+    """
+    if name in BUILTIN_PROTOCOLS:
+        raise ValueError(f"protocol {name!r} is built in and cannot be unregistered")
     _REGISTRY.pop(name, None)
 
 
 def registered_protocols() -> List[str]:
-    """Names of every registered protocol, in registration order."""
-    return list(_REGISTRY)
+    """Names of every protocol: the built-ins in table order, then the rest
+    in registration order.  Imports no adapter."""
+    return [*BUILTIN_PROTOCOLS, *(name for name in _REGISTRY if name not in BUILTIN_PROTOCOLS)]
 
 
 def protocol_spec(name: str) -> ProtocolSpec:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(registered_protocols()) or "<none>"
-        raise ValueError(f"unknown protocol {name!r}; registered: {known}") from None
+    """The spec registered under ``name``, importing its built-in adapter
+    the first time it is asked for."""
+    spec = _REGISTRY.get(name)
+    if spec is None and name in BUILTIN_PROTOCOLS:
+        importlib.import_module(BUILTIN_PROTOCOLS[name])
+        spec = _REGISTRY.get(name)
+    if spec is None:
+        known = ", ".join(registered_protocols())
+        raise ValueError(f"unknown protocol {name!r}; registered: {known}")
+    return spec
 
 
 def default_config(name: str) -> Any:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.canopus.messages import ClientReply
 from repro.protocols.base import ConsensusProtocol
 from repro.protocols.registry import register_protocol
+from repro.runtime.messages import ClientReply
 from repro.sim.topology import Topology
 from repro.zab.node import ZabConfig, ZabNode, ZabRole
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 import zlib
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from repro.canopus.messages import ClientReply, ClientRequest
 from repro.protocols import ConsensusProtocol, build_protocol
+from repro.runtime.messages import ClientReply, ClientRequest
 from repro.shard.partitioner import KeyspacePartitioner
 from repro.sim.topology import Datacenter, Rack, Topology
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Tuple
 
-from repro.canopus.messages import ClientReply, RequestType
+from repro.runtime.messages import ClientReply, RequestType
 from repro.shard.cluster import ShardedCluster
 from repro.shard.router import ShardRouter, txn_marker_kind
 

@@ -52,7 +52,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.canopus.messages import ClientReply, ClientRequest, RequestType
+from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 from repro.shard.cluster import ShardedCluster
 
 __all__ = ["ShardRouter", "TXN_PREPARE_PREFIX", "TXN_COMMIT_PREFIX", "txn_marker_kind"]

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from heapq import heapify, heapreplace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.canopus.messages import ClientReply, ClientRequest, RequestType
 from repro.metrics.collector import MetricsCollector
 from repro.runtime.base import Runtime
+from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 from repro.workload.keyspace import Keyspace
 
 __all__ = ["ClientProcess", "ClientHostAgent"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.canopus.messages import ClientRequest
+from repro.runtime.messages import ClientRequest
 
 __all__ = ["WriteForward", "ZabProposal", "ZabAck", "ZabCommit", "ZabInform"]
 

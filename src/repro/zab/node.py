@@ -22,10 +22,10 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.canopus.messages import ClientReply, ClientRequest
 from repro.kvstore.persistence import PersistenceModel, StorageDevice
 from repro.kvstore.store import KVStore
 from repro.runtime.base import Runtime, Timer
+from repro.runtime.messages import ClientReply, ClientRequest
 from repro.zab.messages import WriteForward, ZabAck, ZabCommit, ZabInform, ZabProposal
 
 __all__ = ["ZabRole", "ZabConfig", "ZabNode"]

@@ -5,9 +5,9 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.canopus.config import CanopusConfig
-from repro.canopus.messages import ClientReply, ClientRequest, RequestType
 from repro.protocols import build_protocol
 from repro.protocols.canopus import CanopusProtocol
+from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 from repro.sim.engine import Simulator
 from repro.sim.topology import Topology, build_single_datacenter
 

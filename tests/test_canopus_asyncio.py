@@ -2,9 +2,9 @@
 
 
 from repro.canopus.config import CanopusConfig
-from repro.canopus.messages import ClientRequest, RequestType
 from repro.protocols import build_protocol
 from repro.runtime.asyncio_runtime import AsyncioTopology
+from repro.runtime.messages import ClientRequest, RequestType
 from repro.verify.agreement import check_agreement
 
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.canopus.messages import NOT_IN_VIEW, MembershipUpdate, Proposal, ProposalRequest
+from repro.canopus.messages import MembershipUpdate, Proposal, ProposalRequest
 from repro.raft.messages import AppendEntries
+from repro.runtime.messages import NOT_IN_VIEW
 from repro.verify.agreement import check_agreement, check_cycle_agreement
 from tests.helpers import build_canopus_on_sim, fast_config, read, write
 from tests.test_raft import is_notice

@@ -7,8 +7,9 @@ broadcast, representatives, commit) on the deterministic simulator.
 import pytest
 
 from repro.bench.builders import build_system, make_single_dc_topology
-from repro.canopus.messages import Proposal, ProposalRequest, RequestType
+from repro.canopus.messages import Proposal, ProposalRequest
 from repro.raft.messages import AppendEntries, AppendEntriesReply
+from repro.runtime.messages import RequestType
 from repro.sim.engine import Simulator
 from repro.verify.agreement import check_agreement
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator

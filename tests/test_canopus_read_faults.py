@@ -22,7 +22,7 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 from hypothesis.errors import NoSuchExample
 
-from repro.canopus.messages import NOT_IN_VIEW
+from repro.runtime.messages import NOT_IN_VIEW
 from repro.verify.history import History
 from repro.verify.linearizability import check_linearizable_history
 from tests.helpers import build_canopus_on_sim, fast_config, read, write

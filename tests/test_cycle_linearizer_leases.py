@@ -5,7 +5,8 @@ import pytest
 from repro.canopus.cycle import CycleState
 from repro.canopus.leases import LeaseTable
 from repro.canopus.linearizer import ReadLinearizer
-from repro.canopus.messages import ClientRequest, Proposal, RequestType
+from repro.canopus.messages import Proposal
+from repro.runtime.messages import ClientRequest, RequestType
 
 
 def proposal(sender, cycle=1, round_number=1, vnode=None, number=1):

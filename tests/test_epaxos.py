@@ -1,10 +1,10 @@
 """Tests for the EPaxos baseline."""
 
 
-from repro.canopus.messages import ClientRequest, RequestType
 from repro.epaxos.messages import InstanceId
 from repro.epaxos.node import EPaxosConfig
 from repro.protocols import build_protocol
+from repro.runtime.messages import ClientRequest, RequestType
 from repro.sim.engine import Simulator
 from repro.sim.topology import build_single_datacenter
 

@@ -6,7 +6,7 @@ observable history with the verification tools — the properties §6 claims.
 """
 
 
-from repro.canopus.messages import ClientRequest, RequestType
+from repro.runtime.messages import ClientRequest, RequestType
 from repro.verify.agreement import check_agreement, check_fifo_client_order
 from repro.verify.history import History
 from repro.verify.linearizability import check_linearizable_history

@@ -6,10 +6,22 @@ the same code runs on the simulator and on asyncio.  Which host runs which
 node is decided in ``repro.protocols``.  A core that imports the simulator,
 the adapters or the harness above them would break that, so this walks the
 import statements of every core module.
+
+The same layering keeps a simulator run small: it loads the simulator, the
+harness and the one protocol it builds, and never asyncio.  The second half
+of this file runs each registry system in a fresh interpreter and checks
+which modules it loaded (never how long that took), and that the registry
+lists and loads the built-in protocols without importing the others.
 """
 
 import ast
+import collections
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 CORES = ("canopus", "epaxos", "zab", "raft", "broadcast", "kvstore")
@@ -25,6 +37,11 @@ def imported_modules(tree):
             yield node.lineno, node.module
 
 
+def under(modules, packages):
+    """The ``modules`` that are one of ``packages`` or inside one, sorted."""
+    return sorted(m for m in modules if any(m == p or m.startswith(p + ".") for p in packages))
+
+
 def test_protocol_cores_import_nothing_from_the_layers_that_place_them():
     scanned, violations = 0, []
     for core in CORES:
@@ -36,3 +53,161 @@ def test_protocol_cores_import_nothing_from_the_layers_that_place_them():
                     violations.append(f"{path.relative_to(SRC.parent)}:{line_number}: {module}")
     assert scanned > 20  # the walk found the packages
     assert not violations, "\n".join(violations)
+
+
+def test_the_client_plane_imports_nothing_from_repro():
+    """Every protocol imports the client types; they must not pull a protocol in."""
+    tree = ast.parse((SRC / "runtime" / "messages.py").read_text(encoding="utf-8"))
+    imported = [module for _line, module in imported_modules(tree)]
+    assert imported  # the walk saw the module's imports
+    assert not under(imported, ("repro",))
+
+
+# ----------------------------------------------------------------------
+# What a run loads
+# ----------------------------------------------------------------------
+REPO = SRC.parents[1]
+BUILTINS = ("canopus", "zkcanopus", "epaxos", "zookeeper", "raft")
+ADAPTERS = {
+    "canopus": "repro.protocols.canopus",
+    "zkcanopus": "repro.protocols.canopus",
+    "epaxos": "repro.protocols.epaxos",
+    "zookeeper": "repro.protocols.zookeeper",
+    "raft": "repro.protocols.raft_kv",
+}
+
+#: Loaded by no simulator run: the asyncio substrate, the sharded layer,
+#: tracing, the linter and the experiment runner.
+NEVER_ON_A_RUN = ("asyncio", "repro.shard", "repro.obs", "repro.analysis", "repro.bench.runner")
+CANOPUS_STACK = ("repro.canopus", "repro.broadcast")
+BASELINE_CORES = ("repro.epaxos", "repro.zab", "repro.protocols.raft_kv")
+NOT_LOADED_BY = {
+    "canopus": NEVER_ON_A_RUN + BASELINE_CORES,
+    "zkcanopus": NEVER_ON_A_RUN + BASELINE_CORES,
+    "epaxos": NEVER_ON_A_RUN + CANOPUS_STACK,
+    "zookeeper": NEVER_ON_A_RUN + CANOPUS_STACK,
+    "raft": NEVER_ON_A_RUN + CANOPUS_STACK,
+}
+
+#: The imports of the benchmark's pass process (``perf/pass_child.py``),
+#: then one build and a few simulated milliseconds of the named system.
+RUN_ONE_SYSTEM = """
+import sys
+import repro.bench.builders
+import repro.verify
+import repro.workload.generator
+from repro.bench.builders import build_system, make_single_dc_topology
+from repro.metrics.stats import mean, percentile
+from repro.sim.engine import Simulator
+
+simulator = Simulator(seed=1)
+system = build_system(sys.argv[1], make_single_dc_topology(simulator, nodes_per_rack=1, racks=3))
+system.start()
+simulator.run_until(0.01)
+"""
+
+PRINT_MODULES = """
+for name in sorted(sys.modules):
+    if name.split(".")[0] in ("repro", "asyncio"):
+        print(name)
+"""
+
+
+def loaded_modules(script, *args):
+    """The ``repro`` and ``asyncio`` modules loaded after ``script`` runs in
+    a fresh interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-c", script + PRINT_MODULES, *args],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent), "PYTHONDONTWRITEBYTECODE": "1"},
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return set(result.stdout.split())
+
+
+def test_every_registry_system_has_a_module_budget():
+    from repro.protocols import registered_protocols
+
+    assert tuple(registered_protocols()) == BUILTINS == tuple(NOT_LOADED_BY)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_a_run_loads_only_the_protocol_it_builds(name):
+    modules = loaded_modules(RUN_ONE_SYSTEM, name)
+    assert ADAPTERS[name] in modules  # the probe really built the system
+    assert not under(modules, NOT_LOADED_BY[name])
+
+
+# ----------------------------------------------------------------------
+# Built-in protocols are registered on first use
+# ----------------------------------------------------------------------
+def test_listing_the_registry_imports_no_adapter():
+    script = (
+        "import sys\n"
+        "from repro.protocols import registered_protocols\n"
+        "print(','.join(registered_protocols()))\n"
+    )
+    modules = loaded_modules(script)
+    assert "repro.protocols.registry" in modules
+    assert not under(modules, set(ADAPTERS.values()))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_asking_for_a_protocol_loads_exactly_its_adapter(name):
+    script = (
+        "import sys\n"
+        "from repro.protocols import protocol_spec\n"
+        "assert protocol_spec(sys.argv[1]).name == sys.argv[1]\n"
+    )
+    modules = loaded_modules(script, name)
+    assert under(modules, set(ADAPTERS.values())) == [ADAPTERS[name]]
+
+
+def test_a_builtin_name_is_taken_before_its_adapter_is_loaded():
+    script = """
+import sys
+import pytest
+from repro.protocols import build_protocol, protocol_spec, register_protocol, unregister_protocol
+
+def factory(topology, config=None, on_reply=None):
+    return None
+
+assert "repro.protocols.epaxos" not in sys.modules
+with pytest.raises(ValueError, match="already registered"):
+    register_protocol("epaxos", factory)
+with pytest.raises(ValueError, match="built in"):
+    unregister_protocol("epaxos")
+register_protocol("epaxos", factory, replace=True)
+assert protocol_spec("epaxos").factory is factory
+"""
+    assert "repro.protocols.epaxos" in loaded_modules(script)
+
+
+def test_registry_parametrized_suites_keep_every_builtin():
+    """A listing that went lazy the wrong way would shrink these suites
+    silently: every collected case would still pass."""
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+            "tests/test_protocol_conformance.py", "tests/test_determinism.py", "tests/test_obs.py",
+        ],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    per_file = collections.Counter(
+        line.split("::")[0]
+        for line in result.stdout.splitlines()
+        if any(line.endswith(f"[{name}]") for name in BUILTINS)
+    )
+    assert per_file == {
+        "tests/test_protocol_conformance.py": 14 * len(BUILTINS),
+        "tests/test_determinism.py": len(BUILTINS),
+        "tests/test_obs.py": len(BUILTINS),
+    }

@@ -1,14 +1,8 @@
 """Tests for Canopus message types and wire-size accounting."""
 
-from repro.canopus.messages import (
-    ClientReply,
-    ClientRequest,
-    MembershipUpdate,
-    Proposal,
-    ProposalRequest,
-    RequestType,
-    wire_size,
-)
+from repro.canopus.messages import MembershipUpdate, Proposal, ProposalRequest
+from repro.runtime.base import estimate_size
+from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 
 
 class TestClientRequest:
@@ -81,12 +75,12 @@ class TestMembershipUpdate:
 class TestWireSizeHelper:
     def test_uses_wire_size_when_available(self):
         request = ClientRequest(client_id="c", op=RequestType.READ, key="k")
-        assert wire_size(request) == request.wire_size()
+        assert estimate_size(request) == request.wire_size()
 
     def test_default_for_unknown_objects(self):
-        assert wire_size(object()) == 64
+        assert estimate_size(object()) == 64
 
     def test_client_reply_size(self):
         reply = ClientReply(request_id=1, client_id="c", op=RequestType.READ, key="k",
                             value=None, committed_cycle=1)
-        assert wire_size(reply) == 48
+        assert estimate_size(reply) == 48

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.canopus.messages import ClientReply, ClientRequest, RequestType
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import confidence_interval_95, mean, percentile, stddev, summarize
+from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 
 
 class TestStats:

@@ -36,7 +36,6 @@ from repro.bench.runner import (
     run_traced_point,
 )
 from repro.metrics.collector import MetricsCollector
-from repro.canopus.messages import ClientReply, ClientRequest, RequestType
 from repro.obs import (
     Telemetry,
     TelemetrySampler,
@@ -47,6 +46,7 @@ from repro.obs import (
 )
 from repro.obs.report import build_report
 from repro.protocols import registered_protocols
+from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 from repro.verify.atomicity import ShardTxnState, check_cross_shard_atomicity
 from repro.verify.history import History
 from repro.verify.linearizability import check_linearizable_history

@@ -3,8 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.canopus.messages import ClientRequest, MembershipUpdate, Proposal, RequestType
+from repro.canopus.messages import MembershipUpdate, Proposal
 from repro.canopus.proposal import max_proposal_number, merge_proposals, order_proposals
+from repro.runtime.messages import ClientRequest, RequestType
 
 
 def make_proposal(sender, number, keys=(), cycle=1, round_number=1):

@@ -17,7 +17,6 @@ import pytest
 
 from repro.bench.builders import make_single_dc_topology
 from repro.canopus.config import CanopusConfig
-from repro.canopus.messages import ClientReply, ClientRequest, RequestType
 from repro.protocols import (
     ConsensusProtocol,
     build_protocol,
@@ -28,6 +27,7 @@ from repro.protocols import (
     unregister_protocol,
 )
 from repro.runtime.asyncio_runtime import AsyncioTopology
+from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 from repro.sim.engine import Simulator
 from repro.verify import check_linearizable_history
 from repro.verify.agreement import check_cycle_agreement

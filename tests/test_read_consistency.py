@@ -22,9 +22,9 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.builders import make_single_dc_topology
-from repro.canopus.messages import ClientRequest, RequestType
 from repro.protocols import build_protocol, protocol_spec
 from repro.protocols.raft_kv import RaftKVConfig
+from repro.runtime.messages import ClientRequest, RequestType
 from repro.shard import ShardRouter, ShardedCluster
 from repro.sim.engine import Simulator
 from repro.verify import check_linearizable_history, check_read_isolation

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.builders import make_single_dc_topology
-from repro.canopus.messages import NOT_IN_VIEW, ClientReply, ClientRequest, RequestType
+from repro.runtime.messages import NOT_IN_VIEW, ClientReply, ClientRequest, RequestType
 from repro.shard import (
     TXN_COMMIT_PREFIX,
     TXN_PREPARE_PREFIX,

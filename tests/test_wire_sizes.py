@@ -20,8 +20,9 @@ import importlib
 
 import pytest
 
-from repro.canopus.messages import Proposal, wire_size
+from repro.canopus.messages import Proposal
 from repro.epaxos.messages import PreAccept
+from repro.runtime.base import estimate_size
 from repro.zab.messages import ZabProposal
 
 from wire_golden import GOLDEN, WIRE_COVERED, _instance, _requests
@@ -31,12 +32,12 @@ from wire_golden import GOLDEN, WIRE_COVERED, _instance, _requests
 def test_wire_size_golden(name, factory, expected):
     message = factory()
     assert message.wire_size() == expected
-    # The module-level fallback helper must agree with the method.
-    assert wire_size(message) == expected
+    # The size the transports charge must agree with the method.
+    assert estimate_size(message) == expected
 
 
 def test_wire_size_fallback_for_opaque_payloads():
-    assert wire_size(object()) == 64
+    assert estimate_size(object()) == 64
 
 
 def test_batched_sizes_scale_linearly():

@@ -1,9 +1,9 @@
 """Tests for the ZooKeeper/Zab baseline."""
 
 
-from repro.canopus.messages import ClientRequest, RequestType
 from repro.kvstore.persistence import StorageDevice
 from repro.protocols import build_protocol
+from repro.runtime.messages import ClientRequest, RequestType
 from repro.sim.engine import Simulator
 from repro.sim.topology import build_single_datacenter
 from repro.zab.node import ZabConfig, ZabRole

@@ -20,19 +20,13 @@ from __future__ import annotations
 from repro.broadcast.base import BroadcastEnvelope
 from repro.broadcast.raft_broadcast import _ForwardedBroadcast
 from repro.canopus.membership import Heartbeat, JoinRequest
-from repro.canopus.messages import (
-    ClientReply,
-    ClientRequest,
-    MembershipUpdate,
-    Proposal,
-    ProposalRequest,
-    RequestType,
-)
+from repro.canopus.messages import MembershipUpdate, Proposal, ProposalRequest
 from repro.epaxos.messages import Accept, AcceptOK, Commit, InstanceId, PreAccept, PreAcceptOK
 from repro.epaxos.node import _Probe, _ProbeReply
 from repro.protocols.raft_kv import _ReadForward, _WriteForward
 from repro.raft.log import LogEntry
 from repro.raft.messages import AppendEntries, AppendEntriesReply, RequestVote, RequestVoteReply
+from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 from repro.zab.messages import WriteForward, ZabAck, ZabCommit, ZabInform, ZabProposal
 
 
@@ -142,13 +136,7 @@ WIRE_COVERED = {
     "src/repro/broadcast/base.py": ("BroadcastEnvelope",),
     "src/repro/broadcast/raft_broadcast.py": ("_ForwardedBroadcast",),
     "src/repro/canopus/membership.py": ("Heartbeat", "JoinRequest"),
-    "src/repro/canopus/messages.py": (
-        "ClientRequest",
-        "ClientReply",
-        "MembershipUpdate",
-        "Proposal",
-        "ProposalRequest",
-    ),
+    "src/repro/canopus/messages.py": ("MembershipUpdate", "Proposal", "ProposalRequest"),
     "src/repro/epaxos/messages.py": (
         "PreAccept",
         "PreAcceptOK",
@@ -165,6 +153,7 @@ WIRE_COVERED = {
         "AppendEntries",
         "AppendEntriesReply",
     ),
+    "src/repro/runtime/messages.py": ("ClientRequest", "ClientReply"),
     "src/repro/zab/messages.py": (
         "WriteForward",
         "ZabProposal",
