@@ -6,7 +6,7 @@ behind by a refactor is the one generic finding every change here has had
 to look for by hand; this rule makes that check the same everywhere and
 lets the detlint gate own it.  Unlike the other rules it is not about the
 simulation: it applies to every file it is pointed at (``src tests perf
-examples benchmarks`` in CI).
+examples`` in CI).
 
 A name counts as used when it is loaded anywhere in the module, listed in
 ``__all__``, or named inside a string annotation.  Honoured exemptions:

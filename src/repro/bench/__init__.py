@@ -1,7 +1,8 @@
-"""Experiment harness: builders, the runner, and per-figure experiments.
+"""Experiment harness: builders, the runner, and the sharded-throughput sweep.
 
-Every table and figure of the paper's evaluation (§8) has a corresponding
-function in :mod:`repro.bench.experiments`; the ``benchmarks/`` directory
-wraps them in pytest-benchmark targets.  No paper-vs-measured record is
-committed: ``examples/reproduce_figures.py`` prints the measured rows.
+The comparisons of the paper's evaluation (§8: Figures 4-7, Table 1) are
+checked by ``tests/test_paper_claims.py``, which calls
+:func:`repro.bench.runner.find_max_throughput` and
+:func:`repro.bench.runner.run_rate_point` directly and prints each
+measured margin.
 """

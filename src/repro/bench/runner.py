@@ -55,11 +55,7 @@ Point = TypeVar("Point")
 
 @dataclass
 class ExperimentProfile:
-    """How long / how hard to run each measurement.
-
-    The ``quick`` profile is what the pytest benchmarks use; ``full`` is
-    the publication-length run.
-    """
+    """How long / how hard to run each measurement."""
 
     warmup_s: float = 0.15
     measure_s: float = 0.5
@@ -74,47 +70,6 @@ class ExperimentProfile:
     #: (open-loop goodput collapse, e.g. a Zab leader's write queue).
     min_goodput_ratio: float = 0.85
     seed: int = 7
-
-    @classmethod
-    def quick(cls) -> "ExperimentProfile":
-        return cls(
-            warmup_s=0.1,
-            measure_s=0.3,
-            cooldown_s=0.05,
-            client_processes=36,
-            rate_ladder=(3000, 10000, 24000),
-            latency_threshold_s=0.030,
-        )
-
-    @classmethod
-    def wan(cls) -> "ExperimentProfile":
-        """Profile for the multi-datacenter experiments (Figures 6 and 7).
-
-        Wide-area completion times are bounded below by the Table 1 RTTs
-        (130–320 ms), so the measurement window is longer and the latency
-        threshold is set relative to the base WAN latency (the paper marks
-        the point where latency reaches 1.5x the base latency).
-        """
-        return cls(
-            warmup_s=0.7,
-            measure_s=1.2,
-            cooldown_s=0.1,
-            client_processes=60,
-            rate_ladder=(2000, 6000, 12000, 20000),
-            latency_threshold_s=0.600,
-            min_goodput_ratio=0.80,
-        )
-
-    @classmethod
-    def full(cls) -> "ExperimentProfile":
-        return cls(
-            warmup_s=0.25,
-            measure_s=0.8,
-            cooldown_s=0.1,
-            client_processes=90,
-            rate_ladder=(3000, 6000, 12000, 20000, 28000, 40000),
-            latency_threshold_s=0.030,
-        )
 
     def saturates(self, point: "RatePointResult") -> bool:
         """Whether ``point`` ends the ladder walk: median completion time over
@@ -168,7 +123,7 @@ def run_rate_point(
     topology_factory: TopologyFactory,
     rate_hz: float,
     write_ratio: float,
-    profile: Optional[ExperimentProfile] = None,
+    profile: ExperimentProfile,
     config: Any = None,
 ) -> RatePointResult:
     """Build a fresh simulator + system + workload and measure one rate point.
@@ -176,7 +131,6 @@ def run_rate_point(
     ``config`` is the protocol's own configuration object; the registry
     validates its type against ``system``.
     """
-    profile = profile or ExperimentProfile.quick()
     simulator, sut, summary = _execute_rate_point(
         system, topology_factory, rate_hz, write_ratio, profile, config=config
     )
@@ -264,16 +218,14 @@ def find_max_throughput(
     system: str,
     topology_factory: TopologyFactory,
     write_ratio: float,
-    profile: Optional[ExperimentProfile] = None,
+    profile: ExperimentProfile,
     config: Any = None,
 ) -> Tuple[RatePointResult, List[RatePointResult]]:
     """Walk the profile's rate ladder until :meth:`ExperimentProfile.saturates`.
 
     Returns the best rate point (highest measured throughput with median
-    completion time under the threshold) and the full list of points, which
-    the throughput-latency figures (5 and 6) plot directly.
+    completion time under the threshold) and every point measured.
     """
-    profile = profile or ExperimentProfile.quick()
     return walk_rate_ladder(
         profile.rate_ladder,
         lambda rate: run_rate_point(

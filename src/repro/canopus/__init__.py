@@ -1,6 +1,7 @@
 """Canopus: the paper's primary contribution.
 
-The package implements the full protocol described in §4–§7 of the paper:
+The package implements the protocol described in §4–§7 of the paper,
+except the write-lease read optimization of §7.2:
 
 * :mod:`repro.canopus.lot` — the Leaf-Only Tree overlay, super-leaves,
   emulation table, and representative assignment.
@@ -12,8 +13,6 @@ The package implements the full protocol described in §4–§7 of the paper:
 * :mod:`repro.canopus.node` — the Canopus node state machine: consensus
   cycles, self-synchronization, pipelining, read linearization, commit.
 * :mod:`repro.canopus.linearizer` — read-delay linearization (§5).
-* :mod:`repro.canopus.leases` — the optional write-lease read optimization
-  (§7.2).
 * :mod:`repro.canopus.membership` — emulation-table maintenance and the
   join/leave protocol (§4.6).
 

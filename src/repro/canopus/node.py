@@ -25,9 +25,10 @@ height):
   reads whose linearization point has passed are answered locally, and
   membership updates are applied to the emulation table.
 
-Self-synchronization (§4.4), pipelining (§7.1), read linearization by delay
-(§5) and the optional write-lease read optimization (§7.2) are all
-implemented here, delegating bookkeeping to the sibling modules.
+Self-synchronization (§4.4), pipelining (§7.1) and read linearization by
+delay (§5) are implemented here, delegating bookkeeping to the sibling
+modules.  The write-lease read optimization (§7.2) is not: every read
+waits for the commit of the last cycle the node started, or needs none.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.broadcast import make_broadcast
 from repro.broadcast.base import ReliableBroadcast
-from repro.canopus.config import CanopusConfig
+from repro.canopus.config import PROPOSAL_NUMBER_BITS, REPRESENTATIVES_PER_SUPER_LEAF, CanopusConfig
 from repro.canopus.cycle import CycleState, FetchState
-from repro.canopus.leases import LeaseTable
 from repro.canopus.linearizer import ReadLinearizer
 from repro.canopus.lot import EmulationTable, LeafOnlyTree
 from repro.canopus.membership import FailureDetector, Heartbeat, JoinRequest, MembershipManager
@@ -104,7 +104,6 @@ class CanopusNode:
         #: Reads that arrived while the view lease was lapsed, ``(sender,
         #: request)`` by request id; see :meth:`_hold_read`.
         self._reads_out_of_view: Dict[int, Tuple[str, ClientRequest]] = {}
-        self.leases = LeaseTable(self.config.lease_cycles)
 
         # Consensus cycle state.
         self.cycles: Dict[int, CycleState] = {}
@@ -218,7 +217,7 @@ class CanopusNode:
         extra communication.
         """
         return LeafOnlyTree.representatives(
-            cycle_id, self.live_members, self.config.representatives_per_super_leaf
+            cycle_id, self.live_members, REPRESENTATIVES_PER_SUPER_LEAF
         )
 
     def is_representative(self, cycle_id: int) -> bool:
@@ -270,11 +269,6 @@ class CanopusNode:
             self._maybe_start_next_cycle(reason="client-request")
 
     def _handle_read(self, sender: str, request: ClientRequest) -> None:
-        if self.config.write_leases and not self.leases.lease_active(request.key, self.last_started_cycle + 1):
-            # §7.2: no active write lease for this key — answer immediately
-            # from committed state.
-            self._answer_read(sender, request)
-            return
         if not self.failure_detector.in_view():
             self._hold_read(sender, request)
             return
@@ -437,7 +431,7 @@ class CanopusNode:
             round_number=1,
             vnode_id=self.node_id,
             sender=self.node_id,
-            proposal_number=self.runtime.rng.getrandbits(self.config.proposal_number_bits),
+            proposal_number=self.runtime.rng.getrandbits(PROPOSAL_NUMBER_BITS),
             requests=tuple(batch),
             membership_updates=updates,
         )
@@ -699,7 +693,7 @@ class CanopusNode:
             round_number,
             state.cycle_id,
             self.live_members,
-            self.config.representatives_per_super_leaf,
+            REPRESENTATIVES_PER_SUPER_LEAF,
             self.config.redundant_fetches,
         )
         for vnode_id, fetchers in plan.items():
@@ -797,11 +791,6 @@ class CanopusNode:
             if sender is not None:
                 send_reply(sender, request, value, cycle_id)
         self.stats["writes_committed"] += len(requests)
-
-        # Write-lease table evolves identically at every node (§7.2).
-        if self.config.write_leases:
-            self.leases.observe_committed_writes(cycle_id, [request.key for request in requests])
-            self.leases.prune(cycle_id)
 
         state.committed = True
         self.last_committed_cycle = cycle_id

@@ -22,7 +22,6 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.kvstore.persistence import PersistenceModel, StorageDevice
 from repro.kvstore.store import KVStore
 from repro.runtime.base import Runtime, Timer
 from repro.runtime.messages import ClientReply, ClientRequest
@@ -49,8 +48,6 @@ class ZabConfig:
     batch_duration_s: float = 0.0
     #: Maximum transactions per proposal (1 = ZooKeeper's per-request Zab).
     max_batch_size: int = 1
-    #: Storage backend for the transaction log (§8.1 in-memory vs SSD).
-    storage: StorageDevice = StorageDevice.MEMORY
 
 
 @dataclass(slots=True)
@@ -88,7 +85,6 @@ class ZabNode:
         self.on_reply = on_reply
 
         self.store = KVStore()
-        self.log = PersistenceModel(device=self.config.storage)
 
         self.next_zxid = 0
         self.pending_txns: Dict[int, _PendingTxn] = {}
@@ -190,7 +186,6 @@ class ZabNode:
         zxid = self.next_zxid
         txn = _PendingTxn(zxid=zxid, origin=origin, requests=requests, acks={self.node_id})
         self.pending_txns[zxid] = txn
-        self.log.append(self.runtime.now(), sum(r.wire_size() for r in requests))
         if self._obs is not None:
             self._obs.phase_begin(
                 self._obs_proto, "propose", self.node_id, key=zxid,
@@ -238,11 +233,10 @@ class ZabNode:
         self._apply_committed(message.zxid, message.origin, message.requests)
 
     def _on_proposal(self, sender: str, message: ZabProposal) -> None:
-        # Followers log the proposal, then acknowledge.
+        # Followers keep the proposal until its commit and acknowledge it.
         self.pending_txns[message.zxid] = _PendingTxn(
             zxid=message.zxid, origin=message.origin, requests=message.requests
         )
-        self.log.append(self.runtime.now(), sum(r.wire_size() for r in message.requests))
         ack = ZabAck(zxid=message.zxid, follower=self.node_id)
         self.transport.send(sender, ack, ack.wire_size())
 

@@ -1,4 +1,4 @@
-"""Tests for the experiment harness: builders, runner, report, experiments."""
+"""Tests for the experiment harness: builders, the runner and its perf-tracking points."""
 
 from functools import partial
 from operator import attrgetter
@@ -6,11 +6,9 @@ from operator import attrgetter
 import pytest
 
 from repro.bench.builders import build_system, make_multi_dc_topology, make_single_dc_topology, scaled_cpu_model
-from repro.bench.experiments import table1_latency_matrix
-from repro.bench.report import format_results, format_table
-from repro.bench.runner import ExperimentProfile, find_max_throughput, run_rate_point
+from repro.bench.runner import ExperimentProfile, RatePointResult, find_max_throughput, run_rate_point
+from repro.metrics.collector import RunSummary
 from repro.sim.engine import Simulator
-from repro.sim.latencies import EC2_REGIONS, latency_ms
 
 
 TINY = ExperimentProfile(
@@ -80,9 +78,47 @@ class TestRunner:
             or p is points[-1]
         )
 
-    def test_profiles_exist(self):
-        assert ExperimentProfile.quick().measure_s <= ExperimentProfile.full().measure_s
-        assert ExperimentProfile.wan().latency_threshold_s > ExperimentProfile.quick().latency_threshold_s
+    def test_run_rate_point_requires_a_profile(self):
+        factory = partial(make_single_dc_topology, nodes_per_rack=3)
+        with pytest.raises(TypeError, match="profile"):
+            run_rate_point("canopus", factory, rate_hz=1500, write_ratio=0.2)
+
+    def test_find_max_throughput_requires_a_profile(self):
+        factory = partial(make_single_dc_topology, nodes_per_rack=3)
+        with pytest.raises(TypeError, match="profile"):
+            find_max_throughput("canopus", factory, write_ratio=0.2)
+
+
+def point_with(median_s, submitted=100, completed=100):
+    summary = RunSummary(
+        requests_submitted=submitted,
+        requests_completed=completed,
+        duration_s=1.0,
+        throughput_rps=float(completed),
+        median_completion_s=median_s,
+        p95_completion_s=median_s,
+        p99_completion_s=median_s,
+        read_median_s=median_s,
+        write_median_s=median_s,
+    )
+    return RatePointResult("stub", 1000, 0.2, 9, summary)
+
+
+class TestProfileSaturation:
+    """Where :meth:`ExperimentProfile.saturates` draws its two lines."""
+
+    PROFILE = ExperimentProfile(latency_threshold_s=0.030, min_goodput_ratio=0.85)
+
+    def test_a_median_at_the_threshold_keeps_up(self):
+        assert not self.PROFILE.saturates(point_with(0.030))
+        assert self.PROFILE.saturates(point_with(0.0301))
+
+    def test_goodput_at_the_minimum_ratio_keeps_up(self):
+        assert not self.PROFILE.saturates(point_with(0.001, completed=85))
+        assert self.PROFILE.saturates(point_with(0.001, completed=84))
+
+    def test_a_point_with_nothing_submitted_counts_as_full_goodput(self):
+        assert not self.PROFILE.saturates(point_with(0.001, submitted=0, completed=0))
 
 
 class TestRateLadderWalk:
@@ -207,35 +243,3 @@ class TestPerfTrackingPoints:
         update_perf_report(path, "p", dict(base), set_baseline=True)
         entry = update_perf_report(path, "p", dict(base, events_per_s=90))
         assert "commit_logs_match_baseline" not in entry
-
-
-class TestReport:
-    def test_format_table_alignment(self):
-        text = format_table(["name", "value"], [["a", 1], ["longer-name", 22]])
-        lines = text.splitlines()
-        assert len(lines) == 4
-        assert lines[0].startswith("name")
-        assert all(len(line) == len(lines[0]) or "-" in line for line in lines[1:2])
-
-    def test_format_results_selects_columns(self):
-        rows = [{"system": "canopus", "throughput_rps": 1234.5678, "extra": "hidden"}]
-        text = format_results(rows, ["system", "throughput_rps"])
-        assert "canopus" in text
-        assert "1234.57" in text
-        assert "hidden" not in text
-
-
-class TestExperimentDefinitions:
-    def test_table1_matrix_matches_latency_module(self):
-        rows = table1_latency_matrix()
-        assert len(rows) == len(EC2_REGIONS)
-        by_region = {row["region"]: row for row in rows}
-        assert by_region["IR"]["CA"] == latency_ms("IR", "CA")
-        assert by_region["SY"]["FF"] == 322.0
-
-    def test_table1_matrix_is_symmetric(self):
-        rows = table1_latency_matrix()
-        by_region = {row["region"]: row for row in rows}
-        for a in EC2_REGIONS:
-            for b in EC2_REGIONS:
-                assert by_region[a][b] == by_region[b][a]

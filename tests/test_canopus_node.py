@@ -7,11 +7,19 @@ broadcast, representatives, commit) on the deterministic simulator.
 import pytest
 
 from repro.bench.builders import build_system, make_single_dc_topology
+from repro.canopus.config import (
+    FAILURE_TIMEOUT_MULTIPLIER,
+    PROPOSAL_NUMBER_BITS,
+    REPRESENTATIVES_PER_SUPER_LEAF,
+    CanopusConfig,
+)
 from repro.canopus.messages import Proposal, ProposalRequest
 from repro.raft.messages import AppendEntries, AppendEntriesReply
 from repro.runtime.messages import RequestType
 from repro.sim.engine import Simulator
 from repro.verify.agreement import check_agreement
+from repro.verify.history import History
+from repro.verify.linearizability import check_linearizable_history
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 from tests.helpers import build_canopus_on_sim, fast_config, read, write
 
@@ -324,11 +332,10 @@ class TestReadRelease:
             assert self.reply_to(replies, request).value == f"new-{delayed}"
             assert self.reply_to(replies, request).committed_cycle == cycle
 
-    @pytest.mark.parametrize("path", ["at-once", "deferred", "no-write-lease"])
+    @pytest.mark.parametrize("path", ["at-once", "deferred"])
     def test_answered_reads_leave_nothing_behind(self, path):
         """Only writes are looked up at commit, so only writes are recorded."""
-        config = fast_config(write_leases=path == "no-write-lease")
-        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
         node = protocol.nodes["n0-1"]
         if path != "at-once":
             node.submit(write("other", "x"))  # a cycle in flight
@@ -340,64 +347,44 @@ class TestReadRelease:
         assert len(replies) == 1000 + (path != "at-once")
         assert node.request_senders == {}
 
-    def test_write_lease_reads_bypass_the_cycle_in_flight(self):
-        """§7.2 is untouched: no lease on the key, no waiting, cycle or not."""
-        config = fast_config(write_leases=True)
-        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        node = protocol.nodes["n0-1"]
-        node.submit(write("hot", "v"))
-        assert node.last_started_cycle == 1 and node.last_committed_cycle == 0
-        request = read("cold")
-        node.submit(request)
-        assert self.reply_to(replies, request).committed_cycle == 0
+    @pytest.mark.parametrize("broadcast_mode", ["ideal", "raft"])
+    def test_read_at_a_lagging_rack_inside_the_ack_to_commit_window_sees_the_write(self, broadcast_mode):
+        """``n0-0`` acknowledges a write before the other racks commit its
+        cycle.  A read issued 1 µs after the ack at each node still behind
+        that commit waits for it and returns the write.  Answering such a
+        read at once from committed state, as a write lease granted at
+        commit would (§7.2), returns ``None`` here and breaks
+        linearizability."""
+        sim, _, protocol, replies = build_canopus_on_sim(
+            nodes_per_rack=3, racks=3, config=fast_config(broadcast_mode=broadcast_mode)
+        )
+        written, written_at = write("k", "v1", client="writer"), sim.now
+        protocol.nodes["n0-0"].submit(written)
+        while self.reply_to(replies, written) is None:
+            assert sim.loop.step()
+        ack = self.reply_to(replies, written)
+        lagging = [node for node in protocol.nodes.values() if node.last_committed_cycle < ack.committed_cycle]
+        assert {node.node_id[:2] for node in lagging} >= {"n1", "n2"}
+        issued = {}
 
+        def issue(node):
+            assert node.last_committed_cycle < ack.committed_cycle  # inside the window
+            request = read("k", client=f"reader-{node.node_id}")
+            issued[node.node_id] = (request, sim.now)
+            node.submit(request)
 
-class TestWriteLeases:
-    def test_read_of_unleased_key_is_immediate(self):
-        config = fast_config(write_leases=True)
-        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        node = next(iter(protocol.nodes.values()))
-        request = read("cold-key")
-        node.submit(request)
-        # No cycle needs to run: the reply is produced synchronously.
-        assert any(r.request_id == request.request_id for r in replies)
-
-    def test_read_of_recently_written_key_is_deferred(self):
-        """With a cycle in flight, that is; an idle node has nothing to wait
-        for, lease or no lease."""
-        config = fast_config(write_leases=True, lease_cycles=5)
-        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        node = next(iter(protocol.nodes.values()))
-        node.submit(write("hot", "1"))
-        sim.run_until(1.0)
-        node.submit(write("other", "x"))
-        assert node.last_started_cycle == 2 and node.last_committed_cycle == 1
-        request, cold = read("hot"), read("cold")
-        node.submit(request)
-        node.submit(cold)
-        immediately = any(r.request_id == request.request_id for r in replies)
-        assert any(r.request_id == cold.request_id for r in replies)
-        sim.run_until(3.0)
-        eventually = any(r.request_id == request.request_id for r in replies)
-        assert not immediately
-        assert eventually
-        idle = read("hot")
-        node.submit(idle)
-        assert any(r.request_id == idle.request_id for r in replies)
-
-    def test_lease_expires_and_reads_become_immediate_again(self):
-        config = fast_config(write_leases=True, lease_cycles=1)
-        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
-        node = next(iter(protocol.nodes.values()))
-        node.submit(write("hot", "1"))
-        sim.run_until(1.0)
-        # Run several more cycles so the lease lapses.
-        for i in range(4):
-            node.submit(write(f"other-{i}", "x"))
-            sim.run_until(1.0 + (i + 1) * 0.5)
-        request = read("hot")
-        node.submit(request)
-        assert any(r.request_id == request.request_id for r in replies)
+        for node in lagging:
+            sim.schedule(1e-6, lambda node=node: issue(node))
+        sim.run_until(sim.now + 0.05)
+        history = History()
+        history.add("writer", "write", "k", "v1", written_at, ack.completed_at)
+        for node_id, (request, issued_at) in issued.items():
+            reply = self.reply_to(replies, request)
+            assert reply.value == "v1", f"{node_id}: read issued at {issued_at} returned {reply.value!r}"
+            history.add(request.client_id, "read", "k", reply.value, issued_at, reply.completed_at)
+        assert len(issued) == len(lagging)
+        ok, message = check_linearizable_history(history)
+        assert ok, message
 
 
 class TestRepresentatives:
@@ -456,6 +443,56 @@ class TestRepresentatives:
         for node in nodes:
             cycles = [cycle.cycle_id for cycle in node.commit_log]
             assert cycles == sorted(cycles)
+
+    def test_a_four_member_super_leaf_splits_fetch_duty_in_pairs(self):
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=4, racks=3)
+        node = protocol.nodes["n1-3"]
+        members = sorted(node.super_leaf.members)
+        duty = {cycle_id: node.representatives(cycle_id) for cycle_id in range(4)}
+        assert all(len(chosen) == REPRESENTATIVES_PER_SUPER_LEAF == 2 for chosen in duty.values())
+        assert duty[0] == duty[2] == members[:2]
+        assert duty[1] == duty[3] == members[2:]
+
+
+class TestFixedParameters:
+    """The protocol constants no deployment varies, and the knobs that went."""
+
+    def test_failure_timeout_is_four_heartbeat_intervals(self):
+        assert FAILURE_TIMEOUT_MULTIPLIER == 4.0
+        assert CanopusConfig().failure_timeout_s() == pytest.approx(0.2)
+        assert fast_config(heartbeat_interval_s=0.01).failure_timeout_s() == pytest.approx(0.04)
+
+    def test_round1_proposal_numbers_are_drawn_from_32_bits(self):
+        sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3)
+        node = protocol.nodes["n2-1"]
+        drawn = []
+        getrandbits = node.runtime.rng.getrandbits
+
+        def recording(bits):
+            value = getrandbits(bits)
+            drawn.append((bits, value))
+            return value
+
+        node.runtime.rng.getrandbits = recording
+        for index in range(3):
+            node.submit(write(f"k{index}", "v"))
+            sim.run_until(0.1 * (index + 1))
+        assert node.last_committed_cycle == 3
+        assert len(drawn) == 3
+        assert all(bits == PROPOSAL_NUMBER_BITS == 32 for bits, _ in drawn)
+        assert all(0 <= value < 2**32 for _, value in drawn)
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("representatives_per_super_leaf", 2),
+            ("failure_timeout_multiplier", 4.0),
+            ("proposal_number_bits", 32),
+        ],
+    )
+    def test_a_removed_knob_is_rejected_rather_than_ignored(self, knob, value):
+        with pytest.raises(TypeError, match=knob):
+            CanopusConfig(**{knob: value})
 
 
 class TestEarlyFetch:

@@ -1,9 +1,6 @@
-"""Tests for cycle bookkeeping, the read linearizer, and write leases."""
-
-import pytest
+"""Tests for cycle bookkeeping and the read linearizer."""
 
 from repro.canopus.cycle import CycleState
-from repro.canopus.leases import LeaseTable
 from repro.canopus.linearizer import ReadLinearizer
 from repro.canopus.messages import Proposal
 from repro.runtime.messages import ClientRequest, RequestType
@@ -115,48 +112,3 @@ class TestReadLinearizer:
         linearizer.release_up_to(1)
         assert linearizer.reads_buffered == 2
         assert linearizer.reads_released == 2
-
-
-class TestLeaseTable:
-    def test_lease_activates_one_cycle_after_commit(self):
-        table = LeaseTable(lease_cycles=2)
-        table.observe_committed_writes(cycle_id=5, keys=["k"])
-        assert not table.lease_active("k", 5)
-        assert table.lease_active("k", 6)
-        assert table.lease_active("k", 7)
-        assert not table.lease_active("k", 8)
-
-    def test_unwritten_key_has_no_lease(self):
-        table = LeaseTable()
-        assert not table.lease_active("other", 1)
-
-    def test_renewal_extends_expiry(self):
-        table = LeaseTable(lease_cycles=2)
-        table.observe_committed_writes(5, ["k"])
-        table.observe_committed_writes(6, ["k"])
-        assert table.lease_active("k", 8)
-        assert table.leases_renewed == 1
-
-    def test_expired_lease_can_be_regranted(self):
-        table = LeaseTable(lease_cycles=1)
-        table.observe_committed_writes(1, ["k"])
-        assert not table.lease_active("k", 5)
-        table.observe_committed_writes(9, ["k"])
-        assert table.lease_active("k", 10)
-        assert table.leases_granted == 2
-
-    def test_prune_drops_expired_leases(self):
-        table = LeaseTable(lease_cycles=1)
-        table.observe_committed_writes(1, ["a", "b"])
-        table.prune(10)
-        assert len(table) == 0
-
-    def test_active_leases_listing(self):
-        table = LeaseTable(lease_cycles=3)
-        table.observe_committed_writes(2, ["x", "y"])
-        active = {lease.key for lease in table.active_leases(3)}
-        assert active == {"x", "y"}
-
-    def test_invalid_lease_duration_rejected(self):
-        with pytest.raises(ValueError):
-            LeaseTable(lease_cycles=0)

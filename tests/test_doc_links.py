@@ -1,14 +1,13 @@
 """Doc references in the code must not go stale.
 
 A reference to a top-level Markdown file must name one that exists.  Scope:
-``src/``, ``examples/``, ``benchmarks/`` and the top-level ``*.md``
-documents.  ``perf/`` keeps its own README and is left out.  A reference is
+``src/``, ``examples/`` and the top-level ``*.md`` documents.  ``perf/`` keeps its own README and is left out.  A reference is
 a bare ``NAME.md``; ``perf/README.md`` or ``skills/verify/SKILL.md`` name a
 path, not a top-level file.
 
 A ROADMAP item is cited by its title, never by its number: items are
 renumbered whenever the ROADMAP is re-anchored.  Scope: ``src/``,
-``tests/``, ``examples/`` and ``benchmarks/``.
+``tests/`` and ``examples/``.
 
 A ``--flag`` written after ``repro.bench.runner`` must be an option of the
 runner's parser.  Scope: the documents above plus the CI workflow and the
@@ -24,12 +23,19 @@ capitalized name, optionally followed by ``.member`` (and ``()``), must name
 a class defined under ``src/repro`` or ``tests``; the member must be a
 method, a class attribute or a ``self.`` assignment of that class or one of
 its bases.  Builtin names (``None``, ``ValueError``) are left alone.
+
+Code that was deleted must not be named as if it were still there: the old
+benchmark suite and its figure CLI, the experiment definitions, the storage
+model and the write leases.  Scope: the documents above, ``tests/``, the CI
+workflow and the verify skill; the plans and history keep their records.
 """
 
 import ast
 import builtins
 import pathlib
 import re
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: Plans and history name files that are gone or still to be written.
@@ -44,7 +50,7 @@ CLASS_REFERENCE = re.compile(r"([A-Z][a-z]\w*)(?:\.(\w+))?(?:\(\))?")
 
 
 def documents():
-    for directory in ("src", "examples", "benchmarks"):
+    for directory in ("src", "examples"):
         for path in sorted((ROOT / directory).rglob("*")):
             if path.suffix in (".py", ".md"):
                 yield path
@@ -61,7 +67,7 @@ def test_every_referenced_top_level_markdown_file_exists():
             for name in BARE_MARKDOWN_NAME.findall(line):
                 if not (ROOT / name).is_file():
                     dangling.append(f"{path.relative_to(ROOT)}:{line_number}: {name}")
-    assert scanned > 100  # the walk found the tree
+    assert scanned > 80  # the walk found the tree
     assert not dangling, "\n".join(dangling)
 
 
@@ -72,7 +78,7 @@ def test_the_pattern_takes_bare_names_and_leaves_paths():
 
 def test_no_roadmap_item_is_cited_by_number():
     scanned, stale = 0, []
-    for directory in ("src", "tests", "examples", "benchmarks"):
+    for directory in ("src", "tests", "examples"):
         for path in sorted((ROOT / directory).rglob("*.py")):
             scanned += 1
             text = path.read_text(encoding="utf-8")
@@ -115,6 +121,40 @@ def test_every_runner_flag_in_the_docs_is_an_option_of_the_runner():
                 line_number = text.count("\n", 0, offset) + 1
                 stale.append(f"{path.relative_to(ROOT)}:{line_number}: {flag}")
     assert found > 10  # the walk found the CI steps and the docs
+    assert not stale, "\n".join(stale)
+
+
+#: Names of deleted code, each with what replaced it or why it went.
+REMOVED = {
+    "benchmarks/": "the paper's claims are tests/test_paper_claims.py",
+    "repro.bench.experiments": "the claims call find_max_throughput directly",
+    "reproduce_figures": "the figure CLI went with the experiment definitions",
+    "write_leases": "writes were acknowledged before their lease was active",
+    "lease_cycles": "writes were acknowledged before their lease was active",
+    "PersistenceModel": "no protocol read the durable time it returned",
+    "StorageDevice": "no protocol read the durable time it returned",
+}
+
+
+def removed_name_pattern(name):
+    tail = r"\b" if name[-1].isalnum() or name[-1] == "_" else ""
+    return re.compile(rf"(?<![\w/.]){re.escape(name)}{tail}")
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED))
+def test_no_document_names_removed_code(name):
+    pattern = removed_name_pattern(name)
+    this_file = pathlib.Path(__file__).resolve()
+    paths = [ROOT / ".github/workflows/ci.yml", ROOT / ".claude/skills/verify/SKILL.md"]
+    paths += [path for path in sorted((ROOT / "tests").rglob("*.py")) if path.resolve() != this_file]
+    scanned, stale = 0, []
+    for path in [*paths, *documents()]:
+        scanned += 1
+        text = path.read_text(encoding="utf-8")
+        for match in pattern.finditer(text):
+            line_number = text.count("\n", 0, match.start()) + 1
+            stale.append(f"{path.relative_to(ROOT)}:{line_number}: {name} ({REMOVED[name]})")
+    assert scanned > 120  # the walk found the tree
     assert not stale, "\n".join(stale)
 
 

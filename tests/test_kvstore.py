@@ -1,4 +1,4 @@
-"""Tests for the znode store and the persistence model."""
+"""Tests for the znode store."""
 
 import tracemalloc
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvstore.persistence import PersistenceModel, StorageDevice
 from repro.kvstore.store import BadVersionError, KVStore, NodeExistsError, NoNodeError
 
 
@@ -235,43 +234,3 @@ class TestRetainedState:
 
         assert retained_bytes(write_all) / count <= 150
         assert store.size() == count + 2
-
-    def test_persistence_state_does_not_grow_with_appends(self):
-        log = PersistenceModel(group_size=32)
-        log.append(0.0, 100)
-
-        def append_all():
-            for index in range(10_000):
-                log.append(index * 1e-3, 100)
-
-        assert retained_bytes(append_all) < 1_000
-        assert (len(log), log.total_bytes(), log.flushes) == (10_001, 1_000_100, 312)
-
-
-class TestPersistence:
-    def test_memory_device_is_fastest(self):
-        assert StorageDevice.MEMORY.append_latency_s < StorageDevice.SSD.append_latency_s
-        assert StorageDevice.SSD.append_latency_s < StorageDevice.HDD.append_latency_s
-
-    def test_append_returns_future_durable_time(self):
-        log = PersistenceModel(device=StorageDevice.SSD)
-        durable_at = log.append(now=1.0, size_bytes=100)
-        assert durable_at > 1.0
-
-    def test_ssd_adds_less_than_half_a_millisecond(self):
-        """The paper reports < 0.5 ms added median completion time (§8.1)."""
-        log = PersistenceModel(device=StorageDevice.SSD)
-        assert log.added_latency() < 0.0005
-
-    def test_group_commit_counts_flushes(self):
-        log = PersistenceModel(device=StorageDevice.MEMORY, group_size=4)
-        for i in range(8):
-            log.append(now=float(i), size_bytes=10)
-        assert log.flushes == 2
-        assert len(log) == 8
-
-    def test_total_bytes(self):
-        log = PersistenceModel()
-        log.append(0.0, 10)
-        log.append(0.1, 20)
-        assert log.total_bytes() == 30

@@ -1,7 +1,7 @@
 """Tests for the ZooKeeper/Zab baseline."""
 
+import pytest
 
-from repro.kvstore.persistence import StorageDevice
 from repro.protocols import build_protocol
 from repro.runtime.messages import ClientRequest, RequestType
 from repro.sim.engine import Simulator
@@ -42,6 +42,11 @@ class TestEnsembleLayout:
     def test_quorum_size(self):
         _, _, protocol, _ = build()
         assert protocol.node(protocol.leader_id).quorum_size() == 4  # majority of 6 voters
+
+    def test_storage_is_not_configurable(self):
+        """Nothing modelled a log's durable time, so no knob claims to."""
+        with pytest.raises(TypeError, match="storage"):
+            ZabConfig(storage="ssd")
 
 
 class TestWrites:
@@ -148,16 +153,7 @@ class TestRetainedState:
         assert all(log == list(range(200)) for log in logs.values())
 
 
-class TestStorage:
-    def test_logs_are_appended_on_proposals(self):
-        sim, _, protocol, _ = build(config=ZabConfig(storage=StorageDevice.SSD))
-        leader = protocol.node(protocol.leader_id)
-        leader.submit(write("k"))
-        sim.run_until(0.5)
-        assert len(leader.log) >= 1
-        follower = next(n for n in protocol.nodes.values() if n.role is ZabRole.FOLLOWER)
-        assert len(follower.log) >= 1
-
+class TestCrash:
     def test_crashed_leader_stops_committing(self):
         sim, _, protocol, replies = build()
         protocol.crash(protocol.leader_id)
