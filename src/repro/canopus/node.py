@@ -201,11 +201,6 @@ class CanopusNode:
         if callable(stop_broadcast):
             stop_broadcast()
 
-    def crash(self) -> None:
-        """Crash-stop this node (used by failure-injection tests)."""
-        self.crashed = True
-        self.stop()
-
     # ==================================================================
     # Representatives
     # ==================================================================

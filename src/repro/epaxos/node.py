@@ -182,10 +182,6 @@ class EPaxosNode:
             self._probe_timer.cancel()
             self._probe_timer = None
 
-    def crash(self) -> None:
-        self.crashed = True
-        self.stop()
-
     # ------------------------------------------------------------------
     def peers(self) -> Tuple[str, ...]:
         return self._peers

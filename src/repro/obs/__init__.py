@@ -4,8 +4,8 @@ Public surface:
 
 * :class:`Tracer` / :class:`Span` — request spans + protocol phases
   (:mod:`repro.obs.trace`),
-* :class:`Telemetry` / :class:`TelemetrySampler` — counters, gauges,
-  histograms, sim-time queue sampling (:mod:`repro.obs.telemetry`),
+* :class:`Telemetry` / :class:`TelemetrySampler` — sim-time queue
+  sampling into name-keyed timeseries (:mod:`repro.obs.telemetry`),
 * :func:`export_json` / :func:`export_chrome_trace` / :func:`trace_digest`
   — deterministic exports (:mod:`repro.obs.export`),
 * ``python -m repro.obs.report`` — per-phase latency breakdowns and a
@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional
 
 from repro.obs.export import export_chrome_trace, export_json, trace_digest, trace_to_dict
-from repro.obs.telemetry import Counter, Gauge, Histogram, Telemetry, TelemetrySampler
+from repro.obs.telemetry import Telemetry, TelemetrySampler
 from repro.obs.trace import Span, Tracer, format_phase_slice, format_trace_slice
 
 __all__ = [
@@ -31,9 +31,6 @@ __all__ = [
     "Tracer",
     "format_trace_slice",
     "format_phase_slice",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "Telemetry",
     "TelemetrySampler",
     "trace_to_dict",

@@ -70,11 +70,6 @@ def trace_to_dict(tracer: Tracer, telemetry: Optional[Telemetry] = None) -> Dict
 
     out: Dict[str, Any] = {"format": "repro-trace-v1", "spans": spans}
     if telemetry is not None:
-        out["counters"] = {name: c.value for name, c in sorted(telemetry.counters.items())}
-        out["gauges"] = {name: g.value for name, g in sorted(telemetry.gauges.items())}
-        out["histograms"] = {
-            name: list(h.values) for name, h in sorted(telemetry.histograms.items())
-        }
         out["series"] = {
             name: [[_ns(t), value] for t, value in points]
             for name, points in sorted(telemetry.series.items())

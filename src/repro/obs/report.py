@@ -142,11 +142,6 @@ def build_report(data: Dict[str, Any], top: int = 5) -> str:
                 f"  {name:<40} n={len(values):>5}  min={min(values):10.2f}"
                 f"  mean={sum(values) / len(values):10.2f}  max={max(values):10.2f}"
             )
-    counters = data.get("counters") or {}
-    if counters:
-        lines.append(" counters:")
-        for name in sorted(counters):
-            lines.append(f"  {name:<40} {counters[name]}")
     return "\n".join(lines)
 
 

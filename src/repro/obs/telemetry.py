@@ -1,6 +1,6 @@
-"""Counters, gauges, histograms and periodic sim-time sampling.
+"""Periodic sim-time sampling of live queue state.
 
-:class:`Telemetry` is a tiny name-keyed registry; :class:`TelemetrySampler`
+:class:`Telemetry` holds name-keyed timeseries; :class:`TelemetrySampler`
 walks the live simulation on a fixed sim-time grid and records the queue
 state the end-of-run summaries cannot see: event-loop depth, per-host rx
 backlog, switch lane depth, and per-shard windowed goodput.
@@ -17,80 +17,15 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "Telemetry", "TelemetrySampler"]
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-
-class Histogram:
-    """All observed values, summarized at export time.
-
-    Keeps the raw observations (runs are bounded); percentile math lives
-    in :mod:`repro.metrics.stats` so the obs report and the bench
-    summaries agree on one definition.
-    """
-
-    __slots__ = ("name", "values")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.values: List[float] = []
-
-    def observe(self, value: float) -> None:
-        self.values.append(value)
+__all__ = ["Telemetry", "TelemetrySampler"]
 
 
 class Telemetry:
-    """Name-keyed metric registry plus recorded timeseries samples."""
+    """Recorded timeseries samples, keyed by series name."""
 
     def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, Histogram] = {}
         #: series name -> [(sim_time, value), ...] in sample order.
         self.series: Dict[str, List[Tuple[float, float]]] = {}
-
-    def counter(self, name: str) -> Counter:
-        metric = self.counters.get(name)
-        if metric is None:
-            metric = self.counters[name] = Counter(name)
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        metric = self.gauges.get(name)
-        if metric is None:
-            metric = self.gauges[name] = Gauge(name)
-        return metric
-
-    def histogram(self, name: str) -> Histogram:
-        metric = self.histograms.get(name)
-        if metric is None:
-            metric = self.histograms[name] = Histogram(name)
-        return metric
 
     def sample(self, name: str, when: float, value: float) -> None:
         """Append one timeseries point (``when`` is sim time)."""

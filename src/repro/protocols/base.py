@@ -42,8 +42,9 @@ class ConsensusProtocol(abc.ABC):
 
     The adapter owns its nodes: ``nodes`` maps node id to protocol node in
     placement order, and every node offers ``start()``, ``stop()``,
-    ``crash()`` and ``submit()``.  Subclasses add the introspection the
-    harness and the conformance suite rely on.
+    ``submit()`` and a ``crashed`` flag.  A node has no crash method of its
+    own: :meth:`crash` is the one crash meaning.  Subclasses add the
+    introspection the harness and the conformance suite rely on.
     """
 
     #: Registry key of the protocol (set by subclasses).
@@ -79,13 +80,16 @@ class ConsensusProtocol(abc.ABC):
         """Crash-stop replica ``node_id``.
 
         On the simulator its host fails first, so nothing more leaves or
-        reaches it, and then the node stops; on a substrate without a
-        simulated network (asyncio) only the node stops.
+        reaches it; then the node is marked ``crashed`` and stopped.  On a
+        substrate without a simulated network (asyncio) only the node is
+        marked and stopped.
         """
         network = getattr(self.topology, "network", None)
         if network is not None:
             network.hosts[node_id].fail()
-        self.nodes[node_id].crash()
+        node = self.nodes[node_id]
+        node.crashed = True
+        node.stop()
 
     # ------------------------------------------------------------------
     # Client intake

@@ -181,10 +181,6 @@ class RaftKVNode:
     def stop(self) -> None:
         self.raft.stop()
 
-    def crash(self) -> None:
-        self.crashed = True
-        self.stop()
-
     # ------------------------------------------------------------------
     def submit(self, request: ClientRequest, sender: Optional[str] = None) -> None:
         self._on_client_request(sender or self.node_id, request)

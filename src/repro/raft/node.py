@@ -25,7 +25,15 @@ from repro.raft.log import LogEntry, RaftLog
 from repro.raft.messages import AppendEntries, AppendEntriesReply, RequestVote, RequestVoteReply
 from repro.runtime.base import TIMER_SLACK_S, Runtime, Timer
 
-__all__ = ["Role", "RaftConfig", "RaftNode"]
+__all__ = ["Role", "RaftConfig", "RaftNode", "LEASE_FRACTION"]
+
+#: Leader-lease length as a fraction of ``election_timeout_min_s``.  Once a
+#: majority acks a replication round, the leader holds a lease from that
+#: round's *send* time for this fraction of the minimum election timeout —
+#: no rival can win an election before it expires.  The margin absorbs
+#: clock drift; in the simulator all clocks are the one simulated clock, so
+#: the arithmetic is exact and deterministic.
+LEASE_FRACTION = 0.9
 
 
 class Role(enum.Enum):
@@ -45,13 +53,6 @@ class RaftConfig:
     #: Canopus uses this: each super-leaf member is the initial leader of
     #: its own broadcast group (§4.3).
     initial_leader: Optional[str] = None
-    #: Leader-lease length as a fraction of ``election_timeout_min_s``.
-    #: Once a majority acks a replication round, the leader holds a lease
-    #: from that round's *send* time for this fraction of the minimum
-    #: election timeout — no rival can win an election before it expires.
-    #: The margin absorbs clock drift; in the simulator all clocks are the
-    #: one simulated clock, so the arithmetic is exact and deterministic.
-    lease_fraction: float = 0.9
 
 
 class RaftNode:
@@ -505,7 +506,7 @@ class RaftNode:
         # majority covers; prune rounds the lease can no longer improve on.
         settled = [seq for seq in self._probe_sent_at if seq <= acked]
         if settled:
-            lease_len = self.config.lease_fraction * self.config.election_timeout_min_s
+            lease_len = LEASE_FRACTION * self.config.election_timeout_min_s
             sent_at = self._probe_sent_at[max(settled)]
             self.lease_valid_until = max(self.lease_valid_until, sent_at + lease_len)
             for seq in settled:

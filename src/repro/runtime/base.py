@@ -213,10 +213,6 @@ class Runtime(abc.ABC):
         """
         self.transport._obs = tracer
 
-    def broadcast(self, destinations: Any, message: Any, size_bytes: Optional[int] = None) -> None:
-        """Send ``message`` to every destination (excluding self)."""
-        self.transport.broadcast(destinations, message, size_bytes)
-
     def periodic(self, interval: float, callback: Callable[[], None]) -> Timer:
         """Run ``callback`` every ``interval`` seconds until cancelled."""
         state = {"timer": None, "stopped": False}

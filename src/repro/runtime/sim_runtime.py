@@ -66,8 +66,6 @@ class SimRuntime(Runtime):
         #: :meth:`now` method, which says the same in three frames
         #: (``SimRuntime.now`` -> ``Simulator.now`` -> ``EventLoop.now``).
         self.now: Callable[[], float] = partial(getattr, simulator.loop, "_now")
-        host.set_handler(self._deliver)
-        self._handler: Optional[Callable[[str, Any], None]] = None
         self._transport = _SimTransport(self)
 
     # ------------------------------------------------------------------
@@ -94,7 +92,6 @@ class SimRuntime(Runtime):
         # Registered directly on the host: delivery then runs
         # handler(sender, payload) with no runtime-level indirection
         # (~one saved Python frame per delivered message).
-        self._handler = handler
         self.host.set_handler(handler)
 
     def attach_tracer(self, tracer: Any) -> None:
@@ -103,8 +100,3 @@ class SimRuntime(Runtime):
         so the trace sees real queueing/propagation times."""
         self.host._obs = tracer
         self.network._obs = tracer
-
-    # ------------------------------------------------------------------
-    def _deliver(self, sender: str, message: Any) -> None:
-        if self._handler is not None:
-            self._handler(sender, message)

@@ -37,10 +37,6 @@ class ClientProcess:
     target_node: str
     request_rate_hz: float
     write_ratio: float
-    #: Maximum number of outstanding requests; the paper's baseline model
-    #: allows several, the write-lease model (§7.2) requires exactly one.
-    max_outstanding: int = 4
-    outstanding: int = 0
     sent: int = 0
     completed: int = 0
     txns_sent: int = 0
@@ -50,20 +46,20 @@ class ClientProcess:
 class _ArrivalScheduler:
     """Pre-generated open-loop arrival schedule for one agent.
 
-    The naive open loop costs one expovariate draw, one closure, and one
-    engine timer *object* per request.  This scheduler instead merges the
-    per-process Poisson streams ahead of time in chunks of
-    ``_ARRIVAL_CHUNK`` arrivals and fires them through a single slotted
-    timer callback, scheduled via the runtime's allocation-free
-    :meth:`~repro.runtime.base.Runtime.call_at`.
+    Every client process issues Poisson arrivals at its own rate whether or
+    not earlier requests were answered (the paper's open-loop clients,
+    §8.1).  Rather than one expovariate draw, one closure and one engine
+    timer *object* per request, the scheduler merges the per-process
+    streams ahead of time in chunks of ``_ARRIVAL_CHUNK`` arrivals and
+    fires them through a single slotted timer callback, scheduled via the
+    runtime's allocation-free :meth:`~repro.runtime.base.Runtime.call_at`.
 
-    Determinism contract: the request stream is bit-identical to the naive
-    loop's.  Arrival times use the same ``fire_time + expovariate`` float
-    arithmetic; the agent RNG draws happen in the same order (the merge
-    replays the engine's ``(time, insertion-order)`` tie-breaking, and the
-    agent RNG is consumed by no one else, so pulling draws earlier in wall
-    time cannot change their values); keyspace draws stay at fire time
-    because that generator is shared across agents.
+    Determinism contract: each process's next arrival is ``fire_time +
+    expovariate(rate)``; ties on the arrival time break by insertion
+    order, as the engine's schedule sequence would; the agent RNG is
+    consumed by no one else, so drawing ahead in wall time cannot change
+    its values; keyspace draws stay at fire time because that generator is
+    shared across agents.
     """
 
     __slots__ = ("agent", "heap", "count", "times", "procs", "kinds", "idx", "call_at", "tick_cb")
@@ -72,7 +68,7 @@ class _ArrivalScheduler:
         self.agent = agent
         now = agent.runtime.now()
         rng = agent.rng
-        # Initial draws in process order — exactly what the naive start() did.
+        # Initial draws in process order.
         heap: List[Tuple[float, int, ClientProcess]] = []
         count = 0
         for process in agent.processes:
@@ -101,11 +97,10 @@ class _ArrivalScheduler:
         """Pre-generate the next ``_ARRIVAL_CHUNK`` arrivals.
 
         Pops the earliest pending arrival, makes that fire's decision draws
-        in the naive per-fire order (multi-key?, then txn-read? or write?),
-        then draws the owning process's next inter-arrival gap — the same
-        recursion the engine performed one timer at a time.  Ties on the
-        arrival time break by insertion counter, which matches the engine's
-        schedule-order seq tie-breaking.
+        (multi-key?, then txn-read? or write?), then draws the owning
+        process's next inter-arrival gap.  Ties on the arrival time break
+        by insertion counter, which matches the engine's schedule-order seq
+        tie-breaking.
         """
         agent = self.agent
         rng = agent.rng
@@ -161,7 +156,6 @@ class _ArrivalScheduler:
                 submitted_at=t,
             )
             agent._inflight[request.request_id] = process
-            process.outstanding += 1
             process.sent += 1
             agent.collector.record_submit(request)
             route_key = agent.route_key
@@ -177,6 +171,10 @@ class _ArrivalScheduler:
                 finally:
                     obs.pop_context(previous)
         elif kind == _KIND_TXN_WRITE:
+            # Multi-key operations go to the 2PC coordinator, which submits
+            # through the shard protocols directly (a client-library
+            # coordinator): the per-request collector never sees them; the
+            # router's stats and the per-shard reply stream count them.
             keys = keyspace.next_txn_keys(agent.multi_key_span)
             writes = {key: keyspace.next_value() for key in keys}
             process.txns_sent += 1
@@ -205,7 +203,6 @@ class ClientHostAgent:
         keyspace: Keyspace,
         collector: MetricsCollector,
         rng: Optional[random.Random] = None,
-        open_loop: bool = True,
         route_key: Optional[Callable[[str], str]] = None,
         submit_txn: Optional[Callable[[str, Dict[str, str]], None]] = None,
         read_txn: Optional[Callable[[str, List[str]], None]] = None,
@@ -219,7 +216,6 @@ class ClientHostAgent:
         self.keyspace = keyspace
         self.collector = collector
         self.rng = rng or runtime.rng
-        self.open_loop = open_loop
         #: Shard-aware routing: maps a key to the node that should serve it
         #: (sharded deployments); ``None`` keeps the per-process binding.
         self.route_key = route_key
@@ -248,86 +244,16 @@ class ClientHostAgent:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start every client process's arrival timer.
-
-        Open-loop agents run on a pre-generated arrival schedule (see
-        :class:`_ArrivalScheduler`); closed-loop agents keep the naive
-        per-process timers because their sends are gated on replies.
-        """
+        """Start the agent's pre-generated arrival schedule."""
         if self.running:
             return
         self.running = True
-        if self.open_loop:
-            self._scheduler = _ArrivalScheduler(self)
-            self._scheduler.arm()
-            return
-        for process in self.processes:
-            self._schedule_next(process)
+        self._scheduler = _ArrivalScheduler(self)
+        self._scheduler.arm()
 
     def stop(self) -> None:
         self.running = False
         self._scheduler = None
-
-    # ------------------------------------------------------------------
-    def _schedule_next(self, process: ClientProcess) -> None:
-        if not self.running or process.request_rate_hz <= 0:
-            return
-        delay = self.rng.expovariate(process.request_rate_hz)
-        self.runtime.after(delay, lambda: self._fire(process))
-
-    def _fire(self, process: ClientProcess) -> None:
-        if not self.running:
-            return
-        if self.open_loop or process.outstanding < process.max_outstanding:
-            self._send_request(process)
-        self._schedule_next(process)
-
-    def _send_request(self, process: ClientProcess) -> None:
-        if self.multi_key_ratio > 0.0 and self.rng.random() < self.multi_key_ratio:
-            self._send_transaction(process)
-            return
-        is_write = self.rng.random() < process.write_ratio
-        request = ClientRequest(
-            client_id=process.process_id,
-            op=RequestType.WRITE if is_write else RequestType.READ,
-            key=self.keyspace.next_key(),
-            value=self.keyspace.next_value() if is_write else None,
-            submitted_at=self.runtime.now(),
-        )
-        self._inflight[request.request_id] = process
-        process.outstanding += 1
-        process.sent += 1
-        self.collector.record_submit(request)
-        target = self.route_key(request.key) if self.route_key is not None else process.target_node
-        obs = self._obs
-        if obs is None:
-            self.transport.send(target, request, request.wire_size())
-        else:
-            root = obs.request_submitted(request, node=self.runtime.node_id)
-            previous = obs.push_context(root)
-            try:
-                self.transport.send(target, request, request.wire_size())
-            finally:
-                obs.pop_context(previous)
-
-    def _send_transaction(self, process: ClientProcess) -> None:
-        """Hand a multi-key operation to the 2PC coordinator.
-
-        A ``txn_read_ratio`` fraction of multi-key operations are snapshot
-        reads over the same key distribution; the rest are write sets.  The
-        coordinator submits through the shard protocols directly (a
-        client-library coordinator), so transactions are not recorded in the
-        per-request metrics collector; their completions are counted by the
-        router's own stats and the per-shard reply stream.
-        """
-        keys = self.keyspace.next_txn_keys(self.multi_key_span)
-        if self.txn_read_ratio > 0.0 and self.rng.random() < self.txn_read_ratio:
-            process.read_txns_sent += 1
-            self.read_txn(process.process_id, keys)
-            return
-        writes = {key: self.keyspace.next_value() for key in keys}
-        process.txns_sent += 1
-        self.submit_txn(process.process_id, writes)
 
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: object) -> None:
@@ -336,14 +262,13 @@ class ClientHostAgent:
         process = self._inflight.pop(message.request_id, None)
         if process is None:
             return
-        process.outstanding -= 1
-        process.completed += 1
+        # A refusal (``error`` set) answers nothing: the collector keeps the
+        # request unanswered, so it does not count as completed here either.
+        if message.error is None:
+            process.completed += 1
         self.collector.record_reply(message, completed_at=self.runtime.now())
         if self._obs is not None:
             self._obs.request_completed(message.request_id)
-        if not self.open_loop and self.running:
-            # Closed loop: immediately issue the next request.
-            self._send_request(process)
 
     # ------------------------------------------------------------------
     def total_sent(self) -> int:

@@ -26,14 +26,8 @@ class WorkloadConfig:
     aggregate_rate_hz: float = 10_000.0
     #: Fraction of requests that are writes (the paper sweeps 1%–100%).
     write_ratio: float = 0.2
-    #: Number of distinct keys.
+    #: Number of distinct keys, drawn uniformly (§8.1).
     key_count: int = 100_000
-    #: Key popularity: "uniform" (paper default) or "zipf" (lease ablation).
-    key_distribution: str = "uniform"
-    #: Open loop (Poisson arrivals, paper methodology) or closed loop.
-    open_loop: bool = True
-    #: Maximum outstanding requests per client process.
-    max_outstanding: int = 8
     #: Fraction of operations that are multi-key transactions (sharded
     #: deployments only; requires a router, ignored otherwise).
     multi_key_ratio: float = 0.0
@@ -83,7 +77,6 @@ class WorkloadGenerator:
         per_process_rate = self.config.aggregate_rate_hz / self.config.client_processes
         keyspace = Keyspace(
             key_count=self.config.key_count,
-            distribution=self.config.key_distribution,
             rng=random.Random(self.config.seed + 17),
         )
 
@@ -96,7 +89,6 @@ class WorkloadGenerator:
                 target_node=target,
                 request_rate_hz=per_process_rate,
                 write_ratio=self.config.write_ratio,
-                max_outstanding=self.config.max_outstanding,
             )
             processes_by_host[client_host].append(process)
 
@@ -126,7 +118,6 @@ class WorkloadGenerator:
                 # crc32, not hash(): string hashes are salted per process and
                 # would make the "same seed" workload differ between runs.
                 rng=random.Random(self.config.seed + zlib.crc32(host_name.encode("utf-8")) % 1000),
-                open_loop=self.config.open_loop,
                 route_key=route_key,
                 submit_txn=submit_txn,
                 read_txn=read_txn,

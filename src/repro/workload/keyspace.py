@@ -1,8 +1,6 @@
 """Key selection for generated requests.
 
-The paper draws keys uniformly from one million 16-byte keys.  A Zipfian
-mode is provided for the read-lease ablation, where skewed popularity is
-what makes leases effective.
+The paper draws keys uniformly from one million 16-byte keys (§8.1).
 """
 
 from __future__ import annotations
@@ -14,56 +12,17 @@ __all__ = ["Keyspace"]
 
 
 class Keyspace:
-    """Uniform or Zipfian key popularity over a fixed key count."""
+    """Uniform key popularity over a fixed key count."""
 
-    def __init__(
-        self,
-        key_count: int = 1_000_000,
-        distribution: str = "uniform",
-        zipf_alpha: float = 0.99,
-        rng: Optional[random.Random] = None,
-    ) -> None:
+    def __init__(self, key_count: int = 1_000_000, rng: Optional[random.Random] = None) -> None:
         if key_count < 1:
             raise ValueError("key_count must be >= 1")
-        if distribution not in ("uniform", "zipf"):
-            raise ValueError(f"unknown distribution {distribution!r}")
         self.key_count = key_count
-        self.distribution = distribution
-        self.zipf_alpha = zipf_alpha
         self.rng = rng or random.Random(0)
-        self._zipf_cdf: Optional[List[float]] = None
-        if distribution == "zipf":
-            self._build_zipf_cdf()
 
-    def _build_zipf_cdf(self) -> None:
-        # Precompute the CDF over ranks; cap the table for huge keyspaces.
-        ranks = min(self.key_count, 65536)
-        weights = [1.0 / (rank ** self.zipf_alpha) for rank in range(1, ranks + 1)]
-        total = sum(weights)
-        cumulative = 0.0
-        cdf = []
-        for weight in weights:
-            cumulative += weight / total
-            cdf.append(cumulative)
-        self._zipf_cdf = cdf
-
-    # ------------------------------------------------------------------
     def next_key(self) -> str:
-        """Draw the next key according to the configured distribution."""
-        if self.distribution == "uniform":
-            index = self.rng.randrange(self.key_count)
-        else:
-            assert self._zipf_cdf is not None
-            point = self.rng.random()
-            low, high = 0, len(self._zipf_cdf) - 1
-            while low < high:
-                mid = (low + high) // 2
-                if self._zipf_cdf[mid] < point:
-                    low = mid + 1
-                else:
-                    high = mid
-            index = low
-        return f"k{index:07d}"
+        """Draw the next key uniformly."""
+        return f"k{self.rng.randrange(self.key_count):07d}"
 
     def next_value(self, size: int = 8) -> str:
         """A value string of roughly ``size`` bytes (16-byte KV pairs overall)."""

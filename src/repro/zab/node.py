@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.kvstore.store import KVStore
-from repro.runtime.base import Runtime, Timer
+from repro.runtime.base import Runtime
 from repro.runtime.messages import ClientReply, ClientRequest
 from repro.zab.messages import WriteForward, ZabAck, ZabCommit, ZabInform, ZabProposal
 
@@ -42,12 +42,6 @@ class ZabConfig:
 
     #: Number of voting followers (the paper uses five; the rest observe).
     follower_count: int = 5
-    #: Batching window before forwarding/proposing writes.  ZooKeeper issues
-    #: one proposal per request, so the default is no batching; a positive
-    #: window can be set to explore leader-side batching.
-    batch_duration_s: float = 0.0
-    #: Maximum transactions per proposal (1 = ZooKeeper's per-request Zab).
-    max_batch_size: int = 1
 
 
 @dataclass(slots=True)
@@ -91,10 +85,7 @@ class ZabNode:
         self.last_committed_zxid = 0
         self.committed_requests: List[ClientRequest] = []
 
-        #: Writes received from local clients, waiting to be forwarded/batched.
-        self.outstanding: List[ClientRequest] = []
         self.request_senders: Dict[int, str] = {}
-        self._batch_timer: Optional[Timer] = None
 
         self.stats = {
             "reads_served": 0,
@@ -123,14 +114,8 @@ class ZabNode:
     def start(self) -> None:  # symmetry with the other protocol nodes
         return None
 
-    def stop(self) -> None:
-        if self._batch_timer is not None:
-            self._batch_timer.cancel()
-            self._batch_timer = None
-
-    def crash(self) -> None:
-        self.crashed = True
-        self.stop()
+    def stop(self) -> None:  # Zab keeps no timers
+        return None
 
     @property
     def is_leader(self) -> bool:
@@ -158,23 +143,12 @@ class ZabNode:
             return
         # Only writes wait for a commit, so only they enter the sender map.
         self.request_senders[request.request_id] = sender
-        self.outstanding.append(request)
-        if self.config.batch_duration_s <= 0 or len(self.outstanding) >= self.config.max_batch_size:
-            self._flush_writes()
-        elif self._batch_timer is None:
-            self._batch_timer = self.runtime.after(self.config.batch_duration_s, self._flush_writes)
-
-    def _flush_writes(self) -> None:
-        if self._batch_timer is not None:
-            self._batch_timer.cancel()
-            self._batch_timer = None
-        if not self.outstanding or self.crashed:
-            return
-        batch, self.outstanding = self.outstanding, []
+        # ZooKeeper issues one proposal per request: the leader proposes a
+        # write as it arrives, any other replica forwards it at once.
         if self.is_leader:
-            self._propose(self.node_id, tuple(batch))
+            self._propose(self.node_id, (request,))
         else:
-            forward = WriteForward(origin=self.node_id, requests=tuple(batch))
+            forward = WriteForward(origin=self.node_id, requests=(request,))
             self.stats["forwards_sent"] += 1
             self.transport.send(self.leader_id, forward, forward.wire_size())
 

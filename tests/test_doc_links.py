@@ -26,14 +26,23 @@ its bases.  Builtin names (``None``, ``ValueError``) are left alone.
 
 Code that was deleted must not be named as if it were still there: the old
 benchmark suite and its figure CLI, the experiment definitions, the storage
-model and the write leases.  Scope: the documents above, ``tests/``, the CI
-workflow and the verify skill; the plans and history keep their records.
+model, the write leases, and the options no caller set (closed-loop
+clients, Zipf keys, the lease fraction).  Scope: the documents above,
+``tests/``, the CI workflow and the verify skill; the plans and history
+keep their records.  A removed constructor option is refused with a
+``TypeError``, never silently accepted.
+
+The CI tests job must install every third-party module the tier-1 tests
+import: its ``pip install`` line is parsed and compared with the top-level
+imports of ``tests/*.py`` and ``perf/test_perf_bench.py``.
 """
 
 import ast
 import builtins
+import importlib
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -133,7 +142,27 @@ REMOVED = {
     "lease_cycles": "writes were acknowledged before their lease was active",
     "PersistenceModel": "no protocol read the durable time it returned",
     "StorageDevice": "no protocol read the durable time it returned",
+    "open_loop": "every client is open-loop (§8.1)",
+    "max_outstanding": "open-loop clients do not cap what is in flight",
+    "key_distribution": "keys are drawn uniformly (§8.1)",
+    "zipf_alpha": "keys are drawn uniformly (§8.1)",
+    "lease_fraction": "the lease length is raft.node.LEASE_FRACTION",
 }
+
+#: Constructor options that went with the code only they reached, each
+#: with its former owner (``module:class``).
+REMOVED_OPTIONS = [
+    ("repro.workload.generator:WorkloadConfig", "open_loop"),
+    ("repro.workload.generator:WorkloadConfig", "max_outstanding"),
+    ("repro.workload.generator:WorkloadConfig", "key_distribution"),
+    ("repro.workload.clients:ClientHostAgent", "open_loop"),
+    ("repro.workload.clients:ClientProcess", "max_outstanding"),
+    ("repro.workload.keyspace:Keyspace", "distribution"),
+    ("repro.workload.keyspace:Keyspace", "zipf_alpha"),
+    ("repro.zab.node:ZabConfig", "batch_duration_s"),
+    ("repro.zab.node:ZabConfig", "max_batch_size"),
+    ("repro.raft.node:RaftConfig", "lease_fraction"),
+]
 
 
 def removed_name_pattern(name):
@@ -156,6 +185,14 @@ def test_no_document_names_removed_code(name):
             stale.append(f"{path.relative_to(ROOT)}:{line_number}: {name} ({REMOVED[name]})")
     assert scanned > 120  # the walk found the tree
     assert not stale, "\n".join(stale)
+
+
+@pytest.mark.parametrize("owner, option", REMOVED_OPTIONS)
+def test_a_removed_option_is_rejected_rather_than_ignored(owner, option):
+    module, name = owner.split(":")
+    constructor = getattr(importlib.import_module(module), name)
+    with pytest.raises(TypeError, match=option):
+        constructor(**{option: 1})
 
 
 def test_the_flag_pattern_follows_a_code_span_across_lines():
@@ -287,10 +324,6 @@ class MyNode:
     def stop(self):
         self.running = False
 
-    def crash(self):
-        self.crashed = True
-        self.stop()
-
     def committed_order(self):
         return []
 
@@ -313,9 +346,46 @@ def test_the_adding_a_protocol_template_builds_on_both_substrates():
             assert all(node.running for node in protocol.nodes.values())
             victim = protocol.node_ids()[-1]
             protocol.crash(victim)
-            assert protocol.node(victim).crashed and not protocol.is_healthy()
+            assert protocol.node(victim).crashed and not protocol.node(victim).running
+            assert not protocol.is_healthy()
             assert protocol.committed_logs() == {node_id: [] for node_id in topology.server_hosts}
         assert sim_topology.network.hosts[sim_topology.server_hosts[-1]].failed
     finally:
         unregister_protocol("myproto")
         asyncio_topology.cluster.close()
+
+
+def installed_by_the_tests_job():
+    """Distribution names on the CI tests job's ``pip install`` line."""
+    text = (ROOT / ".github/workflows/ci.yml").read_text(encoding="utf-8")
+    job = text[text.index("\n  tests:"):]
+    line = re.search(r"pip install ([^\n]+)", job).group(1)
+    return {re.split(r"[<>=!~\[]", word)[0].lower() for word in line.split() if not word.startswith("-")}
+
+
+def third_party_test_imports():
+    """Top-level third-party modules the tier-1 tests import, with a file each."""
+    local = {"repro", "tests", "perf"}
+    local |= {path.stem for directory in ("tests", "perf") for path in (ROOT / directory).glob("*.py")}
+    imported = {}
+    for path in [*sorted((ROOT / "tests").glob("*.py")), ROOT / "perf/test_perf_bench.py"]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in local:
+                    imported.setdefault(top, path.relative_to(ROOT))
+    return imported
+
+
+def test_the_tests_job_installs_every_third_party_module_the_tests_import():
+    installed = installed_by_the_tests_job()
+    imported = third_party_test_imports()
+    assert "pytest" in imported  # the walk found the imports
+    missing = [f"{name} (imported by {path})" for name, path in sorted(imported.items()) if name not in installed]
+    assert not missing, "not installed by the CI tests job: " + ", ".join(missing)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.raft.log import LogEntry, RaftLog
 from repro.raft.messages import AppendEntries, AppendEntriesReply
-from repro.raft.node import RaftConfig, RaftNode
+from repro.raft.node import LEASE_FRACTION, RaftConfig, RaftNode
 from repro.runtime.sim_runtime import SimRuntime
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -519,7 +519,7 @@ class TestLeadershipConfirmation:
     """Notices open no probe round and renew no lease; heartbeats still do."""
 
     def lease_len(self, node):
-        return node.config.lease_fraction * node.config.election_timeout_min_s
+        return LEASE_FRACTION * node.config.election_timeout_min_s
 
     def test_a_proposal_opens_exactly_one_round(self):
         sim, _, nodes, _ = build_raft_group(member_count=3)

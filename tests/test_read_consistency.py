@@ -24,6 +24,7 @@ import pytest
 from repro.bench.builders import make_single_dc_topology
 from repro.protocols import build_protocol, protocol_spec
 from repro.protocols.raft_kv import RaftKVConfig
+from repro.raft.node import LEASE_FRACTION
 from repro.runtime.messages import ClientRequest, RequestType
 from repro.shard import ShardRouter, ShardedCluster
 from repro.sim.engine import Simulator
@@ -123,7 +124,7 @@ class TestRaftReadModes:
         simulator.run_until(1.0)
         horizon = leader_node.raft.lease_valid_until
         config = leader_node.raft.config
-        assert 0.0 < horizon <= simulator.now + config.lease_fraction * config.election_timeout_min_s
+        assert 0.0 < horizon <= simulator.now + LEASE_FRACTION * config.election_timeout_min_s
         protocol.stop()
 
     def test_switching_read_mode_at_runtime(self):

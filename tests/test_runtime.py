@@ -63,7 +63,7 @@ class TestSimRuntime:
         runtimes["h1"].set_handler(lambda s, m: received.append("h1"))
         runtimes["h2"].set_handler(lambda s, m: received.append("h2"))
         runtimes["h0"].set_handler(lambda s, m: received.append("h0"))
-        runtimes["h0"].broadcast(["h0", "h1", "h2"], "msg")
+        runtimes["h0"].transport.broadcast(["h0", "h1", "h2"], "msg")
         sim.run()
         assert sorted(received) == ["h1", "h2"]
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.bench.builders import build_system, make_single_dc_topology
+from repro.canopus.config import CanopusConfig
 from repro.sim.engine import Simulator
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 from repro.workload.keyspace import Keyspace
@@ -17,12 +18,6 @@ class TestKeyspace:
             key = keyspace.next_key()
             assert key.startswith("k")
             assert 0 <= int(key[1:]) < 100
-
-    def test_zipf_prefers_low_ranks(self):
-        keyspace = Keyspace(key_count=1000, distribution="zipf", rng=random.Random(2))
-        draws = [int(keyspace.next_key()[1:]) for _ in range(2000)]
-        top_ten = sum(1 for index in draws if index < 10)
-        assert top_ten > 300  # heavily skewed toward the head
 
     def test_uniform_is_not_skewed_to_head(self):
         keyspace = Keyspace(key_count=1000, rng=random.Random(3))
@@ -37,8 +32,6 @@ class TestKeyspace:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             Keyspace(key_count=0)
-        with pytest.raises(ValueError):
-            Keyspace(distribution="pareto")
 
     def test_same_seed_same_sequence(self):
         a = Keyspace(key_count=50, rng=random.Random(9))
@@ -122,3 +115,39 @@ class TestWorkloadGenerator:
         sim_b, _, sut_b, gen_b, col_b = self.build(seed=21)
         sut_b.start(); gen_b.start(); sim_b.run_until(0.2)
         assert gen_a.total_sent() == gen_b.total_sent()
+
+
+class TestRefusedReads:
+    def test_a_refused_read_is_not_counted_as_completed(self):
+        """The agents' completed count agrees with the collector's records.
+
+        Two of a super-leaf's three nodes crash, so reads at its survivor
+        are refused with ``NOT_IN_VIEW``.  A refusal answers nothing: the
+        collector keeps the request unanswered, and so must the agent.
+        """
+        simulator = Simulator(seed=3)
+        topology = make_single_dc_topology(simulator, nodes_per_rack=3, racks=3)
+        sut = build_system("canopus", topology, config=CanopusConfig(heartbeat_interval_s=0.02))
+        config = WorkloadConfig(client_processes=30, aggregate_rate_hz=600.0, seed=3)
+        generator = WorkloadGenerator(topology, config)
+        collector = generator.build()
+        refusals = []
+        for agent in generator.agents:
+            on_message = agent.on_message
+
+            def count_refusals(sender, message, on_message=on_message):
+                if getattr(message, "error", None) is not None:
+                    refusals.append(message.request_id)
+                on_message(sender, message)
+
+            agent.runtime.set_handler(count_refusals)
+        sut.start()
+        generator.start()
+        for victim in ("n2-0", "n2-2"):
+            simulator.schedule(0.1, lambda victim=victim: sut.protocol.crash(victim))
+        simulator.run_until(0.5)
+        generator.stop()
+        simulator.run_until(1.0)
+        sut.stop()
+        assert refusals, "the scenario must produce refusals"
+        assert generator.total_completed() == len(collector.completed_records())
