@@ -19,19 +19,16 @@ Architecture
   AST nodes to every interested rule.
 * :mod:`repro.analysis.rules` — the rule catalogue; each rule is a
   class registered in :data:`repro.analysis.rules.ALL_RULES`.
-* :mod:`repro.analysis.baseline` — the committed grandfather file
-  (``detlint_baseline.json``): findings listed there are reported as
-  baselined and do not fail the run.
 * :mod:`repro.analysis.runner` — walks the target tree, runs the rules,
   applies inline suppressions (``# detlint: disable=<rule>[,<rule>]``)
-  and the baseline, and renders text/JSON reports.  Exit code 0 means
-  clean, 1 means at least one non-baselined finding, 2 means the
-  analyser itself could not run.
+  and renders text/JSON reports.  Exit code 0 means clean, 1 means at
+  least one finding, 2 means the analyser itself could not run.  There
+  is no baseline: every finding that is not suppressed inline fails.
 """
 
 from __future__ import annotations
 
-from repro.analysis.core import Finding, ModuleInfo, Rule, Severity
+from repro.analysis.core import Finding, ModuleInfo, Rule
 from repro.analysis.runner import AnalysisResult, run_analysis
 
 __all__ = [
@@ -39,6 +36,5 @@ __all__ = [
     "Finding",
     "ModuleInfo",
     "Rule",
-    "Severity",
     "run_analysis",
 ]

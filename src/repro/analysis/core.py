@@ -16,21 +16,9 @@ rule never adds a tree traversal.  Rules may additionally implement
 from __future__ import annotations
 
 import ast
-import enum
-import hashlib
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
-
-
-class Severity(enum.Enum):
-    """Reporting severity.  Both levels fail the gate when non-baselined;
-
-    the distinction exists so reports can rank findings and so future
-    rules can ship as warnings before being promoted."""
-
-    ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass
@@ -38,53 +26,24 @@ class Finding:
     """One rule violation at one source location."""
 
     rule: str
-    severity: Severity
     path: str  #: repo-relative POSIX path
     line: int
     col: int
     message: str
     line_text: str = ""
-    #: Stable identity used by the baseline file: rule + path + the
-    #: stripped source line + an occurrence index, deliberately *not*
-    #: the line number, so unrelated edits above a grandfathered finding
-    #: do not invalidate the baseline.
-    fingerprint: str = ""
-    baselined: bool = False
-
-    def key(self) -> Tuple[str, str, str]:
-        return (self.rule, self.path, self.line_text.strip())
 
     def render(self) -> str:
-        tag = " (baselined)" if self.baselined else ""
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"[{self.rule}] {self.severity.value}{tag}: {self.message}"
-        )
+        return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "rule": self.rule,
-            "severity": self.severity.value,
             "path": self.path,
             "line": self.line,
             "col": self.col,
             "message": self.message,
             "line_text": self.line_text,
-            "fingerprint": self.fingerprint,
-            "baselined": self.baselined,
         }
-
-
-def assign_fingerprints(findings: Iterable[Finding]) -> None:
-    """Stamp each finding's fingerprint, disambiguating identical
-    (rule, path, line text) triples by occurrence order."""
-    seen: Dict[Tuple[str, str, str], int] = {}
-    for finding in sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule)):
-        key = finding.key()
-        index = seen.get(key, 0)
-        seen[key] = index + 1
-        raw = "\0".join((finding.rule, finding.path, finding.line_text.strip(), str(index)))
-        finding.fingerprint = hashlib.sha1(raw.encode("utf-8")).hexdigest()[:16]
 
 
 #: ``# detlint: disable=rule-a,rule-b`` anywhere on the offending line.
@@ -200,14 +159,12 @@ class ModuleInfo:
 class Rule:
     """Base class for detlint rules.
 
-    Subclasses set :attr:`name`, :attr:`severity` and
-    :attr:`description`, constrain themselves with :meth:`applies_to`,
-    and implement any combination of ``visit_<NodeType>`` hooks,
-    :meth:`check_module` and :meth:`finish`.
+    Subclasses set :attr:`name` and :attr:`description`, constrain
+    themselves with :meth:`applies_to`, and implement any combination of
+    ``visit_<NodeType>`` hooks, :meth:`check_module` and :meth:`finish`.
     """
 
     name: str = ""
-    severity: Severity = Severity.ERROR
     description: str = ""
 
     def applies_to(self, module: ModuleInfo) -> bool:
@@ -242,7 +199,6 @@ class Reporter:
         self.findings.append(
             Finding(
                 rule=self.rule.name,
-                severity=self.rule.severity,
                 path=self.module.relpath,
                 line=line,
                 col=col,

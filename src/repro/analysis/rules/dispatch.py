@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Set
 
-from repro.analysis.core import ModuleInfo, Rule, Severity
+from repro.analysis.core import ModuleInfo, Rule
 from repro.analysis.rules.slots import _defines_wire_size
 
 #: Explicit (messages module suffix, node module suffix) pairs that the
@@ -71,7 +71,6 @@ def _dispatch_keys(module: ModuleInfo) -> Optional[Set[str]]:
 
 class DispatchCompleteRule(Rule):
     name = "dispatch-complete"
-    severity = Severity.ERROR
     description = (
         "every wire message class must be keyed in its protocol's per-type "
         "_dispatch table (built at init) — otherwise deliveries of the new "

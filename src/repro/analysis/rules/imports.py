@@ -21,7 +21,7 @@ import ast
 import re
 from typing import Iterable, Set
 
-from repro.analysis.core import ModuleInfo, Reporter, Rule, Severity
+from repro.analysis.core import ModuleInfo, Reporter, Rule
 
 _NOQA_RE = re.compile(r"#\s*noqa(?!:)|#\s*noqa:[^#]*\bF401\b", re.IGNORECASE)
 
@@ -65,7 +65,6 @@ def _used_names(module: ModuleInfo) -> Set[str]:
 
 class NoUnusedImportRule(Rule):
     name = "no-unused-import"
-    severity = Severity.ERROR
     description = (
         "an imported name the module never uses (pyflakes F401); `# noqa: F401` "
         "and __init__.py re-exports are honoured"

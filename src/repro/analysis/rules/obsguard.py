@@ -32,7 +32,7 @@ from __future__ import annotations
 import ast
 from typing import Optional, Tuple
 
-from repro.analysis.core import ModuleInfo, Reporter, Rule, Severity
+from repro.analysis.core import ModuleInfo, Reporter, Rule
 
 OBS_ATTR = "_obs"
 
@@ -90,7 +90,6 @@ def _single_load_base(attribute: ast.AST) -> bool:
 
 class ObsHookGuardRule(Rule):
     name = "obs-hook-guard"
-    severity = Severity.ERROR
     description = (
         "every _obs instrumentation point must follow the "
         "`if self._obs is not None:` single-attribute-load guard pattern "

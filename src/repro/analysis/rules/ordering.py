@@ -30,7 +30,7 @@ from __future__ import annotations
 import ast
 from typing import Set
 
-from repro.analysis.core import ModuleInfo, Reporter, Rule, Severity
+from repro.analysis.core import ModuleInfo, Reporter, Rule
 
 SCOPE_SUBSTRINGS = (
     "repro/sim/",
@@ -136,7 +136,6 @@ def _collect_set_attrs(module: ModuleInfo) -> Set[str]:
 
 class NoUnorderedIterationRule(Rule):
     name = "no-unordered-iteration"
-    severity = Severity.ERROR
     description = (
         "iteration over set/frozenset values (or id()-keyed structures) on "
         "the delivery/protocol path without sorted(...) — hash order is "

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.core import ModuleInfo, Reporter, Rule, Severity
+from repro.analysis.core import ModuleInfo, Reporter, Rule
 
 #: Deterministic-path packages: everything that runs under the simulator
 #: or feeds modelled behaviour.
@@ -50,7 +50,6 @@ ENTROPY_CALLS = {
 
 class NoUnseededRandomRule(Rule):
     name = "no-unseeded-random"
-    severity = Severity.ERROR
     description = (
         "module-level random.*, unseeded random.Random(), os.urandom/uuid4/"
         "secrets, or salted builtin hash() in deterministic-path modules; "

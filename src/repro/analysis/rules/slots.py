@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.core import ModuleInfo, Reporter, Rule, Severity
+from repro.analysis.core import ModuleInfo, Reporter, Rule
 
 #: Hot-path carrier classes that must be slotted even though they have
 #: no ``wire_size`` of their own (their size derives from the payload).
@@ -76,7 +76,6 @@ def _defines_wire_size(node: ast.ClassDef) -> bool:
 
 class SlotsRequiredRule(Rule):
     name = "slots-required"
-    severity = Severity.ERROR
     description = (
         "message/hot-path classes must declare __slots__ (or "
         "dataclass(slots=True)) and every wire_size-bearing class must be "

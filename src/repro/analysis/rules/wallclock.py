@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.core import ModuleInfo, Reporter, Rule, Severity
+from repro.analysis.core import ModuleInfo, Reporter, Rule
 
 #: Dotted names that read (or block on) the host clock.
 BANNED = {
@@ -44,7 +44,6 @@ ALLOWLIST_SUBSTRINGS = (
 
 class NoWallclockRule(Rule):
     name = "no-wallclock"
-    severity = Severity.ERROR
     description = (
         "wall-clock reads (time.time/perf_counter/monotonic/datetime.now/...) "
         "outside the bench/report allowlist; sim code must use sim time"

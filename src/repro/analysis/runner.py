@@ -2,9 +2,12 @@
 
 Exit-code contract (relied on by CI):
 
-* ``0`` — no findings, or every finding is baselined/suppressed;
-* ``1`` — at least one non-baselined finding;
+* ``0`` — no findings (inline-suppressed ones are counted, not reported);
+* ``1`` — at least one finding;
 * ``2`` — the analyser itself failed (unparseable target, bad flags).
+
+There is no baseline: a finding is fixed, or suppressed inline with a
+``# detlint: disable=<rule>`` comment that says why.
 """
 
 from __future__ import annotations
@@ -15,62 +18,41 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.baseline import apply_baseline, load_baseline, save_baseline
 from repro.analysis.context import ParseFailure, RepoContext
-from repro.analysis.core import Finding, ModuleWalker, Reporter, assign_fingerprints
+from repro.analysis.core import Finding, ModuleWalker, Reporter
 from repro.analysis.rules import ALL_RULES
-
-DEFAULT_BASELINE = "detlint_baseline.json"
 
 
 @dataclass
 class AnalysisResult:
+    #: Ordered by path, line, column and rule.
     findings: List[Finding] = field(default_factory=list)
-    stale_baseline: List[str] = field(default_factory=list)
     suppressed: int = 0
     modules_scanned: int = 0
 
     @property
-    def active(self) -> List[Finding]:
-        return [f for f in self.findings if not f.baselined]
-
-    @property
-    def baselined(self) -> List[Finding]:
-        return [f for f in self.findings if f.baselined]
-
-    @property
     def exit_code(self) -> int:
-        return 1 if self.active else 0
+        return 1 if self.findings else 0
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "version": 1,
+            "version": 2,
             "summary": {
                 "modules_scanned": self.modules_scanned,
                 "findings": len(self.findings),
-                "active": len(self.active),
-                "baselined": len(self.baselined),
                 "suppressed": self.suppressed,
-                "stale_baseline_entries": len(self.stale_baseline),
                 "exit_code": self.exit_code,
             },
-            "findings": [f.as_dict() for f in sorted(
-                self.findings, key=lambda f: (f.path, f.line, f.col, f.rule)
-            )],
-            "stale_baseline": self.stale_baseline,
+            "findings": [f.as_dict() for f in self.findings],
         }
 
 
 def run_analysis(
     targets: Sequence[str],
     repo_root: str = ".",
-    baseline_path: Optional[str] = None,
     rules: Optional[Sequence[type]] = None,
 ) -> AnalysisResult:
-    """Run every rule over ``targets`` and apply the baseline.
-
-    ``baseline_path=None`` loads the default baseline relative to
-    ``repo_root`` when present; pass ``baseline_path=""`` to disable."""
+    """Run every rule over ``targets``; ``rules`` defaults to :data:`ALL_RULES`."""
     context = RepoContext(repo_root, list(targets))
     rule_instances = [cls() for cls in (rules if rules is not None else ALL_RULES)]
     walker = ModuleWalker(rule_instances)
@@ -91,39 +73,22 @@ def run_analysis(
 
         rule.finish(context, report_for)
     result.suppressed += sum(r.suppressed_count for r in finish_reporters)
-
-    assign_fingerprints(result.findings)
-
-    if baseline_path is None:
-        baseline_path = str(context.artifact_path(DEFAULT_BASELINE))
-    if baseline_path:
-        baseline = load_baseline(baseline_path)
-        result.stale_baseline = apply_baseline(result.findings, baseline)
+    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return result
 
 
-def render_text(result: AnalysisResult, verbose: bool = False) -> str:
-    lines: List[str] = []
-    for finding in sorted(result.findings, key=lambda f: (f.path, f.line, f.col, f.rule)):
-        if finding.baselined and not verbose:
-            continue
-        lines.append(finding.render())
-    if result.stale_baseline:
-        lines.append(
-            f"note: {len(result.stale_baseline)} stale baseline entr"
-            f"{'y' if len(result.stale_baseline) == 1 else 'ies'} "
-            "(fixed or edited since grandfathering) — prune with --write-baseline"
-        )
-    summary = (
+def render_text(result: AnalysisResult) -> str:
+    lines = [finding.render() for finding in result.findings]
+    count = len(result.findings)
+    lines.append(
         f"detlint: {result.modules_scanned} modules, "
-        f"{len(result.active)} finding{'s' if len(result.active) != 1 else ''}"
-        f" ({len(result.baselined)} baselined, {result.suppressed} suppressed)"
+        f"{count} finding{'s' if count != 1 else ''} ({result.suppressed} suppressed)"
     )
-    lines.append(summary)
     return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line of :func:`main`; builds nothing and runs nothing."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="detlint: AST-based determinism & hot-path invariant linter",
@@ -134,49 +99,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--repo-root", default=".",
-        help="repository root for relative paths, the baseline file and "
-        "cross-checked artifacts like tests/wire_golden.py (default: cwd)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help=f"baseline file (default: <repo-root>/{DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline: report and gate on every finding",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write all current findings to the baseline file and exit 0 "
-        "(prunes stale entries, preserves existing notes)",
+        help="repository root for relative paths and cross-checked artifacts "
+        "like tests/wire_golden.py (default: cwd)",
     )
     parser.add_argument(
         "--json", metavar="PATH", default=None,
         help="also write machine-readable findings JSON (use '-' for stdout)",
     )
     parser.add_argument(
-        "--verbose", action="store_true",
-        help="also print baselined findings",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.list_rules:
         for cls in ALL_RULES:
-            print(f"{cls.name:24s} {cls.severity.value:7s} {cls.description}")
+            print(f"{cls.name:24s} {cls.description}")
         return 0
 
-    baseline_path = args.baseline
-    if args.no_baseline:
-        baseline_path = ""
-
     try:
-        result = run_analysis(
-            args.targets, repo_root=args.repo_root, baseline_path=baseline_path
-        )
+        result = run_analysis(args.targets, repo_root=args.repo_root)
     except ParseFailure as exc:
         print(f"detlint: cannot parse {exc.path}: {exc.error}", file=sys.stderr)
         return 2
@@ -184,13 +130,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"detlint: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        path = args.baseline or f"{args.repo_root}/{DEFAULT_BASELINE}"
-        save_baseline(path, result.findings)
-        print(f"detlint: wrote {len(result.findings)} finding(s) to {path}")
-        return 0
-
-    print(render_text(result, verbose=args.verbose))
+    print(render_text(result))
     if args.json:
         payload = json.dumps(result.as_dict(), indent=2)
         if args.json == "-":

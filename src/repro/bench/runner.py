@@ -612,37 +612,27 @@ def _commit_log_sha256(logs: Dict[str, List[int]]) -> str:
     return hashlib.sha256(json.dumps(normalized, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def run_perf_tracking(point: PerfPoint) -> Dict[str, Any]:
-    """Measure host-side performance of one fixed-seed workload point.
-
-    Runs the point ``point.repeats`` times for wall-clock (minimum wins),
-    then once more under :mod:`tracemalloc` for peak heap (tracing slows
-    execution, so the traced run is never timed).  Returns a plain dict
-    ready for :func:`update_perf_report`.
+def perf_point_runner(point: PerfPoint) -> Callable[[], Tuple[int, str, int]]:
+    """A callable that runs ``point`` once and returns ``(engine events,
+    commit-log digest, requests completed)``.
 
     Points with ``shard_count > 1`` run through the sharded harness
-    (:mod:`repro.bench.shard_bench`): same measurements, with the commit-log
-    digest taken over every shard's replicas.  ``kind="engine"`` points run
-    the engine micro-benchmark (no protocol; the digest pins the fired
-    trace), and ``kind="switch"`` points run the switch-lane merge
-    micro-benchmark (no protocol; the digest pins the delivery trace).
+    (:mod:`repro.bench.shard_bench`), with the commit-log digest taken over
+    every shard's replicas.  ``kind="engine"`` points run the engine
+    micro-benchmark (no protocol; the digest pins the fired trace), and
+    ``kind="switch"`` points run the switch-lane merge micro-benchmark (no
+    protocol; the digest pins the delivery trace).
     """
     if point.kind == "engine":
-
-        def run():
-            return _run_engine_microbench(point)
-
-    elif point.kind == "switch":
-
-        def run():
-            return _run_switch_drain_microbench(point)
-
-    elif point.shard_count > 1:
+        return partial(_run_engine_microbench, point)
+    if point.kind == "switch":
+        return partial(_run_switch_drain_microbench, point)
+    if point.shard_count > 1:
         from repro.bench.shard_bench import _execute_shard_point
 
         shard_config = point.shard_config()
 
-        def run():
+        def run_shards() -> Tuple[int, str, int]:
             simulator, cluster, _router, result = _execute_shard_point(shard_config)
             return (
                 simulator.loop.processed_events,
@@ -650,16 +640,28 @@ def run_perf_tracking(point: PerfPoint) -> Dict[str, Any]:
                 result.requests_completed,
             )
 
-    else:
+        return run_shards
 
-        def run():
-            simulator, sut, summary = point.execute_rate_point()
-            return (
-                simulator.loop.processed_events,
-                _commit_log_sha256(sut.protocol.committed_logs()),
-                summary.requests_completed,
-            )
+    def run() -> Tuple[int, str, int]:
+        simulator, sut, summary = point.execute_rate_point()
+        return (
+            simulator.loop.processed_events,
+            _commit_log_sha256(sut.protocol.committed_logs()),
+            summary.requests_completed,
+        )
 
+    return run
+
+
+def run_perf_tracking(point: PerfPoint) -> Dict[str, Any]:
+    """Measure host-side performance of one fixed-seed workload point.
+
+    Runs the point (:func:`perf_point_runner`) ``point.repeats`` times for
+    wall-clock (minimum wins), then once more under :mod:`tracemalloc` for
+    peak heap (tracing slows execution, so the traced run is never timed).
+    Returns a plain dict ready for :func:`update_perf_report`.
+    """
+    run = perf_point_runner(point)
     best_wall: Optional[float] = None
     events = 0
     digest = ""
@@ -787,18 +789,39 @@ def run_traced_point(point: PerfPoint, trace_path: str) -> Dict[str, Any]:
     }
 
 
-@contextmanager
-def _edited_report(path: str) -> Iterator[Dict[str, Any]]:
-    """Read the ``BENCH_*.json`` report at ``path``, yield it, write it back.
+def _read_report(path: str, point: Optional[str] = None) -> Dict[str, Any]:
+    """Read the ``BENCH_*.json`` report at ``path``.
 
-    A missing or unreadable file starts an empty report.  Nothing is
-    written when the body raises.
+    A missing file reads as an empty report, unless ``point`` is given: then
+    the report must exist and hold that point's ``baseline``, because a
+    gate with nothing to compare against would pass vacuously.  Raises
+    :class:`ValueError`, naming the file or the point, when the report is
+    unreadable or lacks what ``point`` needs.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError):
-        report = {"benchmark": "sim_hotpath", "points": {}}
+    except FileNotFoundError:
+        if point is not None:
+            raise ValueError(f"no report at {path}; record {point!r} with --set-baseline") from None
+        return {"benchmark": "sim_hotpath", "points": {}}
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read the report {path}: {exc}") from None
+    if not isinstance(report, dict):
+        raise ValueError(f"cannot read the report {path}: not a JSON object")
+    if point is not None and "baseline" not in report.get("points", {}).get(point, {}):
+        raise ValueError(f"the report {path} has no baseline for {point!r}; record one with --set-baseline")
+    return report
+
+
+@contextmanager
+def _edited_report(path: str, point: Optional[str] = None) -> Iterator[Dict[str, Any]]:
+    """Read the report at ``path`` (see :func:`_read_report`), yield it, write it back.
+
+    Nothing is written when the read or the body raises, so an unreadable
+    report is never overwritten.
+    """
+    report = _read_report(path, point)
     yield report
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -812,13 +835,14 @@ def update_perf_report(
 
     The report keeps, per tracked point, the committed ``baseline`` (the
     numbers the repository's history vouches for) and the latest
-    ``current`` measurement plus derived before/after ratios.  The first
-    measurement of a point — or ``set_baseline=True`` — (re)establishes the
-    baseline.  Returns the entry for ``key`` after the merge.
+    ``current`` measurement plus derived before/after ratios.  Only
+    ``set_baseline=True`` (re)establishes the baseline; without it the
+    report must already hold one for ``key`` (:class:`ValueError`
+    otherwise).  Returns the entry for ``key`` after the merge.
     """
-    with _edited_report(path) as report:
+    with _edited_report(path, None if set_baseline else key) as report:
         entry = report.setdefault("points", {}).setdefault(key, {})
-        if set_baseline or "baseline" not in entry:
+        if set_baseline:
             entry["baseline"] = current
         entry["current"] = current
         baseline = entry["baseline"]
@@ -894,7 +918,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     diverged from the baseline's.  The comparison uses the *calibrated*
     ratio whenever both measurements carry a host-calibration figure
     (:func:`measure_host_calibration`), so the gate is insensitive to the
-    baseline having been recorded on different hardware.
+    baseline having been recorded on different hardware.  It exits 2
+    before running anything when the report is missing, unreadable or
+    holds no baseline for the point; only ``--set-baseline`` records a
+    new point, and nothing overwrites an unreadable report.
 
     ``python -m repro.bench.runner --shard-saturation`` instead runs the
     sharded scaling sweep (a per-shard-count max-throughput search over the
@@ -904,6 +931,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     maximum or any linearizability / atomicity / isolation check fails.
     """
     args = build_parser().parse_args(argv)
+    # Check the report before measuring anything, so a missing or unreadable
+    # report, or one without the point's baseline, costs no run.
+    needs_baseline = not (args.shard_saturation or args.set_baseline)
+    try:
+        _read_report(args.report, args.perf_point if needs_baseline else None)
+    except ValueError as exc:
+        print(f"ERROR: {exc}")
+        return 2
 
     if args.shard_saturation:
         from repro.bench.shard_bench import run_shard_saturation

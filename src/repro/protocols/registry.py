@@ -54,12 +54,6 @@ class ProtocolSpec:
     factory: ProtocolFactory
     config_cls: Optional[type] = None
     description: str = ""
-    #: Consistency level of the protocol's *default* read path
-    #: ("linearizable" or "sequential").  The read-consistency conformance
-    #: suite holds every protocol claiming "linearizable" to the
-    #: linearizability checker on both substrates; "sequential" documents a
-    #: deliberately weaker read path (ZooKeeper-style local reads).
-    read_consistency: str = "linearizable"
 
 
 #: Built-in protocol name -> the adapter module that registers it, in
@@ -81,7 +75,6 @@ def register_protocol(
     *,
     config_cls: Optional[type] = None,
     description: str = "",
-    read_consistency: str = "linearizable",
     replace: bool = False,
 ) -> Callable[[ProtocolFactory], ProtocolFactory]:
     """Register ``factory`` under ``name``; usable as a decorator.
@@ -110,7 +103,6 @@ def register_protocol(
             factory=fn,
             config_cls=config_cls,
             description=description,
-            read_consistency=read_consistency,
         )
         return fn
 

@@ -37,7 +37,6 @@ class ZooKeeperProtocol(ConsensusProtocol):
     "zookeeper",
     config_cls=ZabConfig,
     description="ZooKeeper: Zab leader + followers + observers (Figure 5)",
-    read_consistency="sequential",
 )
 def build_zookeeper(
     topology: Topology,

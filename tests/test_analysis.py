@@ -4,9 +4,8 @@ Each rule gets one violating and one clean fixture snippet, written into
 a tmp tree that mimics the ``src/repro/...`` layout — rules scope
 themselves by relpath substring/suffix, so fixture modules trigger
 exactly like real ones.  On top of the per-rule pairs: the suppression
-comment, the baseline round-trip (including staleness), the CLI exit
-codes, and a self-run asserting the real ``src/repro`` tree is clean
-modulo the committed baseline.
+comment, the CLI exit codes and JSON report, and a self-run asserting
+the real tree is clean.  There is no baseline, so every finding counts.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ import json
 import os
 import pathlib
 
+import pytest
 
-from repro.analysis.baseline import load_baseline, save_baseline
 from repro.analysis.runner import main, run_analysis
 from repro.analysis.rules import ALL_RULES
 from repro.analysis.rules.dispatch import DispatchCompleteRule
@@ -30,7 +29,7 @@ from repro.analysis.rules.wallclock import NoWallclockRule
 REPO_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
 
 
-def lint(tmp_path, files, rules=None, baseline_path=""):
+def lint(tmp_path, files, rules=None):
     """Write ``files`` (relpath -> source) under ``tmp_path`` and run the
     analysis over its ``src`` tree."""
     for relpath, source in files.items():
@@ -40,13 +39,12 @@ def lint(tmp_path, files, rules=None, baseline_path=""):
     return run_analysis(
         [str(tmp_path / "src")],
         repo_root=str(tmp_path),
-        baseline_path=baseline_path,
         rules=rules,
     )
 
 
 def rules_hit(result):
-    return sorted({f.rule for f in result.active})
+    return sorted({f.rule for f in result.findings})
 
 
 # ---------------------------------------------------------------------------
@@ -69,17 +67,17 @@ def stamp(runtime):
 def test_no_wallclock_flags_host_clock(tmp_path):
     result = lint(tmp_path, {"src/repro/sim/clocks.py": WALLCLOCK_BAD}, rules=[NoWallclockRule])
     assert rules_hit(result) == ["no-wallclock"]
-    assert "time.perf_counter" in result.active[0].message
+    assert "time.perf_counter" in result.findings[0].message
 
 
 def test_no_wallclock_clean_and_allowlist(tmp_path):
     clean = lint(tmp_path, {"src/repro/sim/clocks.py": WALLCLOCK_CLEAN}, rules=[NoWallclockRule])
-    assert clean.active == []
+    assert clean.findings == []
     # The same host-clock read is legitimate under repro/bench/.
     allowed = lint(
         tmp_path, {"src/repro/bench/timing.py": WALLCLOCK_BAD}, rules=[NoWallclockRule]
     )
-    assert allowed.active == []
+    assert allowed.findings == []
 
 
 def test_no_wallclock_catches_from_import_alias(tmp_path):
@@ -122,7 +120,7 @@ def test_no_unseeded_random_flags_global_rng_and_hash(tmp_path):
         tmp_path, {"src/repro/workload/gen.py": RANDOM_BAD}, rules=[NoUnseededRandomRule]
     )
     assert rules_hit(result) == ["no-unseeded-random"]
-    messages = " ".join(f.message for f in result.active)
+    messages = " ".join(f.message for f in result.findings)
     assert "random.randrange" in messages
     assert "hash()" in messages
 
@@ -131,7 +129,7 @@ def test_no_unseeded_random_clean_seeded_instances(tmp_path):
     result = lint(
         tmp_path, {"src/repro/workload/gen.py": RANDOM_CLEAN}, rules=[NoUnseededRandomRule]
     )
-    assert result.active == []
+    assert result.findings == []
 
 
 def test_no_unseeded_random_flags_unseeded_instance(tmp_path):
@@ -167,14 +165,14 @@ def test_no_unordered_iteration_flags_set_loop(tmp_path):
         tmp_path, {"src/repro/sim/fanout.py": ORDERING_BAD}, rules=[NoUnorderedIterationRule]
     )
     assert rules_hit(result) == ["no-unordered-iteration"]
-    assert "sorted" in result.active[0].message
+    assert "sorted" in result.findings[0].message
 
 
 def test_no_unordered_iteration_clean_sorted_loop(tmp_path):
     result = lint(
         tmp_path, {"src/repro/sim/fanout.py": ORDERING_CLEAN}, rules=[NoUnorderedIterationRule]
     )
-    assert result.active == []
+    assert result.findings == []
 
 
 def test_no_unordered_iteration_flags_id_keying(tmp_path):
@@ -183,7 +181,7 @@ def test_no_unordered_iteration_flags_id_keying(tmp_path):
         tmp_path, {"src/repro/sim/tracker.py": source}, rules=[NoUnorderedIterationRule]
     )
     assert rules_hit(result) == ["no-unordered-iteration"]
-    assert "id()" in result.active[0].message
+    assert "id()" in result.findings[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +226,7 @@ def test_slots_required_flags_unslotted_message(tmp_path):
         rules=[SlotsRequiredRule],
     )
     assert rules_hit(result) == ["slots-required"]
-    assert "__slots__" in result.active[0].message
+    assert "__slots__" in result.findings[0].message
 
 
 def test_slots_required_clean_slotted_and_covered(tmp_path):
@@ -240,7 +238,7 @@ def test_slots_required_clean_slotted_and_covered(tmp_path):
         },
         rules=[SlotsRequiredRule],
     )
-    assert result.active == []
+    assert result.findings == []
 
 
 def test_slots_required_flags_missing_golden_coverage(tmp_path):
@@ -255,7 +253,7 @@ def test_slots_required_flags_missing_golden_coverage(tmp_path):
         rules=[SlotsRequiredRule],
     )
     assert rules_hit(result) == ["slots-required"]
-    assert "golden row" in result.active[0].message
+    assert "golden row" in result.findings[0].message
 
 
 def test_slots_required_flags_stale_golden_entry(tmp_path):
@@ -271,7 +269,7 @@ def test_slots_required_flags_stale_golden_entry(tmp_path):
         rules=[SlotsRequiredRule],
     )
     assert rules_hit(result) == ["slots-required"]
-    assert any("stale golden entry" in f.message and "`Gone`" in f.message for f in result.active)
+    assert any("stale golden entry" in f.message and "`Gone`" in f.message for f in result.findings)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +334,7 @@ def test_dispatch_complete_flags_missing_entry(tmp_path):
         rules=[DispatchCompleteRule],
     )
     assert rules_hit(result) == ["dispatch-complete"]
-    assert "`Pong`" in result.active[0].message
+    assert "`Pong`" in result.findings[0].message
 
 
 def test_dispatch_complete_clean_full_table(tmp_path):
@@ -348,7 +346,7 @@ def test_dispatch_complete_clean_full_table(tmp_path):
         },
         rules=[DispatchCompleteRule],
     )
-    assert result.active == []
+    assert result.findings == []
 
 
 def test_dispatch_complete_flags_absent_table(tmp_path):
@@ -362,7 +360,7 @@ def test_dispatch_complete_flags_absent_table(tmp_path):
         rules=[DispatchCompleteRule],
     )
     assert rules_hit(result) == ["dispatch-complete"]
-    assert any("declares no `_dispatch`" in f.message for f in result.active)
+    assert any("declares no `_dispatch`" in f.message for f in result.findings)
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +399,14 @@ class Node:
 def test_obs_hook_guard_flags_truthiness_and_unguarded_use(tmp_path):
     result = lint(tmp_path, {"src/repro/fooproto/node.py": OBS_BAD}, rules=[ObsHookGuardRule])
     assert rules_hit(result) == ["obs-hook-guard"]
-    messages = " ".join(f.message for f in result.active)
+    messages = " ".join(f.message for f in result.findings)
     assert "is (not) None" in messages  # the truthiness test
     assert "outside an" in messages  # the unguarded hook call
 
 
 def test_obs_hook_guard_clean_guard_and_alias(tmp_path):
     result = lint(tmp_path, {"src/repro/fooproto/node.py": OBS_CLEAN}, rules=[ObsHookGuardRule])
-    assert result.active == []
+    assert result.findings == []
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +445,7 @@ def basename(runtime: "Optional[Runtime]", path):
 def test_no_unused_import_flags_each_unused_binding(tmp_path):
     result = lint(tmp_path, {"src/repro/sim/sizes.py": UNUSED_IMPORT_BAD}, rules=[NoUnusedImportRule])
     assert rules_hit(result) == ["no-unused-import"]
-    assert sorted(f.message.split("`")[1] for f in result.active) == ["Dict", "js", "os"]
+    assert sorted(f.message.split("`")[1] for f in result.findings) == ["Dict", "js", "os"]
 
 
 def test_no_unused_import_clean_noqa_all_annotations_and_package_facades(tmp_path):
@@ -460,7 +458,7 @@ def test_no_unused_import_clean_noqa_all_annotations_and_package_facades(tmp_pat
         },
         rules=[NoUnusedImportRule],
     )
-    assert result.active == []
+    assert result.findings == []
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +472,7 @@ def test_inline_suppression_silences_named_rule(tmp_path):
         "return time.perf_counter()  # detlint: disable=no-wallclock",
     )
     result = lint(tmp_path, {"src/repro/sim/clocks.py": suppressed}, rules=[NoWallclockRule])
-    assert result.active == []
+    assert result.findings == []
     assert result.suppressed == 1
 
 
@@ -489,59 +487,6 @@ def test_inline_suppression_is_rule_specific(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# baseline round-trip
-# ---------------------------------------------------------------------------
-
-
-def test_baseline_round_trip_and_staleness(tmp_path):
-    baseline_file = tmp_path / "baseline.json"
-    first = lint(tmp_path, {"src/repro/sim/clocks.py": WALLCLOCK_BAD}, rules=[NoWallclockRule])
-    assert len(first.active) == 1
-
-    save_baseline(str(baseline_file), first.findings)
-    entries = load_baseline(str(baseline_file))
-    assert set(entries) == {first.findings[0].fingerprint}
-
-    # Same tree + baseline: the finding is reported as baselined, gate passes.
-    second = lint(
-        tmp_path,
-        {"src/repro/sim/clocks.py": WALLCLOCK_BAD},
-        rules=[NoWallclockRule],
-        baseline_path=str(baseline_file),
-    )
-    assert second.active == []
-    assert len(second.baselined) == 1
-    assert second.exit_code == 0
-
-    # Fix the violation: the entry surfaces as stale instead of lingering.
-    third = lint(
-        tmp_path,
-        {"src/repro/sim/clocks.py": WALLCLOCK_CLEAN},
-        rules=[NoWallclockRule],
-        baseline_path=str(baseline_file),
-    )
-    assert third.findings == []
-    assert third.stale_baseline == [first.findings[0].fingerprint]
-
-
-def test_baseline_preserves_notes_on_rewrite(tmp_path):
-    baseline_file = tmp_path / "baseline.json"
-    result = lint(tmp_path, {"src/repro/sim/clocks.py": WALLCLOCK_BAD}, rules=[NoWallclockRule])
-    fingerprint = result.findings[0].fingerprint
-    save_baseline(str(baseline_file), result.findings, notes={fingerprint: "known clock shim"})
-    save_baseline(str(baseline_file), result.findings)  # rewrite without notes
-    assert load_baseline(str(baseline_file))[fingerprint]["note"] == "known clock shim"
-
-
-def test_fingerprints_survive_unrelated_edits(tmp_path):
-    before = lint(tmp_path, {"src/repro/sim/clocks.py": WALLCLOCK_BAD}, rules=[NoWallclockRule])
-    shifted = '"""Docstring pushing every line down."""\n\n\n' + WALLCLOCK_BAD
-    after = lint(tmp_path, {"src/repro/sim/clocks.py": shifted}, rules=[NoWallclockRule])
-    assert before.findings[0].line != after.findings[0].line
-    assert before.findings[0].fingerprint == after.findings[0].fingerprint
-
-
-# ---------------------------------------------------------------------------
 # CLI exit-code contract
 # ---------------------------------------------------------------------------
 
@@ -551,14 +496,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     src.mkdir(parents=True)
     (src / "clocks.py").write_text(WALLCLOCK_BAD)
 
-    argv_base = [str(tmp_path / "src"), "--repo-root", str(tmp_path), "--no-baseline"]
-    assert main(argv_base) == 1  # non-baselined finding
+    argv_base = [str(tmp_path / "src"), "--repo-root", str(tmp_path)]
+    assert main(argv_base) == 1  # any finding
 
     (src / "clocks.py").write_text(WALLCLOCK_CLEAN)
     assert main(argv_base) == 0  # clean tree
 
     (src / "broken.py").write_text("def broken(:\n")
     assert main(argv_base) == 2  # analyser failure: unparseable target
+    with pytest.raises(SystemExit) as bad_flag:
+        main([*argv_base, "--no-such-flag"])
+    assert bad_flag.value.code == 2  # analyser failure: unknown flag
     capsys.readouterr()
 
 
@@ -572,54 +520,35 @@ def test_cli_json_report(tmp_path, capsys):
         [
             str(tmp_path / "src"),
             "--repo-root", str(tmp_path),
-            "--no-baseline",
             "--json", str(report_path),
         ]
     )
     capsys.readouterr()
     assert code == 1
     payload = json.loads(report_path.read_text())
-    assert payload["summary"]["active"] == 1
+    assert payload["version"] == 2
+    assert payload["summary"]["findings"] == 1
     assert payload["summary"]["exit_code"] == 1
     assert payload["findings"][0]["rule"] == "no-wallclock"
-    assert payload["findings"][0]["fingerprint"]
-
-
-def test_cli_write_baseline(tmp_path, capsys):
-    src = tmp_path / "src" / "repro" / "sim"
-    src.mkdir(parents=True)
-    (src / "clocks.py").write_text(WALLCLOCK_BAD)
-    baseline_file = tmp_path / "detlint_baseline.json"
-
-    assert main([str(tmp_path / "src"), "--repo-root", str(tmp_path), "--write-baseline"]) == 0
-    capsys.readouterr()
-    assert baseline_file.is_file()
-    # With the baseline in place (default path), the gate passes.
-    assert main([str(tmp_path / "src"), "--repo-root", str(tmp_path)]) == 0
-    capsys.readouterr()
+    assert payload["findings"][0]["line"] == 4
 
 
 # ---------------------------------------------------------------------------
-# self-run: the real tree is clean modulo the committed baseline
+# self-run: the real tree is clean
 # ---------------------------------------------------------------------------
 
 
-def test_src_repro_is_clean_modulo_committed_baseline():
+def test_the_linted_tree_is_clean():
     """Over everything CI lints: every rule but no-unused-import scopes
     itself to ``src/repro``; that one stands in for ruff, which is not
     installed everywhere this runs."""
     result = run_analysis(
         [os.path.join(REPO_ROOT, part) for part in ("src", "tests", "perf", "examples")],
         repo_root=REPO_ROOT,
-        baseline_path=None,  # use the committed detlint_baseline.json
     )
     assert result.modules_scanned > 100
-    offenders = [f.render() for f in result.active]
+    offenders = [f.render() for f in result.findings]
     assert offenders == [], "\n".join(offenders)
-    assert result.stale_baseline == [], (
-        "stale baseline entries — prune detlint_baseline.json: "
-        f"{result.stale_baseline}"
-    )
     assert result.exit_code == 0
 
 

@@ -1,5 +1,7 @@
 """Tests for the experiment harness: builders, the runner and its perf-tracking points."""
 
+import json
+import pathlib
 from functools import partial
 from operator import attrgetter
 
@@ -20,6 +22,9 @@ TINY = ExperimentProfile(
     latency_threshold_s=0.05,
     seed=3,
 )
+
+#: The perf ledger CI's perf steps gate on.
+LEDGER = pathlib.Path(__file__).resolve().parents[1] / "BENCH_sim_hotpath.json"
 
 
 class TestBuilders:
@@ -243,3 +248,64 @@ class TestPerfTrackingPoints:
         update_perf_report(path, "p", dict(base), set_baseline=True)
         entry = update_perf_report(path, "p", dict(base, events_per_s=90))
         assert "commit_logs_match_baseline" not in entry
+
+
+class TestLedgerPins:
+    """Each point CI's perf steps run reproduces the baseline the ledger records for it."""
+
+    @pytest.mark.parametrize("name", ["ci-smoke", "shard-smoke", "engine-microbench", "switch-drain"])
+    def test_point_reproduces_its_committed_baseline(self, name):
+        from repro.bench.runner import PERF_POINTS, perf_point_runner
+
+        baseline = json.loads(LEDGER.read_text())["points"][name]["baseline"]
+        events, digest, completed = perf_point_runner(PERF_POINTS[name])()
+        assert (digest, events, completed) == (
+            baseline["commit_log_sha256"],
+            baseline["events"],
+            baseline["requests_completed"],
+        )
+
+
+class TestLedgerGate:
+    """Without ``--set-baseline`` the perf gate refuses a report it cannot
+    compare with, before measuring anything, and leaves the file as it was."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_is_measured(self, monkeypatch):
+        import repro.bench.runner as runner
+        import repro.bench.shard_bench as shard_bench
+
+        def measure(*args, **kwargs):
+            pytest.fail("the gate measured before checking the report")
+
+        monkeypatch.setattr(runner, "run_perf_tracking", measure)
+        monkeypatch.setattr(shard_bench, "run_shard_saturation", measure)
+
+    def gate(self, report, *extra):
+        from repro.bench.runner import main
+
+        return main(["--perf-point", "switch-drain", "--report", str(report), "--fail-below", "0.7", *extra])
+
+    def test_a_missing_report_fails(self, tmp_path, capsys):
+        report = tmp_path / "BENCH.json"
+        assert self.gate(report) == 2
+        assert str(report) in capsys.readouterr().out
+        assert not report.exists()
+
+    @pytest.mark.parametrize("extra", [(), ("--set-baseline",), ("--shard-saturation",)])
+    def test_an_unreadable_report_fails_and_is_never_overwritten(self, tmp_path, capsys, extra):
+        report = tmp_path / "BENCH.json"
+        report.write_text("{not json")
+        assert self.gate(report, *extra) == 2
+        assert str(report) in capsys.readouterr().out
+        assert report.read_text() == "{not json"
+
+    def test_a_report_without_the_point_fails(self, tmp_path, capsys):
+        ledger = json.loads(LEDGER.read_text())
+        del ledger["points"]["switch-drain"]
+        report = tmp_path / "BENCH.json"
+        report.write_text(json.dumps(ledger))
+        before = report.read_bytes()
+        assert self.gate(report) == 2
+        assert "'switch-drain'" in capsys.readouterr().out
+        assert report.read_bytes() == before

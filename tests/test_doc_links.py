@@ -9,10 +9,11 @@ A ROADMAP item is cited by its title, never by its number: items are
 renumbered whenever the ROADMAP is re-anchored.  Scope: ``src/``,
 ``tests/`` and ``examples/``.
 
-A ``--flag`` written after ``repro.bench.runner`` must be an option of the
-runner's parser.  Scope: the documents above plus the CI workflow and the
-verify skill.  The command runs to the end of its line, or, when it opens
-inside a code span, to the span's closing backtick on a later line.
+A ``--flag`` written after ``repro.bench.runner`` or ``python -m
+repro.analysis`` must be an option of that command's ``build_parser()``.
+Scope: the documents above plus the CI workflow and the verify skill.  The
+command runs to the end of its line, or, when it opens inside a code span,
+to the span's closing backtick on a later line.
 
 The code block of ARCHITECTURE's "Adding a protocol" section must run: it
 is executed with a stub ``MyNode`` and ``MyConfig`` and built on a
@@ -26,10 +27,10 @@ its bases.  Builtin names (``None``, ``ValueError``) are left alone.
 
 Code that was deleted must not be named as if it were still there: the old
 benchmark suite and its figure CLI, the experiment definitions, the storage
-model, the write leases, and the options no caller set (closed-loop
-clients, Zipf keys, the lease fraction).  Scope: the documents above,
-``tests/``, the CI workflow and the verify skill; the plans and history
-keep their records.  A removed constructor option is refused with a
+model, the write leases, the options no caller set (closed-loop clients,
+Zipf keys, the lease fraction) and detlint's baseline and severity levels.
+Scope: the documents above, ``tests/``, the CI workflow and the verify
+skill; the plans and history keep their records.  A removed constructor option is refused with a
 ``TypeError``, never silently accepted.
 
 The CI tests job must install every third-party module the tier-1 tests
@@ -53,6 +54,14 @@ BARE_MARKDOWN_NAME = re.compile(r"(?<![\w/.-])([A-Za-z_][\w-]*\.md)\b")
 #: "ROADMAP", then "item" or "items" and a digit, also across a line break.
 NUMBERED_ROADMAP_ITEM = re.compile(r"ROADMAP\s+items?\s+\d")
 RUNNER = re.compile(r"repro\.bench\.runner\b")
+#: ``repro.analysis`` itself, not one of its submodules.
+ANALYSIS = re.compile(r"repro\.analysis(?![\w.])")
+#: Each command: its pattern, the module whose ``build_parser()`` is its
+#: whole CLI, and how many flags the scan must at least find.
+COMMANDS = {
+    "repro.bench.runner": (RUNNER, "repro.bench.runner", 10),
+    "repro.analysis": (ANALYSIS, "repro.analysis.runner", 2),
+}
 FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 CLASS_REFERENCE = re.compile(r"([A-Z][a-z]\w*)(?:\.(\w+))?(?:\(\))?")
@@ -104,9 +113,9 @@ def test_the_roadmap_pattern_takes_numbers_and_leaves_titles():
     assert not NUMBERED_ROADMAP_ITEM.search("ROADMAP 'Fault fuzzing on hypothesis'")
 
 
-def runner_flags(text):
-    """``(offset, flag)`` for every ``--flag`` written after ``repro.bench.runner``."""
-    for match in RUNNER.finditer(text):
+def command_flags(text, command=RUNNER):
+    """``(offset, flag)`` for every ``--flag`` written after ``command``."""
+    for match in command.finditer(text):
         line_start = text.rfind("\n", 0, match.start()) + 1
         in_code_span = len(re.findall(r"`+", text[line_start:match.start()])) % 2 == 1
         rest = text[match.end():]
@@ -116,20 +125,21 @@ def runner_flags(text):
             yield match.end() + flag.start(), flag.group(0)
 
 
-def test_every_runner_flag_in_the_docs_is_an_option_of_the_runner():
-    from repro.bench.runner import build_parser
-
-    options = {option for action in build_parser()._actions for option in action.option_strings}
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_every_flag_in_the_docs_is_an_option_of_its_command(name):
+    command, parser_module, least = COMMANDS[name]
+    parser = importlib.import_module(parser_module).build_parser()
+    options = {option for action in parser._actions for option in action.option_strings}
     paths = [ROOT / ".github/workflows/ci.yml", ROOT / ".claude/skills/verify/SKILL.md"]
     found, stale = 0, []
     for path in [*paths, *documents()]:
         text = path.read_text(encoding="utf-8")
-        for offset, flag in runner_flags(text):
+        for offset, flag in command_flags(text, command):
             found += 1
             if flag not in options:
                 line_number = text.count("\n", 0, offset) + 1
                 stale.append(f"{path.relative_to(ROOT)}:{line_number}: {flag}")
-    assert found > 10  # the walk found the CI steps and the docs
+    assert found >= least  # the walk found the CI steps and the docs
     assert not stale, "\n".join(stale)
 
 
@@ -147,10 +157,15 @@ REMOVED = {
     "key_distribution": "keys are drawn uniformly (§8.1)",
     "zipf_alpha": "keys are drawn uniformly (§8.1)",
     "lease_fraction": "the lease length is raft.node.LEASE_FRACTION",
+    "detlint_baseline": "detlint has no baseline: a finding is fixed or suppressed inline",
+    "repro.analysis.baseline": "detlint has no baseline: a finding is fixed or suppressed inline",
+    "--write-baseline": "detlint has no baseline: a finding is fixed or suppressed inline",
+    "--no-baseline": "detlint has no baseline: a finding is fixed or suppressed inline",
+    "Severity": "every finding fails the gate; no rule shipped as a warning",
 }
 
-#: Constructor options that went with the code only they reached, each
-#: with its former owner (``module:class``).
+#: Constructor and function options that went with the code only they
+#: reached, each with its former owner (``module:callable``).
 REMOVED_OPTIONS = [
     ("repro.workload.generator:WorkloadConfig", "open_loop"),
     ("repro.workload.generator:WorkloadConfig", "max_outstanding"),
@@ -162,6 +177,8 @@ REMOVED_OPTIONS = [
     ("repro.zab.node:ZabConfig", "batch_duration_s"),
     ("repro.zab.node:ZabConfig", "max_batch_size"),
     ("repro.raft.node:RaftConfig", "lease_fraction"),
+    ("repro.analysis.runner:run_analysis", "baseline_path"),
+    ("repro.protocols.registry:register_protocol", "read_consistency"),
 ]
 
 
@@ -204,8 +221,17 @@ def test_the_flag_pattern_follows_a_code_span_across_lines():
         "from repro.bench.runner import main\n"
         "--set-baseline\n"
     )
-    flags = [flag for _, flag in runner_flags(text)]
+    flags = [flag for _, flag in command_flags(text)]
     assert flags == ["--perf-point", "--profile-diff", "--perf-point", "--fail-below"]
+
+
+def test_the_analysis_pattern_takes_the_command_and_leaves_submodules():
+    text = (
+        "run: python -m repro.analysis src tests --json out.json\n"
+        "`repro.analysis.core.Rule` --not-a-command\n"
+        "from repro.analysis.runner import main --nor-this\n"
+    )
+    assert [flag for _, flag in command_flags(text, ANALYSIS)] == ["--json"]
 
 
 def class_references(text):

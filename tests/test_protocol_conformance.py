@@ -202,12 +202,6 @@ class TestReadConsistencyConformance:
         for mode, level in protocol.read_modes.items():
             assert level in VALID_CONSISTENCY_LEVELS, f"{name}:{mode} declares {level!r}"
         assert protocol.read_mode in protocol.read_modes
-        # The registry metadata matches the protocol's default mode.
-        spec = protocol_spec(name)
-        assert spec.read_consistency == next(iter(protocol.read_modes.values())), (
-            f"{name}: registry says {spec.read_consistency!r} but the default "
-            f"mode provides {next(iter(protocol.read_modes.values()))!r}"
-        )
 
     def test_unknown_read_mode_rejected(self, deployment):
         name, _, protocol, _ = deployment
