@@ -39,7 +39,6 @@ SCOPE_SUBSTRINGS = (
     "repro/raft/",
     "repro/zab/",
     "repro/broadcast/",
-    "repro/shard/",
     "repro/protocols/",
     "repro/runtime/",
 )

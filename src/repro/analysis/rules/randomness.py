@@ -33,7 +33,6 @@ SCOPE_SUBSTRINGS = (
     "repro/epaxos/",
     "repro/raft/",
     "repro/zab/",
-    "repro/shard/",
     "repro/workload/",
     "repro/broadcast/",
     "repro/kvstore/",

@@ -1,4 +1,4 @@
-"""Experiment harness: builders, the runner, and the sharded-throughput sweep.
+"""Experiment harness: the system builders and the runner.
 
 The comparisons of the paper's evaluation (§8: Figures 4-7, Table 1) are
 checked by ``tests/test_paper_claims.py``, which calls

@@ -25,13 +25,7 @@ import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.bench.shard_bench import ShardPointConfig
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bench.builders import SystemUnderTest, build_system, make_single_dc_topology
 from repro.metrics.collector import RunSummary
@@ -42,15 +36,12 @@ __all__ = [
     "ExperimentProfile",
     "RatePointResult",
     "run_rate_point",
-    "walk_rate_ladder",
     "find_max_throughput",
     "PerfPoint",
     "PERF_POINTS",
     "run_perf_tracking",
     "update_perf_report",
 ]
-
-Point = TypeVar("Point")
 
 
 @dataclass
@@ -189,31 +180,6 @@ def _execute_rate_point(
     return simulator, sut, summary
 
 
-def walk_rate_ladder(
-    rates: Sequence[float],
-    measure: Callable[[float], Point],
-    saturated: Callable[[Point], bool],
-    throughput: Callable[[Point], float],
-) -> Tuple[Point, List[Point]]:
-    """The §8.1 maximum-throughput search over an offered-rate ladder.
-
-    Measures each rung in order and stops at the first ``saturated`` one:
-    past it, open-loop queues only grow.  Returns the unsaturated point of
-    highest ``throughput`` plus every point measured.  When the first rung
-    already saturates, that point is returned as the best one.
-    """
-    points: List[Point] = []
-    best: Optional[Point] = None
-    for rate in rates:
-        point = measure(rate)
-        points.append(point)
-        if saturated(point):
-            break
-        if best is None or throughput(point) > throughput(best):
-            best = point
-    return (best if best is not None else points[-1]), points
-
-
 def find_max_throughput(
     system: str,
     topology_factory: TopologyFactory,
@@ -221,19 +187,26 @@ def find_max_throughput(
     profile: ExperimentProfile,
     config: Any = None,
 ) -> Tuple[RatePointResult, List[RatePointResult]]:
-    """Walk the profile's rate ladder until :meth:`ExperimentProfile.saturates`.
+    """The §8.1 maximum-throughput search over the profile's rate ladder.
 
-    Returns the best rate point (highest measured throughput with median
-    completion time under the threshold) and every point measured.
+    Measures each rung in order and stops at the first one that
+    :meth:`ExperimentProfile.saturates`: past it, open-loop queues only
+    grow.  Returns the unsaturated point of highest throughput plus every
+    point measured.  When the first rung already saturates, that point is
+    returned as the best one.
     """
-    return walk_rate_ladder(
-        profile.rate_ladder,
-        lambda rate: run_rate_point(
+    points: List[RatePointResult] = []
+    best: Optional[RatePointResult] = None
+    for rate in profile.rate_ladder:
+        point = run_rate_point(
             system, topology_factory, rate, write_ratio, profile=profile, config=config
-        ),
-        profile.saturates,
-        attrgetter("throughput_rps"),
-    )
+        )
+        points.append(point)
+        if profile.saturates(point):
+            break
+        if best is None or point.throughput_rps > best.throughput_rps:
+            best = point
+    return (best if best is not None else points[-1]), points
 
 
 # ----------------------------------------------------------------------
@@ -265,13 +238,6 @@ class PerfPoint:
     seed: int = 7
     #: Timing repeats; the minimum wall-clock is reported (least noisy).
     repeats: int = 3
-    #: Shards (>1 routes through repro.shard: ``system`` becomes the
-    #: per-shard protocol and the workload gains a multi-key mix).
-    shard_count: int = 1
-    #: Fraction of ops that are cross-shard transactions (sharded points).
-    multi_key_ratio: float = 0.0
-    #: Fraction of the multi-key ops that are snapshot reads (sharded points).
-    txn_read_ratio: float = 0.0
     #: Total scheduled operations for ``kind="engine"`` points (split
     #: between the clustered-delay and spread-delay distributions).
     engine_ops: int = 120_000
@@ -300,7 +266,7 @@ class PerfPoint:
         self,
         instrument: Optional[Callable[[Simulator, SystemUnderTest, WorkloadGenerator], Any]] = None,
     ) -> Tuple[Simulator, SystemUnderTest, RunSummary]:
-        """Run this single-group workload point once (see :func:`_execute_rate_point`)."""
+        """Run this workload point once (see :func:`_execute_rate_point`)."""
         factory = partial(
             make_single_dc_topology, nodes_per_rack=self.nodes_per_rack, racks=self.racks
         )
@@ -312,31 +278,6 @@ class PerfPoint:
             self.profile(),
             config=self.config(),
             instrument=instrument,
-        )
-
-    def shard_config(self) -> ShardPointConfig:
-        """This point as a :class:`repro.bench.shard_bench.ShardPointConfig`.
-
-        Perf points measure the host and pin behaviour by digest, so the
-        sharded harness's checkers stay off.
-        """
-        from repro.bench.shard_bench import ShardPointConfig
-
-        return ShardPointConfig(
-            shard_count=self.shard_count,
-            protocol=self.system,
-            nodes_per_rack=self.nodes_per_rack,
-            racks=self.racks,
-            rate_hz=self.rate_hz,
-            write_ratio=self.write_ratio,
-            multi_key_ratio=self.multi_key_ratio,
-            txn_read_ratio=self.txn_read_ratio,
-            client_processes=self.client_processes,
-            warmup_s=self.warmup_s,
-            measure_s=self.measure_s,
-            cooldown_s=self.cooldown_s,
-            seed=self.seed,
-            verify=False,
         )
 
 
@@ -352,25 +293,6 @@ PERF_POINTS: Dict[str, PerfPoint] = {
         rate_hz=8000.0,
         measure_s=0.2,
         client_processes=18,
-        repeats=3,
-    ),
-    # Two canopus shards over 6 hosts with a cross-shard transaction mix
-    # (30% of the multi-key ops are snapshot reads, so the fenced read path
-    # is on the measured profile): tracks the host-side cost of the sharded
-    # path (partitioner routing, per-shard groups, 2PC coordinator, read
-    # fences) and pins its modelled behaviour via the commit-log digest,
-    # cheaply enough for every CI run.
-    "shard-smoke": PerfPoint(
-        label="canopus-2shard-smoke",
-        system="canopus",
-        shard_count=2,
-        nodes_per_rack=3,
-        racks=2,
-        rate_hz=8000.0,
-        measure_s=0.2,
-        client_processes=18,
-        multi_key_ratio=0.05,
-        txn_read_ratio=0.3,
         repeats=3,
     ),
     # The event engine alone, no protocol: a deterministic schedule/cancel/
@@ -603,8 +525,8 @@ def _commit_log_sha256(logs: Dict[str, List[int]]) -> str:
     Request ids come from a process-global counter, so they are normalized
     to the run's smallest id; the digest then depends only on modelled
     behaviour and is comparable across commits and processes.  ``logs``
-    maps replica name to commit order — a protocol's ``committed_logs()``
-    or a sharded cluster's flat ``"<shard>:<node>"`` view.
+    maps replica name to commit order, as a protocol's ``committed_logs()``
+    returns it.
     """
     all_ids = [i for log in logs.values() for i in log]
     base = min(all_ids) if all_ids else 0
@@ -616,31 +538,15 @@ def perf_point_runner(point: PerfPoint) -> Callable[[], Tuple[int, str, int]]:
     """A callable that runs ``point`` once and returns ``(engine events,
     commit-log digest, requests completed)``.
 
-    Points with ``shard_count > 1`` run through the sharded harness
-    (:mod:`repro.bench.shard_bench`), with the commit-log digest taken over
-    every shard's replicas.  ``kind="engine"`` points run the engine
-    micro-benchmark (no protocol; the digest pins the fired trace), and
-    ``kind="switch"`` points run the switch-lane merge micro-benchmark (no
-    protocol; the digest pins the delivery trace).
+    ``kind="engine"`` points run the engine micro-benchmark (no protocol;
+    the digest pins the fired trace), and ``kind="switch"`` points run the
+    switch-lane merge micro-benchmark (no protocol; the digest pins the
+    delivery trace).
     """
     if point.kind == "engine":
         return partial(_run_engine_microbench, point)
     if point.kind == "switch":
         return partial(_run_switch_drain_microbench, point)
-    if point.shard_count > 1:
-        from repro.bench.shard_bench import _execute_shard_point
-
-        shard_config = point.shard_config()
-
-        def run_shards() -> Tuple[int, str, int]:
-            simulator, cluster, _router, result = _execute_shard_point(shard_config)
-            return (
-                simulator.loop.processed_events,
-                _commit_log_sha256(cluster.committed_logs()),
-                result.requests_completed,
-            )
-
-        return run_shards
 
     def run() -> Tuple[int, str, int]:
         simulator, sut, summary = point.execute_rate_point()
@@ -697,10 +603,8 @@ def run_perf_tracking(point: PerfPoint) -> Dict[str, Any]:
         "label": point.label,
         "system": point.system,
         "node_count": point.nodes_per_rack * point.racks,
-        "shard_count": point.shard_count,
         "rate_hz": point.rate_hz,
         "write_ratio": point.write_ratio,
-        "txn_read_ratio": point.txn_read_ratio,
         "seed": point.seed,
         "wall_s": round(best_wall, 4),
         "events": events,
@@ -741,36 +645,16 @@ def run_traced_point(point: PerfPoint, trace_path: str) -> Dict[str, Any]:
 
     captured: Dict[str, Any] = {}
 
-    def _attach(simulator, network, shard_metrics, **targets):
+    def instrument(simulator, sut, generator):
         tracer = Tracer(lambda: simulator.now)
         telemetry = Telemetry()
-        sampler = TelemetrySampler(
-            telemetry, simulator, network=network, shard_metrics=shard_metrics
-        )
-        attach_tracer(tracer, **targets)
+        sampler = TelemetrySampler(telemetry, simulator, network=sut.topology.network)
+        attach_tracer(tracer, protocol=sut.protocol, agents=generator.agents)
         sampler.start()
         captured.update(tracer=tracer, telemetry=telemetry, sampler=sampler)
         return tracer
 
-    if point.shard_count > 1:
-        from repro.bench.shard_bench import _execute_shard_point
-
-        def instrument(simulator, cluster, router, metrics, generator):
-            return _attach(
-                simulator, cluster.topology.network, metrics,
-                cluster=cluster, router=router, agents=generator.agents,
-            )
-
-        _execute_shard_point(point.shard_config(), instrument=instrument)
-    else:
-
-        def instrument(simulator, sut, generator):
-            return _attach(
-                simulator, sut.topology.network, None,
-                protocol=sut.protocol, agents=generator.agents,
-            )
-
-        point.execute_rate_point(instrument=instrument)
+    point.execute_rate_point(instrument=instrument)
 
     tracer = captured["tracer"]
     telemetry = captured["telemetry"]
@@ -890,21 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trace-event file next to it) to PATH; read it back with "
         "'python -m repro.obs.report PATH'",
     )
-    parser.add_argument(
-        "--shard-saturation",
-        action="store_true",
-        help="run the sharded throughput-scaling sweep instead of a perf point",
-    )
-    parser.add_argument(
-        "--min-scaling",
-        type=float,
-        # The recorded curve (BENCH_sim_hotpath.json, shard_saturation) reads
-        # 195k / 205k / 264k for 1 / 2 / 4 shards: a 12-node group's Raft
-        # broadcast now costs 3(n-1) messages, so one group comes within a
-        # third of the most four shards carry on the same hosts and network.
-        default=1.25,
-        help="fail the shard sweep when 4-shard/1-shard ops/s is below this",
-    )
     return parser
 
 
@@ -922,44 +791,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     before running anything when the report is missing, unreadable or
     holds no baseline for the point; only ``--set-baseline`` records a
     new point, and nothing overwrites an unreadable report.
-
-    ``python -m repro.bench.runner --shard-saturation`` instead runs the
-    sharded scaling sweep (a per-shard-count max-throughput search over the
-    offered-rate ladder, fixed seed), prints the report, merges it into the
-    report file under ``shard_saturation``, and fails when 4-shard
-    committed-ops/s is below ``--min-scaling`` times the single-shard
-    maximum or any linearizability / atomicity / isolation check fails.
     """
     args = build_parser().parse_args(argv)
     # Check the report before measuring anything, so a missing or unreadable
     # report, or one without the point's baseline, costs no run.
-    needs_baseline = not (args.shard_saturation or args.set_baseline)
     try:
-        _read_report(args.report, args.perf_point if needs_baseline else None)
+        _read_report(args.report, None if args.set_baseline else args.perf_point)
     except ValueError as exc:
         print(f"ERROR: {exc}")
         return 2
-
-    if args.shard_saturation:
-        from repro.bench.shard_bench import run_shard_saturation
-
-        report = run_shard_saturation()
-        print(json.dumps(report, indent=2))
-        with _edited_report(args.report) as full:
-            full["shard_saturation"] = report
-        top = str(max(int(count) for count in report["scaling_vs_single"]))
-        scaling = report["scaling_vs_single"][top]
-        if not report["all_linearizable"] or not report["all_atomic"] or not report["all_isolated"]:
-            print("ERROR: shard sweep failed verification (linearizability/atomicity/isolation)")
-            return 2
-        if report["any_collapsed_max"]:
-            print("ERROR: a shard count collapsed even at the lowest ladder rung")
-            return 2
-        if scaling < args.min_scaling:
-            print(f"ERROR: {top}-shard scaling {scaling:.2f}x below {args.min_scaling}x")
-            return 1
-        print(f"shard-saturation ok: {top}-shard scaling {scaling:.2f}x, all checks passed")
-        return 0
 
     point = PERF_POINTS[args.perf_point]
     current = run_perf_tracking(point)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.verify.history import History
@@ -139,21 +139,17 @@ class MetricsCollector:
             write_p99_s=percentile(write_times, 0.99),
         )
 
-    def to_history(self, key_filter: Optional[Callable[[str], bool]] = None) -> "History":
+    def to_history(self) -> "History":
         """Completed operations as a :class:`repro.verify.history.History`.
 
-        ``key_filter`` selects which keys participate (e.g. one shard's
-        keys, or excluding the ``__txn__/`` control namespace).  Only
-        completed operations enter the history — linearizability is checked
-        over what clients actually observed.
+        Only completed operations enter the history — linearizability is
+        checked over what clients actually observed.
         """
         from repro.verify.history import History
 
         history = History()
         for record in self.completed_records():
             if not record.key:
-                continue
-            if key_filter is not None and not key_filter(record.key):
                 continue
             history.add(
                 client_id=record.client_id,

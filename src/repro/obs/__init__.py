@@ -45,25 +45,18 @@ def attach_tracer(
     tracer: Optional[Tracer],
     *,
     protocol: Any = None,
-    cluster: Any = None,
-    router: Any = None,
     agents: Iterable[Any] = (),
 ) -> Optional[Tracer]:
     """Wire ``tracer`` into whatever a run has; pass ``None`` to detach.
 
-    ``protocol`` is a :class:`repro.protocols.base.ConsensusProtocol`,
-    ``cluster`` a :class:`repro.shard.cluster.ShardedCluster`, ``router``
-    a :class:`repro.shard.router.ShardRouter`, and ``agents`` workload
-    client agents (``ClientHostAgent``).  Each target also hooks its own
-    delivery plane (network hops on the simulator substrate, the
-    transport facade elsewhere).  Returns ``tracer`` for chaining.
+    ``protocol`` is a :class:`repro.protocols.base.ConsensusProtocol` and
+    ``agents`` workload client agents (``ClientHostAgent``).  Each target
+    also hooks its own delivery plane (network hops on the simulator
+    substrate, the transport facade elsewhere).  Returns ``tracer`` for
+    chaining.
     """
     if protocol is not None:
         protocol.attach_tracer(tracer)
-    if cluster is not None:
-        cluster.attach_tracer(tracer)
-    if router is not None:
-        router._obs = tracer
     for agent in agents:
         agent.attach_tracer(tracer)
     return tracer

@@ -7,8 +7,7 @@
 * a transport-hop summary per message type,
 * a top-N slowest-request drill-down (the request root spans plus the
   hops and phases recorded for each),
-* per-shard goodput / queue-depth timeseries and the other sampled
-  series (min / mean / max).
+* the sampled timeseries (min / mean / max).
 
 Percentile math comes from :mod:`repro.metrics.stats` so the obs report
 and the bench summaries agree on one definition.
@@ -128,20 +127,14 @@ def build_report(data: Dict[str, Any], top: int = 5) -> str:
     lines.append("== Sampled timeseries ==")
     if not series:
         lines.append("  (no samples recorded)")
-    shard_series = {name: pts for name, pts in series.items() if name.startswith("shard.")}
-    other_series = {name: pts for name, pts in series.items() if not name.startswith("shard.")}
-    for group, title in ((shard_series, "per-shard"), (other_series, "infrastructure")):
-        if not group:
+    for name in sorted(series):
+        values = [value for _, value in series[name]]
+        if not values:
             continue
-        lines.append(f" {title}:")
-        for name in sorted(group):
-            values = [value for _, value in group[name]]
-            if not values:
-                continue
-            lines.append(
-                f"  {name:<40} n={len(values):>5}  min={min(values):10.2f}"
-                f"  mean={sum(values) / len(values):10.2f}  max={max(values):10.2f}"
-            )
+        lines.append(
+            f"  {name:<40} n={len(values):>5}  min={min(values):10.2f}"
+            f"  mean={sum(values) / len(values):10.2f}  max={max(values):10.2f}"
+        )
     return "\n".join(lines)
 
 

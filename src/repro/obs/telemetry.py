@@ -3,7 +3,7 @@
 :class:`Telemetry` holds name-keyed timeseries; :class:`TelemetrySampler`
 walks the live simulation on a fixed sim-time grid and records the queue
 state the end-of-run summaries cannot see: event-loop depth, per-host rx
-backlog, switch lane depth, and per-shard windowed goodput.
+backlog and switch lane depth.
 
 Determinism note: the sampler schedules real engine events, but its
 callback only *reads* state and reschedules itself — it never draws from a
@@ -37,8 +37,7 @@ class TelemetrySampler:
 
     Wire it to whatever the run has: ``simulator`` is required (clock +
     timer source); ``network`` adds per-host rx backlog and switch lane
-    depth; ``shard_metrics`` adds per-shard windowed goodput (the signal a
-    load-driven autoscaler would watch).
+    depth.
     """
 
     def __init__(
@@ -47,7 +46,6 @@ class TelemetrySampler:
         simulator: Any,
         interval_s: float = 0.02,
         network: Optional[Any] = None,
-        shard_metrics: Optional[Any] = None,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
@@ -55,7 +53,6 @@ class TelemetrySampler:
         self.simulator = simulator
         self.interval_s = interval_s
         self.network = network
-        self.shard_metrics = shard_metrics
         self.samples_taken = 0
         self._running = False
 
@@ -89,12 +86,3 @@ class TelemetrySampler:
                 switch = network.switches[name]
                 depth = sum(len(lane.q) for lane in switch._lanes)
                 telemetry.sample(f"switch.{name}.lane_depth", now, float(depth))
-        metrics = self.shard_metrics
-        if metrics is not None:
-            window = 4 * self.interval_s
-            rates = metrics.throughput_rps(now - window, now)
-            for shard_id in sorted(rates):
-                telemetry.sample(f"shard.{shard_id}.goodput_rps", now, rates[shard_id])
-            depths = metrics.sample_queue_depths(now)
-            for shard_id in sorted(depths):
-                telemetry.sample(f"shard.{shard_id}.queue_depth", now, depths[shard_id])

@@ -16,8 +16,7 @@ design contract (see ARCHITECTURE.md "Observability"):
   the stack already has: ``Packet.packet_id`` (a per-network counter)
   links a transport hop to the span that was current when the packet was
   created, and protocol-native keys (EPaxos instance ids, Zab zxids,
-  Canopus cycle ids, Raft log indexes, 2PC txids) link phase begin/end
-  pairs.  Wire sizes, message contents, and therefore all fixed-seed
+  Canopus cycle ids, Raft log indexes) link phase begin/end pairs.  Wire sizes, message contents, and therefore all fixed-seed
   commit-log digests are byte-identical with tracing on or off.
 
 * **Determinism.**  Span ids come from a local counter, timestamps are
@@ -326,9 +325,9 @@ def _format_span_line(span: Span) -> str:
 def format_trace_slice(tracer: Optional[Tracer], request_ids: Iterable[int], limit: int = 40) -> str:
     """Human-readable slice of the trace covering ``request_ids``.
 
-    Used by the verify checkers to explain a failed linearizability /
-    atomicity / isolation check: instead of just naming the offending
-    operations, show the spans (hops + phases) those operations produced.
+    Used by the linearizability checker to explain a failed check: instead
+    of just naming the offending operations, show the spans (hops +
+    phases) those operations produced.
     Returns ``""`` when no tracer is attached or nothing was recorded.
     """
     if tracer is None:
@@ -349,10 +348,10 @@ def format_trace_slice(tracer: Optional[Tracer], request_ids: Iterable[int], lim
 
 
 def format_phase_slice(tracer: Optional[Tracer], keys: Iterable[Any], limit: int = 40) -> str:
-    """Trace slice of spans keyed by protocol-native keys (e.g. 2PC txids).
+    """Trace slice of spans keyed by protocol-native keys (e.g. a Canopus cycle).
 
-    The atomicity / isolation checkers implicate transactions, not client
-    request ids; their spans are found by the ``key`` recorded at
+    For a check that implicates protocol state rather than client request
+    ids: the spans are found by the ``key`` recorded at
     :meth:`Tracer.phase_begin` time.  Returns ``""`` when no tracer is
     attached or nothing matches.
     """

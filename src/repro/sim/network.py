@@ -56,7 +56,6 @@ class Packet:
     size_bytes: int
     packet_id: int = 0
     sent_at: float = 0.0
-    hops: int = 0
 
     def total_bytes(self) -> int:
         return self.size_bytes + DEFAULT_HEADER_BYTES
@@ -412,7 +411,6 @@ class Switch(NetworkElement):
             q = lane.q
             packet = q.popleft()[2]
             count += 1
-            packet.hops += 1
             dst = packet.dst
             try:
                 link = fwd[dst]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heapify, heapreplace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.collector import MetricsCollector
 from repro.runtime.base import Runtime
@@ -24,9 +24,6 @@ __all__ = ["ClientProcess", "ClientHostAgent"]
 
 #: Arrivals pre-generated per refill of an open-loop agent's schedule.
 _ARRIVAL_CHUNK = 512
-
-#: Request kinds in a pre-generated schedule.
-_KIND_READ, _KIND_WRITE, _KIND_TXN_WRITE, _KIND_TXN_READ = 0, 1, 2, 3
 
 
 @dataclass
@@ -39,8 +36,6 @@ class ClientProcess:
     write_ratio: float
     sent: int = 0
     completed: int = 0
-    txns_sent: int = 0
-    read_txns_sent: int = 0
 
 
 class _ArrivalScheduler:
@@ -62,7 +57,7 @@ class _ArrivalScheduler:
     shared across agents.
     """
 
-    __slots__ = ("agent", "heap", "count", "times", "procs", "kinds", "idx", "call_at", "tick_cb")
+    __slots__ = ("agent", "heap", "count", "times", "procs", "writes", "idx", "call_at", "tick_cb")
 
     def __init__(self, agent: "ClientHostAgent") -> None:
         self.agent = agent
@@ -82,7 +77,7 @@ class _ArrivalScheduler:
         self.count = count
         self.times: List[float] = []
         self.procs: List[ClientProcess] = []
-        self.kinds: List[int] = []
+        self.writes: List[bool] = []
         self.idx = 0
         self.call_at = agent.runtime.call_at
         self.tick_cb = self.tick
@@ -96,45 +91,33 @@ class _ArrivalScheduler:
     def _refill(self) -> None:
         """Pre-generate the next ``_ARRIVAL_CHUNK`` arrivals.
 
-        Pops the earliest pending arrival, makes that fire's decision draws
-        (multi-key?, then txn-read? or write?), then draws the owning
-        process's next inter-arrival gap.  Ties on the arrival time break
-        by insertion counter, which matches the engine's schedule-order seq
-        tie-breaking.
+        Pops the earliest pending arrival, makes that fire's write-or-read
+        draw, then draws the owning process's next inter-arrival gap.  Ties
+        on the arrival time break by insertion counter, which matches the
+        engine's schedule-order seq tie-breaking.
         """
-        agent = self.agent
-        rng = agent.rng
+        rng = self.agent.rng
         random_ = rng.random
         expovariate = rng.expovariate
         heap = self.heap
-        mk_ratio = agent.multi_key_ratio
-        tr_ratio = agent.txn_read_ratio
         count = self.count
         times: List[float] = []
         procs: List[ClientProcess] = []
-        kinds: List[int] = []
+        writes: List[bool] = []
         for _ in range(_ARRIVAL_CHUNK):
             if not heap:
                 break
             t, _tie, process = heap[0]
-            if mk_ratio > 0.0 and random_() < mk_ratio:
-                if tr_ratio > 0.0 and random_() < tr_ratio:
-                    kind = _KIND_TXN_READ
-                else:
-                    kind = _KIND_TXN_WRITE
-            elif random_() < process.write_ratio:
-                kind = _KIND_WRITE
-            else:
-                kind = _KIND_READ
+            write = random_() < process.write_ratio
             heapreplace(heap, (t + expovariate(process.request_rate_hz), count, process))
             count += 1
             times.append(t)
             procs.append(process)
-            kinds.append(kind)
+            writes.append(write)
         self.count = count
         self.times = times
         self.procs = procs
-        self.kinds = kinds
+        self.writes = writes
         self.idx = 0
 
     def tick(self) -> None:
@@ -145,44 +128,28 @@ class _ArrivalScheduler:
         idx = self.idx
         t = self.times[idx]
         process = self.procs[idx]
-        kind = self.kinds[idx]
+        write = self.writes[idx]
         keyspace = agent.keyspace
-        if kind <= _KIND_WRITE:
-            request = ClientRequest(
-                client_id=process.process_id,
-                op=RequestType.WRITE if kind else RequestType.READ,
-                key=keyspace.next_key(),
-                value=keyspace.next_value() if kind else None,
-                submitted_at=t,
-            )
-            agent._inflight[request.request_id] = process
-            process.sent += 1
-            agent.collector.record_submit(request)
-            route_key = agent.route_key
-            target = route_key(request.key) if route_key is not None else process.target_node
-            obs = agent._obs
-            if obs is None:
-                agent.transport.send(target, request, request.wire_size())
-            else:
-                root = obs.request_submitted(request, node=agent.runtime.node_id)
-                previous = obs.push_context(root)
-                try:
-                    agent.transport.send(target, request, request.wire_size())
-                finally:
-                    obs.pop_context(previous)
-        elif kind == _KIND_TXN_WRITE:
-            # Multi-key operations go to the 2PC coordinator, which submits
-            # through the shard protocols directly (a client-library
-            # coordinator): the per-request collector never sees them; the
-            # router's stats and the per-shard reply stream count them.
-            keys = keyspace.next_txn_keys(agent.multi_key_span)
-            writes = {key: keyspace.next_value() for key in keys}
-            process.txns_sent += 1
-            agent.submit_txn(process.process_id, writes)
+        request = ClientRequest(
+            client_id=process.process_id,
+            op=RequestType.WRITE if write else RequestType.READ,
+            key=keyspace.next_key(),
+            value=keyspace.next_value() if write else None,
+            submitted_at=t,
+        )
+        agent._inflight[request.request_id] = process
+        process.sent += 1
+        agent.collector.record_submit(request)
+        obs = agent._obs
+        if obs is None:
+            agent.transport.send(process.target_node, request, request.wire_size())
         else:
-            keys = keyspace.next_txn_keys(agent.multi_key_span)
-            process.read_txns_sent += 1
-            agent.read_txn(process.process_id, keys)
+            root = obs.request_submitted(request, node=agent.runtime.node_id)
+            previous = obs.push_context(root)
+            try:
+                agent.transport.send(process.target_node, request, request.wire_size())
+            finally:
+                obs.pop_context(previous)
         idx += 1
         if idx >= len(self.times):
             self._refill()
@@ -203,12 +170,6 @@ class ClientHostAgent:
         keyspace: Keyspace,
         collector: MetricsCollector,
         rng: Optional[random.Random] = None,
-        route_key: Optional[Callable[[str], str]] = None,
-        submit_txn: Optional[Callable[[str, Dict[str, str]], None]] = None,
-        read_txn: Optional[Callable[[str, List[str]], None]] = None,
-        multi_key_ratio: float = 0.0,
-        multi_key_span: int = 2,
-        txn_read_ratio: float = 0.0,
     ) -> None:
         self.runtime = runtime
         self.transport = runtime.transport
@@ -216,19 +177,6 @@ class ClientHostAgent:
         self.keyspace = keyspace
         self.collector = collector
         self.rng = rng or runtime.rng
-        #: Shard-aware routing: maps a key to the node that should serve it
-        #: (sharded deployments); ``None`` keeps the per-process binding.
-        self.route_key = route_key
-        #: Coordinator hook for multi-key operations: called with
-        #: ``(client_id, {key: value})``; the coordinator (a ShardRouter)
-        #: runs two-phase commit across the owning shards.
-        self.submit_txn = submit_txn
-        #: Snapshot-read hook: called with ``(client_id, [keys])``; the
-        #: coordinator reads the keys as one consistent cut.
-        self.read_txn = read_txn
-        self.multi_key_ratio = multi_key_ratio if submit_txn is not None else 0.0
-        self.multi_key_span = multi_key_span
-        self.txn_read_ratio = txn_read_ratio if read_txn is not None else 0.0
         self._inflight: Dict[int, ClientProcess] = {}
         self.running = False
         self._scheduler: Optional[_ArrivalScheduler] = None
@@ -276,9 +224,3 @@ class ClientHostAgent:
 
     def total_completed(self) -> int:
         return sum(process.completed for process in self.processes)
-
-    def total_txns_sent(self) -> int:
-        return sum(process.txns_sent for process in self.processes)
-
-    def total_read_txns_sent(self) -> int:
-        return sum(process.read_txns_sent for process in self.processes)

@@ -28,15 +28,6 @@ class WorkloadConfig:
     write_ratio: float = 0.2
     #: Number of distinct keys, drawn uniformly (§8.1).
     key_count: int = 100_000
-    #: Fraction of operations that are multi-key transactions (sharded
-    #: deployments only; requires a router, ignored otherwise).
-    multi_key_ratio: float = 0.0
-    #: Keys touched by each multi-key transaction.
-    multi_key_span: int = 2
-    #: Fraction of the multi-key operations that are *snapshot reads*
-    #: (:meth:`repro.shard.router.ShardRouter.read_txn`) instead of write
-    #: transactions — the sharded read-consistency mix.
-    txn_read_ratio: float = 0.0
     seed: int = 1
 
 
@@ -46,24 +37,11 @@ class WorkloadGenerator:
     Client processes are spread uniformly over the topology's client hosts
     and each process is bound to a uniformly-selected server in the same
     rack (single-DC) or the same datacenter (multi-DC), matching §8.1/§8.2.
-
-    Passing a :class:`repro.shard.router.ShardRouter` (anything exposing
-    ``target_for_key`` and ``submit_transaction``) makes the workload
-    shard-aware: each single-key request is sent to its owning shard's
-    intake replica instead of the process's fixed binding, and a
-    ``multi_key_ratio`` fraction of operations become cross-shard
-    transactions driven through the router's 2PC coordinator.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        config: Optional[WorkloadConfig] = None,
-        router: Optional[object] = None,
-    ) -> None:
+    def __init__(self, topology: Topology, config: Optional[WorkloadConfig] = None) -> None:
         self.topology = topology
         self.config = config or WorkloadConfig()
-        self.router = router
         self.collector = MetricsCollector()
         self.agents: List[ClientHostAgent] = []
         self.rng = random.Random(self.config.seed)
@@ -92,19 +70,6 @@ class WorkloadGenerator:
             )
             processes_by_host[client_host].append(process)
 
-        route_key = getattr(self.router, "target_for_key", None)
-        submit_txn = None
-        read_txn = None
-        if self.router is not None and self.config.multi_key_ratio > 0.0:
-            router = self.router
-
-            def submit_txn(client_id: str, writes: Dict[str, str]) -> None:
-                router.submit_transaction(writes, client_id=client_id)
-
-            if self.config.txn_read_ratio > 0.0:
-                def read_txn(client_id: str, keys: List[str]) -> None:
-                    router.read_txn(keys, client_id=client_id)
-
         for host_name, processes in processes_by_host.items():
             if not processes:
                 continue
@@ -118,12 +83,6 @@ class WorkloadGenerator:
                 # crc32, not hash(): string hashes are salted per process and
                 # would make the "same seed" workload differ between runs.
                 rng=random.Random(self.config.seed + zlib.crc32(host_name.encode("utf-8")) % 1000),
-                route_key=route_key,
-                submit_txn=submit_txn,
-                read_txn=read_txn,
-                multi_key_ratio=self.config.multi_key_ratio,
-                multi_key_span=self.config.multi_key_span,
-                txn_read_ratio=self.config.txn_read_ratio,
             )
             self.agents.append(agent)
         return self.collector
@@ -156,9 +115,3 @@ class WorkloadGenerator:
 
     def total_completed(self) -> int:
         return sum(agent.total_completed() for agent in self.agents)
-
-    def total_txns_sent(self) -> int:
-        return sum(agent.total_txns_sent() for agent in self.agents)
-
-    def total_read_txns_sent(self) -> int:
-        return sum(agent.total_read_txns_sent() for agent in self.agents)

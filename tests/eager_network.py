@@ -41,7 +41,6 @@ class EagerNetwork(Network):
 
         def forward(packet):
             switch.packets_forwarded += 1
-            packet.hops += 1
             self._transmit(self.links[(name, self.next_hop(name, packet.dst))], packet)
 
         return forward

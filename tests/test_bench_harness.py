@@ -127,21 +127,17 @@ class TestProfileSaturation:
 
 
 class TestRateLadderWalk:
-    """The one ladder walk, through both callers, over a stub measurement.
+    """The ladder walk of :func:`find_max_throughput`, over a stub measurement.
 
     A plan maps each rung's rate to ``(throughput, why it saturates)``,
-    ``None`` for a rung that keeps up.  The stub replaces the caller's
-    measure function, so each search runs with its own saturation
-    predicate and no simulation.
+    ``None`` for a rung that keeps up.  The stub replaces
+    :func:`run_rate_point`, so the search runs with the profile's
+    saturation predicate and no simulation.
     """
 
-    @pytest.fixture(params=["find_max_throughput", "find_max_shard_throughput"])
-    def search(self, request, monkeypatch):
+    @pytest.fixture
+    def search(self, monkeypatch):
         import repro.bench.runner as runner
-        import repro.bench.shard_bench as shard_bench
-        from repro.bench.runner import RatePointResult
-        from repro.bench.shard_bench import ShardPointConfig, ShardPointResult
-        from repro.metrics.collector import RunSummary
 
         def run(plan):
             measured = []
@@ -162,41 +158,11 @@ class TestRateLadderWalk:
                 )
                 return RatePointResult(system, rate, write_ratio, 9, summary)
 
-            def shard_point(config):
-                measured.append(config.rate_hz)
-                throughput, why = plan[config.rate_hz]
-                return ShardPointResult(
-                    shard_count=config.shard_count,
-                    offered_rate_hz=config.rate_hz,
-                    committed_ops_per_s=throughput,
-                    per_shard_ops_per_s={},
-                    requests_submitted=100,
-                    requests_completed=50 if why else 100,
-                    median_completion_ms=1.0,
-                    txns_started=0,
-                    txns_committed=0,
-                    txns_aborted=0,
-                    read_txns_started=0,
-                    read_txns_completed=0,
-                    linearizable=True,
-                    atomic=True,
-                    isolated=True,
-                    collapsed=why is not None,
-                )
-
-            ladder = tuple(plan)
-            if request.param == "find_max_throughput":
-                monkeypatch.setattr(runner, "run_rate_point", rate_point)
-                profile = ExperimentProfile(rate_ladder=ladder, latency_threshold_s=0.05)
-                best, points = find_max_throughput("stub", None, 0.2, profile=profile)
-                rate = attrgetter("aggregate_rate_hz")
-            else:
-                monkeypatch.setattr(shard_bench, "run_shard_point", shard_point)
-                best, points = shard_bench.find_max_shard_throughput(
-                    ShardPointConfig(), rate_ladder=ladder
-                )
-                rate = attrgetter("offered_rate_hz")
+            monkeypatch.setattr(runner, "run_rate_point", rate_point)
+            profile = ExperimentProfile(rate_ladder=tuple(plan), latency_threshold_s=0.05)
+            best, points = find_max_throughput("stub", None, 0.2, profile=profile)
             assert best in points
+            rate = attrgetter("aggregate_rate_hz")
             return rate(best), [rate(point) for point in points], measured
 
         return run
@@ -253,7 +219,7 @@ class TestPerfTrackingPoints:
 class TestLedgerPins:
     """Each point CI's perf steps run reproduces the baseline the ledger records for it."""
 
-    @pytest.mark.parametrize("name", ["ci-smoke", "shard-smoke", "engine-microbench", "switch-drain"])
+    @pytest.mark.parametrize("name", ["ci-smoke", "engine-microbench", "switch-drain"])
     def test_point_reproduces_its_committed_baseline(self, name):
         from repro.bench.runner import PERF_POINTS, perf_point_runner
 
@@ -266,6 +232,18 @@ class TestLedgerPins:
         )
 
 
+def test_the_runner_takes_exactly_its_five_options():
+    from repro.bench.runner import build_parser
+
+    options = {
+        option
+        for action in build_parser()._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    }
+    assert options == {"--perf-point", "--report", "--fail-below", "--set-baseline", "--trace"}
+
+
 class TestLedgerGate:
     """Without ``--set-baseline`` the perf gate refuses a report it cannot
     compare with, before measuring anything, and leaves the file as it was."""
@@ -273,13 +251,11 @@ class TestLedgerGate:
     @pytest.fixture(autouse=True)
     def nothing_is_measured(self, monkeypatch):
         import repro.bench.runner as runner
-        import repro.bench.shard_bench as shard_bench
 
         def measure(*args, **kwargs):
             pytest.fail("the gate measured before checking the report")
 
         monkeypatch.setattr(runner, "run_perf_tracking", measure)
-        monkeypatch.setattr(shard_bench, "run_shard_saturation", measure)
 
     def gate(self, report, *extra):
         from repro.bench.runner import main
@@ -292,7 +268,7 @@ class TestLedgerGate:
         assert str(report) in capsys.readouterr().out
         assert not report.exists()
 
-    @pytest.mark.parametrize("extra", [(), ("--set-baseline",), ("--shard-saturation",)])
+    @pytest.mark.parametrize("extra", [(), ("--set-baseline",)])
     def test_an_unreadable_report_fails_and_is_never_overwritten(self, tmp_path, capsys, extra):
         report = tmp_path / "BENCH.json"
         report.write_text("{not json")

@@ -1,7 +1,7 @@
 """Pinned fixed-seed behaviour of a multi-super-leaf Canopus deployment.
 
-CI's shard-smoke digest gate runs single-super-leaf shards: no round 2, no
-fetch, no relay.  This pins a 9-node (3 racks x 3) ``broadcast_mode="raft"``,
+No perf-ledger point runs Canopus, so no ledger digest covers round 2,
+fetch or relay.  This pins a 9-node (3 racks x 3) ``broadcast_mode="raft"``,
 non-pipelined deployment of ``canopus`` and ``zkcanopus`` under an
 open-loop load: the commit-log digest (``_commit_log_sha256``), the
 traffic the nodes sent and the engine events the run executed.  A change

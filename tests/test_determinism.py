@@ -4,14 +4,16 @@ Two simulators with the same seed driving the same registry-built system
 must produce identical commit logs and metrics.  This guards the
 `fork_rng` fix (seeding from salted `hash()` made "deterministic" streams
 differ across processes) and the batched network path (batching must not
-introduce ordering sensitivity).  The sharded subsystem gets the same
-treatment: partitioner routing, 2PC interleaving and per-shard commit logs
-must be byte-identical at a fixed seed, including across processes (the
-partitioner and intake selection hash with crc32, never salted ``hash``).
+introduce ordering sensitivity).  The same runs must also be
+byte-identical across processes: a fresh interpreter has a different hash
+salt, so a seeded path that iterates a ``set`` of strings or calls salted
+``hash()`` gives a different digest there.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -22,7 +24,6 @@ import pytest
 
 from repro.bench.builders import make_single_dc_topology
 from repro.protocols import build_protocol, registered_protocols
-from repro.shard import ShardedCluster, ShardRouter
 from repro.sim.engine import Simulator
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
@@ -71,95 +72,43 @@ def test_different_seed_changes_the_run():
     assert replies_a != replies_b or summary_a != summary_b
 
 
-# ----------------------------------------------------------------------
-# Sharded determinism
-# ----------------------------------------------------------------------
-def run_sharded_system(seed: int, protocol="canopus"):
-    """Drive a 2-shard deployment under the mixed single/multi-key workload."""
-    simulator = Simulator(seed=seed)
-    topology = make_single_dc_topology(simulator, nodes_per_rack=3, racks=2)
-    cluster = ShardedCluster.build(topology, 2, protocol=protocol)
-    router = ShardRouter(cluster)
-    replies = []
-    cluster.add_reply_listener(lambda shard, reply: replies.append((shard, reply.request_id)))
-    generator = WorkloadGenerator(
-        topology,
-        WorkloadConfig(
-            client_processes=6,
-            aggregate_rate_hz=500.0,
-            write_ratio=0.5,
-            key_count=200,
-            multi_key_ratio=0.1,
-            multi_key_span=2,
-            seed=seed,
-        ),
-        router=router,
+def run_digests(seed: int = 21) -> dict:
+    """``{protocol: digest}`` of :func:`run_system` for every registry system."""
+    digests = {}
+    for name in registered_protocols():
+        run = json.dumps(run_system(name, seed), sort_keys=True)
+        digests[name] = hashlib.sha256(run.encode("utf-8")).hexdigest()
+    return digests
+
+
+def test_digests_are_identical_across_processes():
+    """Guards against salted hashing anywhere on a seeded path.
+
+    ``test_same_seed_is_bit_identical`` runs twice in one interpreter, so
+    one hash salt: it cannot see a protocol that iterates a ``set`` of node
+    ids.  A fresh interpreter with ``PYTHONHASHSEED`` unset draws another
+    salt, so such an iteration order changes the subprocess's digest.
+    """
+    repo_root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo_root / "src"), str(repo_root)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    collector = generator.build()
-    cluster.start()
-    generator.start()
-    simulator.run_until(0.4)
-    generator.stop()
-    simulator.run_until(0.8)
-    cluster.stop()
-    summary = collector.summarize(0.05, 0.4)
-    logs = cluster.committed_logs()
-    all_ids = [i for log in logs.values() for i in log] + [rid for _, rid in replies]
-    base = min(all_ids) if all_ids else 0
-    normalized_logs = {node: [i - base for i in log] for node, log in logs.items()}
-    normalized_replies = [(shard, rid - base) for shard, rid in replies]
-    return normalized_logs, summary.as_dict(), normalized_replies, dict(router.stats)
-
-
-def sharded_digest(seed: int = 33) -> str:
-    """Commit-log fingerprint of the fixed-seed sharded run (cross-process)."""
-    from repro.bench.runner import _commit_log_sha256
-
-    logs, _, _, _ = run_sharded_system(seed)
-    return _commit_log_sha256(logs)
-
-
-class TestShardedDeterminism:
-    def test_same_seed_is_bit_identical(self):
-        first = run_sharded_system(seed=33)
-        second = run_sharded_system(seed=33)
-        assert first[0] == second[0], "sharded commit logs differ between identical runs"
-        assert first[1] == second[1], "sharded metrics differ between identical runs"
-        assert first[2] == second[2], "sharded reply streams differ between identical runs"
-        assert first[3] == second[3], "router txn stats differ between identical runs"
-
-    def test_multi_key_mix_actually_ran(self):
-        _, _, _, stats = run_sharded_system(seed=33)
-        assert stats["txns_started"] > 0
-        assert stats["txns_committed"] == stats["txns_started"]
-
-    def test_digest_is_identical_across_processes(self):
-        """Guards against salted hashing anywhere on the sharded seeded path.
-
-        A fresh interpreter has a different PYTHONHASHSEED, so any use of
-        builtin ``hash()`` in the partitioner, intake selection or 2PC
-        bookkeeping would change the subprocess's digest.
-        """
-        repo_root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(repo_root / "src"), str(repo_root)]
-            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        env.pop("PYTHONHASHSEED", None)
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from tests.test_determinism import sharded_digest; print(sharded_digest())",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=repo_root,
-            check=True,
-        )
-        assert result.stdout.strip() == sharded_digest()
+    env.pop("PYTHONHASHSEED", None)
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import json; from tests.test_determinism import run_digests; print(json.dumps(run_digests()))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=repo_root,
+        check=True,
+    )
+    assert json.loads(result.stdout) == run_digests()
 
 
 class TestForkRng:

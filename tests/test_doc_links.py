@@ -28,10 +28,12 @@ its bases.  Builtin names (``None``, ``ValueError``) are left alone.
 Code that was deleted must not be named as if it were still there: the old
 benchmark suite and its figure CLI, the experiment definitions, the storage
 model, the write leases, the options no caller set (closed-loop clients,
-Zipf keys, the lease fraction) and detlint's baseline and severity levels.
-Scope: the documents above, ``tests/``, the CI workflow and the verify
-skill; the plans and history keep their records.  A removed constructor option is refused with a
-``TypeError``, never silently accepted.
+Zipf keys, the lease fraction), detlint's baseline and severity levels, and
+the sharding subsystem with its benchmark, checkers and example.  Scope:
+the documents above, ``tests/``, the CI workflow and the verify skill; the
+plans and history keep their records.  A removed constructor option is
+refused with a ``TypeError``, and a removed command-line flag with a usage
+error, never silently accepted.
 
 The CI tests job must install every third-party module the tier-1 tests
 import: its ``pip install`` line is parsed and compared with the top-level
@@ -162,6 +164,23 @@ REMOVED = {
     "--write-baseline": "detlint has no baseline: a finding is fixed or suppressed inline",
     "--no-baseline": "detlint has no baseline: a finding is fixed or suppressed inline",
     "Severity": "every finding fails the gate; no rule shipped as a warning",
+    "repro.shard": "the paper runs one consensus group per deployment; sharding is gone",
+    "ShardedCluster": "the paper runs one consensus group per deployment; sharding is gone",
+    "ShardRouter": "the paper runs one consensus group per deployment; sharding is gone",
+    "KeyspacePartitioner": "the paper runs one consensus group per deployment; sharding is gone",
+    "ShardMetrics": "the paper runs one consensus group per deployment; sharding is gone",
+    "shard_bench": "the sharded throughput sweep went with the sharding subsystem",
+    "ShardPointConfig": "the sharded throughput sweep went with the sharding subsystem",
+    "run_shard_saturation": "the sharded throughput sweep went with the sharding subsystem",
+    "find_max_shard_throughput": "find_max_throughput is the one ladder walk",
+    "repro.verify.atomicity": "only sharded runs had transactions to check",
+    "check_cross_shard_atomicity": "only sharded runs had transactions to check",
+    "check_read_isolation": "only sharded runs had snapshot reads to check",
+    "ShardTxnState": "only sharded runs had transactions to check",
+    "sharded_kvstore": "the sharded example went with the sharding subsystem",
+    "shard-smoke": "the ledger point went with the code it measured",
+    "shard_saturation": "the ledger block went with the code it measured",
+    "next_txn_keys": "the workload issues single-key operations only",
 }
 
 #: Constructor and function options that went with the code only they
@@ -179,6 +198,31 @@ REMOVED_OPTIONS = [
     ("repro.raft.node:RaftConfig", "lease_fraction"),
     ("repro.analysis.runner:run_analysis", "baseline_path"),
     ("repro.protocols.registry:register_protocol", "read_consistency"),
+    ("repro.workload.generator:WorkloadConfig", "multi_key_ratio"),
+    ("repro.workload.generator:WorkloadConfig", "multi_key_span"),
+    ("repro.workload.generator:WorkloadConfig", "txn_read_ratio"),
+    ("repro.workload.generator:WorkloadGenerator", "router"),
+    ("repro.workload.clients:ClientHostAgent", "route_key"),
+    ("repro.workload.clients:ClientHostAgent", "submit_txn"),
+    ("repro.workload.clients:ClientHostAgent", "read_txn"),
+    ("repro.workload.clients:ClientHostAgent", "multi_key_ratio"),
+    ("repro.workload.clients:ClientHostAgent", "multi_key_span"),
+    ("repro.workload.clients:ClientHostAgent", "txn_read_ratio"),
+    ("repro.bench.runner:PerfPoint", "shard_count"),
+    ("repro.bench.runner:PerfPoint", "multi_key_ratio"),
+    ("repro.bench.runner:PerfPoint", "txn_read_ratio"),
+    ("repro.metrics.collector:MetricsCollector.to_history", "key_filter"),
+    ("repro.obs:attach_tracer", "cluster"),
+    ("repro.obs:attach_tracer", "router"),
+    ("repro.obs.telemetry:TelemetrySampler", "shard_metrics"),
+    ("repro.sim.network:Packet", "hops"),
+]
+
+#: Command-line flags that went with the code only they reached, each with
+#: the module whose ``build_parser()`` had it.
+REMOVED_FLAGS = [
+    ("repro.bench.runner", "--shard-saturation"),
+    ("repro.bench.runner", "--min-scaling"),
 ]
 
 
@@ -207,9 +251,20 @@ def test_no_document_names_removed_code(name):
 @pytest.mark.parametrize("owner, option", REMOVED_OPTIONS)
 def test_a_removed_option_is_rejected_rather_than_ignored(owner, option):
     module, name = owner.split(":")
-    constructor = getattr(importlib.import_module(module), name)
+    constructor = importlib.import_module(module)
+    for attribute in name.split("."):
+        constructor = getattr(constructor, attribute)
     with pytest.raises(TypeError, match=option):
         constructor(**{option: 1})
+
+
+@pytest.mark.parametrize("module, flag", REMOVED_FLAGS)
+def test_a_removed_flag_is_refused_as_unknown(module, flag, capsys):
+    parser = importlib.import_module(module).build_parser()
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args([flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_the_flag_pattern_follows_a_code_span_across_lines():

@@ -39,7 +39,6 @@ def _run_example(name: str) -> subprocess.CompletedProcess:
         ]),
         ("zk_kvstore.py", ["replica znode trees identical across 9 nodes: True"]),
         ("multi_datacenter.py", ["canopus ", "epaxos ", "Canopus reads never cross the WAN"]),
-        ("sharded_kvstore.py", ["Transaction", "Done."]),
         ("traced_run.py", ["Per-phase latency breakdown", "protocol epaxos", "Done."]),
     ],
 )

@@ -25,7 +25,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 CORES = ("canopus", "epaxos", "zab", "raft", "broadcast", "kvstore")
-FORBIDDEN = ("repro.sim", "repro.protocols", "repro.bench", "repro.workload", "repro.shard")
+FORBIDDEN = ("repro.sim", "repro.protocols", "repro.bench", "repro.workload")
 
 
 def imported_modules(tree):
@@ -76,9 +76,9 @@ ADAPTERS = {
     "raft": "repro.protocols.raft_kv",
 }
 
-#: Loaded by no simulator run: the asyncio substrate, the sharded layer,
-#: tracing, the linter and the experiment runner.
-NEVER_ON_A_RUN = ("asyncio", "repro.shard", "repro.obs", "repro.analysis", "repro.bench.runner")
+#: Loaded by no simulator run: the asyncio substrate, tracing, the linter
+#: and the experiment runner.
+NEVER_ON_A_RUN = ("asyncio", "repro.obs", "repro.analysis", "repro.bench.runner")
 CANOPUS_STACK = ("repro.canopus", "repro.broadcast")
 BASELINE_CORES = ("repro.epaxos", "repro.zab", "repro.protocols.raft_kv")
 NOT_LOADED_BY = {

@@ -149,6 +149,32 @@ class TestCollector:
         collector.reset()
         assert collector.records == {}
 
+    def test_history_holds_only_answered_operations(self):
+        collector = MetricsCollector()
+        answered = self.make_request(1.0, RequestType.WRITE)
+        answered.value = "v1"
+        pending = self.make_request(1.1)
+        refused = self.make_request(1.2)
+        for request in (answered, pending, refused):
+            collector.record_submit(request)
+        collector.record_reply(self.reply_for(answered), completed_at=1.3)
+        refusal = self.reply_for(refused)
+        refusal.error = "not-in-view"
+        collector.record_reply(refusal, completed_at=1.4)
+        operations = collector.to_history().operations
+        assert [(op.request_id, op.kind, op.value, op.invoked_at, op.completed_at)
+                for op in operations] == [(answered.request_id, "write", "v1", 1.0, 1.3)]
+
+    def test_a_read_enters_the_history_with_the_value_it_was_answered(self):
+        collector = MetricsCollector()
+        request = self.make_request(2.0)
+        collector.record_submit(request)
+        reply = self.reply_for(request)
+        reply.value = "v7"
+        collector.record_reply(reply, completed_at=2.5)
+        (operation,) = collector.to_history().operations
+        assert (operation.kind, operation.key, operation.value) == ("read", "k", "v7")
+
     def test_records_are_slotted(self):
         """One record per op: no per-instance ``__dict__``."""
         collector = MetricsCollector()

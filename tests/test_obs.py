@@ -12,9 +12,9 @@ The three contract properties each get a direct test:
   untraced one (an explosion guard, not a micro-benchmark).
 
 Plus coverage for the satellites: per-phase report lines for every
-registry protocol and the 2PC coordinator, trace slices on failed
-verify checks, the ShardMetrics timeseries API, and the RunSummary
-per-op-class percentiles.
+registry protocol, the traced perf point's report and Chrome trace,
+trace slices on failed verify checks, and the RunSummary per-op-class
+percentiles.
 """
 
 import json
@@ -47,15 +47,14 @@ from repro.obs import (
 from repro.obs.report import build_report
 from repro.protocols import registered_protocols
 from repro.runtime.messages import ClientReply, ClientRequest, RequestType
-from repro.verify.atomicity import ShardTxnState, check_cross_shard_atomicity
 from repro.verify.history import History
 from repro.verify.linearizability import check_linearizable_history
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
-#: A cheap fixed-seed point for the subprocess determinism test.
-_SMALL_POINT = 'replace(PERF_POINTS["ci-smoke"], rate_hz=2000.0, warmup_s=0.05, measure_s=0.05, client_processes=6, repeats=1)'
+#: A cheap fixed-seed point: ``ci-smoke`` with these fields replaced.
+_SMALL_POINT = {"rate_hz": 2000.0, "warmup_s": 0.05, "measure_s": 0.05, "client_processes": 6, "repeats": 1}
 
 
 def _small_profile() -> ExperimentProfile:
@@ -107,7 +106,7 @@ def test_trace_byte_identical_across_processes(tmp_path):
         "import sys\n"
         "from dataclasses import replace\n"
         "from repro.bench.runner import PERF_POINTS, run_traced_point\n"
-        f"point = {_SMALL_POINT}\n"
+        f"point = replace(PERF_POINTS['ci-smoke'], **{_SMALL_POINT!r})\n"
         "out = run_traced_point(point, sys.argv[1])\n"
         "print(out['trace_sha256'])\n"
     )
@@ -222,25 +221,17 @@ def test_canopus_cycle_is_tiled_by_round_phases():
     assert "read_local" in report
 
 
-def test_shard_traced_run_reports_2pc_and_per_shard_series(tmp_path):
-    point = replace(
-        PERF_POINTS["shard-smoke"],
-        rate_hz=3000.0,
-        warmup_s=0.05,
-        measure_s=0.1,
-        client_processes=8,
-        repeats=1,
-    )
-    out = run_traced_point(point, str(tmp_path / "shard.json"))
+def test_traced_point_reports_sampled_series_and_writes_a_chrome_trace(tmp_path):
+    point = replace(PERF_POINTS["ci-smoke"], **_SMALL_POINT)
+    out = run_traced_point(point, str(tmp_path / "trace.json"))
     assert out["spans"] > 0
-    data = json.loads((tmp_path / "shard.json").read_text())
-    report = build_report(data)
-    assert " protocol 2pc:" in report
-    assert " protocol canopus:" in report
-    assert "shard.shard-0.goodput_rps" in report
-    assert "shard.shard-0.queue_depth" in report
+    report = build_report(json.loads((tmp_path / "trace.json").read_text()))
+    assert " protocol epaxos:" in report
+    series = report.split("== Sampled timeseries ==")[1]
+    for name in ("engine.depth", "host.n0-0.rx_backlog", "switch.agg-0.lane_depth"):
+        assert f"  {name} " in series, series
     # The Chrome trace rides along and is valid JSON.
-    chrome = json.loads((tmp_path / "shard.chrome.json").read_text())
+    chrome = json.loads((tmp_path / "trace.chrome.json").read_text())
     assert chrome["traceEvents"]
 
 
@@ -281,24 +272,22 @@ def test_linearizability_failure_includes_trace_slice():
     assert not ok and "trace slice" not in message
 
 
-def test_atomicity_failure_includes_phase_slice():
+def test_phase_slice_lists_the_spans_of_each_key():
     clock = [0.0]
     tracer = Tracer(lambda: clock[0])
-    tracer.phase_begin("2pc", "prepare", "router", key="t1")
-    clock[0] += 0.002
-    tracer.phase_end("2pc", "prepare", "router", key="t1")
+    for key in ("c2", "c1", "c2"):
+        tracer.phase_begin("canopus", "round1", "n0", key=key)
+        clock[0] += 0.002
+        tracer.phase_end("canopus", "round1", "n0", key=key)
+    tracer.phase_begin("canopus", "round1", "n1", key="c3")
 
-    prepare = json.dumps({"participants": ["s0", "s1"], "writes": {"k": "v"}})
-    states = {
-        "t1": {
-            "s0": ShardTxnState(prepare=prepare, decision="commit", data={"k": "v"}),
-            "s1": ShardTxnState(prepare=prepare, decision=None, data={"k": None}),
-        }
-    }
-    ok, message = check_cross_shard_atomicity(states, tracer=tracer)
-    assert not ok
-    assert "trace slice of implicated operations" in message
-    assert "2pc/prepare" in message
+    message = format_phase_slice(tracer, ["c2", "c1", "c1"], limit=1)
+    assert message.startswith("\ntrace slice of implicated operations:\n")
+    lines = message.splitlines()[2:]
+    assert [line for line in lines if line.startswith("  key ")] == ["  key c1:", "  key c2:"]
+    assert sum("canopus/round1 @n0 key=" in line for line in lines) == 2
+    assert "    ... 1 more spans" in lines
+    assert "c3" not in message
 
 
 def test_format_slice_helpers_empty_when_detached():
@@ -309,48 +298,42 @@ def test_format_slice_helpers_empty_when_detached():
     assert format_phase_slice(tracer, ["nope"]) == ""
 
 
-# ----------------------------------------------------------------------
-# ShardMetrics timeseries API
-# ----------------------------------------------------------------------
-def test_shard_metrics_goodput_timeseries():
-    from repro.bench.shard_bench import ShardPointConfig, _execute_shard_point
+def test_report_lists_every_sampled_series_in_name_order():
+    data = {
+        "spans": [],
+        "series": {
+            "switch.s0.lane_depth": [(0.02, 1.0), (0.04, 3.0)],
+            "engine.depth": [(0.02, 10.0), (0.04, 20.0)],
+            "host.n0.rx_backlog": [],
+        },
+    }
+    lines = build_report(data).splitlines()
+    rows = lines[lines.index("== Sampled timeseries ==") + 1:]
+    assert [row.split()[0] for row in rows] == ["engine.depth", "switch.s0.lane_depth"]
+    assert rows[0].split()[1:] == ["n=", "2", "min=", "10.00", "mean=", "15.00", "max=", "20.00"]
 
-    config = ShardPointConfig(
-        shard_count=2,
-        protocol="canopus",
-        nodes_per_rack=3,
-        racks=2,
-        rate_hz=3000.0,
-        write_ratio=0.5,
-        multi_key_ratio=0.05,
-        client_processes=8,
-        warmup_s=0.05,
-        measure_s=0.1,
-        cooldown_s=0.05,
-        seed=7,
-        verify=False,
-    )
-    captured = {}
 
-    def instrument(simulator, cluster, router, metrics, generator):
-        captured["metrics"] = metrics
-        return None
+def test_sampler_without_a_network_samples_only_the_engine_on_its_grid():
+    from repro.sim.engine import Simulator
 
-    _execute_shard_point(config, instrument=instrument)
-    metrics = captured["metrics"]
-    series = metrics.goodput_timeseries(0.05, 0.15, bucket_s=0.02)
-    assert set(series) == {"shard-0", "shard-1"}
-    for shard, points in series.items():
-        assert len(points) == 5
-        assert any(rate > 0 for _, rate in points), shard
-        assert points == sorted(points)
+    simulator = Simulator(seed=1)
+    telemetry = Telemetry()
+    sampler = TelemetrySampler(telemetry, simulator, interval_s=0.01)
+    sampler.start()
+    sampler.start()  # a second start arms no second timer
+    simulator.run_until(0.055)
+    sampler.stop()
+    simulator.run_until(0.1)
+    assert list(telemetry.series) == ["engine.depth"]
+    assert [round(when, 6) for when, _ in telemetry.series["engine.depth"]] == [
+        0.01, 0.02, 0.03, 0.04, 0.05]
+    assert sampler.samples_taken == 5
+
+
+@pytest.mark.parametrize("interval_s", [0.0, -0.01])
+def test_sampler_rejects_a_non_positive_interval(interval_s):
     with pytest.raises(ValueError):
-        metrics.goodput_timeseries(0.0, 0.1, bucket_s=0.0)
-
-    depths = metrics.sample_queue_depths(0.2)
-    assert set(depths) == {"shard-0", "shard-1"}
-    stored = metrics.queue_depth_series()
-    assert stored["shard-0"] == [(0.2, depths["shard-0"])]
+        TelemetrySampler(Telemetry(), object(), interval_s=interval_s)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Tests for the keyspace, client agents and workload generator."""
 
+import dataclasses
+import heapq
 import random
 
 import pytest
 
 from repro.bench.builders import build_system, make_single_dc_topology
 from repro.canopus.config import CanopusConfig
+from repro.metrics.collector import MetricsCollector
+from repro.runtime.messages import ClientReply, RequestType
 from repro.sim.engine import Simulator
+from repro.workload.clients import ClientHostAgent, ClientProcess
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 from repro.workload.keyspace import Keyspace
 
@@ -37,6 +42,176 @@ class TestKeyspace:
         a = Keyspace(key_count=50, rng=random.Random(9))
         b = Keyspace(key_count=50, rng=random.Random(9))
         assert [a.next_key() for _ in range(20)] == [b.next_key() for _ in range(20)]
+
+    def test_a_single_key_keyspace_always_draws_it(self):
+        keyspace = Keyspace(key_count=1, rng=random.Random(2))
+        assert {keyspace.next_key() for _ in range(20)} == {"k0000000"}
+
+    def test_the_default_value_is_eight_characters_of_digits(self):
+        keyspace = Keyspace(key_count=10, rng=random.Random(6))
+        for _ in range(20):
+            value = keyspace.next_value()
+            assert len(value) == 8
+            assert value[0] == "v" and value[1:].isdigit()
+
+
+class _FakeRuntime:
+    """Clock, timers and egress of one client host, with no network behind it.
+
+    Timers run in (time, schedule order), as the simulator runs them; every
+    send is recorded as ``(time, destination, request)``.
+    """
+
+    def __init__(self, seed=1):
+        self.node_id = "client-0"
+        self.rng = random.Random(seed)
+        self.clock = 0.0
+        self.timers = []
+        self.seq = 0
+        self.sent = []
+        self.handler = None
+        self.transport = self
+
+    def now(self):
+        return self.clock
+
+    def call_at(self, when, callback):
+        heapq.heappush(self.timers, (when, self.seq, callback))
+        self.seq += 1
+
+    def set_handler(self, handler):
+        self.handler = handler
+
+    def send(self, dst, message, size_bytes):
+        self.sent.append((self.clock, dst, message))
+
+    def run_until(self, end):
+        while self.timers and self.timers[0][0] <= end:
+            when, _, callback = heapq.heappop(self.timers)
+            self.clock = when
+            callback()
+        self.clock = end
+
+
+class TestArrivalSchedule:
+    """The open-loop arrival schedule of one :class:`ClientHostAgent`."""
+
+    def agent(self, rates=(400.0, 250.0, 150.0), write_ratio=0.3, seed=4):
+        runtime = _FakeRuntime()
+        processes = [
+            ClientProcess(process_id=f"p{index}", target_node=f"n{index}",
+                          request_rate_hz=rate, write_ratio=write_ratio)
+            for index, rate in enumerate(rates)
+        ]
+        agent = ClientHostAgent(
+            runtime=runtime,
+            processes=processes,
+            keyspace=Keyspace(key_count=100, rng=random.Random(5)),
+            collector=MetricsCollector(),
+            rng=random.Random(seed),
+        )
+        return runtime, agent
+
+    def test_each_arrival_draws_its_kind_then_its_successor_gap(self):
+        """The draw order every benchmark digest rests on, across chunk refills.
+
+        Each process first draws its initial gap, in process order; each
+        arrival then draws one ``random()`` for write-or-read and one
+        ``expovariate`` for its process's next arrival.
+        """
+        runtime, agent = self.agent()
+        agent.start()
+        runtime.run_until(2.0)
+        assert len(runtime.sent) > 1100  # past two 512-arrival chunks
+
+        rng = random.Random(4)
+        heap = [(rng.expovariate(process.request_rate_hz), index, process)
+                for index, process in enumerate(agent.processes)]
+        heapq.heapify(heap)
+        count = len(heap)
+        for when, dst, request in runtime.sent:
+            t, _, process = heap[0]
+            write = rng.random() < process.write_ratio
+            heapq.heapreplace(heap, (t + rng.expovariate(process.request_rate_hz), count, process))
+            count += 1
+            assert (when, dst, request.client_id, request.submitted_at) == (
+                t, process.target_node, process.process_id, t)
+            assert request.op is (RequestType.WRITE if write else RequestType.READ)
+
+    def test_a_write_ratio_of_one_sends_only_writes_with_values(self):
+        runtime, agent = self.agent(write_ratio=1.0)
+        agent.start()
+        runtime.run_until(0.2)
+        assert runtime.sent
+        assert all(r.op is RequestType.WRITE and r.value is not None for _, _, r in runtime.sent)
+
+    def test_a_write_ratio_of_zero_sends_only_reads_without_values(self):
+        runtime, agent = self.agent(write_ratio=0.0)
+        agent.start()
+        runtime.run_until(0.2)
+        assert runtime.sent
+        assert all(r.op is RequestType.READ and r.value is None for _, _, r in runtime.sent)
+
+    def test_a_process_with_no_rate_sends_nothing(self):
+        runtime, agent = self.agent(rates=(300.0, 0.0))
+        agent.start()
+        runtime.run_until(0.5)
+        assert {r.client_id for _, _, r in runtime.sent} == {"p0"}
+        assert agent.processes[1].sent == 0
+
+    def test_every_send_is_counted_and_recorded(self):
+        runtime, agent = self.agent()
+        agent.start()
+        runtime.run_until(0.5)
+        assert agent.total_sent() == len(runtime.sent) == len(agent.collector.records)
+        assert [p.sent for p in agent.processes] == [
+            sum(1 for _, _, r in runtime.sent if r.client_id == p.process_id)
+            for p in agent.processes
+        ]
+
+    def test_stop_ends_the_arrivals(self):
+        runtime, agent = self.agent()
+        agent.start()
+        runtime.run_until(0.2)
+        agent.stop()
+        sent = len(runtime.sent)
+        runtime.run_until(0.6)
+        assert sent > 0
+        assert len(runtime.sent) == sent
+
+    def test_a_second_start_keeps_the_one_schedule(self):
+        once_runtime, once = self.agent()
+        once.start()
+        once_runtime.run_until(0.4)
+        twice_runtime, twice = self.agent()
+        twice.start()
+        twice.start()
+        twice_runtime.run_until(0.4)
+        assert len(twice_runtime.sent) == len(once_runtime.sent)
+
+    def test_a_restart_drops_the_timer_of_the_old_schedule(self):
+        runtime, agent = self.agent(rates=(500.0,))
+        agent.start()
+        runtime.run_until(0.1)
+        agent.stop()
+        agent.start()
+        runtime.run_until(1.1)
+        # One schedule at 500/s for a second plus the first 0.1 s: a
+        # surviving old timer would double the rate.
+        assert 400 < len(runtime.sent) < 750
+
+    def test_a_reply_completes_its_request_once(self):
+        runtime, agent = self.agent()
+        agent.start()
+        runtime.run_until(0.05)
+        _, _, request = runtime.sent[0]
+        reply = ClientReply(request_id=request.request_id, client_id=request.client_id,
+                            op=request.op, key=request.key, value=None, committed_cycle=1)
+        runtime.handler("n0", reply)
+        runtime.handler("n0", dataclasses.replace(reply))
+        runtime.handler("n0", "not a reply")
+        assert agent.total_completed() == 1
+        assert len(agent.collector.completed_records()) == 1
 
 
 class TestWorkloadGenerator:
@@ -108,6 +283,36 @@ class TestWorkloadGenerator:
         generator = WorkloadGenerator(topology, WorkloadConfig(client_processes=4))
         with pytest.raises(ValueError):
             generator.build()
+
+    def test_processes_share_the_aggregate_rate_round_robin_over_hosts(self):
+        _, topology, _, generator, _ = self.build(rate=2400.0)
+        hosts = topology.client_hosts
+        for agent in generator.agents:
+            for process in agent.processes:
+                assert process.request_rate_hz == pytest.approx(200.0)
+                index = int(process.process_id.rsplit("/p", 1)[1])
+                assert agent.runtime.node_id == hosts[index % len(hosts)]
+        assert sum(len(agent.processes) for agent in generator.agents) == 12
+
+    def test_a_server_filter_binds_processes_only_to_its_servers(self):
+        simulator = Simulator(seed=2)
+        topology = make_single_dc_topology(simulator, nodes_per_rack=3)
+        wanted = [rack.server_hosts[0] for rack in topology.datacenters[0].racks]
+        generator = WorkloadGenerator(topology, WorkloadConfig(client_processes=12, seed=2))
+        generator.build(server_filter=wanted)
+        targets = {p.target_node for agent in generator.agents for p in agent.processes}
+        assert targets == set(wanted)
+        for agent in generator.agents:
+            for process in agent.processes:
+                assert topology.rack_of(process.target_node) is topology.rack_of(agent.runtime.node_id)
+
+    def test_a_server_filter_outside_the_rack_falls_back_to_its_servers_anywhere(self):
+        simulator = Simulator(seed=2)
+        topology = make_single_dc_topology(simulator, nodes_per_rack=3)
+        only = [topology.datacenters[0].racks[0].server_hosts[1]]
+        generator = WorkloadGenerator(topology, WorkloadConfig(client_processes=9, seed=2))
+        generator.build(server_filter=only)
+        assert {p.target_node for agent in generator.agents for p in agent.processes} == set(only)
 
     def test_deterministic_given_seed(self):
         sim_a, _, sut_a, gen_a, col_a = self.build(seed=21)
