@@ -32,7 +32,6 @@ def main() -> None:
     simulator = Simulator(seed=11)
     topology = build_single_datacenter(simulator, nodes_per_rack=3, racks=3)
     config = CanopusConfig(
-        broadcast_mode="raft",
         pipelining=False,
         heartbeat_interval_s=0.02,
         fetch_timeout_s=0.2,

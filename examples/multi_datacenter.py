@@ -43,7 +43,6 @@ def main() -> None:
         max_batch_size=1000,          # or after 1000 requests
         pipelining=True,              # overlap cycles across the WAN (§7.1)
         max_inflight_cycles=64,
-        broadcast_mode="raft",
     )
     epaxos_config = EPaxosConfig(batch_duration_s=0.005, latency_probing=True, thrifty=False)
 

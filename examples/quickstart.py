@@ -26,7 +26,7 @@ def main() -> None:
     # 2. Build Canopus through the protocol registry; any registered
     #    protocol name ("epaxos", "zookeeper", "raft", ...) works here.
     replies = []
-    config = CanopusConfig(broadcast_mode="raft", pipelining=False)
+    config = CanopusConfig(pipelining=False)
     protocol = build_protocol("canopus", topology, config=config, on_reply=replies.append)
     protocol.start()
 

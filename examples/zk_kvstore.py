@@ -23,7 +23,7 @@ def main() -> None:
     system = build_system(
         "zkcanopus",
         topology,
-        config=CanopusConfig(broadcast_mode="raft", pipelining=False),
+        config=CanopusConfig(pipelining=False),
     )
     replies = []
     system.protocol.set_on_reply(replies.append)

@@ -22,9 +22,8 @@ consensus process halts, matching the paper.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.broadcast.base import ReliableBroadcast
 from repro.raft.log import LogEntry
 from repro.raft.messages import RAFT_MESSAGE_TYPES, AppendEntries
 from repro.raft.node import RaftConfig, RaftNode
@@ -47,9 +46,42 @@ class _ForwardedBroadcast:
         return (int(inner()) if callable(inner) else 64) + 24
 
 
-class RaftBroadcast(ReliableBroadcast):
-    """One Raft group per super-leaf member, demultiplexed by group id."""
+class RaftBroadcast:
+    """Reliable broadcast among the members of one super-leaf: one Raft group
+    per member, demultiplexed by group id.
 
+    Two service levels, chosen per payload by the caller:
+
+    * ``broadcast(payload)`` — the guarantees of assumption A4 of the paper:
+      validity, integrity and agreement.  If any correct member delivers the
+      payload every correct member does, and such payloads from one origin
+      are delivered in the order they were broadcast.  This is what a
+      payload needs when delivering it *decides* something (which new
+      requests a round-1 proposal adds to a cycle).
+    * ``broadcast(payload, agreed=True)`` — the caller states that agreement
+      on this payload already exists (every copy of it is the same and
+      acting on one early is safe), and permits best effort: one copy per
+      peer, nobody acknowledges, delivered on arrival and at the sender at
+      once.  Integrity still holds (at most once per member) and such
+      payloads keep their order among themselves, but they may overtake
+      payloads of the other level, and if the sender fails mid-send only
+      some members may deliver.  The caller owns that gap.  A member that
+      no longer leads its own group forwards the payload to the group's
+      leader at the full level: ``agreed`` is a permission.
+
+    ``first_sight`` is a hint, not a delivery: a follower calls it with
+    every full-level payload an arriving AppendEntries carries, before the
+    entry commits.  It may fire more than once for a payload, for one that
+    is never delivered, and in any order; it never fires for an ``agreed``
+    payload, whose arrival is its delivery.
+
+    The owner routes a message to :meth:`on_message` by its class alone:
+    every class this layer receives is listed in ``message_types``, and a
+    class missing there is never delivered.
+    """
+
+    #: The message classes this layer receives, for the owner's per-type
+    #: dispatch table.
     message_types = RAFT_MESSAGE_TYPES + (_ForwardedBroadcast,)
 
     def __init__(
@@ -58,19 +90,15 @@ class RaftBroadcast(ReliableBroadcast):
         peers: Sequence[str],
         deliver: Callable[[str, Any], None],
         first_sight: Optional[Callable[[Any], None]] = None,
-        raft_config: RaftConfig | None = None,
     ) -> None:
-        super().__init__(runtime, peers, deliver, first_sight)
-        # Broadcast groups do not need aggressive heartbeats: the leader
-        # sends a commit notice as soon as a majority holds an entry, and
-        # Canopus runs its own failure detector.  The heartbeat only has to
-        # repair a lost notice or a lagging log, so a slow one keeps idle
-        # traffic low.
-        self._raft_config = raft_config or RaftConfig(
-            heartbeat_interval_s=0.1,
-            election_timeout_min_s=0.3,
-            election_timeout_max_s=0.6,
-        )
+        self.runtime = runtime
+        self.transport = runtime.transport
+        self.node_id = runtime.node_id
+        self.peers: List[str] = [p for p in peers if p != runtime.node_id]
+        self.deliver = deliver
+        self.first_sight = first_sight
+        self.broadcasts_sent = 0
+        self.payloads_delivered = 0
         self.groups: Dict[str, RaftNode] = {}
         #: The same nodes keyed by the group id their messages carry.
         self._by_group_id: Dict[str, RaftNode] = {}
@@ -84,10 +112,15 @@ class RaftBroadcast(ReliableBroadcast):
 
     def _create_group(self, owner: str, members: Sequence[str]) -> None:
         group_id = self._group_id(owner)
+        # Broadcast groups do not need aggressive heartbeats: the leader
+        # sends a commit notice as soon as a majority holds an entry, and
+        # Canopus runs its own failure detector.  The heartbeat only has to
+        # repair a lost notice or a lagging log, so a slow one keeps idle
+        # traffic low.
         config = RaftConfig(
-            heartbeat_interval_s=self._raft_config.heartbeat_interval_s,
-            election_timeout_min_s=self._raft_config.election_timeout_min_s,
-            election_timeout_max_s=self._raft_config.election_timeout_max_s,
+            heartbeat_interval_s=0.1,
+            election_timeout_min_s=0.3,
+            election_timeout_max_s=0.6,
             initial_leader=owner,
         )
         deliver = self.deliver
@@ -107,9 +140,11 @@ class RaftBroadcast(ReliableBroadcast):
         self._by_group_id[group_id] = node
 
     # ------------------------------------------------------------------
-    # ReliableBroadcast interface
-    # ------------------------------------------------------------------
     def broadcast(self, payload: Any, agreed: bool = False) -> None:
+        """Broadcast ``payload`` to all super-leaf members (incl. self).
+
+        ``agreed`` selects the service level (see the class docstring).
+        """
         self.broadcasts_sent += 1
         own_group = self.groups[self.node_id]
         if not own_group.is_leader:
@@ -124,6 +159,7 @@ class RaftBroadcast(ReliableBroadcast):
         own_group.propose(payload, acknowledged=not agreed)
 
     def on_message(self, sender: str, message: Any) -> None:
+        """Process a message of one of the ``message_types``."""
         group = self._by_group_id.get(message.group_id)
         if group is None:
             return
@@ -140,6 +176,7 @@ class RaftBroadcast(ReliableBroadcast):
         group.on_message(sender, message)
 
     def remove_peer(self, peer: str) -> None:
+        """Drop a failed peer from the broadcast group."""
         if peer in self.peers:
             self.peers.remove(peer)
         # Remove the failed member from every group; its own group keeps
@@ -148,7 +185,9 @@ class RaftBroadcast(ReliableBroadcast):
             group.remove_member(peer)
 
     def add_peer(self, peer: str) -> None:
-        super().add_peer(peer)
+        """Add a joined peer to the broadcast group."""
+        if peer != self.node_id and peer not in self.peers:
+            self.peers.append(peer)
         members = sorted(set(list(self.peers) + [self.node_id]))
         if peer not in self.groups:
             self._create_group(peer, members)

@@ -59,8 +59,9 @@ class CanopusConfig:
     #: lets a read be answered without waiting for a cycle): the lease ends
     #: this long before any peer could time the node out.
     heartbeat_interval_s: float = 0.05
-    #: Reliable-broadcast implementation: "raft" (§4.3) or "ideal" (ToR
-    #: hardware-assisted atomic broadcast).
+    #: Reliable-broadcast implementation.  "raft" (§4.3, per-member Raft
+    #: groups) is the only one; the field stays until the benchmark's
+    #: workload definitions stop passing it.
     broadcast_mode: str = "raft"
 
     def failure_timeout_s(self) -> float:
@@ -76,5 +77,5 @@ class CanopusConfig:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_inflight_cycles < 1:
             raise ValueError("max_inflight_cycles must be >= 1")
-        if self.broadcast_mode not in ("raft", "ideal"):
-            raise ValueError(f"unknown broadcast_mode {self.broadcast_mode!r}")
+        if self.broadcast_mode != "raft":
+            raise ValueError(f"unknown broadcast_mode {self.broadcast_mode!r}: the only one is 'raft'")

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.broadcast import make_broadcast
-from repro.broadcast.base import ReliableBroadcast
+from repro.broadcast.raft_broadcast import RaftBroadcast
 from repro.canopus.config import PROPOSAL_NUMBER_BITS, REPRESENTATIVES_PER_SUPER_LEAF, CanopusConfig
 from repro.canopus.cycle import CycleState, FetchState
 from repro.canopus.linearizer import ReadLinearizer
@@ -134,8 +133,7 @@ class CanopusNode:
         )
 
         # Reliable broadcast within the super-leaf.
-        self.broadcast: ReliableBroadcast = make_broadcast(
-            self.config.broadcast_mode,
+        self.broadcast = RaftBroadcast(
             runtime,
             self.super_leaf.members,
             self._on_broadcast_delivery,
@@ -155,8 +153,8 @@ class CanopusNode:
         self._obs_proto = "canopus"
 
         #: Per-type handler table, the one route a delivery takes: the
-        #: broadcast layer's classes (which depend on the broadcast mode)
-        #: go straight to it.  A class listed nowhere is ignored.
+        #: broadcast layer's classes go straight to it.  A class listed
+        #: nowhere is ignored.
         self._dispatch = {
             ClientRequest: self._on_client_request,
             ProposalRequest: self._on_proposal_request,
@@ -197,9 +195,7 @@ class CanopusNode:
         if self._cycle_timer is not None:
             self._cycle_timer.cancel()
             self._cycle_timer = None
-        stop_broadcast = getattr(self.broadcast, "stop", None)
-        if callable(stop_broadcast):
-            stop_broadcast()
+        self.broadcast.stop()
 
     # ==================================================================
     # Representatives

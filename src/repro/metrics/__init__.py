@@ -2,11 +2,10 @@
 
 The collector records (submit, complete) pairs per request; summaries
 follow the paper's methodology — discard warm-up and cool-down, report
-throughput and the median completion time, and attach 95% confidence
-intervals across repetitions.
+throughput and the median completion time.
 """
 
-from repro.metrics.stats import confidence_interval_95, percentile, summarize
+from repro.metrics.stats import percentile
 from repro.metrics.collector import MetricsCollector, RequestRecord, RunSummary
 
 __all__ = [
@@ -14,6 +13,4 @@ __all__ = [
     "RequestRecord",
     "RunSummary",
     "percentile",
-    "confidence_interval_95",
-    "summarize",
 ]

@@ -1,24 +1,16 @@
-"""Small statistics helpers (percentiles, confidence intervals)."""
+"""Small statistics helpers: mean and percentile."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Sequence
 
-__all__ = ["percentile", "mean", "stddev", "confidence_interval_95", "summarize"]
+__all__ = ["percentile", "mean"]
 
 
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean; 0.0 for an empty sequence."""
     return sum(values) / len(values) if values else 0.0
-
-
-def stddev(values: Sequence[float]) -> float:
-    """Sample standard deviation; 0.0 for fewer than two samples."""
-    if len(values) < 2:
-        return 0.0
-    centre = mean(values)
-    return math.sqrt(sum((v - centre) ** 2 for v in values) / (len(values) - 1))
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -37,32 +29,3 @@ def percentile(values: Sequence[float], fraction: float) -> float:
         return ordered[lower]
     weight = position - lower
     return ordered[lower] * (1 - weight) + ordered[upper] * weight
-
-
-def confidence_interval_95(values: Sequence[float]) -> Tuple[float, float]:
-    """95% confidence interval of the mean (normal approximation).
-
-    The paper reports 95% confidence intervals over five repetitions; with
-    so few samples the normal approximation is what their error bars use.
-    """
-    if not values:
-        return (0.0, 0.0)
-    centre = mean(values)
-    if len(values) < 2:
-        return (centre, centre)
-    half_width = 1.96 * stddev(values) / math.sqrt(len(values))
-    return (centre - half_width, centre + half_width)
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """Common summary statistics for a latency sample."""
-    return {
-        "count": float(len(values)),
-        "mean": mean(values),
-        "median": percentile(values, 0.5),
-        "p95": percentile(values, 0.95),
-        "p99": percentile(values, 0.99),
-        "min": min(values) if values else 0.0,
-        "max": max(values) if values else 0.0,
-        "stddev": stddev(values),
-    }

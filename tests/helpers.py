@@ -17,7 +17,6 @@ def fast_config(**overrides) -> CanopusConfig:
     defaults = dict(
         lot_height=2,
         cycle_interval_s=0.01,
-        broadcast_mode="ideal",
         pipelining=False,
         heartbeat_interval_s=0.02,
         fetch_timeout_s=0.2,

@@ -1,16 +1,12 @@
-"""Tests for the intra-super-leaf reliable broadcast implementations."""
+"""Tests for the intra-super-leaf reliable broadcast."""
 
-import pytest
-
-from repro.broadcast import make_broadcast
-from repro.broadcast.ideal import IdealBroadcast
 from repro.broadcast.raft_broadcast import RaftBroadcast
 from repro.runtime.sim_runtime import SimRuntime
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
 
-def build_group(mode, member_count=3, seed=11, first_sight=None):
+def build_group(member_count=3, seed=11, first_sight=None):
     sim = Simulator(seed=seed)
     network = Network(sim.loop)
     names = [f"m{i}" for i in range(member_count)]
@@ -22,8 +18,8 @@ def build_group(mode, member_count=3, seed=11, first_sight=None):
     broadcasts = {}
     for name in names:
         runtime = SimRuntime(sim, network, network.hosts[name])
-        broadcast = make_broadcast(
-            mode, runtime, names, lambda origin, payload, n=name: delivered[n].append((origin, payload)),
+        broadcast = RaftBroadcast(
+            runtime, names, lambda origin, payload, n=name: delivered[n].append((origin, payload)),
             first_sight,
         )
         runtime.set_handler(broadcast.on_message)  # only broadcast traffic flows here
@@ -31,30 +27,16 @@ def build_group(mode, member_count=3, seed=11, first_sight=None):
     return sim, network, broadcasts, delivered
 
 
-class TestFactory:
-    def test_factory_returns_requested_implementation(self):
-        _, _, ideal, _ = build_group("ideal")
-        _, _, raft, _ = build_group("raft")
-        assert isinstance(ideal["m0"], IdealBroadcast)
-        assert isinstance(raft["m0"], RaftBroadcast)
-
-    def test_unknown_mode_rejected(self):
-        sim, _, groups, _ = build_group("ideal")
-        with pytest.raises(ValueError):
-            make_broadcast("bogus", groups["m0"].runtime, ["m0"], lambda o, p: None)
-
-
-@pytest.mark.parametrize("mode", ["ideal", "raft"])
 class TestDeliveryGuarantees:
-    def test_payload_delivered_to_every_member_including_sender(self, mode):
-        sim, _, broadcasts, delivered = build_group(mode)
+    def test_payload_delivered_to_every_member_including_sender(self):
+        sim, _, broadcasts, delivered = build_group()
         broadcasts["m0"].broadcast("hello")
         sim.run_until(0.5)
         for name, log in delivered.items():
             assert ("m0", "hello") in log, f"{name} missed the broadcast"
 
-    def test_origin_order_preserved(self, mode):
-        sim, _, broadcasts, delivered = build_group(mode)
+    def test_origin_order_preserved(self):
+        sim, _, broadcasts, delivered = build_group()
         for i in range(5):
             broadcasts["m1"].broadcast(f"p{i}")
         sim.run_until(0.5)
@@ -62,8 +44,8 @@ class TestDeliveryGuarantees:
             payloads = [payload for origin, payload in log if origin == "m1"]
             assert payloads == [f"p{i}" for i in range(5)]
 
-    def test_concurrent_broadcasts_from_all_members_all_delivered(self, mode):
-        sim, _, broadcasts, delivered = build_group(mode)
+    def test_concurrent_broadcasts_from_all_members_all_delivered(self):
+        sim, _, broadcasts, delivered = build_group()
         for name, broadcast in broadcasts.items():
             broadcast.broadcast(f"from-{name}")
         sim.run_until(0.5)
@@ -71,20 +53,19 @@ class TestDeliveryGuarantees:
         for log in delivered.values():
             assert {payload for _, payload in log} == expected
 
-    def test_counters_track_activity(self, mode):
-        sim, _, broadcasts, delivered = build_group(mode)
+    def test_counters_track_activity(self):
+        sim, _, broadcasts, delivered = build_group()
         broadcasts["m0"].broadcast("x")
         sim.run_until(0.5)
         assert broadcasts["m0"].broadcasts_sent == 1
         assert broadcasts["m1"].payloads_delivered >= 1
 
 
-@pytest.mark.parametrize("mode", ["ideal", "raft"])
 class TestAgreedServiceLevel:
     """``broadcast(payload, agreed=True)``: same deliveries, no agreement paid for."""
 
-    def test_delivered_exactly_once_everywhere_and_at_the_sender_at_once(self, mode):
-        sim, _, broadcasts, delivered = build_group(mode, member_count=5)
+    def test_delivered_exactly_once_everywhere_and_at_the_sender_at_once(self):
+        sim, _, broadcasts, delivered = build_group(member_count=5)
         broadcasts["m0"].broadcast("state", agreed=True)
         assert delivered["m0"] == [("m0", "state")]
         # Long enough for the Raft groups' heartbeats to commit the entry.
@@ -92,8 +73,8 @@ class TestAgreedServiceLevel:
         assert all(log == [("m0", "state")] for log in delivered.values())
         assert all(b.payloads_delivered == 1 for b in broadcasts.values())
 
-    def test_both_levels_from_every_member(self, mode):
-        sim, _, broadcasts, delivered = build_group(mode, member_count=5)
+    def test_both_levels_from_every_member(self):
+        sim, _, broadcasts, delivered = build_group(member_count=5)
         for name, broadcast in broadcasts.items():
             broadcast.broadcast(f"proposal-{name}")
             broadcast.broadcast(f"state-{name}", agreed=True)
@@ -106,7 +87,7 @@ class TestAgreedServiceLevel:
 class TestRaftAgreedCost:
     def tapped_group(self, member_count=9):
         seen = []
-        sim, network, broadcasts, delivered = build_group("raft", member_count, first_sight=seen.append)
+        sim, network, broadcasts, delivered = build_group(member_count, first_sight=seen.append)
         wire = []
         for name, broadcast in broadcasts.items():
             def handler(sender, message, name=name, b=broadcast):
@@ -150,7 +131,7 @@ class TestRaftAgreedCost:
 
 class TestRaftBroadcastFailures:
     def test_broadcast_survives_one_member_crash(self):
-        sim, network, broadcasts, delivered = build_group("raft", member_count=3)
+        sim, network, broadcasts, delivered = build_group(member_count=3)
         network.hosts["m2"].fail()
         for broadcast in broadcasts.values():
             broadcast.remove_peer("m2")
@@ -159,15 +140,23 @@ class TestRaftBroadcastFailures:
         assert ("m0", "after-crash") in delivered["m0"]
         assert ("m0", "after-crash") in delivered["m1"]
 
+    def test_remove_peer_stops_sending_to_it(self):
+        sim, _, broadcasts, delivered = build_group(member_count=3)
+        broadcasts["m0"].remove_peer("m2")
+        broadcasts["m0"].broadcast("pruned")
+        sim.run_until(0.2)
+        assert ("m0", "pruned") in delivered["m1"]
+        assert ("m0", "pruned") not in delivered["m2"]
+
     def test_remove_peer_shrinks_groups(self):
-        _, _, broadcasts, _ = build_group("raft", member_count=3)
+        _, _, broadcasts, _ = build_group(member_count=3)
         broadcasts["m0"].remove_peer("m2")
         assert "m2" not in broadcasts["m0"].peers
         for group in broadcasts["m0"].groups.values():
             assert "m2" not in group.members
 
     def test_add_peer_joins_future_groups(self):
-        sim, network, broadcasts, delivered = build_group("raft", member_count=3)
+        sim, network, broadcasts, delivered = build_group(member_count=3)
         # Simulate a rejoin: m2 was removed, then added back.
         broadcasts["m0"].remove_peer("m2")
         broadcasts["m0"].add_peer("m2")
@@ -175,17 +164,8 @@ class TestRaftBroadcastFailures:
         assert "m2" in broadcasts["m0"].groups
 
     def test_stop_cancels_group_timers(self):
-        sim, _, broadcasts, _ = build_group("raft", member_count=3)
+        sim, _, broadcasts, _ = build_group(member_count=3)
         broadcasts["m0"].stop()
         for group in broadcasts["m0"].groups.values():
             assert group.stopped
 
-
-class TestIdealBroadcastPeers:
-    def test_remove_peer_stops_sending_to_it(self):
-        sim, _, broadcasts, delivered = build_group("ideal", member_count=3)
-        broadcasts["m0"].remove_peer("m2")
-        broadcasts["m0"].broadcast("pruned")
-        sim.run_until(0.2)
-        assert ("m0", "pruned") in delivered["m1"]
-        assert ("m0", "pruned") not in delivered["m2"]

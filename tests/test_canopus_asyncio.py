@@ -10,7 +10,6 @@ from repro.verify.agreement import check_agreement
 
 def asyncio_config(**overrides):
     defaults = dict(
-        broadcast_mode="ideal",
         pipelining=False,
         cycle_interval_s=0.02,
         heartbeat_interval_s=0.5,

@@ -1,12 +1,12 @@
 """Pinned fixed-seed behaviour of a multi-super-leaf Canopus deployment.
 
 No perf-ledger point runs Canopus, so no ledger digest covers round 2,
-fetch or relay.  This pins a 9-node (3 racks x 3) ``broadcast_mode="raft"``,
-non-pipelined deployment of ``canopus`` and ``zkcanopus`` under an
-open-loop load: the commit-log digest (``_commit_log_sha256``), the
-traffic the nodes sent and the engine events the run executed.  A change
-that is meant to be host-only (a representation, a dispatch table, a
-cheaper clock) must leave all of them byte-identical.
+fetch or relay.  This pins a 9-node (3 racks x 3) non-pipelined
+deployment of ``canopus`` and ``zkcanopus`` under an open-loop load: the
+commit-log digest (``_commit_log_sha256``), the traffic the nodes sent and
+the engine events the run executed.  A change that is meant to be
+host-only (a representation, a dispatch table, a cheaper clock) must leave
+all of them byte-identical.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def pinned_run(system: str, write_ratio: float, rate_hz: float):
     simulator = Simulator(seed=7)
     topology = make_single_dc_topology(simulator, nodes_per_rack=3, racks=3)
     config = CanopusConfig(
-        lot_height=2, cycle_interval_s=0.005, broadcast_mode="raft", pipelining=False
+        lot_height=2, cycle_interval_s=0.005, pipelining=False
     )
     protocol = build_protocol(system, topology, config=config)
     generator = WorkloadGenerator(

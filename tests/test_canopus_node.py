@@ -28,7 +28,7 @@ def run_27_nodes_at_40k():
     """27 nodes, Raft broadcast, the paper's read-heavy mix at 40 k req/s, 0.15 s."""
     simulator = Simulator(seed=7)
     topology = make_single_dc_topology(simulator, nodes_per_rack=9, racks=3)
-    config = fast_config(broadcast_mode="raft", cycle_interval_s=0.005)
+    config = fast_config(cycle_interval_s=0.005)
     system = build_system("canopus", topology, config=config)
     generator = WorkloadGenerator(
         topology,
@@ -82,18 +82,6 @@ class TestMultiSuperLeafAgreement:
         orders = protocol.committed_logs()
         lengths = {len(order) for order in orders.values()}
         assert lengths == {9}
-        ok, message = check_agreement(orders)
-        assert ok, message
-
-    def test_agreement_with_raft_broadcast(self):
-        sim, _, protocol, _ = build_canopus_on_sim(
-            nodes_per_rack=3, racks=3, config=fast_config(broadcast_mode="raft")
-        )
-        for index, node in enumerate(protocol.nodes.values()):
-            node.submit(write(f"key-{index}", f"value-{index}"))
-        sim.run_until(2.0)
-        orders = protocol.committed_logs()
-        assert {len(order) for order in orders.values()} == {9}
         ok, message = check_agreement(orders)
         assert ok, message
 
@@ -347,17 +335,14 @@ class TestReadRelease:
         assert len(replies) == 1000 + (path != "at-once")
         assert node.request_senders == {}
 
-    @pytest.mark.parametrize("broadcast_mode", ["ideal", "raft"])
-    def test_read_at_a_lagging_rack_inside_the_ack_to_commit_window_sees_the_write(self, broadcast_mode):
+    def test_read_at_a_lagging_rack_inside_the_ack_to_commit_window_sees_the_write(self):
         """``n0-0`` acknowledges a write before the other racks commit its
         cycle.  A read issued 1 µs after the ack at each node still behind
         that commit waits for it and returns the write.  Answering such a
         read at once from committed state, as a write lease granted at
         commit would (§7.2), returns ``None`` here and breaks
         linearizability."""
-        sim, _, protocol, replies = build_canopus_on_sim(
-            nodes_per_rack=3, racks=3, config=fast_config(broadcast_mode=broadcast_mode)
-        )
+        sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
         written, written_at = write("k", "v1", client="writer"), sim.now
         protocol.nodes["n0-0"].submit(written)
         while self.reply_to(replies, written) is None:
@@ -494,6 +479,11 @@ class TestFixedParameters:
         with pytest.raises(TypeError, match=knob):
             CanopusConfig(**{knob: value})
 
+    def test_raft_is_the_only_broadcast_mode(self):
+        CanopusConfig().validate()
+        with pytest.raises(ValueError, match="'raft'"):
+            CanopusConfig(broadcast_mode="ideal").validate()
+
 
 class TestEarlyFetch:
     """Proposal-requests leave a round early and synchronise whoever they reach."""
@@ -559,7 +549,7 @@ class TestMessageBudget:
     """Agreement is paid for only by round-1 proposals that carry something."""
 
     def test_one_27_node_cycle_by_message_class(self):
-        config = fast_config(broadcast_mode="raft")
+        config = fast_config()
         sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=9, racks=3, config=config)
         sim.run_until(0.005)  # the 27 broadcast groups' initial heartbeat rounds are over
         wire = []
@@ -597,7 +587,7 @@ class TestMessageBudget:
     def test_entries_that_commit_later_deliver_nothing_a_second_time(self):
         """An unacknowledged entry commits with its group's next heartbeat,
         long after its cycle: that must not re-create a pruned cycle."""
-        config = fast_config(broadcast_mode="raft", max_inflight_cycles=1)
+        config = fast_config(max_inflight_cycles=1)
         sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
         for index in range(8):
             protocol.nodes["n1-1"].submit(write(f"k{index}", "v"))
@@ -688,9 +678,8 @@ class TestDispatchCompleteness:
     in its ``message_types``: a class missing there is dropped silently.
     So every class that actually arrives at a node must be a key."""
 
-    @pytest.mark.parametrize("mode", ["ideal", "raft"])
-    def test_every_delivered_class_has_a_handler(self, mode):
-        sim, _, protocol, _ = build_canopus_on_sim(config=fast_config(broadcast_mode=mode))
+    def test_every_delivered_class_has_a_handler(self):
+        sim, _, protocol, _ = build_canopus_on_sim()
         arrived = set()
         for node in protocol.nodes.values():
             def handler(sender, message, node=node):
@@ -700,7 +689,7 @@ class TestDispatchCompleteness:
         for index, node in enumerate(protocol.nodes.values()):
             node.submit(write(f"k{index}", "v"))
         sim.run_until(0.1)
-        # A crash: heartbeats stop, and in raft mode the dead member's group
+        # A crash: heartbeats stop, and the dead member's broadcast group
         # holds an election among the survivors.
         protocol.crash("n1-2")
         sim.run_until(1.5)
@@ -713,7 +702,6 @@ class TestDispatchCompleteness:
         assert not missing, f"delivered but not dispatched: {sorted(missing)}"
         broadcast_classes = set(node.broadcast.message_types)
         assert broadcast_classes & arrived, "no broadcast traffic was seen"
-        if mode == "raft":
-            assert {cls.__name__ for cls in arrived} >= {
-                "AppendEntries", "AppendEntriesReply", "RequestVote", "RequestVoteReply",
-            }
+        assert {cls.__name__ for cls in arrived} >= {
+            "AppendEntries", "AppendEntriesReply", "RequestVote", "RequestVoteReply",
+        }

@@ -15,7 +15,6 @@ mutations: each must be found, and shrunk to a script of three steps.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import Phase, example, find, given, settings
@@ -107,12 +106,11 @@ class Faults:
                     self.victim.on_message(sender, message)
 
 
-def run_script(script, mutate=None, broadcast_mode=CONFIG.broadcast_mode):
+def run_script(script, mutate=None):
     """Play ``script``; return ``(wrong, history)`` where ``wrong`` lists the
     reads answered with a value older than one acknowledged before them, or
     refused later than a failure timeout after they reached the victim."""
-    config = replace(CONFIG, broadcast_mode=broadcast_mode)
-    sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=config)
+    sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=CONFIG)
     faults = Faults(sim, protocol)
     if mutate is not None:
         mutate(faults.victim)
@@ -173,8 +171,8 @@ def run_script(script, mutate=None, broadcast_mode=CONFIG.broadcast_mode):
     return wrong, history
 
 
-def holds(script, mutate=None, broadcast_mode=CONFIG.broadcast_mode):
-    wrong, history = run_script(script, mutate, broadcast_mode)
+def holds(script, mutate=None):
+    wrong, history = run_script(script, mutate)
     return not wrong and check_linearizable_history(history)[0]
 
 
@@ -185,20 +183,19 @@ WAKES_UP_BEHIND = [("freeze", DURATIONS_S[1]), ("write",), ("write",), ("write",
 #: Cut off, the victim drops both peers by itself and commits their deletes
 #: alone: a view nobody else holds must not restore its lease.
 DELETES_ITS_PEERS_ALONE = [("cut-both", DURATIONS_S[1]), ("write",), ("write",), ("read",)]
-#: The same over Raft broadcast, where it gets there while both peers still
-#: echo: trusting the first delete is not what goes wrong.
+#: The same while both peers still echo: trusting the first delete is not
+#: what goes wrong.
 DELETES_ITS_PEERS_UNHEARD = [("wait", DURATIONS_S[2]), ("cut-in", DURATIONS_S[2]),
                              ("write",), ("write",), ("read",)]
 
 
-@pytest.mark.parametrize("broadcast_mode", ["ideal", "raft"])
 @settings(max_examples=30, **SEARCH)
 @given(scripts)
 @example(WAKES_UP_BEHIND)
 @example(DELETES_ITS_PEERS_ALONE)
 @example(DELETES_ITS_PEERS_UNHEARD)
-def test_no_reply_is_older_than_a_value_acknowledged_before_the_read(broadcast_mode, script):
-    wrong, history = run_script(script, broadcast_mode=broadcast_mode)
+def test_no_reply_is_older_than_a_value_acknowledged_before_the_read(script):
+    wrong, history = run_script(script)
     assert wrong == []
     ok, message = check_linearizable_history(history)
     assert ok, message
@@ -385,7 +382,17 @@ class SlowClock:
 def test_lease_outruns_an_exclusion_only_beyond_the_documented_clock_drift(rate, answer):
     """The bound is ``heartbeat_interval_s / failure_timeout_s`` = 25 %, and it
     is tight only in the worst phase: the victim's heartbeat is echoed the
-    moment it is sent, and the cut follows the echo at once."""
+    moment it is sent, the cut follows the echo at once, and nothing else
+    the victim sends reaches its peers in between.
+
+    The last condition fixes the cut at 4 heartbeats, not 5: the
+    super-leaf's broadcast groups send their Raft heartbeats at 0.1 s, so a
+    cut after the 0.0995 s heartbeat's echo lets the victim's group
+    heartbeat through at 0.1 s, its peers suspect it one check later (at
+    0.2 s, not 0.18 s) and the write commits at 0.2002 s, past the window
+    below.  Cut after the 0.0795 s heartbeat's echo, the write commits at
+    0.1602 s, 80.7 ms after the echoed stamp: the lease holds it until a
+    clock rate of 0.743, so 0.75 is refused and 0.74 answers ``"old"``."""
     assert 0.6 < 1 - HEARTBEAT_S / TIMEOUT_S < 0.9
     sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=CONFIG)
     faults = Faults(sim, protocol)
@@ -397,14 +404,14 @@ def test_lease_outruns_an_exclusion_only_beyond_the_documented_clock_drift(rate,
     detector.stop()
     sim.run_until(2 * HEARTBEAT_S - 0.0005)
     detector.start()
-    sim.run_until(5 * HEARTBEAT_S + 0.001)
+    sim.run_until(4 * HEARTBEAT_S + 0.001)
     assert detector.in_view()
     faults.start("cut-both", 1.0)
     new = write("k", "new")
     protocol.nodes["n0-1"].submit(new)
     while not any(reply.request_id == new.request_id for reply in replies):
         assert sim.loop.step()
-    assert 5 * HEARTBEAT_S + TIMEOUT_S - 0.001 < sim.now < 5 * HEARTBEAT_S + TIMEOUT_S + 0.01
+    assert 4 * HEARTBEAT_S + TIMEOUT_S - 0.001 < sim.now < 4 * HEARTBEAT_S + TIMEOUT_S + 0.01
     request = read("k")
     victim.submit(request)
     sim.run_until(sim.now + 0.5)

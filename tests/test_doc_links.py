@@ -28,10 +28,11 @@ its bases.  Builtin names (``None``, ``ValueError``) are left alone.
 Code that was deleted must not be named as if it were still there: the old
 benchmark suite and its figure CLI, the experiment definitions, the storage
 model, the write leases, the options no caller set (closed-loop clients,
-Zipf keys, the lease fraction), detlint's baseline and severity levels, and
-the sharding subsystem with its benchmark, checkers and example.  Scope:
-the documents above, ``tests/``, the CI workflow and the verify skill; the
-plans and history keep their records.  A removed constructor option is
+Zipf keys, the lease fraction), detlint's baseline and severity levels,
+the sharding subsystem with its benchmark, checkers and example, the ideal
+super-leaf broadcast with its factory and interface, and the summary
+statistics nobody called.  Scope: the documents above, ``tests/``, the CI
+workflow and the verify skill; the plans and history keep their records.  A removed constructor option is
 refused with a ``TypeError``, and a removed command-line flag with a usage
 error, never silently accepted.
 
@@ -181,6 +182,15 @@ REMOVED = {
     "shard-smoke": "the ledger point went with the code it measured",
     "shard_saturation": "the ledger block went with the code it measured",
     "next_txn_keys": "the workload issues single-key operations only",
+    "IdealBroadcast": "Canopus broadcasts through per-member Raft groups (§4.3) only",
+    "make_broadcast": "CanopusNode constructs RaftBroadcast directly",
+    "ReliableBroadcast": "RaftBroadcast is the one broadcast and documents its contract",
+    "BroadcastEnvelope": "only the deleted ideal broadcast sent envelopes",
+    "repro.broadcast.ideal": "Canopus broadcasts through per-member Raft groups (§4.3) only",
+    "repro.broadcast.base": "RaftBroadcast is the one broadcast and documents its contract",
+    "stddev": "nothing outside its own tests used it",
+    "confidence_interval_95": "nothing outside its own tests used it",
+    "stats.summarize": "nothing outside its own tests used it; MetricsCollector.summarize stays",
 }
 
 #: Constructor and function options that went with the code only they

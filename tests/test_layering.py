@@ -88,6 +88,9 @@ NOT_LOADED_BY = {
     "zookeeper": NEVER_ON_A_RUN + CANOPUS_STACK,
     "raft": NEVER_ON_A_RUN + CANOPUS_STACK,
 }
+#: How many ``repro`` modules that run loads, as ARCHITECTURE "What a run
+#: imports" states them.
+REPRO_MODULES_LOADED = {"canopus": 44, "zkcanopus": 44, "epaxos": 30, "zookeeper": 32, "raft": 33}
 
 #: The imports of the benchmark's pass process (``perf/pass_child.py``),
 #: then one build and a few simulated milliseconds of the named system.
@@ -131,7 +134,7 @@ def loaded_modules(script, *args):
 def test_every_registry_system_has_a_module_budget():
     from repro.protocols import registered_protocols
 
-    assert tuple(registered_protocols()) == BUILTINS == tuple(NOT_LOADED_BY)
+    assert tuple(registered_protocols()) == BUILTINS == tuple(NOT_LOADED_BY) == tuple(REPRO_MODULES_LOADED)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -139,6 +142,7 @@ def test_a_run_loads_only_the_protocol_it_builds(name):
     modules = loaded_modules(RUN_ONE_SYSTEM, name)
     assert ADAPTERS[name] in modules  # the probe really built the system
     assert not under(modules, NOT_LOADED_BY[name])
+    assert len(under(modules, ("repro",))) == REPRO_MODULES_LOADED[name]
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from functools import partial
 
 import pytest
 
+from conftest import Disagreement
 from repro.bench.builders import make_multi_dc_topology, make_single_dc_topology
 from repro.bench.runner import ExperimentProfile, RatePointResult, find_max_throughput, run_rate_point
 from repro.canopus.config import CanopusConfig
@@ -57,7 +58,7 @@ MULTI_DC_PROFILE = ExperimentProfile(
 def canopus_single_dc_config() -> CanopusConfig:
     # Within a datacenter the paper runs one cycle at a time (pipelining
     # targets wide-area deployments, §7.1): a new cycle every 5 ms (§8.2).
-    return CanopusConfig(lot_height=2, cycle_interval_s=0.005, broadcast_mode="raft", pipelining=False)
+    return CanopusConfig(lot_height=2, cycle_interval_s=0.005, pipelining=False)
 
 
 def canopus_multi_dc_config() -> CanopusConfig:
@@ -66,7 +67,6 @@ def canopus_multi_dc_config() -> CanopusConfig:
         lot_height=2,
         cycle_interval_s=0.005,
         max_batch_size=1000,
-        broadcast_mode="raft",
         pipelining=True,
         max_inflight_cycles=64,
     )
@@ -174,6 +174,12 @@ def test_fig5_zkcanopus_keeps_up_with_zookeeper_at_27_nodes():
     )
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=Disagreement,
+    reason="the EPaxos deployment ends with commit logs that are not prefixes of each other; "
+    "see ROADMAP 'EPaxos reports a commit order no replica applied'",
+)
 def test_fig6_canopus_keeps_up_with_epaxos_across_3_datacenters():
     """Over the WAN, Canopus sustains at least 90 % of EPaxos's goodput:
     reads never cross it and proposals traverse each path once."""

@@ -223,12 +223,11 @@ def asyncio_protocol_config(name):
     """Per-protocol tuning for wall-clock runs (None = registry defaults).
 
     Canopus defaults are simulator-scaled (5 ms cycles, 1 s fetch
-    timeouts); on real sleeps the ideal-broadcast configuration the
-    dedicated asyncio tests use keeps the suite fast and stable.
+    timeouts); on real sleeps the configuration the dedicated asyncio
+    tests use keeps the suite fast and stable.
     """
     if name in ("canopus", "zkcanopus"):
         return CanopusConfig(
-            broadcast_mode="ideal",
             pipelining=False,
             cycle_interval_s=0.02,
             heartbeat_interval_s=0.5,
