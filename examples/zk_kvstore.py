@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""ZKCanopus: a ZooKeeper-style znode store replicated by Canopus.
+"""ZKCanopus: a coordination store replicated by Canopus.
 
 The paper integrates Canopus into ZooKeeper by replacing Zab with Canopus
-("ZKCanopus").  This example wires the hierarchical znode store from
-``repro.kvstore`` to a nine-node Canopus group and exercises a small
-coordination workload — configuration znodes, versioned updates, and reads
-served by whichever replica the client is attached to — then shows the
-replicas hold byte-identical trees.
+("ZKCanopus").  This example builds ``zkcanopus`` on a nine-node group and
+exercises a small coordination workload — configuration keys written at
+different replicas, and a read served by whichever replica the client is
+attached to — then shows every replica's ``repro.kvstore`` store holds the
+same keys and values.
 
 Run with:  python examples/zk_kvstore.py
 """
@@ -55,14 +55,13 @@ def main() -> None:
     reply = next(r for r in replies if r.request_id == read.request_id)
     print(f"dashboard read service/leader from {reply.server_id}: {reply.value!r}")
 
-    # Every replica's znode tree is identical.
-    snapshots = [store.snapshot() for store in system.stores.values()]
+    # Every replica's store is identical.
+    snapshots = [store.snapshot() for store in system.protocol.stores.values()]
     identical = all(snapshot == snapshots[0] for snapshot in snapshots)
-    print(f"replica znode trees identical across {len(snapshots)} nodes: {identical}")
-    print("znodes on one replica:")
-    for path, (value, version) in sorted(snapshots[0].items()):
-        if path.startswith("/kv/"):
-            print(f"  {path} = {value!r} (version {version})")
+    print(f"replica stores identical across {len(snapshots)} nodes: {identical}")
+    print("keys on one replica:")
+    for key, value in sorted(snapshots[0].items()):
+        print(f"  {key} = {value!r}")
 
     commits = nodes[0].stats["cycles_committed"]
     print(f"consensus cycles committed: {commits}")

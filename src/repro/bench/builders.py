@@ -1,11 +1,12 @@
 """Builders that assemble a complete system-under-test on a simulated topology.
 
-A *system under test* bundles the topology, the protocol deployed on its
-server hosts (built through the :mod:`repro.protocols` registry), and the
-replicated state machine the protocol drives.  The registered systems match
-the paper's comparisons — ``canopus``, ``zkcanopus``, ``epaxos``,
-``zookeeper`` — plus any protocol registered afterwards (``raft`` ships as
-the template); :func:`build_system` itself contains no per-protocol logic.
+A *system under test* bundles the topology and the protocol deployed on its
+server hosts (built through the :mod:`repro.protocols` registry), whose
+nodes each own the replica store they apply committed writes to.  The
+registered systems match the paper's comparisons — ``canopus``,
+``zkcanopus``, ``epaxos``, ``zookeeper`` — plus any protocol registered
+afterwards (``raft`` ships as the template); :func:`build_system` itself
+contains no per-protocol logic.
 
 Because the substrate is a simulator rather than the paper's 10 GbE
 cluster, the default CPU/bandwidth model is *scaled*: per-message costs are
@@ -16,8 +17,8 @@ systems, which preserves the relative comparisons the paper makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional
 
 from repro.protocols import ConsensusProtocol, build_protocol
 from repro.runtime.messages import ClientReply
@@ -56,7 +57,6 @@ class SystemUnderTest:
     topology: Topology
     simulator: Simulator
     protocol: ConsensusProtocol
-    stores: Dict[str, Any] = field(default_factory=dict)
 
     def start(self) -> None:
         self.protocol.start()
@@ -117,5 +117,4 @@ def build_system(
         topology=topology,
         simulator=topology.simulator,
         protocol=protocol,
-        stores=protocol.stores,
     )

@@ -43,6 +43,7 @@ from repro.canopus.lot import EmulationTable, LeafOnlyTree
 from repro.canopus.membership import FailureDetector, Heartbeat, JoinRequest, MembershipManager
 from repro.canopus.messages import MembershipUpdate, Proposal, ProposalRequest
 from repro.canopus.proposal import merge_proposals
+from repro.kvstore.store import KVStore
 from repro.runtime.base import TIMER_SLACK_S, Runtime, Timer
 from repro.runtime.messages import NOT_IN_VIEW, ClientReply, ClientRequest
 
@@ -71,8 +72,6 @@ class CanopusNode:
         runtime: Runtime,
         lot: LeafOnlyTree,
         config: Optional[CanopusConfig] = None,
-        apply_write: Optional[Callable[[ClientRequest], Optional[str]]] = None,
-        apply_read: Optional[Callable[[ClientRequest], Optional[str]]] = None,
         on_reply: Optional[Callable[[ClientReply], None]] = None,
     ) -> None:
         self.runtime = runtime
@@ -87,11 +86,8 @@ class CanopusNode:
         self.emulation_table: EmulationTable = lot.new_emulation_table()
         self.live_members: Set[str] = set(self.super_leaf.members)
 
-        # Replicated-state-machine hooks.  By default the node keeps a
-        # plain dict replica so it is usable standalone.
-        self._default_store: Dict[str, str] = {}
-        self.apply_write = apply_write or self._default_apply_write
-        self.apply_read = apply_read or self._default_apply_read
+        #: The replica committed writes are applied to and reads served from.
+        self.store = KVStore()
         self.on_reply = on_reply
 
         # Request intake.
@@ -320,7 +316,7 @@ class CanopusNode:
             self._send_reply(*held, value=None, committed_cycle=None, error=NOT_IN_VIEW)
 
     def _reply_read(self, sender: str, request: ClientRequest, committed_cycle: int) -> None:
-        value = self.apply_read(request)
+        value = self.store.read(request.key)
         self.stats["reads_served"] += 1
         self._send_reply(sender, request, value, committed_cycle)
 
@@ -343,16 +339,6 @@ class CanopusNode:
             self.on_reply(reply)
         if sender and sender != self.node_id:
             self.transport.send(sender, reply, reply.wire_size())
-
-    # ------------------------------------------------------------------
-    # Default replica (plain dict) when no external state machine is wired.
-    # ------------------------------------------------------------------
-    def _default_apply_write(self, request: ClientRequest) -> Optional[str]:
-        self._default_store[request.key] = request.value or ""
-        return request.value
-
-    def _default_apply_read(self, request: ClientRequest) -> Optional[str]:
-        return self._default_store.get(request.key)
 
     # ==================================================================
     # Consensus cycle management
@@ -773,11 +759,11 @@ class CanopusNode:
 
         # Apply writes in the agreed total order.  Every request is a write:
         # reads never enter pending_writes, so no proposal carries one.
-        apply_write = self.apply_write
+        store_write = self.store.write
         pop_sender = self.request_senders.pop
         send_reply = self._send_reply
         for request in requests:
-            value = apply_write(request)
+            value = store_write(request.key, request.value or "")
             sender = pop_sender(request.request_id, None)
             if sender is not None:
                 send_reply(sender, request, value, cycle_id)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.epaxos.messages import Accept, AcceptOK, Commit, InstanceId, PreAccept, PreAcceptOK
+from repro.kvstore.store import KVStore
 from repro.runtime.base import Runtime, Timer
 from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 
@@ -111,7 +112,8 @@ class EPaxosNode:
         self.config = config or EPaxosConfig()
         self.on_reply = on_reply
 
-        self._store: Dict[str, str] = {}
+        #: The replica executed commands are applied to.
+        self.store = KVStore()
 
         self.instances: Dict[InstanceId, _Instance] = {}
         self.next_slot = 0
@@ -487,9 +489,8 @@ class EPaxosNode:
     # ------------------------------------------------------------------
     def _apply(self, command: ClientRequest) -> Optional[str]:
         if command.is_write():
-            self._store[command.key] = command.value or ""
-            return command.value
-        return self._store.get(command.key)
+            return self.store.write(command.key, command.value or "")
+        return self.store.read(command.key)
 
     def _send_probes(self) -> None:
         if self.crashed:

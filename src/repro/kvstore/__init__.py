@@ -1,17 +1,11 @@
-"""ZooKeeper-like hierarchical key-value store.
+"""The replicated state machine behind every protocol.
 
-The store is the replicated state machine behind both baselines and the
-"ZKCanopus" configuration of the paper: a tree of *znodes*, each holding a
-byte-string value and a version counter.  Log and snapshot storage is not
-modelled: the paper finds throughput unchanged between an in-memory
-filesystem and an SSD (§8.1).
+Each replica applies committed writes, in commit order, to its own flat
+key-value map (:class:`KVStore`) and serves reads from it.  Log and
+snapshot storage is not modelled: the paper finds throughput unchanged
+between an in-memory filesystem and an SSD (§8.1).
 """
 
-from repro.kvstore.store import KVStore, ZNode, NoNodeError, NodeExistsError
+from repro.kvstore.store import KVStore
 
-__all__ = [
-    "KVStore",
-    "ZNode",
-    "NoNodeError",
-    "NodeExistsError",
-]
+__all__ = ["KVStore"]

@@ -4,12 +4,16 @@ The built-in protocols, each registered the first time it is asked for
 (``BUILTIN_PROTOCOLS`` in :mod:`repro.protocols.registry`):
 
 ========== ============================================================
-canopus     Canopus over its own in-node replica (Figures 4, 6, 7)
-zkcanopus   ZooKeeper's znode store replicated by Canopus (Figure 5)
+canopus     Canopus over a key-value replica per node (Figures 4, 6, 7)
+zkcanopus   Canopus as ZooKeeper's replication layer (Figure 5)
 epaxos      EPaxos with configurable batching (Figures 4, 6, 7)
 zookeeper   ZooKeeper: Zab leader + followers + observers (Figure 5)
 raft        Raft-replicated KV store (the template for adding a protocol)
 ========== ============================================================
+
+Every node applies committed writes to its own
+:class:`repro.kvstore.store.KVStore`; ``protocol.stores`` maps node ids to
+them.  ``canopus`` and ``zkcanopus`` are one factory under two names.
 
 Build one with::
 

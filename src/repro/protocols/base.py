@@ -31,6 +31,7 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.kvstore.store import KVStore
 from repro.runtime.messages import ClientReply, ClientRequest
 from repro.sim.topology import Topology
 
@@ -42,9 +43,11 @@ class ConsensusProtocol(abc.ABC):
 
     The adapter owns its nodes: ``nodes`` maps node id to protocol node in
     placement order, and every node offers ``start()``, ``stop()``,
-    ``submit()`` and a ``crashed`` flag.  A node has no crash method of its
-    own: :meth:`crash` is the one crash meaning.  Subclasses add the
-    introspection the harness and the conformance suite rely on.
+    ``submit()``, a ``crashed`` flag and the ``store``
+    (:class:`repro.kvstore.store.KVStore`) it applies committed writes to.
+    A node has no crash method of its own: :meth:`crash` is the one crash
+    meaning.  Subclasses add the introspection the harness and the
+    conformance suite rely on.
     """
 
     #: Registry key of the protocol (set by subclasses).
@@ -57,12 +60,10 @@ class ConsensusProtocol(abc.ABC):
     #: (Canopus §5 read-by-delay, EPaxos read commands).
     read_modes: Dict[str, str] = {"replicated": "linearizable"}
 
-    def __init__(self, topology: Topology, nodes: Dict[str, Any], stores: Optional[Dict[str, Any]] = None) -> None:
+    def __init__(self, topology: Topology, nodes: Dict[str, Any]) -> None:
         self.topology = topology
         #: Node id -> protocol node, in placement order.
         self.nodes = nodes
-        #: Per-node replicated state machines, when the protocol exposes them.
-        self.stores: Dict[str, Any] = stores or {}
         self._read_mode = next(iter(self.read_modes))
 
     # ------------------------------------------------------------------
@@ -132,6 +133,11 @@ class ConsensusProtocol(abc.ABC):
     # ------------------------------------------------------------------
     def node(self, node_id: str) -> Any:
         return self.nodes[node_id]
+
+    @property
+    def stores(self) -> Dict[str, KVStore]:
+        """Node id -> the replica's key-value store, in placement order."""
+        return {node_id: node.store for node_id, node in self.nodes.items()}
 
     def node_ids(self) -> List[str]:
         return list(self.nodes)

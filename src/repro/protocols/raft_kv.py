@@ -390,8 +390,6 @@ def build_raft_kv(
     for node_id in servers:
         runtime = topology.make_runtime(node_id)
         nodes[node_id] = RaftKVNode(runtime, servers, config=config, on_reply=on_reply)
-    protocol = RaftKVProtocol(
-        topology, nodes, stores={node_id: node.store for node_id, node in nodes.items()}
-    )
+    protocol = RaftKVProtocol(topology, nodes)
     protocol.set_read_mode(config.read_mode)
     return protocol

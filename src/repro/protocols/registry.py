@@ -152,7 +152,11 @@ def build_protocol(
     config: Any = None,
     on_reply: Optional[Callable[..., None]] = None,
 ) -> ConsensusProtocol:
-    """Construct the named protocol on ``topology`` through its factory."""
+    """Construct the named protocol on ``topology`` through its factory.
+
+    The protocol is named by its registry key, so one factory can serve
+    two names (``canopus`` and ``zkcanopus``).
+    """
     spec = protocol_spec(name)
     if config is not None and spec.config_cls is not None and not isinstance(config, spec.config_cls):
         raise TypeError(
@@ -161,4 +165,6 @@ def build_protocol(
         )
     if not topology.server_hosts:
         raise ValueError(f"cannot deploy protocol {name!r}: the topology has no server hosts")
-    return spec.factory(topology, config=config, on_reply=on_reply)
+    protocol = spec.factory(topology, config=config, on_reply=on_reply)
+    protocol.name = name
+    return protocol

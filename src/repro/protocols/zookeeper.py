@@ -25,7 +25,7 @@ class ZooKeeperProtocol(ConsensusProtocol):
     read_modes = {"local": "sequential"}
 
     def __init__(self, topology: Topology, nodes: Dict[str, ZabNode], leader_id: str) -> None:
-        super().__init__(topology, nodes, stores={node_id: node.store for node_id, node in nodes.items()})
+        super().__init__(topology, nodes)
         #: The ensemble's one leader (Zab's election is not modelled).
         self.leader_id = leader_id
 

@@ -171,12 +171,16 @@ class AsyncioCluster:
             await asyncio.sleep(0.002)
 
     def close(self) -> None:
-        pending = asyncio.all_tasks(self.loop) if self.loop.is_running() else set()
+        """Cancel every pending task of the loop, let the cancellations run,
+        then close the loop."""
+        pending = asyncio.all_tasks(self.loop)
         # Cancellation is order-insensitive (no task observes another's
         # cancellation order) and this substrate is non-deterministic by
         # design, so set order is harmless here.
         for task in pending:  # detlint: disable=no-unordered-iteration
             task.cancel()
+        if pending:
+            self.loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
         self.loop.close()
 
 

@@ -44,7 +44,9 @@ class TestBuilders:
     def test_zkcanopus_attaches_a_store_per_node(self):
         topology = make_single_dc_topology(Simulator(seed=1), nodes_per_rack=3)
         sut = build_system("zkcanopus", topology)
-        assert set(sut.stores) == set(topology.server_hosts)
+        stores = sut.protocol.stores
+        assert set(stores) == set(topology.server_hosts)
+        assert list(stores.values()) == [node.store for node in sut.protocol.nodes.values()]
 
     def test_multi_dc_topology_builder(self):
         topology = make_multi_dc_topology(Simulator(seed=1), datacenters=3)

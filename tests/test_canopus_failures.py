@@ -550,3 +550,24 @@ class TestReadAtStalledNode:
         (reply,) = [reply for reply in replies if reply.request_id == request.request_id]
         assert reply.committed_cycle == 2
         assert all("n2-1" in protocol.nodes[peer].live_members for peer in ("n2-0", "n2-2"))
+
+
+class TestWriteBesideANodeFrozenForGood:
+    """A peer frozen for good must cost its super-leaf a member, not its
+    liveness: the other two members are a majority of every group."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="n2-0's own broadcast group steps it down to a follower that still names n2-0 "
+        "leader, and RaftBroadcast.broadcast hands the proposal to that follower, which drops "
+        "it; see ROADMAP 'A deposed broadcast leader drops its own proposals'",
+    )
+    def test_a_write_beside_the_frozen_node_is_acknowledged(self):
+        sim, protocol, replies = TestReadAtStalledNode()._cluster_with_k_old()
+        TestReadAtStalledNode._freeze(protocol.nodes["n2-1"])  # never thawed
+        sim.run_until(0.65)
+        request = write("k", "new")
+        protocol.nodes["n2-0"].submit(request)
+        sim.run_until(sim.now + 1.0)
+        assert any(reply.request_id == request.request_id for reply in replies)

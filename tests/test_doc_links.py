@@ -30,9 +30,10 @@ benchmark suite and its figure CLI, the experiment definitions, the storage
 model, the write leases, the options no caller set (closed-loop clients,
 Zipf keys, the lease fraction), detlint's baseline and severity levels,
 the sharding subsystem with its benchmark, checkers and example, the ideal
-super-leaf broadcast with its factory and interface, and the summary
-statistics nobody called.  Scope: the documents above, ``tests/``, the CI
-workflow and the verify skill; the plans and history keep their records.  A removed constructor option is
+super-leaf broadcast with its factory and interface, the summary
+statistics nobody called, and the znode tree with its exceptions.  Scope:
+the documents above, ``tests/``, the CI workflow and the verify skill; the
+plans and history keep their records.  A removed constructor option is
 refused with a ``TypeError``, and a removed command-line flag with a usage
 error, never silently accepted.
 
@@ -191,6 +192,12 @@ REMOVED = {
     "stddev": "nothing outside its own tests used it",
     "confidence_interval_95": "nothing outside its own tests used it",
     "stats.summarize": "nothing outside its own tests used it; MetricsCollector.summarize stays",
+    "ZNode": "KVStore is a flat key-value map; no request reached the znode tree",
+    "NoNodeError": "KVStore is a flat key-value map; no request reached the znode tree",
+    "NodeExistsError": "KVStore is a flat key-value map; no request reached the znode tree",
+    "BadVersionError": "KVStore is a flat key-value map; no request reached the znode tree",
+    "KV_PREFIX": "KVStore is a flat key-value map; keys are not mapped under /kv",
+    "_default_store": "every CanopusNode applies to its own KVStore, node.store",
 }
 
 #: Constructor and function options that went with the code only they
@@ -226,6 +233,10 @@ REMOVED_OPTIONS = [
     ("repro.obs:attach_tracer", "router"),
     ("repro.obs.telemetry:TelemetrySampler", "shard_metrics"),
     ("repro.sim.network:Packet", "hops"),
+    ("repro.canopus.node:CanopusNode", "apply_write"),
+    ("repro.canopus.node:CanopusNode", "apply_read"),
+    ("repro.protocols.canopus:CanopusProtocol", "stores"),
+    ("repro.bench.builders:SystemUnderTest", "stores"),
 ]
 
 #: Command-line flags that went with the code only they reached, each with
@@ -404,9 +415,12 @@ class MyNode:
     """The least node the template's adapter can drive."""
 
     def __init__(self, runtime, members, config, on_reply=None):
+        from repro.kvstore.store import KVStore
+
         self.runtime = runtime
         self.members = members
         self.on_reply = on_reply
+        self.store = KVStore()
         self.running = self.crashed = False
 
     def start(self):
@@ -440,6 +454,7 @@ def test_the_adding_a_protocol_template_builds_on_both_substrates():
             assert protocol.node(victim).crashed and not protocol.node(victim).running
             assert not protocol.is_healthy()
             assert protocol.committed_logs() == {node_id: [] for node_id in topology.server_hosts}
+            assert list(protocol.stores) == topology.server_hosts
         assert sim_topology.network.hosts[sim_topology.server_hosts[-1]].failed
     finally:
         unregister_protocol("myproto")

@@ -44,7 +44,7 @@ class TestCommitAndExecute:
         node.submit(write("shared", "42"))
         sim.run_until(0.5)
         for replica in protocol.nodes.values():
-            assert replica._store.get("shared") == "42"
+            assert replica.store.read("shared") == "42"
 
     def test_reads_travel_through_the_protocol(self):
         """Unlike Canopus, EPaxos replicates read commands too."""

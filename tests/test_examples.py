@@ -37,7 +37,7 @@ def _run_example(name: str) -> subprocess.CompletedProcess:
             "phase-3 write committed? False",
             "protocol.is_healthy() now reports: False",
         ]),
-        ("zk_kvstore.py", ["replica znode trees identical across 9 nodes: True"]),
+        ("zk_kvstore.py", ["replica stores identical across 9 nodes: True"]),
         ("multi_datacenter.py", ["canopus ", "epaxos ", "Canopus reads never cross the WAN"]),
         ("traced_run.py", ["Per-phase latency breakdown", "protocol epaxos", "Done."]),
     ],

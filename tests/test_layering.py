@@ -90,7 +90,7 @@ NOT_LOADED_BY = {
 }
 #: How many ``repro`` modules that run loads, as ARCHITECTURE "What a run
 #: imports" states them.
-REPRO_MODULES_LOADED = {"canopus": 44, "zkcanopus": 44, "epaxos": 30, "zookeeper": 32, "raft": 33}
+REPRO_MODULES_LOADED = {"canopus": 44, "zkcanopus": 44, "epaxos": 32, "zookeeper": 32, "raft": 33}
 
 #: The imports of the benchmark's pass process (``perf/pass_child.py``),
 #: then one build and a few simulated milliseconds of the named system.
@@ -211,7 +211,7 @@ def test_registry_parametrized_suites_keep_every_builtin():
         if any(line.endswith(f"[{name}]") for name in BUILTINS)
     )
     assert per_file == {
-        "tests/test_protocol_conformance.py": 14 * len(BUILTINS),
+        "tests/test_protocol_conformance.py": 15 * len(BUILTINS),
         "tests/test_determinism.py": len(BUILTINS),
         "tests/test_obs.py": len(BUILTINS),
     }

@@ -106,6 +106,19 @@ class TestAsyncioCluster:
         cluster.close()
         assert received == [("a", "hello")]
 
+    def test_close_finishes_every_task_of_its_loop(self):
+        """A message still in flight when the cluster closes is cancelled,
+        not left pending on a closed loop."""
+        cluster = AsyncioCluster(default_latency_s=1.0)
+        a = cluster.add_node("a")
+        cluster.add_node("b")
+        a.send("b", "late")
+        tasks = asyncio.all_tasks(cluster.loop)
+        assert tasks
+        cluster.close()
+        assert all(task.done() for task in tasks)
+        assert cluster.messages_delivered == 0
+
     def test_duplicate_node_rejected(self):
         cluster = AsyncioCluster()
         cluster.add_node("a")
