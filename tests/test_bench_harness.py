@@ -9,7 +9,9 @@ import pytest
 
 from repro.bench.builders import build_system, make_multi_dc_topology, make_single_dc_topology, scaled_cpu_model
 from repro.bench.runner import ExperimentProfile, RatePointResult, find_max_throughput, run_rate_point
+from repro.kvstore import KVStore
 from repro.metrics.collector import RunSummary
+from repro.protocols import registered_protocols
 from repro.sim.engine import Simulator
 
 
@@ -47,6 +49,18 @@ class TestBuilders:
         stores = sut.protocol.stores
         assert set(stores) == set(topology.server_hosts)
         assert list(stores.values()) == [node.store for node in sut.protocol.nodes.values()]
+
+    @pytest.mark.parametrize("name", registered_protocols())
+    def test_every_node_owns_its_own_store(self, name):
+        """A store shared between nodes would make every replica-state
+        comparison agree trivially."""
+        topology = make_single_dc_topology(Simulator(seed=1), nodes_per_rack=3)
+        protocol = build_system(name, topology).protocol
+        stores = protocol.stores
+        assert list(stores) == list(protocol.nodes)
+        assert all(type(store) is KVStore for store in stores.values())
+        assert len({id(store) for store in stores.values()}) == len(protocol.nodes)
+        assert all(store.snapshot() == {} for store in stores.values())
 
     def test_multi_dc_topology_builder(self):
         topology = make_multi_dc_topology(Simulator(seed=1), datacenters=3)
