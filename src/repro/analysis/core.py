@@ -16,7 +16,9 @@ rule never adds a tree traversal.  Rules may additionally implement
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -46,18 +48,22 @@ class Finding:
         }
 
 
-#: ``# detlint: disable=rule-a,rule-b`` anywhere on the offending line.
+#: A comment ``detlint: disable=rule-a,rule-b`` on the offending line.
 _SUPPRESS_RE = re.compile(r"#\s*detlint:\s*disable=([A-Za-z0-9_,\- ]+)")
 
 
-def parse_suppressions(lines: List[str]) -> Dict[int, Set[str]]:
+def parse_suppressions(source: str) -> Dict[int, Set[str]]:
+    """Line -> rule names disabled there.  Only real comments count: the
+    same text inside a string literal (a lint fixture) suppresses nothing."""
     suppressions: Dict[int, Set[str]] = {}
-    for lineno, text in enumerate(lines, start=1):
-        match = _SUPPRESS_RE.search(text)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _SUPPRESS_RE.search(token.string)
         if match is not None:
             names = {part.strip() for part in match.group(1).split(",") if part.strip()}
             if names:
-                suppressions[lineno] = names
+                suppressions[token.start[0]] = names
     return suppressions
 
 
@@ -73,7 +79,9 @@ class ModuleInfo:
         self.source = source
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=path)
-        self.suppressions = parse_suppressions(self.lines)
+        self.suppressions = parse_suppressions(source)
+        #: ``(line, rule)`` suppressions that silenced at least one finding.
+        self.used_suppressions: Set[Tuple[int, str]] = set()
         #: alias -> dotted origin, e.g. {"np": "numpy", "pc": "time.perf_counter"}
         self.imports: Dict[str, str] = {}
         #: every name bound by assignment/def/class/arg anywhere in the
@@ -118,7 +126,10 @@ class ModuleInfo:
 
     def suppressed(self, lineno: int, rule: str) -> bool:
         names = self.suppressions.get(lineno)
-        return names is not None and rule in names
+        if names is None or rule not in names:
+            return False
+        self.used_suppressions.add((lineno, rule))
+        return True
 
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
         return self.parents.get(node)

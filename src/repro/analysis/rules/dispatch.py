@@ -12,10 +12,11 @@ For each (messages module → node module) pair — derived by convention
 (``X/messages.py`` → ``X/node.py``) plus the explicit pairs in
 :data:`EXTRA_PAIRS` — every class in the messages module that defines
 ``wire_size`` must appear as a key in some ``_dispatch`` dict literal of
-the node module.  Payload-only and client-plane classes (carried inside
-other messages, or consumed by client agents rather than nodes) are
-exempted with an inline ``# detlint: disable=dispatch-complete`` on the
-class line, with a comment saying why.
+the node module.  Payload-only classes (carried inside other messages)
+are exempted with an inline ``# detlint: disable=dispatch-complete`` on
+the class line, with a comment saying why.  The client plane
+(``repro/runtime/messages.py``) pairs with no node module, so it needs no
+exemption.
 """
 
 from __future__ import annotations

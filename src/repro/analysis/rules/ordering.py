@@ -9,7 +9,8 @@ deterministic-path packages:
 
 * ``for``-loops and comprehensions whose iterable is statically
   recognisable as a set: a set literal, a ``set(...)``/``frozenset(...)``
-  call, a set-union/intersection expression, a local name assigned one
+  call or a library call that returns a set (``asyncio.all_tasks``), a
+  set-union/intersection expression, a local name assigned one
   of those earlier in the same function, a parameter or attribute
   annotated ``Set``/``FrozenSet``/``set``/``frozenset``, or an attribute
   whose class-level annotation in the same module is set-typed;
@@ -50,6 +51,9 @@ _SET_ANNOTATION_NAMES = {"set", "frozenset", "Set", "FrozenSet", "MutableSet", "
 
 _SET_BINOPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 
+#: Calls known to return a set (qualified names as ``ModuleInfo`` resolves them).
+_SET_RETURNING_CALLS = {"set", "frozenset", "asyncio.all_tasks"}
+
 
 def _annotation_is_set(annotation: ast.AST) -> bool:
     if isinstance(annotation, ast.Subscript):
@@ -77,7 +81,7 @@ class _FunctionScope(ast.NodeVisitor):
             return True
         if isinstance(node, ast.Call):
             qual = self.module.qualified_name(node.func)
-            if qual in ("set", "frozenset"):
+            if qual in _SET_RETURNING_CALLS:
                 return True
             # s.union(...), s.difference(...), ... on a known set.
             if isinstance(node.func, ast.Attribute) and node.func.attr in (

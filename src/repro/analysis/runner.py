@@ -7,7 +7,9 @@ Exit-code contract (relied on by CI):
 * ``2`` — the analyser itself failed (unparseable target, bad flags).
 
 There is no baseline: a finding is fixed, or suppressed inline with a
-``# detlint: disable=<rule>`` comment that says why.
+``# detlint: disable=<rule>`` comment that says why.  A suppression that
+silences nothing is itself a finding (``unused-suppression``), so a
+comment cannot outlive the finding it was written for.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.analysis.context import ParseFailure, RepoContext
-from repro.analysis.core import Finding, ModuleWalker, Reporter
+from repro.analysis.core import Finding, ModuleInfo, ModuleWalker, Reporter
 from repro.analysis.rules import ALL_RULES
 
 
@@ -73,8 +75,34 @@ def run_analysis(
 
         rule.finish(context, report_for)
     result.suppressed += sum(r.suppressed_count for r in finish_reporters)
+    ran = {rule.name for rule in rule_instances}
+    known = {cls.name for cls in ALL_RULES}
+    for module in context.modules:
+        result.findings.extend(_unused_suppressions(module, ran, known))
     result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return result
+
+
+def _unused_suppressions(module: ModuleInfo, ran: Set[str], known: Set[str]) -> List[Finding]:
+    """A finding per suppressed name that silenced nothing on its line:
+    a rule that ran, or a name that is no rule at all.  A rule left out of
+    this run may still have findings there, so its name is not judged."""
+    findings = []
+    for line, names in sorted(module.suppressions.items()):
+        for name in sorted(names):
+            if (line, name) in module.used_suppressions or (name in known and name not in ran):
+                continue
+            findings.append(
+                Finding(
+                    rule="unused-suppression",
+                    path=module.relpath,
+                    line=line,
+                    col=1,
+                    message=f"`# detlint: disable={name}` suppresses no finding on this line — delete it",
+                    line_text=module.line_text(line),
+                )
+            )
+    return findings
 
 
 def render_text(result: AnalysisResult) -> str:

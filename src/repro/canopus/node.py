@@ -483,6 +483,11 @@ class CanopusNode:
             state = self._cycle_state(proposal.cycle_id)
         if proposal.round_number == 1:
             if state.record_round1(proposal):
+                if self._obs is not None:
+                    self._obs.phase_point(
+                        self._obs_proto, "deliver_round1", self.node_id,
+                        key=(proposal.cycle_id, proposal.sender),
+                    )
                 self._check_round_completion(state)
         else:
             if state.record_vnode_state(proposal):
@@ -833,6 +838,10 @@ class CanopusNode:
         for state in list(self.cycles.values()):
             if not state.completed:
                 state.exclude_member(peer)
+                if self._obs is not None:
+                    self._obs.phase_point(
+                        self._obs_proto, "exclude", self.node_id, key=(state.cycle_id, peer)
+                    )
                 self._check_round_completion(state)
             if state.cycle_id <= self.last_started_cycle:
                 # Every round whose requests have gone out: up to the one

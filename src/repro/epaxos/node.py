@@ -499,7 +499,13 @@ class EPaxosNode:
         self.transport.broadcast(self._peers, probe, probe.wire_size())
 
     def executed_commands(self) -> List[int]:
-        """Request ids of executed commands (order is per-replica arrival)."""
+        """Request ids of the executed instances' commands, instances sorted
+        by ``(seq, instance)``.
+
+        That is not the order this replica applied them in (it applies each
+        instance when its commit arrives), and it is not append-only: see
+        ROADMAP "EPaxos reports a commit order no replica applied".
+        """
         ids: List[int] = []
         for instance in sorted(self.instances.values(), key=lambda i: (i.seq, i.instance)):
             if instance.status == "executed":

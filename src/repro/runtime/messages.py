@@ -60,9 +60,7 @@ class ClientRequest:
 
 
 @dataclass(slots=True)
-# Client-plane: replies go to workload clients via their reply queue,
-# never through a node's _dispatch table.
-class ClientReply:  # detlint: disable=dispatch-complete
+class ClientReply:
     """Reply returned to the client once its request is served — or, with
     ``error`` set, refused: nothing was read or written and ``value`` says
     nothing; the client should ask another node."""

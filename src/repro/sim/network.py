@@ -42,10 +42,6 @@ __all__ = [
 DEFAULT_HEADER_BYTES = 64
 
 
-#: Cache-miss sentinel (None is a valid cached value: loopback).
-_MISSING = object()
-
-
 @dataclass(slots=True)
 class Packet:
     """A message in flight between two hosts."""
@@ -87,14 +83,13 @@ class CpuModel:
 class DeliveryQueue:
     """Coalesces a stream of timed deliveries into one scheduled event.
 
-    A host's transmit, dispatch and loopback queues are fed from its
-    CPU-busy chain, which only moves forward, so the completion times they
-    hand over are non-decreasing.  Instead of scheduling one event-loop
-    entry per packet — which makes the heap grow with the number of
-    in-flight messages — the queue keeps at most one outstanding event and,
-    when it fires, flushes *every* pending item that is due at that instant.
-    This is the sim-network hot path batching: a burst to one destination
-    costs one heap operation, not one per message.
+    A host's dispatch and loopback queues are fed from its CPU-busy chain,
+    which only moves forward, so the completion times they hand over are
+    non-decreasing.  Instead of scheduling one event-loop entry per packet
+    — which makes the heap grow with the number of in-flight messages —
+    the queue keeps at most one outstanding event and, when it fires,
+    flushes *every* pending item that is due at that instant: a burst due
+    at one host costs one heap operation, not one per message.
 
     Pushing an item earlier than the last one pending breaks that contract:
     it is a bug in the caller, and raises :class:`SimulationError`.
@@ -164,9 +159,9 @@ class Link:
         defaults to the current instant.  This is the one statement of the
         link arithmetic.  The two per-packet hot loops inline it with the
         identical expression shapes: :meth:`Network._deliver_fanout` passes
-        each packet's CPU-finish instant as ``start`` (sound because a host
-        egress link is fed only by its owning host, in CPU-finish order),
-        and :meth:`Switch._drain_to` replays it as if run at the packet's
+        each packet's CPU-finish instant as ``start`` (sound because a
+        host's one link is fed only by that host, in CPU-finish order), and
+        :meth:`Switch._drain_to` replays it as if run at the packet's
         arrival instant at that switch, which stands in for both ``start``
         and ``now``.
         """
@@ -204,9 +199,9 @@ class _SwitchLane:
     ``q`` holds ``(arrival, p_ref, packet)`` with arrivals non-decreasing
     (the feeding link is FIFO and feeds it in modelled-forward order).
     ``p_ref`` is the modelled instant the packet was put on the feeding
-    link — ``now`` at an injection, the forward instant at a switch drain.
-    It is kept because it is an input to modelled behaviour, the tie rank
-    below; nothing else reads it.
+    link — the sender's CPU-finish instant at an injection, the forward
+    instant at a switch drain.  It is kept because it is an input to
+    modelled behaviour, the tie rank below; nothing else reads it.
 
     ``(arm_at, arm_tick)`` rank the lane's head group (its run of equal
     arrivals) among equal-arrival groups of the switch's other lanes, by
@@ -215,12 +210,14 @@ class _SwitchLane:
     the link had nothing in flight, else when the previous group is
     delivered, and flushes due at one instant fire in arming order.
     ``arm_at`` is that arming instant and ``arm_tick`` a per-switch
-    monotone tick that orders armings made at the same instant.  Merging
-    lanes by ``(arrival, arm_at, arm_tick)`` decides which of two
-    equal-arrival packets from different ingress links takes a shared
-    egress link first, so every downstream timestamp under symmetric
-    broadcast collisions depends on it (the eager reference under
-    ``tests/`` reaches the same order through the engine's ``seq``).
+    monotone tick that orders armings made at the same instant: a push is
+    ticked when it is made, so two packets with equal arrivals and equal
+    put-on instants go in send order.  Merging lanes by ``(arrival,
+    arm_at, arm_tick)`` decides which of two equal-arrival packets from
+    different ingress links takes a shared egress link first, so every
+    downstream timestamp under symmetric broadcast collisions depends on
+    it (the eager reference under ``tests/`` reaches the same order
+    through the engine's ``seq``).
     """
 
     __slots__ = ("owner", "q", "arm_at", "arm_tick", "lat", "src")
@@ -234,7 +231,7 @@ class _SwitchLane:
         #: forward up to ``min over lanes of (lat - source's drain slack)``
         #: past its own instant, because a lazily-draining source can push
         #: an item up to its grid period after the item's modelled forward
-        #: time (see Switch._margin).
+        #: time (see Switch._settle_margin).
         self.lat = lat
         self.src = src
 
@@ -284,7 +281,7 @@ class Switch(NetworkElement):
     Switches deliver lazily: each ingress link appends arrivals to a
     :class:`_SwitchLane`, and a single *drain* event forwards the whole
     merged backlog whose arrival lies within the switch's lookahead
-    window (:meth:`_margin`).  Any arrival pushed by a later event is
+    window (:attr:`_margin`).  Any arrival pushed by a later event is
     strictly beyond that window — a packet transmitted at time ``T``
     arrives after ``T + serialization + latency`` — so the merged
     arrival order the drain forwards in is exactly the order per-arrival
@@ -324,17 +321,17 @@ class Switch(NetworkElement):
         #: any downstream instant observing the delay.
         self._grid = float("inf")
         self._grid_inv = 0.0
-        #: Cached merge-safe window (see :meth:`_margin`).
-        self._margin_cache = float("inf")
-        self._margin_gen = -1
+        #: Merge-safe forwarding window past a drain instant, settled by
+        #: :meth:`Network.add_link` (see :meth:`_settle_margin`).
+        self._margin = float("inf")
 
     def _attach_lane(self, link: Link, src: "NetworkElement") -> None:
         lane = _SwitchLane(self, link.latency_s, src)
         link._lazy_lane = lane
         self._lanes.append(lane)
 
-    def _margin(self) -> float:
-        """Merge-safe forwarding window past a drain instant.
+    def _settle_margin(self) -> None:
+        """Recompute the merge-safe forwarding window past a drain instant.
 
         Every arrival not yet pushed into a lane at instant ``g`` is
         strictly later than ``g + margin``: a real event at ``u >= g``
@@ -342,18 +339,14 @@ class Switch(NetworkElement):
         drain at ``u`` may forward items whose modelled forward time is up
         to its grid period old, pushing arrivals beyond ``u + lat - grid``.
         """
-        gen = self.network._topo_gen
-        if gen != self._margin_gen:
-            margin = float("inf")
-            for lane in self._lanes:
-                src = lane.src
-                slack = src._grid if isinstance(src, Switch) else 0.0
-                m = lane.lat - slack
-                if m < margin:
-                    margin = m
-            self._margin_cache = margin
-            self._margin_gen = gen
-        return self._margin_cache
+        margin = float("inf")
+        for lane in self._lanes:
+            src = lane.src
+            slack = src._grid if isinstance(src, Switch) else 0.0
+            m = lane.lat - slack
+            if m < margin:
+                margin = m
+        self._margin = margin
 
     def _note_egress(self, latency_s: float) -> None:
         """Record an outgoing link's latency; it bounds the drain grid."""
@@ -369,7 +362,7 @@ class Switch(NetworkElement):
         if self._drain_at != now:
             return  # superseded by a re-arm at an earlier grid point
         self._drain_at = None
-        bound = now + self._margin()
+        bound = now + self._margin
         deadline = loop._deadline
         if now <= deadline < bound:
             # Never forward past the active run_until window: a forward
@@ -546,11 +539,9 @@ class Host(NetworkElement):
     Incoming packets are serviced serially through a single CPU queue and
     then handed to the registered message handler.  Outgoing messages go
     through :meth:`send` / :meth:`multicast`, which charge this host's CPU
-    and hand the packets to the network routing table when the CPU gets to
-    them.  Sends issued within one event turn are coalesced into a single
-    transmit-queue entry (their CPU-finish times are all determined
-    synchronously, so the schedule is precomputable), which keeps the event
-    heap small under fan-out bursts.
+    and put each packet on the host's one link in the same turn, starting
+    at its CPU-finish instant: those instants are all known at the send,
+    so no event waits for the CPU to get to them.
     """
 
     def __init__(self, network: "Network", name: str, cpu: Optional[CpuModel] = None) -> None:
@@ -569,17 +560,9 @@ class Host(NetworkElement):
         #: Observability hook — set alongside :attr:`Network._obs` when a
         #: tracer is attached; the delivery path costs one load when off.
         self._obs = None
-        loop = network.loop
         self._rx_queue = _RxQueue(self)
-        #: Transmit queue: one entry per same-turn group of sends, each a
-        #: list of ``(dst, payload, size_bytes, cpu_finish)`` flushed at the
-        #: earliest CPU-finish instant through :meth:`Network._deliver_fanout`.
-        self._tx_queue = DeliveryQueue(loop, self._inject, priority=9)
-        #: Open same-turn group and the ``processed_events`` count it was
-        #: opened at: any event run in between moves the count, so a stale
-        #: group (which may already have flushed) is never extended.
-        self._open_tx: Optional[List[Tuple[str, Any, int, float]]] = None
-        self._open_tx_events = -1
+        #: The host's one egress link (wired by :meth:`Network.add_link`).
+        self._link: Optional[Link] = None
         #: Ingress backlog lane: pending ``(arrival, packet)`` pairs from
         #: the host's one link, arrivals non-decreasing.
         self._in_q: "deque[Tuple[float, Packet]]" = deque()
@@ -669,81 +652,41 @@ class Host(NetworkElement):
             self._loop.schedule_fast(pending[0][0], rxq._flush_cb, 8)
 
     def send(self, dst: str, payload: Any, size_bytes: int) -> None:
-        """Send ``payload`` to host ``dst``.
+        """Send ``payload`` to host ``dst``: a :meth:`multicast` to one."""
+        self.multicast((dst,), payload, size_bytes)
 
-        The send is charged to this host's CPU queue first (serialization /
-        syscall cost), then handed to the network when the CPU gets to it.
+    def multicast(self, dsts: Sequence[str], payload: Any, size_bytes: int) -> None:
+        """Send one logical ``payload`` to every host in ``dsts``.
+
+        Each destination in turn is charged the CPU send cost (serialization,
+        syscalls) on this host's busy chain, and its packet goes on the
+        host's link at its own CPU-finish instant, in this turn — the
+        modelled timings of ``len(dsts)`` sequential :meth:`send` calls.  An
+        unknown or unreachable destination raises before anything is
+        charged; a destination that is down at the send is dropped.
         """
-        if self.failed:
+        if self.failed or not dsts:
             return
         loop = self._loop
+        now = loop._now
         if self._in_q:
-            self._pull(loop._now)
-        self.messages_sent += 1
+            self._pull(now)
         cpu = self.cpu
         # Inlined CpuModel.send_time with the identical expression shape
         # (same parenthesization => bit-identical float results).
         cost = cpu.send_fraction * (
             cpu.per_message_s + cpu.per_byte_s * (size_bytes + DEFAULT_HEADER_BYTES)
         )
-        now = loop._now
         busy = self._cpu_busy_until
         start = now if now > busy else busy
-        finish = start + cost
-        self._cpu_busy_until = finish
-        self._cpu_busy_s += cost
-        events = loop._processed
-        group = self._open_tx
-        if group is not None and self._open_tx_events == events:
-            group.append((dst, payload, size_bytes, finish))
-        else:
-            self._open_tx = group = [(dst, payload, size_bytes, finish)]
-            self._open_tx_events = events
-            self._tx_queue.push(finish, group)
-
-    def multicast(self, dsts: Sequence[str], payload: Any, size_bytes: int) -> None:
-        """Send one logical ``payload`` to every host in ``dsts``.
-
-        Each destination is charged the same CPU send cost, link
-        serialization and receive cost as ``len(dsts)`` sequential
-        :meth:`send` calls — modelled timings are identical — but the send
-        cost is computed once, the whole group rides a single
-        transmit-queue entry, and routing is resolved through the network's
-        per-pair first-hop cache.  Sole granularity exception: destination
-        crash-stop state is sampled when the group flushes, not at each
-        packet's logical injection instant (see ARCHITECTURE.md, "Transport
-        / broadcast fast path").
-        """
-        if self.failed or not dsts:
-            return
-        loop = self._loop
-        if self._in_q:
-            self._pull(loop._now)
-        self.messages_sent += len(dsts)
-        cpu = self.cpu
-        cost = cpu.send_fraction * (
-            cpu.per_message_s + cpu.per_byte_s * (size_bytes + DEFAULT_HEADER_BYTES)
-        )
-        now = loop._now
-        busy = self._cpu_busy_until
-        start = now if now > busy else busy
-        events = loop._processed
-        group = self._open_tx
-        fresh = group is None or self._open_tx_events != events
-        if fresh:
-            self._open_tx = group = []
-            self._open_tx_events = events
-        first = start + cost
+        items = []
         for dst in dsts:
             start += cost
-            group.append((dst, payload, size_bytes, start))
+            items.append((dst, payload, size_bytes, start))
+        self.network._deliver_fanout(self, items)
+        self.messages_sent += len(dsts)
         self._cpu_busy_until = start
         self._cpu_busy_s += cost * len(dsts)
-        if fresh:
-            self._tx_queue.push(first, group)
-
-    def _inject(self, group: List[Tuple[str, Any, int, float]]) -> None:
-        self.network._deliver_fanout(self.name, group)
 
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
@@ -813,14 +756,6 @@ class Network:
         self.local_loopback_latency_s = 5e-6
         self.dropped_packets = 0
         self._loopback_queues: Dict[str, DeliveryQueue] = {}
-        #: Per-pair first-hop cache: src -> {dst -> first-hop Link (None =
-        #: loopback)}.  Nested by source so the per-packet fan-out loop
-        #: looks up a plain string key instead of allocating a (src, dst)
-        #: tuple per item.  Bounded by the number of host pairs actually
-        #: communicating; invalidated with the routing table.
-        self._first_hops: Dict[str, Dict[str, Optional[Link]]] = {}
-        #: Bumped on every link-topology change; invalidates drain margins.
-        self._topo_gen = 0
         # Backlog lanes are charged lazily; settle them whenever a run
         # window closes so the counters a caller reads there (link packets
         # and bytes, switch forwards, CPU busy time) cover the whole window.
@@ -879,15 +814,19 @@ class Network:
             element_b._note_egress(latency_s)
         if isinstance(element_b, Host):
             forward._lazy_host = element_b
+            element_b._link = backward
         else:
             element_b._attach_lane(forward, element_a)
         if isinstance(element_a, Host):
             backward._lazy_host = element_a
+            element_a._link = forward
         else:
             element_a._attach_lane(backward, element_b)
+        # A new lane and a smaller grid both narrow drain margins.
+        for switch in self.switches.values():
+            switch._settle_margin()
         self._adjacency[a].append(b)
         self._adjacency[b].append(a)
-        self._topo_gen += 1
         self._routes_dirty = True
 
     # ------------------------------------------------------------------
@@ -910,7 +849,6 @@ class Network:
                         queue.append((neighbor, first))
             self._routes[source] = next_hop
         self._routes_dirty = False
-        self._first_hops.clear()
         for switch in self.switches.values():
             switch._fwd.clear()
 
@@ -970,7 +908,10 @@ class Network:
         :meth:`_deliver_fanout` so drop accounting, loopback handling and
         routing can never drift apart.
         """
-        self._deliver_fanout(src, ((dst, payload, size_bytes, self.loop._now),))
+        host = self.hosts.get(src)
+        if host is None:
+            raise SimulationError(f"send requires host endpoints ({src} -> {dst})")
+        self._deliver_fanout(host, ((dst, payload, size_bytes, self.loop._now),))
 
     def _loopback_queue(self, dst: str) -> DeliveryQueue:
         queue = self._loopback_queues.get(dst)
@@ -980,65 +921,46 @@ class Network:
             )
         return queue
 
-    def _first_hop(self, src: str, dst: str) -> Optional[Link]:
-        """Cached first-hop egress link for ``src -> dst`` (None = loopback)."""
-        by_dst = self._first_hops.get(src)
-        if by_dst is None:
-            by_dst = self._first_hops[src] = {}
-        link = by_dst.get(dst, _MISSING)
-        if link is _MISSING:
-            if dst not in self.hosts:
-                raise SimulationError(f"send requires host endpoints ({src} -> {dst})")
-            if dst == src:
-                link = None
-            else:
-                link = self.links[(src, self.next_hop(src, dst))]
-            by_dst[dst] = link
-        return link
-
-    def _deliver_fanout(self, src: str, items: Sequence[Tuple[str, Any, int, float]]) -> None:
-        """Hand a flushed transmit group to first-hop links in one pass.
+    def _deliver_fanout(self, host: Host, items: Sequence[Tuple[str, Any, int, float]]) -> None:
+        """Put one send's packets on ``host``'s link, in the sender's turn.
 
         The one function every packet enters the network through
         (:meth:`_RxQueue._flush` is the one it leaves by).  Each item is
         ``(dst, payload, size_bytes, start)`` where ``start`` is the
-        CPU-finish instant that destination's packet would have been
-        injected at by a dedicated event; it is the ``start`` of
-        :meth:`Link.transmit` (or added to the loopback latency), so the
-        per-destination schedule is bit-identical to sequential sends.
+        packet's CPU-finish instant: the ``start`` of :meth:`Link.transmit`
+        (or added to the loopback latency) and the put-on instant its
+        switch lane ranks it by, so the per-destination schedule is
+        bit-identical to sequential sends.  Every destination is checked
+        before anything is charged, and a destination down at the send is
+        dropped and counted.
         """
-        if src not in self.hosts:
-            raise SimulationError(f"send requires host endpoints ({src} -> ...)")
         if self._routes_dirty:
             self._rebuild_routes()
+        src = host.name
         hosts = self.hosts
-        first_hop = self._first_hop
-        first_hops = self._first_hops.get(src)
-        if first_hops is None:
-            first_hops = self._first_hops[src] = {}
+        routes = self._routes[src]
+        for item in items:
+            dst = item[0]
+            if dst not in hosts:
+                raise SimulationError(f"send requires host endpoints ({src} -> {dst})")
+            if dst not in routes and dst != src:
+                raise SimulationError(f"no route from {src} to {dst}")
+        link = host._link
+        if link is not None:
+            sink_host = link._lazy_host
+            sink_lane = link._lazy_lane
         packet_ids = self._packet_ids
         hdr = DEFAULT_HEADER_BYTES
         obs = self._obs
         loop = self.loop
-        now = loop._now
-        # A fan-out group from one host rides one egress link for every
-        # non-loopback destination (tree routing), so the lazy-sink
-        # resolution is cached across consecutive same-link items.
-        last_link = None
-        sink_host: Optional[Host] = None
-        sink_lane: Optional[_SwitchLane] = None
         for dst, payload, size_bytes, when in items:
-            try:
-                link = first_hops[dst]
-            except KeyError:
-                link = first_hop(src, dst)
             if hosts[dst].failed:
                 self.dropped_packets += 1
                 continue
             packet = Packet(src, dst, payload, size_bytes, next(packet_ids), when)
             if obs is not None:
                 obs.packet_sent(packet)
-            if link is None:
+            if dst == src:
                 self._loopback_queue(dst).push(when + self.local_loopback_latency_s, packet)
                 continue
             # Link.transmit(packet, start=when), inlined (this is the
@@ -1052,10 +974,6 @@ class Network:
             arrival = finish + link.latency_s
             link.bytes_sent += total_bytes
             link.packets_sent += 1
-            if link is not last_link:
-                last_link = link
-                sink_host = link._lazy_host
-                sink_lane = link._lazy_lane
             if sink_host is not None:
                 # Host._ingress_push, non-empty fast case inlined.
                 hq = sink_host._in_q
@@ -1067,7 +985,7 @@ class Network:
                 # _SwitchLane.push, non-empty fast case inlined.
                 lq = sink_lane.q
                 if lq:
-                    lq.append((arrival, now, packet))
+                    lq.append((arrival, when, packet))
                     sw = sink_lane.owner
                     at = sw._drain_at
                     if at is None or at > arrival:
@@ -1076,7 +994,7 @@ class Network:
                             sw._drain_at = g
                             loop.schedule_fast(g, sw._drain_cb, 5)
                 else:
-                    sink_lane.push(arrival, now, packet)
+                    sink_lane.push(arrival, when, packet)
 
     def link(self, a: str, b: str) -> Link:
         return self.links[(a, b)]

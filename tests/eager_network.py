@@ -15,7 +15,6 @@ The lanes are still wired by ``add_link`` but nothing is ever pushed into
 them, so the drain events, wake-ups and the settle hook have nothing to do.
 """
 
-from repro.sim.engine import SimulationError
 from repro.sim.network import DeliveryQueue, Network, Packet
 
 
@@ -48,12 +47,11 @@ class EagerNetwork(Network):
     def _transmit(self, link, packet, start=None):
         self.arrivals[link].push(link.transmit(packet, start), packet)
 
-    def _deliver_fanout(self, src, items):
+    def _deliver_fanout(self, host, items):
         """Inject each item at its CPU-finish instant, one packet at a time."""
-        if src not in self.hosts:
-            raise SimulationError(f"send requires host endpoints ({src} -> ...)")
+        src = host.name
         for dst, payload, size_bytes, when in items:
-            link = self._first_hop(src, dst)
+            link = None if dst == src else self.links[(src, self.next_hop(src, dst))]
             if self.hosts[dst].failed:
                 self.dropped_packets += 1
                 continue

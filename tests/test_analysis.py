@@ -184,6 +184,38 @@ def test_no_unordered_iteration_flags_id_keying(tmp_path):
     assert "id()" in result.findings[0].message
 
 
+#: ``asyncio.all_tasks`` returns a set: cancelling in its order is
+#: harmless, but the rule must see it so the suppression says why.
+ALL_TASKS_LOOP = """\
+import asyncio
+from asyncio import all_tasks
+
+def close(loop):
+    pending = asyncio.all_tasks(loop)
+    for task in pending:
+        task.cancel()
+    return [task for task in all_tasks(loop)]
+"""
+
+
+def test_no_unordered_iteration_knows_set_returning_calls(tmp_path):
+    result = lint(
+        tmp_path, {"src/repro/runtime/loops.py": ALL_TASKS_LOOP}, rules=[NoUnorderedIterationRule]
+    )
+    assert [(f.rule, f.line) for f in result.findings] == [
+        ("no-unordered-iteration", 6),
+        ("no-unordered-iteration", 8),
+    ]
+    suppressed = ALL_TASKS_LOOP.replace(
+        "for task in pending:", "for task in pending:  # detlint: disable=no-unordered-iteration"
+    )
+    result = lint(
+        tmp_path, {"src/repro/runtime/loops.py": suppressed}, rules=[NoUnorderedIterationRule]
+    )
+    assert [f.line for f in result.findings] == [8]
+    assert result.suppressed == 1
+
+
 # ---------------------------------------------------------------------------
 # slots-required (cross-checks the wire-size golden coverage literal)
 # ---------------------------------------------------------------------------
@@ -482,6 +514,43 @@ def test_inline_suppression_is_rule_specific(tmp_path):
         "return time.perf_counter()  # detlint: disable=no-unseeded-random",
     )
     result = lint(tmp_path, {"src/repro/sim/clocks.py": wrong_rule}, rules=[NoWallclockRule])
+    assert rules_hit(result) == ["no-wallclock"]
+    assert result.suppressed == 0
+
+
+def test_a_suppression_that_suppresses_nothing_is_a_finding(tmp_path, capsys):
+    """A rule that ran and found nothing on the line, or a name that is no
+    rule at all: either way the comment is stale, and the run exits 1."""
+    stale = WALLCLOCK_CLEAN.replace(
+        "return runtime.now()",
+        "return runtime.now()  # detlint: disable=no-wallclock,no-such-rule",
+    )
+    result = lint(tmp_path, {"src/repro/sim/clocks.py": stale}, rules=[NoWallclockRule])
+    assert [(f.rule, f.line) for f in result.findings] == [
+        ("unused-suppression", 2),
+        ("unused-suppression", 2),
+    ]
+    assert ["no-such-rule" in f.message for f in result.findings] == [True, False]
+    assert result.exit_code == 1
+    assert main([str(tmp_path / "src"), "--repo-root", str(tmp_path)]) == 1
+    capsys.readouterr()
+
+
+def test_a_suppression_is_judged_only_by_rules_that_ran(tmp_path):
+    """A rule left out of the run may have a finding on that line."""
+    other_rule = WALLCLOCK_CLEAN.replace(
+        "return runtime.now()",
+        "return runtime.now()  # detlint: disable=no-unseeded-random",
+    )
+    result = lint(tmp_path, {"src/repro/sim/clocks.py": other_rule}, rules=[NoWallclockRule])
+    assert result.findings == []
+
+
+def test_suppression_text_inside_a_string_is_not_a_suppression(tmp_path):
+    """Only comments suppress: a lint fixture held in a string neither
+    silences a finding nor counts as a stale comment."""
+    source = WALLCLOCK_BAD + 'FIXTURE = "x = 1  # detlint: disable=no-wallclock"\n'
+    result = lint(tmp_path, {"src/repro/sim/clocks.py": source}, rules=[NoWallclockRule])
     assert rules_hit(result) == ["no-wallclock"]
     assert result.suppressed == 0
 

@@ -198,6 +198,10 @@ REMOVED = {
     "BadVersionError": "KVStore is a flat key-value map; no request reached the znode tree",
     "KV_PREFIX": "KVStore is a flat key-value map; keys are not mapped under /kv",
     "_default_store": "every CanopusNode applies to its own KVStore, node.store",
+    "_tx_queue": "a host puts each send on its one link in the turn it makes it",
+    "_open_tx": "a host puts each send on its one link in the turn it makes it",
+    "_first_hops": "a host has one link, Host._link, wired by add_link",
+    "_topo_gen": "add_link settles every switch's drain margin",
 }
 
 #: Constructor and function options that went with the code only they

@@ -152,13 +152,18 @@ class TestFanoutEdgeCases:
         assert arrivals == []
 
     def test_unknown_destination_raises(self):
-        """Routing is resolved when the group flushes, so that is where an
-        unroutable destination surfaces."""
+        """Every destination is checked at the send, before any CPU or link
+        is charged: the valid ``b`` ahead of ``ghost`` costs nothing."""
         simulator = Simulator(seed=0)
         network = build_two_rack(simulator)
-        network.hosts["a"].multicast(["b", "ghost"], "m", 64)
-        with pytest.raises(SimulationError):
-            simulator.run()
+        host = network.hosts["a"]
+        with pytest.raises(SimulationError, match="ghost"):
+            host.multicast(["b", "ghost"], "m", 64)
+        link = network.link("a", "tor1")
+        assert (host.messages_sent, host._cpu_busy_until, host._cpu_busy_s) == (0, 0.0, 0.0)
+        assert (link.packets_sent, link.bytes_sent, network.dropped_packets) == (0, 0, 0)
+        simulator.run()
+        assert simulator.loop.processed_events == 0
 
 
 class TestDeliveryQueue:

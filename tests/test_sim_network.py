@@ -5,7 +5,7 @@ import pytest
 from repro.bench.builders import make_multi_dc_topology, make_single_dc_topology
 from repro.bench.runner import _drive_switch_drain_mix
 from repro.sim.engine import EventLoop, SimulationError, Simulator
-from repro.sim.network import CpuModel, Network, Packet
+from repro.sim.network import CpuModel, Host, Network, Packet
 
 
 def make_pair(simulator, latency_s=0.001, bandwidth_bps=1e9, cpu=None):
@@ -91,7 +91,7 @@ class TestLinkTransmit:
         items = [("b", "m", 100 * (i + 1), 0.001 * (i // 2)) for i in range(6)]
         sim_a, sim_b = Simulator(), Simulator()
         inlined = make_pair(sim_a, bandwidth_bps=1e6)
-        inlined._deliver_fanout("a", items)
+        inlined._deliver_fanout(inlined.hosts["a"], items)
         direct = make_pair(sim_b, bandwidth_bps=1e6).link("a", "b")
         arrivals = [
             direct.transmit(Packet("a", dst, payload, size), start=when)
@@ -172,6 +172,71 @@ class TestFailures:
         network.hosts["a"].send("b", "x", 10)
         sim.run()
         assert received == ["x"]
+
+
+def make_rack(simulator, cpu=None):
+    """Three hosts on one switch, with identical links."""
+    network = Network(simulator.loop)
+    network.add_switch("tor")
+    for name in ("a", "b", "c"):
+        network.add_host(name, cpu=cpu)
+        network.add_link(name, "tor", 1e-5, 1e9)
+    return network
+
+
+class TestSendOrderAtASwitch:
+    """Two packets that reach a switch at one instant, put on their links
+    at one instant, leave it in the order they were sent."""
+
+    @pytest.mark.parametrize("senders", [("a", "b"), ("b", "a")])
+    def test_equal_arrivals_are_forwarded_in_send_order(self, senders):
+        sim = Simulator()
+        network = make_rack(sim)
+        order = []
+        network.hosts["c"].set_handler(lambda sender, payload: order.append((sender, sim.now)))
+        for sender in senders:
+            network.hosts[sender].send("c", "x", 100)
+        sim.run()
+        assert [sender for sender, _ in order] == list(senders)
+        # The second waited for the first on the shared link to c.
+        assert order[0][1] < order[1][1]
+
+
+class TestCrashStateAtTheSend:
+    """A destination's crash state is read when the packet is sent: a
+    CPU that takes 0.5 ms per send leaves room to change it in between."""
+
+    CPU = CpuModel(per_message_s=1e-3, per_byte_s=0.0, send_fraction=0.5)
+
+    def run(self, before_send, at_0_1_ms):
+        sim = Simulator()
+        network = make_rack(sim, cpu=self.CPU)
+        received = []
+        network.hosts["c"].set_handler(lambda sender, payload: received.append(payload))
+        before_send(network.hosts["c"])
+        network.hosts["a"].send("c", "x", 100)
+        sim.loop.schedule(1e-4, lambda: at_0_1_ms(network.hosts["c"]))
+        sim.run()
+        return network, received
+
+    def test_a_destination_down_at_the_send_drops_it_uncharged(self):
+        """Recovered before the sender's CPU is done: the packet was
+        already dropped, counted, and put on no link."""
+        network, received = self.run(Host.fail, Host.recover)
+        assert received == []
+        assert network.dropped_packets == 1
+        link = network.link("a", "tor")
+        assert (link.packets_sent, link.bytes_sent) == (0, 0)
+
+    def test_a_destination_that_crashes_in_flight_drops_it_on_arrival(self):
+        network, received = self.run(lambda host: None, Host.fail)
+        assert received == []
+        assert network.dropped_packets == 0
+        assert network.link("a", "tor").packets_sent == 1
+        assert network.link("tor", "c").packets_sent == 1
+        # Dropped as it arrives: never charged to c's CPU, never received.
+        assert network.hosts["c"].cpu_utilization(1.0) == 0.0
+        assert network.hosts["c"].messages_received == 0
 
 
 class TestRouting:
