@@ -24,7 +24,7 @@ def main() -> None:
     topology = build_single_datacenter(simulator, nodes_per_rack=3, racks=2)
 
     # 2. Build Canopus through the protocol registry; any registered
-    #    protocol name ("epaxos", "zookeeper", "raft", ...) works here.
+    #    protocol name ("zkcanopus", "epaxos", "zookeeper") works here.
     replies = []
     config = CanopusConfig(pipelining=False)
     protocol = build_protocol("canopus", topology, config=config, on_reply=replies.append)

@@ -28,12 +28,9 @@ from repro.analysis.core import ModuleInfo, Rule
 from repro.analysis.rules.slots import _defines_wire_size
 
 #: Explicit (messages module suffix, node module suffix) pairs that the
-#: ``X/messages.py -> X/node.py`` convention cannot derive.  A module
-#: paired with itself hosts both its message classes and its dispatch
-#: table (the one-file raft KV adapter).
+#: ``X/messages.py -> X/node.py`` convention cannot derive.
 EXTRA_PAIRS = [
     ("repro/canopus/membership.py", "repro/canopus/node.py"),
-    ("repro/protocols/raft_kv.py", "repro/protocols/raft_kv.py"),
 ]
 
 #: Name of the handler-table attribute the protocols build at init.

@@ -22,7 +22,8 @@ consensus process halts, matching the paper.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.raft.log import LogEntry
 from repro.raft.messages import RAFT_MESSAGE_TYPES, AppendEntries
@@ -69,6 +70,12 @@ class RaftBroadcast:
       no longer leads its own group forwards the payload to the group's
       leader at the full level: ``agreed`` is a permission.
 
+    A payload whose group has no leader this member knows of — its own
+    group after it was deposed, or a group a forwarded payload names — is
+    held, not dropped, and proposed or forwarded once the group has one.
+    Held payloads keep their order, and a broadcast made while the own
+    group holds any joins the queue behind them.
+
     ``first_sight`` is a hint, not a delivery: a follower calls it with
     every full-level payload an arriving AppendEntries carries, before the
     entry commits.  It may fire more than once for a payload, for one that
@@ -102,6 +109,9 @@ class RaftBroadcast:
         self.groups: Dict[str, RaftNode] = {}
         #: The same nodes keyed by the group id their messages carry.
         self._by_group_id: Dict[str, RaftNode] = {}
+        #: Group id -> the ``(payload, agreed)`` pairs waiting for that
+        #: group to have a leader, in broadcast order.
+        self._held: Dict[str, Deque[Tuple[Any, bool]]] = {}
         members = sorted(set(list(self.peers) + [self.node_id]))
         for owner in members:
             self._create_group(owner, members)
@@ -147,16 +157,10 @@ class RaftBroadcast:
         """
         self.broadcasts_sent += 1
         own_group = self.groups[self.node_id]
-        if not own_group.is_leader:
-            # After a failure/recovery our group may have elected another
-            # leader; re-assert leadership lazily by routing through it
-            # (always at the full service level: ``agreed`` is a permission).
-            leader = own_group.leader_id or self.node_id
-            if leader != self.node_id and leader in self.peers:
-                # Fall back to delivering via the current leader of our group.
-                self.transport.send(leader, _ForwardedBroadcast(self._group_id(self.node_id), payload))
-                return
-        own_group.propose(payload, acknowledged=not agreed)
+        if own_group.is_leader and not self._held:
+            own_group.propose(payload, acknowledged=not agreed)  # the steady state
+        else:
+            self._offer(own_group, payload, agreed)
 
     def on_message(self, sender: str, message: Any) -> None:
         """Process a message of one of the ``message_types``."""
@@ -170,10 +174,45 @@ class RaftBroadcast:
                     if entry.acknowledged:  # the others are delivered on arrival
                         self.first_sight(entry.command)
         elif cls is _ForwardedBroadcast:
-            if group.is_leader:
-                group.propose(message.payload)
+            self._offer(group, message.payload, False)
             return
         group.on_message(sender, message)
+        if message.group_id in self._held:
+            self._release(group)
+
+    def _take(self, group: RaftNode, payload: Any, agreed: bool) -> bool:
+        """Propose ``payload`` in ``group`` if this member leads it, else
+        forward it to the leader the group names (always at the full level:
+        ``agreed`` is a permission); False when the group has no known
+        leader to take it."""
+        if group.is_leader:
+            group.propose(payload, acknowledged=not agreed)
+            return True
+        leader = group.leader_id
+        if leader not in self.peers:  # none known, or one that left the super-leaf
+            return False
+        self.transport.send(leader, _ForwardedBroadcast(group.group_id, payload))
+        return True
+
+    def _offer(self, group: RaftNode, payload: Any, agreed: bool) -> None:
+        """Queue ``payload`` behind whatever ``group`` holds, then hand on
+        as much of the queue as the group can take now."""
+        self._held.setdefault(group.group_id, deque()).append((payload, agreed))
+        self._release(group)
+
+    def _release(self, group: RaftNode) -> None:
+        """Hand on ``group``'s held payloads, in order, while it has a leader."""
+        held = self._held[group.group_id]
+        while held:
+            # Popped before it is taken: proposing applies an agreed payload
+            # at once, and the deliver callback may broadcast (and release)
+            # again.
+            item = held.popleft()
+            if not self._take(group, *item):
+                held.appendleft(item)
+                return
+        if self._held.get(group.group_id) is held:  # a nested release may have gone first
+            del self._held[group.group_id]
 
     def remove_peer(self, peer: str) -> None:
         """Drop a failed peer from the broadcast group."""
@@ -195,5 +234,6 @@ class RaftBroadcast:
             group.add_member(peer)
 
     def stop(self) -> None:
+        self._held.clear()
         for group in self.groups.values():
             group.stop()

@@ -8,7 +8,6 @@ canopus     Canopus over a key-value replica per node (Figures 4, 6, 7)
 zkcanopus   Canopus as ZooKeeper's replication layer (Figure 5)
 epaxos      EPaxos with configurable batching (Figures 4, 6, 7)
 zookeeper   ZooKeeper: Zab leader + followers + observers (Figure 5)
-raft        Raft-replicated KV store (the template for adding a protocol)
 ========== ============================================================
 
 Every node applies committed writes to its own

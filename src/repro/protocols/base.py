@@ -9,19 +9,18 @@ with the same workload.  :class:`ConsensusProtocol` is that shared contract:
 * client intake — :meth:`ConsensusProtocol.submit`; replies flow back
   through each node's ``on_reply`` callback and over the network to the
   submitting client host,
-* read consistency — :attr:`ConsensusProtocol.read_modes` declares the
-  read paths a protocol offers and the consistency level each provides;
-  :meth:`ConsensusProtocol.set_read_mode` switches between them.  The
-  conformance suite holds every protocol whose active mode claims
-  ``"linearizable"`` to the linearizability checker,
+* read consistency — :meth:`ConsensusProtocol.read_consistency` declares
+  the one consistency level a protocol's reads provide.  The conformance
+  suite holds every protocol that claims ``"linearizable"`` to the
+  linearizability checker,
 * introspection — :meth:`ConsensusProtocol.stats`,
   :meth:`ConsensusProtocol.committed_log` and
   :meth:`ConsensusProtocol.is_healthy`.
 
 Concrete protocols are thin adapters over the node implementations
-(:mod:`repro.canopus`, :mod:`repro.epaxos`, :mod:`repro.zab`,
-:mod:`repro.raft`); each registry factory places its protocol's nodes on
-the topology and hands them to its adapter.  The benchmark harness,
+(:mod:`repro.canopus`, :mod:`repro.epaxos`, :mod:`repro.zab`); each
+registry factory places its protocol's nodes on the topology and hands
+them to its adapter.  The benchmark harness,
 workload generator and examples only ever see this interface plus the
 registry in :mod:`repro.protocols.registry`.
 """
@@ -53,18 +52,10 @@ class ConsensusProtocol(abc.ABC):
     #: Registry key of the protocol (set by subclasses).
     name: str = "abstract"
 
-    #: Read paths the protocol offers, mapped to the consistency level each
-    #: provides (``"linearizable"`` or ``"sequential"``); insertion order
-    #: matters — the first entry is the default mode.  The base default
-    #: describes protocols that order reads through consensus like writes
-    #: (Canopus §5 read-by-delay, EPaxos read commands).
-    read_modes: Dict[str, str] = {"replicated": "linearizable"}
-
     def __init__(self, topology: Topology, nodes: Dict[str, Any]) -> None:
         self.topology = topology
         #: Node id -> protocol node, in placement order.
         self.nodes = nodes
-        self._read_mode = next(iter(self.read_modes))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -108,25 +99,15 @@ class ConsensusProtocol(abc.ABC):
     # ------------------------------------------------------------------
     # Read consistency
     # ------------------------------------------------------------------
-    @property
-    def read_mode(self) -> str:
-        """The active read mode (one of :attr:`read_modes`)."""
-        return self._read_mode
-
-    def set_read_mode(self, mode: str) -> None:
-        """Switch the read path every replica serves reads with."""
-        if mode not in self.read_modes:
-            supported = ", ".join(self.read_modes)
-            raise ValueError(f"{self.name} has no read mode {mode!r}; supported: {supported}")
-        self._read_mode = mode
-        self._apply_read_mode(mode)
-
-    def _apply_read_mode(self, mode: str) -> None:
-        """Push a read-mode change down to the nodes (protocol hook)."""
-
     def read_consistency(self) -> str:
-        """Consistency level of the active read mode."""
-        return self.read_modes[self._read_mode]
+        """The one consistency level this protocol's reads provide.
+
+        ``"linearizable"`` here, for protocols that order reads through
+        consensus like writes (Canopus §5 read-by-delay, EPaxos read
+        commands); a protocol that answers reads from a local replica
+        overrides it with ``"sequential"``.
+        """
+        return "linearizable"
 
     # ------------------------------------------------------------------
     # Topology of the deployment

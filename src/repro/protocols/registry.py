@@ -10,8 +10,8 @@ maps each built-in name to the adapter module that registers it, and
 :func:`protocol_spec` imports that module the first time the name is asked
 for, so a run loads only the protocol it builds.  Adding a built-in
 protocol is an adapter module that calls :func:`register_protocol` at
-import time (see :mod:`repro.protocols.raft_kv` for the template) plus one
-row in :data:`BUILTIN_PROTOCOLS`.  A protocol defined outside the package
+import time (ARCHITECTURE.md, "Adding a protocol", has the template) plus
+one row in :data:`BUILTIN_PROTOCOLS`.  A protocol defined outside the package
 registers itself when its own module is imported.
 
 A factory has the signature::
@@ -63,7 +63,6 @@ BUILTIN_PROTOCOLS: Dict[str, str] = {
     "zkcanopus": "repro.protocols.canopus",
     "epaxos": "repro.protocols.epaxos",
     "zookeeper": "repro.protocols.zookeeper",
-    "raft": "repro.protocols.raft_kv",
 }
 
 _REGISTRY: Dict[str, ProtocolSpec] = {}

@@ -18,12 +18,6 @@ class ZooKeeperProtocol(ConsensusProtocol):
 
     name = "zookeeper"
 
-    #: ZooKeeper deliberately answers reads from the local replica — the
-    #: paper's baseline configuration.  The registry therefore declares it
-    #: ``sequential``; a linearizable read would need a ``sync`` barrier,
-    #: which the comparison does not model.
-    read_modes = {"local": "sequential"}
-
     def __init__(self, topology: Topology, nodes: Dict[str, ZabNode], leader_id: str) -> None:
         super().__init__(topology, nodes)
         #: The ensemble's one leader (Zab's election is not modelled).
@@ -31,6 +25,12 @@ class ZooKeeperProtocol(ConsensusProtocol):
 
     def committed_log(self, node_id: str) -> List[int]:
         return [request.request_id for request in self.node(node_id).committed_requests]
+
+    def read_consistency(self) -> str:
+        """ZooKeeper deliberately answers reads from the local replica — the
+        paper's baseline configuration.  A linearizable read would need a
+        ``sync`` barrier, which the comparison does not model."""
+        return "sequential"
 
 
 @register_protocol(

@@ -1,9 +1,9 @@
 """Raft consensus substrate.
 
-Canopus uses a variant of Raft in two places (§4.3, §4.5): as the reliable
-broadcast mechanism within a super-leaf (each member leads its own Raft
-group) and for representative election / failure detection.  The module is
-also usable standalone and is exercised directly by the test suite.
+Canopus uses a variant of Raft as the reliable broadcast within a
+super-leaf (§4.3, :mod:`repro.broadcast.raft_broadcast`): each member leads
+its own Raft group.  That broadcast is the package's only user; the test
+suite also drives :class:`RaftNode` directly.
 """
 
 from repro.raft.log import LogEntry, RaftLog

@@ -46,19 +46,15 @@ class RequestVoteReply:
 class AppendEntries:
     """Leader log replication / heartbeat (Raft §5.3).
 
-    ``probe`` numbers the leader's replication rounds; followers echo it in
-    their reply so the leader can tell which of its broadcasts a given ack
-    answers.  Read-index reads (§6.4) and leader leases are built on that:
-    a majority of echoes ``>= S`` confirms the leader's term *after* round
-    ``S`` was sent.  The sequence number rides inside the existing header
-    (``wire_size`` is unchanged), so adding it does not perturb modelled
-    timing.
+    ``probe`` asks the follower to reply: an entry to acknowledge or a
+    heartbeat.  The flag rides inside the header (``wire_size`` does not
+    count it).
 
-    With ``probe == 0`` the message opens no round, and a follower that
-    accepts it sends no reply.  Without entries it is a *commit notice*: it
-    only carries ``leader_commit``.  With entries it is an *unacknowledged
-    append* (``RaftNode.propose(command, acknowledged=False)``).  A follower
-    that cannot accept either answers, so the leader resends what is missing.
+    Without ``probe`` a follower that accepts the message sends no reply.
+    Without entries it is a *commit notice*: it only carries
+    ``leader_commit``.  With entries it is an *unacknowledged append*
+    (``RaftNode.propose(command, acknowledged=False)``).  A follower that
+    cannot accept either answers, so the leader resends what is missing.
     """
 
     group_id: str
@@ -68,7 +64,7 @@ class AppendEntries:
     prev_log_term: int
     entries: Tuple[Any, ...] = ()
     leader_commit: int = 0
-    probe: int = 0
+    probe: bool = False
 
     def wire_size(self) -> int:
         entry_bytes = 0
@@ -94,7 +90,6 @@ class AppendEntriesReply:
     follower_id: str
     success: bool
     match_index: int
-    probe: int = 0
 
     def wire_size(self) -> int:
         return _HEADER_BYTES

@@ -10,30 +10,23 @@ agreement.  A node is a transport-agnostic state machine driven through
 
 Multiple :class:`RaftNode` instances can share one runtime endpoint by
 giving each a distinct ``group_id`` — messages are tagged and the owner
-demultiplexes by that tag (:meth:`RaftNode.handles` tests it).  Canopus'
-super-leaf reliable broadcast (:mod:`repro.broadcast.raft_broadcast`) uses
-this to run one group per super-leaf member.
+demultiplexes by that tag (:meth:`RaftNode.handles` tests it).  Its one
+user is Canopus' super-leaf reliable broadcast
+(:mod:`repro.broadcast.raft_broadcast`, §4.3), which runs one group per
+super-leaf member.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.raft.log import LogEntry, RaftLog
 from repro.raft.messages import AppendEntries, AppendEntriesReply, RequestVote, RequestVoteReply
 from repro.runtime.base import TIMER_SLACK_S, Runtime, Timer
 
-__all__ = ["Role", "RaftConfig", "RaftNode", "LEASE_FRACTION"]
-
-#: Leader-lease length as a fraction of ``election_timeout_min_s``.  Once a
-#: majority acks a replication round, the leader holds a lease from that
-#: round's *send* time for this fraction of the minimum election timeout —
-#: no rival can win an election before it expires.  The margin absorbs
-#: clock drift; in the simulator all clocks are the one simulated clock, so
-#: the arithmetic is exact and deterministic.
-LEASE_FRACTION = 0.9
+__all__ = ["Role", "RaftConfig", "RaftNode"]
 
 
 class Role(enum.Enum):
@@ -92,18 +85,6 @@ class RaftNode:
         self.match_index: Dict[str, int] = {}
         self._votes: set = set()
 
-        # Leadership confirmation / lease state (read-index and lease reads).
-        #: Sequence number of the most recent replication round sent.
-        self._probe_seq = 0
-        #: Send time of each replication round not yet majority-acked.
-        self._probe_sent_at: Dict[int, float] = {}
-        #: Highest probe each peer has echoed back this term.
-        self._peer_probe: Dict[str, int] = {}
-        #: Pending (target_probe, callback) leadership confirmations.
-        self._confirmations: List[Tuple[int, Callable[[bool], None]]] = []
-        #: Simulated time until which this node's leader lease is valid.
-        self.lease_valid_until = -1.0
-
         self._election_timer: Optional[Timer] = None
         #: When the election fires unless reset again, and when the live
         #: timer fires; the timer re-arms itself for the difference.
@@ -148,7 +129,7 @@ class RaftNode:
         copy of it anywhere is the same and that acting on it early is
         safe).  It is applied here at once and at each follower the moment
         the follower appends it, and it costs one message per follower: the
-        entry is shipped with ``probe=0``, so a follower that accepts it
+        entry is shipped without ``probe``, so a follower that accepts it
         stays silent.  It is still an entry of the log: the commit index
         passes it with the next acknowledged entry or heartbeat (applying
         nothing a second time), and a follower that missed it fails the
@@ -167,33 +148,6 @@ class RaftNode:
             self._advance_commit_index()
         return entry
 
-    def confirm_leadership(self, callback: Callable[[bool], None]) -> None:
-        """Confirm this node is *still* the leader, via a heartbeat quorum.
-
-        Read-index reads (Raft §6.4) hinge on this: the leader captures its
-        commit index, then must hear from a majority *after* that capture
-        before serving the read, proving no higher term has elected a rival
-        (its commit index is therefore current).  ``callback(True)`` fires
-        once a majority of peers echo a replication round sent at or after
-        this call; ``callback(False)`` fires if leadership is lost first.
-
-        A single-member group confirms immediately — the node is its own
-        majority.
-        """
-        if self.stopped or not self.is_leader:
-            callback(False)
-            return
-        if not self.peers():
-            callback(True)
-            return
-        target = self._probe_seq + 1
-        self._confirmations.append((target, callback))
-        self._replicate_to_all()
-
-    def lease_valid(self) -> bool:
-        """True while this leader's lease covers the current moment."""
-        return self.is_leader and self.runtime.now() < self.lease_valid_until
-
     def handles(self, message: Any) -> bool:
         return message.__class__ in self._dispatch and message.group_id == self.group_id
 
@@ -204,7 +158,6 @@ class RaftNode:
             self._election_timer.cancel()
         if self._heartbeat_timer:
             self._heartbeat_timer.cancel()
-        self._reset_confirmation_state()
 
     def remove_member(self, member: str) -> None:
         """Drop a crashed member from the group view."""
@@ -319,7 +272,6 @@ class RaftNode:
     def _become_leader(self, initial: bool = False) -> None:
         self.role = Role.LEADER
         self.leader_id = self.node_id
-        self._reset_confirmation_state()
         if initial and self.current_term == 0:
             self.current_term = 1
         if self._election_timer:
@@ -335,12 +287,14 @@ class RaftNode:
 
     def _step_down(self, term: int) -> None:
         self.current_term = term
+        # Unknown until it is heard from, which may be at once (an
+        # AppendEntries names its sender right after this).
+        self.leader_id = None
         self.voted_for = None
         if self.role is Role.LEADER and self._heartbeat_timer:
             self._heartbeat_timer.cancel()
             self._heartbeat_timer = None
         self.role = Role.FOLLOWER
-        self._reset_confirmation_state()
         self._reset_election_timer()
 
     # -- Replication ----------------------------------------------------
@@ -363,10 +317,9 @@ class RaftNode:
         # follower that missed it fails the consistency check and says
         # where the leader should resume.
         #
-        # ``silent`` sends with probe 0 — a commit notice or an
-        # unacknowledged append — which opens no round: a follower that
-        # accepts it does not reply.
-        probe = 0 if silent else self._next_probe()
+        # ``silent`` sends without ``probe`` — a commit notice or an
+        # unacknowledged append: a follower that accepts it does not reply.
+        probe = not silent
         sent_through = self.log.last_index + 1
         next_index = self.next_index
         run: List[str] = []
@@ -384,13 +337,7 @@ class RaftNode:
             message = self._append_entries_for(run_index, probe)
             self.transport.broadcast(run, message, message.wire_size())
 
-    def _next_probe(self) -> int:
-        """Open a new replication round and record its send time."""
-        self._probe_seq += 1
-        self._probe_sent_at[self._probe_seq] = self.runtime.now()
-        return self._probe_seq
-
-    def _append_entries_for(self, next_index: int, probe: int = 0) -> AppendEntries:
+    def _append_entries_for(self, next_index: int, probe: bool) -> AppendEntries:
         prev_index = next_index - 1
         prev_term = self.log.term_at(prev_index) if prev_index <= self.log.last_index else 0
         return AppendEntries(
@@ -406,7 +353,7 @@ class RaftNode:
 
     def _replicate_to(self, peer: str) -> None:
         next_index = self.next_index.get(peer, self.log.last_index + 1)
-        message = self._append_entries_for(next_index, self._next_probe())
+        message = self._append_entries_for(next_index, True)
         self.next_index[peer] = self.log.last_index + 1
         self.transport.send(peer, message, message.wire_size())
 
@@ -456,7 +403,6 @@ class RaftNode:
             follower_id=self.node_id,
             success=success,
             match_index=match_index,
-            probe=message.probe if message.term == self.current_term else 0,
         )
         self.transport.send(message.leader_id, reply, reply.wire_size())
 
@@ -466,10 +412,6 @@ class RaftNode:
             return
         if not self.is_leader or message.term != self.current_term:
             return
-        # Any same-term reply — log match or not — confirms the follower
-        # still recognizes this leader's term as of the echoed round.
-        if message.probe:
-            self._on_probe_ack(message.follower_id, message.probe)
         follower = message.follower_id
         if message.success:
             if message.match_index > self.match_index.get(follower, 0):
@@ -487,54 +429,6 @@ class RaftNode:
             self.next_index[follower] = message.match_index + 1
             self._replicate_to(follower)
 
-    # -- Leadership confirmation / lease accounting ---------------------
-    def _majority_acked_probe(self) -> int:
-        """Highest round a majority (counting this node) has reached."""
-        peers = self.peers()
-        if not peers:
-            return self._probe_seq
-        needed = self.majority() - 1  # peers needed besides the leader itself
-        acked = sorted([self._peer_probe.get(peer, 0) for peer in peers])  # a list: no generator
-        return acked[len(acked) - needed]
-
-    def _on_probe_ack(self, follower: str, probe: int) -> None:
-        if probe <= self._peer_probe.get(follower, 0):
-            return
-        self._peer_probe[follower] = probe
-        acked = self._majority_acked_probe()
-        # Renew the lease from the *send* time of the newest round the
-        # majority covers; prune rounds the lease can no longer improve on.
-        settled = [seq for seq in self._probe_sent_at if seq <= acked]
-        if settled:
-            lease_len = LEASE_FRACTION * self.config.election_timeout_min_s
-            sent_at = self._probe_sent_at[max(settled)]
-            self.lease_valid_until = max(self.lease_valid_until, sent_at + lease_len)
-            for seq in settled:
-                del self._probe_sent_at[seq]
-        if self._confirmations:
-            ready = [cb for target, cb in self._confirmations if target <= acked]
-            if ready:
-                self._confirmations = [
-                    (target, cb) for target, cb in self._confirmations if target > acked
-                ]
-                for callback in ready:
-                    callback(True)
-
-    def _reset_confirmation_state(self) -> None:
-        """Drop probe/lease state and fail pending confirmations.
-
-        Called whenever this node stops being (or newly becomes) leader:
-        old rounds and leases belong to an old term and must not satisfy
-        new-term confirmations.
-        """
-        pending = [callback for _, callback in self._confirmations]
-        self._confirmations = []
-        self._probe_sent_at.clear()
-        self._peer_probe.clear()
-        self.lease_valid_until = -1.0
-        for callback in pending:
-            callback(False)
-
     def _advance_commit_index(self) -> None:
         for index in range(self.log.last_index, self.commit_index, -1):
             if self.log.term_at(index) != self.current_term:
@@ -549,8 +443,7 @@ class RaftNode:
                 if self.commit_index != old_commit:
                     # Let followers learn the new commit index promptly; the
                     # paper's broadcast latency depends on it (§4.3).  A
-                    # notice, not a round: no probe, so no reply, no lease
-                    # renewal and nothing for confirm_leadership to count.
+                    # notice asks for no reply.
                     self._replicate_to_all(silent=True)
                 break
 

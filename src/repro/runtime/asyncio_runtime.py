@@ -156,7 +156,11 @@ class AsyncioCluster:
         self.run(asyncio.sleep(duration_s))
 
     async def settle(self, timeout_s: float = 5.0, quiescent_rounds: int = 3) -> None:
-        """Wait until no messages are in flight for a few scheduler turns."""
+        """Wait until no messages are in flight for a few scheduler turns.
+
+        Raises :class:`TimeoutError`, naming how many messages are still in
+        flight, if the cluster is not quiet by ``timeout_s``.
+        """
         # Wall-clock by design: settle() bounds a *real* asyncio scheduler,
         # not simulated time.
         deadline = time.monotonic() + timeout_s  # detlint: disable=no-wallclock
@@ -169,6 +173,9 @@ class AsyncioCluster:
             else:
                 quiet = 0
             await asyncio.sleep(0.002)
+        raise TimeoutError(
+            f"cluster not quiet after {timeout_s} s: {self._pending} messages in flight"
+        )
 
     def close(self) -> None:
         """Cancel every pending task of the loop, let the cancellations run,

@@ -18,7 +18,9 @@ class _SimTransport(Transport):
 
     Skips the generic ``Transport -> Runtime -> Host`` hop on the
     per-message egress path: counters are identical, the host primitives
-    are called directly (one saved Python frame per send/broadcast).
+    are called directly (one saved Python frame per send/broadcast).  A
+    send is counted once the host has taken it, so one that raises (an
+    unknown or unreachable destination) counts nowhere.
     """
 
     __slots__ = ("host",)
@@ -29,9 +31,9 @@ class _SimTransport(Transport):
 
     def send(self, dst: str, message: Any, size_bytes: Optional[int] = None) -> None:
         size = size_bytes if size_bytes is not None else estimate_size(message)
+        self.host.send(dst, message, size)
         self.messages_sent += 1
         self.bytes_sent += size
-        self.host.send(dst, message, size)
 
     def broadcast(self, destinations: Any, message: Any, size_bytes: Optional[int] = None) -> None:
         size = size_bytes if size_bytes is not None else estimate_size(message)
@@ -46,10 +48,10 @@ class _SimTransport(Transport):
             dsts = [dst for dst in destinations if dst != node_id]
         if not dsts:
             return
+        self.host.multicast(dsts, message, size)
         count = len(dsts)
         self.messages_sent += count
         self.bytes_sent += size * count
-        self.host.multicast(dsts, message, size)
 
 
 class SimRuntime(Runtime):

@@ -67,10 +67,10 @@ def cycle(cycle_id, *request_ids):
 
 class TestVerdict:
     def test_prefixes_agree(self):
-        assert conftest.agreement_verdict(fake("raft", {"a": [1, 2, 3], "b": [1, 2]}))[0]
+        assert conftest.agreement_verdict(fake("epaxos", {"a": [1, 2, 3], "b": [1, 2]}))[0]
 
     def test_a_different_entry_disagrees(self):
-        ok, message = conftest.agreement_verdict(fake("raft", {"a": [1, 2, 3], "b": [1, 3]}))
+        ok, message = conftest.agreement_verdict(fake("epaxos", {"a": [1, 2, 3], "b": [1, 3]}))
         assert not ok and "position 1" in message
 
     def test_a_crashed_replica_is_left_out_of_the_prefix_check(self):
@@ -79,7 +79,7 @@ class TestVerdict:
     def test_a_cycle_committed_empty_at_one_node_disagrees_for_canopus(self):
         logs = {"a": [1], "b": []}
         cycles = {"a": [cycle(1, 1)], "b": [cycle(1)]}
-        assert conftest.agreement_verdict(fake("raft", logs, cycles=cycles))[0]
+        assert conftest.agreement_verdict(fake("epaxos", logs, cycles=cycles))[0]
         for name in ("canopus", "zkcanopus"):
             ok, message = conftest.agreement_verdict(fake(name, logs, cycles=cycles))
             assert not ok and message.startswith("cycle 1:")

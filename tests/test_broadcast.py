@@ -1,6 +1,6 @@
 """Tests for the intra-super-leaf reliable broadcast."""
 
-from repro.broadcast.raft_broadcast import RaftBroadcast
+from repro.broadcast.raft_broadcast import RaftBroadcast, _ForwardedBroadcast
 from repro.runtime.sim_runtime import SimRuntime
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -169,3 +169,124 @@ class TestRaftBroadcastFailures:
         for group in broadcasts["m0"].groups.values():
             assert group.stopped
 
+
+class TestPayloadsWithoutALeaderAreHeld:
+    """A payload whose group has no leader this member knows of waits for
+    one instead of being dropped, and held payloads keep broadcast order."""
+
+    @staticmethod
+    def depose(broadcast, owner):
+        """Move ``broadcast``'s view of ``owner``'s group to term 2, past its
+        initial leader's, with no leader: what a RequestVote from a member
+        that hears nothing does."""
+        group = broadcast.groups[owner]
+        group._step_down(2)
+        assert not group.is_leader and group.leader_id is None
+        return group
+
+    def test_a_deposed_member_proposes_its_broadcast_once_re_elected(self):
+        sim, _, broadcasts, delivered = build_group()
+        own = self.depose(broadcasts["m0"], "m0")
+        broadcasts["m0"].broadcast("p")
+        sim.run_until(0.01)
+        assert all(log == [] for log in delivered.values())
+        own._start_election()
+        sim.run_until(0.2)
+        assert own.is_leader
+        assert all(log == [("m0", "p")] for log in delivered.values())
+
+    def test_a_deposed_member_forwards_its_broadcast_to_the_next_leader(self):
+        sim, _, broadcasts, delivered = build_group()
+        self.depose(broadcasts["m0"], "m0")
+        broadcasts["m0"].broadcast("p")
+        rival = self.depose(broadcasts["m1"], "m0")
+        rival._start_election()  # before m0's timer: m1 leads m0's group
+        sim.run_until(0.2)
+        assert rival.is_leader and broadcasts["m0"].groups["m0"].leader_id == "m1"
+        assert all(log == [("m0", "p")] for log in delivered.values())
+
+    def test_a_forwarded_payload_waits_at_a_member_that_knows_no_leader(self):
+        sim, _, broadcasts, delivered = build_group()
+        receiver = self.depose(broadcasts["m2"], "m0")
+        forward = _ForwardedBroadcast(receiver.group_id, "p")
+        broadcasts["m2"].on_message("m0", forward)
+        sim.run_until(0.01)
+        assert all(log == [] for log in delivered.values())
+        receiver._start_election()
+        sim.run_until(0.2)
+        assert receiver.is_leader
+        assert all(log == [("m0", "p")] for log in delivered.values())
+
+    def test_a_broadcast_made_while_payloads_are_held_is_queued_behind_them(self):
+        sim, _, broadcasts, delivered = build_group()
+        own = self.depose(broadcasts["m0"], "m0")
+        broadcasts["m0"].broadcast("p0")
+        broadcasts["m0"].broadcast("p1")
+        own._become_leader()  # leads again, and nothing has released p0 and p1 yet
+        broadcasts["m0"].broadcast("p2")
+        sim.run_until(0.2)
+        assert all(log == [("m0", "p0"), ("m0", "p1"), ("m0", "p2")] for log in delivered.values())
+
+    def test_stop_drops_what_is_held(self):
+        sim, _, broadcasts, delivered = build_group()
+        self.depose(broadcasts["m0"], "m0")
+        broadcasts["m0"].broadcast("p")
+        broadcasts["m0"].stop()
+        assert broadcasts["m0"]._held == {}
+
+    def test_a_leader_that_left_the_super_leaf_is_not_forwarded_to(self):
+        sim, network, broadcasts, delivered = build_group()
+        own = self.depose(broadcasts["m0"], "m0")
+        own.leader_id = "m2"  # m2 took over m0's group, then failed
+        network.hosts["m2"].fail()
+        for name in ("m0", "m1"):
+            broadcasts[name].remove_peer("m2")
+        sent = broadcasts["m0"].transport.messages_sent
+        broadcasts["m0"].broadcast("p")
+        assert broadcasts["m0"].transport.messages_sent == sent  # held, not sent to m2
+        own._start_election()
+        sim.run_until(0.2)
+        assert delivered["m0"] == delivered["m1"] == [("m0", "p")]
+
+    def test_a_forwarded_payload_is_passed_on_to_the_leader_the_receiver_knows(self):
+        sim, _, broadcasts, delivered = build_group()
+        group = broadcasts["m2"].groups["m0"]
+        assert not group.is_leader and group.leader_id == "m0"
+        broadcasts["m2"].on_message("m1", _ForwardedBroadcast(group.group_id, "p"))
+        sim.run_until(0.05)
+        assert all(log == [("m0", "p")] for log in delivered.values())
+
+    def test_a_held_agreed_payload_forwarded_to_a_new_leader_pays_the_full_exchange(self):
+        seen = []
+        sim, _, broadcasts, delivered = build_group(first_sight=seen.append)
+        self.depose(broadcasts["m0"], "m0")
+        broadcasts["m0"].broadcast("state", agreed=True)
+        assert delivered["m0"] == []  # not delivered at the sender at once: held
+        rival = self.depose(broadcasts["m1"], "m0")
+        rival._start_election()
+        sim.run_until(0.2)
+        assert all(log == [("m0", "state")] for log in delivered.values())
+        assert "state" in seen  # an acknowledged entry: hinted before it committed
+
+    def test_a_broadcast_made_by_a_delivery_during_a_release_queues_behind(self):
+        """Releasing an agreed payload delivers it at the sender at once, and
+        a delivery may broadcast again: that payload joins the queue."""
+        sim, _, broadcasts, delivered = build_group()
+
+        class EchoOnce(list):
+            def append(self, item):
+                super().append(item)
+                if item == ("m0", "state"):
+                    broadcasts["m0"].broadcast("echo")
+
+        delivered["m0"] = EchoOnce()
+        own = self.depose(broadcasts["m0"], "m0")
+        broadcasts["m0"].broadcast("state", agreed=True)
+        broadcasts["m0"].broadcast("after")
+        own._start_election()
+        sim.run_until(0.2)
+        assert broadcasts["m0"]._held == {}
+        log = [entry.command for entry in own.log.entries_from(1)]
+        assert log == ["state", "after", "echo"]
+        for got in delivered.values():
+            assert sorted(payload for _, payload in got) == ["after", "echo", "state"]

@@ -556,13 +556,6 @@ class TestWriteBesideANodeFrozenForGood:
     """A peer frozen for good must cost its super-leaf a member, not its
     liveness: the other two members are a majority of every group."""
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="n2-0's own broadcast group steps it down to a follower that still names n2-0 "
-        "leader, and RaftBroadcast.broadcast hands the proposal to that follower, which drops "
-        "it; see ROADMAP 'A deposed broadcast leader drops its own proposals'",
-    )
     def test_a_write_beside_the_frozen_node_is_acknowledged(self):
         sim, protocol, replies = TestReadAtStalledNode()._cluster_with_k_old()
         TestReadAtStalledNode._freeze(protocol.nodes["n2-1"])  # never thawed

@@ -31,7 +31,8 @@ model, the write leases, the options no caller set (closed-loop clients,
 Zipf keys, the lease fraction), detlint's baseline and severity levels,
 the sharding subsystem with its benchmark, checkers and example, the ideal
 super-leaf broadcast with its factory and interface, the summary
-statistics nobody called, and the znode tree with its exceptions.  Scope:
+statistics nobody called, the znode tree with its exceptions, and the Raft
+KV baseline with its read modes, read-index rounds and leader lease.  Scope:
 the documents above, ``tests/``, the CI workflow and the verify skill; the
 plans and history keep their records.  A removed constructor option is
 refused with a ``TypeError``, and a removed command-line flag with a usage
@@ -160,7 +161,7 @@ REMOVED = {
     "max_outstanding": "open-loop clients do not cap what is in flight",
     "key_distribution": "keys are drawn uniformly (§8.1)",
     "zipf_alpha": "keys are drawn uniformly (§8.1)",
-    "lease_fraction": "the lease length is raft.node.LEASE_FRACTION",
+    "lease_fraction": "the Raft leader lease went with the raft KV baseline",
     "detlint_baseline": "detlint has no baseline: a finding is fixed or suppressed inline",
     "repro.analysis.baseline": "detlint has no baseline: a finding is fixed or suppressed inline",
     "--write-baseline": "detlint has no baseline: a finding is fixed or suppressed inline",
@@ -202,6 +203,13 @@ REMOVED = {
     "_open_tx": "a host puts each send on its one link in the turn it makes it",
     "_first_hops": "a host has one link, Host._link, wired by add_link",
     "_topo_gen": "add_link settles every switch's drain margin",
+    "raft_kv": "no paper claim or benchmark workload ran the raft KV baseline; the paper's Raft "
+    "is the super-leaf broadcast",
+    "RaftKVConfig": "the raft KV baseline went, with its configuration",
+    "set_read_mode": "each protocol declares one read consistency level, read_consistency()",
+    "read_modes": "each protocol declares one read consistency level, read_consistency()",
+    "confirm_leadership": "only the raft KV baseline's read-index reads confirmed leadership",
+    "LEASE_FRACTION": "only the raft KV baseline's lease reads had a leader lease",
 }
 
 #: Constructor and function options that went with the code only they
@@ -450,6 +458,7 @@ def test_the_adding_a_protocol_template_builds_on_both_substrates():
         for topology in (sim_topology, asyncio_topology):
             protocol = build_protocol("myproto", topology)
             assert isinstance(protocol, ConsensusProtocol)
+            assert protocol.read_consistency() == "linearizable"
             assert protocol.node_ids() == topology.server_hosts
             protocol.start()
             assert all(node.running for node in protocol.nodes.values())

@@ -243,17 +243,10 @@ def test_live_replicas_hold_equal_stores(name):
 class TestReadConsistencyConformance:
     """Every protocol honours the read-consistency level it declares."""
 
-    def test_declared_modes_are_well_formed(self, deployment):
+    def test_declared_level_is_well_formed(self, deployment):
         name, _, protocol, _ = deployment
-        assert protocol.read_modes, f"{name}: no read modes declared"
-        for mode, level in protocol.read_modes.items():
-            assert level in VALID_CONSISTENCY_LEVELS, f"{name}:{mode} declares {level!r}"
-        assert protocol.read_mode in protocol.read_modes
-
-    def test_unknown_read_mode_rejected(self, deployment):
-        name, _, protocol, _ = deployment
-        with pytest.raises(ValueError, match="read mode"):
-            protocol.set_read_mode("not-a-mode")
+        level = protocol.read_consistency()
+        assert level in VALID_CONSISTENCY_LEVELS, f"{name} declares {level!r}"
 
     def test_linearizable_protocols_pass_the_checker(self, deployment):
         name, simulator, protocol, replies = deployment
@@ -381,8 +374,7 @@ class TestAsyncioConformance:
 
 class TestRegistry:
     def test_builtin_protocols_are_registered(self):
-        for name in ("canopus", "zkcanopus", "epaxos", "zookeeper", "raft"):
-            assert name in ALL_PROTOCOLS
+        assert ALL_PROTOCOLS == ["canopus", "zkcanopus", "epaxos", "zookeeper"]
 
     def test_unknown_protocol_raises_with_known_names(self):
         simulator = Simulator(seed=1)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.raft.log import LogEntry, RaftLog
 from repro.raft.messages import AppendEntries, AppendEntriesReply
-from repro.raft.node import LEASE_FRACTION, RaftConfig, RaftNode
+from repro.raft.node import RaftConfig, RaftNode
 from repro.runtime.sim_runtime import SimRuntime
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -76,11 +76,16 @@ class TestRaftLog:
         assert log.entries_from(9) == ()
 
 
-def build_raft_group(member_count=3, initial_leader="r0", seed=5):
-    """A fully connected simulated network with one Raft group on top."""
+def build_raft_group(member_count=3, initial_leader=None, seed=5, names=None):
+    """A fully connected simulated network with one Raft group on top.
+
+    The members are ``r0``, ``r1``, ... unless ``names`` are given; the
+    first one is the initial leader unless ``initial_leader`` says otherwise.
+    """
     sim = Simulator(seed=seed)
     network = Network(sim.loop)
-    names = [f"r{i}" for i in range(member_count)]
+    names = names or [f"r{i}" for i in range(member_count)]
+    initial_leader = initial_leader or names[0]
     network.add_switch("sw")
     for name in names:
         network.add_host(name)
@@ -149,6 +154,39 @@ class TestReplication:
         assert applied["r0"] == ["cmd"]
         assert applied["r1"] == ["cmd"]
         assert applied["r2"] == []
+
+
+class TestAppliedExactlyOnce:
+    """Every member applies every entry of the log exactly once: an
+    acknowledged one when it commits, in log order, and an unacknowledged
+    one when it is appended."""
+
+    #: One super-leaf's broadcast group, named as Canopus names its nodes.
+    SUPER_LEAF = ["n0-0", "n0-1", "n0-2"]
+
+    def test_each_member_applies_the_committed_log_in_order(self):
+        sim, _, nodes, applied = build_raft_group(names=self.SUPER_LEAF)
+        for index in range(4):
+            nodes["n0-0"].propose(f"cmd-{index}")
+        sim.run_until(0.05)
+        for name, node in nodes.items():
+            assert node.commit_index == node.last_applied == 4, name
+            assert applied[name] == [f"cmd-{index}" for index in range(4)], name
+
+    def test_each_member_applies_each_kind_of_entry_once(self):
+        sim, _, nodes, applied = build_raft_group(names=self.SUPER_LEAF)
+        leader = nodes["n0-0"]
+        for index in range(3):
+            leader.propose(f"cmd-{index}")
+            leader.propose(f"copy-{index}", acknowledged=False)
+        sim.run_until(0.25)  # the last copy is committed by a heartbeat
+        for name, node in nodes.items():
+            assert node.commit_index == node.last_applied == 6, name
+            log = [entry.command for entry in node.log.entries_from(1)]
+            assert sorted(applied[name]) == sorted(log), name
+            # The acknowledged entries in log order; each copy on arrival.
+            assert [c for c in applied[name] if c.startswith("cmd")] == ["cmd-0", "cmd-1", "cmd-2"]
+            assert [c for c in applied[name] if c.startswith("copy")] == ["copy-0", "copy-1", "copy-2"]
 
 
 class TestElection:
@@ -235,6 +273,113 @@ class TestElection:
         nodes["r0"].propose("shrunk")
         sim.run_until(0.3)
         assert applied["r0"] == ["shrunk"]
+
+
+class TestTermsAndLeaders:
+    """What a member believes about the term and its leader."""
+
+    @staticmethod
+    def vote_request(term, candidate="r2", last_log_index=0, last_log_term=0):
+        from repro.raft.messages import RequestVote
+
+        return RequestVote("g", term, candidate, last_log_index, last_log_term)
+
+    def test_a_leader_deposed_by_a_higher_term_names_no_leader(self):
+        """A vote request from a later term says a new term has begun, not
+        who leads it: the deposed leader must not keep naming itself."""
+        _, _, nodes, _ = build_raft_group()
+        leader = nodes["r0"]
+        leader._on_request_vote(self.vote_request(term=5))
+        assert not leader.is_leader and leader.current_term == 5
+        assert leader.leader_id is None
+
+    def test_a_follower_learns_the_new_leader_from_its_first_append(self):
+        sim, network, nodes, _ = build_raft_group()
+        network.hosts["r0"].fail()
+        nodes["r0"].stop()
+        sim.run_until(2.0)
+        (winner,) = [name for name, node in nodes.items() if node.is_leader and name != "r0"]
+        assert all(nodes[name].leader_id == winner for name in ("r1", "r2"))
+
+    def test_a_candidate_that_hears_a_same_term_leader_follows_it(self):
+        _, _, nodes, _ = build_raft_group()
+        candidate = nodes["r2"]
+        candidate._start_election()
+        term = candidate.current_term
+        append = AppendEntries("g", term, "r1", 0, 0, probe=True)
+        candidate.on_message("r1", append)
+        assert not candidate.is_leader and candidate.current_term == term
+        assert candidate.leader_id == "r1"
+
+    def test_a_stale_leader_steps_down_on_a_later_terms_reply(self):
+        sim, _, nodes, _ = build_raft_group()
+        follower = nodes["r1"]
+        follower._on_request_vote(self.vote_request(term=4))  # r1 moves on to term 4
+        sim.run_until(0.03)  # r0's heartbeat at term 1 is refused with term 4
+        assert not nodes["r0"].is_leader and nodes["r0"].current_term >= 4
+        assert nodes["r0"].leader_id != "r0"
+
+    def test_one_vote_per_term(self):
+        _, _, nodes, _ = build_raft_group(member_count=5)
+        voter = nodes["r1"]
+        voter._on_request_vote(self.vote_request(term=3, candidate="r2"))
+        voter._on_request_vote(self.vote_request(term=3, candidate="r3"))
+        assert voter.voted_for == "r2"
+        voter._on_request_vote(self.vote_request(term=4, candidate="r3"))
+        assert voter.voted_for == "r3"
+
+    def test_a_candidate_refused_by_a_later_term_steps_down(self):
+        from repro.raft.messages import RequestVoteReply
+
+        _, _, nodes, _ = build_raft_group()
+        candidate = nodes["r2"]
+        candidate._start_election()
+        candidate.on_message("r1", RequestVoteReply("g", candidate.current_term + 2, "r1", False))
+        assert candidate.role.value == "follower" and candidate.leader_id is None
+
+    def test_a_stopped_leader_proposes_nothing_and_goes_silent(self):
+        sim, _, nodes, applied = build_raft_group()
+        sim.run_until(0.005)  # the initial heartbeats have arrived
+        wire, _ = tap(nodes)
+        nodes["r0"].stop()
+        assert nodes["r0"].propose("late") is None
+        sim.run_until(0.09)  # several heartbeat intervals, short of an election
+        assert not [m for _, m in wire if isinstance(m, AppendEntries)]
+        assert applied == {"r0": [], "r1": [], "r2": []}
+
+
+class TestFollowerReplies:
+    """A follower answers an AppendEntries with ``probe`` set, and one it
+    cannot accept; it stays silent on an accepted notice or copy."""
+
+    @staticmethod
+    def follower_with_one_entry():
+        node, applied = TestInStepAppendMatchesMerge.follower()
+        entry = LogEntry(1, 1, "cmd")
+        node.on_message("l", AppendEntries("g", 1, "l", 0, 0, (entry,), 0, True))
+        node.transport.sent.clear()
+        return node, applied
+
+    def test_an_accepted_notice_draws_no_reply_and_commits(self):
+        node, applied = self.follower_with_one_entry()
+        node.on_message("l", AppendEntries("g", 1, "l", 1, 1, (), 1, False))
+        assert node.transport.sent == []
+        assert node.commit_index == 1 and applied[-1].command == "cmd"
+
+    def test_a_notice_past_the_log_draws_a_reply_naming_where_to_resume(self):
+        node, _ = self.follower_with_one_entry()
+        node.on_message("l", AppendEntries("g", 1, "l", 3, 1, (), 3, False))
+        (reply,) = node.transport.sent
+        assert (reply.success, reply.match_index, reply.term) == (False, 1, 1)
+        assert node.commit_index == 0
+
+    def test_a_stale_term_append_is_refused_with_the_current_term(self):
+        node, _ = self.follower_with_one_entry()
+        node.current_term = 3
+        node.on_message("l", AppendEntries("g", 2, "l", 1, 1, (), 1, True))
+        (reply,) = node.transport.sent
+        assert (reply.success, reply.term) == (False, 3)
+        assert node.commit_index == 0 and node.leader_id == "l"
 
 
 class _Payload:
@@ -416,17 +561,15 @@ class TestUnacknowledgedAppend:
         del wire[:]
         leader = nodes["r0"]
         bytes_before = leader.transport.bytes_sent
-        rounds = leader._probe_seq
         payload = _Payload()
         leader.propose(payload, acknowledged=False)
         assert applied["r0"] == [payload]  # at the sender at once
         sim.run_until(0.015)
 
         messages = [message for _, message in wire]
-        assert len(messages) == 8 and all(self.is_copy(m) and m.probe == 0 for m in messages)
+        assert len(messages) == 8 and all(self.is_copy(m) and not m.probe for m in messages)
         header = AppendEntries("g", 1, "r0", 0, 0).wire_size()
         assert leader.transport.bytes_sent - bytes_before == 8 * (header + _Payload.BYTES + 16)
-        assert leader._probe_seq == rounds  # no round opened, no lease renewed
         # Applied everywhere on arrival; committed nowhere yet.
         assert all(log == [payload] for log in applied.values())
         assert all(node.commit_index == 0 and node.log.last_index == 1 for node in nodes.values())
@@ -515,42 +658,32 @@ class TestUnacknowledgedAppend:
         assert applied["r0"] == ["solo"] and solo["r0"].commit_index == 1
 
 
-class TestLeadershipConfirmation:
-    """Notices open no probe round and renew no lease; heartbeats still do."""
-
-    def lease_len(self, node):
-        return LEASE_FRACTION * node.config.election_timeout_min_s
+class TestReplyRounds:
+    """Only an AppendEntries with ``probe`` set draws a reply from a follower
+    that accepts it: an entry to acknowledge, or a heartbeat."""
 
     def test_a_proposal_opens_exactly_one_round(self):
         sim, _, nodes, _ = build_raft_group(member_count=3)
         sim.run_until(0.005)
+        wire, _ = tap(nodes)
         leader = nodes["r0"]
-        rounds = leader._probe_seq
         leader.propose("cmd")
         sim.run_until(0.015)
         assert leader.commit_index == 1
-        assert leader._probe_seq == rounds + 1  # the entry round; the notice opened none
-        assert not leader._probe_sent_at  # and left nothing waiting for an ack
-        # The lease runs from the entry round's send time, not the notice's.
-        assert leader.lease_valid_until == pytest.approx(0.005 + self.lease_len(leader))
+        # The entry's round drew one reply per follower; the notice drew none.
+        assert sum(is_notice(m) for _, m in wire) == 2
+        assert sum(isinstance(m, AppendEntriesReply) for _, m in wire) == 2
 
-    def test_heartbeats_renew_the_lease_and_confirm_leadership(self):
-        sim, network, nodes, _ = build_raft_group(member_count=3)
-        leader = nodes["r0"]
-        sim.run_until(0.05)
-        assert leader.lease_valid()
-        assert leader.lease_valid_until == pytest.approx(0.04 + self.lease_len(leader))
-        confirmed = []
-        leader.confirm_leadership(confirmed.append)
-        assert confirmed == []  # needs a round trip to a majority
-        sim.run_until(0.055)
-        assert confirmed == [True]
-        # Cut off from every follower: no acks, so the lease runs out.
-        for name in ("r1", "r2"):
-            network.hosts[name].fail()
-        leader.confirm_leadership(confirmed.append)
-        sim.run_until(0.055 + self.lease_len(leader) + 0.001)
-        assert confirmed == [True] and not leader.lease_valid()
+    def test_a_heartbeat_round_draws_one_reply_per_follower(self):
+        sim, _, nodes, _ = build_raft_group(member_count=5)
+        sim.run_until(0.005)
+        wire, _ = tap(nodes)
+        sim.run_until(0.025)  # the heartbeat at 0.02
+        heartbeats = [m for _, m in wire if isinstance(m, AppendEntries)]
+        assert len(heartbeats) == 4 and all(m.probe and not m.entries for m in heartbeats)
+        replies = [m for receiver, m in wire if isinstance(m, AppendEntriesReply)]
+        assert sorted(m.follower_id for m in replies) == ["r1", "r2", "r3", "r4"]
+        assert all(m.success for m in replies)
 
 
 class _Outbox:
@@ -576,7 +709,7 @@ class _ReferenceFollower:
     def on_append_entries(self, message, term):
         if not self.log.matches(message.prev_log_index, message.prev_log_term):
             match_index = min(self.log.last_index, message.prev_log_index - 1)
-            return (term, "f", False, match_index, message.probe)
+            return (term, "f", False, match_index)
         for entry in self.log.merge(message.prev_log_index, message.entries):
             if not entry.acknowledged:
                 self.applied.append(entry)
@@ -589,7 +722,7 @@ class _ReferenceFollower:
                     self.applied.append(entry)
         if not message.probe:
             return None
-        return (term, "f", True, message.prev_log_index + len(message.entries), message.probe)
+        return (term, "f", True, message.prev_log_index + len(message.entries))
 
 
 #: How the next AppendEntries relates to the follower's log.
@@ -647,7 +780,7 @@ class TestInStepAppendMatchesMerge:
                 term = max(entries[-1].term if entries else log.term_at(min(prev, last)), 1)
             entries.append(LogEntry(term, index, next(commands), data.draw(st.booleans())))
         leader_commit = data.draw(st.integers(0, start + len(entries)))
-        probe = data.draw(st.sampled_from((0, 0, 1, 2)))
+        probe = data.draw(st.sampled_from((False, False, True)))
         return AppendEntries("g", TestInStepAppendMatchesMerge.TERM, "l", prev, prev_term,
                              tuple(entries), leader_commit, probe)
 
@@ -664,7 +797,7 @@ class TestInStepAppendMatchesMerge:
             node.transport.sent.clear()
             node.on_message("l", message)
             expected = reference.on_append_entries(message, self.TERM)
-            replies = [(r.term, r.follower_id, r.success, r.match_index, r.probe)
+            replies = [(r.term, r.follower_id, r.success, r.match_index)
                        for r in node.transport.sent]
             assert replies == ([] if expected is None else [expected])
             assert node.log.entries_from(1) == reference.log.entries_from(1)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.runtime.asyncio_runtime import AsyncioCluster
 from repro.runtime.sim_runtime import SimRuntime, estimate_size
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.network import Network
 
 
@@ -67,6 +67,25 @@ class TestSimRuntime:
         sim.run()
         assert sorted(received) == ["h1", "h2"]
 
+    def test_a_send_to_an_unknown_host_raises_and_counts_nowhere(self):
+        _, runtimes = build_sim_runtimes()
+        transport, host = runtimes["h0"].transport, runtimes["h0"].host
+        with pytest.raises(SimulationError, match="ghost"):
+            transport.send("ghost", "m", 100)
+        with pytest.raises(SimulationError, match="ghost"):
+            transport.broadcast(["h1", "ghost"], "m", 100)
+        assert (transport.messages_sent, transport.bytes_sent) == (0, 0)
+        assert transport.messages_sent == host.messages_sent
+
+    def test_transport_and_host_count_the_same_sends(self):
+        sim, runtimes = build_sim_runtimes(3)
+        transport, host = runtimes["h0"].transport, runtimes["h0"].host
+        transport.send("h1", "m", 100)
+        transport.broadcast(("h0", "h1", "h2"), "m", 50)
+        sim.run()
+        assert (transport.messages_sent, transport.bytes_sent) == (3, 200)
+        assert host.messages_sent == 3
+
     def test_rng_is_deterministic_per_node(self):
         _, runtimes_a = build_sim_runtimes()
         _, runtimes_b = build_sim_runtimes()
@@ -118,6 +137,31 @@ class TestAsyncioCluster:
         cluster.close()
         assert all(task.done() for task in tasks)
         assert cluster.messages_delivered == 0
+
+    def test_settle_raises_when_the_cluster_is_still_busy_at_its_deadline(self):
+        cluster = AsyncioCluster(default_latency_s=0.001)
+        a = cluster.add_node("a")
+        b = cluster.add_node("b")
+        # A rally that never ends: each side answers every message it gets.
+        a.set_handler(lambda sender, message: a.send("b", message))
+        b.set_handler(lambda sender, message: b.send("a", message))
+        a.send("b", "ball")
+        try:
+            with pytest.raises(TimeoutError, match="1 messages in flight"):
+                cluster.run(cluster.settle(timeout_s=0.05))
+            assert cluster.messages_delivered > 1  # it was busy, not stuck
+        finally:
+            cluster.close()
+
+    def test_settle_returns_once_an_idle_cluster_stays_quiet(self):
+        cluster = AsyncioCluster(default_latency_s=0.0)
+        cluster.add_node("a")
+        try:
+            start = time.monotonic()
+            cluster.run(cluster.settle(timeout_s=5.0, quiescent_rounds=3))
+            assert time.monotonic() - start < 1.0
+        finally:
+            cluster.close()
 
     def test_duplicate_node_rejected(self):
         cluster = AsyncioCluster()

@@ -22,7 +22,6 @@ from repro.canopus.membership import Heartbeat, JoinRequest
 from repro.canopus.messages import MembershipUpdate, Proposal, ProposalRequest
 from repro.epaxos.messages import Accept, AcceptOK, Commit, InstanceId, PreAccept, PreAcceptOK
 from repro.epaxos.node import _Probe, _ProbeReply
-from repro.protocols.raft_kv import _ReadForward, _WriteForward
 from repro.raft.log import LogEntry
 from repro.raft.messages import AppendEntries, AppendEntriesReply, RequestVote, RequestVoteReply
 from repro.runtime.messages import ClientReply, ClientRequest, RequestType
@@ -94,7 +93,7 @@ GOLDEN = [
     ("zab-ack", lambda: ZabAck(1, "n1"), 48),
     ("zab-commit", lambda: ZabCommit(1), 48),
     ("zab-inform-2req", lambda: ZabInform(1, "n0", _requests(2)), 48 + 2 * 48),
-    # -- raft (consensus core, shared by canopus broadcast + raft KV) ----
+    # -- raft (the consensus core of the canopus super-leaf broadcast) ---
     ("request-vote", lambda: RequestVote("g", 1, "n0", 0, 0), 48),
     ("request-vote-reply", lambda: RequestVoteReply("g", 1, "n1", True), 48),
     ("append-entries-empty", lambda: AppendEntries("g", 1, "n0", 0, 0), 48),
@@ -112,9 +111,6 @@ GOLDEN = [
         48 + 64 + 16,
     ),
     ("append-entries-reply", lambda: AppendEntriesReply("g", 1, "n1", True, 1), 48),
-    # -- raft KV service (registry protocol "raft") ----------------------
-    ("raftkv-write-forward", lambda: _WriteForward(origin="n1", request=_request()), 48 + 24),
-    ("raftkv-read-forward", lambda: _ReadForward(client="c0", request=_request()), 48 + 24),
 ]
 
 
@@ -137,7 +133,6 @@ WIRE_COVERED = {
         "Commit",
     ),
     "src/repro/epaxos/node.py": ("_Probe", "_ProbeReply"),
-    "src/repro/protocols/raft_kv.py": ("_WriteForward", "_ReadForward"),
     "src/repro/raft/log.py": ("LogEntry",),
     "src/repro/raft/messages.py": (
         "RequestVote",
