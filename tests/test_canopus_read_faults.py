@@ -409,9 +409,11 @@ def test_lease_outruns_an_exclusion_only_beyond_the_documented_clock_drift(rate,
     faults.start("cut-both", 1.0)
     new = write("k", "new")
     protocol.nodes["n0-1"].submit(new)
+    deadline = 4 * HEARTBEAT_S + TIMEOUT_S + 0.01
     while not any(reply.request_id == new.request_id for reply in replies):
+        assert sim.now < deadline, f"the write was not answered by {deadline} s"
         assert sim.loop.step()
-    assert 4 * HEARTBEAT_S + TIMEOUT_S - 0.001 < sim.now < 4 * HEARTBEAT_S + TIMEOUT_S + 0.01
+    assert 4 * HEARTBEAT_S + TIMEOUT_S - 0.001 < sim.now < deadline
     request = read("k")
     victim.submit(request)
     sim.run_until(sim.now + 0.5)
