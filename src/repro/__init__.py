@@ -3,8 +3,8 @@ Consensus Protocol* (Rizvi, Wong, Keshav — CoNEXT 2017).
 
 The package contains the Canopus protocol (:mod:`repro.canopus`), the
 substrates it depends on (a Raft implementation used for intra-super-leaf
-reliable broadcast, a ZooKeeper-style key-value store, a deterministic
-discrete-event network simulator and an asyncio transport), the baselines
+reliable broadcast, a key-value store and a deterministic discrete-event
+network simulator), the baselines
 the paper compares against (EPaxos and ZooKeeper/Zab), and the workload /
 measurement / experiment harness that regenerates every table and figure of
 the paper's evaluation.

@@ -6,9 +6,7 @@ its commit-log digest) depends on host speed.  The only legitimate
 consumers are the bench/report layers, which measure the host on
 purpose, so those paths are allowlisted; anything else must go through
 ``Runtime.now()`` / the simulator clock, or carry an inline
-``# detlint: disable=no-wallclock`` with a justification (the asyncio
-substrate is the canonical example: it is *defined* as the wall-clock
-runtime).
+``# detlint: disable=no-wallclock`` with a justification.
 """
 
 from __future__ import annotations

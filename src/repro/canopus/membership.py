@@ -167,9 +167,6 @@ class FailureDetector:
         """Record any message from ``sender`` as evidence of liveness."""
         self.last_seen[sender] = self.runtime.now()
 
-    def handles(self, message: object) -> bool:
-        return isinstance(message, Heartbeat)
-
     def on_message(self, sender: str, message: Heartbeat) -> None:
         self.observe(sender)
         self._heard[sender] = message.sent_at

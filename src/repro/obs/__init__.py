@@ -51,9 +51,8 @@ def attach_tracer(
 
     ``protocol`` is a :class:`repro.protocols.base.ConsensusProtocol` and
     ``agents`` workload client agents (``ClientHostAgent``).  Each target
-    also hooks its own delivery plane (network hops on the simulator
-    substrate, the transport facade elsewhere).  Returns ``tracer`` for
-    chaining.
+    also hooks its hosts and network, where hops are recorded.  Returns
+    ``tracer`` for chaining.
     """
     if protocol is not None:
         protocol.attach_tracer(tracer)

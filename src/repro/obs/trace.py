@@ -1,4 +1,4 @@
-"""Deterministic request-span tracing over the simulated (or asyncio) stack.
+"""Deterministic request-span tracing over the simulated stack.
 
 The :class:`Tracer` follows a client request end to end — submit →
 transport hops → protocol phases → commit → reply — as parent/child
@@ -210,28 +210,6 @@ class Tracer:
             handler(packet.src, payload)
         finally:
             self._current = previous
-
-    def transport_send(self, node: str, dst: str, message: Any, size_bytes: int) -> None:
-        """Point span for a send on substrates without a network vantage.
-
-        The asyncio transport has no packet ids or modelled queueing, so
-        sends are recorded as zero-duration spans at the sender; the sim
-        substrate uses :meth:`packet_sent` / :meth:`deliver` instead.
-        """
-        args: Dict[str, Any] = {"dst": dst, "bytes": size_bytes}
-        rid = getattr(message, "request_id", None)
-        if rid is not None:
-            args["rid"] = rid
-        span = self.begin(
-            type(message).__name__,
-            "send",
-            node=node,
-            parent=self._current,
-            args=args,
-        )
-        span.end = span.start
-        if rid is not None:
-            self._request_spans.setdefault(rid, []).append(span.span_id)
 
     # ------------------------------------------------------------------
     # Protocol phases (side table keyed by protocol-native identifiers)

@@ -71,14 +71,10 @@ class ConsensusProtocol(abc.ABC):
     def crash(self, node_id: str) -> None:
         """Crash-stop replica ``node_id``.
 
-        On the simulator its host fails first, so nothing more leaves or
-        reaches it; then the node is marked ``crashed`` and stopped.  On a
-        substrate without a simulated network (asyncio) only the node is
-        marked and stopped.
+        Its host fails first, so nothing more leaves or reaches it; then
+        the node is marked ``crashed`` and stopped.
         """
-        network = getattr(self.topology, "network", None)
-        if network is not None:
-            network.hosts[node_id].fail()
+        self.topology.network.hosts[node_id].fail()
         node = self.nodes[node_id]
         node.crashed = True
         node.stop()

@@ -8,10 +8,8 @@ runs and phase labels stay distinct.
 
 The factory places one Canopus node on every server host and groups the
 hosts of one rack into a super-leaf, which is exactly the placement rule of
-§3.  Any
-object with ``servers_by_rack()`` and ``make_runtime(node_id)`` serves as
-the topology, so the same factory runs the protocol on the asyncio
-substrate too: ``build_protocol("canopus", AsyncioTopology(rack_map))``.
+§3.  It touches the topology only through ``servers_by_rack()`` and
+``make_runtime(node_id)``.
 """
 
 from __future__ import annotations

@@ -10,10 +10,9 @@ agreement.  A node is a transport-agnostic state machine driven through
 
 Multiple :class:`RaftNode` instances can share one runtime endpoint by
 giving each a distinct ``group_id`` — messages are tagged and the owner
-demultiplexes by that tag (:meth:`RaftNode.handles` tests it).  Its one
-user is Canopus' super-leaf reliable broadcast
-(:mod:`repro.broadcast.raft_broadcast`, §4.3), which runs one group per
-super-leaf member.
+demultiplexes by that tag.  Its one user is Canopus' super-leaf reliable
+broadcast (:mod:`repro.broadcast.raft_broadcast`, §4.3), which runs one
+group per super-leaf member.
 """
 
 from __future__ import annotations
@@ -147,9 +146,6 @@ class RaftNode:
         if len(self.members) == 1:
             self._advance_commit_index()
         return entry
-
-    def handles(self, message: Any) -> bool:
-        return message.__class__ in self._dispatch and message.group_id == self.group_id
 
     def stop(self) -> None:
         """Stop timers; used on shutdown or when the group is disbanded."""

@@ -1,4 +1,4 @@
-"""Runtime backed by the discrete-event simulator."""
+"""Runtime backed by the discrete-event simulator, and its transport."""
 
 from __future__ import annotations
 
@@ -6,36 +6,53 @@ import random
 from functools import partial
 from typing import Any, Callable, Optional
 
-from repro.runtime.base import Runtime, Timer, Transport, estimate_size
+from repro.runtime.base import Runtime, Timer, estimate_size
 from repro.sim.engine import Simulator
 from repro.sim.network import Host, Network
 
-__all__ = ["SimRuntime", "estimate_size"]
+__all__ = ["SimRuntime", "Transport", "estimate_size"]
 
 
-class _SimTransport(Transport):
-    """Transport facade bound straight to the simulated host.
+class Transport:
+    """Message-egress facade of one node, bound straight to its simulated host.
 
-    Skips the generic ``Transport -> Runtime -> Host`` hop on the
-    per-message egress path: counters are identical, the host primitives
-    are called directly (one saved Python frame per send/broadcast).  A
-    send is counted once the host has taken it, so one that raises (an
+    Every protocol send funnels through here, which provides:
+
+    * wire-size resolution (explicit ``size_bytes`` or :func:`estimate_size`),
+    * per-node traffic counters, and
+    * one call to the host per send or broadcast: a broadcast is handed to
+      :meth:`~repro.sim.network.Host.multicast`, which charges the same
+      per-destination costs as sequential sends.
+
+    A send is counted once the host has taken it, so one that raises (an
     unknown or unreachable destination) counts nowhere.
     """
 
-    __slots__ = ("host",)
+    __slots__ = ("runtime", "host", "messages_sent", "bytes_sent", "_groups")
 
     def __init__(self, runtime: "SimRuntime") -> None:
-        super().__init__(runtime)
+        self.runtime = runtime
         self.host = runtime.host
+        self.messages_sent = 0
+        self.bytes_sent = 0
+        #: Memoized self-filtered destination lists, keyed by the (tuple)
+        #: destination group protocols pass for their stable fan-outs.
+        self._groups: dict = {}
 
     def send(self, dst: str, message: Any, size_bytes: Optional[int] = None) -> None:
+        """Send ``message`` to the node named ``dst``."""
         size = size_bytes if size_bytes is not None else estimate_size(message)
         self.host.send(dst, message, size)
         self.messages_sent += 1
         self.bytes_sent += size
 
     def broadcast(self, destinations: Any, message: Any, size_bytes: Optional[int] = None) -> None:
+        """Send one logical ``message`` to every destination except the owner.
+
+        The wire size is resolved once for the whole group (``wire_size()``
+        of a batch message is O(batch)).  Stable fan-out groups arrive as
+        tuples, and each one's self-filtered list is computed once.
+        """
         size = size_bytes if size_bytes is not None else estimate_size(message)
         if type(destinations) is tuple:
             dsts = self._groups.get(destinations)
@@ -68,19 +85,11 @@ class SimRuntime(Runtime):
         #: :meth:`now` method, which says the same in three frames
         #: (``SimRuntime.now`` -> ``Simulator.now`` -> ``EventLoop.now``).
         self.now: Callable[[], float] = partial(getattr, simulator.loop, "_now")
-        self._transport = _SimTransport(self)
+        self.transport = Transport(self)
 
     # ------------------------------------------------------------------
     def now(self) -> float:  # shadowed per instance; see __init__
         return self.simulator.now
-
-    def send(self, dst: str, message: Any, size_bytes: Optional[int] = None) -> None:
-        size = size_bytes if size_bytes is not None else estimate_size(message)
-        self.host.send(dst, message, size)
-
-    def multicast(self, dsts, message: Any, size_bytes: Optional[int] = None) -> None:
-        size = size_bytes if size_bytes is not None else estimate_size(message)
-        self.host.multicast(dsts, message, size)
 
     def after(self, delay: float, callback: Callable[[], None]) -> Timer:
         return Timer(self.simulator.loop.schedule(delay, callback).cancel)
@@ -98,7 +107,7 @@ class SimRuntime(Runtime):
 
     def attach_tracer(self, tracer: Any) -> None:
         """Hook the sim delivery plane: hops are recorded at the network
-        layer (packet creation + rx dispatch), not the transport facade,
-        so the trace sees real queueing/propagation times."""
+        layer (packet creation + rx dispatch), where their queueing and
+        propagation times are known."""
         self.host._obs = tracer
         self.network._obs = tracer

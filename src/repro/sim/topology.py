@@ -131,9 +131,8 @@ class Topology:
         """Bind ``node_id``'s host to a fresh :class:`SimRuntime`.
 
         Protocol builders construct their per-node runtimes through this
-        hook instead of instantiating ``SimRuntime`` directly, so the same
-        builders run unchanged on any substrate that offers a topology-like
-        view (see :class:`repro.runtime.asyncio_runtime.AsyncioTopology`).
+        hook instead of instantiating ``SimRuntime`` directly: it is the
+        one place a node is bound to its host.
         """
         from repro.runtime.sim_runtime import SimRuntime
 

@@ -1,9 +1,8 @@
 """Every protocol a test builds ends in an agreement verdict.
 
 ``ConsensusProtocol.__init__`` is wrapped here, so each deployment a test
-constructs — through the registry, a helper or by hand, on the simulator or
-on asyncio, in a fixture or in the test body — is recorded; ``src/`` has no
-hook for it.  When the test body has passed, every recorded deployment gets
+constructs — through the registry, a helper or by hand, in a fixture or in
+the test body — is recorded; ``src/`` has no hook for it.  When the test body has passed, every recorded deployment gets
 a verdict:
 
 * ``check_prefix_consistency`` over the non-crashed replicas'

@@ -17,7 +17,7 @@ to the span's closing backtick on a later line.
 
 The code block of ARCHITECTURE's "Adding a protocol" section must run: it
 is executed with a stub ``MyNode`` and ``MyConfig`` and built on a
-simulated and an asyncio topology.
+simulated topology.
 
 A code span in ARCHITECTURE.md or the verify skill that is exactly a
 capitalized name, optionally followed by ``.member`` (and ``()``), must name
@@ -32,7 +32,8 @@ Zipf keys, the lease fraction), detlint's baseline and severity levels,
 the sharding subsystem with its benchmark, checkers and example, the ideal
 super-leaf broadcast with its factory and interface, the summary
 statistics nobody called, the znode tree with its exceptions, and the Raft
-KV baseline with its read modes, read-index rounds and leader lease.  Scope:
+KV baseline with its read modes, read-index rounds and leader lease, and
+the asyncio runtime with its cluster, topology and send hook.  Scope:
 the documents above, ``tests/``, the CI workflow and the verify skill; the
 plans and history keep their records.  A removed constructor option is
 refused with a ``TypeError``, and a removed command-line flag with a usage
@@ -90,7 +91,7 @@ def test_every_referenced_top_level_markdown_file_exists():
             for name in BARE_MARKDOWN_NAME.findall(line):
                 if not (ROOT / name).is_file():
                     dangling.append(f"{path.relative_to(ROOT)}:{line_number}: {name}")
-    assert scanned > 80  # the walk found the tree
+    assert scanned >= 80  # the walk found the tree
     assert not dangling, "\n".join(dangling)
 
 
@@ -210,6 +211,12 @@ REMOVED = {
     "read_modes": "each protocol declares one read consistency level, read_consistency()",
     "confirm_leadership": "only the raft KV baseline's read-index reads confirmed leadership",
     "LEASE_FRACTION": "only the raft KV baseline's lease reads had a leader lease",
+    "asyncio_runtime": "every claim, workload and test runs on the deterministic simulator",
+    "AsyncioRuntime": "every claim, workload and test runs on the deterministic simulator",
+    "AsyncioCluster": "every claim, workload and test runs on the deterministic simulator",
+    "AsyncioTopology": "every claim, workload and test runs on the deterministic simulator",
+    "post_group": "Host.multicast is the one fan-out primitive",
+    "transport_send": "the tracer records hops where the network sends and delivers them",
 }
 
 #: Constructor and function options that went with the code only they
@@ -445,33 +452,29 @@ class MyNode:
         return []
 
 
-def test_the_adding_a_protocol_template_builds_on_both_substrates():
+def test_the_adding_a_protocol_template_builds_on_a_simulated_topology():
     from repro.protocols import ConsensusProtocol, build_protocol, unregister_protocol
-    from repro.runtime.asyncio_runtime import AsyncioTopology
     from repro.sim.engine import Simulator
     from repro.sim.topology import build_single_datacenter
 
-    sim_topology = build_single_datacenter(Simulator(seed=1), nodes_per_rack=2, racks=2)
-    asyncio_topology = AsyncioTopology({"rack-a": ["a1", "a2"], "rack-b": ["b1"]})
+    topology = build_single_datacenter(Simulator(seed=1), nodes_per_rack=2, racks=2)
     try:
         exec(adding_a_protocol_block(), {"MyNode": MyNode, "MyConfig": MyConfig})
-        for topology in (sim_topology, asyncio_topology):
-            protocol = build_protocol("myproto", topology)
-            assert isinstance(protocol, ConsensusProtocol)
-            assert protocol.read_consistency() == "linearizable"
-            assert protocol.node_ids() == topology.server_hosts
-            protocol.start()
-            assert all(node.running for node in protocol.nodes.values())
-            victim = protocol.node_ids()[-1]
-            protocol.crash(victim)
-            assert protocol.node(victim).crashed and not protocol.node(victim).running
-            assert not protocol.is_healthy()
-            assert protocol.committed_logs() == {node_id: [] for node_id in topology.server_hosts}
-            assert list(protocol.stores) == topology.server_hosts
-        assert sim_topology.network.hosts[sim_topology.server_hosts[-1]].failed
+        protocol = build_protocol("myproto", topology)
+        assert isinstance(protocol, ConsensusProtocol)
+        assert protocol.read_consistency() == "linearizable"
+        assert protocol.node_ids() == topology.server_hosts
+        protocol.start()
+        assert all(node.running for node in protocol.nodes.values())
+        victim = protocol.node_ids()[-1]
+        protocol.crash(victim)
+        assert protocol.node(victim).crashed and not protocol.node(victim).running
+        assert topology.network.hosts[victim].failed
+        assert not protocol.is_healthy()
+        assert protocol.committed_logs() == {node_id: [] for node_id in topology.server_hosts}
+        assert list(protocol.stores) == topology.server_hosts
     finally:
         unregister_protocol("myproto")
-        asyncio_topology.cluster.close()
 
 
 def installed_by_the_tests_job():

@@ -2,8 +2,8 @@
 
 ``canopus``, ``epaxos``, ``zab`` and ``raft`` — and the ``broadcast`` and
 ``kvstore`` layers they stand on — see the world through a runtime only, so
-the same code runs on the simulator and on asyncio.  Which host runs which
-node is decided in ``repro.protocols``.  A core that imports the simulator,
+the same code runs on any implementation of it.  Which host runs which node
+is decided in ``repro.protocols``.  A core that imports the simulator,
 the adapters or the harness above them would break that, so this walks the
 import statements of every core module.
 
@@ -75,8 +75,8 @@ ADAPTERS = {
     "zookeeper": "repro.protocols.zookeeper",
 }
 
-#: Loaded by no simulator run: the asyncio substrate, tracing, the linter
-#: and the experiment runner.
+#: Loaded by no simulator run: asyncio, tracing, the linter and the
+#: experiment runner.
 NEVER_ON_A_RUN = ("asyncio", "repro.obs", "repro.analysis", "repro.bench.runner")
 CANOPUS_STACK = ("repro.canopus", "repro.broadcast")
 BASELINE_CORES = ("repro.epaxos", "repro.zab")
@@ -222,7 +222,7 @@ def test_registry_parametrized_suites_keep_every_builtin():
         check=True,
     )
     assert registry_suites(result.stdout.splitlines()) == {
-        "tests/test_protocol_conformance.py": 14,
+        "tests/test_protocol_conformance.py": 10,
         "tests/test_determinism.py": 1,
         "tests/test_obs.py": 1,
     }

@@ -2,7 +2,7 @@
 
 
 from repro.canopus.lot import LeafOnlyTree
-from repro.canopus.membership import FailureDetector, MembershipManager
+from repro.canopus.membership import FailureDetector, Heartbeat, MembershipManager
 from repro.canopus.messages import MembershipUpdate
 from repro.runtime.sim_runtime import SimRuntime
 from repro.sim.engine import Simulator
@@ -28,7 +28,7 @@ def build_detectors(names, heartbeat_interval=0.02, timeout=0.08, seed=19):
             on_failure=failures[name].append,
         )
         runtime.set_handler(lambda sender, msg, d=detector, name=name: d.on_message(sender, msg)
-                            if (sender, name) not in cut and d.handles(msg) else None)
+                            if (sender, name) not in cut and isinstance(msg, Heartbeat) else None)
         detectors[name] = detector
     return sim, network, detectors, failures, cut
 

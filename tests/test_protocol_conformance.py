@@ -4,11 +4,6 @@ Parametrized over the protocol registry, so a newly registered protocol is
 automatically held to the same bar: a mixed read/write workload on a small
 topology must produce replies for every request, identical commit logs on
 every replica, and monotone, sensible stats.
-
-Beyond the simulator, every protocol also runs on the asyncio substrate
-(:class:`repro.runtime.asyncio_runtime.AsyncioTopology`) at reduced op
-counts: genuinely concurrent tasks with real sleeps exercise interleavings
-the deterministic simulator cannot produce.
 """
 
 from __future__ import annotations
@@ -16,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.builders import make_single_dc_topology
-from repro.canopus.config import CanopusConfig
 from repro.protocols import (
     ConsensusProtocol,
     build_protocol,
@@ -26,9 +20,10 @@ from repro.protocols import (
     registered_protocols,
     unregister_protocol,
 )
-from repro.runtime.asyncio_runtime import AsyncioTopology
 from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 from repro.sim.engine import Simulator
+from repro.sim.network import Network
+from repro.sim.topology import Topology
 from repro.verify import check_linearizable_history
 from repro.verify.agreement import check_cycle_agreement
 from repro.verify.history import History
@@ -259,119 +254,6 @@ class TestReadConsistencyConformance:
         assert ok, f"{name}: {message}"
 
 
-def asyncio_protocol_config(name):
-    """Per-protocol tuning for wall-clock runs (None = registry defaults).
-
-    Canopus defaults are simulator-scaled (5 ms cycles, 1 s fetch
-    timeouts); on real sleeps the configuration the dedicated asyncio
-    tests use keeps the suite fast and stable.
-    """
-    if name in ("canopus", "zkcanopus"):
-        return CanopusConfig(
-            pipelining=False,
-            cycle_interval_s=0.02,
-            heartbeat_interval_s=0.5,
-            fetch_timeout_s=0.5,
-        )
-    return None
-
-
-@pytest.fixture(params=ALL_PROTOCOLS)
-def asyncio_deployment(request):
-    topology = AsyncioTopology(
-        {"rack-a": ["a1", "a2"], "rack-b": ["b1", "b2"]}, seed=5
-    )
-    replies = []
-    protocol = build_protocol(
-        request.param, topology, config=asyncio_protocol_config(request.param),
-        on_reply=replies.append,
-    )
-    protocol.start()
-    yield request.param, topology, protocol, replies
-    protocol.stop()
-    topology.cluster.close()
-
-
-def settle(topology, timeout_s=8.0):
-    topology.cluster.run(topology.cluster.settle(timeout_s=timeout_s, quiescent_rounds=10))
-    topology.cluster.run_for(0.2)
-
-
-class TestAsyncioConformance:
-    """The sim conformance bar, at reduced op counts, on real concurrency."""
-
-    def test_every_request_is_answered_and_replicas_agree(self, asyncio_deployment):
-        name, topology, protocol, replies = asyncio_deployment
-        node_ids = protocol.node_ids()
-        requests = []
-        for index in range(4):
-            request = ClientRequest(
-                client_id=f"w{index}", op=RequestType.WRITE,
-                key=f"key-{index % 2}", value=f"value-{index}",
-            )
-            protocol.submit(request, node_id=node_ids[index % len(node_ids)])
-            requests.append(request)
-        settle(topology)
-        for index in range(2):
-            request = ClientRequest(
-                client_id=f"r{index}", op=RequestType.READ, key=f"key-{index % 2}"
-            )
-            protocol.submit(request, node_id=node_ids[-1 - index])
-            requests.append(request)
-        settle(topology)
-        answered = {reply.request_id for reply in replies}
-        missing = [r.request_id for r in requests if r.request_id not in answered]
-        assert not missing, f"{name}: {len(missing)} requests never answered on asyncio"
-        logs = protocol.committed_logs()
-        distinct = {tuple(log) for log in logs.values()}
-        assert len(distinct) == 1, f"{name}: replicas diverge on asyncio: {logs}"
-        assert len(next(iter(distinct))) > 0, f"{name}: nothing committed on asyncio"
-
-    def test_read_sees_committed_write(self, asyncio_deployment):
-        name, topology, protocol, replies = asyncio_deployment
-        node_ids = protocol.node_ids()
-        write = ClientRequest(client_id="w", op=RequestType.WRITE, key="shared", value="42")
-        protocol.submit(write, node_id=node_ids[0])
-        settle(topology)
-        read = ClientRequest(client_id="r", op=RequestType.READ, key="shared")
-        protocol.submit(read, node_id=node_ids[-1])
-        settle(topology)
-        reply = next((r for r in replies if r.request_id == read.request_id), None)
-        assert reply is not None, f"{name}: read never answered on asyncio"
-        assert reply.value == "42", f"{name}: read returned {reply.value!r} on asyncio"
-
-    def test_linearizable_read_consistency_on_real_interleavings(self, asyncio_deployment):
-        """Reads racing writes on genuine concurrency stay linearizable."""
-        name, topology, protocol, replies = asyncio_deployment
-        if protocol.read_consistency() != "linearizable":
-            pytest.skip(f"{name} declares {protocol.read_consistency()!r} reads")
-        node_ids = protocol.node_ids()
-        requests = []
-        for index in range(2):
-            write = ClientRequest(
-                client_id="writer", op=RequestType.WRITE, key="contended", value=f"v{index}"
-            )
-            protocol.submit(write, node_id=node_ids[0])
-            requests.append(write)
-            # Race a read at another replica against the in-flight write.
-            read = ClientRequest(client_id="reader", op=RequestType.READ, key="contended")
-            protocol.submit(read, node_id=node_ids[-1])
-            requests.append(read)
-            settle(topology)
-        history = history_from(requests, replies)
-        assert len(history) == len(requests), f"{name}: not every operation completed"
-        ok, message = check_linearizable_history(history)
-        assert ok, f"{name}: {message} (asyncio)"
-
-    def test_crash_stops_the_node(self, asyncio_deployment):
-        name, topology, protocol, _ = asyncio_deployment
-        victim = protocol.node_ids()[-1]
-        protocol.crash(victim)
-        topology.cluster.run_for(0.05)
-        assert protocol.node(victim).crashed
-        assert not protocol.is_healthy(), f"{name}: crash not reflected in is_healthy() on asyncio"
-
-
 class TestRegistry:
     def test_builtin_protocols_are_registered(self):
         assert ALL_PROTOCOLS == ["canopus", "zkcanopus", "epaxos", "zookeeper"]
@@ -392,12 +274,10 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", ALL_PROTOCOLS)
     def test_a_topology_without_server_hosts_is_rejected(self, name):
-        topology = AsyncioTopology({})
-        try:
-            with pytest.raises(ValueError, match=f"{name}.*no server hosts"):
-                build_protocol(name, topology)
-        finally:
-            topology.cluster.close()
+        simulator = Simulator(seed=1)
+        topology = Topology(network=Network(simulator.loop), simulator=simulator)
+        with pytest.raises(ValueError, match=f"{name}.*no server hosts"):
+            build_protocol(name, topology)
 
     def test_default_config_matches_spec(self):
         for name in ALL_PROTOCOLS:

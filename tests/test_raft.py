@@ -254,15 +254,6 @@ class TestElection:
         nodes["r1"]._on_request_vote(stale)
         assert nodes["r1"].voted_for != "r2"
 
-    def test_handles_filters_by_group_id(self):
-        _, _, nodes, _ = build_raft_group()
-        from repro.raft.messages import AppendEntries
-
-        own = AppendEntries(group_id="g", term=1, leader_id="r0", prev_log_index=0, prev_log_term=0)
-        other = AppendEntries(group_id="other", term=1, leader_id="r0", prev_log_index=0, prev_log_term=0)
-        assert nodes["r1"].handles(own)
-        assert not nodes["r1"].handles(other)
-
     def test_remove_member_shrinks_majority(self):
         sim, network, nodes, applied = build_raft_group(member_count=5)
         for name in ("r3", "r4"):
@@ -516,7 +507,8 @@ class TestOptimisticNextIndex:
         assert applied["r0"] == ["agreed", "after"]
 
     def test_notice_overtaking_its_entry(self):
-        """The asyncio substrate does not keep two messages in order."""
+        """Raft relies on no order between two messages: an entry delayed
+        past the notice that commits it is applied once it arrives."""
         sim, _, nodes, applied = build_raft_group(member_count=3)
         sim.run_until(0.005)
         wire, held = tap(nodes, hold=lambda receiver, m: receiver == "r2" and carries_entries(m))
