@@ -194,13 +194,16 @@ def registry_suites(collected):
     ``collected`` is pytest's ``--collect-only -q`` listing.  A function
     parametrised over some built-in names only (say, one case each for
     ``zookeeper`` and ``canopus``) is not a registry suite and counts for
-    nothing, so adding one cannot change the count.
+    nothing, so adding one cannot change the count.  A case whose id adds
+    more after the name (``[canopus-1]``, a protocol and a seed) counts
+    under its name.
     """
     names = collections.defaultdict(set)
     for line in collected:
         function, bracket, param = line.partition("[")
-        if bracket and param[:-1] in BUILTINS:
-            names[function].add(param[:-1])
+        name = param[:-1].split("-")[0]
+        if bracket and name in BUILTINS:
+            names[function].add(name)
     return collections.Counter(
         function.split("::")[0] for function, covered in names.items() if covered == set(BUILTINS)
     )
@@ -222,7 +225,7 @@ def test_registry_parametrized_suites_keep_every_builtin():
         check=True,
     )
     assert registry_suites(result.stdout.splitlines()) == {
-        "tests/test_protocol_conformance.py": 10,
+        "tests/test_protocol_conformance.py": 13,
         "tests/test_determinism.py": 1,
         "tests/test_obs.py": 1,
     }
@@ -233,5 +236,7 @@ def test_a_test_over_some_builtin_names_is_not_a_registry_suite():
     two = ["tests/test_obs.py::test_causality[zookeeper]", "tests/test_obs.py::test_causality[canopus]"]
     other = ["tests/test_obs.py::test_width[3]", "tests/test_obs.py::test_plain"]
     assert registry_suites(every + two + other) == {"tests/test_obs.py": 1}
+    seeded = [f"tests/test_obs.py::test_skew[{name}-{seed}]" for name in BUILTINS for seed in (1, 2)]
+    assert registry_suites(seeded) == {"tests/test_obs.py": 1}
     # One builtin missing from the listing: the suite is gone, not smaller.
     assert registry_suites(every[:-1] + two) == {}

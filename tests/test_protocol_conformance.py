@@ -3,14 +3,23 @@
 Parametrized over the protocol registry, so a newly registered protocol is
 automatically held to the same bar: a mixed read/write workload on a small
 topology must produce replies for every request, identical commit logs on
-every replica, and monotone, sensible stats.
+every replica, and monotone, sensible stats.  The same bar is held again
+on links of unequal, seed-drawn latency, where commands submitted at once
+at different replicas meet in a different order at each of them.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.bench.builders import make_single_dc_topology
+from repro.bench.builders import (
+    SCALED_HOST_BPS,
+    SCALED_UPLINK_BPS,
+    make_single_dc_topology,
+    scaled_cpu_model,
+)
 from repro.protocols import (
     ConsensusProtocol,
     build_protocol,
@@ -23,7 +32,7 @@ from repro.protocols import (
 from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.sim.topology import Topology
+from repro.sim.topology import Datacenter, Rack, Topology
 from repro.verify import check_linearizable_history
 from repro.verify.agreement import check_cycle_agreement
 from repro.verify.history import History
@@ -245,6 +254,111 @@ class TestReadConsistencyConformance:
 
     def test_linearizable_protocols_pass_the_checker(self, deployment):
         name, simulator, protocol, replies = deployment
+        if protocol.read_consistency() != "linearizable":
+            pytest.skip(f"{name} declares {protocol.read_consistency()!r} reads")
+        requests = drive_contended_reads(protocol, simulator)
+        history = history_from(requests, replies)
+        assert len(history) == len(requests), f"{name}: not every operation completed"
+        ok, message = check_linearizable_history(history)
+        assert ok, f"{name}: {message}"
+
+
+#: Seeds of the skewed-link deployments; each draws its own link latencies.
+SKEW_SEEDS = (1, 2, 3)
+
+
+def make_skewed_topology(simulator, seed, racks=2, nodes_per_rack=2):
+    """Two racks whose hosts each sit behind a link of its own latency.
+
+    Every host-to-ToR latency is drawn from ``random.Random(seed)`` between
+    5 µs and 400 µs, so the same broadcast reaches the replicas in an order
+    that differs from seed to seed and from the uniform §8.1 topology.
+    """
+    rng = random.Random(seed)
+    network = Network(simulator.loop)
+    network.add_switch("agg-0")
+    datacenter = Datacenter(name="dc-0", region="DC", aggregation="agg-0")
+    for rack_index in range(racks):
+        tor = f"tor-{rack_index}"
+        network.add_switch(tor)
+        network.add_link(tor, "agg-0", 1e-5, SCALED_UPLINK_BPS)
+        rack = Rack(name=f"rack-{rack_index}", tor=tor)
+        for node_index in range(nodes_per_rack):
+            host_name = f"n{rack_index}-{node_index}"
+            host = network.add_host(host_name, cpu=scaled_cpu_model())
+            host.rack, host.datacenter = rack.name, datacenter.name
+            network.add_link(host_name, tor, rng.uniform(5e-6, 4e-4), SCALED_HOST_BPS)
+            rack.server_hosts.append(host_name)
+        datacenter.racks.append(rack)
+    return Topology(network=network, simulator=simulator, datacenters=[datacenter])
+
+
+@pytest.fixture(params=[(name, seed) for name in ALL_PROTOCOLS for seed in SKEW_SEEDS],
+                ids=lambda param: f"{param[0]}-{param[1]}")
+def skewed_deployment(request):
+    name, seed = request.param
+    simulator = Simulator(seed=seed)
+    topology = make_skewed_topology(simulator, seed)
+    replies = []
+    protocol = build_protocol(name, topology, on_reply=replies.append)
+    protocol.start()
+    yield name, simulator, protocol, replies
+    protocol.stop()
+
+
+def host_latency(protocol, node_id):
+    network = protocol.topology.network
+    return network.link(node_id, network.next_hop(node_id, "agg-0")).latency_s
+
+
+class TestConformanceOnSkewedLinks:
+    """The conformance bar on links of unequal latency, seed by seed.
+
+    Commands submitted at the same instant at different replicas meet each
+    other in a different order at every replica, which the uniform
+    topology of :class:`TestConformance` never arranges.
+    """
+
+    def test_racing_writes_are_answered_and_replicas_agree(self, skewed_deployment):
+        name, simulator, protocol, replies = skewed_deployment
+        node_ids = protocol.node_ids()
+        requests = []
+        for index, node_id in enumerate(node_ids):
+            request = ClientRequest(
+                client_id=f"w{index}", op=RequestType.WRITE,
+                key=f"key-{index % 2}", value=f"value-{index}",
+            )
+            protocol.submit(request, node_id=node_id)
+            requests.append(request)
+        simulator.run_until(simulator.now + 2.0)
+        for index, node_id in enumerate(node_ids):
+            request = ClientRequest(client_id=f"r{index}", op=RequestType.READ, key=f"key-{index % 2}")
+            protocol.submit(request, node_id=node_id)
+            requests.append(request)
+        simulator.run_until(simulator.now + 2.0)
+        answered = {reply.request_id for reply in replies}
+        missing = [r.request_id for r in requests if r.request_id not in answered]
+        assert not missing, f"{name}: {len(missing)} requests never answered"
+        logs = protocol.committed_logs()
+        distinct = {tuple(log) for log in logs.values()}
+        assert len(distinct) == 1, f"{name}: replicas diverge: {logs}"
+        assert len(next(iter(distinct))) >= len(node_ids), f"{name}: writes missing from {logs}"
+
+    def test_read_at_the_nearest_replica_sees_a_write_at_the_farthest(self, skewed_deployment):
+        name, simulator, protocol, replies = skewed_deployment
+        by_latency = sorted(protocol.node_ids(), key=lambda node_id: host_latency(protocol, node_id))
+        write = ClientRequest(client_id="w", op=RequestType.WRITE, key="shared", value="42")
+        protocol.submit(write, node_id=by_latency[-1])
+        simulator.run_until(simulator.now + 2.0)
+        read = ClientRequest(client_id="r", op=RequestType.READ, key="shared")
+        protocol.submit(read, node_id=by_latency[0])
+        simulator.run_until(simulator.now + 2.0)
+        reply = next((r for r in replies if r.request_id == read.request_id), None)
+        assert reply is not None, f"{name}: read never answered"
+        assert reply.value == "42", f"{name}: read returned {reply.value!r}"
+
+    def test_racing_reads_stay_linearizable(self, skewed_deployment):
+        name, simulator, protocol, replies = skewed_deployment
         if protocol.read_consistency() != "linearizable":
             pytest.skip(f"{name} declares {protocol.read_consistency()!r} reads")
         requests = drive_contended_reads(protocol, simulator)
