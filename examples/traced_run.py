@@ -20,6 +20,7 @@ from repro.obs import (
     Telemetry,
     TelemetrySampler,
     Tracer,
+    attach_tracer,
     export_chrome_trace,
     export_json,
     trace_digest,
@@ -45,9 +46,7 @@ def main() -> None:
 
     # 2. Attach the observability fabric BEFORE starting the run.
     tracer = Tracer(lambda: simulator.now)
-    protocol.attach_tracer(tracer)
-    for agent in generator.agents:
-        agent.attach_tracer(tracer)
+    attach_tracer(tracer, protocol=protocol, agents=generator.agents)
     telemetry = Telemetry()
     sampler = TelemetrySampler(telemetry, simulator, network=topology.network)
     sampler.start()

@@ -4,9 +4,9 @@ A *system under test* bundles the topology and the protocol deployed on its
 server hosts (built through the :mod:`repro.protocols` registry), whose
 nodes each own the replica store they apply committed writes to.  The
 registered systems match the paper's comparisons — ``canopus``,
-``zkcanopus``, ``epaxos``, ``zookeeper`` — plus any protocol registered
-afterwards (``raft`` ships as the template); :func:`build_system` itself
-contains no per-protocol logic.
+``zkcanopus``, ``epaxos``, ``zookeeper`` — plus any protocol that gets a
+row in the registry's table; :func:`build_system` itself contains no
+per-protocol logic.
 
 Because the substrate is a simulator rather than the paper's 10 GbE
 cluster, the default CPU/bandwidth model is *scaled*: per-message costs are
@@ -18,7 +18,7 @@ systems, which preserves the relative comparisons the paper makes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from repro.protocols import ConsensusProtocol, build_protocol
 from repro.runtime.messages import ClientReply
@@ -64,9 +64,6 @@ class SystemUnderTest:
     def stop(self) -> None:
         self.protocol.stop()
 
-    def server_ids(self) -> List[str]:
-        return self.protocol.node_ids()
-
 
 # ----------------------------------------------------------------------
 # Topology factories
@@ -108,7 +105,7 @@ def build_system(
     """Build the named system on ``topology`` through the protocol registry.
 
     ``config`` is the protocol's own configuration object (``None`` for the
-    registry default); the registry validates its type against the
+    adapter's default); the registry validates its type against the
     protocol being built.
     """
     protocol = build_protocol(name, topology, config=config, on_reply=on_reply)

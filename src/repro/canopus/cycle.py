@@ -81,9 +81,6 @@ class CycleState:
         """True when every live super-leaf member's proposal has arrived."""
         return self.expected_members.issubset(self.round1_proposals.keys())
 
-    def missing_round1(self) -> Set[str]:
-        return self.expected_members - set(self.round1_proposals.keys())
-
     # ------------------------------------------------------------------
     def record_vnode_state(self, proposal: Proposal) -> bool:
         """Record a computed or fetched vnode state; True if it was new."""

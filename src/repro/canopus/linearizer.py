@@ -22,7 +22,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.runtime.messages import ClientRequest
 
@@ -55,15 +55,6 @@ class ReadLinearizer:
         self.reads_buffered += 1
         return pending
 
-    def postpone(self, pending: PendingRead, new_release_cycle: int) -> None:
-        """Move a buffered read to a later cycle (write-lease conflicts, §7.2)."""
-        bucket = self._pending.get(pending.release_cycle, [])
-        if pending not in bucket:
-            return  # already released
-        bucket.remove(pending)
-        pending.release_cycle = new_release_cycle
-        self._pending.setdefault(new_release_cycle, []).append(pending)
-
     def release_up_to(self, committed_cycle: int) -> List[PendingRead]:
         """Return (and remove) all reads whose release cycle has committed.
 
@@ -81,6 +72,3 @@ class ReadLinearizer:
     # ------------------------------------------------------------------
     def pending_count(self) -> int:
         return self.reads_buffered - self.reads_released
-
-    def earliest_release_cycle(self) -> Optional[int]:
-        return min(self._pending.keys()) if self._pending else None

@@ -143,8 +143,9 @@ class CanopusNode:
         self.crashed = False
 
         #: Observability hook (repro.obs.Tracer) + the protocol label its
-        #: phase spans carry ("canopus" / "zkcanopus", set by the adapter's
-        #: attach_tracer); None = off, one attribute load per point.
+        #: phase spans carry ("canopus" / "zkcanopus", set by
+        #: ``repro.obs.attach_tracer``); None = off, one attribute load per
+        #: point.
         self._obs = None
         self._obs_proto = "canopus"
 

@@ -147,8 +147,7 @@ class EPaxosNode:
         self.crashed = False
         #: Observability hook (repro.obs.Tracer) + the protocol label its
         #: phase spans carry; None = off, costing one attribute load per
-        #: instrumented point.  Installed next to the dispatch table by
-        #: ConsensusProtocol.attach_tracer.
+        #: instrumented point.  Installed by ``repro.obs.attach_tracer``.
         self._obs = None
         self._obs_proto = "epaxos"
         #: Per-type handler table; replaces the isinstance chain on the

@@ -49,13 +49,23 @@ def attach_tracer(
 ) -> Optional[Tracer]:
     """Wire ``tracer`` into whatever a run has; pass ``None`` to detach.
 
-    ``protocol`` is a :class:`repro.protocols.base.ConsensusProtocol` and
-    ``agents`` workload client agents (``ClientHostAgent``).  Each target
-    also hooks its hosts and network, where hops are recorded.  Returns
-    ``tracer`` for chaining.
+    ``protocol`` is a :class:`repro.protocols.base.ConsensusProtocol`.
+    Hops are recorded where the network sends and delivers packets, so the
+    hook goes on its topology's network and on every host there; each of
+    its nodes gets the hook for its phase spans, labelled with the
+    registry name so that variants sharing a node class (``canopus`` and
+    ``zkcanopus``) stay apart.  ``agents`` are workload client agents
+    (``ClientHostAgent``), which open and close each request's root span.
+    Returns ``tracer`` for chaining.
     """
     if protocol is not None:
-        protocol.attach_tracer(tracer)
+        network = protocol.topology.network
+        network._obs = tracer
+        for host in network.hosts.values():
+            host._obs = tracer
+        for node in protocol.nodes.values():
+            node._obs = tracer
+            node._obs_proto = protocol.name
     for agent in agents:
-        agent.attach_tracer(tracer)
+        agent._obs = tracer
     return tracer

@@ -1,7 +1,8 @@
 """Unified protocol abstraction layer.
 
-The built-in protocols, each registered the first time it is asked for
-(``BUILTIN_PROTOCOLS`` in :mod:`repro.protocols.registry`):
+The built-in protocols, each with a row in ``BUILTIN_PROTOCOLS``
+(:mod:`repro.protocols.registry`) naming the adapter module that builds
+it; the adapter is imported the first time its name is built:
 
 ========== ============================================================
 canopus     Canopus over a key-value replica per node (Figures 4, 6, 7)
@@ -12,7 +13,7 @@ zookeeper   ZooKeeper: Zab leader + followers + observers (Figure 5)
 
 Every node applies committed writes to its own
 :class:`repro.kvstore.store.KVStore`; ``protocol.stores`` maps node ids to
-them.  ``canopus`` and ``zkcanopus`` are one factory under two names.
+them.  ``canopus`` and ``zkcanopus`` are one adapter under two names.
 
 Build one with::
 
@@ -20,28 +21,10 @@ Build one with::
     protocol = build_protocol("canopus", topology)
     protocol.start()
 
-See ``ARCHITECTURE.md`` at the repository root for how to register a new
-protocol.
+See ``ARCHITECTURE.md`` at the repository root for how to add a protocol.
 """
 
 from repro.protocols.base import ConsensusProtocol
-from repro.protocols.registry import (
-    ProtocolSpec,
-    build_protocol,
-    default_config,
-    protocol_spec,
-    register_protocol,
-    registered_protocols,
-    unregister_protocol,
-)
+from repro.protocols.registry import build_protocol, registered_protocols
 
-__all__ = [
-    "ConsensusProtocol",
-    "ProtocolSpec",
-    "build_protocol",
-    "default_config",
-    "protocol_spec",
-    "register_protocol",
-    "registered_protocols",
-    "unregister_protocol",
-]
+__all__ = ["ConsensusProtocol", "build_protocol", "registered_protocols"]

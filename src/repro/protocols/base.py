@@ -120,27 +120,6 @@ class ConsensusProtocol(abc.ABC):
         return list(self.nodes)
 
     # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def attach_tracer(self, tracer: Any) -> None:
-        """Install an observability hook (``repro.obs.Tracer``) everywhere.
-
-        Sets each node's ``_obs`` attribute (read by the phase
-        instrumentation next to the dispatch tables) and hooks each node
-        runtime's delivery plane.  Detach by attaching ``None``; with the
-        hook off every instrumentation point costs one attribute load.
-        """
-        for node in self.nodes.values():
-            node._obs = tracer
-            # Label phases with the registry name so variants sharing a node
-            # class (canopus vs zkcanopus, zookeeper vs zab) stay distinct
-            # in reports.
-            node._obs_proto = self.name
-            runtime = getattr(node, "runtime", None)
-            if runtime is not None:
-                runtime.attach_tracer(tracer)
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

@@ -1,4 +1,4 @@
-"""Registry adapter for Canopus, registered as ``canopus`` and ``zkcanopus``.
+"""Registry adapter for Canopus, built under both ``canopus`` and ``zkcanopus``.
 
 Both names build the same deployment: every node applies committed writes
 to its own :class:`repro.kvstore.store.KVStore` and serves reads from it.
@@ -20,11 +20,12 @@ from repro.canopus.config import CanopusConfig
 from repro.canopus.lot import LeafOnlyTree
 from repro.canopus.node import CanopusNode
 from repro.protocols.base import ConsensusProtocol
-from repro.protocols.registry import register_protocol
 from repro.runtime.messages import ClientReply
 from repro.sim.topology import Topology
 
-__all__ = ["CanopusProtocol"]
+__all__ = ["CONFIG_CLS", "CanopusProtocol", "build"]
+
+CONFIG_CLS = CanopusConfig
 
 
 class CanopusProtocol(ConsensusProtocol):
@@ -49,7 +50,7 @@ class CanopusProtocol(ConsensusProtocol):
         return super().is_healthy() and all(node.running for node in self.nodes.values())
 
 
-def build_canopus(
+def build(
     topology: Topology,
     config: Optional[CanopusConfig] = None,
     on_reply: Optional[Callable[[ClientReply], None]] = None,
@@ -62,13 +63,3 @@ def build_canopus(
         for node_id in lot.pnodes
     }
     return CanopusProtocol(topology, nodes, lot)
-
-
-register_protocol(
-    "canopus", build_canopus, config_cls=CanopusConfig,
-    description="Canopus over a key-value replica per node (Figures 4, 6, 7)",
-)
-register_protocol(
-    "zkcanopus", build_canopus, config_cls=CanopusConfig,
-    description="Canopus as ZooKeeper's replication layer (Figure 5)",
-)

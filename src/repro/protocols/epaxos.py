@@ -6,11 +6,12 @@ from typing import Callable, List, Optional
 
 from repro.epaxos.node import EPaxosConfig, EPaxosNode
 from repro.protocols.base import ConsensusProtocol
-from repro.protocols.registry import register_protocol
 from repro.runtime.messages import ClientReply
 from repro.sim.topology import Topology
 
-__all__ = ["EPaxosProtocol"]
+__all__ = ["CONFIG_CLS", "EPaxosProtocol", "build"]
+
+CONFIG_CLS = EPaxosConfig
 
 
 class EPaxosProtocol(ConsensusProtocol):
@@ -22,12 +23,7 @@ class EPaxosProtocol(ConsensusProtocol):
         return self.node(node_id).executed_commands()
 
 
-@register_protocol(
-    "epaxos",
-    config_cls=EPaxosConfig,
-    description="EPaxos with configurable batching (Figures 4, 6, 7)",
-)
-def build_epaxos(
+def build(
     topology: Topology,
     config: Optional[EPaxosConfig] = None,
     on_reply: Optional[Callable[[ClientReply], None]] = None,

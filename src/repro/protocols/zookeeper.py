@@ -5,12 +5,13 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.protocols.base import ConsensusProtocol
-from repro.protocols.registry import register_protocol
 from repro.runtime.messages import ClientReply
 from repro.sim.topology import Topology
 from repro.zab.node import ZabConfig, ZabNode, ZabRole
 
-__all__ = ["ZooKeeperProtocol"]
+__all__ = ["CONFIG_CLS", "ZooKeeperProtocol", "build"]
+
+CONFIG_CLS = ZabConfig
 
 
 class ZooKeeperProtocol(ConsensusProtocol):
@@ -33,12 +34,7 @@ class ZooKeeperProtocol(ConsensusProtocol):
         return "sequential"
 
 
-@register_protocol(
-    "zookeeper",
-    config_cls=ZabConfig,
-    description="ZooKeeper: Zab leader + followers + observers (Figure 5)",
-)
-def build_zookeeper(
+def build(
     topology: Topology,
     config: Optional[ZabConfig] = None,
     on_reply: Optional[Callable[[ClientReply], None]] = None,

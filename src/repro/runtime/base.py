@@ -70,7 +70,8 @@ class Runtime(abc.ABC):
 
     It declares what protocol and workload code calls to run, and nothing
     else: :class:`~repro.runtime.sim_runtime.SimRuntime` implements it over
-    a simulated host, and also carries the tracing hook (``attach_tracer``).
+    a simulated host.  Tracing is not the runtime's business: the tracer
+    hooks the network and its hosts (``repro.obs.attach_tracer``).
     """
 
     #: Name (address) of the node this runtime belongs to.

@@ -8,7 +8,7 @@ from typing import Any, Callable, Optional
 
 from repro.runtime.base import Runtime, Timer, estimate_size
 from repro.sim.engine import Simulator
-from repro.sim.network import Host, Network
+from repro.sim.network import Host
 
 __all__ = ["SimRuntime", "Transport", "estimate_size"]
 
@@ -74,9 +74,8 @@ class Transport:
 class SimRuntime(Runtime):
     """Adapts one simulated :class:`~repro.sim.network.Host` to the Runtime API."""
 
-    def __init__(self, simulator: Simulator, network: Network, host: Host) -> None:
+    def __init__(self, simulator: Simulator, host: Host) -> None:
         self.simulator = simulator
-        self.network = network
         self.host = host
         self.node_id = host.name
         self.rng: random.Random = simulator.fork_rng(host.name)
@@ -104,10 +103,3 @@ class SimRuntime(Runtime):
         # handler(sender, payload) with no runtime-level indirection
         # (~one saved Python frame per delivered message).
         self.host.set_handler(handler)
-
-    def attach_tracer(self, tracer: Any) -> None:
-        """Hook the sim delivery plane: hops are recorded at the network
-        layer (packet creation + rx dispatch), where their queueing and
-        propagation times are known."""
-        self.host._obs = tracer
-        self.network._obs = tracer

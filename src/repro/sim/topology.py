@@ -136,7 +136,7 @@ class Topology:
         """
         from repro.runtime.sim_runtime import SimRuntime
 
-        return SimRuntime(self.simulator, self.network, self.network.hosts[node_id])
+        return SimRuntime(self.simulator, self.network.hosts[node_id])
 
 
 def _default_cpu() -> CpuModel:

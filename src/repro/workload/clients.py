@@ -185,11 +185,6 @@ class ClientHostAgent:
         self._obs = None
         runtime.set_handler(self.on_message)
 
-    def attach_tracer(self, tracer) -> None:
-        """Trace this agent's requests end to end (detach with ``None``)."""
-        self._obs = tracer
-        self.runtime.attach_tracer(tracer)
-
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Start the agent's pre-generated arrival schedule."""

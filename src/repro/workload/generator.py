@@ -74,7 +74,7 @@ class WorkloadGenerator:
             if not processes:
                 continue
             host = self.topology.network.hosts[host_name]
-            runtime = SimRuntime(self.topology.simulator, self.topology.network, host)
+            runtime = SimRuntime(self.topology.simulator, host)
             agent = ClientHostAgent(
                 runtime=runtime,
                 processes=processes,

@@ -95,8 +95,8 @@ class ZabNode:
         }
         self.crashed = False
         #: Observability hook (repro.obs.Tracer) + the protocol label its
-        #: phase spans carry (the zookeeper adapter's attach_tracer sets
-        #: its registry name); None = off, one attribute load per point.
+        #: phase spans carry (``repro.obs.attach_tracer`` sets the
+        #: registry name); None = off, one attribute load per point.
         self._obs = None
         self._obs_proto = "zab"
         #: Per-type handler table replacing the delivery isinstance chain.

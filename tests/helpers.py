@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.canopus.config import CanopusConfig
 from repro.protocols import build_protocol
@@ -38,6 +38,19 @@ def build_canopus_on_sim(
     protocol = build_protocol("canopus", topology, config=config or fast_config(), on_reply=replies.append)
     protocol.start()
     return simulator, topology, protocol, replies
+
+
+def step_until(sim: Simulator, predicate: Callable[[], bool], deadline: float, what: str) -> None:
+    """Step ``sim`` one event at a time until ``predicate()`` holds.
+
+    Heartbeats and cycle timers never let the event queue run dry, so a
+    bare stepping loop spins forever when what it waits for never happens.
+    This one raises ``AssertionError`` naming ``what`` and the sim time once
+    the clock has passed ``deadline`` with ``predicate()`` still false.
+    """
+    while not predicate():
+        if not (sim.now <= deadline and sim.loop.step()):
+            raise AssertionError(f"{what}: not by sim time {sim.now:.6f} s (deadline {deadline:.6f} s)")
 
 
 def write(key: str, value: str, client: str = "client") -> ClientRequest:

@@ -34,7 +34,7 @@ class TestBuilders:
         for name in ("canopus", "zkcanopus", "epaxos", "zookeeper"):
             topology = make_single_dc_topology(Simulator(seed=1), nodes_per_rack=3)
             sut = build_system(name, topology)
-            assert len(sut.server_ids()) == 9
+            assert len(sut.protocol.node_ids()) == 9
             sut.start()
             sut.stop()
 

@@ -17,7 +17,7 @@ def build_group(member_count=3, seed=11, first_sight=None):
     delivered = {name: [] for name in names}
     broadcasts = {}
     for name in names:
-        runtime = SimRuntime(sim, network, network.hosts[name])
+        runtime = SimRuntime(sim, network.hosts[name])
         broadcast = RaftBroadcast(
             runtime, names, lambda origin, payload, n=name: delivered[n].append((origin, payload)),
             first_sight,

@@ -6,7 +6,7 @@ from repro.canopus.messages import MembershipUpdate, Proposal, ProposalRequest
 from repro.raft.messages import AppendEntries
 from repro.runtime.messages import NOT_IN_VIEW
 from repro.verify.agreement import check_agreement, check_cycle_agreement
-from tests.helpers import build_canopus_on_sim, fast_config, read, write
+from tests.helpers import build_canopus_on_sim, fast_config, read, step_until, write
 from tests.test_raft import is_notice
 
 
@@ -486,8 +486,8 @@ class TestReadAtStalledNode:
         sim, protocol, replies = self._cluster_with_k_old()
         victim = protocol.nodes["n2-1"]
         protocol.nodes["n0-0"].submit(write("x", "1"))
-        while victim.last_started_cycle < 2:
-            sim.loop.step()
+        step_until(sim, lambda: victim.last_started_cycle >= 2,
+                   sim.now + 2 * victim.config.cycle_interval_s, "the victim starts cycle 2")
         inbox = self._freeze(victim)
         # Cycle 2 has the victim's proposal; cycle 3 waits for it, times the
         # victim out and commits without it.
@@ -536,8 +536,8 @@ class TestReadAtStalledNode:
         sim, protocol, replies = self._cluster_with_k_old()
         victim = protocol.nodes["n2-1"]
         protocol.nodes["n0-0"].submit(write("x", "1"))
-        while victim.last_started_cycle < 2:
-            sim.loop.step()
+        step_until(sim, lambda: victim.last_started_cycle >= 2,
+                   sim.now + 2 * victim.config.cycle_interval_s, "the victim starts cycle 2")
         inbox = self._freeze(victim)
         sim.run_until(sim.now + victim.config.heartbeat_interval_s)
         self._thaw(victim)

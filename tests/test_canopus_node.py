@@ -21,7 +21,7 @@ from repro.verify.agreement import check_agreement
 from repro.verify.history import History
 from repro.verify.linearizability import check_linearizable_history
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
-from tests.helpers import build_canopus_on_sim, fast_config, read, write
+from tests.helpers import build_canopus_on_sim, fast_config, read, step_until, write
 
 
 def run_27_nodes_at_40k():
@@ -215,8 +215,8 @@ class TestReadRelease:
         new_value = write("k", "new")
         writer.submit(new_value)
         reader.submit(write("other", "x"))  # the reader is in cycle 1 from the outset
-        while self.reply_to(replies, new_value) is None:
-            assert sim.loop.step()
+        step_until(sim, lambda: self.reply_to(replies, new_value) is not None,
+                   2 * writer.config.cycle_interval_s, "the write's reply")
         assert writer.last_committed_cycle == 1
         assert reader.last_started_cycle == 1 and reader.last_committed_cycle == 0
         request = read("k")
@@ -307,8 +307,8 @@ class TestReadRelease:
                     )
             new_value = write("k", f"new-{delayed}")
             writer.submit(new_value)
-            while self.reply_to(replies, new_value) is None:
-                assert sim.loop.step()
+            step_until(sim, lambda: self.reply_to(replies, new_value) is not None,
+                       sim.now + 2 * writer.config.cycle_interval_s, "the write's reply")
             cycle = self.reply_to(replies, new_value).committed_cycle
             assert reader.last_started_cycle == cycle
             idle = reader.last_committed_cycle == cycle
@@ -345,8 +345,8 @@ class TestReadRelease:
         sim, _, protocol, replies = build_canopus_on_sim(nodes_per_rack=3, racks=3)
         written, written_at = write("k", "v1", client="writer"), sim.now
         protocol.nodes["n0-0"].submit(written)
-        while self.reply_to(replies, written) is None:
-            assert sim.loop.step()
+        step_until(sim, lambda: self.reply_to(replies, written) is not None,
+                   written_at + 2 * protocol.nodes["n0-0"].config.cycle_interval_s, "the write's reply")
         ack = self.reply_to(replies, written)
         lagging = [node for node in protocol.nodes.values() if node.last_committed_cycle < ack.committed_cycle]
         assert {node.node_id[:2] for node in lagging} >= {"n1", "n2"}
@@ -496,8 +496,8 @@ class TestEarlyFetch:
         assert node.last_started_cycle == 1
         assert node.cycles[1].buffered_requests == {vnode: ["n0-0"]}
         assert node.stats["proposal_requests_served"] == 0
-        while node.cycles[1].current_round == 1:
-            assert sim.loop.step()
+        step_until(sim, lambda: node.cycles[1].current_round != 1,
+                   2 * node.config.cycle_interval_s, "cycle 1's round 1 completes")
         # Round 1 just completed: the state exists and went to the requester.
         assert node.cycles[1].has_vnode_state(vnode)
         assert node.cycles[1].buffered_requests == {}

@@ -16,8 +16,8 @@ command runs to the end of its line, or, when it opens inside a code span,
 to the span's closing backtick on a later line.
 
 The code block of ARCHITECTURE's "Adding a protocol" section must run: it
-is executed with a stub ``MyNode`` and ``MyConfig`` and built on a
-simulated topology.
+is executed as an adapter module with a stub ``MyNode`` and ``MyConfig``,
+given its row in the registry table and built on a simulated topology.
 
 A code span in ARCHITECTURE.md or the verify skill that is exactly a
 capitalized name, optionally followed by ``.member`` (and ``()``), must name
@@ -32,8 +32,10 @@ Zipf keys, the lease fraction), detlint's baseline and severity levels,
 the sharding subsystem with its benchmark, checkers and example, the ideal
 super-leaf broadcast with its factory and interface, the summary
 statistics nobody called, the znode tree with its exceptions, and the Raft
-KV baseline with its read modes, read-index rounds and leader lease, and
-the asyncio runtime with its cluster, topology and send hook.  Scope:
+KV baseline with its read modes, read-index rounds and leader lease, the
+asyncio runtime with its cluster, topology and send hook, the registration
+API the registry table replaced, and the read postponement the write
+leases left behind.  Scope:
 the documents above, ``tests/``, the CI workflow and the verify skill; the
 plans and history keep their records.  A removed constructor option is
 refused with a ``TypeError``, and a removed command-line flag with a usage
@@ -50,6 +52,7 @@ import importlib
 import pathlib
 import re
 import sys
+import types
 
 import pytest
 
@@ -217,6 +220,12 @@ REMOVED = {
     "AsyncioTopology": "every claim, workload and test runs on the deterministic simulator",
     "post_group": "Host.multicast is the one fan-out primitive",
     "transport_send": "the tracer records hops where the network sends and delivers them",
+    "register_protocol": "BUILTIN_PROTOCOLS is the registry: one row per protocol, no registration call",
+    "unregister_protocol": "BUILTIN_PROTOCOLS is the registry: one row per protocol, no registration call",
+    "ProtocolSpec": "an adapter module defines build and CONFIG_CLS; the table names the module",
+    "protocol_spec": "build_protocol imports the table row's adapter itself",
+    "default_config": "each adapter's build makes its own default config",
+    "postpone": "a read waits for the one cycle it was deferred to; the write leases that moved it went",
 }
 
 #: Constructor and function options that went with the code only they
@@ -233,7 +242,6 @@ REMOVED_OPTIONS = [
     ("repro.zab.node:ZabConfig", "max_batch_size"),
     ("repro.raft.node:RaftConfig", "lease_fraction"),
     ("repro.analysis.runner:run_analysis", "baseline_path"),
-    ("repro.protocols.registry:register_protocol", "read_consistency"),
     ("repro.workload.generator:WorkloadConfig", "multi_key_ratio"),
     ("repro.workload.generator:WorkloadConfig", "multi_key_span"),
     ("repro.workload.generator:WorkloadConfig", "txn_read_ratio"),
@@ -452,29 +460,36 @@ class MyNode:
         return []
 
 
-def test_the_adding_a_protocol_template_builds_on_a_simulated_topology():
-    from repro.protocols import ConsensusProtocol, build_protocol, unregister_protocol
+def test_the_adding_a_protocol_template_builds_on_a_simulated_topology(monkeypatch):
+    from repro.protocols import ConsensusProtocol, build_protocol, registered_protocols
+    from repro.protocols.registry import BUILTIN_PROTOCOLS
     from repro.sim.engine import Simulator
     from repro.sim.topology import build_single_datacenter
 
+    # The block runs as the adapter module, and the table gets its row.
+    adapter = types.ModuleType("repro.protocols.myproto")
+    adapter.__dict__.update(MyNode=MyNode, MyConfig=MyConfig)
+    exec(adding_a_protocol_block(), adapter.__dict__)
+    monkeypatch.setitem(sys.modules, adapter.__name__, adapter)
+    monkeypatch.setitem(BUILTIN_PROTOCOLS, "myproto", adapter.__name__)
+    assert registered_protocols()[-1] == "myproto"
+
     topology = build_single_datacenter(Simulator(seed=1), nodes_per_rack=2, racks=2)
-    try:
-        exec(adding_a_protocol_block(), {"MyNode": MyNode, "MyConfig": MyConfig})
-        protocol = build_protocol("myproto", topology)
-        assert isinstance(protocol, ConsensusProtocol)
-        assert protocol.read_consistency() == "linearizable"
-        assert protocol.node_ids() == topology.server_hosts
-        protocol.start()
-        assert all(node.running for node in protocol.nodes.values())
-        victim = protocol.node_ids()[-1]
-        protocol.crash(victim)
-        assert protocol.node(victim).crashed and not protocol.node(victim).running
-        assert topology.network.hosts[victim].failed
-        assert not protocol.is_healthy()
-        assert protocol.committed_logs() == {node_id: [] for node_id in topology.server_hosts}
-        assert list(protocol.stores) == topology.server_hosts
-    finally:
-        unregister_protocol("myproto")
+    with pytest.raises(TypeError, match="MyConfig"):
+        build_protocol("myproto", topology, config=object())
+    protocol = build_protocol("myproto", topology)
+    assert isinstance(protocol, ConsensusProtocol)
+    assert protocol.read_consistency() == "linearizable"
+    assert protocol.node_ids() == topology.server_hosts
+    protocol.start()
+    assert all(node.running for node in protocol.nodes.values())
+    victim = protocol.node_ids()[-1]
+    protocol.crash(victim)
+    assert protocol.node(victim).crashed and not protocol.node(victim).running
+    assert topology.network.hosts[victim].failed
+    assert not protocol.is_healthy()
+    assert protocol.committed_logs() == {node_id: [] for node_id in topology.server_hosts}
+    assert list(protocol.stores) == topology.server_hosts
 
 
 def installed_by_the_tests_job():

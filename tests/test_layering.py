@@ -23,6 +23,8 @@ import sys
 
 import pytest
 
+from repro.protocols.registry import BUILTIN_PROTOCOLS
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 CORES = ("canopus", "epaxos", "zab", "raft", "broadcast", "kvstore")
 FORBIDDEN = ("repro.sim", "repro.protocols", "repro.bench", "repro.workload")
@@ -68,12 +70,7 @@ def test_the_client_plane_imports_nothing_from_repro():
 # ----------------------------------------------------------------------
 REPO = SRC.parents[1]
 BUILTINS = ("canopus", "zkcanopus", "epaxos", "zookeeper")
-ADAPTERS = {
-    "canopus": "repro.protocols.canopus",
-    "zkcanopus": "repro.protocols.canopus",
-    "epaxos": "repro.protocols.epaxos",
-    "zookeeper": "repro.protocols.zookeeper",
-}
+ADAPTERS = BUILTIN_PROTOCOLS
 
 #: Loaded by no simulator run: asyncio, tracing, the linter and the
 #: experiment runner.
@@ -144,7 +141,7 @@ def test_a_run_loads_only_the_protocol_it_builds(name):
 
 
 # ----------------------------------------------------------------------
-# Built-in protocols are registered on first use
+# A protocol's adapter is imported the first time the protocol is built
 # ----------------------------------------------------------------------
 def test_listing_the_registry_imports_no_adapter():
     script = (
@@ -159,33 +156,17 @@ def test_listing_the_registry_imports_no_adapter():
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_asking_for_a_protocol_loads_exactly_its_adapter(name):
-    script = (
-        "import sys\n"
-        "from repro.protocols import protocol_spec\n"
-        "assert protocol_spec(sys.argv[1]).name == sys.argv[1]\n"
-    )
-    modules = loaded_modules(script, name)
-    assert under(modules, set(ADAPTERS.values())) == [ADAPTERS[name]]
-
-
-def test_a_builtin_name_is_taken_before_its_adapter_is_loaded():
     script = """
 import sys
-import pytest
-from repro.protocols import build_protocol, protocol_spec, register_protocol, unregister_protocol
+from repro.protocols import build_protocol
+from repro.sim.engine import Simulator
+from repro.sim.topology import build_single_datacenter
 
-def factory(topology, config=None, on_reply=None):
-    return None
-
-assert "repro.protocols.epaxos" not in sys.modules
-with pytest.raises(ValueError, match="already registered"):
-    register_protocol("epaxos", factory)
-with pytest.raises(ValueError, match="built in"):
-    unregister_protocol("epaxos")
-register_protocol("epaxos", factory, replace=True)
-assert protocol_spec("epaxos").factory is factory
+topology = build_single_datacenter(Simulator(seed=1), nodes_per_rack=1, racks=3)
+assert build_protocol(sys.argv[1], topology).name == sys.argv[1]
 """
-    assert "repro.protocols.epaxos" in loaded_modules(script)
+    modules = loaded_modules(script, name)
+    assert under(modules, set(ADAPTERS.values())) == [ADAPTERS[name]]
 
 
 def registry_suites(collected):

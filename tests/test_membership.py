@@ -22,7 +22,7 @@ def build_detectors(names, heartbeat_interval=0.02, timeout=0.08, seed=19):
     detectors = {}
     cut = set()
     for name in names:
-        runtime = SimRuntime(sim, network, network.hosts[name])
+        runtime = SimRuntime(sim, network.hosts[name])
         detector = FailureDetector(
             runtime, [peer for peer in names if peer != name], heartbeat_interval, timeout,
             on_failure=failures[name].append,

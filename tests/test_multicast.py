@@ -228,7 +228,7 @@ class TestTransportBroadcast:
 
         simulator = Simulator(seed=0)
         network = build_two_rack(simulator)
-        runtime = SimRuntime(simulator, network, network.hosts["a"])
+        runtime = SimRuntime(simulator, network.hosts["a"])
         record_arrivals(network, "bcd")
         runtime.transport.broadcast(["a", "b", "c"], "m", 100)
         simulator.run()
@@ -241,7 +241,7 @@ class TestTransportBroadcast:
         def run(use_broadcast):
             simulator = Simulator(seed=0)
             network = build_two_rack(simulator)
-            runtime = SimRuntime(simulator, network, network.hosts["a"])
+            runtime = SimRuntime(simulator, network.hosts["a"])
             arrivals = record_arrivals(network, "bcd")
             if use_broadcast:
                 runtime.transport.broadcast(["b", "c", "d"], "m", 150)

@@ -40,6 +40,7 @@ from repro.obs import (
     Telemetry,
     TelemetrySampler,
     Tracer,
+    attach_tracer,
     format_phase_slice,
     format_trace_slice,
     trace_to_dict,
@@ -84,9 +85,7 @@ def _run_small_point(system: str, tracer_holder=None, sampler: bool = False, tra
 
         def instrument(simulator, sut, generator):
             tracer = tracer_cls(lambda: simulator.now)
-            sut.protocol.attach_tracer(tracer)
-            for agent in generator.agents:
-                agent.attach_tracer(tracer)
+            attach_tracer(tracer, protocol=sut.protocol, agents=generator.agents)
             tracer_holder["tracer"] = tracer
             if sampler:
                 telemetry = Telemetry()
@@ -467,7 +466,7 @@ def test_canopus_marks_round1_deliveries_and_one_exclusion_per_in_flight_cycle()
     excluded from (key ``(cycle, peer)``), at every survivor."""
     sim, _, protocol, _ = build_canopus_on_sim(nodes_per_rack=3, racks=3, config=fast_config())
     tracer = Tracer(lambda: sim.now)
-    protocol.attach_tracer(tracer)
+    attach_tracer(tracer, protocol=protocol)
     in_flight = {}
     survivors = ("n1-0", "n1-1")
     for node_id in survivors:

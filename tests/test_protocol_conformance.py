@@ -20,15 +20,7 @@ from repro.bench.builders import (
     make_single_dc_topology,
     scaled_cpu_model,
 )
-from repro.protocols import (
-    ConsensusProtocol,
-    build_protocol,
-    default_config,
-    protocol_spec,
-    register_protocol,
-    registered_protocols,
-    unregister_protocol,
-)
+from repro.protocols import ConsensusProtocol, build_protocol, registered_protocols
 from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -392,26 +384,3 @@ class TestRegistry:
         topology = Topology(network=Network(simulator.loop), simulator=simulator)
         with pytest.raises(ValueError, match=f"{name}.*no server hosts"):
             build_protocol(name, topology)
-
-    def test_default_config_matches_spec(self):
-        for name in ALL_PROTOCOLS:
-            spec = protocol_spec(name)
-            config = default_config(name)
-            if spec.config_cls is not None:
-                assert isinstance(config, spec.config_cls)
-
-    def test_duplicate_registration_rejected_then_replaceable(self):
-        marker = object()
-
-        def factory(topology, config=None, on_reply=None):  # pragma: no cover
-            return marker
-
-        register_protocol("test-proto", factory)
-        try:
-            with pytest.raises(ValueError):
-                register_protocol("test-proto", factory)
-            register_protocol("test-proto", factory, replace=True)
-            assert "test-proto" in registered_protocols()
-        finally:
-            unregister_protocol("test-proto")
-        assert "test-proto" not in registered_protocols()

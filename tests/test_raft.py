@@ -93,7 +93,7 @@ def build_raft_group(member_count=3, initial_leader=None, seed=5, names=None):
     applied = {name: [] for name in names}
     nodes = {}
     for name in names:
-        runtime = SimRuntime(sim, network, network.hosts[name])
+        runtime = SimRuntime(sim, network.hosts[name])
         node = RaftNode(
             runtime,
             group_id="g",
@@ -737,7 +737,7 @@ class TestInStepAppendMatchesMerge:
             network.add_host(name)
             network.add_link(name, "sw", 2e-5, 1e9)
         applied = []
-        node = RaftNode(SimRuntime(sim, network, network.hosts["f"]), "g", ["l", "f"],
+        node = RaftNode(SimRuntime(sim, network.hosts["f"]), "g", ["l", "f"],
                         apply=applied.append, config=RaftConfig(initial_leader="l"))
         node.transport = _Outbox()
         return node, applied

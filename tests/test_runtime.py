@@ -17,7 +17,7 @@ def build_sim_runtimes(count=2):
         network.add_host(name)
         network.add_link(name, "sw", 1e-4, 1e9)
     for name in names:
-        runtimes[name] = SimRuntime(sim, network, network.hosts[name])
+        runtimes[name] = SimRuntime(sim, network.hosts[name])
     return sim, runtimes
 
 
