@@ -12,11 +12,13 @@ Determinism is guaranteed by:
 * the absence of any wall-clock reads.
 
 Cancellation is lazy: a cancelled :class:`Event` stays in the heap and is
-skipped when popped.  The counters mean what they say:
+skipped when popped, but it drops its callback at the cancel, so it pins
+nothing until then.  The counters mean what they say:
 ``processed_events`` is the number of callbacks the loop has invoked and
 ``len(loop)`` the number of live entries it still holds.  The network
-layer's switch drains and idle-CPU wake-ups are ordinary
-:meth:`EventLoop.schedule_fast` entries and are counted like any other.
+layer's switch drains and delivery-queue flushes are ordinary
+:meth:`EventLoop.schedule_fast` entries and are counted like any other,
+a flush that finds itself superseded by an earlier re-arm included.
 
 Protocol code never touches the engine directly; it talks to a
 :class:`repro.runtime.sim_runtime.SimRuntime` which wraps the engine and a
@@ -59,9 +61,12 @@ class Event:
         self.loop = loop
 
     def cancel(self) -> None:
-        """Mark the event so the loop skips it when popped."""
+        """Mark the event so the loop skips it when popped, and let go of
+        the callback: the entry stays in the heap until its instant, but
+        pins none of the state the callback closes over."""
         if not self.cancelled:
             self.cancelled = True
+            self.callback = None
             self.loop._live -= 1
 
 

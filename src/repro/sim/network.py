@@ -24,6 +24,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
+from math import inf
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.engine import EventLoop, SimulationError
@@ -87,22 +88,28 @@ class DeliveryQueue:
     which only moves forward, so the completion times they hand over are
     non-decreasing.  Instead of scheduling one event-loop entry per packet
     — which makes the heap grow with the number of in-flight messages —
-    the queue keeps at most one outstanding event and, when it fires,
+    the queue keeps at most one live event and, when it fires,
     flushes *every* pending item that is due at that instant: a burst due
     at one host costs one heap operation, not one per message.
 
     Pushing an item earlier than the last one pending breaks that contract:
     it is a bug in the caller, and raises :class:`SimulationError`.
+
+    It is armed by instant, not by flag: it re-arms only for an instant
+    earlier than the armed one, and a firing at a superseded instant does
+    nothing (the host dispatch queue may be armed at an estimate, see
+    :meth:`Host._arm_dispatch`).
     """
 
-    __slots__ = ("loop", "deliver", "priority", "_pending", "_armed", "_flush_cb")
+    __slots__ = ("loop", "deliver", "priority", "_pending", "_armed_at", "_flush_cb")
 
     def __init__(self, loop: EventLoop, deliver: Callable[[Any], None], priority: int) -> None:
         self.loop = loop
         self.deliver = deliver
         self.priority = priority
         self._pending: "deque[Tuple[float, Any]]" = deque()
-        self._armed = False
+        #: Instant of the live flush event (``inf`` when none is armed).
+        self._armed_at = inf
         #: Pre-bound flush callback: arming happens once per burst but the
         #: bound-method allocation was still visible under saturation.
         self._flush_cb = self._flush
@@ -118,20 +125,25 @@ class DeliveryQueue:
                 f"out-of-order delivery: {when!r} is before pending {pending[-1][0]!r}"
             )
         pending.append((when, item))
-        if not self._armed:
-            self._armed = True
+        self._arm(when)
+
+    def _arm(self, when: float) -> None:
+        """Schedule a flush at ``when`` unless one is armed at or before it."""
+        if when < self._armed_at:
+            self._armed_at = when
             self.loop.schedule_fast(when, self._flush_cb, self.priority)
 
     def _flush(self) -> None:
-        self._armed = False
-        pending = self._pending
         now = self.loop._now
+        if self._armed_at != now:
+            return  # superseded by a re-arm at an earlier instant
+        pending = self._pending
         deliver = self.deliver
         while pending and pending[0][0] <= now:
             deliver(pending.popleft()[1])
-        if pending and not self._armed:
-            self._armed = True
-            self.loop.schedule_fast(pending[0][0], self._flush_cb, self.priority)
+        self._armed_at = inf
+        if pending:
+            self._arm(pending[0][0])
 
 
 class Link:
@@ -477,11 +489,10 @@ class _RxQueue(DeliveryQueue):
     """The host CPU dispatch queue, pull-aware.
 
     Before dispatching, the owning host charges any ingress backlog due at
-    or before the flush instant (arrivals rank at priority 5, this queue at
-    priority 8, so an arrival due now is charged before this flush
-    dispatches).  After draining, if the CPU went idle while arrivals are
-    still pending in the lane, a wake-up is armed at the head arrival so
-    the backlog is charged from exactly that instant.
+    or before the flush instant.  After draining, if nothing charged is
+    left but arrivals are still pending in the lane, the flush re-arms at
+    the head arrival's estimated CPU finish (:meth:`Host._arm_dispatch`),
+    so an idle host costs one event per packet: its dispatch.
 
     :meth:`_flush` is the one function every delivered packet leaves the
     network through (loopback deliveries reach it too, via
@@ -496,12 +507,14 @@ class _RxQueue(DeliveryQueue):
         self.host = host
 
     def _flush(self) -> None:
+        now = self.loop._now
+        if self._armed_at != now:
+            return  # superseded by a re-arm at an earlier instant
         host = self.host
-        loop = self.loop
-        now = loop._now
         if host._in_q:
+            # Pull while still armed at ``now``: the pull arms only for an
+            # earlier instant, so it adds no second event at this one.
             host._pull(now)
-        self._armed = False
         pending = self._pending
         # This is the per-delivered-packet loop.  Failure state and the
         # handler are re-read per packet (a callback can fail the host or
@@ -525,12 +538,11 @@ class _RxQueue(DeliveryQueue):
         if n_received:
             host.messages_received += n_received
             host.bytes_received += b_received
+        self._armed_at = inf
         if pending:
-            if not self._armed:
-                self._armed = True
-                loop.schedule_fast(pending[0][0], self._flush_cb, 8)
+            self._arm(pending[0][0])
         elif host._in_q:
-            host._arm_wake(host._in_q[0][0])
+            host._arm_dispatch(*host._in_q[0])
 
 
 class Host(NetworkElement):
@@ -566,10 +578,6 @@ class Host(NetworkElement):
         #: Ingress backlog lane: pending ``(arrival, packet)`` pairs from
         #: the host's one link, arrivals non-decreasing.
         self._in_q: "deque[Tuple[float, Packet]]" = deque()
-        #: Earliest wake-up currently scheduled (None when none).
-        self._wake_at: Optional[float] = None
-        #: Pre-bound wake callback (one bound-method allocation total).
-        self._wake_cb = self._wake
 
     # ------------------------------------------------------------------
     def set_handler(self, handler: Callable[[str, Any], None]) -> None:
@@ -590,32 +598,24 @@ class Host(NetworkElement):
     # each packet's CPU charge is computed — with the arithmetic and order
     # of :meth:`receive` run at its arrival instant — the first time the
     # host's CPU state is observed at or after that instant (a send, a
-    # dispatch, a utilization probe, fail/recover, or the armed wake-up
-    # when the CPU would otherwise sit idle).  See ARCHITECTURE.md,
-    # "Backlog delivery".
+    # dispatch, a utilization probe, fail/recover, or the dispatch armed
+    # at the head arrival's estimated finish when the CPU would otherwise
+    # sit idle).  See ARCHITECTURE.md, "Backlog delivery".
     # ------------------------------------------------------------------
     def _ingress_push(self, when: float, packet: Packet) -> None:
         """Append an arrival to the backlog lane (called at transmit time)."""
         q = self._in_q
         if not q and not self._rx_queue._pending:
-            self._arm_wake(when)
+            self._arm_dispatch(when, packet)
         q.append((when, packet))
 
-    def _arm_wake(self, when: float) -> None:
-        """Schedule a wake-up so an idle CPU charges its backlog from the
-        head arrival instant on (a busy one gets there by its own flush)."""
-        wake_at = self._wake_at
-        if wake_at is None or when < wake_at:
-            self._wake_at = when
-            self._loop.schedule_fast(when, self._wake_cb, 5)
-
-    def _wake(self) -> None:
-        self._wake_at = None
-        q = self._in_q
-        if q:
-            self._pull(self._loop._now)
-            if q and not self._rx_queue._pending:
-                self._arm_wake(q[0][0])
+    def _arm_dispatch(self, when: float, packet: Packet) -> None:
+        """Arm an idle host's dispatch at its head arrival's CPU finish as
+        of now: a lower bound, as the busy chain only moves later.  The
+        flush there charges the arrival and, if a send or a loopback
+        receive pushed the CPU past it, re-arms at the true finish."""
+        busy = self._cpu_busy_until
+        self._rx_queue._arm((when if when > busy else busy) + self.cpu.service_time(packet))
 
     def _pull(self, bound: float) -> None:
         """Charge the CPU for every laned arrival at or before ``bound``,
@@ -647,9 +647,8 @@ class Host(NetworkElement):
             # else: dropped, exactly as receive() would at arrival time
         self._cpu_busy_until = busy
         self._cpu_busy_s = busy_s
-        if pending and not rxq._armed:
-            rxq._armed = True
-            self._loop.schedule_fast(pending[0][0], rxq._flush_cb, 8)
+        if pending:
+            rxq._arm(pending[0][0])
 
     def send(self, dst: str, payload: Any, size_bytes: int) -> None:
         """Send ``payload`` to host ``dst``: a :meth:`multicast` to one."""

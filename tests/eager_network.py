@@ -12,7 +12,8 @@ one :class:`DeliveryQueue` per link:
   link as of that instant.
 
 The lanes are still wired by ``add_link`` but nothing is ever pushed into
-them, so the drain events, wake-ups and the settle hook have nothing to do.
+them, so no drain is armed, no dispatch is armed at an estimated finish
+ahead of its arrival, and the settle hook has nothing to do.
 """
 
 from repro.sim.network import DeliveryQueue, Network, Packet

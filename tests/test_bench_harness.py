@@ -206,7 +206,7 @@ class TestPerfTrackingPoints:
         "name, size, digest, events",
         [
             ("engine-microbench", {"engine_ops": 2000}, "6a114a1f", 2378),
-            ("switch-drain", {"drain_ops": 2000}, "88a8fb45", 2252),
+            ("switch-drain", {"drain_ops": 2000}, "88a8fb45", 2147),
         ],
     )
     def test_microbench_digest_is_pinned(self, name, size, digest, events):

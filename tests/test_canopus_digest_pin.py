@@ -23,8 +23,8 @@ from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 #: system -> (write ratio, offered req/s, pinned (digest prefix,
 #: messages_sent, bytes_sent, engine events)).
 PINNED = {
-    "canopus": (0.2, 8000.0, ("364aee44", 4320, 381744, 16837)),
-    "zkcanopus": (1.0, 4000.0, ("68ae4f48", 3935, 552576, 12931)),
+    "canopus": (0.2, 8000.0, ("364aee44", 4320, 381744, 12433)),
+    "zkcanopus": (1.0, 4000.0, ("68ae4f48", 3935, 552576, 9687)),
 }
 
 LOAD_S = 0.2

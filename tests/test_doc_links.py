@@ -226,6 +226,8 @@ REMOVED = {
     "protocol_spec": "build_protocol imports the table row's adapter itself",
     "default_config": "each adapter's build makes its own default config",
     "postpone": "a read waits for the one cycle it was deferred to; the write leases that moved it went",
+    "_arm_wake": "an idle host's dispatch is armed at the arrival's estimated finish, Host._arm_dispatch",
+    "_wake_at": "an idle host's dispatch is armed at the arrival's estimated finish, Host._arm_dispatch",
 }
 
 #: Constructor and function options that went with the code only they

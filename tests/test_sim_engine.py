@@ -9,6 +9,7 @@ any change to the order moves a digest.
 import hashlib
 import heapq
 import random
+import weakref
 
 import pytest
 
@@ -229,6 +230,25 @@ class TestCancellationAndTies:
         event.cancel()
         event.cancel()
         assert len(loop) == 1
+
+    def test_a_cancelled_timer_lets_go_of_its_callback(self):
+        """The cancelled entry waits in the heap for its instant, but the
+        state its callback holds is free as soon as it is cancelled."""
+
+        class State:
+            def fire(self):
+                raise AssertionError("a cancelled timer fired")
+
+        loop = EventLoop()
+        state = State()
+        ref = weakref.ref(state)
+        event = loop.schedule(1.0, state.fire)
+        del state
+        assert ref() is not None  # pinned while the timer is live
+        event.cancel()
+        assert ref() is None
+        loop.run()
+        assert len(loop) == 0 and loop.processed_events == 0
 
 
 class TestLongRangeSchedules:

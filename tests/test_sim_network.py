@@ -174,6 +174,56 @@ class TestFailures:
         assert received == ["x"]
 
 
+class TestIdleHostDispatch:
+    """A packet to an idle host costs one engine event, its dispatch, armed
+    at the arrival's estimated CPU finish.  The dispatch queue is armed by
+    instant: a packet that turns out to finish earlier than the armed
+    estimate re-arms it, so every packet is dispatched at its own finish."""
+
+    CPU = CpuModel(per_message_s=1e-4, per_byte_s=1e-6, send_fraction=0.0)
+
+    def deliveries(self, sim, network):
+        seen = []
+        network.hosts["b"].set_handler(lambda sender, payload: seen.append((payload, sim.now)))
+        return seen
+
+    def test_a_packet_to_an_idle_host_costs_one_event(self):
+        sim = Simulator()
+        network = make_pair(sim)
+        seen = self.deliveries(sim, network)
+        network.hosts["a"].send("b", "x", 10)
+        sim.run()
+        assert [payload for payload, _ in seen] == ["x"]
+        assert sim.loop.processed_events == 1
+
+    def test_a_loopback_receive_is_dispatched_before_an_armed_link_arrival(self):
+        sim = Simulator()
+        network = make_pair(sim, cpu=self.CPU)
+        seen = self.deliveries(sim, network)
+        a, b = network.hosts["a"], network.hosts["b"]
+        cost = self.CPU.service_time(Packet("b", "b", None, 10))
+        a.send("b", "link", 10)  # arrives after 1 ms: b's dispatch is armed
+        b.send("b", "loop", 10)
+        sim.run()
+        assert seen[0] == ("loop", pytest.approx(5e-6 + cost, rel=1e-12))
+        assert seen[1][0] == "link" and seen[1][1] > 1e-3
+
+    def test_the_arrival_after_a_dropped_one_is_dispatched_at_its_own_finish(self):
+        """A 10 kB packet armed b's dispatch ~11 ms out; b was down when it
+        arrived, so it was dropped and the next packet is b's to serve."""
+        sim = Simulator()
+        network = make_pair(sim, cpu=self.CPU)
+        seen = self.deliveries(sim, network)
+        a, b = network.hosts["a"], network.hosts["b"]
+        a.send("b", "big", 10_000)
+        sim.loop.schedule(0.5e-3, b.fail)
+        sim.loop.schedule(2e-3, b.recover)
+        sim.loop.schedule(3e-3, lambda: a.send("b", "small", 10))
+        sim.run()
+        assert [payload for payload, _ in seen] == ["small"]
+        assert seen[0][1] < 4.5e-3
+
+
 def make_rack(simulator, cpu=None):
     """Three hosts on one switch, with identical links."""
     network = Network(simulator.loop)
