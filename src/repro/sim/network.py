@@ -640,15 +640,16 @@ class Host(NetworkElement):
                 finish = start + cost
                 busy = finish
                 busy_s += cost
-                # CPU-finish times are non-decreasing (one busy chain),
-                # so this is rx_queue.push without the out-of-order
-                # check; arming is settled once, after the batch.
+                # One busy chain, so finishes are non-decreasing: this is
+                # rx_queue.push without its order check, armed after the batch.
                 pending.append((finish, packet))
             # else: dropped, exactly as receive() would at arrival time
         self._cpu_busy_until = busy
         self._cpu_busy_s = busy_s
         if pending:
             rxq._arm(pending[0][0])
+        elif q:  # a dropped head's estimate may be stale: arm for the new head
+            self._arm_dispatch(*q[0])
 
     def send(self, dst: str, payload: Any, size_bytes: int) -> None:
         """Send ``payload`` to host ``dst``: a :meth:`multicast` to one."""

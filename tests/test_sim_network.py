@@ -223,6 +223,28 @@ class TestIdleHostDispatch:
         assert [payload for payload, _ in seen] == ["small"]
         assert seen[0][1] < 4.5e-3
 
+    def test_an_arrival_laned_behind_a_dropped_one_is_dispatched_at_its_own_finish(self):
+        """The small packet is already in b's lane, behind the big one, when
+        ``recover()`` drops the big one: its dispatch must not wait for the
+        big packet's estimate, ~11 ms out."""
+        sim = Simulator()
+        network = make_pair(sim, cpu=self.CPU)
+        seen = self.deliveries(sim, network)
+        a, b = network.hosts["a"], network.hosts["b"]
+        arrivals = []
+
+        def send_small():
+            a.send("b", "small", 10)
+            arrivals.append(b._in_q[-1][0])
+
+        a.send("b", "big", 10_000)
+        sim.loop.schedule(0.4e-3, send_small)
+        sim.loop.schedule(0.5e-3, b.fail)
+        sim.loop.schedule(1.2e-3, b.recover)
+        sim.run()
+        finish = arrivals[0] + self.CPU.service_time(Packet("a", "b", None, 10))
+        assert seen == [("small", pytest.approx(finish, rel=1e-12))]
+
 
 def make_rack(simulator, cpu=None):
     """Three hosts on one switch, with identical links."""
