@@ -4,13 +4,15 @@ The paper compares Canopus against EPaxos as the representative
 state-of-the-art decentralized consensus protocol, running it with 0%
 command interference, 5 ms / 2 ms batching, latency probing enabled and the
 thrifty optimization disabled (§8).  This package implements the protocol's
-message pattern — every replica is the command leader for its own clients,
-pre-accept/accept/commit phases, fast path on non-interfering commands —
-with those same knobs.
+message pattern at that setting — every replica is the command leader for
+its own clients, and every instance commits on the fast path after one
+pre-accept round, then is broadcast in a commit phase — with those same
+knobs.  Interfering commands are outside its contract: it tracks no
+dependencies and has no accept phase.
 """
 
 from repro.epaxos.node import EPaxosConfig, EPaxosNode
-from repro.epaxos.messages import Accept, AcceptOK, Commit, InstanceId, PreAccept, PreAcceptOK
+from repro.epaxos.messages import Commit, InstanceId, PreAccept, PreAcceptOK
 
 __all__ = [
     "EPaxosConfig",
@@ -18,7 +20,5 @@ __all__ = [
     "InstanceId",
     "PreAccept",
     "PreAcceptOK",
-    "Accept",
-    "AcceptOK",
     "Commit",
 ]

@@ -8,11 +8,11 @@ command (reads included) to a quorum of replicas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from typing import Tuple
 
 from repro.runtime.messages import ClientRequest
 
-__all__ = ["InstanceId", "PreAccept", "PreAcceptOK", "Accept", "AcceptOK", "Commit"]
+__all__ = ["InstanceId", "PreAccept", "PreAcceptOK", "Commit"]
 
 _HEADER_BYTES = 56
 _COMMAND_ENTRY_BYTES = 48
@@ -40,47 +40,16 @@ class PreAccept:
     instance: InstanceId
     commands: Tuple[ClientRequest, ...]
     seq: int
-    deps: FrozenSet[InstanceId]
-    ballot: int = 0
 
     def wire_size(self) -> int:
-        return _HEADER_BYTES + _batch_bytes(self.commands) + 16 * len(self.deps)
+        return _HEADER_BYTES + _batch_bytes(self.commands)
 
 
 @dataclass(slots=True)
 class PreAcceptOK:
-    """Reply to PreAccept carrying the replica's view of seq/deps."""
+    """A fast-quorum replica's reply to PreAccept."""
 
     instance: InstanceId
-    replica: str
-    seq: int
-    deps: FrozenSet[InstanceId]
-    changed: bool
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + 16 * len(self.deps)
-
-
-@dataclass(slots=True)
-class Accept:
-    """Phase-2 (slow path) message fixing the union seq/deps."""
-
-    instance: InstanceId
-    commands: Tuple[ClientRequest, ...]
-    seq: int
-    deps: FrozenSet[InstanceId]
-    ballot: int = 0
-
-    def wire_size(self) -> int:
-        return _HEADER_BYTES + _batch_bytes(self.commands) + 16 * len(self.deps)
-
-
-@dataclass(slots=True)
-class AcceptOK:
-    """Reply to Accept."""
-
-    instance: InstanceId
-    replica: str
 
     def wire_size(self) -> int:
         return _HEADER_BYTES
@@ -93,7 +62,6 @@ class Commit:
     instance: InstanceId
     commands: Tuple[ClientRequest, ...]
     seq: int
-    deps: FrozenSet[InstanceId]
 
     def wire_size(self) -> int:
-        return _HEADER_BYTES + _batch_bytes(self.commands) + 16 * len(self.deps)
+        return _HEADER_BYTES + _batch_bytes(self.commands)

@@ -1,4 +1,4 @@
-"""EPaxos replica state machine.
+"""EPaxos replica state machine, at the paper's 0 % command interference.
 
 Each replica acts as the command leader for the clients attached to it.
 Client requests (reads *and* writes — EPaxos sends reads over the network,
@@ -6,14 +6,17 @@ which is the key contrast with Canopus) are buffered for the configured
 batching duration, then proposed as one instance:
 
 * **PreAccept** is sent to the other replicas of the fast quorum with the
-  leader's dependency/sequence attributes.
-* Each replica merges the attributes with its own interference records and
-  replies; if no replica changed them (guaranteed at the paper's 0% command
-  interference) the **fast path** commits after one round trip.
-* Otherwise the leader runs the **Accept** phase with the union attributes
-  and commits after a second majority round trip (slow path).
+  leader's sequence number.
+* Each replica records the instance and replies; once a fast quorum has
+  replied the leader commits on the **fast path**, after one round trip.
 * **Commit** is broadcast to every replica; each replica executes the batch
   and the command leader answers its clients.
+
+The contract is the paper's setting (§8): commands do not interfere.
+Interfering commands are outside this implementation.  It keeps no
+dependencies, so it has no Accept (slow) phase, and each replica applies
+an instance when its commit arrives.  ROADMAP "EPaxos reports a commit
+order no replica applied" records what that leaves out.
 
 Latency probing (pick the closest quorum) and the thrifty optimization
 (send PreAccept only to a quorum rather than everyone) are implemented as
@@ -24,18 +27,14 @@ thrifty off).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.epaxos.messages import Accept, AcceptOK, Commit, InstanceId, PreAccept, PreAcceptOK
+from repro.epaxos.messages import Commit, InstanceId, PreAccept, PreAcceptOK
 from repro.kvstore.store import KVStore
 from repro.runtime.base import Runtime, Timer
 from repro.runtime.messages import ClientReply, ClientRequest, RequestType
 
 __all__ = ["EPaxosConfig", "EPaxosNode"]
-
-#: Shared empty dependency set: at 0% interference every instance carries
-#: it, so one interned object serves the whole run.
-_EMPTY_DEPS: FrozenSet["InstanceId"] = frozenset()
 
 
 @dataclass
@@ -53,11 +52,6 @@ class EPaxosConfig:
     latency_probing: bool = True
     #: Probe interval for latency estimation.
     probe_interval_s: float = 0.5
-    #: Track per-key interference when computing dependencies.  The paper
-    #: evaluates EPaxos with 0% command interference, so the default is off
-    #: (every instance takes the fast path); enabling it exercises the
-    #: Accept (slow) path under conflicting writes.
-    conflict_tracking: bool = False
 
 
 @dataclass(slots=True)
@@ -65,13 +59,9 @@ class _Instance:
     instance: InstanceId
     commands: Tuple[ClientRequest, ...]
     seq: int
-    deps: FrozenSet[InstanceId]
-    status: str = "preaccepted"  # preaccepted -> accepted -> committed -> executed
-    #: Command-leader bookkeeping, created by the code that reads it (the
-    #: first PreAcceptOK, the slow path) and dropped at commit.  Every
-    #: replica keeps every instance, and acceptors never hold either.
-    preaccept_replies: Optional[List[PreAcceptOK]] = None
-    accept_oks: Optional[Set[str]] = None
+    status: str = "preaccepted"  # preaccepted -> committed -> executed
+    #: PreAcceptOKs counted by the command leader; stays 0 at an acceptor.
+    preaccept_oks: int = 0
     leader: str = ""
 
 
@@ -117,8 +107,6 @@ class EPaxosNode:
 
         self.instances: Dict[InstanceId, _Instance] = {}
         self.next_slot = 0
-        #: Most recent interfering instance per key, used to compute deps.
-        self.key_deps: Dict[str, InstanceId] = {}
         self.max_seq = 0
 
         self.pending: List[Tuple[str, ClientRequest]] = []
@@ -139,7 +127,6 @@ class EPaxosNode:
         self.stats = {
             "instances_committed": 0,
             "fast_path": 0,
-            "slow_path": 0,
             "commands_executed": 0,
             "reads_served": 0,
         }
@@ -157,8 +144,6 @@ class EPaxosNode:
             ClientRequest: self._on_client_request,
             PreAccept: self._on_preaccept,
             PreAcceptOK: self._on_preaccept_ok,
-            Accept: self._on_accept,
-            AcceptOK: self._on_accept_ok,
             Commit: self._on_commit,
             _Probe: self._on_probe,
             _ProbeReply: self._on_probe_reply,
@@ -191,9 +176,6 @@ class EPaxosNode:
         """Fast-quorum size F + floor((F+1)/2) with N = 2F+1 replicas."""
         failures = (len(self.replicas) - 1) // 2
         return failures + (failures + 1) // 2
-
-    def slow_quorum_size(self) -> int:
-        return len(self.replicas) // 2
 
     def _quorum_peers(self, size: int) -> Tuple[str, ...]:
         peers = self._peers
@@ -239,43 +221,21 @@ class EPaxosNode:
     def _propose(self, commands: Tuple[ClientRequest, ...]) -> None:
         self.next_slot += 1
         instance_id = InstanceId(replica=self.node_id, slot=self.next_slot)
-        deps = self._compute_deps(commands)
         self.max_seq += 1
         seq = self.max_seq
-        instance = _Instance(
-            instance=instance_id, commands=commands, seq=seq, deps=deps, leader=self.node_id
-        )
+        instance = _Instance(instance=instance_id, commands=commands, seq=seq, leader=self.node_id)
         self.instances[instance_id] = instance
-        self._record_interference(instance_id, commands)
         if self._obs is not None:
             self._obs.phase_begin(
                 self._obs_proto, "preaccept", self.node_id, key=instance_id,
                 request_ids=[command.request_id for command in commands],
             )
-        message = PreAccept(instance=instance_id, commands=commands, seq=seq, deps=deps)
+        message = PreAccept(instance=instance_id, commands=commands, seq=seq)
         self.transport.broadcast(
             self._quorum_peers(self.fast_quorum_size()), message, message.wire_size()
         )
         if len(self.replicas) == 1:
             self._commit_instance(instance)
-
-    def _compute_deps(self, commands: Tuple[ClientRequest, ...]) -> FrozenSet[InstanceId]:
-        if not self.config.conflict_tracking:
-            return _EMPTY_DEPS
-        deps: Set[InstanceId] = set()
-        for command in commands:
-            if command.is_write():
-                existing = self.key_deps.get(command.key)
-                if existing is not None:
-                    deps.add(existing)
-        return frozenset(deps)
-
-    def _record_interference(self, instance_id: InstanceId, commands: Tuple[ClientRequest, ...]) -> None:
-        if not self.config.conflict_tracking:
-            return
-        for command in commands:
-            if command.is_write():
-                self.key_deps[command.key] = instance_id
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -299,145 +259,45 @@ class EPaxosNode:
 
     # -- Acceptor side ---------------------------------------------------
     def _on_preaccept(self, sender: str, message: PreAccept) -> None:
-        deps = message.deps
-        if self.config.conflict_tracking:
-            key_deps = self.key_deps
-            local_deps = set(deps)
-            for command in message.commands:
-                if command.op is RequestType.WRITE:
-                    existing = key_deps.get(command.key)
-                    if existing is not None:
-                        local_deps.add(existing)
-            local_deps.discard(message.instance)
-            # Value comparison between set and frozenset; when nothing was
-            # added or discarded the leader's frozenset is reused as-is
-            # (no rebuild) — the dominant case at 0% interference.
-            changed = local_deps != deps
-            if changed:
-                deps = frozenset(local_deps)
-        else:
-            # No interference tracking: this replica never adds deps, and
-            # the leader never lists an instance in its own deps, so the
-            # attributes pass through untouched.
-            changed = False
-        # The sequence number only grows when this replica knows of
-        # interfering commands the leader missed (EPaxos §4.3.1); with the
-        # paper's 0% interference workload it never changes.
-        seq = max(message.seq, self.max_seq + 1) if changed else message.seq
+        # The leader's sequence number stands; this replica only raises its
+        # own, so the instances it leads later order after this one.
+        seq = message.seq
         if seq > self.max_seq:
             self.max_seq = seq
         instance_id = message.instance
-        instance = _Instance(
-            instance=instance_id,
-            commands=message.commands,
-            seq=seq,
-            deps=deps,
-            status="preaccepted",
-            leader=sender,
+        self.instances[instance_id] = _Instance(
+            instance=instance_id, commands=message.commands, seq=seq, leader=sender
         )
-        self.instances[instance_id] = instance
-        if self.config.conflict_tracking:
-            self._record_interference(instance_id, message.commands)
-        reply = PreAcceptOK(
-            instance=instance_id,
-            replica=self.node_id,
-            seq=seq,
-            deps=deps,
-            changed=changed,
-        )
+        reply = PreAcceptOK(instance=instance_id)
         self.transport.send(sender, reply, reply.wire_size())
 
     def _on_preaccept_ok(self, sender: str, message: PreAcceptOK) -> None:
         instance = self.instances.get(message.instance)
         if instance is None or instance.status != "preaccepted" or instance.leader != self.node_id:
             return
-        replies = instance.preaccept_replies
-        if replies is None:
-            replies = instance.preaccept_replies = []
-        replies.append(message)
-        needed = self.fast_quorum_size()
-        if len(replies) < needed:
+        instance.preaccept_oks += 1
+        if instance.preaccept_oks < self.fast_quorum_size():
             return
-        fast = True
-        for i in range(needed):
-            if replies[i].changed:
-                fast = False
-                break
-        if fast:
-            self.stats["fast_path"] += 1
-            self._commit_instance(instance)
-        else:
-            replies = replies[:needed]
-            # Slow path: union attributes and run the Accept phase.
-            union_deps: Set[InstanceId] = set(instance.deps)
-            seq = instance.seq
-            for reply in replies:
-                union_deps |= set(reply.deps)
-                seq = max(seq, reply.seq)
-            instance.deps = frozenset(union_deps)
-            instance.seq = seq
-            instance.status = "accepted"
-            instance.accept_oks = set()
-            if self._obs is not None:
-                self._obs.phase_end(self._obs_proto, "preaccept", self.node_id, key=instance.instance)
-                self._obs.phase_begin(self._obs_proto, "accept", self.node_id, key=instance.instance)
-            message_out = Accept(
-                instance=instance.instance, commands=instance.commands, seq=seq, deps=instance.deps
-            )
-            self.transport.broadcast(
-                self._quorum_peers(self.slow_quorum_size()), message_out, message_out.wire_size()
-            )
-
-    def _on_accept(self, sender: str, message: Accept) -> None:
-        instance = self.instances.get(message.instance)
-        if instance is None:
-            instance = _Instance(
-                instance=message.instance,
-                commands=message.commands,
-                seq=message.seq,
-                deps=message.deps,
-                leader=sender,
-            )
-            self.instances[message.instance] = instance
-        instance.seq = message.seq
-        instance.deps = message.deps
-        instance.status = "accepted"
-        reply = AcceptOK(instance=message.instance, replica=self.node_id)
-        self.transport.send(sender, reply, reply.wire_size())
-
-    def _on_accept_ok(self, sender: str, message: AcceptOK) -> None:
-        instance = self.instances.get(message.instance)
-        if instance is None or instance.status != "accepted" or instance.leader != self.node_id:
-            return
-        instance.accept_oks.add(message.replica)
-        if len(instance.accept_oks) >= self.slow_quorum_size():
-            self.stats["slow_path"] += 1
-            self._commit_instance(instance)
+        self.stats["fast_path"] += 1
+        self._commit_instance(instance)
 
     # -- Commit / execute -------------------------------------------------
     def _commit_instance(self, instance: _Instance) -> None:
         if instance.status == "committed":
             return
         instance.status = "committed"
-        instance.preaccept_replies = instance.accept_oks = None
         self.stats["instances_committed"] += 1
         obs = self._obs
         if obs is not None:
             proto = self._obs_proto
             obs.phase_end(proto, "preaccept", self.node_id, key=instance.instance)
-            obs.phase_end(proto, "accept", self.node_id, key=instance.instance)
             obs.phase_point(
                 proto, "commit", self.node_id, key=instance.instance,
                 request_ids=[command.request_id for command in instance.commands],
             )
         # One interned Commit for the whole fan-out: the message object, its
         # wire size, and the network-level packet schedule are shared.
-        commit = Commit(
-            instance=instance.instance,
-            commands=instance.commands,
-            seq=instance.seq,
-            deps=instance.deps,
-        )
+        commit = Commit(instance=instance.instance, commands=instance.commands, seq=instance.seq)
         self.transport.broadcast(self._peers, commit, commit.wire_size())
         self._execute(instance, reply_to_clients=True)
 
@@ -448,7 +308,6 @@ class EPaxosNode:
                 instance=message.instance,
                 commands=message.commands,
                 seq=message.seq,
-                deps=message.deps,
                 leader=message.instance.replica,
             )
             self.instances[message.instance] = instance

@@ -34,8 +34,8 @@ super-leaf broadcast with its factory and interface, the summary
 statistics nobody called, the znode tree with its exceptions, and the Raft
 KV baseline with its read modes, read-index rounds and leader lease, the
 asyncio runtime with its cluster, topology and send hook, the registration
-API the registry table replaced, and the read postponement the write
-leases left behind.  Scope:
+API the registry table replaced, the read postponement the write
+leases left behind, and EPaxos's dependency tracking and Accept phase.  Scope:
 the documents above, ``tests/``, the CI workflow and the verify skill; the
 plans and history keep their records.  A removed constructor option is
 refused with a ``TypeError``, and a removed command-line flag with a usage
@@ -228,6 +228,13 @@ REMOVED = {
     "postpone": "a read waits for the one cycle it was deferred to; the write leases that moved it went",
     "_arm_wake": "an idle host's dispatch is armed at the arrival's estimated finish, Host._arm_dispatch",
     "_wake_at": "an idle host's dispatch is armed at the arrival's estimated finish, Host._arm_dispatch",
+    "AcceptOK": "EPaxos runs at 0 % interference: every instance commits on the fast path, "
+    "with no Accept phase",
+    "_compute_deps": "EPaxos keeps no dependencies: interfering commands are outside its contract",
+    "_record_interference": "EPaxos keeps no dependencies: interfering commands are outside its contract",
+    "key_deps": "EPaxos keeps no dependencies: interfering commands are outside its contract",
+    "accept_oks": "EPaxos has no Accept phase to count acks for",
+    "preaccept_replies": "the command leader counts PreAcceptOKs in _Instance.preaccept_oks",
 }
 
 #: Constructor and function options that went with the code only they
@@ -266,6 +273,7 @@ REMOVED_OPTIONS = [
     ("repro.canopus.node:CanopusNode", "apply_read"),
     ("repro.protocols.canopus:CanopusProtocol", "stores"),
     ("repro.bench.builders:SystemUnderTest", "stores"),
+    ("repro.epaxos.node:EPaxosConfig", "conflict_tracking"),
 ]
 
 #: Command-line flags that went with the code only they reached, each with

@@ -1,5 +1,6 @@
 """Tests for the EPaxos baseline."""
 
+import pytest
 
 from repro.epaxos.messages import InstanceId
 from repro.epaxos.node import EPaxosConfig
@@ -80,27 +81,25 @@ class TestCommitAndExecute:
         assert node.stats["instances_committed"] >= 1
 
 
-class TestFastAndSlowPath:
-    def test_no_interference_takes_fast_path(self):
-        sim, _, protocol, _ = build(config=EPaxosConfig(batch_duration_s=0.002, conflict_tracking=False))
+class TestFastPath:
+    def test_same_key_writes_from_every_leader_all_commit_on_the_fast_path(self):
+        """The contract is the paper's 0 % interference: writes to one key
+        from every command leader never leave the fast path, and every
+        replica executes all of them."""
+        sim, _, protocol, _ = build()
         nodes = list(protocol.nodes.values())
-        for node in nodes:
-            node.submit(write("same-key"))
-        sim.run_until(1.0)
-        assert sum(n.stats["fast_path"] for n in nodes) >= 3
-        assert sum(n.stats["slow_path"] for n in nodes) == 0
-
-    def test_conflicting_writes_exercise_slow_path(self):
-        config = EPaxosConfig(batch_duration_s=0.002, conflict_tracking=True)
-        sim, _, protocol, _ = build(config=config)
-        nodes = list(protocol.nodes.values())
-        # Several rounds of writes to the same key from different leaders.
         for burst in range(4):
             for node in nodes:
-                node.submit(write("contended", str(burst)))
+                node.submit(write("same-key", str(burst)))
             sim.run_until(0.2 * (burst + 1))
         sim.run_until(2.0)
-        assert sum(n.stats["slow_path"] for n in nodes) >= 1
+        committed = sum(n.stats["instances_committed"] for n in nodes)
+        assert committed == 4 * len(nodes)
+        assert sum(n.stats["fast_path"] for n in nodes) == committed
+        for node in nodes:
+            assert len(node.instances) == committed
+            assert all(instance.status == "executed" for instance in node.instances.values())
+            assert node.stats["commands_executed"] == committed
 
     def test_every_replica_converges_on_committed_instances(self):
         sim, _, protocol, _ = build()
@@ -118,24 +117,58 @@ class TestFastAndSlowPath:
 
 class TestRetainedState:
     def test_only_the_command_leader_keeps_reply_bookkeeping(self):
-        """Every replica keeps every instance; the reply list and ack set
-        exist only at the command leader, and only until it commits."""
+        """Every replica keeps every instance; only the command leader
+        counts PreAcceptOKs, and it stops counting at the fast quorum."""
         sim, _, protocol, _ = build(replica_count_per_rack=3, racks=3)
         leader, *acceptors = protocol.nodes.values()
         leader.submit(write("k"))
         instance_id = InstanceId(replica=leader.node_id, slot=1)
-        while leader.instances.get(instance_id) is None or not leader.instances[instance_id].preaccept_replies:
+        while leader.instances.get(instance_id) is None or not leader.instances[instance_id].preaccept_oks:
             assert sim.loop.step() and sim.now < 0.1
         holders = [node for node in acceptors if instance_id in node.instances]
         assert holders
         for node in holders:
-            instance = node.instances[instance_id]
-            assert instance.preaccept_replies is None and instance.accept_oks is None
+            assert node.instances[instance_id].preaccept_oks == 0
         sim.run_until(0.5)
         for node in protocol.nodes.values():
-            instance = node.instances[instance_id]
-            assert instance.status == "executed"
-            assert instance.preaccept_replies is None and instance.accept_oks is None
+            assert node.instances[instance_id].status == "executed"
+        for node in acceptors:
+            assert node.instances[instance_id].preaccept_oks == 0
+        assert leader.instances[instance_id].preaccept_oks == leader.fast_quorum_size()
+
+
+class TestMessageBudget:
+    """One instance costs a PreAccept round to the quorum peers and one
+    Commit to every peer: no second phase and no extra fan-out."""
+
+    @pytest.mark.parametrize(
+        "thrifty, preaccepts, total_bytes",
+        [(False, 8, 2112), (True, 6, 1792)],
+        ids=["all-peers", "thrifty"],
+    )
+    def test_one_write_at_3x3(self, thrifty, preaccepts, total_bytes):
+        config = EPaxosConfig(batch_duration_s=0.001, thrifty=thrifty, latency_probing=False)
+        sim, _, protocol, _ = build(replica_count_per_rack=3, racks=3, config=config)
+        wire = []
+        for node in protocol.nodes.values():
+
+            def handler(sender, message, node=node):
+                wire.append(type(message).__name__)
+                node.on_message(sender, message)
+
+            node.runtime.set_handler(handler)
+        leader = next(iter(protocol.nodes.values()))
+        leader.submit(write("k"))
+        sim.run_until(0.5)
+        assert all(node.stats["commands_executed"] == 1 for node in protocol.nodes.values())
+        peers = len(leader.peers())
+        assert sorted(set(wire)) == ["Commit", "PreAccept", "PreAcceptOK"]
+        assert wire.count("PreAccept") == wire.count("PreAcceptOK") == preaccepts
+        assert wire.count("Commit") == peers
+        # PreAccept and Commit are 56 + 48 B with one command, PreAcceptOK 56 B.
+        transports = [node.transport for node in protocol.nodes.values()]
+        assert sum(t.messages_sent for t in transports) == len(wire) == 2 * preaccepts + peers
+        assert sum(t.bytes_sent for t in transports) == total_bytes
 
 
 class TestQuorums:
@@ -143,7 +176,6 @@ class TestQuorums:
         sim, _, protocol, _ = build(replica_count_per_rack=3, racks=3)  # 9 replicas
         node = next(iter(protocol.nodes.values()))
         assert node.fast_quorum_size() == 6
-        assert node.slow_quorum_size() == 4
 
     def test_thrifty_limits_preaccept_fanout(self):
         config = EPaxosConfig(batch_duration_s=0.001, thrifty=True, latency_probing=False)
@@ -152,8 +184,8 @@ class TestQuorums:
         node.submit(write("k"))
         sim.run_until(0.1)
         host = topo.network.hosts[node.node_id]
-        # Thrifty: PreAccept goes to the fast quorum only (6), not all 26 peers.
-        assert host.messages_sent <= 1 + node.fast_quorum_size() + len(node.peers())
+        # Thrifty: PreAccept goes to the fast quorum only (6), Commit to all 8 peers.
+        assert host.messages_sent == node.fast_quorum_size() + len(node.peers())
 
     def test_latency_probing_populates_rtt_estimates(self):
         config = EPaxosConfig(latency_probing=True, probe_interval_s=0.05)

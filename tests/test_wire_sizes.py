@@ -44,7 +44,7 @@ def test_batched_sizes_scale_linearly():
     """Batch-carrying messages charge exactly per-entry costs (no hidden
     per-batch rounding the slimming could change)."""
     for count in (1, 2, 7, 50):
-        assert PreAccept(_instance(), _requests(count), 1, frozenset()).wire_size() == 56 + 48 * count
+        assert PreAccept(_instance(), _requests(count), 1).wire_size() == 56 + 48 * count
         assert ZabProposal(1, "n0", _requests(count)).wire_size() == 48 + 48 * count
         assert Proposal(1, 1, "v0", "n0", 1, requests=_requests(count)).wire_size() == 40 + 48 * count
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.broadcast.raft_broadcast import _ForwardedBroadcast
 from repro.canopus.membership import Heartbeat, JoinRequest
 from repro.canopus.messages import MembershipUpdate, Proposal, ProposalRequest
-from repro.epaxos.messages import Accept, AcceptOK, Commit, InstanceId, PreAccept, PreAcceptOK
+from repro.epaxos.messages import Commit, InstanceId, PreAccept, PreAcceptOK
 from repro.epaxos.node import _Probe, _ProbeReply
 from repro.raft.log import LogEntry
 from repro.raft.messages import AppendEntries, AppendEntriesReply, RequestVote, RequestVoteReply
@@ -42,10 +42,6 @@ def _reply():
 
 def _requests(count):
     return tuple(_request() for _ in range(count))
-
-
-def _deps(count):
-    return frozenset(InstanceId(replica=f"n{i}", slot=i) for i in range(count))
 
 
 def _instance():
@@ -74,17 +70,10 @@ GOLDEN = [
     ("join-request", lambda: JoinRequest(node_id="n1", super_leaf="sl0"), 48),
     ("forwarded-broadcast", lambda: _ForwardedBroadcast("g0", _request()), 48 + 24),
     # -- epaxos ----------------------------------------------------------
-    ("preaccept-1cmd", lambda: PreAccept(_instance(), _requests(1), 1, frozenset()), 56 + 48),
-    (
-        "preaccept-4cmd-2dep",
-        lambda: PreAccept(_instance(), _requests(4), 1, _deps(2)),
-        56 + 4 * 48 + 2 * 16,
-    ),
-    ("preaccept-ok", lambda: PreAcceptOK(_instance(), "n1", 1, frozenset(), False), 56),
-    ("preaccept-ok-2dep", lambda: PreAcceptOK(_instance(), "n1", 1, _deps(2), True), 56 + 2 * 16),
-    ("accept-2cmd", lambda: Accept(_instance(), _requests(2), 1, frozenset()), 56 + 2 * 48),
-    ("accept-ok", lambda: AcceptOK(_instance(), "n1"), 56),
-    ("commit-3cmd-1dep", lambda: Commit(_instance(), _requests(3), 1, _deps(1)), 56 + 3 * 48 + 16),
+    ("preaccept-1cmd", lambda: PreAccept(_instance(), _requests(1), 1), 56 + 48),
+    ("preaccept-4cmd", lambda: PreAccept(_instance(), _requests(4), 1), 56 + 4 * 48),
+    ("preaccept-ok", lambda: PreAcceptOK(_instance()), 56),
+    ("commit-3cmd", lambda: Commit(_instance(), _requests(3), 1), 56 + 3 * 48),
     ("epaxos-probe", lambda: _Probe(sender="n0", sent_at=0.5), 16),
     ("epaxos-probe-reply", lambda: _ProbeReply(sender="n1", echoed_at=0.5), 16),
     # -- zab / zookeeper -------------------------------------------------
@@ -128,8 +117,6 @@ WIRE_COVERED = {
     "src/repro/epaxos/messages.py": (
         "PreAccept",
         "PreAcceptOK",
-        "Accept",
-        "AcceptOK",
         "Commit",
     ),
     "src/repro/epaxos/node.py": ("_Probe", "_ProbeReply"),
