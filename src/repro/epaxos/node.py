@@ -7,10 +7,19 @@ batching duration, then proposed as one instance:
 
 * **PreAccept** is sent to the other replicas of the fast quorum with the
   leader's sequence number.
-* Each replica records the instance and replies; once a fast quorum has
-  replied the leader commits on the **fast path**, after one round trip.
+* Each replica raises its own sequence number and replies; once a fast
+  quorum has replied the leader commits on the **fast path**, after one
+  round trip.
 * **Commit** is broadcast to every replica; each replica executes the batch
   and the command leader answers its clients.
+
+What a replica keeps per instance is the one ``Commit`` it executed, the
+object the fan-out shares, in ``executed``.  The command leader keeps an
+``_Instance`` only until its fast quorum commits it; an acceptor keeps
+nothing between PreAccept and Commit.  An acceptor's record would be read
+only by a recovery of the instance, and nothing here recovers one (ROADMAP
+"Crash is not the end: restart, rejoin and catch-up"): a recovery path
+brings the record back together with its reader.
 
 The contract is the paper's setting (§8): commands do not interfere.
 Interfering commands are outside this implementation.  It keeps no
@@ -56,13 +65,12 @@ class EPaxosConfig:
 
 @dataclass(slots=True)
 class _Instance:
+    """An instance this replica leads, kept until its fast quorum replies."""
+
     instance: InstanceId
     commands: Tuple[ClientRequest, ...]
     seq: int
-    status: str = "preaccepted"  # preaccepted -> committed -> executed
-    #: PreAcceptOKs counted by the command leader; stays 0 at an acceptor.
     preaccept_oks: int = 0
-    leader: str = ""
 
 
 @dataclass(slots=True)
@@ -105,7 +113,10 @@ class EPaxosNode:
         #: The replica executed commands are applied to.
         self.store = KVStore()
 
+        #: Instances this replica leads that have not committed yet.
         self.instances: Dict[InstanceId, _Instance] = {}
+        #: Every instance this replica applied, with the Commit it applied.
+        self.executed: Dict[InstanceId, Commit] = {}
         self.next_slot = 0
         self.max_seq = 0
 
@@ -223,7 +234,7 @@ class EPaxosNode:
         instance_id = InstanceId(replica=self.node_id, slot=self.next_slot)
         self.max_seq += 1
         seq = self.max_seq
-        instance = _Instance(instance=instance_id, commands=commands, seq=seq, leader=self.node_id)
+        instance = _Instance(instance=instance_id, commands=commands, seq=seq)
         self.instances[instance_id] = instance
         if self._obs is not None:
             self._obs.phase_begin(
@@ -261,19 +272,15 @@ class EPaxosNode:
     def _on_preaccept(self, sender: str, message: PreAccept) -> None:
         # The leader's sequence number stands; this replica only raises its
         # own, so the instances it leads later order after this one.
-        seq = message.seq
-        if seq > self.max_seq:
-            self.max_seq = seq
-        instance_id = message.instance
-        self.instances[instance_id] = _Instance(
-            instance=instance_id, commands=message.commands, seq=seq, leader=sender
-        )
-        reply = PreAcceptOK(instance=instance_id)
+        if message.seq > self.max_seq:
+            self.max_seq = message.seq
+        reply = PreAcceptOK(instance=message.instance)
         self.transport.send(sender, reply, reply.wire_size())
 
     def _on_preaccept_ok(self, sender: str, message: PreAcceptOK) -> None:
+        # A late reply finds nothing: the instance was dropped at its commit.
         instance = self.instances.get(message.instance)
-        if instance is None or instance.status != "preaccepted" or instance.leader != self.node_id:
+        if instance is None:
             return
         instance.preaccept_oks += 1
         if instance.preaccept_oks < self.fast_quorum_size():
@@ -283,9 +290,7 @@ class EPaxosNode:
 
     # -- Commit / execute -------------------------------------------------
     def _commit_instance(self, instance: _Instance) -> None:
-        if instance.status == "committed":
-            return
-        instance.status = "committed"
+        del self.instances[instance.instance]
         self.stats["instances_committed"] += 1
         obs = self._obs
         if obs is not None:
@@ -299,28 +304,19 @@ class EPaxosNode:
         # wire size, and the network-level packet schedule are shared.
         commit = Commit(instance=instance.instance, commands=instance.commands, seq=instance.seq)
         self.transport.broadcast(self._peers, commit, commit.wire_size())
-        self._execute(instance, reply_to_clients=True)
+        self._execute(commit, reply_to_clients=True)
 
     def _on_commit(self, sender: str, message: Commit) -> None:
-        instance = self.instances.get(message.instance)
-        if instance is None:
-            instance = _Instance(
-                instance=message.instance,
-                commands=message.commands,
-                seq=message.seq,
-                leader=message.instance.replica,
-            )
-            self.instances[message.instance] = instance
-        instance.status = "committed"
-        self._execute(instance, reply_to_clients=False)
+        self._execute(message, reply_to_clients=False)
 
-    def _execute(self, instance: _Instance, reply_to_clients: bool) -> None:
-        if instance.status == "executed":
-            return
-        instance.status = "executed"
+    def _execute(self, commit: Commit, reply_to_clients: bool) -> None:
+        executed = self.executed
+        if commit.instance in executed:
+            return  # a repeated Commit applies nothing twice
+        executed[commit.instance] = commit
         apply = self._apply
         reads = 0
-        for command in instance.commands:
+        for command in commit.commands:
             value = apply(command)
             if command.op is RequestType.READ:
                 reads += 1
@@ -332,7 +328,7 @@ class EPaxosNode:
                     op=command.op,
                     key=command.key,
                     value=value,
-                    committed_cycle=instance.instance.slot,
+                    committed_cycle=commit.instance.slot,
                     completed_at=self.runtime.now(),
                     server_id=self.node_id,
                 )
@@ -341,7 +337,7 @@ class EPaxosNode:
                 if sender is not None and sender != self.node_id:
                     self.transport.send(sender, reply, reply.wire_size())
         stats = self.stats
-        stats["commands_executed"] += len(instance.commands)
+        stats["commands_executed"] += len(commit.commands)
         stats["reads_served"] += reads
 
     # ------------------------------------------------------------------
@@ -361,11 +357,13 @@ class EPaxosNode:
         by ``(seq, instance)``.
 
         That is not the order this replica applied them in (it applies each
-        instance when its commit arrives), and it is not append-only: see
-        ROADMAP "EPaxos reports a commit order no replica applied".
+        instance when its commit arrives, the order ``executed`` iterates
+        in), and it is not append-only: see ROADMAP "EPaxos reports a commit
+        order no replica applied".  Only executed instances are seen here:
+        an acceptor keeps no record of an instance before its Commit, since
+        nothing here recovers one.
         """
         ids: List[int] = []
-        for instance in sorted(self.instances.values(), key=lambda i: (i.seq, i.instance)):
-            if instance.status == "executed":
-                ids.extend(command.request_id for command in instance.commands)
+        for commit in sorted(self.executed.values(), key=lambda c: (c.seq, c.instance)):
+            ids.extend(command.request_id for command in commit.commands)
         return ids

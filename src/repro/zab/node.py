@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.kvstore.store import KVStore
 from repro.runtime.base import Runtime
@@ -46,13 +46,12 @@ class ZabConfig:
 
 @dataclass(slots=True)
 class _PendingTxn:
-    """A proposed transaction, kept until it commits."""
+    """A transaction the leader proposed, kept until a quorum acks it."""
 
     zxid: int
     origin: str
     requests: Tuple[ClientRequest, ...]
-    #: Who has acknowledged it; only the leader counts acks.
-    acks: Optional[Set[str]] = None
+    acks: Set[str]
 
 
 class ZabNode:
@@ -81,7 +80,9 @@ class ZabNode:
         self.store = KVStore()
 
         self.next_zxid = 0
-        self.pending_txns: Dict[int, _PendingTxn] = {}
+        #: Uncommitted transactions by zxid: the leader's ``_PendingTxn``s,
+        #: or the ``ZabProposal``s a follower received, kept as they came.
+        self.pending_txns: Dict[int, Union[_PendingTxn, ZabProposal]] = {}
         self.last_committed_zxid = 0
         self.committed_requests: List[ClientRequest] = []
 
@@ -207,10 +208,8 @@ class ZabNode:
         self._apply_committed(message.zxid, message.origin, message.requests)
 
     def _on_proposal(self, sender: str, message: ZabProposal) -> None:
-        # Followers keep the proposal until its commit and acknowledge it.
-        self.pending_txns[message.zxid] = _PendingTxn(
-            zxid=message.zxid, origin=message.origin, requests=message.requests
-        )
+        # Followers keep the proposal itself until its commit and acknowledge it.
+        self.pending_txns[message.zxid] = message
         ack = ZabAck(zxid=message.zxid, follower=self.node_id)
         self.transport.send(sender, ack, ack.wire_size())
 

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.epaxos.messages import InstanceId
+from repro.epaxos.messages import Commit, InstanceId, PreAcceptOK
 from repro.epaxos.node import EPaxosConfig
 from repro.protocols import build_protocol
 from repro.runtime.messages import ClientRequest, RequestType
 from repro.sim.engine import Simulator
 from repro.sim.topology import build_single_datacenter
+from tests.test_kvstore import retained_bytes
 
 
 def build(replica_count_per_rack=1, racks=3, config=None, seed=13):
@@ -97,8 +98,8 @@ class TestFastPath:
         assert committed == 4 * len(nodes)
         assert sum(n.stats["fast_path"] for n in nodes) == committed
         for node in nodes:
-            assert len(node.instances) == committed
-            assert all(instance.status == "executed" for instance in node.instances.values())
+            assert len(node.executed) == committed
+            assert not node.instances
             assert node.stats["commands_executed"] == committed
 
     def test_every_replica_converges_on_committed_instances(self):
@@ -107,34 +108,97 @@ class TestFastPath:
         for index, node in enumerate(nodes):
             node.submit(write(f"key-{index}"))
         sim.run_until(1.0)
-        instance_sets = [
-            {iid for iid, inst in node.instances.items() if inst.status in ("committed", "executed")}
-            for node in nodes
-        ]
+        instance_sets = [set(node.executed) for node in nodes]
         assert instance_sets[0] == instance_sets[1] == instance_sets[2]
         assert len(instance_sets[0]) == 3
 
 
 class TestRetainedState:
     def test_only_the_command_leader_keeps_reply_bookkeeping(self):
-        """Every replica keeps every instance; only the command leader
-        counts PreAcceptOKs, and it stops counting at the fast quorum."""
+        """Only the command leader keeps an instance before its commit, and
+        only until the fast quorum has replied: acceptors hold no record,
+        and a late PreAcceptOK finds nothing to count."""
         sim, _, protocol, _ = build(replica_count_per_rack=3, racks=3)
         leader, *acceptors = protocol.nodes.values()
+        oks_while_held = []
+
+        def leader_handler(sender, message):
+            if isinstance(message, PreAcceptOK):
+                oks_while_held.append(message.instance in leader.instances)
+            leader.on_message(sender, message)
+
+        leader.runtime.set_handler(leader_handler)
         leader.submit(write("k"))
         instance_id = InstanceId(replica=leader.node_id, slot=1)
-        while leader.instances.get(instance_id) is None or not leader.instances[instance_id].preaccept_oks:
+        while not oks_while_held:
             assert sim.loop.step() and sim.now < 0.1
-        holders = [node for node in acceptors if instance_id in node.instances]
-        assert holders
-        for node in holders:
-            assert node.instances[instance_id].preaccept_oks == 0
+        instance = leader.instances[instance_id]
+        assert all(not node.instances and not node.executed for node in acceptors)
         sim.run_until(0.5)
         for node in protocol.nodes.values():
-            assert node.instances[instance_id].status == "executed"
-        for node in acceptors:
-            assert node.instances[instance_id].preaccept_oks == 0
-        assert leader.instances[instance_id].preaccept_oks == leader.fast_quorum_size()
+            assert instance_id in node.executed
+            assert not node.instances
+        # Six of the eight replies make the fast quorum; the last two are late.
+        assert instance.preaccept_oks == leader.fast_quorum_size() == 6
+        assert oks_while_held == [True] * 6 + [False] * 2
+        leader.on_message(acceptors[0].node_id, PreAcceptOK(instance=instance_id))
+        assert not leader.instances
+        assert leader.stats["fast_path"] == leader.stats["instances_committed"] == 1
+
+    def test_a_replica_retains_at_most_96_bytes_an_instance(self):
+        """At 3 x 3 a replica keeps about 77 B per executed instance, most of
+        it its ``executed`` entry, which holds the one Commit the fan-out
+        shares.  A record per instance at every replica cost about 150 B."""
+        count = 2_000
+        sim = Simulator(seed=13)
+        topo = build_single_datacenter(sim, nodes_per_rack=3, racks=3)
+        protocol = build_protocol("epaxos", topo, config=EPaxosConfig(max_batch_size=1))
+        protocol.start()
+        leader = next(iter(protocol.nodes.values()))
+        requests = [write("k", str(index)) for index in range(count)]  # one key: the store stays put
+        sim.run_until(0.01)
+
+        def run():
+            for index, request in enumerate(requests):
+                sim.schedule(index * 0.0002, lambda request=request: leader.submit(request))
+            sim.run_until(count * 0.0002 + 0.5)
+
+        retained = retained_bytes(run)
+        assert all(node.stats["commands_executed"] == count for node in protocol.nodes.values())
+        assert retained / (count * len(protocol.nodes)) <= 96
+
+
+class TestRepeatedCommit:
+    def test_a_second_commit_applies_nothing(self):
+        """Every Commit reaches each acceptor twice: each command is still
+        applied once at every replica and counted once."""
+        sim, _, protocol, _ = build()
+        nodes = list(protocol.nodes.values())
+        applied = {node.node_id: [] for node in nodes}
+        for node in nodes:
+
+            def handler(sender, message, node=node):
+                node.on_message(sender, message)
+                if isinstance(message, Commit):
+                    node.on_message(sender, message)
+
+            def apply(command, node=node, original=node._apply):
+                applied[node.node_id].append(command.request_id)
+                return original(command)
+
+            node.runtime.set_handler(handler)
+            node._apply = apply
+        requests = []
+        for burst in range(4):
+            for node in nodes:
+                request = write("same-key", str(burst))
+                requests.append(request.request_id)
+                node.submit(request)
+            sim.run_until(0.2 * (burst + 1))
+        sim.run_until(2.0)
+        for node in nodes:
+            assert sorted(applied[node.node_id]) == sorted(requests)
+            assert node.stats["commands_executed"] == len(requests) == 12
 
 
 class TestMessageBudget:

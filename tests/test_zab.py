@@ -1,12 +1,16 @@
 """Tests for the ZooKeeper/Zab baseline."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.protocols import build_protocol
 from repro.runtime.messages import ClientRequest, RequestType
 from repro.sim.engine import Simulator
 from repro.sim.topology import build_single_datacenter
+from repro.zab.messages import ZabProposal
 from repro.zab.node import ZabConfig, ZabRole
+from tests.test_kvstore import retained_bytes
 
 
 def build(nodes_per_rack=3, racks=3, config=None, seed=17):
@@ -127,15 +131,47 @@ class TestReads:
 
 class TestRetainedState:
     def test_only_the_leader_counts_acks(self):
+        """A follower keeps the proposal it was sent, with no ack set; only
+        the leader's transaction counts acks."""
         sim, _, protocol, _ = build()
         leader = protocol.node(protocol.leader_id)
         follower = next(n for n in protocol.nodes.values() if n.role is ZabRole.FOLLOWER)
+        delivered = []
+
+        def handler(sender, message):
+            delivered.append(message)
+            follower.on_message(sender, message)
+
+        follower.runtime.set_handler(handler)
         leader.submit(write("k"))
         while not follower.pending_txns:
             assert sim.loop.step() and sim.now < 0.1
         (txn,) = follower.pending_txns.values()
-        assert txn.acks is None
+        assert txn is delivered[-1] and type(txn) is ZabProposal
         assert leader.node_id in leader.pending_txns[txn.zxid].acks
+
+    def test_a_follower_retains_at_most_48_bytes_a_pending_proposal(self):
+        """Until its commit, a follower's pending proposal costs one dict
+        entry (about 37 B at this count): the proposal itself is the message
+        it was sent.  A copy of its own cost about 100 B.  The acks are
+        dropped at the send: packets in flight, and the tuple free lists the
+        network's queues leave filled, are not the follower's to keep."""
+        count = 2_000
+        _, _, protocol, _ = build()
+        leader = protocol.node(protocol.leader_id)
+        follower = next(n for n in protocol.nodes.values() if n.role is ZabRole.FOLLOWER)
+        follower.transport = SimpleNamespace(send=lambda dst, message, size: None)
+        proposals = [
+            ZabProposal(zxid=zxid, origin=leader.node_id, requests=(write("k"),))
+            for zxid in range(1, count + 1)
+        ]
+
+        def receive_all():
+            for proposal in proposals:
+                follower.on_message(leader.node_id, proposal)
+
+        assert retained_bytes(receive_all) / count <= 48
+        assert len(follower.pending_txns) == count
 
     def test_committed_transactions_are_forgotten(self):
         """Every replica drops a transaction at commit, and every replica
