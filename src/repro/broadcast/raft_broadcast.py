@@ -223,16 +223,6 @@ class RaftBroadcast:
         for group in self.groups.values():
             group.remove_member(peer)
 
-    def add_peer(self, peer: str) -> None:
-        """Add a joined peer to the broadcast group."""
-        if peer != self.node_id and peer not in self.peers:
-            self.peers.append(peer)
-        members = sorted(set(list(self.peers) + [self.node_id]))
-        if peer not in self.groups:
-            self._create_group(peer, members)
-        for group in self.groups.values():
-            group.add_member(peer)
-
     def stop(self) -> None:
         self._held.clear()
         for group in self.groups.values():

@@ -13,8 +13,8 @@ except the write-lease read optimization of §7.2:
 * :mod:`repro.canopus.node` — the Canopus node state machine: consensus
   cycles, self-synchronization, pipelining, read linearization, commit.
 * :mod:`repro.canopus.linearizer` — read-delay linearization (§5).
-* :mod:`repro.canopus.membership` — emulation-table maintenance and the
-  join/leave protocol (§4.6).
+* :mod:`repro.canopus.membership` — the failure detector and the
+  delete-only emulation-table maintenance of §4.6 (no joins).
 
 Node placement (one node per server host, one super-leaf per rack, §3) is
 not part of the protocol core: the ``canopus`` and ``zkcanopus`` registry

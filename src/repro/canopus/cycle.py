@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.canopus.messages import MembershipUpdate, Proposal
-from repro.runtime.messages import ClientRequest
+from repro.canopus.messages import Proposal
 
 __all__ = ["FetchState", "CycleState"]
 
@@ -27,7 +26,6 @@ class FetchState:
 
     vnode_id: str
     emulator: str
-    issued_at: float
     attempts: int = 1
     #: This node's index among the vnode's fetchers (redundant fetching).
     rank: int = 0
@@ -61,13 +59,8 @@ class CycleState:
     #: the cycle, and vnode states are recorded at most once per vnode
     #: (:meth:`record_vnode_state`), so entries can never go stale.
     reply_cache: Dict[str, Tuple[Proposal, int]] = field(default_factory=dict)
-    #: Client write requests proposed by this node in this cycle.
-    own_requests: Tuple[ClientRequest, ...] = ()
-    #: Membership updates proposed by this node in this cycle.
-    own_membership_updates: Tuple[MembershipUpdate, ...] = ()
     completed: bool = False
     committed: bool = False
-    completed_at: Optional[float] = None
 
     # ------------------------------------------------------------------
     def record_round1(self, proposal: Proposal) -> bool:

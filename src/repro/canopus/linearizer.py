@@ -36,7 +36,6 @@ class PendingRead:
     request: ClientRequest
     sender: str
     received_at: float
-    release_cycle: int
 
 
 class ReadLinearizer:
@@ -50,7 +49,7 @@ class ReadLinearizer:
     # ------------------------------------------------------------------
     def defer(self, request: ClientRequest, sender: str, now: float, release_cycle: int) -> PendingRead:
         """Buffer ``request`` until ``release_cycle`` commits."""
-        pending = PendingRead(request=request, sender=sender, received_at=now, release_cycle=release_cycle)
+        pending = PendingRead(request=request, sender=sender, received_at=now)
         self._pending.setdefault(release_cycle, []).append(pending)
         self.reads_buffered += 1
         return pending

@@ -53,12 +53,11 @@ class EmulationTable:
     """Maps each vnode to the pnodes currently believed to emulate it.
 
     The table is initialized from the full LOT (every vnode maps to every
-    descendant pnode) and is subsequently maintained by applying membership
-    updates agreed on during consensus cycles (§4.6).
+    descendant pnode) and then only shrinks, by the deletes agreed on
+    during consensus cycles (§4.6).
     """
 
     def __init__(self, tree: "LeafOnlyTree") -> None:
-        self._tree = tree
         self._emulators: Dict[str, List[str]] = {}
         for vnode_id in tree.vnodes:
             self._emulators[vnode_id] = list(tree.descendant_pnodes(vnode_id))
@@ -72,20 +71,6 @@ class EmulationTable:
         for emulator_list in self._emulators.values():
             if node_id in emulator_list:
                 emulator_list.remove(node_id)
-
-    def add_node(self, node_id: str) -> None:
-        """Add a (re)joined pnode as an emulator of all of its ancestors.
-
-        Nodes unknown to the LOT (assumption A3: the super-leaf structure
-        never changes, so a genuinely new machine cannot appear mid-flight)
-        are ignored.
-        """
-        if not self._tree.has_pnode(node_id):
-            return
-        for vnode_id in self._tree.ancestors_of_pnode(node_id):
-            emulator_list = self._emulators.setdefault(vnode_id, [])
-            if node_id not in emulator_list:
-                emulator_list.append(node_id)
 
     def snapshot(self) -> Dict[str, Tuple[str, ...]]:
         """Immutable copy used by tests to compare tables across nodes."""
@@ -179,9 +164,6 @@ class LeafOnlyTree:
     @property
     def pnodes(self) -> List[str]:
         return list(self._pnode_super_leaf.keys())
-
-    def has_pnode(self, node_id: str) -> bool:
-        return node_id in self._pnode_super_leaf
 
     def super_leaf_of(self, node_id: str) -> SuperLeaf:
         return self.super_leaves[self._pnode_super_leaf[node_id]]

@@ -1,11 +1,13 @@
-"""Membership maintenance: failure detection, join/leave, emulation table.
+"""Membership maintenance: failure detection and the emulation table.
 
 The paper keeps the emulation table consistent by piggybacking membership
 changes on proposal messages (§4.6): failures detected by the intra-super-
 leaf failure detector during cycle ``c`` are listed in the round-1 proposals
 of cycle ``c+1``; at the end of that cycle every node has the same set of
 updates and applies them to its emulation table, so every node enters cycle
-``c+2`` with the same membership view.
+``c+2`` with the same membership view.  Membership here only shrinks: a
+crashed node is deleted and nothing re-admits it (the paper's joins need a
+rejoiner to catch up first, and nothing here transfers state).
 
 This module provides the heartbeat-based failure detector used within a
 super-leaf and the bookkeeping for pending membership updates.  The detector
@@ -24,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Set
 from repro.canopus.messages import MembershipUpdate
 from repro.runtime.base import Runtime, Timer
 
-__all__ = ["Heartbeat", "JoinRequest", "FailureDetector", "MembershipManager"]
+__all__ = ["Heartbeat", "FailureDetector", "MembershipManager"]
 
 
 #: ``Heartbeat.echo`` before the sender has heard any heartbeat of the recipient's.
@@ -45,17 +47,6 @@ class Heartbeat:
 
     def wire_size(self) -> int:
         return 24
-
-
-@dataclass(slots=True)
-class JoinRequest:
-    """Request from a (re)joining node to the members of its super-leaf."""
-
-    node_id: str
-    super_leaf: str
-
-    def wire_size(self) -> int:
-        return 48
 
 
 class FailureDetector:
@@ -181,24 +172,8 @@ class FailureDetector:
         if lapsed and self.on_in_view is not None and self.in_view():
             self.on_in_view()
 
-    def suspect(self, peer: str) -> None:
-        self._suspected.add(peer)
-
     def is_suspected(self, peer: str) -> bool:
         return peer in self._suspected
-
-    def clear(self, peer: str) -> None:
-        self._suspected.discard(peer)
-        self.last_seen[peer] = self.runtime.now()
-
-    def add_peer(self, peer: str) -> None:
-        """A committed add: ``peer`` may time this node out from now on, and
-        has acknowledged nothing yet, so the lease waits for its first echo."""
-        if peer not in self.peers:
-            self.peers.append(peer)
-        self.clear(peer)
-        self._echoed[peer] = NEVER
-        self._alone_from_the_start = False
 
     def remove_peer(self, peer: str) -> None:
         """A committed delete: ``peer`` has no say over this node any more."""
@@ -222,13 +197,7 @@ class MembershipManager:
 
     # ------------------------------------------------------------------
     def note_failure(self, node_id: str) -> MembershipUpdate:
-        update = MembershipUpdate(action="delete", node_id=node_id, super_leaf=self.super_leaf_name)
-        if update not in self._pending:
-            self._pending.append(update)
-        return update
-
-    def note_join(self, node_id: str) -> MembershipUpdate:
-        update = MembershipUpdate(action="add", node_id=node_id, super_leaf=self.super_leaf_name)
+        update = MembershipUpdate(node_id=node_id, super_leaf=self.super_leaf_name)
         if update not in self._pending:
             self._pending.append(update)
         return update
@@ -251,10 +220,5 @@ class MembershipManager:
         """
         for update in updates:
             self.applied.append(update)
-            if update.action == "delete":
-                emulation_table.remove_node(update.node_id)
-                live_view.discard(update.node_id)
-            elif update.action == "add":
-                emulation_table.add_node(update.node_id)
-                if update.super_leaf == self.super_leaf_name:
-                    live_view.add(update.node_id)
+            emulation_table.remove_node(update.node_id)
+            live_view.discard(update.node_id)

@@ -30,9 +30,12 @@ PROPOSAL_REQUEST_BYTES = 24
 # Payload-only: rides inside Proposal.membership_updates, never
 # delivered as a top-level message.
 class MembershipUpdate:  # detlint: disable=dispatch-complete
-    """A join or leave event piggybacked on proposals (§4.6)."""
+    """The deletion of a failed node, piggybacked on proposals (§4.6).
 
-    action: str  # "add" or "delete"
+    The only membership change here: the paper's joins are not implemented
+    (nothing transfers state to a rejoiner).
+    """
+
     node_id: str
     super_leaf: str
 

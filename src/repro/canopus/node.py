@@ -40,7 +40,7 @@ from repro.canopus.config import PROPOSAL_NUMBER_BITS, REPRESENTATIVES_PER_SUPER
 from repro.canopus.cycle import CycleState, FetchState
 from repro.canopus.linearizer import ReadLinearizer
 from repro.canopus.lot import EmulationTable, LeafOnlyTree
-from repro.canopus.membership import FailureDetector, Heartbeat, JoinRequest, MembershipManager
+from repro.canopus.membership import FailureDetector, Heartbeat, MembershipManager
 from repro.canopus.messages import MembershipUpdate, Proposal, ProposalRequest
 from repro.canopus.proposal import merge_proposals
 from repro.kvstore.store import KVStore
@@ -158,7 +158,6 @@ class CanopusNode:
             # Direct (non-broadcast) proposal: a reply to a proposal-request.
             Proposal: self._on_fetched_proposal,
             Heartbeat: self.failure_detector.on_message,
-            JoinRequest: self._on_join_request,
             **dict.fromkeys(self.broadcast.message_types, self.broadcast.on_message),
         }
         #: The detector's last-seen map, stored into by :meth:`on_message`.
@@ -394,8 +393,6 @@ class CanopusNode:
         batch, self.pending_writes = self.pending_writes, []
         self._pending_write_clients.clear()
         updates = tuple(self.membership.take_pending())
-        state.own_requests = tuple(batch)
-        state.own_membership_updates = updates
         if not batch:
             self.stats["empty_cycles"] += 1
         if self._obs is not None:
@@ -657,7 +654,6 @@ class CanopusNode:
                 self._obs_proto, f"round{state.current_round}", self.node_id, key=state.cycle_id
             )
         state.completed = True
-        state.completed_at = self.runtime.now()
         self._try_commit()
 
     def _begin_fetch_round(self, state: CycleState, round_number: int, inherited: bool = False) -> None:
@@ -688,8 +684,7 @@ class CanopusNode:
                 self._issue_fetch(state, vnode_id, attempt=1, rank=rank)
             elif inherited:
                 state.fetches[vnode_id] = FetchState(
-                    vnode_id=vnode_id, emulator="", issued_at=self.runtime.now(), rank=rank,
-                    satisfied=True,
+                    vnode_id=vnode_id, emulator="", rank=rank, satisfied=True,
                 )
                 self.broadcast.broadcast(held, agreed=True)
 
@@ -709,8 +704,7 @@ class CanopusNode:
                 lambda: self._issue_fetch(state, vnode_id, attempt + 1, rank),
             )
             state.fetches[vnode_id] = FetchState(
-                vnode_id=vnode_id, emulator="", issued_at=self.runtime.now(), attempts=attempt,
-                rank=rank, timer=timer,
+                vnode_id=vnode_id, emulator="", attempts=attempt, rank=rank, timer=timer,
             )
             return
         emulator = self.lot.emulator_for(
@@ -732,7 +726,6 @@ class CanopusNode:
         state.fetches[vnode_id] = FetchState(
             vnode_id=vnode_id,
             emulator=emulator,
-            issued_at=self.runtime.now(),
             attempts=attempt,
             rank=rank,
             timer=timer,
@@ -817,12 +810,8 @@ class CanopusNode:
         for update in updates:
             if update.super_leaf != self.super_leaf.name:
                 continue
-            if update.action == "delete":
-                self.broadcast.remove_peer(update.node_id)
-                self.failure_detector.remove_peer(update.node_id)
-            elif update.action == "add" and update.node_id != self.node_id:
-                self.broadcast.add_peer(update.node_id)
-                self.failure_detector.add_peer(update.node_id)
+            self.broadcast.remove_peer(update.node_id)
+            self.failure_detector.remove_peer(update.node_id)
 
     def _on_peer_failure(self, peer: str) -> None:
         """A super-leaf peer stopped responding: exclude it and queue the update."""
@@ -852,22 +841,6 @@ class CanopusNode:
                     self._begin_fetch_round(state, round_number, inherited=True)
         if self._reads_out_of_view:
             self._prompt_cycle()  # they wait for this peer's delete to commit
-
-    def _on_join_request(self, sender: str, request: JoinRequest) -> None:
-        """A node (re)joins this super-leaf; effective after the carrying cycle commits.
-
-        Until then it stays suspected: no heartbeat goes to it, so nothing
-        here acknowledges a node that no cycle waits for (see
-        :meth:`FailureDetector.in_view`).
-        """
-        if request.super_leaf != self.super_leaf.name:
-            return
-        self.membership.note_join(request.node_id)
-
-    def request_join(self) -> None:
-        """Ask the live members of our super-leaf to re-admit this node."""
-        request = JoinRequest(node_id=self.node_id, super_leaf=self.super_leaf.name)
-        self.transport.broadcast(self.super_leaf.peers_of(self.node_id), request, request.wire_size())
 
     # ==================================================================
     # Introspection

@@ -93,6 +93,8 @@ class MetricsCollector:
         record = self.records.get(reply.request_id)
         if record is None or reply.error is not None:
             return  # a refusal completes nothing: the request stays unanswered
+        if record.completed_at is not None:
+            return  # the first reply wins
         record.completed_at = completed_at
         record.server_id = reply.server_id
         # Reads learn their value from the reply; writes keep what they sent.

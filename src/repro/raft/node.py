@@ -165,14 +165,6 @@ class RaftNode:
             if self.is_leader:
                 self._advance_commit_index()
 
-    def add_member(self, member: str) -> None:
-        """Admit a (re)joined member; it is caught up from the log's end."""
-        if member not in self.members:
-            self.members.append(member)
-            self._peers.append(member)
-            self.next_index[member] = self.log.last_index + 1
-            self.match_index[member] = 0
-
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------

@@ -518,16 +518,13 @@ class _RxQueue(DeliveryQueue):
         pending = self._pending
         # This is the per-delivered-packet loop.  Failure state and the
         # handler are re-read per packet (a callback can fail the host or
-        # swap the handler mid-flush); the receive counters accumulate in
-        # locals and settle once per flush.
-        hdr = DEFAULT_HEADER_BYTES
+        # swap the handler mid-flush); the receive counter accumulates in a
+        # local and settles once per flush.
         n_received = 0
-        b_received = 0
         while pending and pending[0][0] <= now:
             packet = pending.popleft()[1]
             if not host.failed:
                 n_received += 1
-                b_received += packet.size_bytes + hdr
                 handler = host._handler
                 if handler is not None:
                     obs = host._obs
@@ -537,7 +534,6 @@ class _RxQueue(DeliveryQueue):
                         obs.deliver(host.name, packet, handler)
         if n_received:
             host.messages_received += n_received
-            host.bytes_received += b_received
         self._armed_at = inf
         if pending:
             self._arm(pending[0][0])
@@ -565,7 +561,6 @@ class Host(NetworkElement):
         self._cpu_busy_s = 0.0
         self.messages_received = 0
         self.messages_sent = 0
-        self.bytes_received = 0
         self.rack: Optional[str] = None
         self.datacenter: Optional[str] = None
         self.failed = False
@@ -712,7 +707,7 @@ class Host(NetworkElement):
         self.failed = True
 
     def recover(self) -> None:
-        """Bring a crashed host back (protocol-level rejoin is separate)."""
+        """Bring a crashed host back (no protocol here re-admits its node)."""
         if self._in_q:
             self._pull(self.network.loop._now)  # drop in-crash arrivals
         self.failed = False

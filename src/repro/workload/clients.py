@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heapify, heapreplace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.metrics.collector import MetricsCollector
 from repro.runtime.base import Runtime
@@ -34,8 +34,6 @@ class ClientProcess:
     target_node: str
     request_rate_hz: float
     write_ratio: float
-    sent: int = 0
-    completed: int = 0
 
 
 class _ArrivalScheduler:
@@ -137,8 +135,6 @@ class _ArrivalScheduler:
             value=keyspace.next_value() if write else None,
             submitted_at=t,
         )
-        agent._inflight[request.request_id] = process
-        process.sent += 1
         agent.collector.record_submit(request)
         obs = agent._obs
         if obs is None:
@@ -177,7 +173,6 @@ class ClientHostAgent:
         self.keyspace = keyspace
         self.collector = collector
         self.rng = rng or runtime.rng
-        self._inflight: Dict[int, ClientProcess] = {}
         self.running = False
         self._scheduler: Optional[_ArrivalScheduler] = None
         #: Observability hook (repro.obs.Tracer); None = off.  The agent
@@ -202,20 +197,6 @@ class ClientHostAgent:
     def on_message(self, sender: str, message: object) -> None:
         if not isinstance(message, ClientReply):
             return
-        process = self._inflight.pop(message.request_id, None)
-        if process is None:
-            return
-        # A refusal (``error`` set) answers nothing: the collector keeps the
-        # request unanswered, so it does not count as completed here either.
-        if message.error is None:
-            process.completed += 1
         self.collector.record_reply(message, completed_at=self.runtime.now())
         if self._obs is not None:
             self._obs.request_completed(message.request_id)
-
-    # ------------------------------------------------------------------
-    def total_sent(self) -> int:
-        return sum(process.sent for process in self.processes)
-
-    def total_completed(self) -> int:
-        return sum(process.completed for process in self.processes)

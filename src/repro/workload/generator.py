@@ -111,7 +111,7 @@ class WorkloadGenerator:
             agent.stop()
 
     def total_sent(self) -> int:
-        return sum(agent.total_sent() for agent in self.agents)
+        return len(self.collector.records)
 
     def total_completed(self) -> int:
-        return sum(agent.total_completed() for agent in self.agents)
+        return len(self.collector.completed_records())

@@ -7,6 +7,11 @@ commit-log digest (``_commit_log_sha256``), the traffic the nodes sent and
 the engine events the run executed.  A change that is meant to be
 host-only (a representation, a dispatch table, a cheaper clock) must leave
 all of them byte-identical.
+
+The failure path is pinned too: the same kind of deployment on the tests'
+``fast_config`` with one member crashed mid-load, pinning what the
+survivors committed, what they sent, and how long the crash held up
+commits everywhere.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from repro.canopus.config import CanopusConfig
 from repro.protocols import build_protocol
 from repro.sim.engine import Simulator
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
+from tests.helpers import fast_config
 
 #: system -> (write ratio, offered req/s, pinned (digest prefix,
 #: messages_sent, bytes_sent, engine events)).
@@ -70,4 +76,60 @@ def test_fixed_seed_behaviour_is_pinned(system):
         f"{observed}.  A host-only change must not move any of them.  If the change is "
         f"meant to alter modelled behaviour, say so in its description, then re-pin by "
         f"copying the observed tuple into PINNED in tests/test_canopus_digest_pin.py."
+    )
+
+
+#: The crash-under-load case: (victim, crash instant), and the pinned
+#: (survivors' digest prefix, survivors' messages_sent, crash to next
+#: commit at every survivor in microseconds).
+CRASH = ("n1-1", 0.1)
+PINNED_CRASH = ("0e5cab00", 2420, 100840)
+
+
+def crash_run():
+    victim, crash_at = CRASH
+    simulator = Simulator(seed=7)
+    topology = make_single_dc_topology(simulator, nodes_per_rack=3, racks=3)
+    protocol = build_protocol("canopus", topology, config=fast_config())
+    generator = WorkloadGenerator(
+        topology,
+        WorkloadConfig(
+            client_processes=12, aggregate_rate_hz=2000.0, write_ratio=0.5,
+            key_count=1000, seed=7,
+        ),
+    )
+    generator.build()
+    protocol.start()
+    generator.start()
+    simulator.run_until(crash_at)
+    survivors = [node for node_id, node in protocol.nodes.items() if node_id != victim]
+    # No cycle is in flight anywhere, so every survivor's next commit is of
+    # a cycle the victim cannot propose in: it waits for the exclusion.
+    assert all(node.last_started_cycle == node.last_committed_cycle for node in survivors)
+    protocol.crash(victim)
+    simulator.run_until(0.4)
+    generator.stop()
+    simulator.run_until(0.5)
+    protocol.stop()
+    first_commits = [
+        min(cycle.committed_at for cycle in node.commit_log if cycle.committed_at > crash_at)
+        for node in survivors
+    ]
+    logs = {node.node_id: protocol.committed_log(node.node_id) for node in survivors}
+    return (
+        _commit_log_sha256(logs)[:8],
+        sum(node.runtime.transport.messages_sent for node in survivors),
+        round((max(first_commits) - crash_at) * 1e6),
+    )
+
+
+def test_crash_under_load_is_pinned():
+    """One member of nine crashes between cycles: the survivors' commit log,
+    their traffic and the crash-to-next-commit time (the latest, across
+    survivors, of the first commit after the crash) are pinned."""
+    observed = crash_run()
+    assert observed == PINNED_CRASH, (
+        f"crash under load: (digest, messages_sent, crash-to-next-commit us) moved from "
+        f"{PINNED_CRASH} to {observed}.  Re-pin only for an intended change to the failure "
+        f"path, named in the change's description."
     )

@@ -51,7 +51,7 @@ class TestSingleNodeFailure:
         protocol.nodes["n2-0"].submit(write("settle", "z"))
         sim.run_until(5.0)
         applied_anywhere = any(
-            MembershipUpdate(action="delete", node_id="n1-2", super_leaf="rack-1") in node.membership.applied
+            MembershipUpdate(node_id="n1-2", super_leaf="rack-1") in node.membership.applied
             for node in protocol.nodes.values()
             if node.node_id != "n1-2"
         )

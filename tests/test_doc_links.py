@@ -235,6 +235,18 @@ REMOVED = {
     "key_deps": "EPaxos keeps no dependencies: interfering commands are outside its contract",
     "accept_oks": "EPaxos has no Accept phase to count acks for",
     "preaccept_replies": "the command leader counts PreAcceptOKs in _Instance.preaccept_oks",
+    "JoinRequest": "Canopus membership is delete-only: no run ever joined a node",
+    "request_join": "Canopus membership is delete-only: no run ever joined a node",
+    "_on_join_request": "Canopus membership is delete-only: no run ever joined a node",
+    "note_join": "Canopus membership is delete-only: no run ever joined a node",
+    "add_peer": "a super-leaf's detector and broadcast group only lose members (committed deletes)",
+    "add_member": "a broadcast Raft group only loses members (committed deletes)",
+    "add_node": "the emulation table only loses pnodes (committed deletes)",
+    "has_pnode": "only the deleted EmulationTable.add_node asked it",
+    "_inflight": "MetricsCollector.records is the one record per client request",
+    "bytes_received": "nothing read it; Host.messages_received stays",
+    "own_requests": "nothing read it; a node's round-1 proposal carries its batch",
+    "own_membership_updates": "nothing read it; a node's round-1 proposal carries its updates",
 }
 
 #: Constructor and function options that went with the code only they
@@ -274,6 +286,14 @@ REMOVED_OPTIONS = [
     ("repro.protocols.canopus:CanopusProtocol", "stores"),
     ("repro.bench.builders:SystemUnderTest", "stores"),
     ("repro.epaxos.node:EPaxosConfig", "conflict_tracking"),
+    ("repro.canopus.messages:MembershipUpdate", "action"),
+    ("repro.workload.clients:ClientProcess", "sent"),
+    ("repro.workload.clients:ClientProcess", "completed"),
+    ("repro.canopus.cycle:CycleState", "own_requests"),
+    ("repro.canopus.cycle:CycleState", "own_membership_updates"),
+    ("repro.canopus.cycle:CycleState", "completed_at"),
+    ("repro.canopus.cycle:FetchState", "issued_at"),
+    ("repro.canopus.linearizer:PendingRead", "release_cycle"),
 ]
 
 #: Command-line flags that went with the code only they reached, each with

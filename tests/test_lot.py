@@ -231,13 +231,6 @@ class TestEmulationTable:
         assert "n1-0" not in table.emulators(LeafOnlyTree.ROOT_ID)
         assert "n1-0" not in table.emulators(lot.parent_vnode_of("n1-0"))
 
-    def test_add_node_restores_emulator(self):
-        lot = make_lot(3, 3)
-        table = lot.new_emulation_table()
-        table.remove_node("n1-0")
-        table.add_node("n1-0")
-        assert "n1-0" in table.emulators(LeafOnlyTree.ROOT_ID)
-
     def test_tables_with_same_history_are_equal(self):
         lot = make_lot(3, 3)
         table_a, table_b = lot.new_emulation_table(), lot.new_emulation_table()

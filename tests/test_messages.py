@@ -42,7 +42,7 @@ class TestProposal:
         assert large.wire_size() > small.wire_size()
 
     def test_wire_size_includes_membership_updates(self):
-        update = MembershipUpdate(action="delete", node_id="x", super_leaf="s")
+        update = MembershipUpdate(node_id="x", super_leaf="s")
         bare = Proposal(cycle_id=1, round_number=1, vnode_id="n", sender="n", proposal_number=1)
         with_update = Proposal(cycle_id=1, round_number=1, vnode_id="n", sender="n", proposal_number=1,
                                membership_updates=(update,))
@@ -66,8 +66,8 @@ class TestProposalRequest:
 
 class TestMembershipUpdate:
     def test_updates_are_hashable_and_comparable(self):
-        a = MembershipUpdate(action="delete", node_id="x", super_leaf="s")
-        b = MembershipUpdate(action="delete", node_id="x", super_leaf="s")
+        a = MembershipUpdate(node_id="x", super_leaf="s")
+        b = MembershipUpdate(node_id="x", super_leaf="s")
         assert a == b
         assert len({a, b}) == 1
 

@@ -110,6 +110,20 @@ class TestCollector:
         assert collector.completed_records() == []
         assert collector.summarize(0.0, 2.0).requests_completed == 0
 
+    def test_the_first_reply_wins(self):
+        """A second reply to a completed request changes nothing."""
+        collector = MetricsCollector()
+        request = self.make_request(1.0)
+        collector.record_submit(request)
+        first = self.reply_for(request)
+        first.value = "v1"
+        collector.record_reply(first, completed_at=1.1)
+        second = self.reply_for(request)
+        second.value, second.server_id = "v2", "t"
+        collector.record_reply(second, completed_at=1.2)
+        record = collector.records[request.request_id]
+        assert (record.completed_at, record.server_id, record.value) == (1.1, "s", "v1")
+
     def test_incomplete_requests_not_counted_as_completed(self):
         collector = MetricsCollector()
         request = self.make_request(1.0)

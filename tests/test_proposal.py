@@ -53,7 +53,7 @@ class TestMerge:
     def test_merge_ignores_a_void_proposal_and_its_number(self):
         """A void proposal is broadcast without agreement: a member that
         missed it must compute the same state as one that counted it."""
-        update = MembershipUpdate(action="delete", node_id="x", super_leaf="s")
+        update = MembershipUpdate(node_id="x", super_leaf="s")
         carries_update = Proposal(1, 1, "c", "c", 50, membership_updates=(update,))
         assert make_proposal("v", 99).is_void()
         assert not carries_update.is_void() and not make_proposal("a", 7, keys=("a1",)).is_void()
@@ -70,7 +70,7 @@ class TestMerge:
         assert [r.key for r in merged.requests] == ["first", "second", "third"]
 
     def test_merge_unions_membership_updates_without_duplicates(self):
-        update = MembershipUpdate(action="delete", node_id="x", super_leaf="s")
+        update = MembershipUpdate(node_id="x", super_leaf="s")
         pa = Proposal(cycle_id=1, round_number=1, vnode_id="a", sender="a", proposal_number=1,
                       membership_updates=(update,))
         pb = Proposal(cycle_id=1, round_number=1, vnode_id="b", sender="b", proposal_number=2,
@@ -122,8 +122,7 @@ def test_merge_is_permutation_invariant(spec, rng):
 membership_strategy = st.lists(
     st.builds(
         MembershipUpdate,
-        action=st.sampled_from(["add", "delete"]),
-        node_id=st.sampled_from(["x", "y"]),
+        node_id=st.sampled_from(["w", "x", "y", "z"]),
         super_leaf=st.just("s"),
     ),
     max_size=2,

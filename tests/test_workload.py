@@ -157,16 +157,16 @@ class TestArrivalSchedule:
         agent.start()
         runtime.run_until(0.5)
         assert {r.client_id for _, _, r in runtime.sent} == {"p0"}
-        assert agent.processes[1].sent == 0
+        assert {r.client_id for r in agent.collector.records.values()} == {"p0"}
 
     def test_every_send_is_counted_and_recorded(self):
         runtime, agent = self.agent()
         agent.start()
         runtime.run_until(0.5)
-        assert agent.total_sent() == len(runtime.sent) == len(agent.collector.records)
-        assert [p.sent for p in agent.processes] == [
-            sum(1 for _, _, r in runtime.sent if r.client_id == p.process_id)
-            for p in agent.processes
+        records = agent.collector.records
+        assert [r.request_id for _, _, r in runtime.sent] == list(records)
+        assert [records[r.request_id].client_id for _, _, r in runtime.sent] == [
+            r.client_id for _, _, r in runtime.sent
         ]
 
     def test_stop_ends_the_arrivals(self):
@@ -208,10 +208,11 @@ class TestArrivalSchedule:
         reply = ClientReply(request_id=request.request_id, client_id=request.client_id,
                             op=request.op, key=request.key, value=None, committed_cycle=1)
         runtime.handler("n0", reply)
-        runtime.handler("n0", dataclasses.replace(reply))
+        runtime.clock += 0.01
+        runtime.handler("n0", dataclasses.replace(reply, server_id="n1"))
         runtime.handler("n0", "not a reply")
-        assert agent.total_completed() == 1
-        assert len(agent.collector.completed_records()) == 1
+        (record,) = agent.collector.completed_records()
+        assert (record.completed_at, record.server_id) == (0.05, "")
 
 
 class TestWorkloadGenerator:
@@ -355,4 +356,5 @@ class TestRefusedReads:
         simulator.run_until(1.0)
         sut.stop()
         assert refusals, "the scenario must produce refusals"
+        assert all(collector.records[rid].completed_at is None for rid in refusals)
         assert generator.total_completed() == len(collector.completed_records())

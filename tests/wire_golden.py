@@ -18,7 +18,7 @@ function of the batch.
 from __future__ import annotations
 
 from repro.broadcast.raft_broadcast import _ForwardedBroadcast
-from repro.canopus.membership import Heartbeat, JoinRequest
+from repro.canopus.membership import Heartbeat
 from repro.canopus.messages import MembershipUpdate, Proposal, ProposalRequest
 from repro.epaxos.messages import Commit, InstanceId, PreAccept, PreAcceptOK
 from repro.epaxos.node import _Probe, _ProbeReply
@@ -54,20 +54,19 @@ GOLDEN = [
     ("client-request-read", lambda: _request(op=RequestType.READ, value=None), 48),
     ("client-reply", lambda: _reply(), 48),
     # -- canopus ---------------------------------------------------------
-    ("membership-update", lambda: MembershipUpdate("add", "n1", "sl0"), 32),
+    ("membership-update", lambda: MembershipUpdate("n1", "sl0"), 32),
     ("proposal-empty", lambda: Proposal(1, 1, "v0", "n0", 1), 40),
     ("proposal-3req", lambda: Proposal(1, 1, "v0", "n0", 1, requests=_requests(3)), 40 + 3 * 48),
     (
         "proposal-2req-1member",
         lambda: Proposal(
             1, 2, "v0", "n0", 1, requests=_requests(2),
-            membership_updates=(MembershipUpdate("add", "n1", "sl0"),),
+            membership_updates=(MembershipUpdate("n1", "sl0"),),
         ),
         40 + 2 * 48 + 32,
     ),
     ("proposal-request", lambda: ProposalRequest(1, "v0", "n0"), 24),
     ("heartbeat", lambda: Heartbeat(sent_at=0.5, echo=0.25), 24),
-    ("join-request", lambda: JoinRequest(node_id="n1", super_leaf="sl0"), 48),
     ("forwarded-broadcast", lambda: _ForwardedBroadcast("g0", _request()), 48 + 24),
     # -- epaxos ----------------------------------------------------------
     ("preaccept-1cmd", lambda: PreAccept(_instance(), _requests(1), 1), 56 + 48),
@@ -112,7 +111,7 @@ GOLDEN = [
 #: ``test_wire_covered_matches_golden_factories`` keeps it honest.
 WIRE_COVERED = {
     "src/repro/broadcast/raft_broadcast.py": ("_ForwardedBroadcast",),
-    "src/repro/canopus/membership.py": ("Heartbeat", "JoinRequest"),
+    "src/repro/canopus/membership.py": ("Heartbeat",),
     "src/repro/canopus/messages.py": ("MembershipUpdate", "Proposal", "ProposalRequest"),
     "src/repro/epaxos/messages.py": (
         "PreAccept",
